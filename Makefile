@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet test test-obs bench bench-wal bench-ckpt bench-obs bench-spans bench-net bench-partition bench-repl torture metrics-smoke trace-smoke chaos-smoke checkpoint-smoke server-smoke partition-smoke tracing-smoke repl-smoke
+.PHONY: check build vet test bench-check test-obs bench bench-wal bench-ckpt bench-obs bench-spans bench-net bench-partition bench-repl torture metrics-smoke trace-smoke chaos-smoke checkpoint-smoke server-smoke partition-smoke tracing-smoke repl-smoke
 
 # The full gate: everything must build, vet clean, and pass under the race
-# detector. CI and pre-commit both run this.
-check: build vet test
+# detector, bench/ included. CI and pre-commit both run this.
+check: build vet test bench-check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ vet:
 
 test:
 	$(GO) test -race ./...
+
+# bench/ is a module of its own compiled against internal/*, so build, vet
+# and test above never see it; a change that breaks an identifier it pins
+# (DESIGN.md §4c) fails here, not in the benchmark pipeline.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # The observability layer and every package it instruments, race-checked —
 # the fast loop when touching metrics/flight-recorder code.

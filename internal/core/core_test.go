@@ -297,14 +297,12 @@ func TestOpenNestedConcurrentCommutingOps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tx := db.Begin()
-			_, err := tx.Exec(dict, "put", fmt.Sprintf("k%d", i))
-			if err != nil {
-				errs[i] = err
-				_ = tx.Abort()
-				return
-			}
-			errs[i] = tx.Commit()
+			// put reads then writes one page: two puts on the same page can
+			// deadlock converting S to X, so victims restart.
+			errs[i] = db.RunWithRetry(RetryPolicy{MaxAttempts: 200}, func(tx *Txn) error {
+				_, err := tx.Exec(dict, "put", fmt.Sprintf("k%d", i))
+				return err
+			})
 		}(i)
 	}
 	wg.Wait()

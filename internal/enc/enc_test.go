@@ -36,22 +36,19 @@ func newEnc(t testing.TB, p core.ProtocolKind) (*core.DB, *Encyclopedia) {
 	return db, e
 }
 
+// runOne executes a single-op transaction, restarting deadlock victims
+// with backoff (see the btree tests' helper of the same name).
 func runOne(t testing.TB, db *core.DB, obj txn.OID, method string, params ...string) string {
 	t.Helper()
-	for attempt := 0; ; attempt++ {
-		tx := db.Begin()
-		res, err := tx.Exec(obj, method, params...)
-		if err == nil {
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		_ = tx.Abort()
-		if attempt == 19 {
-			t.Fatalf("%s.%s%v failed: %v", obj.Name, method, params, err)
-		}
+	var res string
+	err := db.RunWithRetry(core.RetryPolicy{MaxAttempts: 200}, func(tx *core.Txn) (err error) {
+		res, err = tx.Exec(obj, method, params...)
+		return err
+	})
+	if err != nil {
+		t.Errorf("%s.%s%v failed: %v", obj.Name, method, params, err)
 	}
+	return res
 }
 
 func TestFig2Structure(t *testing.T) {

@@ -18,36 +18,16 @@ import (
 type Digraph struct {
 	// succ maps a node to the set of its direct successors.
 	succ map[string]map[string]bool
-	// pred maps a node to the set of its direct predecessors.
-	pred map[string]map[string]bool
 }
 
 // New returns an empty directed graph.
 func New() *Digraph {
-	return &Digraph{
-		succ: make(map[string]map[string]bool),
-		pred: make(map[string]map[string]bool),
-	}
-}
-
-// Clone returns a deep copy of g.
-func (g *Digraph) Clone() *Digraph {
-	c := New()
-	for n := range g.succ {
-		c.ensure(n)
-	}
-	for from, tos := range g.succ {
-		for to := range tos {
-			c.AddEdge(from, to)
-		}
-	}
-	return c
+	return &Digraph{succ: make(map[string]map[string]bool)}
 }
 
 func (g *Digraph) ensure(n string) {
 	if _, ok := g.succ[n]; !ok {
 		g.succ[n] = make(map[string]bool)
-		g.pred[n] = make(map[string]bool)
 	}
 }
 
@@ -62,35 +42,16 @@ func (g *Digraph) AddEdge(from, to string) {
 	g.ensure(from)
 	g.ensure(to)
 	g.succ[from][to] = true
-	g.pred[to][from] = true
 }
 
-// RemoveEdge deletes the edge from → to if present.
-func (g *Digraph) RemoveEdge(from, to string) {
-	if tos, ok := g.succ[from]; ok {
-		delete(tos, to)
+// Merge adds every node and edge of h to g.
+func (g *Digraph) Merge(h *Digraph) {
+	for from, tos := range h.succ {
+		g.ensure(from)
+		for to := range tos {
+			g.AddEdge(from, to)
+		}
 	}
-	if froms, ok := g.pred[to]; ok {
-		delete(froms, from)
-	}
-}
-
-// RemoveNode deletes a node and all incident edges.
-func (g *Digraph) RemoveNode(n string) {
-	for to := range g.succ[n] {
-		delete(g.pred[to], n)
-	}
-	for from := range g.pred[n] {
-		delete(g.succ[from], n)
-	}
-	delete(g.succ, n)
-	delete(g.pred, n)
-}
-
-// HasNode reports whether n is in the graph.
-func (g *Digraph) HasNode(n string) bool {
-	_, ok := g.succ[n]
-	return ok
 }
 
 // HasEdge reports whether the edge from → to exists.
@@ -107,9 +68,6 @@ func (g *Digraph) Nodes() []string {
 	sort.Strings(out)
 	return out
 }
-
-// NumNodes returns the node count.
-func (g *Digraph) NumNodes() int { return len(g.succ) }
 
 // NumEdges returns the edge count.
 func (g *Digraph) NumEdges() int {
@@ -130,16 +88,6 @@ func (g *Digraph) Successors(n string) []string {
 	return out
 }
 
-// Predecessors returns the direct predecessors of n in lexicographic order.
-func (g *Digraph) Predecessors(n string) []string {
-	out := make([]string, 0, len(g.pred[n]))
-	for from := range g.pred[n] {
-		out = append(out, from)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Edges returns all edges as [from, to] pairs in lexicographic order.
 func (g *Digraph) Edges() [][2]string {
 	var out [][2]string
@@ -155,12 +103,6 @@ func (g *Digraph) Edges() [][2]string {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// HasCycle reports whether the graph contains a directed cycle.
-func (g *Digraph) HasCycle() bool {
-	_, err := g.TopoSort()
-	return err != nil
 }
 
 // CycleError is returned by TopoSort when the graph is cyclic. It carries
@@ -230,7 +172,12 @@ func (g *Digraph) FindCycle() []string {
 func (g *Digraph) TopoSort() ([]string, error) {
 	indeg := make(map[string]int, len(g.succ))
 	for n := range g.succ {
-		indeg[n] = len(g.pred[n])
+		indeg[n] = 0
+	}
+	for _, tos := range g.succ {
+		for to := range tos {
+			indeg[to]++
+		}
 	}
 	// Min-heap replaced by sorted frontier: graphs here are small enough
 	// that re-sorting the frontier is fine and keeps this dependency-free.
@@ -290,171 +237,6 @@ func (g *Digraph) Reachable(from, to string) bool {
 		}
 	}
 	return false
-}
-
-// TransitiveClosure returns a new graph with an edge u → v whenever v is
-// reachable from u in g by a non-empty path.
-func (g *Digraph) TransitiveClosure() *Digraph {
-	c := New()
-	for n := range g.succ {
-		c.ensure(n)
-	}
-	for _, n := range g.Nodes() {
-		seen := make(map[string]bool)
-		stack := g.Successors(n)
-		for len(stack) > 0 {
-			m := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[m] {
-				continue
-			}
-			seen[m] = true
-			c.AddEdge(n, m)
-			for succ := range g.succ[m] {
-				if !seen[succ] {
-					stack = append(stack, succ)
-				}
-			}
-		}
-	}
-	return c
-}
-
-// SCCs returns the strongly connected components of g (Tarjan's algorithm),
-// each sorted internally, with components ordered by their smallest member.
-// Components of size > 1 (or with a self-loop) witness cycles in dependency
-// relations, i.e. non-serializable executions.
-func (g *Digraph) SCCs() [][]string {
-	index := make(map[string]int, len(g.succ))
-	low := make(map[string]int, len(g.succ))
-	onStack := make(map[string]bool, len(g.succ))
-	var stack []string
-	var comps [][]string
-	next := 0
-
-	// Iterative Tarjan to avoid deep recursion on long chains.
-	type frame struct {
-		node  string
-		succs []string
-		i     int
-	}
-	var visit func(root string)
-	visit = func(root string) {
-		frames := []frame{{node: root, succs: g.Successors(root)}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(f.succs) {
-				m := f.succs[f.i]
-				f.i++
-				if _, seen := index[m]; !seen {
-					index[m] = next
-					low[m] = next
-					next++
-					stack = append(stack, m)
-					onStack[m] = true
-					frames = append(frames, frame{node: m, succs: g.Successors(m)})
-				} else if onStack[m] {
-					if index[m] < low[f.node] {
-						low[f.node] = index[m]
-					}
-				}
-				continue
-			}
-			// Post-visit for f.node.
-			n := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[n] < low[p.node] {
-					low[p.node] = low[n]
-				}
-			}
-			if low[n] == index[n] {
-				var comp []string
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[m] = false
-					comp = append(comp, m)
-					if m == n {
-						break
-					}
-				}
-				sort.Strings(comp)
-				comps = append(comps, comp)
-			}
-		}
-	}
-
-	for _, n := range g.Nodes() {
-		if _, seen := index[n]; !seen {
-			visit(n)
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
-}
-
-// Union returns a new graph containing the nodes and edges of both g and h.
-func (g *Digraph) Union(h *Digraph) *Digraph {
-	u := g.Clone()
-	for n := range h.succ {
-		u.ensure(n)
-	}
-	for from, tos := range h.succ {
-		for to := range tos {
-			u.AddEdge(from, to)
-		}
-	}
-	return u
-}
-
-// Equal reports whether g and h have identical node and edge sets.
-func (g *Digraph) Equal(h *Digraph) bool {
-	if len(g.succ) != len(h.succ) || g.NumEdges() != h.NumEdges() {
-		return false
-	}
-	for n, tos := range g.succ {
-		htos, ok := h.succ[n]
-		if !ok || len(tos) != len(htos) {
-			return false
-		}
-		for to := range tos {
-			if !htos[to] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Subgraph returns the induced subgraph on the given node set; nodes not in
-// g are ignored.
-func (g *Digraph) Subgraph(nodes []string) *Digraph {
-	keep := make(map[string]bool, len(nodes))
-	for _, n := range nodes {
-		if g.HasNode(n) {
-			keep[n] = true
-		}
-	}
-	s := New()
-	for n := range keep {
-		s.ensure(n)
-	}
-	for from := range keep {
-		for to := range g.succ[from] {
-			if keep[to] {
-				s.AddEdge(from, to)
-			}
-		}
-	}
-	return s
 }
 
 // String renders the graph as "a -> b, c; d -> ;" lines, sorted, for

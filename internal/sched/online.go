@@ -35,7 +35,6 @@ type StreamEvent struct {
 // such a cycle. The batch Analyze remains the reference; Online is
 // validated differentially against it.
 type Online struct {
-	reg       *commut.Registry
 	primitive map[string]bool
 
 	actions map[string]*txn.Action
@@ -46,15 +45,9 @@ type Online struct {
 	// caller prunes them with PruneAborted.
 	aborted map[string]bool
 	onObj   map[txn.OID][]*txn.Action
-	primSeq int
 
-	actDep  map[txn.OID]*graph.Digraph
-	tranDep map[txn.OID]*graph.Digraph
-	added   map[txn.OID]*graph.Digraph
-	cross   *graph.Digraph
-	global  *graph.Digraph
-
-	primPos map[string]int
+	// deps closes the relations under Definitions 10/11/15 (propagate.go).
+	deps *propagator
 
 	violation []string
 }
@@ -69,28 +62,21 @@ func NewOnline(reg *commut.Registry, primitiveTypes ...string) *Online {
 	for _, t := range primitiveTypes {
 		prim[t] = true
 	}
-	return &Online{
-		reg:       reg,
+	o := &Online{
 		primitive: prim,
 		actions:   make(map[string]*txn.Action),
 		aborted:   make(map[string]bool),
 		onObj:     make(map[txn.OID][]*txn.Action),
-		actDep:    make(map[txn.OID]*graph.Digraph),
-		tranDep:   make(map[txn.OID]*graph.Digraph),
-		added:     make(map[txn.OID]*graph.Digraph),
-		cross:     graph.New(),
-		global:    graph.New(),
-		primPos:   make(map[string]int),
+		deps:      newPropagator(reg),
 	}
-}
-
-func (o *Online) graphFor(m map[txn.OID]*graph.Digraph, obj txn.OID) *graph.Digraph {
-	g, ok := m[obj]
-	if !ok {
-		g = graph.New()
-		m[obj] = g
+	// Every dependency enters one global graph; an edge from → to closes a
+	// cycle exactly when from was already reachable from to.
+	o.deps.onEdge = func(from, to string) {
+		if o.violation == nil && o.deps.global.Reachable(to, from) {
+			o.violation = o.deps.global.FindCycle()
+		}
 	}
-	return g
+	return o
 }
 
 // Violation returns a witness cycle once the stream stopped being
@@ -163,100 +149,14 @@ func (o *Online) Add(ev StreamEvent) error {
 
 	// A primitive arrived: Axiom 1 orders it against every earlier
 	// conflicting primitive on the object; each new edge propagates.
-	o.primPos[a.ID] = o.primSeq
-	o.primSeq++
 	peers := o.onObj[obj]
 	o.onObj[obj] = append(peers, a)
 	for _, b := range peers {
-		if o.conflict(obj, b, a) {
-			o.addActDep(obj, b, a)
+		if conflict(o.deps.reg, obj, b, a) {
+			o.deps.addActDep(obj, b, a)
 		}
 	}
 	return nil
-}
-
-func (o *Online) conflict(obj txn.OID, x, y *txn.Action) bool {
-	if x == y || x.Process == y.Process {
-		return false
-	}
-	return !o.reg.Lookup(obj.Type).Commutes(x.Msg.Inv, y.Msg.Inv)
-}
-
-// addActDep inserts x ⊲ y at obj and propagates (Definition 10).
-func (o *Online) addActDep(obj txn.OID, x, y *txn.Action) {
-	g := o.graphFor(o.actDep, obj)
-	if g.HasEdge(x.ID, y.ID) {
-		return
-	}
-	g.AddEdge(x.ID, y.ID)
-	o.addGlobal(x.ID, y.ID)
-	if g.HasEdge(y.ID, x.ID) && o.violation == nil {
-		o.violation = []string{x.ID, y.ID}
-	}
-	if !o.conflict(obj, x, y) {
-		return // commuting callers absorb the dependency
-	}
-	t, u := txn.CallerOn(x), txn.CallerOn(y)
-	if t == u {
-		return
-	}
-	o.addTranDep(obj, t, u)
-}
-
-// addTranDep inserts t → u in obj's transaction dependencies and injects
-// it per Definitions 11/15.
-func (o *Online) addTranDep(obj txn.OID, t, u *txn.Action) {
-	g := o.graphFor(o.tranDep, obj)
-	if g.HasEdge(t.ID, u.ID) {
-		return
-	}
-	g.AddEdge(t.ID, u.ID)
-	o.addGlobal(t.ID, u.ID)
-	if t.Msg.Object == u.Msg.Object {
-		o.addActDep(t.Msg.Object, t, u)
-		return
-	}
-	o.graphFor(o.added, t.Msg.Object).AddEdge(t.ID, u.ID)
-	o.graphFor(o.added, u.Msg.Object).AddEdge(t.ID, u.ID)
-	o.addCross(t, u)
-}
-
-// addCross lifts a cross-object pair along the caller chain (the
-// conservative strengthening of Definition 15, matching Analyze).
-func (o *Online) addCross(t, u *txn.Action) {
-	if o.cross.HasEdge(t.ID, u.ID) {
-		return
-	}
-	o.cross.AddEdge(t.ID, u.ID)
-	o.addGlobal(t.ID, u.ID)
-	tc, uc := txn.CallerOn(t), txn.CallerOn(u)
-	if tc == uc {
-		return
-	}
-	if tc.Msg.Object == uc.Msg.Object {
-		o.addActDep(tc.Msg.Object, tc, uc)
-		return
-	}
-	o.graphFor(o.added, tc.Msg.Object).AddEdge(tc.ID, uc.ID)
-	o.graphFor(o.added, uc.Msg.Object).AddEdge(tc.ID, uc.ID)
-	o.addCross(tc, uc)
-}
-
-// addGlobal tracks every dependency in one graph and detects the first
-// cycle as it closes.
-func (o *Online) addGlobal(from, to string) {
-	if o.global.HasEdge(from, to) {
-		return
-	}
-	// Reachability test BEFORE inserting: a to→from path means this edge
-	// closes a cycle.
-	if o.violation == nil && (to == from || o.global.Reachable(to, from)) {
-		o.global.AddEdge(from, to)
-		cyc := o.global.FindCycle()
-		o.violation = cyc
-		return
-	}
-	o.global.AddEdge(from, to)
 }
 
 // PruneAborted forgets the given aborted ids. The aborted set otherwise
@@ -273,7 +173,7 @@ func (o *Online) PruneAborted(ids ...string) {
 
 // TranDeps exposes an object's transaction dependency relation (nil if the
 // object has none yet).
-func (o *Online) TranDeps(obj txn.OID) *graph.Digraph { return o.tranDep[obj] }
+func (o *Online) TranDeps(obj txn.OID) *graph.Digraph { return o.deps.tranDep[obj] }
 
 // ActDeps exposes an object's action dependency relation.
-func (o *Online) ActDeps(obj txn.OID) *graph.Digraph { return o.actDep[obj] }
+func (o *Online) ActDeps(obj txn.OID) *graph.Digraph { return o.deps.actDep[obj] }

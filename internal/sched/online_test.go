@@ -3,55 +3,89 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/graph"
 	"repro/internal/paperex"
+	"repro/internal/trace"
 	"repro/internal/txn"
 )
 
 // feed converts a formal system + primitive order into the event stream an
-// engine would emit: tree actions in pre-order per transaction, primitives
-// at their execution positions.
+// engine would emit: each primitive at its execution position, preceded by
+// those of its ancestors that were not dispatched yet. Every prefix ending
+// in a primitive is therefore a transaction system of its own.
 func feed(sys *txn.System, order []string) []StreamEvent {
-	pos := map[string]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
 	var evs []StreamEvent
-	var walk func(a *txn.Action)
-	walk = func(a *txn.Action) {
+	seen := map[*txn.Action]bool{}
+	var emit func(a *txn.Action)
+	emit = func(a *txn.Action) {
+		if seen[a] {
+			return
+		}
+		seen[a] = true
 		parent := ""
 		if a.Parent != nil {
+			emit(a.Parent)
 			parent = a.Parent.ID
 		}
-		if !a.Primitive() || a.Msg.Object == txn.SystemObject {
-			evs = append(evs, StreamEvent{
-				ID: a.ID, Parent: parent,
-				ObjType: a.Msg.Object.Type, ObjName: a.Msg.Object.Name,
-				Method: a.Msg.Inv.Method, Params: a.Msg.Inv.Params,
-				Parallel: a.Parent != nil && a.Process == a.ID,
-			})
-		}
-		for _, c := range a.Children {
-			walk(c)
-		}
-	}
-	for _, t := range sys.Top {
-		walk(t)
-	}
-	// Primitives arrive in execution order, interleaved after their
-	// ancestors (which the pre-order pass already emitted).
-	for _, id := range order {
-		a := findAction(sys, id)
 		evs = append(evs, StreamEvent{
-			ID: a.ID, Parent: a.Parent.ID,
+			ID: a.ID, Parent: parent,
 			ObjType: a.Msg.Object.Type, ObjName: a.Msg.Object.Name,
 			Method: a.Msg.Inv.Method, Params: a.Msg.Inv.Params,
+			Parallel: a.Parent != nil && a.Process == a.ID,
 		})
 	}
-	_ = pos
+	for _, id := range order {
+		emit(findAction(sys, id))
+	}
 	return evs
+}
+
+// matchesBatch reports how the relations Online holds after consuming evs
+// differ from those Analyze computes for the system evs describe, or "".
+func matchesBatch(on *Online, evs []StreamEvent) string {
+	var tr trace.Trace
+	for i, ev := range evs {
+		tr.Events = append(tr.Events, trace.Event{
+			ID: ev.ID, Parent: ev.Parent, ObjType: ev.ObjType, ObjName: ev.ObjName,
+			Method: ev.Method, Params: ev.Params, Parallel: ev.Parallel, Seq: i,
+		})
+	}
+	sys, order, err := tr.ToSystem()
+	if err != nil {
+		return err.Error()
+	}
+	batch, err := Analyze(sys, on.deps.reg, order)
+	if err != nil {
+		return err.Error()
+	}
+	edges := func(g *graph.Digraph) [][2]string {
+		if g == nil {
+			return nil
+		}
+		return g.Edges()
+	}
+	for _, o := range batch.Objects() {
+		for _, rel := range []struct {
+			name          string
+			online, batch *graph.Digraph
+		}{
+			{"ActDep", on.ActDeps(o), batch.ActDep[o]},
+			{"TranDep", on.TranDeps(o), batch.TranDep[o]},
+			{"Added", on.deps.added[o], batch.Added[o]},
+		} {
+			if got, want := edges(rel.online), edges(rel.batch); !reflect.DeepEqual(got, want) {
+				return fmt.Sprintf("after %d events, %s[%s]: online %v, batch %v", len(evs), rel.name, o.Name, got, want)
+			}
+		}
+	}
+	if got, want := on.OK(), batch.Check().GlobalAcyclic; got != want {
+		return fmt.Sprintf("after %d events: online OK=%v, batch GlobalAcyclic=%v", len(evs), got, want)
+	}
+	return ""
 }
 
 func findAction(sys *txn.System, id string) *txn.Action {
@@ -74,29 +108,20 @@ func TestOnlineMatchesBatchOnExamples(t *testing.T) {
 
 			sys2, order2 := build()
 			on := NewOnline(paperex.Registry())
-			for _, ev := range feed(sys2, order2) {
+			evs := feed(sys2, order2)
+			for i, ev := range evs {
 				if err := on.Add(ev); err != nil {
 					t.Fatal(err)
+				}
+				if ev.ObjType != paperex.TypePage {
+					continue
+				}
+				if diff := matchesBatch(on, evs[:i+1]); diff != "" {
+					t.Fatal(diff)
 				}
 			}
 			if on.OK() != batchOK {
 				t.Fatalf("online=%v batch=%v", on.OK(), batchOK)
-			}
-			// The per-object transaction dependencies agree.
-			for _, o := range batch.Objects() {
-				og := on.TranDeps(o)
-				for _, e := range batch.TranDep[o].Edges() {
-					if og == nil || !og.HasEdge(e[0], e[1]) {
-						t.Errorf("%s: online missing tranDep %v", o.Name, e)
-					}
-				}
-				if og != nil {
-					for _, e := range og.Edges() {
-						if !batch.TranDep[o].HasEdge(e[0], e[1]) {
-							t.Errorf("%s: online has extra tranDep %v", o.Name, e)
-						}
-					}
-				}
 			}
 		})
 	}
@@ -213,8 +238,9 @@ func TestOnlineAbortedSubtreeSkipped(t *testing.T) {
 	}
 }
 
-// Property: on random extension-free systems, the online verdict matches
-// the batch verdict.
+// Property: on random extension-free systems, after every primitive the
+// online relations equal the batch relations of the prefix, and the final
+// online verdict matches the batch verdict.
 func TestPropertyOnlineMatchesBatch(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -252,8 +278,16 @@ func TestPropertyOnlineMatchesBatch(t *testing.T) {
 		batchOK := batch.Check().SystemOOSerializable
 
 		on := NewOnline(paperex.Registry())
-		for _, ev := range feed(sys, order) {
+		evs := feed(sys, order)
+		for i, ev := range evs {
 			if err := on.Add(ev); err != nil {
+				return false
+			}
+			if ev.ObjType != paperex.TypePage {
+				continue
+			}
+			if diff := matchesBatch(on, evs[:i+1]); diff != "" {
+				t.Log(diff)
 				return false
 			}
 		}

@@ -24,7 +24,10 @@
 //     dependency relation).
 //
 // The rules are monotone over finite relations, so the fixpoint exists and
-// is unique; iteration to stability computes it.
+// is unique. One propagator (propagate.go) implements the three
+// definitions as a worklist — each new edge fires the rules it enables,
+// once — and both checkers feed it: Analyze with every Axiom 1 edge of a
+// finished schedule, Online with the edges each arriving primitive adds.
 package sched
 
 import (
@@ -56,10 +59,8 @@ type Analysis struct {
 	// (Definition 15): transaction dependencies recorded elsewhere with
 	// exactly one endpoint on this object.
 	Added map[txn.OID]*graph.Digraph
-	// cross is the global set of cross-object dependency pairs awaiting
-	// upward lifting (see the package comment on the conservative
-	// strengthening of Definition 15).
-	cross *graph.Digraph
+	// global is the union of the three relations over all objects.
+	global *graph.Digraph
 
 	actions map[string]*txn.Action
 	// onObj caches ACT_O per object.
@@ -72,16 +73,28 @@ type Analysis struct {
 // extended (txn.System.Extend) — Analyze calls Extend itself to be safe,
 // which is a no-op on extended systems.
 func Analyze(sys *txn.System, reg *commut.Registry, primOrder []string) (*Analysis, error) {
+	p := newPropagator(reg)
+	a, err := index(sys, primOrder, p)
+	if err != nil {
+		return nil, err
+	}
+	a.axiom1(p.addActDep)
+	return a, nil
+}
+
+// index validates the primitive order and builds an Analysis whose
+// relations, one graph per object, are p's and still empty.
+func index(sys *txn.System, primOrder []string, p *propagator) (*Analysis, error) {
 	sys.Extend()
 
 	a := &Analysis{
 		Sys:     sys,
-		Reg:     reg,
+		Reg:     p.reg,
 		PrimPos: make(map[string]int),
-		ActDep:  make(map[txn.OID]*graph.Digraph),
-		TranDep: make(map[txn.OID]*graph.Digraph),
-		Added:   make(map[txn.OID]*graph.Digraph),
-		cross:   graph.New(),
+		ActDep:  p.actDep,
+		TranDep: p.tranDep,
+		Added:   p.added,
+		global:  p.global,
 		actions: make(map[string]*txn.Action),
 		onObj:   make(map[txn.OID][]*txn.Action),
 	}
@@ -117,39 +130,42 @@ func Analyze(sys *txn.System, reg *commut.Registry, primOrder []string) (*Analys
 		}
 	}
 
-	objs := a.objects()
-	for _, o := range objs {
+	for o, acts := range a.onObj {
 		a.ActDep[o] = graph.New()
 		a.TranDep[o] = graph.New()
 		a.Added[o] = graph.New()
-		for _, act := range a.onObj[o] {
+		for _, act := range acts {
 			a.ActDep[o].AddNode(act.ID)
 		}
 	}
+	return a, nil
+}
 
-	// Axiom 1: conflicting primitive actions are ordered by execution.
-	// On virtual objects (Definition 5) the conflicting pairs involve the
-	// moved action and/or virtual duplicates, which are not executed
-	// primitives; there the order is derived from the execution spans of
-	// the underlying real primitives (a duplicate stands for its original).
-	// Overlapping spans of conflicting actions yield dependencies in both
-	// directions — a contradiction that Definition 13(ii) then rejects,
-	// which is the conservative reading of "actions have accessed an
-	// inconsistent state".
-	for _, o := range objs {
+// axiom1 calls emit(o, x, y) for every action dependency x ⊲ y that the
+// execution order itself dictates: conflicting primitive actions are
+// ordered by execution. On virtual objects (Definition 5) the conflicting
+// pairs involve the moved action and/or virtual duplicates, which are not
+// executed primitives; there the order is derived from the execution spans
+// of the underlying real primitives (a duplicate stands for its original).
+// Overlapping spans of conflicting actions yield dependencies in both
+// directions — a contradiction that Definition 13(ii) then rejects, which
+// is the conservative reading of "actions have accessed an inconsistent
+// state".
+func (a *Analysis) axiom1(emit func(o txn.OID, x, y *txn.Action)) {
+	for _, o := range a.objects() {
 		acts := a.onObj[o]
 		virtual := o.Virtual()
 		for i := 0; i < len(acts); i++ {
 			for j := i + 1; j < len(acts); j++ {
 				x, y := acts[i], acts[j]
-				if !a.conflict(o, x, y) {
+				if !conflict(a.Reg, o, x, y) {
 					continue
 				}
 				if x.Primitive() && y.Primitive() && !x.IsVirtual && !y.IsVirtual {
 					if a.PrimPos[x.ID] < a.PrimPos[y.ID] {
-						a.ActDep[o].AddEdge(x.ID, y.ID)
+						emit(o, x, y)
 					} else {
-						a.ActDep[o].AddEdge(y.ID, x.ID)
+						emit(o, y, x)
 					}
 					continue
 				}
@@ -163,105 +179,16 @@ func Analyze(sys *txn.System, reg *commut.Registry, primOrder []string) (*Analys
 				}
 				switch {
 				case xHi < yLo:
-					a.ActDep[o].AddEdge(x.ID, y.ID)
+					emit(o, x, y)
 				case yHi < xLo:
-					a.ActDep[o].AddEdge(y.ID, x.ID)
+					emit(o, y, x)
 				default:
-					a.ActDep[o].AddEdge(x.ID, y.ID)
-					a.ActDep[o].AddEdge(y.ID, x.ID)
+					emit(o, x, y)
+					emit(o, y, x)
 				}
 			}
 		}
 	}
-
-	// Fixpoint of Definitions 10/11/15.
-	for changed := true; changed; {
-		changed = false
-		// Definition 10: lift conflicting action dependencies to the callers.
-		for _, o := range objs {
-			for _, e := range a.ActDep[o].Edges() {
-				x, y := a.actions[e[0]], a.actions[e[1]]
-				if !a.conflict(o, x, y) {
-					continue // commuting callers absorb the dependency
-				}
-				t, u := txn.CallerOn(x), txn.CallerOn(y)
-				if t == u {
-					continue
-				}
-				if !a.TranDep[o].HasEdge(t.ID, u.ID) {
-					a.TranDep[o].AddEdge(t.ID, u.ID)
-					changed = true
-				}
-			}
-		}
-		// Definitions 11 and 15: inject transaction dependencies into the
-		// action (or added) dependency relations of the callers' objects.
-		for _, p := range objs {
-			for _, e := range a.TranDep[p].Edges() {
-				t, u := a.actions[e[0]], a.actions[e[1]]
-				to, uo := t.Msg.Object, u.Msg.Object
-				if to == uo {
-					// Definition 11: both callers are actions on the same
-					// object — the dependency becomes an action dependency
-					// there.
-					if !a.ActDep[to].HasEdge(t.ID, u.ID) {
-						a.ActDep[to].AddEdge(t.ID, u.ID)
-						changed = true
-					}
-					continue
-				}
-				// Endpoints on different objects: record redundantly at both
-				// (Definition 15) and queue the pair for upward lifting.
-				if !a.Added[to].HasEdge(t.ID, u.ID) {
-					a.Added[to].AddEdge(t.ID, u.ID)
-					changed = true
-				}
-				if !a.Added[uo].HasEdge(t.ID, u.ID) {
-					a.Added[uo].AddEdge(t.ID, u.ID)
-					changed = true
-				}
-				if !a.cross.HasEdge(t.ID, u.ID) {
-					a.cross.AddEdge(t.ID, u.ID)
-					changed = true
-				}
-			}
-		}
-		// Conservative strengthening of Definition 15: a cross-object
-		// dependency constrains the serial order of the CALLERS too, but no
-		// commutativity specification spans two objects, so the pair is
-		// lifted (conflicting, conservatively) along the call hierarchy
-		// until both sides live on a common object — in the limit the
-		// system object. Without this lift, contradictions whose endpoints
-		// are distinct actions on distinct objects would escape every
-		// acyclicity check (see TestAddedRelationViolation).
-		for _, e := range a.cross.Edges() {
-			t, u := a.actions[e[0]], a.actions[e[1]]
-			tc, uc := txn.CallerOn(t), txn.CallerOn(u)
-			if tc == uc {
-				continue // same caller: intra-transaction, ordered by precedence
-			}
-			if tc.Msg.Object == uc.Msg.Object {
-				if !a.ActDep[tc.Msg.Object].HasEdge(tc.ID, uc.ID) {
-					a.ActDep[tc.Msg.Object].AddEdge(tc.ID, uc.ID)
-					changed = true
-				}
-				continue
-			}
-			if !a.Added[tc.Msg.Object].HasEdge(tc.ID, uc.ID) {
-				a.Added[tc.Msg.Object].AddEdge(tc.ID, uc.ID)
-				changed = true
-			}
-			if !a.Added[uc.Msg.Object].HasEdge(tc.ID, uc.ID) {
-				a.Added[uc.Msg.Object].AddEdge(tc.ID, uc.ID)
-				changed = true
-			}
-			if !a.cross.HasEdge(tc.ID, uc.ID) {
-				a.cross.AddEdge(tc.ID, uc.ID)
-				changed = true
-			}
-		}
-	}
-	return a, nil
 }
 
 // objects returns every object with at least one action, system object
@@ -308,25 +235,13 @@ func (a *Analysis) span(act *txn.Action) (lo, hi int, ok bool) {
 	return lo, hi, lo != -1
 }
 
-// conflict implements Definition 9 for two actions on object o: actions of
-// the same process never conflict; otherwise the object's commutativity
-// specification decides. Virtual objects use their original's type, which
-// OID already preserves.
-func (a *Analysis) conflict(o txn.OID, x, y *txn.Action) bool {
-	if x == y || x.Process == y.Process {
-		return false
-	}
-	spec := a.Reg.Lookup(o.Type)
-	return !spec.Commutes(x.Msg.Inv, y.Msg.Inv)
-}
-
 // Conflict reports whether the two actions (by ID) conflict on object o.
 func (a *Analysis) Conflict(o txn.OID, xID, yID string) bool {
 	x, y := a.actions[xID], a.actions[yID]
 	if x == nil || y == nil {
 		return false
 	}
-	return a.conflict(o, x, y)
+	return conflict(a.Reg, o, x, y)
 }
 
 // Verdict is the per-object serializability result.
@@ -367,7 +282,9 @@ func (a *Analysis) ObjectVerdict(o txn.OID) Verdict {
 	if v.Cycle == nil && aerr != nil {
 		v.Cycle = aerr
 	}
-	union := a.ActDep[o].Union(a.Added[o])
+	union := graph.New()
+	union.Merge(a.ActDep[o])
+	union.Merge(a.Added[o])
 	uc := union.FindCycle()
 	v.AddedAcyclic = uc == nil
 	if v.Cycle == nil && uc != nil {
@@ -402,11 +319,7 @@ func (a *Analysis) Check() Report {
 			r.SystemOOSerializable = false
 		}
 	}
-	g := graph.New()
-	for _, o := range a.objects() {
-		g = g.Union(a.ActDep[o]).Union(a.TranDep[o]).Union(a.Added[o])
-	}
-	cyc := g.FindCycle()
+	cyc := a.global.FindCycle()
 	r.GlobalAcyclic = cyc == nil
 	r.GlobalCycle = cyc
 	return r
@@ -483,13 +396,10 @@ func (a *Analysis) IsSerial(o txn.OID) bool {
 func (a *Analysis) ConformViolations(o txn.OID) [][2]string {
 	var out [][2]string
 	acts := a.onObj[o]
-	dep := a.ActDep[o].TransitiveClosure()
+	dep := a.ActDep[o]
 	for _, x := range acts {
 		for _, y := range acts {
-			if x == y {
-				continue
-			}
-			if txn.Precedes(x, y) && dep.HasEdge(y.ID, x.ID) {
+			if txn.Precedes(x, y) && dep.Reachable(y.ID, x.ID) {
 				out = append(out, [2]string{x.ID, y.ID})
 			}
 		}
