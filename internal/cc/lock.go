@@ -25,6 +25,7 @@ package cc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -562,12 +563,26 @@ func blockNote(mode Mode, bl []blockRef) string {
 // grantLocked records the grant. Caller holds the shard mutex.
 func grantLocked(st *lockState, owner string, mode Mode) {
 	for i := range st.granted {
-		if st.granted[i].owner == owner && st.granted[i].mode.String() == mode.String() {
+		if st.granted[i].owner == owner && sameMode(st.granted[i].mode, mode) {
 			st.granted[i].count++
 			return
 		}
 	}
 	st.granted = append(st.granted, grant{owner: owner, mode: mode, count: 1})
+}
+
+// sameMode reports whether two modes are the same grant, without
+// rendering them: RW by value, Semantic by method and parameters.
+func sameMode(a, b Mode) bool {
+	switch x := a.(type) {
+	case RW:
+		y, ok := b.(RW)
+		return ok && x == y
+	case Semantic:
+		y, ok := b.(Semantic)
+		return ok && x.Inv.Method == y.Inv.Method && slices.Equal(x.Inv.Params, y.Inv.Params)
+	}
+	return a.String() == b.String()
 }
 
 // SetAge overrides the age of a transaction: a restarted transaction that

@@ -55,6 +55,31 @@ func TestSemanticCompatibility(t *testing.T) {
 	}
 }
 
+func TestSameMode(t *testing.T) {
+	spec := commut.KeyedSpec([]string{"search"}, []string{"insert"})
+	sem := func(method string, params ...string) Semantic {
+		return Semantic{Inv: commut.Invocation{Method: method, Params: params}, Spec: spec}
+	}
+	cases := []struct {
+		a, b Mode
+		want bool
+	}{
+		{S, S, true},
+		{S, X, false},
+		{sem("insert", "k1", "r"), sem("insert", "k1", "r"), true},
+		{sem("insert", "k1"), sem("insert", "k2"), false},
+		{sem("insert", "k1"), sem("search", "k1"), false},
+		{sem("insert", "a,b"), sem("insert", "a", "b"), false},
+		{sem("insert"), X, false},
+		{X, sem("insert"), false},
+	}
+	for _, c := range cases {
+		if got := sameMode(c.a, c.b); got != c.want {
+			t.Errorf("sameMode(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestAcquireReleaseBasic(t *testing.T) {
 	lm := NewLockManager()
 	if err := lm.Acquire("T1", res("P"), X); err != nil {

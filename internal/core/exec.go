@@ -80,7 +80,7 @@ func (a *runtimeAction) nextChildID() string {
 	a.nchildren++
 	n := a.nchildren
 	a.mu.Unlock()
-	return fmt.Sprintf("%s.%d", a.id, n)
+	return a.id + "." + strconv.Itoa(n)
 }
 
 // Txn is a top-level transaction.

@@ -13,6 +13,8 @@ package list
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -86,12 +88,17 @@ type List struct {
 	oid      txn.OID
 	capacity int // keys per spine page
 
-	// mu protects head/tail. It is never held across engine calls — a Go
-	// mutex held while waiting for a database lock could deadlock with a
+	// mu protects head/tail/where. It is never held across engine calls — a
+	// Go mutex held while waiting for a database lock could deadlock with a
 	// 2PL transaction holding that lock until commit.
 	mu   sync.Mutex
 	head storage.PageID
 	tail storage.PageID
+	// where maps a key to the spine page its latest append wrote. It is
+	// only a hint: recovery never sees it and physical undo does not reset
+	// it, so removeMethod checks it on use and walks from head on a miss.
+	// It holds at most one entry per key appended and not yet removed.
+	where map[string]storage.PageID
 }
 
 // OID returns the list's object id.
@@ -160,7 +167,7 @@ func (m *Module) NewList(name string, capacity int) (*List, error) {
 		return nil, err
 	}
 
-	l := &List{name: name, oid: txn.OID{Type: Type, Name: name}, capacity: capacity, head: headPID, tail: headPID}
+	l := newList(name, capacity, headPID)
 	if m.cat != nil {
 		if err := m.cat.Put(catalog.ListEntry(name, capacity, headPID)); err != nil {
 			return nil, err
@@ -174,7 +181,8 @@ func (m *Module) NewList(name string, capacity int) (*List, error) {
 
 // Attach re-binds to an existing list after a restart: head is the spine
 // page NewList allocated (persisted by the application's catalog). The
-// tail hint starts at the head and catches up lazily.
+// tail hint starts at the head and catches up lazily; the key hint starts
+// empty, so removes walk from the head until keys are appended again.
 func (m *Module) Attach(name string, capacity int, head storage.PageID) (*List, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("list: capacity must be >= 1, got %d", capacity)
@@ -187,9 +195,16 @@ func (m *Module) Attach(name string, capacity int, head storage.PageID) (*List, 
 	if _, dup := m.lists[name]; dup {
 		return nil, fmt.Errorf("list: list %q already exists", name)
 	}
-	l := &List{name: name, oid: txn.OID{Type: Type, Name: name}, capacity: capacity, head: head, tail: head}
+	l := newList(name, capacity, head)
 	m.lists[name] = l
 	return l, nil
+}
+
+func newList(name string, capacity int, head storage.PageID) *List {
+	return &List{
+		name: name, oid: txn.OID{Type: Type, Name: name}, capacity: capacity,
+		head: head, tail: head, where: make(map[string]storage.PageID),
+	}
 }
 
 // Get returns a created list by name.
@@ -219,7 +234,9 @@ type spine struct {
 
 func encodeSpine(s spine) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "next=%d|", s.next)
+	b.WriteString("next=")
+	b.WriteString(strconv.FormatUint(uint64(s.next), 10))
+	b.WriteByte('|')
 	for i, k := range s.keys {
 		if i > 0 {
 			b.WriteByte(';')
@@ -233,11 +250,12 @@ func encodeSpine(s spine) string {
 
 func decodeSpine(data string) (spine, error) {
 	head, body, found := strings.Cut(data, "|")
-	if !found || !strings.HasPrefix(head, "next=") {
+	num, isNext := strings.CutPrefix(head, "next=")
+	if !found || !isNext {
 		return spine{}, fmt.Errorf("%w: %q", ErrCorrupt, data)
 	}
-	var next uint64
-	if _, err := fmt.Sscanf(head, "next=%d", &next); err != nil {
+	next, err := strconv.ParseUint(num, 10, 64)
+	if err != nil {
 		return spine{}, fmt.Errorf("%w: next in %q", ErrCorrupt, data)
 	}
 	s := spine{next: storage.PageID(next)}
@@ -267,7 +285,7 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 		return "", err
 	}
 	l.mu.Lock()
-	pid := l.tail
+	head, pid := l.head, l.tail
 	l.mu.Unlock()
 
 	for hops := 0; hops < 1<<20; hops++ {
@@ -276,6 +294,12 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 			return "", err
 		}
 		s, err := decodeSpine(data)
+		if err != nil && hops == 0 && pid != head {
+			// The tail hint names a page an abort restored to "" (physical
+			// undo of a freshly chained page): restart once from the head.
+			pid = head
+			continue
+		}
 		if err != nil {
 			return "", err
 		}
@@ -291,7 +315,7 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 			if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
 				return "", err
 			}
-			l.advanceTail(pid)
+			l.appended(key, pid)
 			return "ok", nil
 		}
 		// Tail page full: chain a fresh page holding the new entry.
@@ -307,23 +331,41 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 		if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
 			return "", err
 		}
-		l.advanceTail(newPID)
+		l.appended(key, newPID)
 		return "ok", nil
 	}
 	return "", fmt.Errorf("%w: unbounded chain", ErrCorrupt)
 }
 
-// advanceTail moves the tail hint forward. The hint may lag behind the real
-// tail (appendMethod follows next pointers), but must never point at a
-// reclaimed page — pages are never reclaimed here.
-func (l *List) advanceTail(pid storage.PageID) {
+// appended records that key was just written to pid, the chain's tail: pid
+// becomes the tail hint and key's hint. Both may go stale — a concurrent
+// append chains on, an abort restores a before-image — so both are checked
+// on use; neither can name a reclaimed page, since pages are never
+// reclaimed here.
+func (l *List) appended(key string, pid storage.PageID) {
 	l.mu.Lock()
 	l.tail = pid
+	l.where[key] = pid
+	l.mu.Unlock()
+}
+
+// forget drops key's hint if it still names pid.
+func (l *List) forget(key string, pid storage.PageID) {
+	l.mu.Lock()
+	if l.where[key] == pid {
+		delete(l.where, key)
+	}
 	l.mu.Unlock()
 }
 
 // removeMethod deletes a key from the chain, returning its ref ("" when
-// absent). Pages are not reclaimed (documented simplification).
+// absent). It first probes the page the key's hint names — one readx and,
+// on a hit, one write — instead of X-locking every spine page from the
+// head. A miss (no hint, a page without the key, or a page an abort
+// restored to "") falls back to the walk from the head, so for distinct
+// keys the result is the walk's. With duplicate keys (the caller's
+// concern) the occurrence on the latest append's page goes first. Pages
+// are not reclaimed (documented simplification).
 func (m *Module) removeMethod(c *core.Ctx, self txn.OID, params []string) (string, error) {
 	if len(params) != 1 || !valid(params[0]) {
 		return "", ErrBadKey
@@ -333,37 +375,62 @@ func (m *Module) removeMethod(c *core.Ctx, self txn.OID, params []string) (strin
 	if err != nil {
 		return "", err
 	}
-	// Only read the head under the mutex; holding it across page-lock
-	// acquisition could deadlock invisibly with an appender blocked in
-	// advanceTail.
+	// Only read the hint and head under the mutex; holding it across
+	// page-lock acquisition could deadlock invisibly with an appender
+	// blocked in appended.
 	l.mu.Lock()
+	hint, hinted := l.where[key]
 	pid := l.head
 	l.mu.Unlock()
 
-	for hops := 0; hops < 1<<20 && pid != storage.InvalidPage; hops++ {
-		data, err := c.Call(core.PageOID(pid), "readx")
-		if err != nil {
+	if hinted {
+		// Only the hinted page may fail to decode without an error.
+		ref, found, _, err := takeKey(c, hint, key)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
 			return "", err
 		}
-		s, err := decodeSpine(data)
-		if err != nil {
-			return "", err
-		}
-		for i, k := range s.keys {
-			if k != key {
-				continue
-			}
-			ref := s.refs[i]
-			s.keys = append(s.keys[:i], s.keys[i+1:]...)
-			s.refs = append(s.refs[:i], s.refs[i+1:]...)
-			if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
-				return "", err
-			}
+		l.forget(key, hint) // used up on a hit, stale on a miss
+		if found {
 			return ref, nil
 		}
-		pid = s.next
+	}
+	for hops := 0; hops < 1<<20 && pid != storage.InvalidPage; hops++ {
+		ref, found, next, err := takeKey(c, pid, key)
+		if err != nil {
+			return "", err
+		}
+		if found {
+			l.forget(key, pid)
+			return ref, nil
+		}
+		pid = next
 	}
 	return "", nil
+}
+
+// takeKey is one step of a remove: readx spine page pid, decode it and, if
+// key is on it, drop the key and write the page back. It returns the
+// removed ref, whether the key was found, and the page's next pointer.
+func takeKey(c *core.Ctx, pid storage.PageID, key string) (ref string, found bool, next storage.PageID, err error) {
+	data, err := c.Call(core.PageOID(pid), "readx")
+	if err != nil {
+		return "", false, 0, err
+	}
+	s, err := decodeSpine(data)
+	if err != nil {
+		return "", false, 0, err
+	}
+	i := slices.Index(s.keys, key)
+	if i < 0 {
+		return "", false, s.next, nil
+	}
+	ref = s.refs[i]
+	s.keys = slices.Delete(s.keys, i, i+1)
+	s.refs = slices.Delete(s.refs, i, i+1)
+	if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
+		return "", false, 0, err
+	}
+	return ref, true, s.next, nil
 }
 
 // readSeqMethod returns all entries in chain order: "k1:r1;k2:r2;...".

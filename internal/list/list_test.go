@@ -3,6 +3,8 @@ package list
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -201,10 +203,191 @@ func TestSpineEncoding(t *testing.T) {
 	if got.next != 9 || len(got.keys) != 2 || got.refs[1] != "2" {
 		t.Fatalf("round trip: %+v", got)
 	}
-	for _, bad := range []string{"", "nope", "next=x|", "next=0|brokenpair"} {
+	for _, bad := range []string{"", "nope", "next=x|", "next=5x|", "next=0|brokenpair"} {
 		if _, err := decodeSpine(bad); err == nil {
 			t.Errorf("decodeSpine(%q) should fail", bad)
 		}
+	}
+}
+
+// protocols are the four locking protocols a list runs under.
+var protocols = []core.ProtocolKind{
+	core.ProtocolOpenNested, core.Protocol2PLPage, core.Protocol2PLObject, core.ProtocolClosedNested,
+}
+
+// TestAbortedChainLeavesListUsable: an aborted append that chained a fresh
+// spine page leaves the tail hint (and the key hint) naming that page. Under
+// physical undo the page is back to "", so the next append must restart
+// from the head and the next remove must fall back to the walk.
+func TestAbortedChainLeavesListUsable(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			db, m := newDB(t, p)
+			l, _ := m.NewList("L", 2)
+			runOne(t, db, l.OID(), "append", "a", "r")
+			runOne(t, db, l.OID(), "append", "b", "r")
+			tx := db.Begin()
+			if _, err := tx.Exec(l.OID(), "append", "c", "r"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if got := runOne(t, db, l.OID(), "append", "d", "r"); got != "ok" {
+				t.Fatalf("append d = %q", got)
+			}
+			if got := runOne(t, db, l.OID(), "remove", "c"); got != "" {
+				t.Fatalf("remove c = %q", got)
+			}
+			if got := runOne(t, db, l.OID(), "readSeq"); got != "a:r;b:r;d:r" {
+				t.Fatalf("readSeq = %q", got)
+			}
+		})
+	}
+}
+
+// TestRemoveProbesHintedPage: removing the last-appended key of a long
+// chain touches the hinted page only, not every page from the head.
+func TestRemoveProbesHintedPage(t *testing.T) {
+	db, m := newDB(t, core.ProtocolOpenNested)
+	l, _ := m.NewList("L", 2)
+	for i := 0; i < 200; i++ {
+		runOne(t, db, l.OID(), "append", fmt.Sprintf("k%03d", i), "r")
+	}
+	before := db.Stats().Actions
+	if got := runOne(t, db, l.OID(), "remove", "k199"); got != "r" {
+		t.Fatalf("remove = %q", got)
+	}
+	if n := db.Stats().Actions - before; n > 4 {
+		t.Fatalf("remove ran %d actions, want <= 4", n)
+	}
+}
+
+// TestRemoveMatchesModel runs seeded random append/remove transactions,
+// aborting every k-th one, and holds every remove result and the final
+// contents to a map of the committed state.
+func TestRemoveMatchesModel(t *testing.T) {
+	const txns, abortEvery = 150, 4
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			db, m := newDB(t, p)
+			l, _ := m.NewList("L", 2)
+			rng := rand.New(rand.NewSource(7))
+			model := map[string]string{}       // committed key → ref
+			abortedAppend := map[string]bool{} // appended only by aborted txns
+			removed := map[string]bool{}       // removed by a committed txn
+			var removesOfAborted, reappends int
+			for i := 0; i < txns; i++ {
+				abort := i%abortEvery == abortEvery-1
+				state := maps.Clone(model)
+				var appended, removedHere []string
+				tx := db.Begin()
+				for op := 0; op < 1+rng.Intn(3); op++ {
+					key := fmt.Sprintf("k%d", rng.Intn(12))
+					if _, present := state[key]; !present && rng.Intn(2) == 0 {
+						ref := fmt.Sprintf("r%d.%d", i, op)
+						if got, err := tx.Exec(l.OID(), "append", key, ref); err != nil || got != "ok" {
+							t.Fatalf("txn %d append %s = %q, %v", i, key, got, err)
+						}
+						state[key] = ref
+						appended = append(appended, key)
+						continue
+					}
+					got, err := tx.Exec(l.OID(), "remove", key)
+					if err != nil {
+						t.Fatalf("txn %d remove %s: %v", i, key, err)
+					}
+					if got != state[key] {
+						t.Fatalf("txn %d remove %s = %q, model says %q", i, key, got, state[key])
+					}
+					if abortedAppend[key] {
+						removesOfAborted++
+					}
+					delete(state, key)
+					removedHere = append(removedHere, key)
+				}
+				if abort {
+					if err := tx.Abort(); err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range appended {
+						abortedAppend[k] = true
+					}
+					continue
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range appended {
+					if removed[k] {
+						reappends++
+					}
+					delete(abortedAppend, k)
+				}
+				for _, k := range removedHere {
+					removed[k] = true
+				}
+				model = state
+			}
+			if removesOfAborted == 0 || reappends == 0 {
+				t.Fatalf("sequence too tame: %d removes of aborted appends, %d re-appends", removesOfAborted, reappends)
+			}
+			got := map[string]string{}
+			if seq := runOne(t, db, l.OID(), "readSeq"); seq != "" {
+				for _, e := range strings.Split(seq, ";") {
+					k, ref, _ := strings.Cut(e, ":")
+					got[k] = ref
+				}
+			}
+			if !maps.Equal(got, model) {
+				t.Fatalf("readSeq = %v, model = %v", got, model)
+			}
+		})
+	}
+}
+
+// TestConcurrentAppendRemoveDistinctKeys: open-nested appends and removes
+// of distinct keys run concurrently through the hint and the walk, and the
+// trace stays oo-serializable.
+func TestConcurrentAppendRemoveDistinctKeys(t *testing.T) {
+	db, m := newDB(t, core.ProtocolOpenNested)
+	l, _ := m.NewList("L", 3)
+	exec := func(method string, params ...string) (res string, err error) {
+		err = db.RunWithRetry(core.RetryPolicy{MaxAttempts: 200}, func(tx *core.Txn) error {
+			res, err = tx.Exec(l.OID(), method, params...)
+			return err
+		})
+		return res, err
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				key := fmt.Sprintf("g%d-%02d", g, i)
+				if _, err := exec("append", key, "r"); err != nil {
+					t.Errorf("append %s: %v", key, err)
+				}
+				if i%2 == 0 {
+					continue
+				}
+				if got, err := exec("remove", key); err != nil || got != "r" {
+					t.Errorf("remove %s = %q, %v", key, got, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(strings.Split(runOne(t, db, l.OID(), "readSeq"), ";")); n != 24 {
+		t.Fatalf("entries = %d, want 24", n)
+	}
+	_, rep, err := db.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.SystemOOSerializable {
+		t.Fatalf("trace must validate: %+v", rep)
 	}
 }
 
