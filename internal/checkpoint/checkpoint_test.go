@@ -1,11 +1,13 @@
 package checkpoint
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -53,6 +55,58 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// ckptGoldenHex is the hex of the file Write produces for goldenSnapshot.
+// A change here is a change of the checkpoint file format (and of the
+// snapshots replication ships).
+const ckptGoldenHex = "4f4f4442434b505401000000cf0000005e00f1962a000000000000002500000000000000" +
+	"09000000000000000500000000000000800000000000000000002a36fe9c971702025437" +
+	"025439040105616c7068610200040564656c746180804082017070707070707070707070" +
+	"707070707070707070707070707070707070707070707070707070707070707070707070" +
+	"707070707070707070707070707070707070707070707070707070707070707070707070" +
+	"707070707070707070707070707070707070707070707070707070707070707070707070" +
+	"7070707070707070707070"
+
+// goldenSnapshot is sampleSnapshot plus a page whose id and length need
+// multi-byte uvarints.
+func goldenSnapshot() *Snapshot {
+	s := sampleSnapshot()
+	s.Pages[1<<20] = strings.Repeat("p", 130)
+	return s
+}
+
+// TestCheckpointGoldenBytes pins the checkpoint file format: Write produces
+// exactly the pinned bytes, and a file holding them — as an older build
+// wrote it — loads back as the same snapshot.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	dir := t.TempDir()
+	path, err := Write(dir, goldenSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(raw); got != ckptGoldenHex {
+		t.Fatalf("checkpoint bytes drifted:\n got %s\nwant %s", got, ckptGoldenHex)
+	}
+	golden, err := hex.DecodeString(ckptGoldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(t.TempDir(), FileName(42))
+	if err := os.WriteFile(other, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, goldenSnapshot()) {
+		t.Fatalf("golden file loads as %+v", got)
 	}
 }
 
