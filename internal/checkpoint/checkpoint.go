@@ -15,22 +15,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
-// Checkpoint file layout:
-//
-//	| magic "OODBCKPT" (8) | version u32 | payload len u32 | crc32c u32 |
-//	| payload (len bytes) |
-//
-// crc32c (Castagnoli) covers the payload only. The payload is:
+// Checkpoint file layout: | magic "OODBCKPT" (8) | version u32 | followed
+// by one frame (internal/frame: length, crc32c, payload) that runs to the
+// end of the file. The payload is:
 //
 //	LSN u64 | OldestActive u64 | MaxTxn u64 | NextPage u64 | PageSize u64 |
 //	UnixNano i64 |
@@ -42,13 +40,11 @@ const (
 	ckptVersion = 1
 	ckptPrefix  = "ckpt-"
 	ckptSuffix  = ".ck"
-	// ckptFixedHeader is magic + version + length + checksum.
-	ckptFixedHeader = 8 + 4 + 4 + 4
+	// ckptHeader is magic + version, the bytes before the frame.
+	ckptHeader = 8 + 4
 	// payloadFixed is the fixed-width prefix of the payload.
 	payloadFixed = 8 * 6
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checkpoint errors.
 var (
@@ -102,89 +98,53 @@ func FileName(lsn uint64) string {
 	return fmt.Sprintf("%s%020d%s", ckptPrefix, lsn, ckptSuffix)
 }
 
-func encodePayload(s *Snapshot) []byte {
-	payload := make([]byte, 0, payloadFixed+64*len(s.Active)+64*len(s.Pages))
-	payload = binary.LittleEndian.AppendUint64(payload, s.LSN)
-	payload = binary.LittleEndian.AppendUint64(payload, s.OldestActive)
-	payload = binary.LittleEndian.AppendUint64(payload, s.MaxTxn)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(s.NextPage))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(s.PageSize))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(s.UnixNano))
-	payload = binary.AppendUvarint(payload, uint64(len(s.Active)))
+// encode returns the whole checkpoint file for s.
+func encode(s *Snapshot) []byte {
+	buf := make([]byte, 0, ckptHeader+frame.HeaderSize+payloadFixed+64*len(s.Active)+64*len(s.Pages))
+	buf = append(buf, ckptMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
+	buf, start := frame.Begin(buf)
+	for _, v := range [...]uint64{s.LSN, s.OldestActive, s.MaxTxn, uint64(s.NextPage), uint64(s.PageSize), uint64(s.UnixNano)} {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(s.Active)))
 	for _, owner := range s.Active {
-		payload = binary.AppendUvarint(payload, uint64(len(owner)))
-		payload = append(payload, owner...)
+		buf = frame.AppendString(buf, owner)
 	}
 	ids := make([]storage.PageID, 0, len(s.Pages))
 	for id := range s.Pages {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	payload = binary.AppendUvarint(payload, uint64(len(ids)))
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
-		payload = binary.AppendUvarint(payload, uint64(id))
-		data := s.Pages[id]
-		payload = binary.AppendUvarint(payload, uint64(len(data)))
-		payload = append(payload, data...)
+		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = frame.AppendString(buf, s.Pages[id])
 	}
-	return payload
+	return frame.End(buf, start)
 }
 
 func decodePayload(payload []byte) (*Snapshot, error) {
-	if len(payload) < payloadFixed {
-		return nil, fmt.Errorf("%w: payload %d bytes", ErrCheckpointCorrupt, len(payload))
-	}
+	d := frame.NewDecoder(payload)
 	s := &Snapshot{
-		LSN:          binary.LittleEndian.Uint64(payload),
-		OldestActive: binary.LittleEndian.Uint64(payload[8:]),
-		MaxTxn:       binary.LittleEndian.Uint64(payload[16:]),
-		NextPage:     storage.PageID(binary.LittleEndian.Uint64(payload[24:])),
-		PageSize:     int(binary.LittleEndian.Uint64(payload[32:])),
-		UnixNano:     int64(binary.LittleEndian.Uint64(payload[40:])),
+		LSN:          d.U64(),
+		OldestActive: d.U64(),
+		MaxTxn:       d.U64(),
+		NextPage:     storage.PageID(d.U64()),
+		PageSize:     int(d.U64()),
+		UnixNano:     int64(d.U64()),
 	}
-	off := payloadFixed
-	readString := func() (string, bool) {
-		n, w := binary.Uvarint(payload[off:])
-		if w <= 0 || n > uint64(len(payload)-off-w) {
-			return "", false
-		}
-		off += w
-		v := string(payload[off : off+int(n)])
-		off += int(n)
-		return v, true
+	for n := d.Count(); n > 0; n-- {
+		s.Active = append(s.Active, d.String())
 	}
-	nActive, w := binary.Uvarint(payload[off:])
-	if w <= 0 || nActive > uint64(len(payload)-off) {
-		return nil, fmt.Errorf("%w: bad active count", ErrCheckpointCorrupt)
+	n := d.Count()
+	s.Pages = make(map[storage.PageID]string, n)
+	for ; n > 0; n-- {
+		id := storage.PageID(d.Uvarint())
+		s.Pages[id] = d.String()
 	}
-	off += w
-	for i := uint64(0); i < nActive; i++ {
-		owner, ok := readString()
-		if !ok {
-			return nil, fmt.Errorf("%w: bad active owner", ErrCheckpointCorrupt)
-		}
-		s.Active = append(s.Active, owner)
-	}
-	nPages, w := binary.Uvarint(payload[off:])
-	if w <= 0 || nPages > uint64(len(payload)-off) {
-		return nil, fmt.Errorf("%w: bad page count", ErrCheckpointCorrupt)
-	}
-	off += w
-	s.Pages = make(map[storage.PageID]string, nPages)
-	for i := uint64(0); i < nPages; i++ {
-		id, w := binary.Uvarint(payload[off:])
-		if w <= 0 {
-			return nil, fmt.Errorf("%w: bad page id", ErrCheckpointCorrupt)
-		}
-		off += w
-		data, ok := readString()
-		if !ok {
-			return nil, fmt.Errorf("%w: bad page data", ErrCheckpointCorrupt)
-		}
-		s.Pages[storage.PageID(id)] = data
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, len(payload)-off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
 	}
 	return s, nil
 }
@@ -192,27 +152,18 @@ func decodePayload(payload []byte) (*Snapshot, error) {
 // Write persists a checkpoint file for s in dir, fsyncs it and the
 // directory, and returns the file path. The caller must have forced the
 // WAL durable through s.LSN first. The ckpt.write failpoint fires between
-// the two halves of the body so an injected delay plus a SIGKILL lands a
+// the two halves of the payload so an injected delay plus a SIGKILL lands a
 // torn file — which the checksum then rejects at read time.
 func Write(dir string, s *Snapshot) (string, error) {
-	payload := encodePayload(s)
-	header := make([]byte, 0, ckptFixedHeader)
-	header = append(header, ckptMagic...)
-	header = binary.LittleEndian.AppendUint32(header, ckptVersion)
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(payload)))
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(payload, castagnoli))
-
+	buf := encode(s)
 	path := filepath.Join(dir, FileName(s.LSN))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", err
 	}
-	half := len(payload) / 2
+	half := ckptHeader + frame.HeaderSize + (len(buf)-ckptHeader-frame.HeaderSize)/2
 	werr := func() error {
-		if _, err := f.Write(header); err != nil {
-			return err
-		}
-		if _, err := f.Write(payload[:half]); err != nil {
+		if _, err := f.Write(buf[:half]); err != nil {
 			return err
 		}
 		// Mid-body failpoint: an error here abandons the half-written file,
@@ -220,7 +171,7 @@ func Write(dir string, s *Snapshot) (string, error) {
 		if err := fpCkptWrite.Inject(); err != nil {
 			return err
 		}
-		if _, err := f.Write(payload[half:]); err != nil {
+		if _, err := f.Write(buf[half:]); err != nil {
 			return err
 		}
 		return f.Sync()
@@ -248,24 +199,24 @@ func Load(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < ckptFixedHeader || string(raw[:8]) != ckptMagic {
-		return nil, fmt.Errorf("%w: %s: bad magic or short header", ErrCheckpointCorrupt, filepath.Base(path))
+	name := filepath.Base(path)
+	if len(raw) < ckptHeader || string(raw[:8]) != ckptMagic {
+		return nil, fmt.Errorf("%w: %s: bad magic or short header", ErrCheckpointCorrupt, name)
 	}
 	if v := binary.LittleEndian.Uint32(raw[8:]); v != ckptVersion {
-		return nil, fmt.Errorf("%w: %s: version %d", ErrCheckpointCorrupt, filepath.Base(path), v)
+		return nil, fmt.Errorf("%w: %s: version %d", ErrCheckpointCorrupt, name, v)
 	}
-	length := binary.LittleEndian.Uint32(raw[12:])
-	sum := binary.LittleEndian.Uint32(raw[16:])
-	body := raw[ckptFixedHeader:]
-	if uint64(length) != uint64(len(body)) {
-		return nil, fmt.Errorf("%w: %s: payload %d bytes, header says %d", ErrCheckpointCorrupt, filepath.Base(path), len(body), length)
+	body := raw[ckptHeader:]
+	payload, n, err := frame.Parse(body, payloadFixed, math.MaxInt)
+	if err == nil && n != len(body) {
+		err = fmt.Errorf("%d bytes past the frame", len(body)-n)
 	}
-	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCheckpointCorrupt, filepath.Base(path))
-	}
-	s, err := decodePayload(body)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCheckpointCorrupt, name, err)
+	}
+	s, err := decodePayload(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return s, nil
 }

@@ -1,0 +1,228 @@
+// Package frame owns the one record format the log, the network protocol
+// and checkpoints share: WAL segments (internal/storage), wire messages
+// (internal/wire) and checkpoint files (internal/checkpoint) are sequences
+// of self-delimiting frames
+//
+//	| length u32 | crc32c u32 | payload (length bytes) |
+//
+// length counts the payload only; crc32c (Castagnoli) covers the payload
+// only, so a frame cut short by a crash or a dying peer fails the checksum
+// instead of decoding garbage. Each caller bounds length to [min, max]:
+// min is its smallest possible payload (at least 1, so a zero-filled tail —
+// the preallocated-file artifact — never parses as a run of empty frames),
+// max keeps a damaged length from becoming an allocation request.
+//
+// The torn/corrupt rule, shared by Parse and Read:
+//
+//   - a short header or a short payload is torn (ErrTorn): the bytes ended
+//     mid-frame, as a crash or a cut connection leaves them;
+//   - a length outside [min, max] or a checksum mismatch is corrupt
+//     (ErrCorrupt): the bytes are there but are not a frame;
+//   - Read returns io.EOF as is when the stream ends between frames, and
+//     keeps any other read error in the %w chain (a server tells an idle
+//     deadline from a dead peer through it).
+//
+// What a caller does with the two classes is its policy: the WAL treats
+// any frame error in a segment as the torn tail, the wire protocol drops
+// the connection.
+//
+// Payloads follow one idiom, which Decoder reads and AppendString and the
+// encoding/binary append functions write: fixed-width integers are
+// little-endian, counts are uvarints, and strings are uvarint-length-
+// prefixed bytes.
+package frame
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+)
+
+// HeaderSize is the length + checksum prefix of every frame.
+const HeaderSize = 8
+
+// Frame errors; see the package doc for which is which. Neither is ever a
+// panic, whatever the input.
+var (
+	ErrTorn    = errors.New("frame: torn")
+	ErrCorrupt = errors.New("frame: corrupt")
+)
+
+// castagnoli is the CRC32C polynomial table (hardware-accelerated on
+// amd64/arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Begin reserves a frame header at the end of dst. The caller appends the
+// payload to the returned slice in place, then calls End with start.
+func Begin(dst []byte) (_ []byte, start int) {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), len(dst)
+}
+
+// End fills in the header Begin reserved at start: everything appended
+// after it is the payload.
+func End(dst []byte, start int) []byte {
+	payload := dst[start+HeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// Parse checks the first frame in buf and returns its payload (aliasing
+// buf) and the frame's size, header included.
+func Parse(buf []byte, min, max int) (payload []byte, n int, err error) {
+	if len(buf) < HeaderSize {
+		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrTorn, len(buf))
+	}
+	length := binary.LittleEndian.Uint32(buf)
+	if uint64(length) < uint64(min) || uint64(length) > uint64(max) {
+		return nil, 0, lengthError(length, min, max)
+	}
+	if uint64(length) > uint64(len(buf)-HeaderSize) {
+		return nil, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(buf)-HeaderSize, length)
+	}
+	n = HeaderSize + int(length)
+	payload = buf[HeaderSize:n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
+		return nil, 0, errChecksum
+	}
+	return payload, n, nil
+}
+
+// Read reads exactly one frame from r and returns its payload and the
+// frame's size, header included.
+func Read(r io.Reader, min, max int) (payload []byte, n int, err error) {
+	var hdr [HeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, 0, io.EOF
+		}
+		return nil, 0, fmt.Errorf("%w: header: %w", ErrTorn, err)
+	}
+	length := binary.LittleEndian.Uint32(hdr[:])
+	if uint64(length) < uint64(min) || uint64(length) > uint64(max) {
+		return nil, 0, lengthError(length, min, max)
+	}
+	payload = make([]byte, length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, 0, fmt.Errorf("%w: payload: %w", ErrTorn, err)
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, 0, errChecksum
+	}
+	return payload, HeaderSize + int(length), nil
+}
+
+func lengthError(length uint32, min, max int) error {
+	return fmt.Errorf("%w: payload length %d outside [%d, %d]", ErrCorrupt, length, min, max)
+}
+
+var errChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+
+// AppendString appends s uvarint-length-prefixed — the form Decoder.String
+// and Decoder.Bytes read back.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// Decoder reads a checksum-verified payload field by field. Its error is
+// sticky: the first field that does not fit stops the decode, every later
+// read returns a zero value, and Done reports that first failure. A caller
+// reads every field unconditionally and checks once, at the end.
+type Decoder struct {
+	// Reads advance off only: an integer store needs no GC write barrier,
+	// where re-slicing buf through the pointer receiver would.
+	buf []byte
+	off int    // bytes read; len(buf) after a failure
+	bad string // the first field that failed; "" while healthy
+	at  int    // its offset in the payload
+}
+
+// NewDecoder returns a Decoder over payload.
+func NewDecoder(payload []byte) Decoder {
+	return Decoder{buf: payload}
+}
+
+func (d *Decoder) fail(field string) {
+	if d.bad == "" {
+		d.bad, d.at = field, d.off
+	}
+	d.off = len(d.buf)
+}
+
+// U64 reads a little-endian uint64.
+func (d *Decoder) U64() uint64 {
+	if len(d.buf)-d.off < 8 {
+		d.fail("u64")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return v
+}
+
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
+	if d.off >= len(d.buf) {
+		d.fail("byte")
+		return 0
+	}
+	v := d.buf[d.off]
+	d.off++
+	return v
+}
+
+// Uvarint reads a uvarint.
+func (d *Decoder) Uvarint() uint64 {
+	v, w := binary.Uvarint(d.buf[d.off:])
+	if w <= 0 {
+		d.fail("uvarint")
+		return 0
+	}
+	d.off += w
+	return v
+}
+
+// Count reads a uvarint element count. Every element takes at least one
+// byte, so a count beyond the bytes left is corrupt — the caller may size
+// a slice or map from the result without trusting the input.
+func (d *Decoder) Count() int { return d.prefix("count") }
+
+// Bytes reads uvarint-length-prefixed bytes. The result aliases the
+// payload; String copies.
+func (d *Decoder) Bytes() []byte {
+	n := d.prefix("length")
+	d.off += n
+	return d.buf[d.off-n : d.off : d.off]
+}
+
+// prefix reads a uvarint that may not exceed the bytes left after it.
+func (d *Decoder) prefix(field string) int {
+	n, w := binary.Uvarint(d.buf[d.off:])
+	if w <= 0 || n > uint64(len(d.buf)-d.off-w) {
+		d.fail(field)
+		return 0
+	}
+	d.off += w
+	return int(n)
+}
+
+// String reads a uvarint-length-prefixed string.
+func (d *Decoder) String() string { return string(d.Bytes()) }
+
+// Len returns the number of unread bytes (0 after a failure).
+func (d *Decoder) Len() int { return len(d.buf) - d.off }
+
+// Done ends the decode: it returns the first failure, or ErrCorrupt when
+// bytes are left unread, or nil.
+func (d *Decoder) Done() error {
+	switch {
+	case d.bad != "":
+		return fmt.Errorf("%w: bad %s at offset %d", ErrCorrupt, d.bad, d.at)
+	case d.Len() > 0:
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.Len())
+	}
+	return nil
+}

@@ -4,29 +4,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"slices"
+
+	"repro/internal/frame"
 )
 
-// WAL record wire format. Each record is one self-delimiting frame:
-//
-//	| length u32 | crc32c u32 | payload (length bytes) |
-//
-// length counts the payload only; crc32c (Castagnoli) covers the payload
-// only, so a frame whose payload was cut short by a crash fails the
-// checksum instead of decoding garbage. The payload itself is:
+// WAL record format. Each record is one frame (internal/frame: length,
+// crc32c, payload, and the torn/corrupt rule) whose payload is:
 //
 //	LSN u64 | Kind u8 | flags u8 (bit0 = CLR) | Page u64 |
 //	Owner, Before, After, Note as uvarint-length-prefixed strings |
 //	uvarint ref count | refs as uvarints
-//
-// All fixed-width integers are little-endian. A length of zero is invalid
-// by construction (every payload is at least recPayloadMin bytes), which
-// keeps a zero-filled tail — the classic preallocated-file artifact — from
-// parsing as an endless run of empty records.
 
 const (
-	// frameHeaderSize is the length + checksum prefix of every record.
-	frameHeaderSize = 8
 	// maxWALRecordSize bounds a single record's payload; anything larger in
 	// a length prefix is treated as a torn or corrupt frame, not an
 	// allocation request.
@@ -36,116 +26,71 @@ const (
 	recPayloadMin = 8 + 1 + 1 + 8 + 4 + 1
 )
 
-// castagnoliTable is the CRC32C polynomial table (hardware-accelerated on
-// amd64/arm64).
-var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrRecordCorrupt marks a frame whose checksum passed but whose payload
 // does not decode — real corruption, never produced by a torn write.
 var ErrRecordCorrupt = errors.New("storage: WAL record corrupt")
 
 const recFlagCLR = 1 << 0
 
-// appendRecordFrame encodes rec as one framed record appended to dst.
-func appendRecordFrame(dst []byte, rec Record) []byte {
-	payload := make([]byte, 0, recPayloadMin+len(rec.Owner)+len(rec.Before)+len(rec.After)+len(rec.Note)+8*len(rec.Refs))
-	payload = binary.LittleEndian.AppendUint64(payload, rec.LSN)
-	payload = append(payload, byte(rec.Kind))
-	var flags byte
-	if rec.CLR {
-		flags |= recFlagCLR
-	}
-	payload = append(payload, flags)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(rec.Page))
-	for _, s := range []string{rec.Owner, rec.Before, rec.After, rec.Note} {
-		payload = binary.AppendUvarint(payload, uint64(len(s)))
-		payload = append(payload, s...)
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Refs)))
-	for _, ref := range rec.Refs {
-		payload = binary.AppendUvarint(payload, ref)
-	}
-
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoliTable))
-	return append(dst, payload...)
-}
-
 // EncodeRecordFrame encodes rec as one framed record appended to dst —
 // the exact bytes a FileWAL segment holds. Replication ships these frames
 // verbatim, so a follower's segment files are byte-identical to the
 // leader's (waldump -compare relies on this).
 func EncodeRecordFrame(dst []byte, rec Record) []byte {
-	return appendRecordFrame(dst, rec)
+	// Room for the header and payload, with slack for string lengths past
+	// one uvarint byte and refs past eight.
+	dst = slices.Grow(dst, frame.HeaderSize+recPayloadMin+16+len(rec.Owner)+len(rec.Before)+len(rec.After)+len(rec.Note)+8*len(rec.Refs))
+	dst, start := frame.Begin(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, rec.LSN)
+	var flags byte
+	if rec.CLR {
+		flags |= recFlagCLR
+	}
+	dst = append(dst, byte(rec.Kind), flags)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Page))
+	for _, s := range [...]string{rec.Owner, rec.Before, rec.After, rec.Note} {
+		dst = frame.AppendString(dst, s)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Refs)))
+	for _, ref := range rec.Refs {
+		dst = binary.AppendUvarint(dst, ref)
+	}
+	return frame.End(dst, start)
 }
 
 // DecodeRecordFrame parses the first framed record in buf, returning the
-// record and the number of bytes consumed. A buffer ending mid-frame or a
-// checksum mismatch returns ErrRecordCorrupt (the transport already
-// guarantees integrity; a bad frame here is a bug, not a torn write).
+// record and the number of bytes consumed. Every failure — a buffer ending
+// mid-frame included — wraps ErrRecordCorrupt: the transport already
+// guarantees integrity, so a bad frame here is a bug, not a torn write.
 func DecodeRecordFrame(buf []byte) (Record, int, error) {
-	if len(buf) < frameHeaderSize {
-		return Record{}, 0, fmt.Errorf("%w: %d header bytes", ErrRecordCorrupt, len(buf))
-	}
-	length := int(binary.LittleEndian.Uint32(buf[0:4]))
-	sum := binary.LittleEndian.Uint32(buf[4:8])
-	if length < recPayloadMin || length > maxWALRecordSize || length > len(buf)-frameHeaderSize {
-		return Record{}, 0, fmt.Errorf("%w: impossible frame length %d", ErrRecordCorrupt, length)
-	}
-	payload := buf[frameHeaderSize : frameHeaderSize+length]
-	if crc32.Checksum(payload, castagnoliTable) != sum {
-		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrRecordCorrupt)
+	payload, n, err := frame.Parse(buf, recPayloadMin, maxWALRecordSize)
+	if err != nil {
+		return Record{}, 0, fmt.Errorf("%w: %w", ErrRecordCorrupt, err)
 	}
 	rec, err := decodeRecordPayload(payload)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	return rec, frameHeaderSize + length, nil
+	return rec, n, nil
 }
 
 // decodeRecordPayload parses a checksum-verified payload back into a
 // Record. Errors wrap ErrRecordCorrupt: the frame was intact on disk but
 // its contents are not a record.
 func decodeRecordPayload(payload []byte) (Record, error) {
-	var rec Record
-	if len(payload) < recPayloadMin {
-		return rec, fmt.Errorf("%w: payload %d bytes", ErrRecordCorrupt, len(payload))
-	}
-	rec.LSN = binary.LittleEndian.Uint64(payload)
-	rec.Kind = RecordKind(payload[8])
-	flags := payload[9]
-	rec.CLR = flags&recFlagCLR != 0
-	rec.Page = PageID(binary.LittleEndian.Uint64(payload[10:]))
-	off := 18
-	var strs [4]string
-	for i := range strs {
-		n, w := binary.Uvarint(payload[off:])
-		if w <= 0 || n > uint64(len(payload)-off-w) {
-			return rec, fmt.Errorf("%w: bad string length at offset %d", ErrRecordCorrupt, off)
-		}
-		off += w
-		strs[i] = string(payload[off : off+int(n)])
-		off += int(n)
-	}
-	rec.Owner, rec.Before, rec.After, rec.Note = strs[0], strs[1], strs[2], strs[3]
-	nrefs, w := binary.Uvarint(payload[off:])
-	if w <= 0 || nrefs > uint64(len(payload)-off-w) {
-		return rec, fmt.Errorf("%w: bad ref count at offset %d", ErrRecordCorrupt, off)
-	}
-	off += w
-	if nrefs > 0 {
-		rec.Refs = make([]uint64, 0, nrefs)
-		for i := uint64(0); i < nrefs; i++ {
-			ref, w := binary.Uvarint(payload[off:])
-			if w <= 0 {
-				return rec, fmt.Errorf("%w: bad ref at offset %d", ErrRecordCorrupt, off)
-			}
-			off += w
-			rec.Refs = append(rec.Refs, ref)
+	d := frame.NewDecoder(payload)
+	rec := Record{LSN: d.U64(), Kind: RecordKind(d.Byte())}
+	rec.CLR = d.Byte()&recFlagCLR != 0
+	rec.Page = PageID(d.U64())
+	rec.Owner, rec.Before, rec.After, rec.Note = d.String(), d.String(), d.String(), d.String()
+	if n := d.Count(); n > 0 {
+		rec.Refs = make([]uint64, n)
+		for i := range rec.Refs {
+			rec.Refs[i] = d.Uvarint()
 		}
 	}
-	if off != len(payload) {
-		return rec, fmt.Errorf("%w: %d trailing bytes", ErrRecordCorrupt, len(payload)-off)
+	if err := d.Done(); err != nil {
+		return Record{}, fmt.Errorf("%w: %w", ErrRecordCorrupt, err)
 	}
 	return rec, nil
 }

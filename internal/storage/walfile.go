@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -129,12 +129,8 @@ type flushEntry struct {
 // order, under its own mutex), and commit paths block in WaitDurable until
 // their record is on stable storage.
 //
-// Recovery-time scan rule (the torn-tail rule): every segment but the last
-// must parse completely; in the last segment, the first frame that is
-// short, oversized, or fails its CRC32C marks the torn tail and the file
-// is truncated there. A frame whose checksum passes but whose payload does
-// not decode, or whose LSN breaks the contiguous sequence, is corruption
-// and fails the open — a crash cannot produce it.
+// On open the segments are read under the torn-tail rule (walkSegments),
+// and the last segment is truncated at its torn tail.
 type FileWAL struct {
 	dir     string
 	segSize int64
@@ -265,28 +261,14 @@ func ReadWALDir(dir string) ([]Record, error) {
 // the path of the last segment ("" when none), and the byte offset the
 // last segment must be truncated to (-1 when its tail is clean).
 func scanWALDir(dir string) (records []Record, lastPath string, truncate int64, err error) {
-	names, err := listSegments(dir)
-	if err != nil {
+	names, truncate, err := walkSegments(dir, func(_, _ int, rec Record) bool {
+		records = append(records, rec)
+		return true
+	})
+	if err != nil || len(names) == 0 {
 		return nil, "", -1, err
 	}
-	truncate = -1
-	prevLSN := uint64(0)
-	for i, name := range names {
-		path := filepath.Join(dir, name)
-		recs, goodOff, torn, serr := scanSegment(path, &prevLSN)
-		if serr != nil {
-			return nil, "", -1, serr
-		}
-		if torn && i != len(names)-1 {
-			return nil, "", -1, fmt.Errorf("%w: %s torn at offset %d but later segments exist", ErrWALCorrupt, path, goodOff)
-		}
-		if torn {
-			truncate = goodOff
-		}
-		records = append(records, recs...)
-		lastPath = path
-	}
-	return records, lastPath, truncate, nil
+	return records, filepath.Join(dir, names[len(names)-1]), truncate, nil
 }
 
 func listSegments(dir string) ([]string, error) {
@@ -304,42 +286,49 @@ func listSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// scanSegment decodes one segment file. torn reports a tail that a crash
-// can produce (short frame, oversized length, checksum mismatch) with
-// goodOff the offset of the last fully valid record; a non-nil error is
-// damage a crash cannot produce (undecodable payload behind a valid
-// checksum, LSN discontinuity).
-func scanSegment(path string, prevLSN *uint64) (recs []Record, goodOff int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false, err
+// walkSegments decodes the segments of dir in order under the torn-tail
+// rule, calling fn with each record, its segment's index in names and its
+// frame's offset there; fn returning false ends the walk. Any frame error
+// (short frame, length out of bounds, checksum mismatch) is a torn tail, as
+// a crash can leave each of them; in the last segment the walk ends there
+// and torn is its offset (-1 when the tail is clean). A torn tail in an
+// earlier segment, a payload that does not decode behind a good checksum,
+// or an LSN that breaks the contiguous sequence is ErrWALCorrupt — a crash
+// cannot produce it.
+func walkSegments(dir string, fn func(seg, off int, rec Record) bool) (names []string, torn int64, err error) {
+	if names, err = listSegments(dir); err != nil {
+		return nil, -1, err
 	}
-	off := 0
-	for off < len(data) {
-		if len(data)-off < frameHeaderSize {
-			return recs, int64(off), true, nil
+	prevLSN := uint64(0)
+	for i, name := range names {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, -1, err
 		}
-		length := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		crc := uint32(data[off+4]) | uint32(data[off+5])<<8 | uint32(data[off+6])<<16 | uint32(data[off+7])<<24
-		if length < recPayloadMin || length > maxWALRecordSize || length > len(data)-off-frameHeaderSize {
-			return recs, int64(off), true, nil
+		for off := 0; off < len(data); {
+			payload, n, ferr := frame.Parse(data[off:], recPayloadMin, maxWALRecordSize)
+			if ferr != nil && i == len(names)-1 {
+				return names, int64(off), nil
+			}
+			if ferr != nil {
+				return nil, -1, fmt.Errorf("%w: %s torn at offset %d but later segments exist", ErrWALCorrupt, path, off)
+			}
+			rec, derr := decodeRecordPayload(payload)
+			if derr != nil {
+				return nil, -1, fmt.Errorf("%w: %s offset %d: %v", ErrWALCorrupt, path, off, derr)
+			}
+			if prevLSN != 0 && rec.LSN != prevLSN+1 {
+				return nil, -1, fmt.Errorf("%w: %s offset %d: lsn %d after %d", ErrWALCorrupt, path, off, rec.LSN, prevLSN)
+			}
+			if !fn(i, off, rec) {
+				return names, -1, nil
+			}
+			prevLSN = rec.LSN
+			off += n
 		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+length]
-		if crc32.Checksum(payload, castagnoliTable) != crc {
-			return recs, int64(off), true, nil
-		}
-		rec, derr := decodeRecordPayload(payload)
-		if derr != nil {
-			return nil, 0, false, fmt.Errorf("%w: %s offset %d: %v", ErrWALCorrupt, path, off, derr)
-		}
-		if *prevLSN != 0 && rec.LSN != *prevLSN+1 {
-			return nil, 0, false, fmt.Errorf("%w: %s offset %d: lsn %d after %d", ErrWALCorrupt, path, off, rec.LSN, *prevLSN)
-		}
-		*prevLSN = rec.LSN
-		recs = append(recs, rec)
-		off += frameHeaderSize + length
 	}
-	return recs, int64(off), false, nil
+	return names, -1, nil
 }
 
 func truncateSegment(path string, size int64) error {
@@ -362,16 +351,16 @@ func (w *FileWAL) Append(rec Record) {
 		w.fail(err)
 		return
 	}
-	frame := appendRecordFrame(nil, rec)
+	enc := EncodeRecordFrame(nil, rec)
 	w.mu.Lock()
 	if w.closed || w.failed != nil {
 		w.mu.Unlock()
 		return
 	}
-	w.pending = append(w.pending, pendingRec{lsn: rec.LSN, frame: frame})
-	w.pendingBytes += len(frame)
+	w.pending = append(w.pending, pendingRec{lsn: rec.LSN, frame: enc})
+	w.pendingBytes += len(enc)
 	w.appended = rec.LSN
-	w.bytesAppended.Add(int64(len(frame)))
+	w.bytesAppended.Add(int64(len(enc)))
 	if w.pendingBytes >= flushBackpressure {
 		w.flushCond.Signal()
 	}
@@ -758,55 +747,36 @@ func WALSegments(dir string) ([]SegmentInfo, error) {
 // and the segment containing it is cut at the frame boundary after record
 // keep. This is the conflict-resolution primitive of log replication — a
 // follower whose unreplicated suffix diverges from the new leader's log
-// discards that suffix before accepting the leader's version. It must be
-// called with no FileWAL open on dir; reopen with OpenFileWAL afterwards.
+// discards that suffix before accepting the leader's version. Segments are
+// read under OpenFileWAL's torn-tail rule; a torn tail is left for
+// OpenFileWAL to truncate. Deletion runs newest-first and the cut comes
+// last, so a failure partway leaves a contiguous log that a retry finishes.
+// It must be called with no FileWAL open on dir; reopen with OpenFileWAL
+// afterwards.
 func TruncateWALAbove(dir string, keep uint64) error {
-	names, err := listSegments(dir)
+	cutSeg, cut := -1, 0
+	names, _, err := walkSegments(dir, func(seg, off int, rec Record) bool {
+		if rec.LSN > keep {
+			cutSeg, cut = seg, off
+		}
+		return cutSeg < 0
+	})
 	if err != nil {
 		return err
 	}
-	prevLSN := uint64(0)
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		// Walk frames to the byte offset just past record keep. Frames past
-		// a torn tail don't exist; a torn tail below keep simply means the
-		// whole remainder survives as-is.
-		cut := int64(-1)
-		off := 0
-		for off < len(data) {
-			if len(data)-off < frameHeaderSize {
-				break
-			}
-			length := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-			if length < recPayloadMin || length > maxWALRecordSize || length > len(data)-off-frameHeaderSize {
-				break
-			}
-			rec, derr := decodeRecordPayload(data[off+frameHeaderSize : off+frameHeaderSize+length])
-			if derr != nil {
-				return fmt.Errorf("%w: %s offset %d: %v", ErrWALCorrupt, path, off, derr)
-			}
-			if prevLSN != 0 && rec.LSN != prevLSN+1 {
-				return fmt.Errorf("%w: %s offset %d: lsn %d after %d", ErrWALCorrupt, path, off, rec.LSN, prevLSN)
-			}
-			prevLSN = rec.LSN
-			if rec.LSN > keep {
-				cut = int64(off)
-				break
-			}
-			off += frameHeaderSize + length
-		}
-		if cut < 0 {
-			continue // every record in this segment is at or below keep
-		}
-		if cut == 0 {
-			if err := os.Remove(path); err != nil {
+	if cutSeg >= 0 {
+		for i := len(names) - 1; i > cutSeg; i-- {
+			if err := os.Remove(filepath.Join(dir, names[i])); err != nil {
 				return err
 			}
-		} else if err := truncateSegment(path, cut); err != nil {
+		}
+		path := filepath.Join(dir, names[cutSeg])
+		if cut == 0 {
+			err = os.Remove(path)
+		} else {
+			err = truncateSegment(path, int64(cut))
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/frame"
 )
 
 // randomRecord draws a record with every field exercised; LSNs are
@@ -47,11 +49,11 @@ func TestWALRecordCodecRoundTrip(t *testing.T) {
 	f := func(lsn uint64) bool {
 		rec := randomRecord(rr)
 		rec.LSN = lsn
-		frame := appendRecordFrame(nil, rec)
-		if len(frame) < frameHeaderSize+recPayloadMin {
+		enc := EncodeRecordFrame(nil, rec)
+		if len(enc) < frame.HeaderSize+recPayloadMin {
 			return false
 		}
-		got, err := decodeRecordPayload(frame[frameHeaderSize:])
+		got, err := decodeRecordPayload(enc[frame.HeaderSize:])
 		if err != nil {
 			t.Logf("decode: %v", err)
 			return false
@@ -171,14 +173,11 @@ func TestFileWALTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Records held by the earlier, untouched segments.
-	prefixCount := 0
-	for _, name := range segs[:len(segs)-1] {
-		recs, _, torn, err := scanSegment(filepath.Join(master, name), new(uint64))
-		if err != nil || torn {
-			t.Fatalf("master segment %s unclean: torn=%v err=%v", name, torn, err)
-		}
-		prefixCount += len(recs)
+	infos, err := WALSegments(master)
+	if err != nil {
+		t.Fatal(err)
 	}
+	prefixCount := int(infos[len(infos)-1].FirstLSN) - 1
 
 	for cut := 0; cut <= len(data); cut++ {
 		dir := filepath.Join(t.TempDir(), "wal")
@@ -245,7 +244,7 @@ func TestFileWALBitFlip(t *testing.T) {
 	copyDir(t, master, dir2)
 	p2 := filepath.Join(dir2, segs[len(segs)-1])
 	data2, _ := os.ReadFile(p2)
-	if len(data2) > frameHeaderSize {
+	if len(data2) > frame.HeaderSize {
 		data2[len(data2)-1] ^= 0xff
 		os.WriteFile(p2, data2, 0o644)
 		fw, _, err := OpenFileWAL(dir2, FileWALOptions{})
@@ -390,4 +389,131 @@ func BenchmarkWALUpdatesBy(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestTruncateWALAbove: after TruncateWALAbove(dir, keep) the directory
+// holds exactly the records with LSN ≤ keep and reopens to append keep+1,
+// wherever keep falls — mid-segment, on a segment boundary, past the end,
+// or below the first record. A torn tail is read under OpenFileWAL's rule:
+// it holds no record, so it is no reason to fail.
+func TestTruncateWALAbove(t *testing.T) {
+	master := t.TempDir()
+	want := buildSegments(t, master, 60, 29)
+	segs, err := WALSegments(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("need at least four segments, got %d", len(segs))
+	}
+	mid := segs[1]
+	if segs[2].FirstLSN-mid.FirstLSN < 2 {
+		t.Fatalf("segment %s holds a single record", mid.Name)
+	}
+	last := want[len(want)-1].LSN
+
+	check := func(t *testing.T, dir string, keep uint64) {
+		t.Helper()
+		got, err := ReadWALDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := min(keep, last)
+		if len(got) != int(n) || (n > 0 && !reflect.DeepEqual(got, want[:n])) {
+			t.Fatalf("keep=%d: %d records survive, want %d", keep, len(got), n)
+		}
+		after, err := WALSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range after {
+			if s.FirstLSN > keep {
+				t.Fatalf("keep=%d: segment %s survives", keep, s.Name)
+			}
+		}
+		fw, recs, err := OpenFileWAL(dir, FileWALOptions{SegmentSize: 256})
+		if err != nil {
+			t.Fatalf("keep=%d: reopen: %v", keep, err)
+		}
+		w := NewWALFromRecords(recs)
+		w.SetSink(fw)
+		if lsn := w.LogCommit("Tnext"); lsn != n+1 {
+			t.Fatalf("keep=%d: next lsn %d, want %d", keep, lsn, n+1)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		keep uint64
+	}{
+		{"mid-segment", mid.FirstLSN + 1},
+		{"segment-boundary", mid.FirstLSN - 1},
+		{"past-the-end", last + 5},
+		{"at-the-end", last},
+		{"zero", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			copyDir(t, master, dir)
+			before := readDir(t, dir)
+			if err := TruncateWALAbove(dir, tc.keep); err != nil {
+				t.Fatal(err)
+			}
+			if tc.keep >= last && !reflect.DeepEqual(readDir(t, dir), before) {
+				t.Fatalf("keep=%d ≥ last lsn %d changed the directory", tc.keep, last)
+			}
+			check(t, dir, tc.keep)
+		})
+	}
+
+	// Five good records, then a sixth frame with a plausible length whose
+	// payload was damaged: the checksum fails, so it is the torn tail.
+	t.Run("torn-tail", func(t *testing.T) {
+		dir := t.TempDir()
+		var seg []byte
+		for _, rec := range want[:6] {
+			seg = EncodeRecordFrame(seg, rec)
+		}
+		torn := len(EncodeRecordFrame(nil, want[5]))
+		seg[len(seg)-torn+frame.HeaderSize+18] = 0x7f // the Owner length
+		name := fmt.Sprintf("%s%020d%s", walSegPrefix, 1, walSegSuffix)
+		if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := TruncateWALAbove(dir, 10); err != nil {
+			t.Fatalf("torn tail below keep: %v", err)
+		}
+		got, err := ReadWALDir(dir)
+		if err != nil || !reflect.DeepEqual(got, want[:5]) {
+			t.Fatalf("after truncation: %d records, %v; want the 5 good ones", len(got), err)
+		}
+		fw, recs, err := OpenFileWAL(dir, FileWALOptions{})
+		if err != nil || len(recs) != 5 {
+			t.Fatalf("reopen: %d records, %v", len(recs), err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// readDir maps every file in dir to its contents.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }

@@ -19,6 +19,24 @@ import (
 //	new encoder, unstamped → old decoder   must decode          (new client, old server)
 //	new encoder, unstamped      byte-identical to old encoder   (the strongest form)
 //	new encoder, stamped → old decoder     typed error           (documented: stamping is opt-in)
+//
+// The vendored codec keeps its own header constant, CRC table and string
+// reader, so it stays an independent reference for internal/frame.
+
+const frameHeaderSize = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// readString decodes one uvarint-length-prefixed string at off, returning
+// the string and the offset past it.
+func readString(payload []byte, off int) (string, int, error) {
+	n, w := binary.Uvarint(payload[off:])
+	if w <= 0 || n > uint64(len(payload)-off-w) {
+		return "", 0, fmt.Errorf("%w: bad string length at offset %d", ErrFrameCorrupt, off)
+	}
+	off += w
+	return string(payload[off : off+int(n)]), off + int(n), nil
+}
 
 func legacyAppendMsg(dst []byte, m Msg) []byte {
 	payload := binary.LittleEndian.AppendUint64(nil, m.Seq)

@@ -3,24 +3,14 @@
 // the typed error taxonomy responses carry so clients can make retry
 // decisions without parsing strings.
 //
-// Each message is one self-delimiting frame, in the WAL codec's idiom
-// (internal/storage/walcodec.go):
-//
-//	| length u32 | crc32c u32 | payload (length bytes) |
-//
-// length counts the payload only; crc32c (Castagnoli) covers the payload
-// only, so a frame cut short by a dying peer fails the checksum instead of
-// decoding garbage. The payload itself is:
+// Each message is one frame (internal/frame: length, crc32c, payload, and
+// the torn/corrupt rule), bounded to [msgPayloadMin, MaxFrameSize], whose
+// payload is:
 //
 //	Seq u64 | Type u8 | Code u8 | Page u64 |
 //	ObjType, ObjName, Method, Result as uvarint-length-prefixed strings |
 //	uvarint param count | params as uvarint-length-prefixed strings |
 //	extension blocks (optional)
-//
-// All fixed-width integers are little-endian. A length of zero is invalid
-// by construction (every payload is at least msgPayloadMin bytes), and a
-// length beyond MaxFrameSize is treated as desync/corruption, never as an
-// allocation request.
 //
 // # Wire versioning: extension blocks
 //
@@ -45,11 +35,13 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
+
+	"repro/internal/frame"
 )
 
 // MsgType discriminates requests and responses.
@@ -198,8 +190,6 @@ const ReplFlagOK = 1 << 0
 func (re *ReplExt) OK() bool { return re != nil && re.Flags&ReplFlagOK != 0 }
 
 const (
-	// frameHeaderSize is the length + checksum prefix of every frame.
-	frameHeaderSize = 8
 	// MaxFrameSize bounds a single message's payload; anything larger in a
 	// length prefix means a desynced or corrupt stream.
 	MaxFrameSize = 16 << 20
@@ -216,20 +206,18 @@ const (
 	extRepl = 2
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Frame decode errors. Torn means the stream ended mid-frame (a peer died
-// or an idle reap cut the connection); corrupt means the bytes are there
-// but are not a frame (checksum mismatch, impossible length, trailing
-// garbage). Neither ever panics, whatever the input.
+// Frame decode errors are internal/frame's: torn means the stream ended
+// mid-frame (a peer died or an idle reap cut the connection); corrupt means
+// the bytes are there but are not a message (checksum mismatch, impossible
+// length, a payload that does not decode).
 var (
-	ErrFrameTorn    = errors.New("wire: torn frame")
-	ErrFrameCorrupt = errors.New("wire: corrupt frame")
+	ErrFrameTorn    = frame.ErrTorn
+	ErrFrameCorrupt = frame.ErrCorrupt
 )
 
 // AppendMsg encodes m as one framed message appended to dst.
 func AppendMsg(dst []byte, m Msg) []byte {
-	n := msgPayloadMin + len(m.ObjType) + len(m.ObjName) + len(m.Method) + len(m.Result)
+	n := frame.HeaderSize + msgPayloadMin + len(m.ObjType) + len(m.ObjName) + len(m.Method) + len(m.Result)
 	for _, p := range m.Params {
 		n += len(p) + 2
 	}
@@ -239,45 +227,43 @@ func AppendMsg(dst []byte, m Msg) []byte {
 	if m.Repl != nil {
 		n += 96 + len(m.Repl.From) + len(m.Repl.Addr)
 	}
-	payload := make([]byte, 0, n)
-	payload = binary.LittleEndian.AppendUint64(payload, m.Seq)
-	payload = append(payload, byte(m.Type), byte(m.Code))
-	payload = binary.LittleEndian.AppendUint64(payload, m.Page)
-	for _, s := range []string{m.ObjType, m.ObjName, m.Method, m.Result} {
-		payload = binary.AppendUvarint(payload, uint64(len(s)))
-		payload = append(payload, s...)
+	dst = slices.Grow(dst, n)
+	dst, start := frame.Begin(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
+	dst = append(dst, byte(m.Type), byte(m.Code))
+	dst = binary.LittleEndian.AppendUint64(dst, m.Page)
+	for _, s := range [...]string{m.ObjType, m.ObjName, m.Method, m.Result} {
+		dst = frame.AppendString(dst, s)
 	}
-	payload = binary.AppendUvarint(payload, uint64(len(m.Params)))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Params)))
 	for _, p := range m.Params {
-		payload = binary.AppendUvarint(payload, uint64(len(p)))
-		payload = append(payload, p...)
+		dst = frame.AppendString(dst, p)
 	}
 	if m.Traced() {
-		var body []byte
-		body = binary.AppendUvarint(body, uint64(m.TraceAttempt))
-		body = append(body, m.TraceID...)
-		payload = binary.AppendUvarint(payload, extTrace)
-		payload = binary.AppendUvarint(payload, uint64(len(body)))
-		payload = append(payload, body...)
+		dst = binary.AppendUvarint(dst, extTrace)
+		dst = binary.AppendUvarint(dst, uint64(uvarintLen(uint64(m.TraceAttempt))+len(m.TraceID)))
+		dst = binary.AppendUvarint(dst, uint64(m.TraceAttempt))
+		dst = append(dst, m.TraceID...)
 	}
 	if re := m.Repl; re != nil {
-		body := make([]byte, 0, 80+len(re.From)+len(re.Addr))
-		for _, v := range []uint64{re.Term, re.PrevLSN, re.PrevTerm, re.EntryTerm, re.Commit, re.Match, re.Hint, re.Flags} {
-			body = binary.AppendUvarint(body, v)
+		counters := [...]uint64{re.Term, re.PrevLSN, re.PrevTerm, re.EntryTerm, re.Commit, re.Match, re.Hint, re.Flags}
+		body := uvarintLen(uint64(len(re.From))) + len(re.From) + uvarintLen(uint64(len(re.Addr))) + len(re.Addr)
+		for _, v := range counters {
+			body += uvarintLen(v)
 		}
-		for _, s := range []string{re.From, re.Addr} {
-			body = binary.AppendUvarint(body, uint64(len(s)))
-			body = append(body, s...)
+		dst = binary.AppendUvarint(dst, extRepl)
+		dst = binary.AppendUvarint(dst, uint64(body))
+		for _, v := range counters {
+			dst = binary.AppendUvarint(dst, v)
 		}
-		payload = binary.AppendUvarint(payload, extRepl)
-		payload = binary.AppendUvarint(payload, uint64(len(body)))
-		payload = append(payload, body...)
+		dst = frame.AppendString(dst, re.From)
+		dst = frame.AppendString(dst, re.Addr)
 	}
-
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+	return frame.End(dst, start)
 }
+
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // WriteMsg writes one framed message.
 func WriteMsg(w io.Writer, m Msg) error {
@@ -297,114 +283,52 @@ func ReadMsg(r io.Reader) (Msg, error) {
 // ReadMsgN is ReadMsg plus the frame's size on the wire (header included) —
 // the figure the server's per-message size histograms want.
 func ReadMsgN(r io.Reader) (Msg, int, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Msg{}, 0, io.EOF
-		}
-		// Keep the underlying error in the chain: the server classifies idle
-		// deadlines (net.Error timeouts) differently from dead peers.
-		return Msg{}, 0, fmt.Errorf("%w: header: %w", ErrFrameTorn, err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length < msgPayloadMin || length > MaxFrameSize {
-		return Msg{}, 0, fmt.Errorf("%w: impossible payload length %d", ErrFrameCorrupt, length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Msg{}, 0, fmt.Errorf("%w: payload: %w", ErrFrameTorn, err)
-	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return Msg{}, 0, fmt.Errorf("%w: checksum mismatch", ErrFrameCorrupt)
+	payload, n, err := frame.Read(r, msgPayloadMin, MaxFrameSize)
+	if err != nil {
+		return Msg{}, 0, err
 	}
 	m, err := decodePayload(payload)
-	return m, frameHeaderSize + int(length), err
+	return m, n, err
 }
 
 // DecodeMsg parses the first frame in buf, returning the message and the
 // number of bytes consumed. A buffer ending mid-frame returns ErrFrameTorn
 // (a longer read may still succeed); invalid bytes return ErrFrameCorrupt.
 func DecodeMsg(buf []byte) (Msg, int, error) {
-	if len(buf) < frameHeaderSize {
-		return Msg{}, 0, fmt.Errorf("%w: %d header bytes", ErrFrameTorn, len(buf))
-	}
-	length := binary.LittleEndian.Uint32(buf[0:4])
-	sum := binary.LittleEndian.Uint32(buf[4:8])
-	if length < msgPayloadMin || length > MaxFrameSize {
-		return Msg{}, 0, fmt.Errorf("%w: impossible payload length %d", ErrFrameCorrupt, length)
-	}
-	end := frameHeaderSize + int(length)
-	if len(buf) < end {
-		return Msg{}, 0, fmt.Errorf("%w: %d of %d frame bytes", ErrFrameTorn, len(buf), end)
-	}
-	payload := buf[frameHeaderSize:end]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return Msg{}, 0, fmt.Errorf("%w: checksum mismatch", ErrFrameCorrupt)
+	payload, n, err := frame.Parse(buf, msgPayloadMin, MaxFrameSize)
+	if err != nil {
+		return Msg{}, 0, err
 	}
 	m, err := decodePayload(payload)
 	if err != nil {
 		return Msg{}, 0, err
 	}
-	return m, end, nil
+	return m, n, nil
 }
 
 // decodePayload parses a checksum-verified payload. Errors wrap
 // ErrFrameCorrupt: the frame arrived intact but its contents are not a
 // message.
 func decodePayload(payload []byte) (Msg, error) {
-	var m Msg
-	if len(payload) < msgPayloadMin {
-		return m, fmt.Errorf("%w: payload %d bytes", ErrFrameCorrupt, len(payload))
-	}
-	m.Seq = binary.LittleEndian.Uint64(payload)
-	m.Type = MsgType(payload[8])
-	m.Code = ErrCode(payload[9])
-	m.Page = binary.LittleEndian.Uint64(payload[10:])
-	off := 18
-	var strs [4]string
-	for i := range strs {
-		s, w, err := readString(payload, off)
-		if err != nil {
-			return m, err
-		}
-		strs[i] = s
-		off = w
-	}
-	m.ObjType, m.ObjName, m.Method, m.Result = strs[0], strs[1], strs[2], strs[3]
-	nparams, w := binary.Uvarint(payload[off:])
-	if w <= 0 || nparams > uint64(len(payload)-off-w) {
-		return m, fmt.Errorf("%w: bad param count at offset %d", ErrFrameCorrupt, off)
-	}
-	off += w
-	if nparams > 0 {
-		m.Params = make([]string, 0, nparams)
-		for i := uint64(0); i < nparams; i++ {
-			s, w, err := readString(payload, off)
-			if err != nil {
-				return m, err
-			}
-			m.Params = append(m.Params, s)
-			off = w
+	d := frame.NewDecoder(payload)
+	m := Msg{Seq: d.U64(), Type: MsgType(d.Byte()), Code: ErrCode(d.Byte()), Page: d.U64()}
+	m.ObjType, m.ObjName, m.Method, m.Result = d.String(), d.String(), d.String(), d.String()
+	if n := d.Count(); n > 0 {
+		m.Params = make([]string, n)
+		for i := range m.Params {
+			m.Params[i] = d.String()
 		}
 	}
 	// Extension blocks. Unknown tags are skipped wholesale (forward
 	// compatibility: a newer peer may stamp fields this build does not
 	// know), but a tail that is not a well-formed tag/len/body sequence is
 	// corruption, exactly like trailing garbage used to be.
-	for off < len(payload) {
-		tag, w := binary.Uvarint(payload[off:])
-		if w <= 0 || tag == 0 {
-			return m, fmt.Errorf("%w: bad extension tag at offset %d", ErrFrameCorrupt, off)
+	for d.Len() > 0 {
+		tag := d.Uvarint()
+		if tag == 0 {
+			return m, fmt.Errorf("%w: bad extension tag", ErrFrameCorrupt)
 		}
-		off += w
-		n, w := binary.Uvarint(payload[off:])
-		if w <= 0 || n > uint64(len(payload)-off-w) {
-			return m, fmt.Errorf("%w: bad extension length at offset %d", ErrFrameCorrupt, off)
-		}
-		off += w
-		body := payload[off : off+int(n)]
-		off += int(n)
+		body := d.Bytes()
 		switch tag {
 		case extTrace:
 			attempt, w := binary.Uvarint(body)
@@ -421,42 +345,19 @@ func decodePayload(payload []byte) (Msg, error) {
 			m.Repl = re
 		}
 	}
-	return m, nil
+	return m, d.Done()
 }
 
 // decodeReplExt parses an extRepl body.
 func decodeReplExt(body []byte) (*ReplExt, error) {
-	var re ReplExt
-	off := 0
-	for _, dst := range []*uint64{&re.Term, &re.PrevLSN, &re.PrevTerm, &re.EntryTerm, &re.Commit, &re.Match, &re.Hint, &re.Flags} {
-		v, w := binary.Uvarint(body[off:])
-		if w <= 0 {
-			return nil, fmt.Errorf("%w: bad repl counter at offset %d", ErrFrameCorrupt, off)
-		}
-		*dst = v
-		off += w
+	d := frame.NewDecoder(body)
+	re := &ReplExt{
+		Term: d.Uvarint(), PrevLSN: d.Uvarint(), PrevTerm: d.Uvarint(), EntryTerm: d.Uvarint(),
+		Commit: d.Uvarint(), Match: d.Uvarint(), Hint: d.Uvarint(), Flags: d.Uvarint(),
+		From: d.String(), Addr: d.String(),
 	}
-	for _, dst := range []*string{&re.From, &re.Addr} {
-		s, w, err := readString(body, off)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad repl string at offset %d", ErrFrameCorrupt, off)
-		}
-		*dst = s
-		off = w
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("repl extension: %w", err)
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing repl ext bytes", ErrFrameCorrupt, len(body)-off)
-	}
-	return &re, nil
-}
-
-// readString decodes one uvarint-length-prefixed string at off, returning
-// the string and the offset past it.
-func readString(payload []byte, off int) (string, int, error) {
-	n, w := binary.Uvarint(payload[off:])
-	if w <= 0 || n > uint64(len(payload)-off-w) {
-		return "", 0, fmt.Errorf("%w: bad string length at offset %d", ErrFrameCorrupt, off)
-	}
-	off += w
-	return string(payload[off : off+int(n)]), off + int(n), nil
+	return re, nil
 }
