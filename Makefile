@@ -67,7 +67,7 @@ bench-repl:
 
 # Kill-the-process durability torture (SIGKILL + recover, 5 rounds).
 torture:
-	$(GO) run ./cmd/crashtorture -dir $(or $(TORTURE_DIR),/tmp/oodb-torture) -rounds 5
+	$(GO) run ./cmd/chaos -round crash -iters 5
 
 # End-to-end check of the -metrics-addr endpoint: boot a small run with a
 # lingering endpoint, then assert /metrics serves the lock/pool/engine JSON
@@ -92,14 +92,16 @@ chaos-smoke:
 	$(GO) run ./cmd/chaos -seed 1 -workers 6 -txns 60
 	$(GO) run ./cmd/chaos -seed 2 -workers 6 -txns 60
 
-# Checkpoint torture: SIGKILL rounds with an aggressive fuzzy-checkpoint
-# interval, cycling crashes into the checkpoint write and the segment
-# truncation (the ckpt.write / ckpt.truncate failpoints). Every recovery
-# must start from the newest complete checkpoint — or fall back to an older
-# one / full replay when the kill tore the file — and replay only the
-# surviving suffix.
+# Checkpoint and partition torture. First, SIGKILL rounds with an
+# aggressive fuzzy-checkpoint interval, cycling crashes into the checkpoint
+# write and the segment truncation (the ckpt.write / ckpt.truncate
+# failpoints): every recovery must start from the newest complete
+# checkpoint — or fall back to an older one / full replay when the kill tore
+# the file — and replay only the surviving suffix. Then SIGKILL rounds on a
+# 4-partition child, every partition's WAL verified on its own.
 checkpoint-smoke:
-	$(GO) run ./cmd/crashtorture -dir $(or $(TORTURE_DIR),/tmp/oodb-ckpt-torture) -rounds 6 -checkpoint 40ms
+	$(GO) run ./cmd/chaos -round crash -iters 6 -checkpoint 40ms
+	$(GO) run ./cmd/chaos -round crash -iters 3 -partitions 4
 
 # End-to-end check of the network server: boot oodbd with the banking
 # schema, burst a concurrent client workload through the pooled client,

@@ -27,13 +27,22 @@
 //	repl-partition — in-process 3-node cluster; the leader is isolated from
 //	                 its peers mid-run, must abdicate, and the healed
 //	                 cluster must conserve every acked increment
+//	crash          — a real child process (chaos re-execs itself) runs
+//	                 banking transfers on a durable engine and is SIGKILLed,
+//	                 -iters times on one WAL directory; each partition's
+//	                 WAL must then recover conserving money, idempotently,
+//	                 from the newest complete checkpoint, and never empty
+//	                 once funded. -checkpoint also cycles the kills through
+//	                 the ckpt.write / ckpt.truncate delay faults
 //
-// leader-kill and repl-partition need ports 21330..21345 on loopback and
-// are not part of -round all; run them explicitly (make repl-smoke does).
+// leader-kill and repl-partition need ports 21330..21345 on loopback;
+// they and crash spawn child processes and are not part of -round all —
+// run them explicitly (make repl-smoke and make checkpoint-smoke do).
 //
 // Usage:
 //
 //	chaos [-seed N] [-workers N] [-txns N] [-accounts N] [-round name] [-iters N]
+//	chaos -round crash [-iters N] [-checkpoint D] [-partitions N]
 package main
 
 import (
@@ -41,7 +50,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -68,8 +76,10 @@ func main() {
 		workers  = flag.Int("workers", 8, "concurrent workers")
 		txns     = flag.Int("txns", 150, "transactions per worker and round")
 		accounts = flag.Int("accounts", 8, "independent counters (one page each)")
-		round    = flag.String("round", "all", "round: lock-delay | random | overload | fsync-error | leader-kill | repl-partition | all")
-		iters    = flag.Int("iters", 20, "leader-kill: consecutive kill/failover/verify iterations")
+		round    = flag.String("round", "all", "round: lock-delay | random | overload | fsync-error | leader-kill | repl-partition | crash | all")
+		iters    = flag.Int("iters", 20, "leader-kill, crash: consecutive kill/verify iterations")
+		ckpt     = flag.Duration("checkpoint", 0, "crash: fuzzy-checkpoint interval in the child (0 = off); kills then also cycle through ckpt.write / ckpt.truncate delay faults")
+		parts    = flag.Int("partitions", 1, "crash: engine partitions in the child (WAL under <dir>/p<i>), each verified independently")
 
 		replChild     = flag.Bool("repl-child", false, "internal: run as a leader-kill replica child process")
 		childNode     = flag.String("child-node", "", "internal: child node id")
@@ -77,34 +87,41 @@ func main() {
 		childAddr     = flag.String("child-addr", "", "internal: child client address")
 		childReplAddr = flag.String("child-repl-addr", "", "internal: child replication address")
 		childPeers    = flag.String("child-peers", "", "internal: child peers (id=addr,...)")
+		crashChild    = flag.Bool("crash-child", false, "internal: run as a crash-round workload child")
+		childRound    = flag.Int("child-round", 0, "internal: crash-round number of the child")
 	)
 	flag.Parse()
+	cfg := chaosConfig{seed: *seed, workers: *workers, txns: *txns, accounts: *accounts, iters: *iters,
+		checkpoint: *ckpt, partitions: *parts}
 	if *replChild {
 		runReplChild(*childNode, *childDir, *childAddr, *childReplAddr, *childPeers, *accounts)
 		return
+	}
+	if *crashChild {
+		err := runCrashChild(cfg, *childDir, *childRound)
+		fmt.Fprintf(os.Stderr, "chaos crash child: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Printf("chaos: seed=%d workers=%d txns=%d accounts=%d\n", *seed, *workers, *txns, *accounts)
 
 	rounds := []struct {
 		name string
 		run  func(cfg chaosConfig) error
+		// byName rounds spawn child processes (and the replication ones
+		// bind fixed loopback ports); -round all skips them.
+		byName bool
 	}{
-		{"lock-delay", runLockDelay},
-		{"random", runRandomFaults},
-		{"overload", runOverload},
-		{"fsync-error", runFsyncError},
-		{"leader-kill", runLeaderKill},
-		{"repl-partition", runReplPartition},
+		{"lock-delay", runLockDelay, false},
+		{"random", runRandomFaults, false},
+		{"overload", runOverload, false},
+		{"fsync-error", runFsyncError, false},
+		{"leader-kill", runLeaderKill, true},
+		{"repl-partition", runReplPartition, true},
+		{"crash", runCrash, true},
 	}
-	cfg := chaosConfig{seed: *seed, workers: *workers, txns: *txns, accounts: *accounts, iters: *iters}
 	failed := false
 	for _, r := range rounds {
-		if *round == "all" && (r.name == "leader-kill" || r.name == "repl-partition") {
-			// The replication rounds bind fixed loopback ports and spawn
-			// child processes; they run only when asked for by name.
-			continue
-		}
-		if *round != "all" && *round != r.name {
+		if *round != r.name && (*round != "all" || r.byName) {
 			continue
 		}
 		fault.Default.DisarmAll()
@@ -124,11 +141,13 @@ func main() {
 }
 
 type chaosConfig struct {
-	seed     int64
-	workers  int
-	txns     int
-	accounts int
-	iters    int
+	seed       int64
+	workers    int
+	txns       int
+	accounts   int
+	iters      int
+	checkpoint time.Duration
+	partitions int
 }
 
 // counters tracks, per account, how many increments were acknowledged by
@@ -138,14 +157,6 @@ type counters struct {
 }
 
 func newCounters(n int) *counters { return &counters{acked: make([]atomic.Int64, n)} }
-
-func (c *counters) total() int64 {
-	var t int64
-	for i := range c.acked {
-		t += c.acked[i].Load()
-	}
-	return t
-}
 
 // increment runs one acknowledged +1 on the given account page through
 // RunWithRetry; a nil return means the commit was acked (and counted).
@@ -332,10 +343,7 @@ func runRandomFaults(cfg chaosConfig) error {
 
 	db, pages := openMem(cfg, 0, 0)
 	c := newCounters(cfg.accounts)
-	mid := int64(cfg.workers*cfg.txns) / 3
-	if mid < 1 {
-		mid = 1
-	}
+	mid := max(int64(cfg.workers*cfg.txns)/3, 1)
 	classes := drive(db, pages, c, cfg, mid, picks)
 	if classes["acked"] == 0 {
 		return fmt.Errorf("nothing committed under random faults: %v", classes)
@@ -455,6 +463,34 @@ func runFsyncError(cfg chaosConfig) error {
 }
 
 // ---------------------------------------------------------------------------
+// The banking schema the replication and crash rounds share.
+
+// acct names banking account i (workload.RegisterBanking's "Acct<i>").
+func acct(i int) txn.OID {
+	return txn.OID{Type: workload.AccountType, Name: "Acct" + strconv.Itoa(i)}
+}
+
+// balance reads account i's balance in a transaction of its own.
+func balance(db *core.DB, i int) (bal int64, err error) {
+	err = db.RunWithRetry(core.RetryPolicy{MaxAttempts: 10}, func(tx *core.Txn) error {
+		s, err := tx.Exec(acct(i), "balance")
+		if err == nil {
+			bal, err = strconv.ParseInt(s, 10, 64)
+		}
+		return err
+	})
+	return bal, err
+}
+
+// registerBank is the write-free recovery hook for the banking schema.
+func registerBank(accounts int) recovery.RegisterTypes {
+	return func(db *core.DB) error {
+		_, err := workload.RegisterBanking(db, accounts)
+		return err
+	}
+}
+
+// ---------------------------------------------------------------------------
 // leader-kill: a real replicated cluster under repeated leader SIGKILL.
 
 // replBankOpen is the promotion hook both replication rounds share: fresh
@@ -479,10 +515,7 @@ func replBankOpen(accounts int) func(dir string, fresh bool) (*core.DB, error) {
 			}
 			return db, nil
 		}
-		db, _, err := recovery.RecoverDir(dir, opts, func(db *core.DB) error {
-			_, rerr := workload.RegisterBanking(db, accounts)
-			return rerr
-		})
+		db, _, err := recovery.RecoverDir(dir, opts, registerBank(accounts))
 		return db, err
 	}
 }
@@ -526,6 +559,57 @@ func runReplChild(id, dir, addr, replAddr, peerList string, accounts int) {
 	select {} // the parent SIGKILLs us; there is no graceful exit to test
 }
 
+// proc is a child process running this binary (the crash and leader-kill
+// rounds re-exec chaos with an internal -*-child flag).
+type proc struct {
+	cmd  *exec.Cmd
+	done chan struct{} // closed once the child has exited
+}
+
+// spawnSelf re-execs this binary with args. Every stdout line goes to
+// onLine, stderr goes to ours.
+func spawnSelf(onLine func(string), args ...string) (*proc, error) {
+	self, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	cmd := exec.Command(self, args...)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	p := &proc{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			onLine(sc.Text())
+		}
+		_ = cmd.Wait()
+		close(p.done)
+	}()
+	return p, nil
+}
+
+func (p *proc) exited() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// kill SIGKILLs the child — no drain, no fsync, no goodbyes — and waits
+// until it has exited and its output is consumed.
+func (p *proc) kill() {
+	_ = p.cmd.Process.Kill() // fails only when the child already exited
+	<-p.done
+}
+
 // childProc is the parent's handle on one replica child: the process plus
 // the role/term state parsed from its stdout.
 type childProc struct {
@@ -533,74 +617,55 @@ type childProc struct {
 	accounts                       int
 
 	mu    sync.Mutex
-	cmd   *exec.Cmd
-	alive bool
+	p     *proc
 	ready bool
 	role  string
 	term  uint64
 }
 
 func (cp *childProc) spawn() error {
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	cmd := exec.Command(self, "-repl-child",
+	cp.mu.Lock()
+	cp.ready, cp.role, cp.term = false, "", 0
+	cp.mu.Unlock()
+	p, err := spawnSelf(cp.scan, "-repl-child",
 		"-child-node", cp.id, "-child-dir", cp.dir,
 		"-child-addr", cp.addr, "-child-repl-addr", cp.replAddr,
 		"-child-peers", cp.peers, "-accounts", strconv.Itoa(cp.accounts))
-	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return err
-	}
 	cp.mu.Lock()
-	cp.cmd, cp.alive, cp.ready, cp.role, cp.term = cmd, true, false, "", 0
+	cp.p = p
 	cp.mu.Unlock()
-	go cp.scan(out)
-	go func() {
-		_ = cmd.Wait()
-		cp.mu.Lock()
-		cp.alive = false
-		cp.mu.Unlock()
-	}()
 	return nil
 }
 
-func (cp *childProc) scan(out io.Reader) {
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-		line := sc.Text()
-		cp.mu.Lock()
-		if line == "serving" {
-			cp.ready = true
-		} else if rest, ok := strings.CutPrefix(line, "role="); ok {
-			if role, termStr, ok := strings.Cut(rest, " term="); ok {
-				if term, err := strconv.ParseUint(termStr, 10, 64); err == nil {
-					cp.role, cp.term = role, term
-				}
+// scan parses one stdout line of the replica child.
+func (cp *childProc) scan(line string) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if line == "serving" {
+		cp.ready = true
+	} else if rest, ok := strings.CutPrefix(line, "role="); ok {
+		if role, termStr, ok := strings.Cut(rest, " term="); ok {
+			if term, err := strconv.ParseUint(termStr, 10, 64); err == nil {
+				cp.role, cp.term = role, term
 			}
 		}
-		cp.mu.Unlock()
 	}
 }
 
 func (cp *childProc) state() (alive, ready bool, role string, term uint64) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.alive, cp.ready, cp.role, cp.term
+	return !cp.p.exited(), cp.ready, cp.role, cp.term
 }
 
 func (cp *childProc) kill() {
 	cp.mu.Lock()
-	cmd := cp.cmd
+	p := cp.p
 	cp.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		_ = cmd.Process.Kill() // SIGKILL: no drain, no fsync, no goodbyes
-	}
+	p.kill()
 }
 
 // leaderChild returns the alive child currently claiming leadership at the
@@ -617,15 +682,21 @@ func leaderChild(children []*childProc) *childProc {
 	return best
 }
 
-func waitLeaderChild(children []*childProc, timeout time.Duration) (*childProc, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cp := leaderChild(children); cp != nil {
-			return cp, nil
-		}
-		time.Sleep(10 * time.Millisecond)
+func waitLeaderChild(children []*childProc, timeout time.Duration) (cp *childProc, err error) {
+	if !waitUntil(timeout, func() bool { cp = leaderChild(children); return cp != nil }) {
+		return nil, fmt.Errorf("no leader within %v", timeout)
 	}
-	return nil, fmt.Errorf("no leader within %v", timeout)
+	return cp, nil
+}
+
+// waitUntil polls cond every 10ms for up to d and reports whether it held.
+func waitUntil(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if cond() {
+			return true
+		}
+	}
+	return false
 }
 
 // runLeaderKill is the replication acceptance round. One 3-process cluster
@@ -688,28 +759,19 @@ func runLeaderKill(cfg chaosConfig) error {
 
 	acked := make([]atomic.Int64, cfg.accounts)
 	doubt := make([]atomic.Int64, cfg.accounts)
-	readBal := func(i int) (int64, error) {
-		var bal int64
-		err := cl.RunWithRetry(policy, func(tx *client.Tx) error {
-			s, err := tx.Invoke(workload.AccountType, fmt.Sprintf("Acct%d", i), "balance")
-			if err != nil {
-				return err
+	readBal := func(i int) (bal int64, err error) {
+		err = cl.RunWithRetry(policy, func(tx *client.Tx) error {
+			s, err := tx.Invoke(workload.AccountType, acct(i).Name, "balance")
+			if err == nil {
+				bal, err = strconv.ParseInt(s, 10, 64)
 			}
-			bal, err = strconv.ParseInt(s, 10, 64)
 			return err
 		})
 		return bal, err
 	}
 
-	iters := cfg.iters
-	if iters < 1 {
-		iters = 1
-	}
-	burst := cfg.workers * cfg.txns / 10
-	if burst < 40 {
-		burst = 40
-	}
-	for it := 0; it < iters; it++ {
+	burst := max(cfg.workers*cfg.txns/10, 40)
+	for it := 0; it < max(cfg.iters, 1); it++ {
 		leader, err := waitLeaderChild(children, 15*time.Second)
 		if err != nil {
 			return fmt.Errorf("iteration %d: %w", it, err)
@@ -723,10 +785,7 @@ func runLeaderKill(cfg chaosConfig) error {
 		var sent atomic.Int64
 		var killOnce sync.Once
 		var wg sync.WaitGroup
-		perWorker := burst / cfg.workers
-		if perWorker < 1 {
-			perWorker = 1
-		}
+		perWorker := max(burst/cfg.workers, 1)
 		errCh := make(chan error, cfg.workers)
 		for w := 0; w < cfg.workers; w++ {
 			wg.Add(1)
@@ -739,7 +798,7 @@ func runLeaderKill(cfg chaosConfig) error {
 					}
 					idx := rr.Intn(cfg.accounts)
 					err := cl.RunWithRetry(policy, func(tx *client.Tx) error {
-						_, err := tx.Invoke(workload.AccountType, fmt.Sprintf("Acct%d", idx), "credit", "1")
+						_, err := tx.Invoke(workload.AccountType, acct(idx).Name, "credit", "1")
 						return err
 					})
 					switch {
@@ -770,6 +829,7 @@ func runLeaderKill(cfg chaosConfig) error {
 		if err != nil {
 			return fmt.Errorf("iteration %d: no failover after killing %s: %w", it, leader.id, err)
 		}
+		var total int64
 		for i := 0; i < cfg.accounts; i++ {
 			bal, err := readBal(i)
 			if err != nil {
@@ -788,6 +848,7 @@ func runLeaderKill(cfg chaosConfig) error {
 			// the ground truth (the documented reconcile-by-reading contract).
 			acked[i].Store(bal)
 			doubt[i].Store(0)
+			total += bal
 		}
 
 		// Restart the killed process: it recovers its WAL and rejoins, so
@@ -795,27 +856,12 @@ func runLeaderKill(cfg chaosConfig) error {
 		if err := leader.spawn(); err != nil {
 			return fmt.Errorf("iteration %d: restart %s: %w", it, leader.id, err)
 		}
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			if _, ready, _, _ := leader.state(); ready {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("iteration %d: restarted %s never came back", it, leader.id)
-			}
-			time.Sleep(10 * time.Millisecond)
+		if !waitUntil(15*time.Second, func() bool { _, ready, _, _ := leader.state(); return ready }) {
+			return fmt.Errorf("iteration %d: restarted %s never came back", it, leader.id)
 		}
-		fmt.Printf("chaos:   iter %2d: killed %s, %s took over (acked total %d)\n", it, leader.id, newLeader.id, totalOf(acked))
+		fmt.Printf("chaos:   iter %2d: killed %s, %s took over (acked total %d)\n", it, leader.id, newLeader.id, total)
 	}
 	return nil
-}
-
-func totalOf(c []atomic.Int64) int64 {
-	var t int64
-	for i := range c {
-		t += c[i].Load()
-	}
-	return t
 }
 
 // ---------------------------------------------------------------------------
@@ -888,7 +934,7 @@ func runReplPartition(cfg chaosConfig) error {
 				return
 			}
 			err = db.RunWithRetry(core.RetryPolicy{MaxAttempts: 10}, func(tx *core.Txn) error {
-				_, err := tx.Exec(txn.OID{Type: workload.AccountType, Name: fmt.Sprintf("Acct%d", idx)}, "credit", "1")
+				_, err := tx.Exec(acct(idx), "credit", "1")
 				return err
 			})
 			if err == nil {
@@ -904,10 +950,7 @@ func runReplPartition(cfg chaosConfig) error {
 	if err != nil {
 		return err
 	}
-	total := cfg.txns
-	if total < 40 {
-		total = 40
-	}
+	total := max(cfg.txns, 40)
 	rr := rand.New(rand.NewSource(cfg.seed))
 	for i := 0; i < total; i++ {
 		if i == total/2 {
@@ -930,15 +973,7 @@ func runReplPartition(cfg chaosConfig) error {
 		fmt.Println("chaos:   note: original leader still leads (no election was forced)")
 	}
 	for i := 0; i < cfg.accounts; i++ {
-		var bal int64
-		err := db.RunWithRetry(core.RetryPolicy{MaxAttempts: 10}, func(tx *core.Txn) error {
-			s, err := tx.Exec(txn.OID{Type: workload.AccountType, Name: fmt.Sprintf("Acct%d", i)}, "balance")
-			if err != nil {
-				return err
-			}
-			bal, err = strconv.ParseInt(s, 10, 64)
-			return err
-		})
+		bal, err := balance(db, i)
 		if err != nil {
 			return fmt.Errorf("verify read on account %d: %w", i, err)
 		}
@@ -952,13 +987,7 @@ func runReplPartition(cfg chaosConfig) error {
 	// Liveness: the isolated ex-leader rejoined; its term must converge to
 	// the cluster's and one more credit must commit.
 	st := newLeader.Status()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if fs := first.Status(); fs.Term >= st.Term && fs.Role != "candidate" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitUntil(10*time.Second, func() bool { fs := first.Status(); return fs.Term >= st.Term && fs.Role != "candidate" })
 	credit(0)
 	fmt.Printf("chaos:   partition healed; %s leads term %d, %d acked\n", st.Node, st.Term, sumOf(acked))
 	return nil

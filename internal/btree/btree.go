@@ -84,10 +84,15 @@ type Tree struct {
 	maxKeys int
 	mod     *Module
 
-	// mu protects root/leftmost and serializes structure modifications
-	// (the SMO latch).
-	mu       sync.Mutex
-	root     storage.PageID
+	// mu protects root/prev/leftmost/height and serializes structure
+	// modifications (the SMO latch).
+	mu   sync.Mutex
+	root storage.PageID
+	// prev holds the roots this Tree replaced, oldest first. root is only a
+	// hint: recovery never sees it and physical undo of an aborted root
+	// split does not reset it, so a descent that finds it undecodable pops
+	// back to the previous root (see fallBack).
+	prev     []storage.PageID
 	leftmost storage.PageID
 	height   int
 }
@@ -427,13 +432,4 @@ func insertOldValue(result string) (old string, performed bool) {
 // nodeOID names the node object that encapsulates a page.
 func nodeOID(pid storage.PageID) txn.OID {
 	return txn.OID{Type: NodeType, Name: "Node" + strconv.FormatUint(uint64(pid), 10)}
-}
-
-// nodePID parses a node object name back to its page id.
-func nodePID(o txn.OID) (storage.PageID, error) {
-	n, err := strconv.ParseUint(strings.TrimPrefix(o.Name, "Node"), 10, 64)
-	if err != nil {
-		return storage.InvalidPage, fmt.Errorf("btree: bad node object %v: %w", o, err)
-	}
-	return storage.PageID(n), nil
 }

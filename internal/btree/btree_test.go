@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -328,74 +329,126 @@ func TestSameLeafCommutingInsertsNoTopLevelDeps(t *testing.T) {
 	}
 }
 
-// Property: the tree agrees with a map reference model under random
-// single-threaded operations, across fanouts.
-func TestPropertyMatchesMapModel(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		db := core.Open(core.Options{Protocol: core.ProtocolOpenNested, DisableTrace: true})
-		m, err := Install(db)
-		if err != nil {
-			return false
-		}
-		tr, err := m.NewTree("t", 2+r.Intn(8))
-		if err != nil {
-			return false
-		}
-		model := map[string]string{}
-		for i := 0; i < 300; i++ {
-			k := key(r.Intn(40))
+var protocols = []core.ProtocolKind{
+	core.ProtocolOpenNested, core.Protocol2PLPage, core.Protocol2PLObject, core.ProtocolClosedNested,
+}
+
+// TestAbortedRootSplitLeavesTreeUsable: an aborted insert that split the
+// root leaves t.root naming the new root page. Under physical undo that page
+// is back to "" and the old root back at its pre-split image, so the next
+// descent must fall back to the old root.
+func TestAbortedRootSplitLeavesTreeUsable(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			db, m := newDB(t, p)
+			tr, _ := m.NewTree("t", 2)
+			runOne(t, db, tr.OID(), "insert", "a", "1")
+			runOne(t, db, tr.OID(), "insert", "b", "2")
 			tx := db.Begin()
-			switch r.Intn(4) {
-			case 0, 1:
-				v := fmt.Sprintf("v%d", i)
-				old, err := tx.Exec(tr.OID(), "insert", k, v)
-				if err != nil || old != model[k] {
-					return false
-				}
-				model[k] = v
-			case 2:
-				got, err := tx.Exec(tr.OID(), "search", k)
-				if err != nil || got != model[k] {
-					return false
-				}
-			case 3:
-				old, err := tx.Exec(tr.OID(), "delete", k)
-				if err != nil || old != model[k] {
-					return false
-				}
-				delete(model, k)
+			if _, err := tx.Exec(tr.OID(), "insert", "c", "3"); err != nil {
+				t.Fatal(err)
 			}
-			if err := tx.Commit(); err != nil {
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if got := runOne(t, db, tr.OID(), "search", "a"); got != "1" {
+				t.Fatalf("search a = %q", got)
+			}
+			if got := runOne(t, db, tr.OID(), "search", "c"); got != "" {
+				t.Fatalf("search c = %q", got)
+			}
+			runOne(t, db, tr.OID(), "insert", "d", "4")
+			if got := scanKeys(runOne(t, db, tr.OID(), "scan")); strings.Join(got, ",") != "a,b,d" {
+				t.Fatalf("scan = %v", got)
+			}
+			if h := tr.Height(); h != 2 {
+				t.Fatalf("height = %d, want 2", h)
+			}
+		})
+	}
+}
+
+// Property: the tree agrees with a map reference model under random
+// single-threaded operations, across fanouts and protocols, with every
+// k-th transaction aborted after its operation ran.
+func TestPropertyMatchesMapModel(t *testing.T) {
+	check := func(p core.ProtocolKind) func(seed int64) bool {
+		return func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			db := core.Open(core.Options{Protocol: p, DisableTrace: true})
+			m, err := Install(db)
+			if err != nil {
 				return false
 			}
-		}
-		// Scan equals sorted model.
-		tx := db.Begin()
-		scan, err := tx.Exec(tr.OID(), "scan")
-		if err != nil {
-			return false
-		}
-		_ = tx.Commit()
-		keys := scanKeys(scan)
-		var want []string
-		for k := range model {
-			want = append(want, k)
-		}
-		sort.Strings(want)
-		if len(keys) != len(want) {
-			return false
-		}
-		for i := range keys {
-			if keys[i] != want[i] {
+			tr, err := m.NewTree("t", 2+r.Intn(8))
+			if err != nil {
 				return false
 			}
+			abortEvery := 2 + r.Intn(5)
+			model := map[string]string{}
+			for i := 0; i < 300; i++ {
+				k := key(r.Intn(40))
+				abort := i%abortEvery == abortEvery-1
+				tx := db.Begin()
+				switch r.Intn(4) {
+				case 0, 1:
+					v := fmt.Sprintf("v%d", i)
+					old, err := tx.Exec(tr.OID(), "insert", k, v)
+					if err != nil || old != model[k] {
+						return false
+					}
+					if !abort {
+						model[k] = v
+					}
+				case 2:
+					got, err := tx.Exec(tr.OID(), "search", k)
+					if err != nil || got != model[k] {
+						return false
+					}
+				case 3:
+					old, err := tx.Exec(tr.OID(), "delete", k)
+					if err != nil || old != model[k] {
+						return false
+					}
+					if !abort {
+						delete(model, k)
+					}
+				}
+				if abort {
+					err = tx.Abort()
+				} else {
+					err = tx.Commit()
+				}
+				if err != nil {
+					return false
+				}
+			}
+			return scanMatches(db, tr, model)
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			if err := quick.Check(check(p), &quick.Config{MaxCount: 20}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+}
+
+// scanMatches reports whether a scan of tr returns exactly model's keys.
+func scanMatches(db *core.DB, tr *Tree, model map[string]string) bool {
+	tx := db.Begin()
+	scan, err := tx.Exec(tr.OID(), "scan")
+	if err != nil {
+		return false
+	}
+	_ = tx.Commit()
+	var want []string
+	for k := range model {
+		want = append(want, k)
+	}
+	sort.Strings(want)
+	return slices.Equal(scanKeys(scan), want)
 }
 
 // Property: concurrent distinct-key inserts never lose a key and always

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -182,10 +183,17 @@ func (m *Module) treeScan(c *core.Ctx, self txn.OID, params []string) (string, e
 // B-links, holding no node locks across levels (route is read-only).
 func (t *Tree) descendToLeaf(c *core.Ctx, k string) (storage.PageID, error) {
 	t.mu.Lock()
-	pid := t.root
+	root := t.root
 	t.mu.Unlock()
+	pid := root
 	for hop := 0; hop < maxDescend; hop++ {
 		res, err := c.Call(nodeOID(pid), "route", k)
+		if err != nil && pid == root {
+			if root, err = t.fallBack(root, err); err == nil {
+				pid = root
+				continue
+			}
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -204,6 +212,31 @@ func (t *Tree) descendToLeaf(c *core.Ctx, k string) (storage.PageID, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w: descent did not terminate", ErrCorruptEntry)
+}
+
+// fallBack is the descents' error path for the root hint. An aborted root
+// split under physical undo (2PL, closed nesting) restores the new root's
+// page to "" and the old root to its pre-split image, but leaves t.root
+// naming the new one. When routing at the descent's root failed with a
+// corrupt encoding, fallBack pops t.root back to the previous root — only
+// while t.root still names the failing page; otherwise another descent
+// already moved it — and returns where to restart. Any other failure, or
+// one with no earlier root to fall back to, is returned as is.
+func (t *Tree) fallBack(failed storage.PageID, err error) (storage.PageID, error) {
+	if !errors.Is(err, ErrCorruptEntry) {
+		return 0, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.root == failed {
+		if len(t.prev) == 0 {
+			return 0, err
+		}
+		t.root = t.prev[len(t.prev)-1]
+		t.prev = t.prev[:len(t.prev)-1]
+		t.height--
+	}
+	return t.root, nil
 }
 
 // propagateSplit posts a split upward. splitPID is the node that split,
@@ -309,6 +342,7 @@ func (t *Tree) makeNewRootLocked(c *core.Ctx, left storage.PageID, sep string, r
 	if _, err := c.Call(nodeOID(rootPID), "makeRoot", pidStr(left), sep, pidStr(right)); err != nil {
 		return err
 	}
+	t.prev = append(t.prev, t.root)
 	t.root = rootPID
 	t.height++
 	return nil
@@ -319,11 +353,18 @@ func (t *Tree) makeNewRootLocked(c *core.Ctx, left storage.PageID, sep string, r
 // by B-link redirects.
 func (t *Tree) innerPath(c *core.Ctx, k string) ([]storage.PageID, error) {
 	t.mu.Lock()
-	pid := t.root
+	root := t.root
 	t.mu.Unlock()
+	pid := root
 	var path []storage.PageID
 	for hop := 0; hop < maxDescend; hop++ {
 		res, err := c.Call(nodeOID(pid), "route", k)
+		if err != nil && pid == root {
+			if root, err = t.fallBack(root, err); err == nil {
+				pid = root
+				continue
+			}
+		}
 		if err != nil {
 			return nil, err
 		}

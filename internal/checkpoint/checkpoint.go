@@ -186,7 +186,7 @@ func Write(dir string, s *Snapshot) (string, error) {
 		os.Remove(path)
 		return "", werr
 	}
-	if err := syncDir(dir); err != nil {
+	if err := storage.SyncDir(dir); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -291,7 +291,7 @@ func Prune(dir string, keepLSN uint64) (int, error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(dir); err != nil {
+		if err := storage.SyncDir(dir); err != nil {
 			return removed, err
 		}
 	}
@@ -314,7 +314,7 @@ func TruncateSegments(dir string, keepLSN uint64) (int, error) {
 	removed := 0
 	finish := func(err error) (int, error) {
 		if removed > 0 {
-			if derr := syncDir(dir); err == nil && derr != nil {
+			if derr := storage.SyncDir(dir); err == nil && derr != nil {
 				err = derr
 			}
 		}
@@ -333,15 +333,4 @@ func TruncateSegments(dir string, keepLSN uint64) (int, error) {
 		removed++
 	}
 	return finish(nil)
-}
-
-// syncDir fsyncs a directory so unlinks and creates are themselves
-// durable — the same discipline segment rotation uses.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -3,7 +3,7 @@ package checkpoint
 import "repro/internal/fault"
 
 // The checkpoint subsystem's failpoints. Both are disarmed by default;
-// crashtorture arms them to land SIGKILLs mid-checkpoint and
+// chaos -round crash arms them to land SIGKILLs mid-checkpoint and
 // mid-truncation, proving recovery degrades to an older checkpoint or a
 // full replay instead of corrupting.
 var (

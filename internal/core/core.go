@@ -773,7 +773,7 @@ func (db *DB) DebugLockDump(fn func(string)) { db.lm.SetDebugDump(fn) }
 // section: the store can never contain a flushed change whose log record
 // is missing from the WAL clone — the one disk/log combination a real
 // crash cannot produce. (The file-backed WAL is the real kill-the-process
-// twin of this simulation; see cmd/crashtorture.)
+// twin of this simulation; see chaos -round crash.)
 func (db *DB) CrashImage() (*storage.MemStore, *storage.WAL) {
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()

@@ -251,7 +251,7 @@ func TestRegistrySnapshotUnderRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDumpFiresOnInjectedFailure mirrors the crashtorture wiring: a
+// TestDumpFiresOnInjectedFailure mirrors the chaos crash round's wiring: a
 // failure path records an EvFailure event and dumps the tail; the dump
 // must carry both the failure and the events leading up to it.
 func TestDumpFiresOnInjectedFailure(t *testing.T) {

@@ -135,7 +135,7 @@ func (fr *FlightRecorder) Tail(n int) []Event {
 }
 
 // Dump writes the last n events to w, one line per event, oldest first —
-// the format crashtorture and failing stress tests print.
+// the format chaos -round crash and failing stress tests print.
 func (fr *FlightRecorder) Dump(w io.Writer, n int) {
 	events := fr.Tail(n)
 	if len(events) == 0 {

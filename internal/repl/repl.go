@@ -393,7 +393,7 @@ func (n *Node) persistLocked() {
 		n.failLocked(fmt.Errorf("repl: persisting hard state: %w", err))
 		return
 	}
-	if err := syncDir(n.cfg.Dir); err != nil {
+	if err := storage.SyncDir(n.cfg.Dir); err != nil {
 		n.failLocked(fmt.Errorf("repl: persisting hard state: %w", err))
 	}
 }
@@ -412,15 +412,6 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // loadDiskStateLocked (re)builds follower state from the directory: the

@@ -277,7 +277,7 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 		n.failLocked(err)
 		return n.ackLocked(false, 0, 0)
 	}
-	if err := syncDir(n.cfg.Dir); err != nil {
+	if err := storage.SyncDir(n.cfg.Dir); err != nil {
 		n.failLocked(err)
 		return n.ackLocked(false, 0, 0)
 	}

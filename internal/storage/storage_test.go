@@ -240,11 +240,10 @@ func TestWALBasics(t *testing.T) {
 	if w.Len() != 5 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	ups := w.UpdatesBy("T1")
-	if len(ups) != 1 || ups[0].Page != 7 || ups[0].Before != "old" || ups[0].After != "new" {
-		t.Fatalf("UpdatesBy = %+v", ups)
-	}
 	recs := w.Records()
+	if recs[0].Page != 7 || recs[0].Before != "old" || recs[0].After != "new" {
+		t.Fatalf("update record = %+v", recs[0])
+	}
 	if recs[1].Kind != RecCommit || recs[3].Kind != RecAbort || recs[4].Kind != RecCompensation {
 		t.Fatalf("kinds wrong: %+v", recs)
 	}

@@ -109,10 +109,6 @@ type WAL struct {
 	records []Record
 	nextLSN uint64
 	sink    DurableSink
-	// updatesBy indexes record positions of RecUpdate entries per owner, so
-	// UpdatesBy is O(answer) instead of O(log length) — long logs made every
-	// rollback scan quadratic before the index existed.
-	updatesBy map[string][]int
 	// activeFirst maps each in-flight transaction root to the LSN of its
 	// first undo-relevant record (RecUpdate or RecIntent); the entry is
 	// dropped when the root's commit or completed-abort record lands. A
@@ -123,19 +119,15 @@ type WAL struct {
 
 // NewWAL returns an empty log.
 func NewWAL() *WAL {
-	return &WAL{nextLSN: 1, updatesBy: make(map[string][]int), activeFirst: make(map[string]uint64)}
+	return &WAL{nextLSN: 1, activeFirst: make(map[string]uint64)}
 }
 
 // NewWALFromRecords reconstructs a log from persisted records (recovery).
 func NewWALFromRecords(recs []Record) *WAL {
-	w := &WAL{nextLSN: 1, records: append([]Record{}, recs...),
-		updatesBy: make(map[string][]int), activeFirst: make(map[string]uint64)}
-	for i, r := range recs {
+	w := &WAL{nextLSN: 1, records: append([]Record{}, recs...), activeFirst: make(map[string]uint64)}
+	for _, r := range recs {
 		if r.LSN >= w.nextLSN {
 			w.nextLSN = r.LSN + 1
-		}
-		if r.Kind == RecUpdate {
-			w.updatesBy[r.Owner] = append(w.updatesBy[r.Owner], i)
 		}
 		w.trackActive(r)
 	}
@@ -286,12 +278,6 @@ func (w *WAL) Append(rec Record) uint64 {
 	defer w.mu.Unlock()
 	rec.LSN = w.nextLSN
 	w.nextLSN++
-	if rec.Kind == RecUpdate {
-		if w.updatesBy == nil {
-			w.updatesBy = make(map[string][]int)
-		}
-		w.updatesBy[rec.Owner] = append(w.updatesBy[rec.Owner], len(w.records))
-	}
 	if w.activeFirst == nil {
 		w.activeFirst = make(map[string]uint64)
 	}
@@ -341,22 +327,6 @@ func (w *WAL) LogAbort(owner string) uint64 {
 // LogCompensation appends a compensation record.
 func (w *WAL) LogCompensation(owner, note string) uint64 {
 	return w.Append(Record{Kind: RecCompensation, Owner: owner, Note: note})
-}
-
-// UpdatesBy returns the update records of an owner in log order. The
-// per-owner index makes this O(len(result)), not O(len(log)).
-func (w *WAL) UpdatesBy(owner string) []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	idxs := w.updatesBy[owner]
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]Record, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, w.records[i])
-	}
-	return out
 }
 
 // Len returns the number of records.

@@ -617,14 +617,16 @@ func (w *FileWAL) rotate(firstLSN uint64) error {
 		return fmt.Errorf("%w: %w", ErrSegmentRotate, err)
 	}
 	w.cur, w.curSize = f, 0
-	if err := w.syncDir(); err != nil {
+	if err := SyncDir(w.dir); err != nil {
 		return fmt.Errorf("%w: %w", ErrSegmentRotate, err)
 	}
 	return nil
 }
 
-func (w *FileWAL) syncDir() error {
-	d, err := os.Open(w.dir)
+// SyncDir fsyncs a directory so the creates, renames and unlinks in it are
+// themselves durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -780,10 +782,5 @@ func TruncateWALAbove(dir string, keep uint64) error {
 			return err
 		}
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return SyncDir(dir)
 }

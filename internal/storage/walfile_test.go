@@ -330,67 +330,6 @@ func TestFileWALGroupCommitDurability(t *testing.T) {
 	}
 }
 
-// TestWALUpdatesByIndexed differentially checks the per-owner index
-// against a linear scan on a random log.
-func TestWALUpdatesByIndexed(t *testing.T) {
-	rr := rand.New(rand.NewSource(23))
-	w := NewWAL()
-	var all []Record
-	for i := 0; i < 2000; i++ {
-		rec := randomRecord(rr)
-		lsn := w.Append(rec)
-		rec.LSN = lsn
-		all = append(all, rec)
-	}
-	owners := map[string]bool{}
-	for _, r := range all {
-		owners[r.Owner] = true
-	}
-	owners["absent"] = true
-	for owner := range owners {
-		var want []Record
-		for _, r := range all {
-			if r.Kind == RecUpdate && r.Owner == owner {
-				want = append(want, r)
-			}
-		}
-		got := w.UpdatesBy(owner)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("UpdatesBy(%q): got %d records, want %d", owner, len(got), len(want))
-		}
-	}
-	// The index must survive Clone / NewWALFromRecords reconstruction.
-	c := w.Clone()
-	for owner := range owners {
-		if !reflect.DeepEqual(c.UpdatesBy(owner), w.UpdatesBy(owner)) {
-			t.Fatalf("clone UpdatesBy(%q) differs", owner)
-		}
-	}
-}
-
-// BenchmarkWALUpdatesBy is the satellite's benchmark guard: UpdatesBy must
-// cost O(len(answer)), independent of total log length. Each owner's
-// answer is logLen/100 records, so compare ns/op divided by answer size:
-// with the per-owner index the per-record cost is flat across the two log
-// lengths; with the old linear scan the long log paid ~10000× per record.
-func BenchmarkWALUpdatesBy(b *testing.B) {
-	for _, logLen := range []int{1_000, 100_000} {
-		b.Run(fmt.Sprintf("log=%d", logLen), func(b *testing.B) {
-			w := NewWAL()
-			owners := 100
-			for i := 0; i < logLen; i++ {
-				w.LogUpdate(fmt.Sprintf("T%d", i%owners), PageID(i%50+1), "a", "b")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := w.UpdatesBy(fmt.Sprintf("T%d", i%owners)); len(got) != logLen/owners {
-					b.Fatalf("len = %d", len(got))
-				}
-			}
-		})
-	}
-}
-
 // TestTruncateWALAbove: after TruncateWALAbove(dir, keep) the directory
 // holds exactly the records with LSN ≤ keep and reopens to append keep+1,
 // wherever keep falls — mid-segment, on a segment boundary, past the end,

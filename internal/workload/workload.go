@@ -434,16 +434,11 @@ func execRetry(db *core.DB, obj txn.OID, maxRetries int, retries *int64, method 
 	return execOpsRetryLat(db, obj, maxRetries, retries, nil, []opCall{{method: method, params: params}})
 }
 
-// execOpsRetry runs a multi-op transaction with retries (jittered
+// execOpsRetryLat runs a multi-op transaction with retries (jittered
 // exponential backoff and priority aging, via core.RunWithRetry: a
 // restarted transaction receives a fresh — youngest — id, so without aging
-// the youngest-victim policy would re-victimize an eager retrier forever).
-func execOpsRetry(db *core.DB, obj txn.OID, maxRetries int, retries *int64, ops []opCall) error {
-	return execOpsRetryLat(db, obj, maxRetries, retries, nil, ops)
-}
-
-// execOpsRetryLat additionally records the transaction's total latency
-// (first attempt to successful commit) in lat.
+// the youngest-victim policy would re-victimize an eager retrier forever)
+// and records its total latency (first attempt to successful commit) in lat.
 func execOpsRetryLat(db *core.DB, obj txn.OID, maxRetries int, retries *int64, lat *latencies, ops []opCall) error {
 	start := time.Now()
 	err := db.RunWithRetry(core.RetryPolicy{
