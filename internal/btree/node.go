@@ -23,6 +23,11 @@ import (
 // pointer to the right half and remembers the separator as its high key, so
 // a concurrent descent that lands left of moved keys follows the link
 // instead of failing ("B-linking", Section 2 of the paper).
+//
+// Reads (route, search, scanLeaf) scan the stored string in place: they cut
+// the header and walk the body only as far as the probed key, allocating no
+// slices and parsing only the pid they return. Writes decode the page into
+// a leaf or inner, edit it, and re-encode it with encodeLeaf/encodeInner.
 
 type leaf struct {
 	next storage.PageID
@@ -64,29 +69,57 @@ func encodeInner(n inner) string {
 	return fmt.Sprintf("I|next=%d|high=%s|ch=%s", n.next, n.high, ch.String())
 }
 
+// header is a node page's header, cut from the stored string in place:
+// body is the text after "kv=" (leaf) or "ch=" (inner).
+type header struct {
+	isLeaf bool
+	next   storage.PageID
+	high   string
+	body   string
+}
+
+// cutHeader parses a node page's kind, next= and high= fields and strips
+// the body prefix its kind requires. It allocates only on error.
+func cutHeader(data string) (header, error) {
+	kind, rest, ok1 := strings.Cut(data, "|")
+	nextF, rest, ok2 := strings.Cut(rest, "|")
+	highF, rest, ok3 := strings.Cut(rest, "|")
+	nextS, ok4 := strings.CutPrefix(nextF, "next=")
+	high, ok5 := strings.CutPrefix(highF, "high=")
+	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
+		return header{}, fmt.Errorf("%w: %q", ErrCorruptEntry, truncate(data))
+	}
+	next, err := strconv.ParseUint(nextS, 10, 64)
+	if err != nil {
+		return header{}, fmt.Errorf("%w: bad next in %q", ErrCorruptEntry, truncate(data))
+	}
+	h := header{next: storage.PageID(next), high: high}
+	switch kind {
+	case "L":
+		h.isLeaf = true
+		if h.body, ok1 = strings.CutPrefix(rest, "kv="); !ok1 {
+			return header{}, fmt.Errorf("%w: leaf body in %q", ErrCorruptEntry, truncate(data))
+		}
+	case "I":
+		if h.body, ok1 = strings.CutPrefix(rest, "ch="); !ok1 || h.body == "" {
+			return header{}, fmt.Errorf("%w: inner body in %q", ErrCorruptEntry, truncate(data))
+		}
+	default:
+		return header{}, fmt.Errorf("%w: kind %q", ErrCorruptEntry, kind)
+	}
+	return h, nil
+}
+
 // decodePage parses a node page. Exactly one of the results is non-nil.
 func decodePage(data string) (*leaf, *inner, error) {
-	parts := strings.SplitN(data, "|", 4)
-	if len(parts) != 4 ||
-		!strings.HasPrefix(parts[1], "next=") ||
-		!strings.HasPrefix(parts[2], "high=") {
-		return nil, nil, fmt.Errorf("%w: %q", ErrCorruptEntry, truncate(data))
-	}
-	next, err := strconv.ParseUint(strings.TrimPrefix(parts[1], "next="), 10, 64)
+	h, err := cutHeader(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: bad next in %q", ErrCorruptEntry, truncate(data))
+		return nil, nil, err
 	}
-	high := strings.TrimPrefix(parts[2], "high=")
-
-	switch parts[0] {
-	case "L":
-		body, ok := strings.CutPrefix(parts[3], "kv=")
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: leaf body in %q", ErrCorruptEntry, truncate(data))
-		}
-		l := &leaf{next: storage.PageID(next), high: high}
-		if body != "" {
-			for _, pair := range strings.Split(body, ";") {
+	if h.isLeaf {
+		l := &leaf{next: h.next, high: h.high}
+		if h.body != "" {
+			for _, pair := range strings.Split(h.body, ";") {
 				k, v, found := strings.Cut(pair, ":")
 				if !found {
 					return nil, nil, fmt.Errorf("%w: pair %q", ErrCorruptEntry, pair)
@@ -96,30 +129,107 @@ func decodePage(data string) (*leaf, *inner, error) {
 			}
 		}
 		return l, nil, nil
-	case "I":
-		body, ok := strings.CutPrefix(parts[3], "ch=")
-		if !ok || body == "" {
-			return nil, nil, fmt.Errorf("%w: inner body in %q", ErrCorruptEntry, truncate(data))
+	}
+	fields := strings.Split(h.body, ",")
+	if len(fields)%2 != 1 {
+		return nil, nil, fmt.Errorf("%w: inner arity in %q", ErrCorruptEntry, truncate(data))
+	}
+	n := &inner{next: h.next, high: h.high}
+	for i, f := range fields {
+		if i%2 == 0 {
+			pid, err := strconv.ParseUint(f, 10, 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%w: child pid %q", ErrCorruptEntry, f)
+			}
+			n.children = append(n.children, storage.PageID(pid))
+		} else {
+			n.keys = append(n.keys, f)
 		}
-		fields := strings.Split(body, ",")
-		if len(fields)%2 != 1 {
-			return nil, nil, fmt.Errorf("%w: inner arity in %q", ErrCorruptEntry, truncate(data))
-		}
-		n := &inner{next: storage.PageID(next), high: high}
-		for i, f := range fields {
-			if i%2 == 0 {
-				pid, err := strconv.ParseUint(f, 10, 64)
-				if err != nil {
-					return nil, nil, fmt.Errorf("%w: child pid %q", ErrCorruptEntry, f)
-				}
-				n.children = append(n.children, storage.PageID(pid))
-			} else {
-				n.keys = append(n.keys, f)
+	}
+	return nil, n, nil
+}
+
+// routeIn is route over a stored page: "leaf", "moved|<next>" when k lies
+// at or past the high key, else "child|<pid>" for the first child whose
+// right separator is greater than k: equal keys route right, since a
+// separator is the first key of its right sibling. Separators are sorted,
+// so the scan stops there.
+func routeIn(data, k string) (string, error) {
+	h, err := cutHeader(data)
+	if err != nil {
+		return "", err
+	}
+	if h.isLeaf {
+		return "leaf", nil
+	}
+	if movedPast(h.high, h.next, k) {
+		return "moved|" + pidStr(h.next), nil
+	}
+	rest := h.body
+	for {
+		child, tail, more := strings.Cut(rest, ",")
+		if more {
+			var sep string
+			if sep, rest, more = strings.Cut(tail, ","); !more {
+				return "", fmt.Errorf("%w: inner arity in %q", ErrCorruptEntry, truncate(data))
+			}
+			if sep <= k {
+				continue
 			}
 		}
-		return nil, n, nil
+		pid, err := strconv.ParseUint(child, 10, 64)
+		if err != nil {
+			return "", fmt.Errorf("%w: child pid %q", ErrCorruptEntry, child)
+		}
+		if child[0] == '0' {
+			// Written pids are canonical; only leading zeros need re-rendering.
+			child = pidStr(storage.PageID(pid))
+		}
+		return "child|" + child, nil
 	}
-	return nil, nil, fmt.Errorf("%w: kind %q", ErrCorruptEntry, parts[0])
+}
+
+// searchIn is search over a stored leaf page: "val|<v>", "miss", or
+// "moved|<next>". Keys are sorted, so the scan stops at the first key
+// greater than k.
+func searchIn(data, k string) (string, error) {
+	h, err := cutHeader(data)
+	if err != nil {
+		return "", err
+	}
+	if !h.isLeaf {
+		return "", fmt.Errorf("%w: search in inner node %q", ErrCorruptEntry, truncate(data))
+	}
+	if movedPast(h.high, h.next, k) {
+		return "moved|" + pidStr(h.next), nil
+	}
+	for rest, more := h.body, h.body != ""; more; {
+		var pair string
+		pair, rest, more = strings.Cut(rest, ";")
+		key, v, found := strings.Cut(pair, ":")
+		switch {
+		case !found:
+			return "", fmt.Errorf("%w: pair %q", ErrCorruptEntry, pair)
+		case key == k:
+			return "val|" + v, nil
+		case key > k:
+			return "miss", nil
+		}
+	}
+	return "miss", nil
+}
+
+// scanIn is scanLeaf over a stored leaf page: "<next>|" plus the kv= body
+// as stored, which is already the k1:v1;k2:v2 text the scan concatenates.
+func scanIn(data string) (string, error) {
+	h, err := cutHeader(data)
+	if err != nil {
+		return "", err
+	}
+	if !h.isLeaf {
+		return "", fmt.Errorf("%w: scanLeaf on inner node %q", ErrCorruptEntry, truncate(data))
+	}
+	return pidStr(h.next) + "|" + h.body, nil
 }
 
 func truncate(s string) string {
@@ -127,17 +237,6 @@ func truncate(s string) string {
 		return s[:40] + "..."
 	}
 	return s
-}
-
-// childFor returns the child pid routing key k.
-func (n *inner) childFor(k string) storage.PageID {
-	i := sort.SearchStrings(n.keys, k)
-	// keys[i-1] <= k < keys[i] routes to children[i]; equal keys route
-	// right (separator is the first key of the right sibling).
-	if i < len(n.keys) && n.keys[i] == k {
-		i++
-	}
-	return n.children[i]
 }
 
 // movedPast reports whether key k now lives right of this node.
@@ -159,17 +258,7 @@ func (m *Module) nodeRoute(c *core.Ctx, self txn.OID, params []string) (string, 
 	if err != nil {
 		return "", err
 	}
-	l, n, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if l != nil {
-		return "leaf", nil
-	}
-	if movedPast(n.high, n.next, k) {
-		return "moved|" + pidStr(n.next), nil
-	}
-	return "child|" + pidStr(n.childFor(k)), nil
+	return routeIn(data, k)
 }
 
 // nodeInsert inserts k=v into a leaf node:
@@ -260,21 +349,7 @@ func (m *Module) nodeSearch(c *core.Ctx, self txn.OID, params []string) (string,
 	if err != nil {
 		return "", err
 	}
-	l, _, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if l == nil {
-		return "", fmt.Errorf("%w: search in inner node %s", ErrCorruptEntry, self.Name)
-	}
-	if movedPast(l.high, l.next, k) {
-		return "moved|" + pidStr(l.next), nil
-	}
-	i := sort.SearchStrings(l.keys, k)
-	if i < len(l.keys) && l.keys[i] == k {
-		return "val|" + l.vals[i], nil
-	}
-	return "miss", nil
+	return searchIn(data, k)
 }
 
 // nodeDelete removes k from a leaf: "val|<old>", "miss", or "moved|<pid>".
@@ -471,29 +546,14 @@ func (m *Module) nodeCompInsert(c *core.Ctx, self txn.OID, params []string) (str
 	return "ok|" + old, nil
 }
 
-// nodeScanLeaf returns a leaf's pairs and successor: "<next>|k1:v1;k2:v2".
+// nodeScanLeaf returns a leaf's pairs and successor: "<next>|k1:v1;k2:v2",
+// the pairs being the kv= body as stored.
 func (m *Module) nodeScanLeaf(c *core.Ctx, self txn.OID, params []string) (string, error) {
 	data, err := m.readNode(c, self, "read")
 	if err != nil {
 		return "", err
 	}
-	l, _, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if l == nil {
-		return "", fmt.Errorf("%w: scanLeaf on inner node %s", ErrCorruptEntry, self.Name)
-	}
-	var kv strings.Builder
-	for i, k := range l.keys {
-		if i > 0 {
-			kv.WriteByte(';')
-		}
-		kv.WriteString(k)
-		kv.WriteByte(':')
-		kv.WriteString(l.vals[i])
-	}
-	return pidStr(l.next) + "|" + kv.String(), nil
+	return scanIn(data)
 }
 
 // readNode reads the page behind a node object with the given page method

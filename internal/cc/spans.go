@@ -64,7 +64,10 @@ func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, actionID, owner string, 
 		return lm.Acquire(owner, res, mode)
 	}
 	info, err := lm.AcquireEx(owner, res, mode)
-	RecordLockSpan(tt, actionID, owner, res.Name, mode.String(), info, err)
+	if info.Blocked || err != nil {
+		// Render the mode only for a span that will be recorded.
+		RecordLockSpan(tt, actionID, owner, res.Name, mode.String(), info, err)
+	}
 	return err
 }
 

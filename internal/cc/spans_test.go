@@ -3,6 +3,7 @@ package cc
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,5 +198,62 @@ func TestAcquireTracedUncontendedRecordsNothing(t *testing.T) {
 	snap := tr.Lookup("T1").Snapshot()
 	if len(snap.Spans) != 1 {
 		t.Fatalf("uncontended acquire must record no span: %+v", snap.Spans)
+	}
+}
+
+// countingMode is an RW mode that counts how often it is rendered.
+type countingMode struct {
+	rw      RW
+	renders *atomic.Int64
+}
+
+func (m countingMode) CompatibleWith(other Mode) bool {
+	o, ok := other.(countingMode)
+	return ok && m.rw.CompatibleWith(o.rw)
+}
+
+func (m countingMode) String() string {
+	m.renders.Add(1)
+	return m.rw.String()
+}
+
+// TestAcquireTracedRendersModeOnlyWhenRecorded: a sampled acquire renders
+// its mode only for the lock span it records — never on an uncontended
+// grant — and a contended one still records the mode as the span's class.
+func TestAcquireTracedRendersModeOnlyWhenRecorded(t *testing.T) {
+	lm := NewLockManager()
+	tr := span.New()
+	var renders atomic.Int64
+	x := countingMode{rw: X, renders: &renders}
+
+	t1 := tr.BeginTxn("T1", time.Now())
+	if err := lm.AcquireTraced(t1, "T1.1", "T1", res("A"), x); err != nil {
+		t.Fatal(err)
+	}
+	if n := renders.Load(); n != 0 {
+		t.Fatalf("uncontended grant rendered its mode %d times, want 0", n)
+	}
+
+	t2 := tr.BeginTxn("T2", time.Now())
+	done := make(chan error)
+	go func() { done <- lm.AcquireTraced(t2, "T2.1", "T2.1", res("A"), x) }()
+	time.Sleep(30 * time.Millisecond)
+	lm.ReleaseTree("T1")
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseTree("T2")
+	tr.FinishTxn(t2, span.StatusCommitted)
+	if renders.Load() == 0 {
+		t.Fatal("contended acquire must render its mode")
+	}
+	var lock *span.Span
+	for _, sp := range tr.Lookup("T2").Snapshot().Spans {
+		if sp.Kind == span.KLock {
+			lock = &sp
+		}
+	}
+	if lock == nil || lock.Class != "X" || lock.Parent != "T2.1" {
+		t.Fatalf("contended acquire must record a lock span of class X: %+v", lock)
 	}
 }

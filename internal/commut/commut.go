@@ -39,9 +39,25 @@ type Invocation struct {
 	Params []string
 }
 
-// String renders the invocation as method(p1,p2).
+// String renders the invocation as method(p1,p2), in one allocation: it
+// runs whenever a lock span is read or a lock blocks.
 func (iv Invocation) String() string {
-	return fmt.Sprintf("%s(%s)", iv.Method, strings.Join(iv.Params, ","))
+	n := len(iv.Method) + 2 + max(len(iv.Params)-1, 0)
+	for _, p := range iv.Params {
+		n += len(p)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(iv.Method)
+	b.WriteByte('(')
+	for i, p := range iv.Params {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(p)
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // Param returns the i-th parameter or "" if absent.

@@ -155,7 +155,7 @@ func (db *DB) Begin() *Txn {
 			root: &runtimeAction{id: "T-refused", obj: txn.SystemObject}}
 	}
 	n := db.txnSeq.Add(1)
-	id := fmt.Sprintf("T%d", n)
+	id := "T" + strconv.FormatInt(n, 10)
 	t := &Txn{
 		db:    db,
 		id:    id,
@@ -350,48 +350,36 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 // acquireFor takes the lock(s) the protocol prescribes before executing a.
 // The method span ms (nil-safe) gets the commutativity class — the lock
 // mode — the dispatch runs under; a contended acquire additionally records
-// a KLock child span with provenance edges (AcquireTraced).
+// a KLock child span with provenance edges (AcquireTraced). The span keeps
+// the mode itself, boxed once here; it is rendered only if the trace is read.
 func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType, ms *span.ActiveSpan) error {
+	var mode cc.Mode
+	owner := t.id
 	switch db.protocol {
-	case ProtocolNone:
-		return nil
 	case Protocol2PLPage:
 		if a.obj.Type != PageType {
 			return nil
 		}
-		mode := rwModeFor(ot, a.inv.Method)
-		if ms != nil {
-			ms.SetClass(mode.String())
-		}
-		return db.lm.AcquireTraced(t.tt, a.id, t.id, a.obj, mode)
+		mode = rwModeFor(ot, a.inv.Method)
 	case Protocol2PLObject:
-		mode := rwModeFor(ot, a.inv.Method)
-		if ms != nil {
-			ms.SetClass(mode.String())
-		}
-		return db.lm.AcquireTraced(t.tt, a.id, t.id, a.obj, mode)
+		mode = rwModeFor(ot, a.inv.Method)
 	case ProtocolClosedNested:
 		if a.obj.Type != PageType {
 			return nil
 		}
 		// Moss: the accessing subtransaction owns the lock; ancestors'
 		// locks do not block (ancestor bypass is enabled on the manager).
-		mode := rwModeFor(ot, a.inv.Method)
-		if ms != nil {
-			ms.SetClass(mode.String())
-		}
-		return db.lm.AcquireTraced(t.tt, a.id, a.id, a.obj, mode)
+		mode, owner = rwModeFor(ot, a.inv.Method), a.id
 	case ProtocolOpenNested:
 		// The semantic lock on the object is owned by the CALLER — the
 		// transaction on this object in the paper's sense — and lives until
 		// the caller completes.
-		mode := cc.Semantic{Inv: a.inv, Spec: ot.Spec}
-		if ms != nil {
-			ms.SetClass(mode.String())
-		}
-		return db.lm.AcquireTraced(t.tt, a.id, a.parent.id, a.obj, mode)
+		mode, owner = cc.Semantic{Inv: a.inv, Spec: ot.Spec}, a.parent.id
+	default: // ProtocolNone
+		return nil
 	}
-	return nil
+	ms.SetMode(mode)
+	return db.lm.AcquireTraced(t.tt, a.id, owner, a.obj, mode)
 }
 
 func rwModeFor(ot *ObjectType, method string) cc.Mode {

@@ -12,36 +12,57 @@ import (
 )
 
 // TestMethodSpansRecorded: every dispatch of a sampled transaction becomes
-// a KMethod span carrying object, method, and commutativity class.
+// a KMethod span carrying object, method, and commutativity class — the
+// lock mode the protocol took for it, rendered when the trace is read. The
+// page-level protocols lock no object, so reg.set runs under no class.
 func TestMethodSpansRecorded(t *testing.T) {
-	db := Open(Options{Protocol: ProtocolOpenNested})
-	reg := registerRegType(t, db)
-	tx := db.Begin()
-	if _, err := tx.Exec(reg, "set", "v1"); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		p                ProtocolKind
+		set, read, write string
+	}{
+		{ProtocolOpenNested, "sem:set(v1)", "sem:read()", "sem:write(v1)"},
+		{Protocol2PLPage, "", "S", "X"},
+		{Protocol2PLObject, "X", "S", "X"},
+		{ProtocolClosedNested, "", "S", "X"},
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tr := db.Spans()
-	if tr == nil {
-		t.Fatal("engine must create a tracer by default")
-	}
-	snap := tr.Lookup(tx.ID()).Snapshot()
-	if snap.Status != span.StatusCommitted {
-		t.Fatalf("status = %s", snap.Status)
-	}
-	var m *span.Span
-	for i := range snap.Spans {
-		if snap.Spans[i].Kind == span.KMethod && snap.Spans[i].Method == "set" {
-			m = &snap.Spans[i]
-		}
-	}
-	if m == nil {
-		t.Fatalf("no method span for set: %+v", snap.Spans)
-	}
-	if m.Object != reg.Name || m.Class == "" {
-		t.Fatalf("method span must carry dispatch and class: %+v", m)
+	for _, c := range cases {
+		t.Run(c.p.String(), func(t *testing.T) {
+			db := Open(Options{Protocol: c.p})
+			reg := registerRegType(t, db)
+			tx := db.Begin()
+			if _, err := tx.Exec(reg, "set", "v1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tr := db.Spans()
+			if tr == nil {
+				t.Fatal("engine must create a tracer by default")
+			}
+			snap := tr.Lookup(tx.ID()).Snapshot()
+			if snap.Status != span.StatusCommitted {
+				t.Fatalf("status = %s", snap.Status)
+			}
+			want := map[string]string{"set": c.set, "read": c.read, "write": c.write}
+			for i := range snap.Spans {
+				m := snap.Spans[i]
+				if m.Kind != span.KMethod {
+					continue
+				}
+				class, ok := want[m.Method]
+				if !ok || m.Class != class || m.Name != m.Object+"."+m.Method {
+					t.Errorf("method span %s.%s: class %q, want %q: %+v", m.Object, m.Method, m.Class, class, m)
+				}
+				if m.Method == "set" && m.Object != reg.Name {
+					t.Errorf("set span must carry its dispatch: %+v", m)
+				}
+				delete(want, m.Method)
+			}
+			if len(want) != 0 {
+				t.Fatalf("no method span for %v: %+v", want, snap.Spans)
+			}
+		})
 	}
 }
 

@@ -147,6 +147,9 @@ type Span struct {
 	Note   string    `json:"note,omitempty"`
 	Edges  []Edge    `json:"edges,omitempty"`
 	Seq    int       `json:"seq"`
+	// mode is the lock mode SetMode recorded; Snapshot renders it into
+	// Class, so a span nobody reads never pays for the string.
+	mode fmt.Stringer
 }
 
 // Dur returns the span's duration.
@@ -255,6 +258,16 @@ func (a *ActiveSpan) SetClass(class string) {
 	a.sp.Class = class
 }
 
+// SetMode records the lock mode — the commutativity class — the span ran
+// under. The mode is rendered into Class only when the trace is snapshot,
+// keeping the string off the dispatch path; it must not change afterwards.
+func (a *ActiveSpan) SetMode(mode fmt.Stringer) {
+	if a == nil {
+		return
+	}
+	a.sp.mode = mode
+}
+
 // SetN records a count (group-commit batch size, records redone, ...).
 func (a *ActiveSpan) SetN(n int64) {
 	if a == nil {
@@ -360,10 +373,14 @@ func (tt *TxnTrace) Snapshot() TxnSpans {
 	// Recorded spans are appended at End (children before parents);
 	// re-establish begin order for rendering. The root keeps Seq 0.
 	sortSpans(spans)
-	// Dispatch spans leave Name empty on the hot path; derive it here.
+	// Dispatch spans leave Name and Class unrendered on the hot path;
+	// derive them here.
 	for i := range spans {
 		if spans[i].Name == "" && spans[i].Object != "" {
 			spans[i].Name = spans[i].Object + "." + spans[i].Method
+		}
+		if spans[i].mode != nil {
+			spans[i].Class, spans[i].mode = spans[i].mode.String(), nil
 		}
 	}
 	return TxnSpans{

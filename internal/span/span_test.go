@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -25,6 +26,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	as.SetDispatch("O", "m")
 	as.SetClass("X")
+	as.SetMode(stringer("X"))
 	as.SetN(1)
 	as.SetNote("note")
 	as.AddEdge(Edge{Kind: EdgeTimeout})
@@ -307,5 +309,80 @@ func TestWriteBlame(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("blame output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+type stringer string
+
+func (s stringer) String() string { return string(s) }
+
+// countingStringer counts its renderings.
+type countingStringer struct{ n *atomic.Int64 }
+
+func (c countingStringer) String() string {
+	c.n.Add(1)
+	return "sem:insert(k)"
+}
+
+// TestSetModeRenderedAtSnapshot: a mode handed to SetMode is rendered into
+// Class only when the trace is read, once per Snapshot, and SetClass keeps
+// working for spans that carry a ready-made class.
+func TestSetModeRenderedAtSnapshot(t *testing.T) {
+	tr := New()
+	tt := tr.BeginTxn("T1", time.Now())
+	var renders atomic.Int64
+	ms := tt.BeginSpan("T1.1", "T1", KMethod, "")
+	ms.SetDispatch("Tree", "insert")
+	ms.SetMode(countingStringer{&renders})
+	ms.End(nil)
+	cs := tt.BeginSpan("T1.2", "T1", KSession, "session")
+	cs.SetClass("p0")
+	cs.End(nil)
+	tr.FinishTxn(tt, StatusCommitted)
+	if n := renders.Load(); n != 0 {
+		t.Fatalf("mode rendered %d times before any read", n)
+	}
+	for i := 1; i <= 2; i++ {
+		snap := tt.Snapshot()
+		if got := snap.Spans[1]; got.Class != "sem:insert(k)" || got.Name != "Tree.insert" {
+			t.Fatalf("method span = %+v", got)
+		}
+		if got := snap.Spans[2]; got.Class != "p0" {
+			t.Fatalf("session span class = %q, want p0", got.Class)
+		}
+		if n := renders.Load(); n != int64(i) {
+			t.Fatalf("after %d snapshots the mode rendered %d times", i, n)
+		}
+	}
+}
+
+// TestSnapshotWhileSpansEnd: Snapshot renders modes that goroutines still
+// recording the trace set before End (run under -race).
+func TestSnapshotWhileSpansEnd(t *testing.T) {
+	tr := New()
+	tt := tr.BeginTxn("T1", time.Now())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				as := tt.BeginSpan(fmt.Sprintf("T1.%d.%d", g, i), "T1", KMethod, "")
+				as.SetDispatch("O", "m")
+				as.SetMode(stringer("X"))
+				as.End(nil)
+			}
+		}(g)
+	}
+	for i := 0; i < 20; i++ {
+		for _, sp := range tt.Snapshot().Spans[1:] {
+			if sp.Class != "X" {
+				t.Fatalf("span %s class = %q", sp.ID, sp.Class)
+			}
+		}
+	}
+	wg.Wait()
+	if n := len(tt.Snapshot().Spans); n != 201 {
+		t.Fatalf("snapshot has %d spans, want 201", n)
 	}
 }

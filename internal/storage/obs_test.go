@@ -32,7 +32,9 @@ func TestPoolStatsConcurrentWithFetches(t *testing.T) {
 			}
 		}
 	}()
-	const workers, iters = 8, 300
+	// No more workers than frames: each pins one frame at a time, so a
+	// fetch never finds every frame pinned and fails "pool exhausted".
+	const workers, iters = 4, 300
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
