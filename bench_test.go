@@ -53,16 +53,17 @@ func BenchmarkFig1ConventionalVsOO(b *testing.B) {
 	}{
 		{"short-small-txns", func(p core.ProtocolKind) (workload.Result, error) {
 			return workload.RunBanking(workload.BankingConfig{
-				Protocol: p, Workers: 8, TxnsPerWorker: 50, Accounts: 8,
-				HotPct: 40, Seed: 1, PageIODelay: benchIO, LockTimeout: 2 * time.Second,
+				Engine:  core.Options{Protocol: p, PageIODelay: benchIO, LockTimeout: 2 * time.Second},
+				Workers: 8, TxnsPerWorker: 50, Accounts: 8, HotPct: 40, Seed: 1,
 			})
 		}},
 		{"long-complex-txns", func(p core.ProtocolKind) (workload.Result, error) {
 			return workload.RunEncyclopedia(workload.Config{
-				Protocol: p, Workers: 8, TxnsPerWorker: 20, OpsPerTxn: 6,
+				Engine:  core.Options{Protocol: p, PageIODelay: benchIO, LockTimeout: 2 * time.Second},
+				Workers: 8, TxnsPerWorker: 20, OpsPerTxn: 6,
 				Keys: 300, TreeFanout: 400, Preload: 100, Seed: 1,
-				Mix:         workload.Mix{InsertPct: 60, SearchPct: 20, UpdatePct: 20},
-				PageIODelay: benchIO, MaxRetries: 300, LockTimeout: 2 * time.Second,
+				Mix:        workload.Mix{InsertPct: 60, SearchPct: 20, UpdatePct: 20},
+				MaxRetries: 300,
 			})
 		}},
 	}
@@ -126,10 +127,11 @@ func BenchmarkH1ConflictRate(b *testing.B) {
 		b.Run(p.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := workload.RunEncyclopedia(workload.Config{
-					Protocol: p, Workers: 8, TxnsPerWorker: 30, OpsPerTxn: 5,
+					Engine:  core.Options{Protocol: p, PageIODelay: benchIO, LockTimeout: 2 * time.Second},
+					Workers: 8, TxnsPerWorker: 30, OpsPerTxn: 5,
 					Keys: 300, TreeFanout: 400, Preload: 100, Seed: 123,
-					Mix:         workload.Mix{InsertPct: 80, UpdatePct: 20},
-					PageIODelay: benchIO, MaxRetries: 300, LockTimeout: 2 * time.Second,
+					Mix:        workload.Mix{InsertPct: 80, UpdatePct: 20},
+					MaxRetries: 300,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -150,10 +152,11 @@ func BenchmarkH2FanoutSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("fanout=%d/%s", fanout, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := workload.RunEncyclopedia(workload.Config{
-						Protocol: p, Workers: 8, TxnsPerWorker: 25, OpsPerTxn: 4,
+						Engine:  core.Options{Protocol: p, PageIODelay: benchIO, LockTimeout: 2 * time.Second},
+						Workers: 8, TxnsPerWorker: 25, OpsPerTxn: 4,
 						Keys: 400, TreeFanout: fanout, Preload: 400, Seed: 7,
-						Mix:         workload.Mix{InsertPct: 50, SearchPct: 30, UpdatePct: 20},
-						PageIODelay: benchIO, MaxRetries: 300, LockTimeout: 2 * time.Second,
+						Mix:        workload.Mix{InsertPct: 50, SearchPct: 30, UpdatePct: 20},
+						MaxRetries: 300,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -174,9 +177,9 @@ func BenchmarkH3CoEditing(b *testing.B) {
 			b.Run(fmt.Sprintf("authors=%d/%s", authors, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := workload.RunCoEdit(workload.CoEditConfig{
-						Protocol: p, Authors: authors, EditsPerAuthor: 20,
-						Sections: 16, EditWork: 500 * time.Microsecond,
-						Seed: 3, PageIODelay: benchIO, LockTimeout: 2 * time.Second,
+						Engine:  core.Options{Protocol: p, PageIODelay: benchIO, LockTimeout: 2 * time.Second},
+						Authors: authors, EditsPerAuthor: 20,
+						Sections: 16, EditWork: 500 * time.Microsecond, Seed: 3,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -197,10 +200,11 @@ func BenchmarkH4OpenVsClosedNesting(b *testing.B) {
 		b.Run(p.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := workload.RunEncyclopedia(workload.Config{
-					Protocol: p, Workers: 8, TxnsPerWorker: 25, OpsPerTxn: 6,
+					Engine:  core.Options{Protocol: p, PageIODelay: benchIO, LockTimeout: 2 * time.Second},
+					Workers: 8, TxnsPerWorker: 25, OpsPerTxn: 6,
 					Keys: 250, TreeFanout: 300, Preload: 120, Seed: 17,
-					Mix:         workload.Mix{InsertPct: 70, SearchPct: 10, UpdatePct: 20},
-					PageIODelay: benchIO, MaxRetries: 300, LockTimeout: 2 * time.Second,
+					Mix:        workload.Mix{InsertPct: 70, SearchPct: 10, UpdatePct: 20},
+					MaxRetries: 300,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -258,7 +262,8 @@ func syntheticSchedule(n int) (*txn.System, []string) {
 func BenchmarkValidatePipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := workload.RunEncyclopedia(workload.Config{
-			Protocol: core.ProtocolOpenNested, Workers: 4, TxnsPerWorker: 20,
+			Engine:  core.Options{Protocol: core.ProtocolOpenNested},
+			Workers: 4, TxnsPerWorker: 20,
 			Keys: 100, TreeFanout: 16, Preload: 50, Seed: 5, Validate: true,
 		})
 		if err != nil {
@@ -559,11 +564,13 @@ func BenchmarkL1GroupCommit(b *testing.B) {
 				var last workload.Result
 				for i := 0; i < b.N; i++ {
 					res, err := workload.RunBanking(workload.BankingConfig{
-						Protocol: core.ProtocolOpenNested, Workers: workers,
-						TxnsPerWorker: 30, Accounts: 512, HotPct: 0, Seed: 9,
-						LockTimeout: 2 * time.Second, MaxRetries: 300,
-						Durability: mode,
-						WALDir:     filepath.Join(b.TempDir(), fmt.Sprintf("wal%d", i)),
+						Engine: core.Options{
+							Protocol: core.ProtocolOpenNested, LockTimeout: 2 * time.Second,
+							Durability: mode,
+							WALDir:     filepath.Join(b.TempDir(), fmt.Sprintf("wal%d", i)),
+						},
+						Workers: workers, TxnsPerWorker: 30, Accounts: 512, HotPct: 0, Seed: 9,
+						MaxRetries: 300,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -599,10 +606,13 @@ func BenchmarkA1FairnessAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("fair=%v", fair), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := workload.RunEncyclopedia(workload.Config{
-					Protocol: core.ProtocolOpenNested, Workers: 8, TxnsPerWorker: 60,
+					Engine: core.Options{
+						Protocol:  core.ProtocolOpenNested,
+						FairLocks: fair, PageIODelay: benchIO, LockTimeout: 2 * time.Second,
+					},
+					Workers: 8, TxnsPerWorker: 60,
 					Keys: 10, Mix: workload.Mix{SearchPct: 80, UpdatePct: 20},
 					TreeFanout: 16, Preload: 30, Seed: 11,
-					FairLocks: fair, PageIODelay: benchIO, LockTimeout: 2 * time.Second,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -631,11 +641,15 @@ func BenchmarkO1ObsOverhead(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := workload.RunEncyclopedia(workload.Config{
-						Protocol: core.ProtocolOpenNested, Workers: 8, TxnsPerWorker: 30,
+						Engine: core.Options{
+							Protocol:    core.ProtocolOpenNested,
+							PageIODelay: benchIO, LockTimeout: 2 * time.Second,
+							DisableObs: disable,
+						},
+						Workers: 8, TxnsPerWorker: 30,
 						OpsPerTxn: 5, Keys: 300, TreeFanout: 400, Preload: 100, Seed: 123,
-						Mix:         workload.Mix{InsertPct: 80, UpdatePct: 20},
-						PageIODelay: benchIO, MaxRetries: 300, LockTimeout: 2 * time.Second,
-						DisableObs: disable,
+						Mix:        workload.Mix{InsertPct: 80, UpdatePct: 20},
+						MaxRetries: 300,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -654,12 +668,14 @@ func BenchmarkO1ObsOverhead(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := workload.RunBanking(workload.BankingConfig{
-						Protocol: core.ProtocolOpenNested, Workers: 16,
-						TxnsPerWorker: 30, Accounts: 512, HotPct: 0, Seed: 9,
-						LockTimeout: 2 * time.Second, MaxRetries: 300,
-						Durability: storage.GroupCommit,
-						WALDir:     filepath.Join(b.TempDir(), fmt.Sprintf("wal%d", i)),
-						DisableObs: disable,
+						Engine: core.Options{
+							Protocol: core.ProtocolOpenNested, LockTimeout: 2 * time.Second,
+							Durability: storage.GroupCommit,
+							WALDir:     filepath.Join(b.TempDir(), fmt.Sprintf("wal%d", i)),
+							DisableObs: disable,
+						},
+						Workers: 16, TxnsPerWorker: 30, Accounts: 512, HotPct: 0, Seed: 9,
+						MaxRetries: 300,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -687,11 +703,15 @@ func BenchmarkO2SpanOverhead(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := workload.RunEncyclopedia(workload.Config{
-						Protocol: core.ProtocolOpenNested, Workers: 8, TxnsPerWorker: 30,
+						Engine: core.Options{
+							Protocol:    core.ProtocolOpenNested,
+							PageIODelay: benchIO, LockTimeout: 2 * time.Second,
+							DisableSpans: disable,
+						},
+						Workers: 8, TxnsPerWorker: 30,
 						OpsPerTxn: 5, Keys: 300, TreeFanout: 400, Preload: 100, Seed: 123,
-						Mix:         workload.Mix{InsertPct: 80, UpdatePct: 20},
-						PageIODelay: benchIO, MaxRetries: 300, LockTimeout: 2 * time.Second,
-						DisableSpans: disable,
+						Mix:        workload.Mix{InsertPct: 80, UpdatePct: 20},
+						MaxRetries: 300,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -718,13 +738,15 @@ func BenchmarkO2SpanOverhead(b *testing.B) {
 						tracer = span.NewTracer(span.Options{SampleEvery: cfg.sample})
 					}
 					res, err := workload.RunBanking(workload.BankingConfig{
-						Protocol: core.ProtocolOpenNested, Workers: 16,
-						TxnsPerWorker: 30, Accounts: 512, HotPct: 0, Seed: 9,
-						LockTimeout: 2 * time.Second, MaxRetries: 300,
-						Durability:   storage.GroupCommit,
-						WALDir:       filepath.Join(b.TempDir(), fmt.Sprintf("wal%d", i)),
-						DisableSpans: cfg.disable,
-						Tracer:       tracer,
+						Engine: core.Options{
+							Protocol: core.ProtocolOpenNested, LockTimeout: 2 * time.Second,
+							Durability:   storage.GroupCommit,
+							WALDir:       filepath.Join(b.TempDir(), fmt.Sprintf("wal%d", i)),
+							DisableSpans: cfg.disable,
+							Tracer:       tracer,
+						},
+						Workers: 16, TxnsPerWorker: 30, Accounts: 512, HotPct: 0, Seed: 9,
+						MaxRetries: 300,
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -168,55 +168,49 @@ func main() {
 	for i, kind := range kinds {
 		var res workload.Result
 		var err error
+		engine := core.Options{
+			Protocol:           kind,
+			PageIODelay:        *ioDelay,
+			Durability:         durability,
+			WALDir:             *walDir,
+			CheckpointInterval: *ckptEvery,
+			Obs:                reg,
+			Tracer:             tracer,
+		}
 		switch *wl {
 		case "encyclopedia":
 			res, err = workload.RunEncyclopedia(workload.Config{
-				Protocol:           kind,
-				Workers:            *workers,
-				TxnsPerWorker:      *txns,
-				OpsPerTxn:          *ops,
-				Keys:               *keys,
-				ZipfS:              *zipf,
-				TreeFanout:         *fanout,
-				Preload:            *keys / 2,
-				Seed:               *seed,
-				Validate:           *validate,
-				PageIODelay:        *ioDelay,
-				TraceFile:          *traceOut,
-				Durability:         durability,
-				WALDir:             *walDir,
-				CheckpointInterval: *ckptEvery,
-				Obs:                reg,
-				Tracer:             tracer,
+				Engine:        engine,
+				Workers:       *workers,
+				TxnsPerWorker: *txns,
+				OpsPerTxn:     *ops,
+				Keys:          *keys,
+				ZipfS:         *zipf,
+				TreeFanout:    *fanout,
+				Preload:       *keys / 2,
+				Seed:          *seed,
+				Validate:      *validate,
+				TraceFile:     *traceOut,
 			})
 		case "coedit":
 			res, err = workload.RunCoEdit(workload.CoEditConfig{
-				Protocol:       kind,
+				Engine:         engine,
 				Authors:        *workers,
 				EditsPerAuthor: *txns,
 				Sections:       *sections,
 				EditWork:       200 * time.Microsecond,
 				Seed:           *seed,
 				Validate:       *validate,
-				PageIODelay:    *ioDelay,
-				Obs:            reg,
-				Tracer:         tracer,
 			})
 		case "banking":
 			res, err = workload.RunBanking(workload.BankingConfig{
-				Protocol:           kind,
-				Workers:            *workers,
-				TxnsPerWorker:      *txns,
-				Accounts:           *accounts,
-				HotPct:             *hot,
-				Seed:               *seed,
-				Validate:           *validate,
-				PageIODelay:        *ioDelay,
-				Durability:         durability,
-				WALDir:             *walDir,
-				CheckpointInterval: *ckptEvery,
-				Obs:                reg,
-				Tracer:             tracer,
+				Engine:        engine,
+				Workers:       *workers,
+				TxnsPerWorker: *txns,
+				Accounts:      *accounts,
+				HotPct:        *hot,
+				Seed:          *seed,
+				Validate:      *validate,
 			})
 		case "lockstress":
 			res, err = workload.RunLockStress(workload.LockStressConfig{

@@ -25,14 +25,13 @@ func main() {
 	// Part 1: the concurrent transfer workload under both protocols.
 	run := func(p core.ProtocolKind) workload.Result {
 		res, err := workload.RunBanking(workload.BankingConfig{
-			Protocol:      p,
+			Engine:        core.Options{Protocol: p, PageIODelay: 10 * time.Microsecond},
 			Workers:       6,
 			TxnsPerWorker: 50,
 			Accounts:      8,
 			HotPct:        40, // a hot branch account
 			Seed:          7,
 			Validate:      true,
-			PageIODelay:   10 * time.Microsecond,
 		})
 		if err != nil {
 			log.Fatal(err)

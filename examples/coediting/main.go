@@ -23,14 +23,13 @@ import (
 func main() {
 	run := func(p core.ProtocolKind) workload.Result {
 		res, err := workload.RunCoEdit(workload.CoEditConfig{
-			Protocol:       p,
+			Engine:         core.Options{Protocol: p, PageIODelay: 10 * time.Microsecond},
 			Authors:        6,
 			EditsPerAuthor: 20,
 			Sections:       12,
 			EditWork:       500 * time.Microsecond, // thinking/typing time
 			Seed:           42,
 			Validate:       true,
-			PageIODelay:    10 * time.Microsecond,
 		})
 		if err != nil {
 			log.Fatal(err)

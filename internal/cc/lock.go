@@ -721,16 +721,8 @@ func (lm *LockManager) Holders(res Resource) []string {
 	for o := range set {
 		out = append(out, o)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // SetDebugDump installs a hook receiving a lock-table dump on timeouts.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -590,6 +591,27 @@ func BenchmarkExec2PL(b *testing.B) {
 		}
 		if err := tx.Commit(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCompensationNoteRoundTrip: the WAL intent note decodes back to the
+// invocation it encodes, including parameters containing the ',' and '.'
+// that the human-readable compensation record uses as separators.
+func TestCompensationNoteRoundTrip(t *testing.T) {
+	obj := txn.OID{Type: "dict", Name: "D.1"}
+	for _, params := range [][]string{nil, {"k"}, {"a,b", "c.d", ""}} {
+		gotObj, method, gotParams, err := DecodeCompensationNote(compensationNote(obj, "put", params))
+		if err != nil {
+			t.Fatalf("params %q: %v", params, err)
+		}
+		if gotObj != obj || method != "put" || !slices.Equal(gotParams, params) {
+			t.Fatalf("params %q: decoded %v.%s(%q)", params, gotObj, method, gotParams)
+		}
+	}
+	for _, note := range []string{"", "dict", "dict" + unitSep + "D"} {
+		if _, _, _, err := DecodeCompensationNote(note); err == nil {
+			t.Fatalf("note %q with fewer than 3 parts decoded without error", note)
 		}
 	}
 }

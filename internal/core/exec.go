@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -578,7 +579,7 @@ func (db *DB) rollback(t *Txn, under *runtimeAction, entries []undoEntry) bool {
 		t.mu.Lock()
 		t.compensated = true
 		t.mu.Unlock()
-		db.wal.LogCompensation(under.id, fmt.Sprintf("%s.%s(%s)", e.obj.Name, e.method, joinParams(e.params)))
+		db.wal.LogCompensation(under.id, e.obj.Name+"."+commut.Invocation{Method: e.method, Params: e.params}.String())
 		var err error
 		for attempt := 0; attempt < 20; attempt++ {
 			// The compensating action's completion consumes this entry's
@@ -602,27 +603,15 @@ func (db *DB) rollback(t *Txn, under *runtimeAction, entries []undoEntry) bool {
 	return compensated
 }
 
-func joinParams(ps []string) string {
-	out := ""
-	for i, p := range ps {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
-}
-
 // compensationNote encodes a pending inverse operation for the WAL so
 // recovery can replay it: "type\x1fname\x1fmethod\x1fp1\x1fp2...".
 func compensationNote(obj txn.OID, method string, params []string) string {
-	parts := append([]string{obj.Type, obj.Name, method}, params...)
-	return joinUnitSep(parts)
+	return strings.Join(append([]string{obj.Type, obj.Name, method}, params...), unitSep)
 }
 
 // DecodeCompensationNote parses a RecIntent note back into an invocation.
 func DecodeCompensationNote(note string) (obj txn.OID, method string, params []string, err error) {
-	parts := splitUnitSep(note)
+	parts := strings.Split(note, unitSep)
 	if len(parts) < 3 {
 		return txn.OID{}, "", nil, fmt.Errorf("core: bad intent note %q", note)
 	}
@@ -630,29 +619,6 @@ func DecodeCompensationNote(note string) (obj txn.OID, method string, params []s
 }
 
 const unitSep = "\x1f"
-
-func joinUnitSep(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += unitSep
-		}
-		out += p
-	}
-	return out
-}
-
-func splitUnitSep(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == 0x1f {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}
 
 // undoPage restores a page before-image; the restoring write is a CLR
 // (redo-only) and it consumes the original update's undo entry. The CLR
@@ -873,7 +839,7 @@ func (t *Txn) CompensateEntry(obj txn.OID, method string, params []string, entry
 	wasAborting := t.isAborting()
 	t.setAborting(true)
 	defer t.setAborting(wasAborting)
-	t.db.wal.LogCompensation(t.root.id, fmt.Sprintf("%s.%s(%s)", obj.Name, method, joinParams(params)))
+	t.db.wal.LogCompensation(t.root.id, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
 	t.setPendingEntry(entryLSN)
 	_, err := t.db.invoke(t, t.root, obj, method, params, false)
 	if pl := t.takePendingEntry(); pl != 0 && err == nil {

@@ -220,28 +220,16 @@ func (tr *Tracer) Lookup(id string) *TxnTrace {
 	if tt := tr.live[id]; tt != nil {
 		return tt
 	}
-	// Scan the ring newest-first so an id reused across engine epochs
+	// Scan the rings newest-first so an id reused across engine epochs
 	// resolves to the most recent trace.
-	n := len(tr.done)
-	for i := 1; i <= n; i++ {
-		tt := tr.done[((tr.doneNext-i)%n+n)%n]
-		if tt != nil && tt.txnID == id {
-			return tt
-		}
-	}
-	for i := 1; i <= len(tr.abort); i++ {
-		tt := tr.abort[((tr.abortNext-i)%len(tr.abort)+len(tr.abort))%len(tr.abort)]
-		if tt != nil && tt.txnID == id {
-			return tt
-		}
-	}
+	cands := ringNewestFirst(tr.done, tr.doneNext)
+	cands = append(cands, ringNewestFirst(tr.abort, tr.abortNext)...)
 	for _, e := range tr.slow {
-		if e.tt.txnID == id {
-			return e.tt
-		}
+		cands = append(cands, e.tt)
 	}
-	for _, tt := range tr.pinned {
-		if tt != nil && tt.txnID == id {
+	cands = append(cands, ringNewestFirst(tr.pinned, tr.pinNext)...)
+	for _, tt := range cands {
+		if tt.txnID == id {
 			return tt
 		}
 	}
@@ -386,11 +374,8 @@ func (tr *Tracer) TxnIDs() []string {
 		out = append(out, id)
 	}
 	sort.Strings(out)
-	n := len(tr.done)
-	for i := 1; i <= n; i++ {
-		if tt := tr.done[((tr.doneNext-i)%n+n)%n]; tt != nil {
-			out = append(out, tt.txnID)
-		}
+	for _, tt := range ringNewestFirst(tr.done, tr.doneNext) {
+		out = append(out, tt.txnID)
 	}
 	return out
 }

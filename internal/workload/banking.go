@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/commut"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/span"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -41,7 +37,10 @@ func AccountSpec() commut.Spec {
 
 // BankingConfig drives the banking workload.
 type BankingConfig struct {
-	Protocol      core.ProtocolKind
+	// Engine configures the engine the run opens (see Config.Engine). The
+	// runner overrides Engine.DisableTrace — the trace is recorded iff
+	// Validate is set — and turns a zero LockTimeout into 10s.
+	Engine        core.Options
 	Workers       int
 	TxnsPerWorker int
 	Accounts      int
@@ -49,26 +48,10 @@ type BankingConfig struct {
 	InitialBalance int64
 	// HotPct routes this percentage of updates to account 0 (a hot spot,
 	// e.g. a branch cash account).
-	HotPct      int
-	Seed        int64
-	Validate    bool
-	LockTimeout time.Duration
-	MaxRetries  int
-	// PageIODelay is the simulated page I/O latency (see core.Options).
-	PageIODelay time.Duration
-	// Durability and WALDir select a file-backed WAL (see Config).
-	Durability storage.Durability
-	WALDir     string
-	// CheckpointInterval and CheckpointBytes configure periodic fuzzy
-	// checkpoints (see Config).
-	CheckpointInterval time.Duration
-	CheckpointBytes    int64
-	// Obs and DisableObs configure the observability registry (see Config).
-	Obs        *obs.Registry
-	DisableObs bool
-	// Tracer and DisableSpans configure span tracing (see Config).
-	Tracer       *span.Tracer
-	DisableSpans bool
+	HotPct     int
+	Seed       int64
+	Validate   bool
+	MaxRetries int
 }
 
 // InstallBanking registers the account type on a caller-owned engine and
@@ -220,26 +203,10 @@ func RunBanking(cfg BankingConfig) (Result, error) {
 	if cfg.InitialBalance <= 0 {
 		cfg.InitialBalance = 1_000_000
 	}
-	if cfg.LockTimeout <= 0 {
-		cfg.LockTimeout = 10 * time.Second
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 50
 	}
-	db, closeDB, err := openDB(core.Options{
-		Protocol:           cfg.Protocol,
-		LockTimeout:        cfg.LockTimeout,
-		DisableTrace:       !cfg.Validate,
-		PageIODelay:        cfg.PageIODelay,
-		Durability:         cfg.Durability,
-		WALDir:             cfg.WALDir,
-		CheckpointInterval: cfg.CheckpointInterval,
-		CheckpointBytes:    cfg.CheckpointBytes,
-		Obs:                cfg.Obs,
-		DisableObs:         cfg.DisableObs,
-		Tracer:             cfg.Tracer,
-		DisableSpans:       cfg.DisableSpans,
-	})
+	db, closeDB, err := openDB(cfg.Engine, cfg.Validate)
 	if err != nil {
 		return Result{}, err
 	}
@@ -251,18 +218,9 @@ func RunBanking(cfg BankingConfig) (Result, error) {
 	preLock := db.LockStats()
 	preEng := db.Stats()
 
-	var retries int64
-	var retryMu sync.Mutex
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rr := rand.New(rand.NewSource(cfg.Seed + int64(w)*6151))
-			local := int64(0)
-			for i := 0; i < cfg.TxnsPerWorker; i++ {
+	elapsed, retries, err := closedLoop(cfg.Workers, cfg.TxnsPerWorker, cfg.Seed, 6151,
+		func(_ int, rr *rand.Rand) func(int, *int64) error {
+			return func(_ int, retries *int64) error {
 				from := rr.Intn(cfg.Accounts)
 				to := rr.Intn(cfg.Accounts)
 				if rr.Intn(100) < cfg.HotPct {
@@ -271,24 +229,17 @@ func RunBanking(cfg BankingConfig) (Result, error) {
 				if from == to {
 					to = (to + 1) % cfg.Accounts
 				}
-				amt := strconv.Itoa(1 + rr.Intn(100))
-				if err := transferRetry(db, accts[from], accts[to], amt, cfg.MaxRetries, &local); err != nil {
-					errCh <- err
-					return
-				}
+				amt := []string{strconv.Itoa(1 + rr.Intn(100))}
+				return execOps(db, cfg.MaxRetries, retries, nil, []opCall{
+					{obj: accts[from], method: "debit", params: amt},
+					{obj: accts[to], method: "credit", params: amt},
+				})
 			}
-			retryMu.Lock()
-			retries += local
-			retryMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+		})
+	if err != nil {
 		return Result{}, err
 	}
-	elapsed := time.Since(start)
-	res, err := finishResult(db, "banking", cfg.Protocol, cfg.Workers, cfg.Validate, elapsed, retries, preLock, preEng)
+	res, err := finishResult(db, "banking", cfg.Engine.Protocol, cfg.Workers, cfg.Validate, elapsed, retries, preLock, preEng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -311,23 +262,4 @@ func RunBanking(cfg BankingConfig) (Result, error) {
 		return Result{}, fmt.Errorf("banking: money not conserved: %d != %d", total, want)
 	}
 	return res, nil
-}
-
-// transferRetry runs one transfer transaction with retries (jittered
-// exponential backoff and priority aging, via core.RunWithRetry).
-func transferRetry(db *core.DB, from, to txn.OID, amt string, maxRetries int, retries *int64) error {
-	err := db.RunWithRetry(core.RetryPolicy{
-		MaxAttempts: maxRetries + 1,
-		OnRetry:     func(int, error) { *retries++ },
-	}, func(tx *core.Txn) error {
-		if _, err := tx.Exec(from, "debit", amt); err != nil {
-			return err
-		}
-		_, err := tx.Exec(to, "credit", amt)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("workload: transfer gave up: %w", err)
-	}
-	return nil
 }

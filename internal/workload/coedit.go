@@ -3,13 +3,10 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/commut"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/span"
 	"repro/internal/txn"
 )
 
@@ -38,7 +35,10 @@ func DocSpec() commut.Spec {
 
 // CoEditConfig drives the cooperative-editing workload.
 type CoEditConfig struct {
-	Protocol core.ProtocolKind
+	// Engine configures the engine the run opens (see Config.Engine). The
+	// runner overrides Engine.DisableTrace — the trace is recorded iff
+	// Validate is set — and turns a zero LockTimeout into 10s.
+	Engine core.Options
 	// Authors is the number of concurrent writers.
 	Authors int
 	// EditsPerAuthor is the number of edit transactions per author.
@@ -46,19 +46,10 @@ type CoEditConfig struct {
 	// Sections is the number of document sections.
 	Sections int
 	// EditWork simulates thinking/typing time inside each edit.
-	EditWork    time.Duration
-	Seed        int64
-	Validate    bool
-	LockTimeout time.Duration
-	MaxRetries  int
-	// PageIODelay is the simulated page I/O latency (see core.Options).
-	PageIODelay time.Duration
-	// Obs and DisableObs configure the observability registry (see Config).
-	Obs        *obs.Registry
-	DisableObs bool
-	// Tracer and DisableSpans configure span tracing (see Config).
-	Tracer       *span.Tracer
-	DisableSpans bool
+	EditWork   time.Duration
+	Seed       int64
+	Validate   bool
+	MaxRetries int
 }
 
 // installDocument registers the document type; sections map to pages.
@@ -155,22 +146,14 @@ func RunCoEdit(cfg CoEditConfig) (Result, error) {
 	if cfg.Sections <= 0 {
 		cfg.Sections = 16
 	}
-	if cfg.LockTimeout <= 0 {
-		cfg.LockTimeout = 10 * time.Second
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 50
 	}
-	db := core.Open(core.Options{
-		Protocol:     cfg.Protocol,
-		LockTimeout:  cfg.LockTimeout,
-		DisableTrace: !cfg.Validate,
-		PageIODelay:  cfg.PageIODelay,
-		Obs:          cfg.Obs,
-		DisableObs:   cfg.DisableObs,
-		Tracer:       cfg.Tracer,
-		DisableSpans: cfg.DisableSpans,
-	})
+	db, closeDB, err := openDB(cfg.Engine, cfg.Validate)
+	if err != nil {
+		return Result{}, err
+	}
+	defer closeDB()
 	doc, err := installDocument(db, cfg.Sections)
 	if err != nil {
 		return Result{}, err
@@ -184,43 +167,23 @@ func RunCoEdit(cfg CoEditConfig) (Result, error) {
 	preLock := db.LockStats()
 	preEng := db.Stats()
 
-	var retries int64
-	var retryMu sync.Mutex
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Authors)
-	for a := 0; a < cfg.Authors; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			rr := rand.New(rand.NewSource(cfg.Seed + int64(a)*104729))
-			local := int64(0)
-			for i := 0; i < cfg.EditsPerAuthor; i++ {
+	elapsed, retries, err := closedLoop(cfg.Authors, cfg.EditsPerAuthor, cfg.Seed, 104729,
+		func(a int, rr *rand.Rand) func(int, *int64) error {
+			return func(i int, retries *int64) error {
 				// Authors mostly work in their own sections, occasionally
 				// crossing into a neighbour's.
 				sec := a % cfg.Sections
 				if rr.Intn(10) == 0 {
 					sec = rr.Intn(cfg.Sections)
 				}
-				err := execRetry(db, doc, cfg.MaxRetries, &local, "edit",
+				return execRetry(db, doc, cfg.MaxRetries, retries, "edit",
 					fmt.Sprintf("sec%d", sec),
 					fmt.Sprintf("a%d-rev%d", a, i),
 					fmt.Sprintf("%d", cfg.EditWork.Nanoseconds()))
-				if err != nil {
-					errCh <- err
-					return
-				}
 			}
-			retryMu.Lock()
-			retries += local
-			retryMu.Unlock()
-		}(a)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+		})
+	if err != nil {
 		return Result{}, err
 	}
-	elapsed := time.Since(start)
-	return finishResult(db, "coedit", cfg.Protocol, cfg.Authors, cfg.Validate, elapsed, retries, preLock, preEng)
+	return finishResult(db, "coedit", cfg.Engine.Protocol, cfg.Authors, cfg.Validate, elapsed, retries, preLock, preEng)
 }

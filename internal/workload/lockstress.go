@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,14 +103,11 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 	}
 
 	var committed, aborted atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < cfg.Goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rr := rand.New(rand.NewSource(cfg.Seed + int64(g)*6151))
-			for i := 0; i < cfg.TxnsPerGoroutine; i++ {
+	// Cycles never fail (aborts are counted, not returned), so neither the
+	// retry sum nor the error carries anything.
+	elapsed, _, _ := closedLoop(cfg.Goroutines, cfg.TxnsPerGoroutine, cfg.Seed, 6151,
+		func(g int, rr *rand.Rand) func(int, *int64) error {
+			return func(i int, _ *int64) error {
 				// Owner ids contain no dot: every cycle is its own root
 				// transaction to the manager.
 				owner := fmt.Sprintf("T%d_%d", g+1, i)
@@ -147,11 +143,9 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 					aborted.Add(1)
 					cfg.Tracer.FinishTxn(tt, span.StatusAborted)
 				}
+				return nil
 			}
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+		})
 
 	snap := lm.Snapshot()
 	r := Result{

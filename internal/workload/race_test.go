@@ -81,11 +81,13 @@ func TestFinishResultConcurrentWithWorkers(t *testing.T) {
 				if from == to {
 					continue
 				}
-				start := time.Now()
-				if err := transferRetry(db, from, to, "1", 3, &local); err != nil {
+				amt := []string{"1"}
+				if err := execOps(db, 3, &local, lat, []opCall{
+					{obj: from, method: "debit", params: amt},
+					{obj: to, method: "credit", params: amt},
+				}); err != nil {
 					return
 				}
-				lat.add(time.Since(start))
 			}
 		}(w)
 	}

@@ -59,7 +59,7 @@ func TestSafeDiv(t *testing.T) {
 func TestWorkloadObsThreading(t *testing.T) {
 	reg := obs.New()
 	_, err := RunEncyclopedia(Config{
-		Workers: 2, TxnsPerWorker: 5, Keys: 50, Preload: 5, Obs: reg,
+		Engine: core.Options{Obs: reg}, Workers: 2, TxnsPerWorker: 5, Keys: 50, Preload: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

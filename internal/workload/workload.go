@@ -22,8 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enc"
 	"repro/internal/list"
-	"repro/internal/obs"
-	"repro/internal/span"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -59,7 +57,13 @@ func (m Mix) pick(roll int) string {
 
 // Config drives the encyclopedia workload.
 type Config struct {
-	Protocol      core.ProtocolKind
+	// Engine configures the engine the run opens: protocol, lock timeout,
+	// page I/O delay, lock fairness and sharding, durability and
+	// checkpoints, observability registry and span tracer. The runner
+	// overrides Engine.DisableTrace — the trace is recorded iff Validate is
+	// set or TraceFile is non-empty — and turns a zero LockTimeout into 10s
+	// and a zero PoolCapacity into 1<<16 frames.
+	Engine        core.Options
 	Workers       int
 	TxnsPerWorker int
 	Seed          int64
@@ -81,40 +85,11 @@ type Config struct {
 	Preload int
 	// Validate runs the Definition 16 checker on the produced trace
 	// (requires tracing, which it implies).
-	Validate    bool
-	LockTimeout time.Duration
-	MaxRetries  int
-	// PageIODelay is the simulated page I/O latency (see core.Options).
-	PageIODelay time.Duration
-	// FairLocks enables FIFO lock fairness (see core.Options).
-	FairLocks bool
-	// LockShards overrides the lock table's shard count (see core.Options).
-	LockShards int
+	Validate   bool
+	MaxRetries int
 	// TraceFile, when non-empty, writes the recorded trace as JSON for
 	// cmd/schedcheck (implies Validate-style tracing).
 	TraceFile string
-	// Durability selects the WAL's stable-storage mode; anything but
-	// storage.MemOnly opens the engine over segment files in WALDir
-	// (required then), so commits pay real fsyncs.
-	Durability storage.Durability
-	WALDir     string
-	// CheckpointInterval and CheckpointBytes configure periodic fuzzy
-	// checkpoints with WAL truncation on durable engines (see
-	// core.Options; ignored with storage.MemOnly).
-	CheckpointInterval time.Duration
-	CheckpointBytes    int64
-	// Obs, when non-nil, is the observability registry the engine
-	// publishes into — pass one registry across a protocol sweep to keep
-	// a single /metrics endpoint live. DisableObs skips creating one
-	// entirely (see core.Options).
-	Obs        *obs.Registry
-	DisableObs bool
-	// Tracer, when non-nil, is the span tracer the engine records
-	// transaction traces into — pass one tracer across a sweep to query all
-	// runs through a single /trace endpoint. DisableSpans skips span tracing
-	// entirely (see core.Options).
-	Tracer       *span.Tracer
-	DisableSpans bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -142,8 +117,8 @@ func (c *Config) fillDefaults() error {
 	if c.SpineCap <= 0 {
 		c.SpineCap = 50
 	}
-	if c.LockTimeout <= 0 {
-		c.LockTimeout = 10 * time.Second
+	if c.Engine.PoolCapacity == 0 {
+		c.Engine.PoolCapacity = 1 << 16
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 50
@@ -221,40 +196,12 @@ func RunEncyclopedia(cfg Config) (Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return Result{}, err
 	}
-	db, closeDB, err := openDB(core.Options{
-		Protocol:           cfg.Protocol,
-		LockTimeout:        cfg.LockTimeout,
-		DisableTrace:       !cfg.Validate && cfg.TraceFile == "",
-		PoolCapacity:       1 << 16,
-		PageIODelay:        cfg.PageIODelay,
-		FairLocks:          cfg.FairLocks,
-		LockShards:         cfg.LockShards,
-		Durability:         cfg.Durability,
-		WALDir:             cfg.WALDir,
-		CheckpointInterval: cfg.CheckpointInterval,
-		CheckpointBytes:    cfg.CheckpointBytes,
-		Obs:                cfg.Obs,
-		DisableObs:         cfg.DisableObs,
-		Tracer:             cfg.Tracer,
-		DisableSpans:       cfg.DisableSpans,
-	})
+	db, closeDB, err := openDB(cfg.Engine, cfg.Validate || cfg.TraceFile != "")
 	if err != nil {
 		return Result{}, err
 	}
 	defer closeDB()
-	trees, err := btree.Install(db)
-	if err != nil {
-		return Result{}, err
-	}
-	lists, err := list.Install(db)
-	if err != nil {
-		return Result{}, err
-	}
-	encs, err := enc.Install(db, trees, lists)
-	if err != nil {
-		return Result{}, err
-	}
-	e, err := encs.New("Enc", cfg.TreeFanout, cfg.SpineCap)
+	e, err := InstallEncyclopedia(db, cfg.TreeFanout, cfg.SpineCap)
 	if err != nil {
 		return Result{}, err
 	}
@@ -262,30 +209,21 @@ func RunEncyclopedia(cfg Config) (Result, error) {
 	pre := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Preload; i++ {
 		k := fmt.Sprintf("k%06d", pre.Intn(cfg.Keys))
-		if err := execRetry(db, e.OID(), cfg.MaxRetries, nil, "insert", k, "text0"); err != nil {
+		if err := execRetry(db, e, cfg.MaxRetries, nil, "insert", k, "text0"); err != nil {
 			return Result{}, fmt.Errorf("preload: %w", err)
 		}
 	}
 	preStats := db.LockStats()
 	preEng := db.Stats()
 
-	var retries int64
-	var retryMu sync.Mutex
 	lat := &latencies{}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rr := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
+	elapsed, retries, err := closedLoop(cfg.Workers, cfg.TxnsPerWorker, cfg.Seed, 7919,
+		func(_ int, rr *rand.Rand) func(int, *int64) error {
 			var zipf *rand.Zipf
 			if cfg.ZipfS > 1 {
 				zipf = rand.NewZipf(rr, cfg.ZipfS, 1, uint64(cfg.Keys-1))
 			}
-			local := int64(0)
-			for i := 0; i < cfg.TxnsPerWorker; i++ {
+			return func(i int, retries *int64) error {
 				ops := make([]opCall, cfg.OpsPerTxn)
 				for j := range ops {
 					op := cfg.Mix.pick(rr.Intn(100))
@@ -295,29 +233,17 @@ func RunEncyclopedia(cfg Config) (Result, error) {
 						params = []string{keyFor(rr, zipf, cfg.Keys), fmt.Sprintf("text%d-%d", i, j)}
 					case "search", "delete":
 						params = []string{keyFor(rr, zipf, cfg.Keys)}
-					case "readSeq":
-						params = nil
 					}
-					ops[j] = opCall{method: op, params: params}
+					ops[j] = opCall{obj: e, method: op, params: params}
 				}
-				if err := execOpsRetryLat(db, e.OID(), cfg.MaxRetries, &local, lat, ops); err != nil {
-					errCh <- fmt.Errorf("worker %d: %w", w, err)
-					return
-				}
+				return execOps(db, cfg.MaxRetries, retries, lat, ops)
 			}
-			retryMu.Lock()
-			retries += local
-			retryMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+		})
+	if err != nil {
 		return Result{}, err
 	}
-	elapsed := time.Since(start)
 
-	res, err := finishResult(db, "encyclopedia", cfg.Protocol, cfg.Workers, cfg.Validate,
+	res, err := finishResult(db, "encyclopedia", cfg.Engine.Protocol, cfg.Workers, cfg.Validate,
 		elapsed, retries, preStats, preEng)
 	lat.fill(&res)
 	if err == nil && cfg.TraceFile != "" {
@@ -326,9 +252,44 @@ func RunEncyclopedia(cfg Config) (Result, error) {
 	return res, err
 }
 
-// openDB opens the workload's engine: in-memory by default, over WAL
-// segment files when a durability mode is configured. The returned closer
-// flushes and closes the file WAL.
+// closedLoop runs workers goroutines of n back-to-back steps each and
+// times them. Worker w draws from a generator seeded with seed+w*stride;
+// newWorker, called on the worker's goroutine, builds its step function,
+// which gets the step index and the worker's retry counter. A failing
+// worker stops while the others finish. closedLoop returns the elapsed
+// time, the retries summed over all workers and the first error.
+func closedLoop(workers, n int, seed, stride int64,
+	newWorker func(w int, rr *rand.Rand) func(i int, retries *int64) error,
+) (time.Duration, int64, error) {
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		retries  int64
+		firstErr error
+	)
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			step := newWorker(w, rand.New(rand.NewSource(seed+int64(w)*stride)))
+			var local int64
+			var err error
+			for i := 0; i < n && err == nil; i++ {
+				err = step(i, &local)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			retries += local
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("worker %d: %w", w, err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	return time.Since(start), retries, firstErr
+}
+
 // InstallEncyclopedia registers the encyclopedia module stack (btree, list,
 // encyclopedia types) on a caller-owned engine and creates one encyclopedia
 // object, returning its OID (methods: insert, search, update, delete,
@@ -368,7 +329,15 @@ func InstallEncyclopediaNamed(db *core.DB, name string, fanout, spineCap int) (t
 	return e.OID(), nil
 }
 
-func openDB(opts core.Options) (*core.DB, func(), error) {
+// openDB opens a workload's engine: in-memory by default, over WAL segment
+// files when a durability mode is configured. It records the trace iff
+// trace is set and bounds lock waits by 10s unless opts.LockTimeout is
+// set. The returned closer flushes and closes the file WAL.
+func openDB(opts core.Options, trace bool) (*core.DB, func(), error) {
+	opts.DisableTrace = !trace
+	if opts.LockTimeout <= 0 {
+		opts.LockTimeout = 10 * time.Second
+	}
 	if opts.Durability != storage.MemOnly {
 		db, err := core.OpenDurable(opts)
 		if err != nil {
@@ -390,6 +359,7 @@ func writeTrace(db *core.DB, path string) error {
 
 // opCall is one operation of a multi-op transaction.
 type opCall struct {
+	obj    txn.OID
 	method string
 	params []string
 }
@@ -431,15 +401,16 @@ func (l *latencies) fill(r *Result) {
 // execRetry runs a one-op transaction, retrying aborts (deadlock victims,
 // timeouts) up to maxRetries times.
 func execRetry(db *core.DB, obj txn.OID, maxRetries int, retries *int64, method string, params ...string) error {
-	return execOpsRetryLat(db, obj, maxRetries, retries, nil, []opCall{{method: method, params: params}})
+	return execOps(db, maxRetries, retries, nil, []opCall{{obj: obj, method: method, params: params}})
 }
 
-// execOpsRetryLat runs a multi-op transaction with retries (jittered
-// exponential backoff and priority aging, via core.RunWithRetry: a
-// restarted transaction receives a fresh — youngest — id, so without aging
-// the youngest-victim policy would re-victimize an eager retrier forever)
-// and records its total latency (first attempt to successful commit) in lat.
-func execOpsRetryLat(db *core.DB, obj txn.OID, maxRetries int, retries *int64, lat *latencies, ops []opCall) error {
+// execOps runs a multi-op transaction with retries (jittered exponential
+// backoff and priority aging, via core.RunWithRetry: a restarted
+// transaction receives a fresh — youngest — id, so without aging the
+// youngest-victim policy would re-victimize an eager retrier forever),
+// counting each retry in *retries when retries is non-nil, and records its
+// total latency (first attempt to successful commit) in lat.
+func execOps(db *core.DB, maxRetries int, retries *int64, lat *latencies, ops []opCall) error {
 	start := time.Now()
 	err := db.RunWithRetry(core.RetryPolicy{
 		MaxAttempts: maxRetries + 1,
@@ -450,14 +421,14 @@ func execOpsRetryLat(db *core.DB, obj txn.OID, maxRetries int, retries *int64, l
 		},
 	}, func(tx *core.Txn) error {
 		for _, op := range ops {
-			if _, err := tx.Exec(obj, op.method, op.params...); err != nil {
+			if _, err := tx.Exec(op.obj, op.method, op.params...); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("workload: %s txn: %w", obj.Name, err)
+		return fmt.Errorf("workload: %s txn: %w", ops[0].obj.Name, err)
 	}
 	lat.add(time.Since(start))
 	return nil

@@ -42,7 +42,7 @@ func TestRunEncyclopediaSmall(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			res, err := RunEncyclopedia(Config{
-				Protocol:      p,
+				Engine:        core.Options{Protocol: p},
 				Workers:       4,
 				TxnsPerWorker: 25,
 				Keys:          50,
@@ -72,7 +72,7 @@ func TestRunEncyclopediaSmall(t *testing.T) {
 
 func TestEncyclopediaZipfSkew(t *testing.T) {
 	res, err := RunEncyclopedia(Config{
-		Protocol:      core.ProtocolOpenNested,
+		Engine:        core.Options{Protocol: core.ProtocolOpenNested},
 		Workers:       4,
 		TxnsPerWorker: 25,
 		Keys:          100,
@@ -104,7 +104,7 @@ func TestConflictRateSeparation(t *testing.T) {
 	}
 	run := func(p core.ProtocolKind) Result {
 		res, err := RunEncyclopedia(Config{
-			Protocol:      p,
+			Engine:        core.Options{Protocol: p, PageIODelay: 20 * time.Microsecond},
 			Workers:       8,
 			TxnsPerWorker: 30,
 			OpsPerTxn:     5,   // long transactions: 2PL holds page locks across ops
@@ -114,7 +114,6 @@ func TestConflictRateSeparation(t *testing.T) {
 			Preload:       100,
 			Seed:          123,
 			MaxRetries:    200,
-			PageIODelay:   20 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +137,7 @@ func TestRunCoEdit(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			res, err := RunCoEdit(CoEditConfig{
-				Protocol:       p,
+				Engine:         core.Options{Protocol: p},
 				Authors:        4,
 				EditsPerAuthor: 10,
 				Sections:       8,
@@ -166,7 +165,7 @@ func TestCoEditDocumentLockSerializes(t *testing.T) {
 	}
 	run := func(p core.ProtocolKind) Result {
 		res, err := RunCoEdit(CoEditConfig{
-			Protocol:       p,
+			Engine:         core.Options{Protocol: p},
 			Authors:        6,
 			EditsPerAuthor: 10,
 			Sections:       12,
@@ -192,7 +191,7 @@ func TestRunBanking(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			res, err := RunBanking(BankingConfig{
-				Protocol:      p,
+				Engine:        core.Options{Protocol: p},
 				Workers:       4,
 				TxnsPerWorker: 30,
 				Accounts:      8,
@@ -223,7 +222,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestLatencyPercentilesReported(t *testing.T) {
 	res, err := RunEncyclopedia(Config{
-		Protocol:      core.ProtocolOpenNested,
+		Engine:        core.Options{Protocol: core.ProtocolOpenNested},
 		Workers:       4,
 		TxnsPerWorker: 25,
 		Keys:          50,
@@ -248,7 +247,11 @@ func TestLatencyPercentilesReported(t *testing.T) {
 func TestFairnessTailLatency(t *testing.T) {
 	for _, fair := range []bool{false, true} {
 		res, err := RunEncyclopedia(Config{
-			Protocol:      core.ProtocolOpenNested,
+			Engine: core.Options{
+				Protocol:    core.ProtocolOpenNested,
+				FairLocks:   fair,
+				PageIODelay: 5 * time.Microsecond,
+			},
 			Workers:       6,
 			TxnsPerWorker: 30,
 			Keys:          10, // hot keys: same-key conflicts are frequent
@@ -256,8 +259,6 @@ func TestFairnessTailLatency(t *testing.T) {
 			TreeFanout:    16,
 			Preload:       30,
 			Seed:          11,
-			FairLocks:     fair,
-			PageIODelay:   5 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatalf("fair=%v: %v", fair, err)
