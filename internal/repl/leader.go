@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -47,6 +48,7 @@ func (n *Node) becomeLeaderLocked() {
 	n.match = make(map[string]uint64, len(n.cfg.Peers))
 	n.next = make(map[string]uint64, len(n.cfg.Peers))
 	n.wake = make(map[string]chan struct{}, len(n.cfg.Peers))
+	n.want = 0
 	epoch := n.epoch
 	for _, p := range n.cfg.Peers {
 		n.match[p.ID] = 0
@@ -139,23 +141,25 @@ func (n *Node) promote(epoch, term uint64) {
 
 	// The no-op fence entry: replicating one current-term entry is what
 	// allows commitIndex to advance over the recovered prior-term suffix.
-	db.WAL().LogAbort("repl:fence")
+	fence := db.WAL().LogAbort("repl:fence")
 	db.Spans().RecordEngine(span.Span{
 		ID: fmt.Sprintf("repl/promote-t%d", term), Kind: span.KRepl,
 		Name: "repl: promote to leader", Start: start, End: time.Now(),
 		N: int64(term), Note: n.cfg.ID,
 	})
-	n.logf("repl: %s: leading term %d from lsn %d", n.cfg.ID, term, n.lastLSN)
-	n.mu.Lock()
-	n.advanceCommitLocked()
-	n.mu.Unlock()
+	n.logf("repl: %s: leading term %d from lsn %d", n.cfg.ID, term, fence)
+	// No committer waits on the fence, so wait on it here, as a commit
+	// would: demand it from the followers, fsync it locally, await quorum.
+	// Without the local fsync a leader with one follower down could never
+	// commit it while idle. An error means leadership already ended.
+	_ = db.WAL().WaitDurable(fence)
 }
 
 // quorumSink wraps the engine's FileWAL behind the DurableSink seam:
 // Append additionally feeds the replicator's entry cache; WaitDurable
 // returns only once the record is BOTH locally fsync'd and quorum-acked.
 // On a single-node cluster the quorum is the local fsync, so the hook
-// adds one mutex round per commit — the disarmed-overhead budget.
+// adds two mutex rounds per commit — the disarmed-overhead budget.
 type quorumSink struct {
 	n     *Node
 	epoch uint64
@@ -164,7 +168,7 @@ type quorumSink struct {
 }
 
 // Append runs under the engine WAL's mutex: buffer into the local FileWAL
-// and the replicated entry cache, then nudge the peer loops.
+// and the replicated entry cache. Nothing ships until a commit waits.
 func (s *quorumSink) Append(rec storage.Record) {
 	if s.inner != nil {
 		s.inner.Append(rec)
@@ -172,8 +176,11 @@ func (s *quorumSink) Append(rec storage.Record) {
 	s.n.appendLocal(s.epoch, rec)
 }
 
-// WaitDurable blocks for local durability, then for quorum.
+// WaitDurable demands lsn from the followers first, so their append and
+// fsync overlap the local one, then blocks for local durability, then for
+// quorum.
 func (s *quorumSink) WaitDurable(lsn uint64) error {
+	s.n.demand(s.epoch, lsn)
 	if s.inner != nil {
 		if err := s.inner.WaitDurable(lsn); err != nil {
 			return err
@@ -230,6 +237,17 @@ func (n *Node) appendLocal(epoch uint64, rec storage.Record) {
 	if rec.LSN > n.lastLSN {
 		n.lastLSN = rec.LSN
 	}
+}
+
+// demand records that a committer awaits quorum for lsn and wakes the
+// peer loops to ship up to it.
+func (n *Node) demand(epoch, lsn uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.epoch != epoch || lsn <= n.want {
+		return
+	}
+	n.want = lsn
 	n.wakePeersLocked()
 }
 
@@ -294,12 +312,13 @@ func (n *Node) advanceCommitLocked() {
 	if n.sink != nil && n.sink.fw != nil {
 		local = n.sink.fw.DurableLSN()
 	}
-	ms := make([]uint64, 0, len(n.match)+1)
-	ms = append(ms, local)
+	var buf [8]uint64
+	ms := append(buf[:0], local)
 	for _, m := range n.match {
 		ms = append(ms, m)
 	}
-	q := sortedDesc(ms)[n.quorum-1]
+	slices.Sort(ms)
+	q := ms[len(ms)-n.quorum]
 	if q > n.commitIndex && n.termOfLocked(q) == n.term {
 		n.commitIndex = q
 		n.cond.Broadcast()
@@ -358,7 +377,7 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 				}
 				n.next[p.ID] = n.match[p.ID] + 1
 				n.advanceCommitLocked()
-				more := n.lastLSN >= n.next[p.ID]
+				more := min(n.want, n.lastLSN) >= n.next[p.ID]
 				n.mu.Unlock()
 				if !more {
 					break
@@ -385,9 +404,10 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 }
 
 // buildAppendLocked assembles the next AppendEntries for p: a batch of
-// entries from nextIndex (never spanning a term boundary), or a pure
-// heartbeat when the follower is caught up. needSnap reports that the
-// follower trails the entry cache floor and must be seeded by snapshot.
+// entries from nextIndex up to the highest LSN a committer waits for
+// (never spanning a term boundary), or a pure heartbeat when the follower
+// holds everything demanded. needSnap reports that the follower trails
+// the entry cache floor and must be seeded by snapshot.
 func (n *Node) buildAppendLocked(p Peer) (wire.Msg, bool) {
 	next := n.next[p.ID]
 	if next < n.firstLSN || next <= n.snapLSN {
@@ -402,11 +422,12 @@ func (n *Node) buildAppendLocked(p Peer) (wire.Msg, bool) {
 	re.PrevLSN = next - 1
 	re.PrevTerm = n.termOfLocked(re.PrevLSN)
 	m := wire.Msg{Type: wire.MsgReplAppend, Repl: re}
-	if next > n.lastLSN {
+	last := min(n.want, n.lastLSN)
+	if next > last {
 		return m, false // heartbeat
 	}
 	re.EntryTerm = n.termOfLocked(next)
-	for lsn := next; lsn <= n.lastLSN && len(m.Params) < maxAppendBatch; lsn++ {
+	for lsn := next; lsn <= last && len(m.Params) < maxAppendBatch; lsn++ {
 		e, ok := n.entries[lsn]
 		if !ok || e.term != re.EntryTerm {
 			break

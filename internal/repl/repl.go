@@ -45,7 +45,6 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,13 +204,16 @@ type Node struct {
 	// and elections are suppressed until the disk state is back.
 	rebuilding bool
 
-	// Leader state.
+	// Leader state. want is the highest LSN a committer awaits quorum for:
+	// entries ship when a commit waits on them, not when they are appended
+	// (the FileWAL flusher's rule).
 	db      *core.DB
 	cluster *partition.Cluster
 	sink    *quorumSink
 	match   map[string]uint64
 	next    map[string]uint64
 	wake    map[string]chan struct{}
+	want    uint64
 
 	// epoch increments on every role transition; goroutines spawned for
 	// one incarnation (promotion, peer loops, vote fan-out) check it and
@@ -700,7 +702,9 @@ type Status struct {
 	// Leader is the current leader's client address ("" when unknown).
 	Leader string `json:"leader,omitempty"`
 	// LagEntries is how far this node trails: a follower's unapplied
-	// committed suffix, a leader's unacked quorum window.
+	// committed suffix, a leader's unacked quorum window (the records a
+	// committer waits on that no quorum holds yet; records no commit has
+	// demanded are not counted).
 	LagEntries uint64 `json:"lag_entries"`
 }
 
@@ -718,8 +722,8 @@ func (n *Node) Status() Status {
 		Leader:      n.leaderAddr,
 	}
 	if n.role == RoleLeader {
-		if n.lastLSN > n.commitIndex {
-			s.LagEntries = n.lastLSN - n.commitIndex
+		if w := min(n.want, n.lastLSN); w > n.commitIndex {
+			s.LagEntries = w - n.commitIndex
 		}
 	} else if n.commitIndex > n.applied {
 		s.LagEntries = n.commitIndex - n.applied
@@ -809,10 +813,4 @@ func (n *Node) publishObs() {
 	reg.PublishFunc("repl.lag_entries", func() any {
 		return int64(n.Status().LagEntries)
 	})
-}
-
-// sortedDesc sorts a small slice of LSNs descending (quorum math).
-func sortedDesc(ms []uint64) []uint64 {
-	sort.Slice(ms, func(i, j int) bool { return ms[i] > ms[j] })
-	return ms
 }

@@ -49,7 +49,7 @@ func acct(i int) txn.OID {
 // freeAddrs reserves k distinct loopback addresses. The listeners are
 // closed before returning, so a parallel process could steal a port —
 // acceptable in tests.
-func freeAddrs(t *testing.T, k int) []string {
+func freeAddrs(t testing.TB, k int) []string {
 	t.Helper()
 	addrs := make([]string, k)
 	lns := make([]net.Listener, k)
@@ -67,7 +67,7 @@ func freeAddrs(t *testing.T, k int) []string {
 	return addrs
 }
 
-func testConfig(t *testing.T, id, dir string) Config {
+func testConfig(t testing.TB, id, dir string) Config {
 	return Config{
 		ID:              id,
 		Dir:             dir,
@@ -82,7 +82,7 @@ func testConfig(t *testing.T, id, dir string) Config {
 }
 
 // startCluster boots k nodes wired to each other and registers cleanup.
-func startCluster(t *testing.T, k int) []*Node {
+func startCluster(t testing.TB, k int) []*Node {
 	t.Helper()
 	addrs := freeAddrs(t, k)
 	nodes := make([]*Node, k)
@@ -112,7 +112,7 @@ func startCluster(t *testing.T, k int) []*Node {
 
 // waitLeader blocks until some node is a fully promoted leader (engine
 // open, cluster available).
-func waitLeader(t *testing.T, nodes []*Node) *Node {
+func waitLeader(t testing.TB, nodes []*Node) *Node {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -135,7 +135,7 @@ func waitLeader(t *testing.T, nodes []*Node) *Node {
 	return nil
 }
 
-func credit(t *testing.T, n *Node, account int, amount int64) error {
+func credit(t testing.TB, n *Node, account int, amount int64) error {
 	t.Helper()
 	db := n.DB()
 	if db == nil {
@@ -477,23 +477,24 @@ func TestIsolatedLeaderAbdicatesAndRejoins(t *testing.T) {
 	}
 
 	// Partition the leader: its next commit must fail typed (NotLeader, so
-	// clients redirect) and the majority must elect a replacement.
+	// clients redirect) once it has waited AckTimeout for quorum, and the
+	// majority must elect a replacement.
 	ld.SetIsolated(true)
+	start := time.Now()
 	err := credit(t, ld, 0, 1)
+	took := time.Since(start)
 	if err == nil {
 		t.Fatal("commit succeeded on an isolated leader")
 	}
 	if !errors.Is(err, wire.ErrNotLeader) && !errors.Is(err, storage.ErrWALPoisoned) {
 		t.Fatalf("isolated commit error = %v, want NotLeader/Poisoned", err)
 	}
-	var ld2 *Node
-	rest := make([]*Node, 0, 2)
-	for _, n := range nodes {
-		if n != ld {
-			rest = append(rest, n)
-		}
+	// The upper bound is loose on purpose: the race step runs packages in
+	// parallel on shared CPUs.
+	if ack := ld.cfg.AckTimeout; took < ack || took > 2*ack {
+		t.Fatalf("isolated commit failed after %v, want between %v and %v", took, ack, 2*ack)
 	}
-	ld2 = waitLeader(t, rest)
+	ld2 := waitLeader(t, followers(nodes, ld))
 	if err := credit(t, ld2, 0, 1); err != nil {
 		t.Fatalf("majority-side credit: %v", err)
 	}
