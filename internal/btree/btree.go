@@ -89,9 +89,9 @@ type Tree struct {
 	mu   sync.Mutex
 	root storage.PageID
 	// prev holds the roots this Tree replaced, oldest first. root is only a
-	// hint: recovery never sees it and physical undo of an aborted root
-	// split does not reset it, so a descent that finds it undecodable pops
-	// back to the previous root (see fallBack).
+	// hint: physical undo of an aborted root split does not reset it, so a
+	// descent that finds it undecodable pops back to the previous root, or
+	// to the catalog's after a restart (see fallBack).
 	prev     []storage.PageID
 	leftmost storage.PageID
 	height   int

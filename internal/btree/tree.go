@@ -189,7 +189,7 @@ func (t *Tree) descendToLeaf(c *core.Ctx, k string) (storage.PageID, error) {
 	for hop := 0; hop < maxDescend; hop++ {
 		res, err := c.Call(nodeOID(pid), "route", k)
 		if err != nil && pid == root {
-			if root, err = t.fallBack(root, err); err == nil {
+			if root, err = t.fallBack(c, root, err); err == nil {
 				pid = root
 				continue
 			}
@@ -220,20 +220,37 @@ func (t *Tree) descendToLeaf(c *core.Ctx, k string) (storage.PageID, error) {
 // naming the new one. When routing at the descent's root failed with a
 // corrupt encoding, fallBack pops t.root back to the previous root — only
 // while t.root still names the failing page; otherwise another descent
-// already moved it — and returns where to restart. Any other failure, or
-// one with no earlier root to fall back to, is returned as is.
-func (t *Tree) fallBack(failed storage.PageID, err error) (storage.PageID, error) {
+// already moved it — and returns where to restart. A tree attached from the
+// catalog after a restart has no previous root in memory: restart undo of
+// a loser's root split restored the catalog's root pointer too, so the
+// catalog names the root to fall back to. Any other failure, or one with
+// nowhere to fall back to, is returned as is.
+func (t *Tree) fallBack(c *core.Ctx, failed storage.PageID, err error) (storage.PageID, error) {
 	if !errors.Is(err, ErrCorruptEntry) {
 		return 0, err
 	}
 	t.mu.Lock()
+	stale := t.root == failed && len(t.prev) == 0
+	t.mu.Unlock()
+	// The catalog page is read outside t.mu: a transaction holding it to
+	// commit may itself be waiting for t.mu.
+	root := failed
+	if stale && t.mod.cat != nil {
+		if e, cerr := t.mod.cat.GetCtx(c, catalog.KindTree, t.name); cerr == nil {
+			if _, r, ferr := catalog.TreeFields(e); ferr == nil {
+				root = r
+			}
+		}
+	}
+	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.root == failed {
-		if len(t.prev) == 0 {
+		if len(t.prev) > 0 {
+			root, t.prev = t.prev[len(t.prev)-1], t.prev[:len(t.prev)-1]
+		} else if root == failed {
 			return 0, err
 		}
-		t.root = t.prev[len(t.prev)-1]
-		t.prev = t.prev[:len(t.prev)-1]
+		t.root = root
 		t.height--
 	}
 	return t.root, nil
@@ -360,7 +377,7 @@ func (t *Tree) innerPath(c *core.Ctx, k string) ([]storage.PageID, error) {
 	for hop := 0; hop < maxDescend; hop++ {
 		res, err := c.Call(nodeOID(pid), "route", k)
 		if err != nil && pid == root {
-			if root, err = t.fallBack(root, err); err == nil {
+			if root, err = t.fallBack(c, root, err); err == nil {
 				pid = root
 				continue
 			}

@@ -198,6 +198,16 @@ func (c *Catalog) Entries() ([]Entry, error) {
 // Get returns one entry.
 func (c *Catalog) Get(kind Kind, name string) (Entry, error) {
 	entries, err := c.Entries()
+	return find(entries, err, kind, name)
+}
+
+// GetCtx reads one entry inside an existing method execution.
+func (c *Catalog) GetCtx(cctx *core.Ctx, kind Kind, name string) (Entry, error) {
+	entries, err := c.load(func() (string, error) { return cctx.Call(c.page, "read") })
+	return find(entries, err, kind, name)
+}
+
+func find(entries []Entry, err error, kind Kind, name string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}

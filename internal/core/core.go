@@ -784,29 +784,5 @@ func (db *DB) CrashImage() (*storage.MemStore, *storage.WAL) {
 // shutdown / checkpoint).
 func (db *DB) FlushAll() error { return db.pool.FlushAll() }
 
-// RestorePage overwrites a page with a before-image during recovery undo.
-// The write bypasses transactional locking (recovery is single-threaded by
-// contract) and is logged as a redo-only CLR; entryLSN, when non-zero, is
-// the undo entry this restore consumes — discarding it makes a recovery
-// that crashes and reruns skip the already-undone entry.
-func (db *DB) RestorePage(pid storage.PageID, img, loser string, entryLSN uint64) error {
-	frame, err := db.pool.FetchPage(pid)
-	if err != nil {
-		return err
-	}
-	db.snapMu.RLock()
-	frame.Latch()
-	after := frame.Data()
-	frame.SetData(img)
-	db.wal.LogCLRUpdate(loser+":recovery", pid, after, img)
-	if entryLSN != 0 {
-		db.wal.LogDiscard(loser, []uint64{entryLSN})
-	}
-	frame.Unlatch()
-	db.snapMu.RUnlock()
-	db.pool.Unpin(frame)
-	return nil
-}
-
 // NumPages returns the number of allocated pages in the backing store.
 func (db *DB) NumPages() int { return db.store.NumPages() }

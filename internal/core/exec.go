@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,34 +19,6 @@ import (
 	"repro/internal/txn"
 )
 
-// undoEntry is one step of rollback, either physical (restore a page
-// before-image; only sound while the page lock is still held) or logical
-// (execute a compensating invocation as a fresh subtransaction).
-type undoEntry struct {
-	physical bool
-	page     storage.PageID
-	before   string
-
-	obj    txn.OID
-	method string
-	params []string
-
-	// lsn is the WAL record that registered this entry (the RecUpdate for
-	// physical entries, the RecIntent for logical ones); recovery replays
-	// entries that were registered but never discarded.
-	lsn uint64
-}
-
-func entryLSNs(entries []undoEntry) []uint64 {
-	out := make([]uint64, 0, len(entries))
-	for _, e := range entries {
-		if e.lsn != 0 {
-			out = append(out, e.lsn)
-		}
-	}
-	return out
-}
-
 // runtimeAction is one executing action (subtransaction).
 type runtimeAction struct {
 	id     string
@@ -55,25 +28,13 @@ type runtimeAction struct {
 	// depth is the nesting depth below the transaction root (root = 0).
 	depth int
 
+	// hasWrites records that undo records were logged in this action's
+	// subtree and not consumed there: a page write, an intent of a
+	// completed child, or the records of a child that kept its locks.
+	hasWrites atomic.Bool
+
 	mu        sync.Mutex
 	nchildren int
-	undo      []undoEntry
-	hasWrites bool
-}
-
-func (a *runtimeAction) appendUndo(entries ...undoEntry) {
-	a.mu.Lock()
-	a.undo = append(a.undo, entries...)
-	a.hasWrites = true
-	a.mu.Unlock()
-}
-
-func (a *runtimeAction) takeUndo() []undoEntry {
-	a.mu.Lock()
-	u := a.undo
-	a.undo = nil
-	a.mu.Unlock()
-	return u
 }
 
 func (a *runtimeAction) nextChildID() string {
@@ -102,47 +63,39 @@ type Txn struct {
 	// every operation fails with ErrClosed and no state was allocated.
 	refused bool
 
+	// comp names the running compensation, if any: the child of
+	// comp.under that executes intent comp.entry. While one runs,
+	// compensation registrations are suppressed (a compensation's own
+	// inverse must not be queued — it would undo the undo) and discards are
+	// logged instead; its completion folds the intent into its discard
+	// record, so "compensation durable" and "intent consumed" are one WAL
+	// append.
+	comp atomic.Pointer[pendingComp]
+
 	mu       sync.Mutex
 	finished bool
 	// compensated records that logical compensations executed during this
 	// transaction's rollback; such a transaction stays in the trace (its
 	// history is expanded with the inverse operations).
 	compensated bool
-	// aborting marks the rollback phase: compensation registrations are
-	// suppressed (a compensation's own inverse must not be queued — it
-	// would undo the undo) and entry discards are logged instead.
-	aborting bool
-	// pendingEntryLSN is the undo entry currently being compensated; the
-	// compensating action's completion folds it into its discard record so
-	// "compensation durable" and "entry consumed" are one WAL append.
-	pendingEntryLSN uint64
+	// savepoints are the LSNs of the savepoints still valid, oldest first.
+	savepoints []uint64
 }
 
-func (t *Txn) isAborting() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.aborting
+type pendingComp struct {
+	under *runtimeAction
+	entry atomic.Uint64
 }
 
-func (t *Txn) setAborting(v bool) {
-	t.mu.Lock()
-	t.aborting = v
-	t.mu.Unlock()
-}
-
-func (t *Txn) setPendingEntry(lsn uint64) {
-	t.mu.Lock()
-	t.pendingEntryLSN = lsn
-	t.mu.Unlock()
-}
-
-// takePendingEntry consumes the pending-entry LSN (at most once).
-func (t *Txn) takePendingEntry() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l := t.pendingEntryLSN
-	t.pendingEntryLSN = 0
-	return l
+// compensating reports whether a compensation is running and hands the
+// intent it executes to the compensation itself — the completing child of
+// comp.under — once.
+func (t *Txn) compensating(parent *runtimeAction) (running bool, entry uint64) {
+	c := t.comp.Load()
+	if c != nil && c.under == parent {
+		entry = c.entry.Swap(0)
+	}
+	return c != nil, entry
 }
 
 // Begin starts a transaction. On a closed (or closing) engine it returns a
@@ -447,10 +400,10 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 		before := frame.Data()
 		frame.SetData(data)
 		record()
-		lsn := db.wal.LogUpdate(a.id, pid, before, data)
+		db.wal.LogUpdate(a.id, pid, before, data)
 		frame.Unlatch()
 		db.snapMu.RUnlock()
-		a.parent.appendUndo(undoEntry{physical: true, page: pid, before: before, lsn: lsn})
+		a.parent.hasWrites.Store(true)
 		db.stats.pageWrites.Add(1)
 		return "", nil
 	default:
@@ -459,76 +412,62 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 }
 
 // completeAction performs the protocol's subtransaction-commit bookkeeping.
+// The action's undo records stay in the WAL, owned by its subtree; an
+// intent or a discard consumes them, or the parent inherits them.
 func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result string) {
 	if a.obj.Type == PageType {
-		// Page accesses are primitive; their undo entries were already
-		// pushed to the parent and their locks (2PL/closed: held by t.id or
-		// a.id; open: held by a.parent.id) follow the general rules below.
+		// Page accesses are primitive; their updates were logged under
+		// their own ids, in the parent's subtree, and their locks (2PL/
+		// closed: held by t.id or a.id; open: held by a.parent.id) follow
+		// the general rules below.
 		return
 	}
 	parent := a.parent
+	// A running compensation consumes, when it completes, its own records
+	// and the intent it executes — whatever its method's undo.
+	running, entry := t.compensating(parent)
 	switch db.protocol {
 	case ProtocolClosedNested:
 		// The parent inherits the child's locks (and, transitively, those
 		// of the child's completed descendants).
 		db.lm.TransferToParent(a.id, parent.id)
-		parent.appendUndoIfAny(a)
 	case ProtocolOpenNested:
-		comp := ot.Compensate[a.inv.Method]
-		if comp != nil {
-			covered := entryLSNs(a.takeUndo())
-			if m, cp, need := comp(a.inv.Params, result); need {
-				// The committed subtransaction is now undone logically; the
-				// locks it acquired underneath can be released early — the
-				// invocation lock on a.obj (owner parent.id) continues to
-				// protect it.
-				root := cc.RootOf(a.id)
-				if t.isAborting() {
-					// No inverse-of-inverse: just consume the children and
-					// (if this action IS the running compensation) the undo
-					// entry it executes, in one atomic WAL append.
-					if pl := t.takePendingEntry(); pl != 0 {
-						covered = append(covered, pl)
-					}
-					db.wal.LogDiscard(root, covered)
-				} else {
-					lsn := db.wal.LogIntent(root, compensationNote(a.obj, m, cp), covered)
-					parent.appendUndo(undoEntry{obj: a.obj, method: m, params: cp, lsn: lsn})
-				}
-				db.lm.ReleaseOwner(a.id)
-				return
+		if comp := ot.Compensate[a.inv.Method]; comp != nil {
+			// The locks the subtransaction acquired underneath can be
+			// released early: the invocation lock on a.obj (owner
+			// parent.id) continues to protect it.
+			if m, cp, need := comp(a.inv.Params, result); need && !running {
+				// The committed subtransaction is now undone logically: the
+				// intent supersedes the subtree's records.
+				db.wal.LogIntent(a.id, compensationNote(a.obj, m, cp))
+				parent.hasWrites.Store(true)
+			} else if entry != 0 || a.hasWrites.Load() {
+				// Nothing to undo (a read-only call), or a compensation in
+				// progress: no inverse-of-inverse, just consume what the
+				// subtree logged and the intent a compensation executed.
+				db.wal.LogDiscardUnder(a.id, entry)
 			}
-			// Compensation declared "nothing to undo": a read-only call.
-			db.wal.LogDiscard(cc.RootOf(a.id), covered)
 			db.lm.ReleaseOwner(a.id)
 			return
 		}
-		a.mu.Lock()
-		writes := a.hasWrites
-		a.mu.Unlock()
-		if !writes {
+		if !a.hasWrites.Load() {
 			// Read-only subtree: nothing to undo, release early.
 			db.lm.ReleaseOwner(a.id)
-			return
+			break
 		}
 		// No compensation available: behave closed — keep the locks (move
-		// them to the parent) and bubble the physical undo entries so a
-		// later ancestor with a compensation (or the top-level abort while
-		// locks are still held) can roll back soundly.
+		// them to the parent) and leave the physical records to a later
+		// ancestor with a compensation, or to the top-level abort while the
+		// locks are still held.
 		db.lm.TransferToParent(a.id, parent.id)
-		parent.appendUndoIfAny(a)
-	default:
-		// Flat 2PL variants: locks are owned by the root and released at
-		// commit; undo entries bubble.
-		parent.appendUndoIfAny(a)
 	}
-}
-
-// appendUndoIfAny moves the child's undo entries to the parent.
-func (p *runtimeAction) appendUndoIfAny(child *runtimeAction) {
-	entries := child.takeUndo()
-	if len(entries) > 0 {
-		p.appendUndo(entries...)
+	// Flat 2PL variants keep the locks on the root until commit. The parent
+	// inherits the subtree's records, unless a running compensation
+	// consumes them.
+	if entry != 0 {
+		db.wal.LogDiscardUnder(a.id, entry)
+	} else if a.hasWrites.Load() {
+		parent.hasWrites.Store(true)
 	}
 }
 
@@ -538,69 +477,142 @@ func (p *runtimeAction) appendUndoIfAny(child *runtimeAction) {
 // rollback that executed compensations stays (the history is expanded with
 // the inverse operations, as open-nesting theory prescribes).
 func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
-	compensated := db.rollback(t, a, a.takeUndo())
+	compensated := db.rollback(t, a, db.wal.LiveUndo(a.id, 0))
 	db.lm.ReleaseTree(a.id)
 	if db.tracing && !compensated {
 		db.rec.MarkAborted(a.id)
 	}
 }
 
-// rollback executes undo entries in reverse and reports whether any
-// logical compensation ran. Logical entries run as fresh subtransactions
-// of `under`; physical entries restore before-images directly (their page
-// locks are still held by construction).
+// rollback undoes under's subtree — recs are its live undo records from
+// the WAL, newest first — and reports whether any logical compensation
+// ran. Compensations run as fresh subtransactions of under; physical
+// records restore before-images directly (their page locks are still held
+// by construction).
 //
-// Before compensating, the transaction's deadlock-victim mark is cleared
-// and its priority raised: an aborting transaction must be able to acquire
-// the locks its inverse operations need, and must not be re-victimized
-// while undoing itself. Compensations that still fail transiently
-// (deadlock with another compensator, timeout) are retried; open-nesting
-// theory assumes compensations are total, so a persistent failure is
-// logged as unrecoverable.
-func (db *DB) rollback(t *Txn, under *runtimeAction, entries []undoEntry) bool {
-	wasAborting := t.isAborting()
-	t.setAborting(true)
-	defer t.setAborting(wasAborting)
-
+// Before compensating, the transaction's deadlock-victim mark is cleared:
+// an aborting transaction must be able to acquire the locks its inverse
+// operations need, and must not be re-victimized while undoing itself.
+// Compensations that still fail transiently (deadlock with another
+// compensator, timeout) are retried; open-nesting theory assumes
+// compensations are total, so a persistent failure is logged as
+// unrecoverable and the rollback goes on.
+func (db *DB) rollback(t *Txn, under *runtimeAction, recs []storage.Record) bool {
 	compensated := false
-	cleared := false
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		if e.physical {
-			db.undoPage(t, under, e)
-			continue
+	root := cc.RootOf(under.id)
+	// The compensator below never fails, so undo's error can only be an
+	// intent note this engine did not encode.
+	_, _, _ = db.undo(recs, under.id, func(obj txn.OID, method string, params []string, entry uint64) error {
+		if !compensated {
+			db.lm.ClearDoomed(root)
+			compensated = true
+			t.mu.Lock()
+			t.compensated = true
+			t.mu.Unlock()
 		}
-		if !cleared {
-			db.lm.ClearDoomed(cc.RootOf(under.id))
-			cleared = true
-		}
-		compensated = true
 		db.stats.compensations.Add(1)
-		t.mu.Lock()
-		t.compensated = true
-		t.mu.Unlock()
-		db.wal.LogCompensation(under.id, e.obj.Name+"."+commut.Invocation{Method: e.method, Params: e.params}.String())
 		var err error
 		for attempt := 0; attempt < 20; attempt++ {
-			// The compensating action's completion consumes this entry's
-			// intent record in its own discard (one atomic WAL append).
-			t.setPendingEntry(e.lsn)
-			if _, err = db.invoke(t, under, e.obj, e.method, e.params, false); err == nil {
-				break
+			if err = t.compensate(under, obj, method, params, entry); err == nil {
+				return nil
 			}
-			db.lm.ClearDoomed(cc.RootOf(under.id))
+			db.lm.ClearDoomed(root)
 			time.Sleep(time.Duration(attempt+1) * 200 * time.Microsecond)
 		}
-		if pl := t.takePendingEntry(); pl != 0 && err == nil {
-			// The compensation's top action had no Compensate entry of its
-			// own, so nothing consumed the intent — discard it now.
-			db.wal.LogDiscard(cc.RootOf(under.id), []uint64{pl})
+		db.wal.LogAbort(under.id + ":compensation-failed:" + err.Error())
+		return nil
+	})
+	return compensated
+}
+
+// undo is the one undo executor behind runtime rollback and restart
+// recovery. recs are live undo records, newest first. A physical record
+// gets its before-image back; a logical one (an intent) is decoded and run
+// by compensate, with the intent's LSN — at runtime as a subtransaction of
+// the aborting action (named by under), at restart (under == "") as a
+// committed transaction of its own. A runtime rollback goes on past a page
+// it cannot fetch; restart stops at the first failure.
+func (db *DB) undo(recs []storage.Record, under string, compensate func(obj txn.OID, method string, params []string, entry uint64) error) (physical, logical int, err error) {
+	for _, r := range recs {
+		if r.Kind == storage.RecUpdate {
+			owner := storage.RootOf(r.Owner) + ":recovery"
+			if under != "" {
+				owner = under + ":undo"
+			}
+			if err := db.restorePage(r, owner); err != nil {
+				if under == "" {
+					return physical, logical, fmt.Errorf("core: physical undo of %s lsn %d: %w", r.Owner, r.LSN, err)
+				}
+				db.wal.LogAbort(under + ":undo-fetch-failed")
+				continue
+			}
+			physical++
+			continue
+		}
+		obj, method, params, err := DecodeCompensationNote(r.Note)
+		if err == nil {
+			err = compensate(obj, method, params, r.LSN)
 		}
 		if err != nil {
-			db.wal.LogAbort(under.id + ":compensation-failed:" + err.Error())
+			return physical, logical, fmt.Errorf("core: logical undo of %s lsn %d: %w", r.Owner, r.LSN, err)
 		}
+		logical++
 	}
-	return compensated
+	return physical, logical, nil
+}
+
+// restorePage applies one physical undo record: the before-image goes
+// back as a redo-only CLR logged under owner, and a discard consumes the
+// record (a rerun recovery skips it). Both are appended inside the frame
+// latch and the snapshot barrier, so no crash image holds the restored
+// page without them.
+func (db *DB) restorePage(r storage.Record, owner string) error {
+	frame, err := db.pool.FetchPage(r.Page)
+	if err != nil {
+		return err
+	}
+	db.snapMu.RLock()
+	frame.Latch()
+	after := frame.Data()
+	frame.SetData(r.Before)
+	db.wal.LogCLRUpdate(owner, r.Page, after, r.Before)
+	db.wal.LogDiscard(storage.RootOf(r.Owner), []uint64{r.LSN})
+	frame.Unlatch()
+	db.snapMu.RUnlock()
+	db.pool.Unpin(frame)
+	return nil
+}
+
+// compensate runs one compensating invocation as a subtransaction of
+// under, in rollback mode: no inverse-of-the-inverse is queued, and the
+// compensating action's completion consumes the intent entry in its own
+// discard. The previous mode is restored afterwards, so a rollback nested
+// inside a compensation hands the outer intent back.
+func (t *Txn) compensate(under *runtimeAction, obj txn.OID, method string, params []string, entry uint64) error {
+	c := &pendingComp{under: under}
+	c.entry.Store(entry)
+	saved := t.comp.Swap(c)
+	t.db.wal.LogCompensation(under.id, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
+	_, err := t.db.invoke(t, under, obj, method, params, false)
+	t.comp.Store(saved)
+	return err
+}
+
+// UndoLosers is restart recovery's undo: recs are the losers' live undo
+// records, merged newest first. Each compensation runs as its own committed
+// transaction (a nested top action): interleaved losers' compensations may
+// conflict, so sharing transactions would deadlock the single-threaded
+// sweep. A compensation's completion consumes the loser's intent, so a
+// recovery that crashes after it and reruns does not compensate twice.
+func (db *DB) UndoLosers(recs []storage.Record) (physical, logical int, err error) {
+	return db.undo(recs, "", func(obj txn.OID, method string, params []string, entry uint64) error {
+		tx := db.Begin()
+		if err := tx.compensate(tx.root, obj, method, params, entry); err != nil {
+			_ = tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	})
 }
 
 // compensationNote encodes a pending inverse operation for the WAL so
@@ -620,49 +632,29 @@ func DecodeCompensationNote(note string) (obj txn.OID, method string, params []s
 
 const unitSep = "\x1f"
 
-// undoPage restores a page before-image; the restoring write is a CLR
-// (redo-only) and it consumes the original update's undo entry. The CLR
-// and the discard are appended inside the frame latch and the snapshot
-// barrier so no crash image can hold the restored page without the CLR.
-func (db *DB) undoPage(t *Txn, under *runtimeAction, e undoEntry) {
-	frame, err := db.pool.FetchPage(e.page)
-	if err != nil {
-		db.wal.LogAbort(under.id + ":undo-fetch-failed")
-		return
-	}
-	db.snapMu.RLock()
-	frame.Latch()
-	after := frame.Data()
-	frame.SetData(e.before)
-	db.wal.LogCLRUpdate(under.id+":undo", e.page, after, e.before)
-	if e.lsn != 0 {
-		db.wal.LogDiscard(cc.RootOf(under.id), []uint64{e.lsn})
-	}
-	frame.Unlatch()
-	db.snapMu.RUnlock()
-	db.pool.Unpin(frame)
-}
-
 // Savepoint marks a point in the transaction that RollbackTo can return
-// to. Savepoints cover work performed through Exec on the transaction's
-// main line; they do not span still-running parallel branches.
+// to: the log position when it was taken. Savepoints cover work performed
+// through Exec on the transaction's main line; they do not span
+// still-running parallel branches.
 type Savepoint struct {
-	txn  *Txn
-	mark int
+	txn *Txn
+	lsn uint64
 }
 
 // Savepoint records the current rollback position.
 func (t *Txn) Savepoint() Savepoint {
-	t.root.mu.Lock()
-	defer t.root.mu.Unlock()
-	return Savepoint{txn: t, mark: len(t.root.undo)}
+	lsn := t.db.wal.LastLSN()
+	t.mu.Lock()
+	t.savepoints = append(t.savepoints, lsn)
+	t.mu.Unlock()
+	return Savepoint{txn: t, lsn: lsn}
 }
 
-// RollbackTo undoes everything after the savepoint — physical restores and
-// logical compensations in reverse order — and truncates the undo log to
-// the mark. Locks acquired since the savepoint are retained (the standard
-// savepoint semantics: isolation never shrinks mid-transaction). Later
-// savepoints become invalid.
+// RollbackTo undoes everything after the savepoint — the transaction's
+// live undo records above its LSN, physical restores and logical
+// compensations newest first. Locks acquired since the savepoint are
+// retained (the standard savepoint semantics: isolation never shrinks
+// mid-transaction). Later savepoints become invalid.
 func (t *Txn) RollbackTo(sp Savepoint) error {
 	if t.refused {
 		return ErrClosed
@@ -675,18 +667,15 @@ func (t *Txn) RollbackTo(sp Savepoint) error {
 		t.mu.Unlock()
 		return ErrTxnFinished
 	}
-	t.mu.Unlock()
-
-	t.root.mu.Lock()
-	if sp.mark > len(t.root.undo) {
-		t.root.mu.Unlock()
+	i := slices.Index(t.savepoints, sp.lsn)
+	if i < 0 {
+		t.mu.Unlock()
 		return fmt.Errorf("core: savepoint invalidated by an earlier rollback")
 	}
-	tail := append([]undoEntry{}, t.root.undo[sp.mark:]...)
-	t.root.undo = t.root.undo[:sp.mark]
-	t.root.mu.Unlock()
+	t.savepoints = t.savepoints[:i+1]
+	t.mu.Unlock()
 
-	t.db.rollback(t, t.root, tail)
+	t.db.rollback(t, t.root, t.db.wal.LiveUndo(t.id, sp.lsn))
 	return nil
 }
 
@@ -713,12 +702,9 @@ func (t *Txn) Commit() error {
 	t.finished = true
 	t.mu.Unlock()
 
-	t.root.mu.Lock()
-	hasWrites := t.root.hasWrites
-	t.root.mu.Unlock()
 	if cause := t.db.Degraded(); cause != nil {
-		if hasWrites {
-			return t.failCommit(fmt.Errorf("core: commit %s rejected, engine degraded: %w", t.id, cause))
+		if t.root.hasWrites.Load() {
+			return t.failCommit(fmt.Errorf("core: commit %s rejected, engine degraded: %w", t.id, cause), t.db.wal.LiveUndo(t.id, 0))
 		}
 		// Read-only: commit without touching the poisoned durability path.
 		t.db.wal.LogCommit(t.id)
@@ -727,7 +713,7 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 
-	lsn := t.db.wal.LogCommit(t.id)
+	lsn, live := t.db.wal.Commit(t.id)
 	// The group-commit span covers only the durability wait — with a
 	// mem-only WAL WaitDurable is instant and there is no batch to report.
 	var ws *span.ActiveSpan
@@ -749,7 +735,7 @@ func (t *Txn) Commit() error {
 			// commit they will wait on forever-in-vain.
 			t.db.enterDegraded(err)
 		}
-		return t.failCommit(fmt.Errorf("core: commit %s not durable: %w", t.id, err))
+		return t.failCommit(fmt.Errorf("core: commit %s not durable: %w", t.id, err), t.db.wal.UndoRecords(live))
 	}
 	t.db.lm.ReleaseTree(t.id)
 	t.finishCommitted()
@@ -781,73 +767,17 @@ func (t *Txn) noteSlow(elapsed time.Duration, outcome string) {
 		Dur: elapsed, N: t.maxDepth.Load(), Note: outcome})
 }
 
-// failCommit turns a rejected commit into a proper abort: the
-// transaction's effects are rolled back (compensations and before-image
-// restores, which need the still-held page locks), an abort record is
-// logged, locks are released, and the abort is surfaced through spans,
-// stats, and the flight recorder. Returns cause.
-//
-// The transaction is already marked finished; rollback compensations
-// re-enter invoke, which refuses finished transactions, so the mark is
-// lifted for the duration of the rollback.
-func (t *Txn) failCommit(cause error) error {
-	entries := t.root.takeUndo()
-	if len(entries) > 0 {
-		t.mu.Lock()
-		t.finished = false
-		t.mu.Unlock()
-		t.db.rollback(t, t.root, entries)
-		t.mu.Lock()
-		t.finished = true
-		t.mu.Unlock()
-	}
-	t.db.wal.LogAbort(t.id)
-	t.db.lm.ReleaseTree(t.id)
-	if t.tt != nil {
-		// Span provenance: the trace shows WHY this transaction aborted — a
-		// commit-stage rejection, not a conflict.
-		cs := t.tt.BeginSpan(t.id+"/commit", t.id, span.KWAL, "commit rejected")
-		cs.End(cause)
-	}
-	t.db.spans.FinishTxn(t.tt, span.StatusAborted)
-	t.db.stats.txnsAborted.Add(1)
-	elapsed := time.Since(t.began)
-	t.db.obsRec.Record(obs.Event{Kind: obs.EvTxnAbort, Actor: t.id,
-		Dur: elapsed, N: t.maxDepth.Load(), Note: cause.Error()})
-	t.noteSlow(elapsed, "commit-rejected")
-	return cause
-}
-
-// CompensateEntry executes one logical undo entry during restart recovery
-// (internal/recovery). The compensating invocation runs in rollback mode:
-// no inverse-of-the-inverse is queued, and the given WAL entry — the
-// loser's surviving RecIntent — is folded into the compensation's own
-// completion discard, so "compensation durable" and "intent consumed" are
-// ONE log append. A recovery that crashes after the compensating
-// subtransaction completed and reruns therefore skips the intent instead
-// of compensating twice.
-func (t *Txn) CompensateEntry(obj txn.OID, method string, params []string, entryLSN uint64) error {
-	if t.refused {
-		return ErrClosed
-	}
+// failCommit turns a rejected commit into a proper abort of the
+// transaction's effects — undo, its live undo records, newest first — and
+// returns cause. The transaction is already marked finished; rollback
+// compensations re-enter invoke, which refuses finished transactions, so
+// the mark is lifted until the rollback is done.
+func (t *Txn) failCommit(cause error, undo []storage.Record) error {
 	t.mu.Lock()
-	if t.finished {
-		t.mu.Unlock()
-		return ErrTxnFinished
-	}
+	t.finished = false
 	t.mu.Unlock()
-	wasAborting := t.isAborting()
-	t.setAborting(true)
-	defer t.setAborting(wasAborting)
-	t.db.wal.LogCompensation(t.root.id, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
-	t.setPendingEntry(entryLSN)
-	_, err := t.db.invoke(t, t.root, obj, method, params, false)
-	if pl := t.takePendingEntry(); pl != 0 && err == nil {
-		// The compensating method's top action had no Compensate entry of
-		// its own, so nothing consumed the intent — discard it now.
-		t.db.wal.LogDiscard(cc.RootOf(t.root.id), []uint64{pl})
-	}
-	return err
+	t.abort(undo, cause)
+	return cause
 }
 
 // Abort rolls the transaction back: compensations and before-images run in
@@ -864,10 +794,17 @@ func (t *Txn) Abort() error {
 		return ErrTxnFinished
 	}
 	t.mu.Unlock()
+	t.abort(t.db.wal.LiveUndo(t.id, 0), nil)
+	return nil
+}
 
-	entries := t.root.takeUndo()
-	t.db.rollback(t, t.root, entries)
-
+// abort rolls undo back (the transaction's live undo records, newest
+// first; the still-held page locks cover the before-image restores), logs
+// the abort, releases the locks, and surfaces the outcome through spans,
+// stats and the flight recorder. cause is the rejection of a failed
+// commit, nil for Abort.
+func (t *Txn) abort(undo []storage.Record, cause error) {
+	t.db.rollback(t, t.root, undo)
 	t.mu.Lock()
 	t.finished = true
 	compensated := t.compensated
@@ -875,14 +812,20 @@ func (t *Txn) Abort() error {
 
 	t.db.wal.LogAbort(t.id)
 	t.db.lm.ReleaseTree(t.id)
+	outcome, note := "aborted", ""
+	if cause != nil {
+		// Span provenance: the trace shows WHY this transaction aborted — a
+		// commit-stage rejection, not a conflict.
+		t.tt.BeginSpan(t.id+"/commit", t.id, span.KWAL, "commit rejected").End(cause)
+		outcome, note = "commit-rejected", cause.Error()
+	}
 	t.db.spans.FinishTxn(t.tt, span.StatusAborted)
 	t.db.stats.txnsAborted.Add(1)
 	elapsed := time.Since(t.began)
 	t.db.obsRec.Record(obs.Event{Kind: obs.EvTxnAbort, Actor: t.id,
-		Dur: elapsed, N: t.maxDepth.Load()})
-	t.noteSlow(elapsed, "aborted")
-	if t.db.tracing && !compensated {
+		Dur: elapsed, N: t.maxDepth.Load(), Note: note})
+	t.noteSlow(elapsed, outcome)
+	if t.db.tracing && !compensated && cause == nil {
 		t.db.rec.MarkAborted(t.id)
 	}
-	return nil
 }

@@ -5,8 +5,20 @@ import (
 	"time"
 )
 
+// savepointProtocols runs a savepoint test under every locking protocol:
+// open nesting undoes by compensation, the others by before-images.
+func savepointProtocols(t *testing.T, test func(t *testing.T, p ProtocolKind)) {
+	for _, p := range []ProtocolKind{ProtocolOpenNested, Protocol2PLPage, Protocol2PLObject, ProtocolClosedNested} {
+		t.Run(p.String(), func(t *testing.T) { test(t, p) })
+	}
+}
+
 func TestSavepointRollbackTo(t *testing.T) {
-	db := Open(Options{Protocol: ProtocolOpenNested})
+	savepointProtocols(t, testSavepointRollbackTo)
+}
+
+func testSavepointRollbackTo(t *testing.T, p ProtocolKind) {
+	db := Open(Options{Protocol: p})
 	dict := registerDict(t, db, "a", "b", "c")
 
 	tx := db.Begin()
@@ -59,7 +71,11 @@ func TestSavepointRollbackTo(t *testing.T) {
 }
 
 func TestSavepointNesting(t *testing.T) {
-	db := Open(Options{Protocol: ProtocolOpenNested})
+	savepointProtocols(t, testSavepointNesting)
+}
+
+func testSavepointNesting(t *testing.T, p ProtocolKind) {
+	db := Open(Options{Protocol: p})
 	dict := registerDict(t, db, "a", "b")
 
 	tx := db.Begin()

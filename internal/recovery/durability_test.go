@@ -260,7 +260,7 @@ func TestCrashImageAtomicity(t *testing.T) {
 // losers, (a) two recoveries from clones of the same crash image agree on
 // the report and the byte-level page state, and (b) crashing immediately
 // after a recovery and recovering again changes nothing — the
-// crash-during-recovery contract behind CompensateEntry's
+// crash-during-recovery contract behind the compensations'
 // consume-the-intent discards.
 func TestRecoveryIdempotenceRandomized(t *testing.T) {
 	keys := []string{"a", "b", "c"}

@@ -3,20 +3,21 @@
 // transaction contract — in the ARIES style, adapted to open nested
 // transactions:
 //
-//  1. Analysis scans the log for transaction outcomes: roots with a commit
-//     record are winners, roots with a completed abort are already undone,
-//     everything else in flight at the crash is a loser.
+//  1. Analysis takes the in-flight roots the rebuilt WAL derived while
+//     reading the log (plus a checkpoint's in-flight set): roots with a
+//     commit record are winners, roots with a completed abort are already
+//     undone, everything else in flight at the crash is a loser.
 //  2. Redo repeats history: every page update (including rollback CLRs) is
 //     reapplied in log order, reconstructing the exact pre-crash page
 //     state regardless of which buffered frames had been flushed.
-//  3. Undo rolls the losers back, newest first. Each loser's surviving
-//     undo entries — physical before-images (RecUpdate, non-CLR) and
-//     logical compensation intents (RecIntent), minus everything a
-//     RecDiscard or an intent's supersede-list invalidated — are executed
-//     in reverse LSN order: physical entries restore before-images (logged
-//     as CLRs), logical entries re-run the compensating operation through
-//     a fresh engine, which requires the application's object types to be
-//     registered again (code cannot be logged).
+//  3. Undo rolls the losers back through the executor runtime abort uses
+//     (core.DB.UndoLosers): the losers' live undo records — physical
+//     before-images and logical compensation intents that no discard or
+//     later intent consumed, tracked per root by the WAL itself — merged
+//     newest first. Physical records restore before-images (logged as
+//     CLRs); logical ones re-run the compensating operation, each as a
+//     committed transaction of its own, which requires the application's
+//     object types to be registered again (code cannot be logged).
 //
 // Granularity caveat (documented in DESIGN.md §4b): a crash inside a
 // single compensating operation recovers to that compensation's boundary —
@@ -28,12 +29,12 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -170,35 +171,38 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	}
 
 	// --- Analysis ---------------------------------------------------------
+	// Rebuilding the engine's WAL derived the in-flight roots; a root the
+	// log shows finished (EndsTxn) is no loser, whatever the checkpoint's
+	// in-flight set says. The same scan collects the winners and the
+	// highest transaction id.
 	analysisStart := time.Now()
-	committed := map[string]bool{}
-	aborted := map[string]bool{}
-	active := map[string]bool{}
-	for _, r := range records {
-		root := rootOf(r.Owner)
-		switch r.Kind {
-		case storage.RecCommit:
-			committed[root] = true
-			delete(active, root)
-		case storage.RecAbort:
-			if !strings.Contains(r.Owner, ":") { // skip diagnostic abort notes
-				aborted[root] = true
-				delete(active, root)
-			}
-		case storage.RecUpdate, storage.RecIntent:
-			if !committed[root] && !aborted[root] {
-				active[root] = true
-			}
+	ended := map[string]bool{}
+	maxID := int64(0)
+	for i := range records {
+		r := &records[i]
+		root := storage.RootOf(r.Owner)
+		if n, perr := strconv.ParseInt(strings.TrimPrefix(root, "T"), 10, 64); perr == nil && n > maxID {
+			maxID = n
+		}
+		if r.EndsTxn() {
+			ended[root] = true
+		}
+		if r.Kind == storage.RecCommit {
+			rep.Winners = append(rep.Winners, root)
 		}
 	}
+	inflight, _ := engineWAL.ActiveInfo()
 	if ckpt != nil {
-		for _, root := range ckpt.Active {
-			if !committed[root] && !aborted[root] {
-				active[root] = true
-			}
+		inflight = append(inflight, ckpt.Active...)
+	}
+	var losers []string
+	for _, root := range inflight {
+		if !ended[root] {
+			losers = append(losers, root)
 		}
 	}
-
+	sort.Strings(losers)
+	rep.Losers = slices.Compact(losers)
 	rep.AnalysisTime = time.Since(analysisStart)
 
 	// --- Redo: repeat history --------------------------------------------
@@ -224,13 +228,6 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	// runs afterwards — can never collide with a logged id. (Analysis keys
 	// winners and losers by root id; a collision would let a committed
 	// T<n> from an earlier epoch mask the crashed epoch's in-flight T<n>.)
-	maxID := int64(0)
-	for _, r := range records {
-		root := rootOf(r.Owner)
-		if n, perr := strconv.ParseInt(strings.TrimPrefix(root, "T"), 10, 64); perr == nil && n > maxID {
-			maxID = n
-		}
-	}
 	// Truncated records can no longer vouch for the ids they carried; the
 	// checkpoint recorded the sequence high-water mark at its barrier.
 	if ckpt != nil && int64(ckpt.MaxTxn) > maxID {
@@ -244,51 +241,7 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	}
 
 	// --- Undo the losers ----------------------------------------------------
-	undoStart := time.Now()
-	discarded := map[uint64]bool{}
-	for _, r := range records {
-		switch r.Kind {
-		case storage.RecDiscard:
-			for _, l := range r.Refs {
-				discarded[l] = true
-			}
-		case storage.RecIntent:
-			for _, l := range r.Refs {
-				discarded[l] = true
-			}
-		}
-	}
-
-	type pending struct {
-		lsn     uint64
-		root    string
-		rec     storage.Record
-		logical bool
-	}
-	var entries []pending
-	for _, r := range records {
-		root := rootOf(r.Owner)
-		if !active[root] || discarded[r.LSN] {
-			continue
-		}
-		switch r.Kind {
-		case storage.RecUpdate:
-			if !r.CLR {
-				entries = append(entries, pending{lsn: r.LSN, root: root, rec: r})
-			}
-		case storage.RecIntent:
-			entries = append(entries, pending{lsn: r.LSN, root: root, rec: r, logical: true})
-		}
-	}
-
-	losers := make([]string, 0, len(active))
-	for root := range active {
-		losers = append(losers, root)
-	}
-	sort.Strings(losers)
-	rep.Losers = losers
-
-	// One GLOBAL backward sweep over every loser's surviving entries, in
+	// One GLOBAL backward sweep over every loser's live undo records, in
 	// strict reverse LSN order — NOT loser by loser. Per-loser undo is
 	// unsound when losers interleave on an object: loser L's incomplete
 	// page write is always newer than any other loser M's intent touching
@@ -298,41 +251,18 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	// M's forward effect silently survives the rollback. The same sweep
 	// also orders non-commuting compensations of different losers newest
 	// first, as logical undo requires.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].lsn > entries[j].lsn })
-	for _, e := range entries {
-		if !e.logical {
-			// The restore's CLR consumes the update entry via a discard,
-			// so a recovery that crashes and reruns skips it.
-			if err := db.RestorePage(e.rec.Page, e.rec.Before, e.root, e.lsn); err != nil {
-				return nil, rep, fmt.Errorf("recovery: physical undo of %s lsn %d: %w", e.root, e.lsn, err)
-			}
-			rep.PhysicalUndos++
-			continue
-		}
-		obj, method, params, err := core.DecodeCompensationNote(e.rec.Note)
-		if err != nil {
-			return nil, rep, fmt.Errorf("recovery: %s lsn %d: %w", e.root, e.lsn, err)
-		}
-		// Each compensation is its own committed transaction (a nested top
-		// action): interleaved losers' compensations may conflict, so they
-		// cannot share transactions without deadlocking the single-threaded
-		// sweep. CompensateEntry (not Exec) runs it in rollback mode and
-		// consumes the intent in the compensation's own completion discard —
-		// the crash-during-recovery idempotence contract. A plain Exec would
-		// leave the intent live, and a recovery that crashed after the
-		// compensation committed would replay it a second time.
-		tx := db.Begin()
-		if err := tx.CompensateEntry(obj, method, params, e.lsn); err != nil {
-			_ = tx.Abort()
-			return nil, rep, fmt.Errorf("recovery: compensation %s.%s for %s: %w", obj.Name, method, e.root, err)
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, rep, err
-		}
-		rep.LogicalUndos++
+	undoStart := time.Now()
+	var undo []storage.Record
+	for _, root := range rep.Losers {
+		undo = append(undo, engineWAL.LiveUndo(root, 0)...)
 	}
-	for i := len(losers) - 1; i >= 0; i-- {
-		db.WAL().LogAbort(losers[i]) // the losers' aborts are now complete
+	sort.Slice(undo, func(i, j int) bool { return undo[i].LSN > undo[j].LSN })
+	var err error
+	if rep.PhysicalUndos, rep.LogicalUndos, err = db.UndoLosers(undo); err != nil {
+		return nil, rep, fmt.Errorf("recovery: %w", err)
+	}
+	for i := len(rep.Losers) - 1; i >= 0; i-- {
+		db.WAL().LogAbort(rep.Losers[i]) // the losers' aborts are now complete
 	}
 	rep.UndoTime = time.Since(undoStart)
 
@@ -350,7 +280,7 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 			Dur: rep.RedoTime, N: int64(rep.Redone)})
 		rec.Record(obs.Event{Kind: obs.EvRecovery, Object: "undo",
 			Dur: rep.UndoTime, N: int64(rep.PhysicalUndos + rep.LogicalUndos),
-			Note: fmt.Sprintf("%d losers", len(losers))})
+			Note: fmt.Sprintf("%d losers", len(rep.Losers))})
 	}
 	// The same three phases as engine-track spans, so a Chrome export of a
 	// post-recovery run opens with the recovery timeline.
@@ -365,12 +295,10 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 		Name: "recovery: undo", Start: undoStart,
 		End:  undoStart.Add(rep.UndoTime),
 		N:    int64(rep.PhysicalUndos + rep.LogicalUndos),
-		Note: fmt.Sprintf("%d losers", len(losers))})
+		Note: fmt.Sprintf("%d losers", len(rep.Losers))})
 
-	for root := range committed {
-		rep.Winners = append(rep.Winners, root)
-	}
 	sort.Strings(rep.Winners)
+	rep.Winners = slices.Compact(rep.Winners)
 	// Make the recovery pass itself durable (abort markers, CLRs, discards)
 	// before declaring the engine open; a no-op without a durable sink.
 	if err := db.WAL().WaitDurable(db.WAL().LastLSN()); err != nil {
@@ -406,12 +334,4 @@ func writeThrough(disk *storage.MemStore, pid storage.PageID, data string) error
 		}
 	}
 	return fmt.Errorf("%w: page %d not reached after %d allocations", ErrRedoPageGap, pid, allocBound)
-}
-
-func rootOf(owner string) string {
-	// Strip diagnostic suffixes like "T3.1:undo" before taking the root.
-	if i := strings.IndexByte(owner, ':'); i >= 0 {
-		owner = owner[:i]
-	}
-	return cc.RootOf(owner)
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enc"
 	"repro/internal/list"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -431,5 +432,64 @@ func TestPropertyCrashRecoveryMatchesCommitted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverParentFormatLog recovers a hand-built log in the format
+// engines wrote before intents named their action: every intent is owned
+// by its transaction root and carries its superseded children in Refs, and
+// an earlier, interrupted recovery left a compensation transaction (T10)
+// whose discard consumed a loser's intent across roots.
+func TestRecoverParentFormatLog(t *testing.T) {
+	const sep = "\x1f"
+	note := func(key, val string) string { return strings.Join([]string{"kv", "KV", "put", key, val}, sep) }
+	records := []storage.Record{
+		// T1 committed put(a, a0).
+		{LSN: 1, Kind: storage.RecUpdate, Owner: "T1.1.2", Page: 1, Before: "", After: "a0"},
+		{LSN: 2, Kind: storage.RecIntent, Owner: "T1", Note: note("a", ""), Refs: []uint64{1}},
+		{LSN: 3, Kind: storage.RecCommit, Owner: "T1"},
+		// T2, a loser: put(a, a1) and put(b, b1) completed, put(b, b2) was
+		// cut short after its page write.
+		{LSN: 4, Kind: storage.RecUpdate, Owner: "T2.1.2", Page: 1, Before: "a0", After: "a1"},
+		{LSN: 5, Kind: storage.RecIntent, Owner: "T2", Note: note("a", "a0"), Refs: []uint64{4}},
+		{LSN: 6, Kind: storage.RecUpdate, Owner: "T2.2.2", Page: 2, Before: "", After: "b1"},
+		{LSN: 7, Kind: storage.RecIntent, Owner: "T2", Note: note("b", ""), Refs: []uint64{6}},
+		// T3, a loser whose undo an earlier recovery already ran: T10's
+		// compensation consumed T3's intent in its own discard.
+		{LSN: 8, Kind: storage.RecUpdate, Owner: "T3.1.2", Page: 3, Before: "", After: "c1"},
+		{LSN: 9, Kind: storage.RecIntent, Owner: "T3", Note: note("c", ""), Refs: []uint64{8}},
+		{LSN: 10, Kind: storage.RecCompensation, Owner: "T10", Note: "KV.put(c,)"},
+		{LSN: 11, Kind: storage.RecUpdate, Owner: "T10.1.2", Page: 3, Before: "c1", After: ""},
+		{LSN: 12, Kind: storage.RecDiscard, Owner: "T10", Refs: []uint64{11, 9}},
+		{LSN: 13, Kind: storage.RecCommit, Owner: "T10"},
+		{LSN: 14, Kind: storage.RecUpdate, Owner: "T2.3.2", Page: 2, Before: "b1", After: "b2"},
+		// T4 aborted before the crash: neither a winner nor a loser.
+		{LSN: 15, Kind: storage.RecUpdate, Owner: "T4.1.2", Page: 3, Before: "", After: "x"},
+		{LSN: 16, Kind: storage.RecUpdate, Owner: "T4:undo", Page: 3, Before: "x", After: "", CLR: true},
+		{LSN: 17, Kind: storage.RecDiscard, Owner: "T4", Refs: []uint64{15}},
+		{LSN: 18, Kind: storage.RecAbort, Owner: "T4"},
+	}
+	disk := storage.NewMemStore(0)
+	rp := &regPages{pages: map[string]txn.OID{}}
+	for _, k := range []string{"a", "b", "c"} {
+		rp.pages[k] = core.PageOID(disk.Allocate())
+	}
+	reg := func(d *core.DB) error { return registerKV(d, rp) }
+	db, rep, err := Recover(disk, storage.NewWALFromRecords(records), core.Options{}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rep.Winners) != "[T1 T10]" || fmt.Sprint(rep.Losers) != "[T2 T3]" ||
+		rep.PhysicalUndos != 1 || rep.LogicalUndos != 2 {
+		t.Fatalf("report = %+v", rep)
+	}
+	for k, want := range map[string]string{"a": "a0", "b": "", "c": ""} {
+		if got := get(t, db, k); got != want {
+			t.Fatalf("%s = %q, want %q", k, got, want)
+		}
+	}
+	disk2, wal2 := db.CrashImage()
+	if _, rep2, err := Recover(disk2, wal2, core.Options{}, reg); err != nil || len(rep2.Losers) != 0 {
+		t.Fatalf("second recovery: %+v, %v", rep2, err)
 	}
 }

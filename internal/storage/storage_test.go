@@ -360,7 +360,7 @@ func BenchmarkPoolFetchEvict(b *testing.B) {
 func TestWALIntentDiscardAndClone(t *testing.T) {
 	w := NewWAL()
 	u1 := w.LogUpdate("T1.1", 3, "a", "b")
-	i1 := w.LogIntent("T1", "undo-op", []uint64{u1})
+	i1 := w.LogIntent("T1", "undo-op") // supersedes T1.1's update
 	if i1 != u1+1 {
 		t.Fatalf("lsns not monotone: %d %d", u1, i1)
 	}

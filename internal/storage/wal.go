@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -100,32 +102,38 @@ type batchInfoSink interface {
 
 // WAL is the write-ahead log. Records always live in memory (recovery,
 // undo, and the offline checker scan them); an attached DurableSink
-// additionally carries every record to stable storage. Before-images
-// recorded here are the basis for physical undo of uncommitted page
-// writes; compensation records document the logical undo of open nested
-// subtransactions.
+// additionally carries every record to stable storage. The log is also the
+// undo list: runtime abort and restart recovery both roll back from the
+// live undo records it tracks per in-flight transaction (LiveUndo).
 type WAL struct {
 	mu      sync.Mutex
 	records []Record
 	nextLSN uint64
 	sink    DurableSink
-	// activeFirst maps each in-flight transaction root to the LSN of its
-	// first undo-relevant record (RecUpdate or RecIntent); the entry is
-	// dropped when the root's commit or completed-abort record lands. A
-	// fuzzy checkpoint reads this to know how far back the log must be kept
-	// for loser undo (ActiveInfo) — mirroring recovery's analysis rules.
-	activeFirst map[string]uint64
+	// active maps each in-flight transaction root (undo-relevant records,
+	// no EndsTxn record yet) to its undo chain.
+	active map[string]*undoChain
+}
+
+// undoChain tracks one in-flight root: the LSN of its first RecUpdate or
+// RecIntent (ActiveInfo), and its live undo records, oldest first — the
+// non-CLR updates and intents no later RecDiscard or intent Refs named.
+type undoChain struct {
+	first uint64
+	live  []uint64
 }
 
 // NewWAL returns an empty log.
 func NewWAL() *WAL {
-	return &WAL{nextLSN: 1, activeFirst: make(map[string]uint64)}
+	return &WAL{nextLSN: 1, active: make(map[string]*undoChain)}
 }
 
-// NewWALFromRecords reconstructs a log from persisted records (recovery).
+// NewWALFromRecords reconstructs a log from persisted records (recovery),
+// undo chains included.
 func NewWALFromRecords(recs []Record) *WAL {
-	w := &WAL{nextLSN: 1, records: append([]Record{}, recs...), activeFirst: make(map[string]uint64)}
-	for _, r := range recs {
+	w := &WAL{nextLSN: 1, records: append([]Record{}, recs...), active: make(map[string]*undoChain)}
+	for i := range w.records {
+		r := &w.records[i]
 		if r.LSN >= w.nextLSN {
 			w.nextLSN = r.LSN + 1
 		}
@@ -134,11 +142,10 @@ func NewWALFromRecords(recs []Record) *WAL {
 	return w
 }
 
-// walRootOf mirrors the root extraction recovery applies to record owners:
-// diagnostic suffixes ("T3.1:undo") are stripped at the first ':', then the
-// root is the prefix before the first '.' (cc.RootOf; duplicated here so
-// storage does not depend on the lock manager).
-func walRootOf(owner string) string {
+// RootOf returns an owner's transaction root: diagnostic suffixes
+// ("T3.1:undo") are stripped at the first ':', then the root is the prefix
+// before the first '.' (cc.RootOf, without the lock-manager dependency).
+func RootOf(owner string) string {
 	if i := strings.IndexByte(owner, ':'); i >= 0 {
 		owner = owner[:i]
 	}
@@ -148,22 +155,112 @@ func walRootOf(owner string) string {
 	return owner
 }
 
-// trackActive maintains the in-flight-root index. Called with w.mu held (or
-// during single-threaded construction).
-func (w *WAL) trackActive(r Record) {
-	root := walRootOf(r.Owner)
-	switch r.Kind {
-	case RecUpdate, RecIntent:
-		if _, ok := w.activeFirst[root]; !ok {
-			w.activeFirst[root] = r.LSN
+// EndsTxn reports whether r finishes its root's transaction: a commit, or
+// an abort that is not a diagnostic note ("T3:compensation-failed:...").
+func (r *Record) EndsTxn() bool {
+	return r.Kind == RecCommit || r.Kind == RecAbort && !strings.Contains(r.Owner, ":")
+}
+
+// inSubtree reports whether owner is action or one of its descendants.
+func inSubtree(owner, action string) bool {
+	return strings.HasPrefix(owner, action) && (len(owner) == len(action) || owner[len(action)] == '.')
+}
+
+// trackActive maintains the undo chains. Called with w.mu held (or during
+// single-threaded construction).
+func (w *WAL) trackActive(r *Record) {
+	root := RootOf(r.Owner)
+	switch {
+	case r.EndsTxn():
+		delete(w.active, root)
+	case r.Kind == RecUpdate || r.Kind == RecIntent:
+		c := w.active[root]
+		if c == nil {
+			c = &undoChain{first: r.LSN, live: make([]uint64, 0, 4)}
+			w.active[root] = c
 		}
-	case RecCommit:
-		delete(w.activeFirst, root)
-	case RecAbort:
-		if !strings.Contains(r.Owner, ":") { // diagnostic abort notes are not outcomes
-			delete(w.activeFirst, root)
+		w.consume(c, r.Refs)
+		if !r.CLR {
+			c.live = append(c.live, r.LSN)
+		}
+	case r.Kind == RecDiscard:
+		w.consume(w.active[root], r.Refs)
+	}
+}
+
+// consume drops refs from the live records, looking in c — the chain of
+// the consuming record's root — first: only restart undo names another
+// root's record (a recovery transaction's compensation consumes the
+// loser's intent).
+func (w *WAL) consume(c *undoChain, refs []uint64) {
+	for _, ref := range refs {
+		if c == nil || !c.drop(ref) {
+			for _, o := range w.active {
+				if o.drop(ref) {
+					break
+				}
+			}
 		}
 	}
+}
+
+func (c *undoChain) drop(lsn uint64) bool {
+	i := slices.Index(c.live, lsn)
+	if i >= 0 {
+		c.live = slices.Delete(c.live, i, i+1)
+	}
+	return i >= 0
+}
+
+// at returns the record with the given LSN, which must be in the log.
+// Records are LSN-ordered and normally dense, so the offset from the first
+// one is a direct hit.
+func (w *WAL) at(lsn uint64) *Record {
+	if i := int(lsn - w.records[0].LSN); i >= 0 && i < len(w.records) && w.records[i].LSN == lsn {
+		return &w.records[i]
+	}
+	return &w.records[sort.Search(len(w.records), func(i int) bool { return w.records[i].LSN >= lsn })]
+}
+
+// liveUnder returns the LSNs of the live undo records logged by action or
+// its descendants, above the given LSN, oldest first. Called with w.mu held.
+func (w *WAL) liveUnder(action string, above uint64) []uint64 {
+	c := w.active[RootOf(action)]
+	if c == nil {
+		return nil
+	}
+	var out []uint64
+	for _, lsn := range c.live {
+		if lsn > above && inSubtree(w.at(lsn).Owner, action) {
+			out = append(out, lsn)
+		}
+	}
+	return out
+}
+
+// LiveUndo returns the live undo records of action's subtree (a root names
+// its whole transaction) above the given LSN, newest first: exactly what a
+// rollback of that subtree has to reverse.
+func (w *WAL) LiveUndo(action string, above uint64) []Record {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.newestFirst(w.liveUnder(action, above))
+}
+
+// UndoRecords returns the records with the given LSNs, given oldest first
+// (as Commit hands them out), newest first.
+func (w *WAL) UndoRecords(lsns []uint64) []Record {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.newestFirst(lsns)
+}
+
+func (w *WAL) newestFirst(lsns []uint64) []Record {
+	out := make([]Record, len(lsns))
+	for i, lsn := range lsns {
+		out[len(out)-1-i] = *w.at(lsn)
+	}
+	return out
 }
 
 // ActiveInfo returns the in-flight transaction roots — owners with undo
@@ -174,10 +271,10 @@ func (w *WAL) trackActive(r Record) {
 func (w *WAL) ActiveInfo() (roots []string, oldestFirst uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for root, first := range w.activeFirst {
+	for root, c := range w.active {
 		roots = append(roots, root)
-		if oldestFirst == 0 || first < oldestFirst {
-			oldestFirst = first
+		if oldestFirst == 0 || c.first < oldestFirst {
+			oldestFirst = c.first
 		}
 	}
 	return roots, oldestFirst
@@ -276,12 +373,13 @@ func (w *WAL) Clone() *WAL {
 func (w *WAL) Append(rec Record) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.appendLocked(rec)
+}
+
+func (w *WAL) appendLocked(rec Record) uint64 {
 	rec.LSN = w.nextLSN
 	w.nextLSN++
-	if w.activeFirst == nil {
-		w.activeFirst = make(map[string]uint64)
-	}
-	w.trackActive(rec)
+	w.trackActive(&rec)
 	w.records = append(w.records, rec)
 	if w.sink != nil {
 		w.sink.Append(rec)
@@ -299,11 +397,14 @@ func (w *WAL) LogCLRUpdate(owner string, page PageID, before, after string) uint
 	return w.Append(Record{Kind: RecUpdate, Owner: owner, Page: page, Before: before, After: after, CLR: true})
 }
 
-// LogIntent registers a pending logical compensation for the owner's
-// transaction; note encodes the inverse operation and refs lists the child
-// undo entries it supersedes.
-func (w *WAL) LogIntent(owner, note string, refs []uint64) uint64 {
-	return w.Append(Record{Kind: RecIntent, Owner: owner, Note: note, Refs: refs})
+// LogIntent registers a pending logical compensation for a completed
+// action (the owner); note encodes the inverse operation. The intent
+// supersedes every live undo record of the action's subtree: they become
+// its Refs, in the same append.
+func (w *WAL) LogIntent(owner, note string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(Record{Kind: RecIntent, Owner: owner, Note: note, Refs: w.liveUnder(owner, 0)})
 }
 
 // LogDiscard invalidates the given undo-entry LSNs for the owner.
@@ -314,9 +415,39 @@ func (w *WAL) LogDiscard(owner string, refs []uint64) uint64 {
 	return w.Append(Record{Kind: RecDiscard, Owner: owner, Refs: refs})
 }
 
+// LogDiscardUnder invalidates every live undo record of action's subtree,
+// plus entry when non-zero (the intent a completing compensation
+// executed), in one append owned by the action's root. It logs nothing
+// when there is nothing to invalidate.
+func (w *WAL) LogDiscardUnder(action string, entry uint64) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	refs := w.liveUnder(action, 0)
+	if entry != 0 {
+		refs = append(refs, entry)
+	}
+	if len(refs) == 0 {
+		return 0
+	}
+	return w.appendLocked(Record{Kind: RecDiscard, Owner: RootOf(action), Refs: refs})
+}
+
 // LogCommit appends a commit record.
 func (w *WAL) LogCommit(owner string) uint64 {
-	return w.Append(Record{Kind: RecCommit, Owner: owner})
+	lsn, _ := w.Commit(owner)
+	return lsn
+}
+
+// Commit appends owner's commit record, which ends its undo chain, and
+// hands the chain's live LSNs to the committer, oldest first: a commit that
+// cannot be made durable is rolled back from them (UndoRecords).
+func (w *WAL) Commit(owner string) (lsn uint64, live []uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if c := w.active[RootOf(owner)]; c != nil {
+		live = c.live
+	}
+	return w.appendLocked(Record{Kind: RecCommit, Owner: owner}), live
 }
 
 // LogAbort appends an abort record.
