@@ -85,25 +85,27 @@ func (m RW) String() string {
 	return "X"
 }
 
-// Semantic is a commutativity-based lock mode: holding Semantic{inv} on an
+// Semantic is a commutativity-based lock mode: holding &Semantic{inv} on an
 // object means the owner has an uncommitted invocation inv outstanding;
 // another invocation may run concurrently iff the object type's
-// specification says the two commute.
+// specification says the two commute. The mode is always passed by pointer
+// (the engine keeps it in the acquiring action, so boxing it into a Mode
+// costs nothing); a granted mode must not change while it is held.
 type Semantic struct {
 	Inv  commut.Invocation
 	Spec commut.Spec
 }
 
 // CompatibleWith implements Mode.
-func (m Semantic) CompatibleWith(other Mode) bool {
-	o, ok := other.(Semantic)
+func (m *Semantic) CompatibleWith(other Mode) bool {
+	o, ok := other.(*Semantic)
 	if !ok {
 		return false
 	}
 	return m.Spec.Commutes(m.Inv, o.Inv)
 }
 
-func (m Semantic) String() string { return "sem:" + m.Inv.String() }
+func (m *Semantic) String() string { return "sem:" + m.Inv.String() }
 
 // Resource identifies a lockable resource: a database object.
 type Resource = txn.OID
@@ -377,9 +379,8 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 	var (
 		blocked      bool
 		start        time.Time
-		timedOut     bool // guarded by sh.mu
-		timer        *time.Timer
-		token        *waiter // our FIFO position once blocked (fairness mode)
+		tmo          *waitTimeout // armed once blocked, when a wait bound is set
+		token        *waiter      // our FIFO position once blocked (fairness mode)
 		wake         *wakeHandle
 		waitingOn    map[string]int // roots this call currently charges in the detector
 		lastBlockers []blockRef     // the blockers observed on the most recent loop pass
@@ -395,8 +396,8 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 		}
 		sh.gcLocked(res)
 		sh.mu.Unlock()
-		if timer != nil {
-			timer.Stop()
+		if tmo != nil {
+			tmo.timer.Stop()
 		}
 		if wake != nil {
 			lm.det.unregister(root, wake)
@@ -425,7 +426,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 			// still ONE aborted victim.
 			return info, ErrDeadlock
 		}
-		if timedOut {
+		if tmo.expired() {
 			lm.stats.timeouts.Add(1)
 			lm.rec.Record(obs.Event{Kind: obs.EvLockTimeout, Actor: owner,
 				Object: res.Name, Dur: time.Since(start)})
@@ -477,14 +478,16 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 				sh.mu.Unlock()
 			})
 			if lm.waitTimeout > 0 {
-				timer = time.AfterFunc(lm.waitTimeout, func() {
+				t := &waitTimeout{}
+				t.timer = time.AfterFunc(lm.waitTimeout, func() {
 					sh.mu.Lock()
-					timedOut = true
+					t.fired = true
 					if cur, ok := sh.locks[res]; ok {
 						cur.cond.Broadcast()
 					}
 					sh.mu.Unlock()
 				})
+				tmo = t
 			}
 		}
 
@@ -514,7 +517,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 		if victim == root {
 			return info, ErrDeadlock
 		}
-		if lm.det.isDoomed(root) || timedOut {
+		if lm.det.isDoomed(root) || tmo.expired() {
 			continue
 		}
 		mySeq = ^uint64(0)
@@ -540,6 +543,17 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 		st.sleepers--
 	}
 }
+
+// waitTimeout is a blocked acquire's wait bound. It lives on the heap only
+// once an acquire blocks, so the uncontended path allocates nothing for it.
+type waitTimeout struct {
+	timer *time.Timer
+	fired bool // guarded by the shard mutex
+}
+
+// expired reports whether the bound fired; nil (no bound armed) never
+// expires. Caller holds the shard mutex.
+func (t *waitTimeout) expired() bool { return t != nil && t.fired }
 
 // blockNote renders a flight-recorder note for a freshly blocked acquire:
 // the requested mode plus up to three blocking holders.
@@ -578,8 +592,8 @@ func sameMode(a, b Mode) bool {
 	case RW:
 		y, ok := b.(RW)
 		return ok && x == y
-	case Semantic:
-		y, ok := b.(Semantic)
+	case *Semantic:
+		y, ok := b.(*Semantic)
 		return ok && x.Inv.Method == y.Inv.Method && slices.Equal(x.Inv.Params, y.Inv.Params)
 	}
 	return a.String() == b.String()
@@ -606,38 +620,30 @@ func txnSeq(root string) int {
 	return n
 }
 
-// Release drops every mode the owner holds on res and wakes that
-// resource's waiters.
+// Release drops every mode the owner holds on res and, if it held any,
+// wakes that resource's waiters. It touches one shard; releasing a resource
+// the owner does not hold is a no-op. The engine releases a completed
+// action's locks early by calling it for each object on the action's held
+// list, so no release path scans the table except ReleaseTree's.
 func (lm *LockManager) Release(owner string, res Resource) {
 	sh := lm.shardFor(res)
 	sh.mu.Lock()
-	if st, ok := sh.locks[res]; ok {
-		removeOwnerLocked(st, func(o string) bool { return o == owner })
+	if st, ok := sh.locks[res]; ok && removeOwnerLocked(st, func(o string) bool { return o == owner }) {
 		st.cond.Broadcast()
 		sh.gcLocked(res)
 	}
 	sh.mu.Unlock()
 }
 
-// ReleaseOwner drops every lock the exact owner holds.
-func (lm *LockManager) ReleaseOwner(owner string) {
-	lm.releaseMatching(func(o string) bool { return o == owner })
-}
-
 // ReleaseTree drops every lock held by root or any of its descendants and
 // clears the root's detector state (doomed flag, age override). The engine
 // calls this at top-level commit and after abort cleanup.
+//
+// It scans every shard, waking only the resources whose grant set changed:
+// it runs once per top-level commit or abort and once per aborted subtree.
 func (lm *LockManager) ReleaseTree(root string) {
 	prefix := root + "."
-	lm.releaseMatching(func(o string) bool {
-		return o == root || strings.HasPrefix(o, prefix)
-	})
-	lm.det.forget(root)
-}
-
-// releaseMatching removes matching grants across all shards, waking only
-// the resources whose grant set actually changed.
-func (lm *LockManager) releaseMatching(match func(string) bool) {
+	match := func(o string) bool { return o == root || strings.HasPrefix(o, prefix) }
 	for _, sh := range lm.shards {
 		sh.mu.Lock()
 		for res, st := range sh.locks {
@@ -648,6 +654,7 @@ func (lm *LockManager) releaseMatching(match func(string) bool) {
 		}
 		sh.mu.Unlock()
 	}
+	lm.det.forget(root)
 }
 
 // removeOwnerLocked drops matching grants and reports whether any were
@@ -660,6 +667,9 @@ func removeOwnerLocked(st *lockState, match func(string) bool) bool {
 		}
 	}
 	changed := len(kept) != len(st.granted)
+	// Zero the dropped tail: a stale grant would keep its mode — and the
+	// action a *Semantic points into — reachable.
+	clear(st.granted[len(kept):])
 	st.granted = kept
 	return changed
 }

@@ -37,9 +37,9 @@ func TestRWCompatibility(t *testing.T) {
 
 func TestSemanticCompatibility(t *testing.T) {
 	spec := commut.KeyedSpec([]string{"search"}, []string{"insert"})
-	ins1 := Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k1"}}, Spec: spec}
-	ins2 := Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k2"}}, Spec: spec}
-	ins1b := Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k1"}}, Spec: spec}
+	ins1 := &Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k1"}}, Spec: spec}
+	ins2 := &Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k2"}}, Spec: spec}
+	ins1b := &Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k1"}}, Spec: spec}
 
 	if !ins1.CompatibleWith(ins2) {
 		t.Fatal("distinct-key inserts must be compatible")
@@ -57,8 +57,8 @@ func TestSemanticCompatibility(t *testing.T) {
 
 func TestSameMode(t *testing.T) {
 	spec := commut.KeyedSpec([]string{"search"}, []string{"insert"})
-	sem := func(method string, params ...string) Semantic {
-		return Semantic{Inv: commut.Invocation{Method: method, Params: params}, Spec: spec}
+	sem := func(method string, params ...string) *Semantic {
+		return &Semantic{Inv: commut.Invocation{Method: method, Params: params}, Spec: spec}
 	}
 	cases := []struct {
 		a, b Mode
@@ -279,8 +279,8 @@ func TestSemanticLocksConcurrentInserts(t *testing.T) {
 	leaf := txn.OID{Type: "btreenode", Name: "Leaf11"}
 	lm := NewLockManager()
 
-	mode := func(m, k string) Semantic {
-		return Semantic{Inv: commut.Invocation{Method: m, Params: []string{k}}, Spec: spec}
+	mode := func(m, k string) *Semantic {
+		return &Semantic{Inv: commut.Invocation{Method: m, Params: []string{k}}, Spec: spec}
 	}
 	if err := lm.Acquire("T1.1", leaf, mode("insert", "DBS")); err != nil {
 		t.Fatal(err)
@@ -305,7 +305,6 @@ func TestReleaseUnknown(t *testing.T) {
 	lm := NewLockManager()
 	// Must not panic.
 	lm.Release("T1", res("never"))
-	lm.ReleaseOwner("T1")
 	lm.ReleaseTree("T1")
 }
 
@@ -465,7 +464,7 @@ func BenchmarkSemanticAcquire(b *testing.B) {
 	spec := commut.KeyedSpec([]string{"search"}, []string{"insert"})
 	lm := NewLockManager()
 	leaf := txn.OID{Type: "btreenode", Name: "L"}
-	m := Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k"}}, Spec: spec}
+	m := &Semantic{Inv: commut.Invocation{Method: "insert", Params: []string{"k"}}, Spec: spec}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := lm.Acquire("T1", leaf, m); err != nil {

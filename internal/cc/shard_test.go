@@ -229,7 +229,7 @@ func randomSchedule(seed int64, n int) []diffOp {
 			case 1, 2:
 				op.mode = S
 			case 3:
-				op.mode = Semantic{
+				op.mode = &Semantic{
 					Inv:  commut.Invocation{Method: "insert", Params: []string{fmt.Sprintf("k%d", rr.Intn(4))}},
 					Spec: spec,
 				}
@@ -374,7 +374,7 @@ func TestSemanticCommutingScalesWithoutBlocking(t *testing.T) {
 			defer wg.Done()
 			owner := fmt.Sprintf("T%d", id+1)
 			for i := 0; i < 50; i++ {
-				m := Semantic{
+				m := &Semantic{
 					Inv:  commut.Invocation{Method: "insert", Params: []string{fmt.Sprintf("g%d-k%d", id, i)}},
 					Spec: spec,
 				}

@@ -9,11 +9,21 @@ import (
 // resources never contend on one mutex. Each resource hashes to one shard;
 // every lockState carries its own condition variable (on the shard mutex),
 // so releasing a resource wakes only that resource's waiters instead of
-// every blocked transaction in the system.
+// every blocked transaction in the system. Idle states are recycled per
+// shard, so a state pointer is only valid for its resource while sh.mu is
+// held: a caller that drops the mutex must re-fetch it with state().
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
+	// free holds idle states for reuse (at most maxFreeStates), so an
+	// uncontended acquire of a resource nobody holds allocates nothing.
+	free []*lockState
 }
+
+// maxFreeStates caps each shard's free list: enough to cover the resources
+// a shard's concurrent transactions lock and release over and over, small
+// enough that a burst of distinct resources does not pin its peak.
+const maxFreeStates = 64
 
 type lockState struct {
 	granted []grant
@@ -21,30 +31,45 @@ type lockState struct {
 	// fairness is enabled.
 	waiting []*waiter
 	// cond wakes this resource's blocked acquires; its Locker is the
-	// owning shard's mutex.
-	cond *sync.Cond
+	// owning shard's mutex. Embedded by value: a recycled state keeps it.
+	cond sync.Cond
 	// sleepers counts goroutines parked on cond. A state with grants,
 	// queued waiters or sleepers must not be garbage-collected.
 	sleepers int
 }
 
-// state returns the lockState for res, creating it if needed. Caller holds
-// sh.mu.
+// state returns the lockState for res, taking it from the free list or
+// creating it if needed. Caller holds sh.mu.
 func (sh *lockShard) state(res Resource) *lockState {
 	st, ok := sh.locks[res]
 	if !ok {
-		st = &lockState{cond: sync.NewCond(&sh.mu)}
+		if n := len(sh.free); n > 0 {
+			st = sh.free[n-1]
+			sh.free[n-1] = nil
+			sh.free = sh.free[:n-1]
+		} else {
+			st = &lockState{}
+			st.cond.L = &sh.mu
+		}
 		sh.locks[res] = st
 	}
 	return st
 }
 
 // gcLocked drops res's state when it is completely idle, bounding the
-// table's memory under churning resource populations. Caller holds sh.mu.
+// table's memory under churning resource populations, and recycles it
+// through the free list. Caller holds sh.mu.
 func (sh *lockShard) gcLocked(res Resource) {
-	if st, ok := sh.locks[res]; ok &&
-		len(st.granted) == 0 && len(st.waiting) == 0 && st.sleepers == 0 {
-		delete(sh.locks, res)
+	st, ok := sh.locks[res]
+	if !ok || len(st.granted) != 0 || len(st.waiting) != 0 || st.sleepers != 0 {
+		return
+	}
+	delete(sh.locks, res)
+	if len(sh.free) < maxFreeStates {
+		// Both arrays are empty and already zeroed past len (the removal
+		// paths clear what they drop), so a pooled state retains no mode —
+		// and no action tree a mode points into.
+		sh.free = append(sh.free, st)
 	}
 }
 
@@ -107,5 +132,6 @@ func (st *lockState) removeWaiter(w *waiter) {
 			kept = append(kept, q)
 		}
 	}
+	clear(st.waiting[len(kept):])
 	st.waiting = kept
 }

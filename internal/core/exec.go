@@ -27,6 +27,12 @@ type runtimeAction struct {
 	inv    commut.Invocation
 	// depth is the nesting depth below the transaction root (root = 0).
 	depth int
+	// sem is the semantic lock mode the caller takes on obj for this
+	// invocation (open nesting); the lock table and the method span hold
+	// &sem, so the mode is never boxed separately.
+	sem cc.Semantic
+	// ctx is the context the method implementation runs with.
+	ctx Ctx
 
 	// hasWrites records that undo records were logged in this action's
 	// subtree and not consumed there: a page write, an intent of a
@@ -35,6 +41,14 @@ type runtimeAction struct {
 
 	mu        sync.Mutex
 	nchildren int
+	// held lists the objects this action owns locks on under open nesting:
+	// its children's objects, and the lists of children that handed their
+	// locks up. Its early release walks the list instead of the lock table.
+	// An object may repeat (only a repeat of the last entry is skipped):
+	// releasing it again is a no-op. Guarded by mu while children run;
+	// final once the action's method returns. heldBuf backs the first few.
+	held    []txn.OID
+	heldBuf [4]txn.OID
 }
 
 func (a *runtimeAction) nextChildID() string {
@@ -43,6 +57,24 @@ func (a *runtimeAction) nextChildID() string {
 	n := a.nchildren
 	a.mu.Unlock()
 	return a.id + "." + strconv.Itoa(n)
+}
+
+// hold appends objs to a's held list. The root keeps no list: its locks
+// are released by ReleaseTree at commit or abort.
+func (a *runtimeAction) hold(objs ...txn.OID) {
+	if a.parent == nil {
+		return
+	}
+	a.mu.Lock()
+	if a.held == nil {
+		a.held = a.heldBuf[:0]
+	}
+	for _, o := range objs {
+		if n := len(a.held); n == 0 || a.held[n-1] != o {
+			a.held = append(a.held, o)
+		}
+	}
+	a.mu.Unlock()
 }
 
 // Txn is a top-level transaction.
@@ -242,6 +274,7 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 		inv:    inv,
 		depth:  parent.depth + 1,
 	}
+	a.ctx = Ctx{db: db, txn: t, action: a}
 	db.stats.actions.Add(1)
 	for {
 		cur := t.maxDepth.Load()
@@ -288,7 +321,7 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 		if fn == nil {
 			err = fmt.Errorf("%w: %s.%s", ErrUnknownMethod, obj.Type, method)
 		} else {
-			result, err = fn(&Ctx{db: db, txn: t, action: a}, obj, params)
+			result, err = fn(&a.ctx, obj, params)
 		}
 	}
 	if err != nil {
@@ -305,7 +338,9 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 // The method span ms (nil-safe) gets the commutativity class — the lock
 // mode — the dispatch runs under; a contended acquire additionally records
 // a KLock child span with provenance edges (AcquireTraced). The span keeps
-// the mode itself, boxed once here; it is rendered only if the trace is read.
+// the mode itself; it is rendered only if the trace is read. Under open
+// nesting the object goes on the caller's held list before the acquire, so
+// the caller's early release finds it even if the acquire fails.
 func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType, ms *span.ActiveSpan) error {
 	var mode cc.Mode
 	owner := t.id
@@ -321,14 +356,20 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType, ms *span.Acti
 		if a.obj.Type != PageType {
 			return nil
 		}
-		// Moss: the accessing subtransaction owns the lock; ancestors'
-		// locks do not block (ancestor bypass is enabled on the manager).
-		mode, owner = rwModeFor(ot, a.inv.Method), a.id
+		// Moss: a subtransaction's locks pass to its parent when it
+		// commits; ancestors' locks do not block (ancestor bypass is
+		// enabled on the manager). A page access is primitive — it commits
+		// as it returns, with no completion step to hand its lock up — so
+		// the lock is taken in the caller's name, and the caller's own
+		// commit passes it on (completeAction's TransferToParent).
+		mode, owner = rwModeFor(ot, a.inv.Method), a.parent.id
 	case ProtocolOpenNested:
 		// The semantic lock on the object is owned by the CALLER — the
 		// transaction on this object in the paper's sense — and lives until
 		// the caller completes.
-		mode, owner = cc.Semantic{Inv: a.inv, Spec: ot.Spec}, a.parent.id
+		a.sem = cc.Semantic{Inv: a.inv, Spec: ot.Spec}
+		mode, owner = &a.sem, a.parent.id
+		a.parent.hold(a.obj)
 	default: // ProtocolNone
 		return nil
 	}
@@ -447,19 +488,20 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 				// subtree logged and the intent a compensation executed.
 				db.wal.LogDiscardUnder(a.id, entry)
 			}
-			db.lm.ReleaseOwner(a.id)
+			db.releaseHeld(a)
 			return
 		}
 		if !a.hasWrites.Load() {
 			// Read-only subtree: nothing to undo, release early.
-			db.lm.ReleaseOwner(a.id)
+			db.releaseHeld(a)
 			break
 		}
 		// No compensation available: behave closed — keep the locks (move
-		// them to the parent) and leave the physical records to a later
-		// ancestor with a compensation, or to the top-level abort while the
-		// locks are still held.
+		// them to the parent, and with them the list naming them) and leave
+		// the physical records to a later ancestor with a compensation, or
+		// to the top-level abort while the locks are still held.
 		db.lm.TransferToParent(a.id, parent.id)
+		parent.hold(a.held...)
 	}
 	// Flat 2PL variants keep the locks on the root until commit. The parent
 	// inherits the subtree's records, unless a running compensation
@@ -468,6 +510,14 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 		db.wal.LogDiscardUnder(a.id, entry)
 	} else if a.hasWrites.Load() {
 		parent.hasWrites.Store(true)
+	}
+}
+
+// releaseHeld releases a completed action's locks early (open nesting):
+// one single-shard Release per object on its held list.
+func (db *DB) releaseHeld(a *runtimeAction) {
+	for _, obj := range a.held {
+		db.lm.Release(a.id, obj)
 	}
 }
 

@@ -175,8 +175,10 @@ type TxnTrace struct {
 	// and only needs a unique, roughly-ordered begin sequence.
 	seq atomic.Int64
 
-	mu     sync.Mutex
-	spans  []Span
+	mu sync.Mutex
+	// spans points at the ended spans' ActiveSpan storage: End publishes a
+	// pointer, not a copy, and Snapshot copies the values out.
+	spans  []*Span
 	end    time.Time
 	status Status
 	// lastAbortEdge is the most recent provenance edge recorded on a span
@@ -236,7 +238,8 @@ func (tt *TxnTrace) BeginSpanAt(id, parent string, kind Kind, name string, start
 }
 
 // ActiveSpan is an open span. It is confined to one goroutine (the one
-// executing the action) until End publishes it into the trace.
+// executing the action) until End publishes it into the trace. End hands
+// the span's storage to the trace: the handle must not be touched after End.
 type ActiveSpan struct {
 	tt *TxnTrace
 	sp Span
@@ -294,7 +297,8 @@ func (a *ActiveSpan) AddEdge(e Edge) {
 
 // End closes the span (stamping err, when non-nil) and publishes it into
 // the trace. A span that ends in error and carries provenance edges
-// becomes the trace's current abort explanation.
+// becomes the trace's current abort explanation. The trace keeps a pointer
+// to the span, so the ActiveSpan must not be used after End.
 func (a *ActiveSpan) End(err error) {
 	if a == nil {
 		return
@@ -309,9 +313,17 @@ func (a *ActiveSpan) End(err error) {
 		e := a.sp.Edges[len(a.sp.Edges)-1]
 		tt.lastAbortEdge = &e
 	}
-	tt.spans = append(tt.spans, a.sp)
+	if tt.spans == nil {
+		tt.spans = make([]*Span, 0, initialSpans)
+	}
+	tt.spans = append(tt.spans, &a.sp)
 	tt.mu.Unlock()
 }
+
+// initialSpans is the span-pointer capacity a trace starts with: a
+// dispatch-heavy transaction ends dozens of spans, and growing from one
+// would cost a reallocation per doubling.
+const initialSpans = 16
 
 // finish seals the trace with its outcome. An aborted trace's root span
 // inherits the last abort-explaining edge, so the trace "ends in" its
@@ -367,7 +379,9 @@ func (tt *TxnTrace) Snapshot() TxnSpans {
 	}
 	spans := make([]Span, 0, len(tt.spans)+1)
 	spans = append(spans, root)
-	spans = append(spans, tt.spans...)
+	for _, sp := range tt.spans {
+		spans = append(spans, *sp)
+	}
 	remoteID, remoteAttempt := tt.remoteID, tt.remoteAttempt
 	tt.mu.Unlock()
 	// Recorded spans are appended at End (children before parents);

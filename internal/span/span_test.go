@@ -386,3 +386,19 @@ func TestSnapshotWhileSpansEnd(t *testing.T) {
 		t.Fatalf("snapshot has %d spans, want 201", n)
 	}
 }
+
+// TestEndAllocs pins the cost of recording a span: End publishes a pointer
+// to the ActiveSpan's own storage, so BeginSpan+End over a 64-span trace is
+// one allocation per span plus the trace slice's few doublings.
+func TestEndAllocs(t *testing.T) {
+	const spans = 64
+	allocs := testing.AllocsPerRun(50, func() {
+		tt := &TxnTrace{txnID: "T1"}
+		for i := 0; i < spans; i++ {
+			tt.BeginSpan("T1.1", "T1", KMethod, "").End(nil)
+		}
+	})
+	if per := allocs / spans; per > 1.1 {
+		t.Fatalf("BeginSpan+End = %.2f allocs per span, want <= 1.1", per)
+	}
+}

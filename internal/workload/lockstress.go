@@ -119,7 +119,7 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 					if rr.Intn(100) < cfg.ConflictPct {
 						mode = cc.X
 					} else {
-						mode = cc.Semantic{
+						mode = &cc.Semantic{
 							Inv: commut.Invocation{
 								Method: "insert",
 								Params: []string{fmt.Sprintf("g%d-t%d-%d", g, i, j)},
