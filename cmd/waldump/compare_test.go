@@ -11,7 +11,7 @@ import (
 // replica's disk would hold.
 func writeLog(t *testing.T, dir string, owners []string) {
 	t.Helper()
-	fw, _, err := storage.OpenFileWAL(dir, storage.FileWALOptions{Durability: storage.GroupCommit})
+	fw, err := storage.OpenFileWAL(dir, storage.FileWALOptions{Durability: storage.GroupCommit}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

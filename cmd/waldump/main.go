@@ -1,7 +1,8 @@
 // Command waldump prints the records of a WAL segment directory in a
-// human-readable, grep-friendly form — one line per record. It uses the
-// read-only scan (the torn tail of the last segment is skipped, mid-log
-// damage is an error), so dumping never mutates the log. Checkpoint files
+// human-readable, grep-friendly form — one line per record. It streams
+// the read-only walk (the torn tail of the last segment is skipped, mid-log
+// damage is an error), so dumping never mutates the log and holds one
+// segment in memory however long the log. Checkpoint files
 // in the directory are summarized first — including torn ones a crash
 // landed mid-checkpoint — together with the truncation boundary each one
 // justifies.
@@ -52,36 +53,16 @@ func main() {
 		os.Exit(2)
 	}
 	ckpts := dumpCheckpoints(*dir)
-	records, err := storage.ReadWALDir(*dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			fmt.Fprintf(os.Stderr, "waldump: %s: no such directory\n", *dir)
-			os.Exit(1)
+	n := 0
+	err := storage.WalkWALDir(*dir, func(r storage.Record) error {
+		if n++; n == 1 && r.LSN > 1 {
+			fmt.Printf("log truncated: first surviving record is LSN %d (records 1..%d reclaimed by checkpointing)\n", r.LSN, r.LSN-1)
 		}
-		fmt.Fprintf(os.Stderr, "waldump: %v\n", err)
-		os.Exit(1)
-	}
-	if len(records) == 0 {
-		segs, _ := filepath.Glob(filepath.Join(*dir, "wal-*.seg"))
-		switch {
-		case len(segs) == 0 && ckpts == 0:
-			fmt.Fprintf(os.Stderr, "waldump: %s: empty segment directory (no wal-*.seg files) — nothing was ever logged here\n", *dir)
-		case len(segs) == 0:
-			fmt.Fprintf(os.Stderr, "waldump: %s: checkpoint file(s) but no wal-*.seg — the image above is the whole story\n", *dir)
-		default:
-			fmt.Fprintf(os.Stderr, "waldump: %s: %d segment file(s) but no decodable records (torn before the first record?)\n", *dir, len(segs))
-		}
-		return
-	}
-	if first := records[0].LSN; first > 1 {
-		fmt.Printf("log truncated: first surviving record is LSN %d (records 1..%d reclaimed by checkpointing)\n", first, first-1)
-	}
-	for _, r := range records {
 		if *owner != "" && cc.RootOf(strings.SplitN(r.Owner, ":", 2)[0]) != *owner {
-			continue
+			return nil
 		}
 		if *page != 0 && uint64(r.Page) != *page {
-			continue
+			return nil
 		}
 		line := fmt.Sprintf("%8d %-10s %-14s", r.LSN, r.Kind, r.Owner)
 		if r.Kind == storage.RecUpdate {
@@ -98,6 +79,26 @@ func main() {
 			line += fmt.Sprintf(" refs=%v", r.Refs)
 		}
 		fmt.Println(line)
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			fmt.Fprintf(os.Stderr, "waldump: %s: no such directory\n", *dir)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "waldump: %v\n", err)
+		os.Exit(1)
+	}
+	if n == 0 {
+		segs, _ := filepath.Glob(filepath.Join(*dir, "wal-*.seg"))
+		switch {
+		case len(segs) == 0 && ckpts == 0:
+			fmt.Fprintf(os.Stderr, "waldump: %s: empty segment directory (no wal-*.seg files) — nothing was ever logged here\n", *dir)
+		case len(segs) == 0:
+			fmt.Fprintf(os.Stderr, "waldump: %s: checkpoint file(s) but no wal-*.seg — the image above is the whole story\n", *dir)
+		default:
+			fmt.Fprintf(os.Stderr, "waldump: %s: %d segment file(s) but no decodable records (torn before the first record?)\n", *dir, len(segs))
+		}
 	}
 }
 

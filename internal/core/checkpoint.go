@@ -35,6 +35,9 @@ func (db *DB) CheckpointSnapshot() (*checkpoint.Snapshot, error) {
 	lsn := db.wal.LastLSN()
 	active, oldest := db.wal.ActiveInfo()
 	pages, next, pageSize := db.store.Snapshot()
+	// The store now reflects every update at or below the barrier, so the
+	// in-memory log keeps only what live undo chains still name.
+	db.wal.Trim(lsn + 1)
 	return &checkpoint.Snapshot{
 		LSN:          lsn,
 		OldestActive: oldest,

@@ -433,16 +433,14 @@ func OpenDurable(opts Options) (*DB, error) {
 	if opts.WAL != nil {
 		return nil, fmt.Errorf("core: OpenDurable builds the WAL itself; Options.WAL must be nil")
 	}
-	fw, records, err := storage.OpenFileWAL(opts.WALDir, storage.FileWALOptions{
+	fw, err := storage.OpenFileWAL(opts.WALDir, storage.FileWALOptions{
 		SegmentSize: opts.WALSegmentSize,
 		Durability:  opts.Durability,
+	}, func(rec storage.Record) error {
+		return fmt.Errorf("core: WAL dir %s holds records from LSN %d on; use recovery.RecoverDir to restart over an existing log", opts.WALDir, rec.LSN)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if len(records) > 0 {
-		_ = fw.Close()
-		return nil, fmt.Errorf("core: WAL dir %s holds %d records; use recovery.RecoverDir to restart over an existing log", opts.WALDir, len(records))
 	}
 	// A directory with no log records but leftover checkpoint files is
 	// still a restart (the log may have been truncated down to an empty

@@ -763,7 +763,7 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 
-	lsn, live := t.db.wal.Commit(t.id)
+	lsn, undo := t.db.wal.Commit(t.id)
 	// The group-commit span covers only the durability wait — with a
 	// mem-only WAL WaitDurable is instant and there is no batch to report.
 	var ws *span.ActiveSpan
@@ -785,7 +785,7 @@ func (t *Txn) Commit() error {
 			// commit they will wait on forever-in-vain.
 			t.db.enterDegraded(err)
 		}
-		return t.failCommit(fmt.Errorf("core: commit %s not durable: %w", t.id, err), t.db.wal.UndoRecords(live))
+		return t.failCommit(fmt.Errorf("core: commit %s not durable: %w", t.id, err), undo)
 	}
 	t.db.lm.ReleaseTree(t.id)
 	t.finishCommitted()

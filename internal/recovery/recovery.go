@@ -3,14 +3,16 @@
 // transaction contract — in the ARIES style, adapted to open nested
 // transactions:
 //
-//  1. Analysis takes the in-flight roots the rebuilt WAL derived while
-//     reading the log (plus a checkpoint's in-flight set): roots with a
+//  1. One pass reads the log record by record. Analysis: roots with a
 //     commit record are winners, roots with a completed abort are already
-//     undone, everything else in flight at the crash is a loser.
-//  2. Redo repeats history: every page update (including rollback CLRs) is
-//     reapplied in log order, reconstructing the exact pre-crash page
-//     state regardless of which buffered frames had been flushed.
-//  3. Undo rolls the losers back through the executor runtime abort uses
+//     undone, and the roots still in flight at the crash (the undo chains
+//     the rebuilt WAL leaves open, plus a checkpoint's in-flight set) are
+//     losers. Redo repeats history: every page update (including rollback
+//     CLRs) is reapplied in log order, reconstructing the exact pre-crash
+//     page state whichever buffered frames had been flushed. Then the
+//     record is replayed into the engine's WAL, whose window keeps only
+//     what undo can still read.
+//  2. Undo rolls the losers back through the executor runtime abort uses
 //     (core.DB.UndoLosers): the losers' live undo records — physical
 //     before-images and logical compensation intents that no discard or
 //     later intent consumed, tracked per root by the WAL itself — merged
@@ -29,6 +31,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -86,49 +89,59 @@ type RegisterTypes func(db *core.DB) error
 // reinstalls the application's object model. It returns the recovered,
 // ready-to-use engine.
 func Recover(disk *storage.MemStore, wal *storage.WAL, opts core.Options, registerTypes RegisterTypes) (*core.DB, Report, error) {
-	records := wal.Records()
-	return recoverWith(disk, records, storage.NewWALFromRecords(records), nil, opts, registerTypes)
+	p := newPass(disk, nil)
+	for _, r := range wal.Records() {
+		if err := p.step(r); err != nil {
+			return nil, p.rep, err
+		}
+	}
+	return p.finish(opts, registerTypes)
 }
 
 // RecoverDir brings a database back from its WAL segment directory — the
 // real-restart path. When the directory holds a complete checkpoint
 // (newest valid wins; torn ones from a crash mid-checkpoint are skipped by
 // checksum), the store is seeded from its page image and redo replays only
-// the log suffix above its barrier LSN; otherwise the segments are opened
-// with the torn-tail rule (the last segment is truncated at the first bad
-// checksum) and history is redone in full into a fresh store (every page
-// update carries its full after-image, so the log alone reconstructs the
-// pre-crash pages). Losers are undone, and the returned engine keeps
-// appending to the same segment files, with a checkpointer attached per
-// opts.CheckpointInterval/CheckpointBytes. A MemOnly durability in opts is
-// promoted to GroupCommit: an engine opened over segment files stays
-// durable.
+// the log suffix above its barrier LSN; otherwise history is redone in full
+// into a fresh store (every page update carries its full after-image, so
+// the log alone reconstructs the pre-crash pages). The segments are read
+// once, under the torn-tail rule (the last segment is truncated at the
+// first bad checksum), and each record is analysed, redone and replayed
+// into the engine's WAL as it is read. Losers are undone, and the returned
+// engine keeps appending to the same segment files, with a checkpointer
+// attached per opts.CheckpointInterval/CheckpointBytes. A MemOnly
+// durability in opts is promoted to GroupCommit: an engine opened over
+// segment files stays durable.
 func RecoverDir(dir string, opts core.Options, registerTypes RegisterTypes) (*core.DB, Report, error) {
-	fw, records, err := storage.OpenFileWAL(dir, storage.FileWALOptions{
-		SegmentSize: opts.WALSegmentSize,
-		Durability:  opts.Durability,
-	})
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Report{}, err
 	}
 	ckpt, _, cerr := checkpoint.Latest(dir)
 	if cerr != nil && !errors.Is(cerr, checkpoint.ErrNoCheckpoint) {
-		_ = fw.Close()
 		return nil, Report{}, cerr
+	}
+	disk := storage.NewMemStore(opts.PageSize)
+	if ckpt != nil {
+		disk = storage.NewMemStoreFromSnapshot(ckpt.Pages, ckpt.NextPage, ckpt.PageSize)
+	}
+	p := newPass(disk, ckpt)
+	fw, err := storage.OpenFileWAL(dir, storage.FileWALOptions{
+		SegmentSize: opts.WALSegmentSize,
+		Durability:  opts.Durability,
+	}, p.step)
+	if err != nil {
+		return nil, p.rep, err
 	}
 	// A log whose first surviving record is above LSN 1 was truncated by a
 	// checkpoint; recovering without one (or with one that leaves a gap to
 	// the first record) would silently drop history.
-	if len(records) > 0 {
-		first := records[0].LSN
-		if ckpt == nil && first > 1 {
-			_ = fw.Close()
-			return nil, Report{}, fmt.Errorf("%w: first surviving record is LSN %d", ErrLogTruncated, first)
-		}
-		if ckpt != nil && first > ckpt.LSN+1 {
-			_ = fw.Close()
-			return nil, Report{}, fmt.Errorf("%w: checkpoint covers through LSN %d but the log resumes at %d", ErrLogTruncated, ckpt.LSN, first)
-		}
+	if ckpt == nil && p.first > 1 {
+		_ = fw.Close()
+		return nil, Report{}, fmt.Errorf("%w: first surviving record is LSN %d", ErrLogTruncated, p.first)
+	}
+	if ckpt != nil && p.first > ckpt.LSN+1 {
+		_ = fw.Close()
+		return nil, Report{}, fmt.Errorf("%w: checkpoint covers through LSN %d but the log resumes at %d", ErrLogTruncated, ckpt.LSN, p.first)
 	}
 	// Create the registry up front (unless disabled) so the file WAL
 	// publishes into the same one the recovered engine will use.
@@ -136,13 +149,8 @@ func RecoverDir(dir string, opts core.Options, registerTypes RegisterTypes) (*co
 		opts.Obs = obs.New()
 	}
 	fw.SetObs(opts.Obs)
-	disk := storage.NewMemStore(opts.PageSize)
-	if ckpt != nil {
-		disk = storage.NewMemStoreFromSnapshot(ckpt.Pages, ckpt.NextPage, ckpt.PageSize)
-	}
-	wal := storage.NewWALFromRecords(records)
-	wal.SetSink(fw) // existing records are already in the files; only new appends flow
-	db, rep, rerr := recoverWith(disk, records, wal, ckpt, opts, registerTypes)
+	p.wal.SetSink(fw) // replayed records are already in the files; only new appends flow
+	db, rep, rerr := p.finish(opts, registerTypes)
 	if rerr != nil {
 		_ = fw.Close()
 		return nil, rep, rerr
@@ -154,73 +162,99 @@ func RecoverDir(dir string, opts core.Options, registerTypes RegisterTypes) (*co
 	return db, rep, nil
 }
 
-// recoverWith is the shared analysis/redo/undo pass. engineWAL must hold
-// exactly records (plus whatever sink continues them); the recovered
-// engine appends its CLRs, discards, and abort markers to it. When ckpt is
-// non-nil, disk was seeded from its page image: redo skips records at or
-// below its barrier LSN (already reflected), and analysis unions its
+// pass is recovery's one streaming pass over the log: step takes each
+// record through analysis, redo and replay into the engine's WAL; finish
+// resolves the losers, opens the engine and undoes them. With a
+// checkpoint, disk was seeded from its page image: redo skips records at
+// or below its barrier LSN (already reflected), and analysis unions its
 // in-flight set (a belt-and-braces measure — truncation keeps every
 // barrier-active transaction's records, so the records themselves normally
 // re-derive the same set).
-func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *storage.WAL, ckpt *checkpoint.Snapshot, opts core.Options, registerTypes RegisterTypes) (*core.DB, Report, error) {
-	var rep Report
-	var ckptLSN uint64
-	if ckpt != nil {
-		ckptLSN = ckpt.LSN
-		rep.CheckpointLSN = ckpt.LSN
-	}
+type pass struct {
+	disk        *storage.MemStore
+	wal         *storage.WAL
+	rep         Report
+	start       time.Time
+	first       uint64 // the first record's LSN
+	n           int    // records read
+	maxID       int64
+	ckptEnded   map[string]bool // the checkpoint's in-flight roots: ended in the log?
+	redoSampled time.Duration   // time of every redoSample-th page write
+}
 
-	// --- Analysis ---------------------------------------------------------
-	// Rebuilding the engine's WAL derived the in-flight roots; a root the
-	// log shows finished (EndsTxn) is no loser, whatever the checkpoint's
-	// in-flight set says. The same scan collects the winners and the
-	// highest transaction id.
-	analysisStart := time.Now()
-	ended := map[string]bool{}
-	maxID := int64(0)
-	for i := range records {
-		r := &records[i]
-		root := storage.RootOf(r.Owner)
-		if n, perr := strconv.ParseInt(strings.TrimPrefix(root, "T"), 10, 64); perr == nil && n > maxID {
-			maxID = n
-		}
-		if r.EndsTxn() {
-			ended[root] = true
-		}
-		if r.Kind == storage.RecCommit {
-			rep.Winners = append(rep.Winners, root)
-		}
-	}
-	inflight, _ := engineWAL.ActiveInfo()
+// redoSample spaces the page writes whose time RedoTime is extrapolated
+// from: reading the clock around each would cost more than the write.
+const redoSample = 32
+
+func newPass(disk *storage.MemStore, ckpt *checkpoint.Snapshot) *pass {
+	p := &pass{disk: disk, wal: storage.NewWAL(), start: time.Now()}
 	if ckpt != nil {
-		inflight = append(inflight, ckpt.Active...)
+		p.rep.CheckpointLSN, p.maxID = ckpt.LSN, int64(ckpt.MaxTxn)
+		p.ckptEnded = make(map[string]bool, len(ckpt.Active))
+		for _, root := range ckpt.Active {
+			p.ckptEnded[root] = false
+		}
 	}
-	var losers []string
-	for _, root := range inflight {
-		if !ended[root] {
+	return p
+}
+
+// step analyses one record, redoes it when it is an update above the
+// barrier, and only then replays it into the engine's WAL, which may drop
+// it from memory.
+func (p *pass) step(r storage.Record) error {
+	if p.n == 0 {
+		p.first = r.LSN
+	}
+	p.n++
+	root := storage.RootOf(r.Owner)
+	if n, perr := strconv.ParseInt(strings.TrimPrefix(root, "T"), 10, 64); perr == nil && n > p.maxID {
+		p.maxID = n
+	}
+	if _, ok := p.ckptEnded[root]; ok && r.EndsTxn() {
+		p.ckptEnded[root] = true
+	}
+	if r.Kind == storage.RecCommit {
+		p.rep.Winners = append(p.rep.Winners, root)
+	}
+	if r.Kind == storage.RecUpdate && r.LSN > p.rep.CheckpointLSN {
+		t0, sampled := time.Time{}, p.rep.Redone%redoSample == 0
+		if sampled {
+			t0 = time.Now()
+		}
+		if err := writeThrough(p.disk, r.Page, r.After); err != nil {
+			return fmt.Errorf("recovery: redo lsn %d: %w", r.LSN, err)
+		}
+		if sampled {
+			p.redoSampled += time.Since(t0)
+		}
+		p.rep.Redone++
+	}
+	p.wal.Replay(r)
+	return nil
+}
+
+// finish ends the pass and runs undo through the opened engine.
+func (p *pass) finish(opts core.Options, registerTypes RegisterTypes) (*core.DB, Report, error) {
+	rep := &p.rep
+	losers, _ := p.wal.ActiveInfo()
+	for root, ended := range p.ckptEnded {
+		if !ended {
 			losers = append(losers, root)
 		}
 	}
 	sort.Strings(losers)
 	rep.Losers = slices.Compact(losers)
-	rep.AnalysisTime = time.Since(analysisStart)
-
-	// --- Redo: repeat history --------------------------------------------
-	redoStart := time.Now()
-	for _, r := range records {
-		if r.Kind != storage.RecUpdate || r.LSN <= ckptLSN {
-			continue
-		}
-		if err := writeThrough(disk, r.Page, r.After); err != nil {
-			return nil, rep, fmt.Errorf("recovery: redo lsn %d: %w", r.LSN, err)
-		}
-		rep.Redone++
+	sort.Strings(rep.Winners)
+	rep.Winners = slices.Compact(rep.Winners)
+	if samples := (rep.Redone + redoSample - 1) / redoSample; samples > 0 {
+		rep.RedoTime = p.redoSampled * time.Duration(rep.Redone) / time.Duration(samples)
 	}
-	rep.RedoTime = time.Since(redoStart)
+	rep.AnalysisTime = max(time.Since(p.start)-rep.RedoTime, time.Nanosecond)
+	analysisStart, redoStart := p.start, p.start.Add(rep.AnalysisTime)
 
 	// --- Open the engine on the recovered image ----------------------------
-	opts.Store = disk
-	opts.WAL = engineWAL
+	opts.Store = p.disk
+	opts.WAL = p.wal
 	db := core.Open(opts)
 	// Transaction ids restart at 1 in every engine incarnation, but the log
 	// spans all of them: push the sequence past every id it mentions, so
@@ -229,14 +263,11 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	// winners and losers by root id; a collision would let a committed
 	// T<n> from an earlier epoch mask the crashed epoch's in-flight T<n>.)
 	// Truncated records can no longer vouch for the ids they carried; the
-	// checkpoint recorded the sequence high-water mark at its barrier.
-	if ckpt != nil && int64(ckpt.MaxTxn) > maxID {
-		maxID = int64(ckpt.MaxTxn)
-	}
-	db.BumpTxnSeq(maxID)
+	// pass started from the high-water mark the checkpoint recorded.
+	db.BumpTxnSeq(p.maxID)
 	if registerTypes != nil {
 		if err := registerTypes(db); err != nil {
-			return nil, rep, fmt.Errorf("recovery: re-registering types: %w", err)
+			return nil, *rep, fmt.Errorf("recovery: re-registering types: %w", err)
 		}
 	}
 
@@ -254,12 +285,12 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	undoStart := time.Now()
 	var undo []storage.Record
 	for _, root := range rep.Losers {
-		undo = append(undo, engineWAL.LiveUndo(root, 0)...)
+		undo = append(undo, p.wal.LiveUndo(root, 0)...)
 	}
 	sort.Slice(undo, func(i, j int) bool { return undo[i].LSN > undo[j].LSN })
 	var err error
 	if rep.PhysicalUndos, rep.LogicalUndos, err = db.UndoLosers(undo); err != nil {
-		return nil, rep, fmt.Errorf("recovery: %w", err)
+		return nil, *rep, fmt.Errorf("recovery: %w", err)
 	}
 	for i := len(rep.Losers) - 1; i >= 0; i-- {
 		db.WAL().LogAbort(rep.Losers[i]) // the losers' aborts are now complete
@@ -270,12 +301,12 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	// construction; stamp them onto its flight recorder retroactively so a
 	// post-recovery timeline starts with the recovery story.
 	startNote := ""
-	if ckptLSN > 0 {
-		startNote = fmt.Sprintf("from checkpoint @ LSN %d", ckptLSN)
+	if rep.CheckpointLSN > 0 {
+		startNote = fmt.Sprintf("from checkpoint @ LSN %d", rep.CheckpointLSN)
 	}
 	if rec := db.Obs().Recorder(); rec != nil {
 		rec.Record(obs.Event{Kind: obs.EvRecovery, Object: "analysis",
-			Dur: rep.AnalysisTime, N: int64(len(records)), Note: startNote})
+			Dur: rep.AnalysisTime, N: int64(p.n), Note: startNote})
 		rec.Record(obs.Event{Kind: obs.EvRecovery, Object: "redo",
 			Dur: rep.RedoTime, N: int64(rep.Redone)})
 		rec.Record(obs.Event{Kind: obs.EvRecovery, Object: "undo",
@@ -287,7 +318,7 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 	tr := db.Spans()
 	tr.RecordEngine(span.Span{ID: "recovery/analysis", Kind: span.KRecovery,
 		Name: "recovery: analysis", Start: analysisStart,
-		End: analysisStart.Add(rep.AnalysisTime), N: int64(len(records)), Note: startNote})
+		End: analysisStart.Add(rep.AnalysisTime), N: int64(p.n), Note: startNote})
 	tr.RecordEngine(span.Span{ID: "recovery/redo", Kind: span.KRecovery,
 		Name: "recovery: redo", Start: redoStart,
 		End: redoStart.Add(rep.RedoTime), N: int64(rep.Redone)})
@@ -297,14 +328,12 @@ func recoverWith(disk *storage.MemStore, records []storage.Record, engineWAL *st
 		N:    int64(rep.PhysicalUndos + rep.LogicalUndos),
 		Note: fmt.Sprintf("%d losers", len(rep.Losers))})
 
-	sort.Strings(rep.Winners)
-	rep.Winners = slices.Compact(rep.Winners)
 	// Make the recovery pass itself durable (abort markers, CLRs, discards)
 	// before declaring the engine open; a no-op without a durable sink.
 	if err := db.WAL().WaitDurable(db.WAL().LastLSN()); err != nil {
-		return nil, rep, fmt.Errorf("recovery: flushing recovery records: %w", err)
+		return nil, *rep, fmt.Errorf("recovery: flushing recovery records: %w", err)
 	}
-	return db, rep, nil
+	return db, *rep, nil
 }
 
 // RedoPage applies one update record's after-image to a store, allocating

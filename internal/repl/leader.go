@@ -87,6 +87,20 @@ func (n *Node) promote(epoch, term uint64) {
 		_ = fw.Close() // release the directory for the engine's own FileWAL
 	}
 	db, err := n.cfg.OpenEngine(n.cfg.Dir, fresh)
+	// The entry cache needs every record recovery appended (loser aborts,
+	// CLRs), but a checkpoint since OpenEngine may have trimmed them from
+	// the engine's WAL window: replication would stall at the hole.
+	var recs []storage.Record
+	if err == nil {
+		recs = db.WAL().Records()
+		n.mu.Lock()
+		last := n.lastLSN
+		n.mu.Unlock()
+		if end := db.WAL().LastLSN(); end-uint64(len(recs)) > last {
+			_ = db.Close()
+			err = fmt.Errorf("recovered log holds LSNs %d..%d but its window starts at %d", last+1, end, end+1-uint64(len(recs)))
+		}
+	}
 	if err != nil {
 		n.logf("repl: %s: promotion failed: %v", n.cfg.ID, err)
 		n.mu.Lock()
@@ -104,10 +118,6 @@ func (n *Node) promote(epoch, term uint64) {
 		return
 	}
 
-	// Recovery may have appended its own records (loser aborts, CLRs);
-	// the engine's in-memory WAL holds the complete log, so reseed the
-	// entry cache from it before replication resumes.
-	recs := db.WAL().Records()
 	sink := &quorumSink{n: n, epoch: epoch}
 	db.WAL().WrapSink(func(inner storage.DurableSink) storage.DurableSink {
 		sink.inner = inner

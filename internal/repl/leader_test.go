@@ -1,10 +1,14 @@
 package repl
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // waitFenced blocks until ld has committed the fence entry of its term,
@@ -192,4 +196,73 @@ func BenchmarkQuorumCommit(b *testing.B) {
 		end += fsyncs(f)
 	}
 	b.ReportMetric(float64(end-start)/float64(b.N), "follower-fsyncs/op")
+}
+
+// TestPromotionRefusesEntryCacheHole: recovery appends a loser's undo
+// records above the follower log's last entry, and a checkpoint taken
+// before the engine is handed back trims them from the engine's in-memory
+// WAL. A leader seeded from that window would have a hole in its entry
+// cache, so the node refuses to lead, falls back to follower, and leads on
+// the next election, when recovery has nothing left to append.
+func TestPromotionRefusesEntryCacheHole(t *testing.T) {
+	dir := t.TempDir()
+	n, err := Open(testConfig(t, "solo", dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := waitLeader(t, []*Node{n})
+	if err := credit(t, ld, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	loser := ld.DB().Begin()
+	if _, err := loser.Exec(acct(0), "credit", "100"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var opens int
+	var refused []string
+	cfg := testConfig(t, "solo", dir)
+	cfg.OpenEngine = func(dir string, fresh bool) (*core.DB, error) {
+		db, err := bankEngine(dir, fresh)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := db.Checkpoint(); err != nil {
+			db.Close()
+			return nil, err
+		}
+		mu.Lock()
+		opens++
+		mu.Unlock()
+		return db, nil
+	}
+	cfg.Logf = func(format string, args ...any) {
+		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "promotion failed") {
+			mu.Lock()
+			refused = append(refused, msg)
+			mu.Unlock()
+		}
+		t.Logf(format, args...)
+	}
+	n2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	ld = waitLeader(t, []*Node{n2})
+	mu.Lock()
+	if opens < 2 || len(refused) == 0 || !strings.Contains(refused[0], "window starts at") {
+		t.Fatalf("engine opened %d times, refusals %q; want a refused promotion before the lead", opens, refused)
+	}
+	mu.Unlock()
+	if err := credit(t, ld, 0, 1); err != nil {
+		t.Fatalf("credit after the refused promotion: %v", err)
+	}
+	if got := balance(t, ld, 0); got != 6 {
+		t.Fatalf("balance = %d, want 6 (the loser's credit undone)", got)
+	}
 }

@@ -421,7 +421,16 @@ func writeFileSync(path string, data []byte) error {
 // newest checkpoint. Called at Open and after a deposed leader's engine
 // is closed.
 func (n *Node) loadDiskStateLocked() error {
-	fw, records, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions())
+	entries := make(map[uint64]entry)
+	var first, last uint64
+	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), func(rec storage.Record) error {
+		entries[rec.LSN] = entry{term: n.termOfLocked(rec.LSN), rec: rec}
+		if first == 0 {
+			first = rec.LSN
+		}
+		last = rec.LSN
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("repl: opening follower log: %w", err)
 	}
@@ -431,7 +440,7 @@ func (n *Node) loadDiskStateLocked() error {
 		return fmt.Errorf("repl: scanning checkpoints: %w", err)
 	}
 	n.fw = fw
-	n.entries = make(map[uint64]entry, len(records))
+	n.entries = entries
 	if snap != nil && snap.LSN > n.snapLSN {
 		// The engine checkpointed beyond the last installed snapshot while
 		// this node led; adopt the newer barrier.
@@ -445,16 +454,10 @@ func (n *Node) loadDiskStateLocked() error {
 		n.standby = storage.NewMemStore(n.cfg.PageSize)
 		n.applied = 0
 	}
-	n.lastLSN = n.snapLSN
+	n.lastLSN = max(n.snapLSN, last)
 	n.firstLSN = n.snapLSN + 1
-	for _, rec := range records {
-		n.entries[rec.LSN] = entry{term: n.termOfLocked(rec.LSN), rec: rec}
-		if rec.LSN > n.lastLSN {
-			n.lastLSN = rec.LSN
-		}
-	}
-	if len(records) > 0 && records[0].LSN < n.firstLSN {
-		n.firstLSN = records[0].LSN
+	if first > 0 && first < n.firstLSN {
+		n.firstLSN = first
 	}
 	if n.commitIndex < n.snapLSN {
 		n.commitIndex = n.snapLSN

@@ -200,7 +200,7 @@ func (n *Node) truncateSuffixLocked(keep uint64) error {
 		delete(n.entries, lsn)
 	}
 	n.lastLSN = keep
-	fw, _, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions())
+	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), nil)
 	if err != nil {
 		return err
 	}
@@ -296,7 +296,7 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	}
 	n.standby = storage.NewMemStoreFromSnapshot(snap.Pages, snap.NextPage, snap.PageSize)
 	n.applied = snap.LSN
-	fw, _, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions())
+	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), nil)
 	if err != nil {
 		n.failLocked(err)
 		return n.ackLocked(false, 0, 0)

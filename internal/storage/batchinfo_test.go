@@ -8,7 +8,7 @@ import (
 // flush (fsync batch) carried a record — the provenance the span layer
 // stamps on group-commit spans.
 func TestWALBatchInfo(t *testing.T) {
-	fw, _, err := OpenFileWAL(t.TempDir(), FileWALOptions{Durability: GroupCommit})
+	fw, _, err := openFileWAL(t.TempDir(), FileWALOptions{Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestWALBatchInfo(t *testing.T) {
 // oldest retained slot. (Regression: the old code matched any retained
 // entry with maxLSN ≥ lsn, which after a wrap is always a later flush.)
 func TestWALBatchInfoAgedOut(t *testing.T) {
-	fw, _, err := OpenFileWAL(t.TempDir(), FileWALOptions{Durability: GroupCommit})
+	fw, _, err := openFileWAL(t.TempDir(), FileWALOptions{Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

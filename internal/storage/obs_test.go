@@ -112,7 +112,7 @@ func TestPoolObsPublishesAndRecordsEvictions(t *testing.T) {
 // size and publish WAL counters under "wal".
 func TestFileWALObs(t *testing.T) {
 	dir := t.TempDir()
-	w, recs, err := OpenFileWAL(dir, FileWALOptions{Durability: GroupCommit})
+	w, recs, err := openFileWAL(dir, FileWALOptions{Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

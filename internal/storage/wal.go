@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -100,11 +99,12 @@ type batchInfoSink interface {
 	BatchInfo(lsn uint64) (BatchInfo, bool)
 }
 
-// WAL is the write-ahead log. Records always live in memory (recovery,
-// undo, and the offline checker scan them); an attached DurableSink
-// additionally carries every record to stable storage. The log is also the
-// undo list: runtime abort and restart recovery both roll back from the
-// live undo records it tracks per in-flight transaction (LiveUndo).
+// WAL is the write-ahead log, and the undo list: runtime abort and restart
+// recovery roll back from the live undo records it tracks per in-flight
+// transaction (LiveUndo). Memory keeps a window of LSN-contiguous records
+// up to the newest; a record leaves it (Trim) once its effects are in the
+// store crash recovery starts from and no live undo chain names it or
+// anything older. An attached DurableSink carries every record to disk.
 type WAL struct {
 	mu      sync.Mutex
 	records []Record
@@ -112,7 +112,8 @@ type WAL struct {
 	sink    DurableSink
 	// active maps each in-flight transaction root (undo-relevant records,
 	// no EndsTxn record yet) to its undo chain.
-	active map[string]*undoChain
+	active     map[string]*undoChain
+	replayKept int // window length after Replay's last trim
 }
 
 // undoChain tracks one in-flight root: the LSN of its first RecUpdate or
@@ -212,14 +213,15 @@ func (c *undoChain) drop(lsn uint64) bool {
 	return i >= 0
 }
 
-// at returns the record with the given LSN, which must be in the log.
-// Records are LSN-ordered and normally dense, so the offset from the first
-// one is a direct hit.
+// at returns the record with the given LSN: the offset from the window's
+// first record. An LSN outside the window means a record undo needs was
+// trimmed; restoring another record's before-image would corrupt the store.
 func (w *WAL) at(lsn uint64) *Record {
-	if i := int(lsn - w.records[0].LSN); i >= 0 && i < len(w.records) && w.records[i].LSN == lsn {
+	first := w.nextLSN - uint64(len(w.records))
+	if i := lsn - first; lsn >= first && i < uint64(len(w.records)) && w.records[i].LSN == lsn {
 		return &w.records[i]
 	}
-	return &w.records[sort.Search(len(w.records), func(i int) bool { return w.records[i].LSN >= lsn })]
+	panic(fmt.Sprintf("storage: WAL record %d is not in the retained window [%d, %d]", lsn, first, w.nextLSN-1))
 }
 
 // liveUnder returns the LSNs of the live undo records logged by action or
@@ -245,14 +247,6 @@ func (w *WAL) LiveUndo(action string, above uint64) []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.newestFirst(w.liveUnder(action, above))
-}
-
-// UndoRecords returns the records with the given LSNs, given oldest first
-// (as Commit hands them out), newest first.
-func (w *WAL) UndoRecords(lsns []uint64) []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.newestFirst(lsns)
 }
 
 func (w *WAL) newestFirst(lsns []uint64) []Record {
@@ -439,15 +433,16 @@ func (w *WAL) LogCommit(owner string) uint64 {
 }
 
 // Commit appends owner's commit record, which ends its undo chain, and
-// hands the chain's live LSNs to the committer, oldest first: a commit that
-// cannot be made durable is rolled back from them (UndoRecords).
-func (w *WAL) Commit(owner string) (lsn uint64, live []uint64) {
+// hands a copy of the chain's live undo records (newest first) to the
+// committer, which rolls back from them if the commit cannot be made
+// durable — a checkpoint may trim the ended chain's records meanwhile.
+func (w *WAL) Commit(owner string) (lsn uint64, undo []Record) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if c := w.active[RootOf(owner)]; c != nil {
-		live = c.live
+	if c := w.active[RootOf(owner)]; c != nil && w.sink != nil {
+		undo = w.newestFirst(c.live)
 	}
-	return w.appendLocked(Record{Kind: RecCommit, Owner: owner}), live
+	return w.appendLocked(Record{Kind: RecCommit, Owner: owner}), undo
 }
 
 // LogAbort appends an abort record.
@@ -460,11 +455,43 @@ func (w *WAL) LogCompensation(owner, note string) uint64 {
 	return w.Append(Record{Kind: RecCompensation, Owner: owner, Note: note})
 }
 
-// Len returns the number of records.
+// Len returns the number of records in the window.
 func (w *WAL) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.records)
+}
+
+// Replay appends an already-sequenced record without forwarding it to the
+// sink, trimming each time the window has doubled, so a whole log replays
+// in the memory its live chains need. The caller applies each record to
+// the store first, and no other goroutine may hold the log yet.
+func (w *WAL) Replay(rec Record) {
+	w.nextLSN = rec.LSN + 1
+	w.trackActive(&rec)
+	w.records = append(w.records, rec)
+	if len(w.records) >= 2*w.replayKept {
+		w.Trim(w.nextLSN)
+		w.replayKept = max(len(w.records), 1024)
+	}
+}
+
+// Trim drops the records below min(lsn, the first LSN of every live undo
+// chain), which the store must reflect, copying the rest down so their
+// images are freed. The newest record stays, so a log rebuilt from the
+// window continues the LSN sequence.
+func (w *WAL) Trim(lsn uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	lsn = min(lsn, w.nextLSN-1)
+	for _, c := range w.active {
+		lsn = min(lsn, c.first)
+	}
+	if first := w.nextLSN - uint64(len(w.records)); lsn > first {
+		n := copy(w.records, w.records[lsn-first:])
+		clear(w.records[n:])
+		w.records = w.records[:n]
+	}
 }
 
 // LastLSN returns the highest assigned LSN (0 when the log is empty).
@@ -474,7 +501,7 @@ func (w *WAL) LastLSN() uint64 {
 	return w.nextLSN - 1
 }
 
-// Records returns a copy of all records in log order.
+// Records returns a copy of the window's records in log order.
 func (w *WAL) Records() []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -175,9 +175,10 @@ type FileWAL struct {
 }
 
 // OpenFileWAL opens (or creates) the segmented WAL in dir, applying the
-// torn-tail rule, and returns the decoded records together with a FileWAL
-// positioned to append after the last good record.
-func OpenFileWAL(dir string, o FileWALOptions) (*FileWAL, []Record, error) {
+// torn-tail rule: it hands each surviving record to fn (if non-nil) in LSN
+// order, then returns a FileWAL positioned to append after the last good
+// record. An error from fn ends the walk and is returned, files untouched.
+func OpenFileWAL(dir string, o FileWALOptions, fn func(Record) error) (*FileWAL, error) {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = DefaultSegmentSize
 	}
@@ -185,15 +186,26 @@ func OpenFileWAL(dir string, o FileWALOptions) (*FileWAL, []Record, error) {
 		o.Durability = GroupCommit
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	records, lastPath, truncate, err := scanWALDir(dir)
+	var last uint64
+	names, truncate, err := walkSegments(dir, func(_, _ int, rec Record) error {
+		last = rec.LSN
+		if fn == nil {
+			return nil
+		}
+		return fn(rec)
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	lastPath := ""
+	if len(names) > 0 {
+		lastPath = filepath.Join(dir, names[len(names)-1])
 	}
 	if truncate >= 0 {
 		if err := truncateSegment(lastPath, truncate); err != nil {
-			return nil, nil, fmt.Errorf("storage: truncating torn tail of %s: %w", lastPath, err)
+			return nil, fmt.Errorf("storage: truncating torn tail of %s: %w", lastPath, err)
 		}
 	}
 
@@ -205,8 +217,8 @@ func OpenFileWAL(dir string, o FileWALOptions) (*FileWAL, []Record, error) {
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.flushCond = sync.NewCond(&w.mu)
-	if len(records) > 0 {
-		w.appended = records[len(records)-1].LSN
+	if last > 0 {
+		w.appended = last
 		w.durable = w.appended
 		// Records already in the files predate every flush this incarnation
 		// will perform; the first new flush covers (w.durable, maxLSN].
@@ -215,17 +227,17 @@ func OpenFileWAL(dir string, o FileWALOptions) (*FileWAL, []Record, error) {
 	if lastPath != "" {
 		f, err := os.OpenFile(lastPath, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		st, err := f.Stat()
 		if err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		w.cur, w.curSize = f, st.Size()
 	}
 	go w.flusher()
-	return w, records, nil
+	return w, nil
 }
 
 // SetObs attaches an observability registry: the WAL observes every fsync's
@@ -249,26 +261,21 @@ func (w *FileWAL) SetObs(reg *obs.Registry) {
 	})
 }
 
-// ReadWALDir scans the segment files read-only: the torn tail of the last
-// segment is skipped (not truncated), mid-log damage is an error. It is
-// the inspection twin of OpenFileWAL for tools and tests.
-func ReadWALDir(dir string) ([]Record, error) {
-	records, _, _, err := scanWALDir(dir)
-	return records, err
+// WalkWALDir is OpenFileWAL's read-only walk for tools and tests: the torn
+// tail of the last segment is skipped (not truncated), mid-log damage is an
+// error, an error from fn ends the walk, and one segment is held in memory.
+func WalkWALDir(dir string, fn func(Record) error) error {
+	_, _, err := walkSegments(dir, func(_, _ int, rec Record) error { return fn(rec) })
+	return err
 }
 
-// scanWALDir reads every segment in order. It returns the decoded records,
-// the path of the last segment ("" when none), and the byte offset the
-// last segment must be truncated to (-1 when its tail is clean).
-func scanWALDir(dir string) (records []Record, lastPath string, truncate int64, err error) {
-	names, truncate, err := walkSegments(dir, func(_, _ int, rec Record) bool {
+// ReadWALDir collects WalkWALDir's records into a slice.
+func ReadWALDir(dir string) (records []Record, err error) {
+	err = WalkWALDir(dir, func(rec Record) error {
 		records = append(records, rec)
-		return true
+		return nil
 	})
-	if err != nil || len(names) == 0 {
-		return nil, "", -1, err
-	}
-	return records, filepath.Join(dir, names[len(names)-1]), truncate, nil
+	return records, err
 }
 
 func listSegments(dir string) ([]string, error) {
@@ -288,14 +295,14 @@ func listSegments(dir string) ([]string, error) {
 
 // walkSegments decodes the segments of dir in order under the torn-tail
 // rule, calling fn with each record, its segment's index in names and its
-// frame's offset there; fn returning false ends the walk. Any frame error
+// frame's offset there; an error from fn ends the walk. Any frame error
 // (short frame, length out of bounds, checksum mismatch) is a torn tail, as
 // a crash can leave each of them; in the last segment the walk ends there
 // and torn is its offset (-1 when the tail is clean). A torn tail in an
 // earlier segment, a payload that does not decode behind a good checksum,
 // or an LSN that breaks the contiguous sequence is ErrWALCorrupt — a crash
 // cannot produce it.
-func walkSegments(dir string, fn func(seg, off int, rec Record) bool) (names []string, torn int64, err error) {
+func walkSegments(dir string, fn func(seg, off int, rec Record) error) (names []string, torn int64, err error) {
 	if names, err = listSegments(dir); err != nil {
 		return nil, -1, err
 	}
@@ -321,8 +328,8 @@ func walkSegments(dir string, fn func(seg, off int, rec Record) bool) (names []s
 			if prevLSN != 0 && rec.LSN != prevLSN+1 {
 				return nil, -1, fmt.Errorf("%w: %s offset %d: lsn %d after %d", ErrWALCorrupt, path, off, rec.LSN, prevLSN)
 			}
-			if !fn(i, off, rec) {
-				return names, -1, nil
+			if err := fn(i, off, rec); err != nil {
+				return names, -1, err
 			}
 			prevLSN = rec.LSN
 			off += n
@@ -757,13 +764,15 @@ func WALSegments(dir string) ([]SegmentInfo, error) {
 // afterwards.
 func TruncateWALAbove(dir string, keep uint64) error {
 	cutSeg, cut := -1, 0
-	names, _, err := walkSegments(dir, func(seg, off int, rec Record) bool {
+	errCut := errors.New("cut found")
+	names, _, err := walkSegments(dir, func(seg, off int, rec Record) error {
 		if rec.LSN > keep {
 			cutSeg, cut = seg, off
+			return errCut
 		}
-		return cutSeg < 0
+		return nil
 	})
-	if err != nil {
+	if err != nil && err != errCut {
 		return err
 	}
 	if cutSeg >= 0 {

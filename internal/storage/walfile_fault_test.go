@@ -23,7 +23,7 @@ func armFault(t *testing.T, kv string) {
 
 func openGroupWAL(t *testing.T, segSize int64) (*WAL, *FileWAL) {
 	t.Helper()
-	fw, recs, err := OpenFileWAL(t.TempDir(), FileWALOptions{
+	fw, recs, err := openFileWAL(t.TempDir(), FileWALOptions{
 		Durability:  GroupCommit,
 		SegmentSize: segSize,
 	})
@@ -188,7 +188,7 @@ func TestCloseFinalFsyncErrorSurfaces(t *testing.T) {
 // point was acked, so nothing after it may be required.
 func TestPoisonedWALKeepsDurablePrefix(t *testing.T) {
 	dir := t.TempDir()
-	fw, _, err := OpenFileWAL(dir, FileWALOptions{Durability: GroupCommit})
+	fw, _, err := openFileWAL(dir, FileWALOptions{Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

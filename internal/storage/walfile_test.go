@@ -13,6 +13,16 @@ import (
 	"repro/internal/frame"
 )
 
+// openFileWAL opens dir and collects the records OpenFileWAL walks.
+func openFileWAL(dir string, o FileWALOptions) (*FileWAL, []Record, error) {
+	var recs []Record
+	fw, err := OpenFileWAL(dir, o, func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return fw, recs, err
+}
+
 // randomRecord draws a record with every field exercised; LSNs are
 // assigned by the WAL, not here.
 func randomRecord(rr *rand.Rand) Record {
@@ -69,7 +79,7 @@ func TestWALRecordCodecRoundTrip(t *testing.T) {
 // segments and returns the records and the directory.
 func buildSegments(t *testing.T, dir string, n int, seed int64) []Record {
 	t.Helper()
-	fw, existing, err := OpenFileWAL(dir, FileWALOptions{SegmentSize: 256, Durability: GroupCommit})
+	fw, existing, err := openFileWAL(dir, FileWALOptions{SegmentSize: 256, Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestFileWALRotationAndReopen(t *testing.T) {
 	if n := len(segmentFiles(t, dir)); n < 2 {
 		t.Fatalf("expected rotation, got %d segments", n)
 	}
-	fw, got, err := OpenFileWAL(dir, FileWALOptions{SegmentSize: 256, Durability: GroupCommit})
+	fw, got, err := openFileWAL(dir, FileWALOptions{SegmentSize: 256, Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestFileWALTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, last), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fw, got, err := OpenFileWAL(dir, FileWALOptions{SegmentSize: 256, Durability: GroupCommit})
+		fw, got, err := openFileWAL(dir, FileWALOptions{SegmentSize: 256, Durability: GroupCommit})
 		if err != nil {
 			t.Fatalf("cut=%d: open failed: %v", cut, err)
 		}
@@ -235,7 +245,7 @@ func TestFileWALBitFlip(t *testing.T) {
 	data, _ := os.ReadFile(p)
 	data[len(data)/2] ^= 0xff
 	os.WriteFile(p, data, 0o644)
-	if _, _, err := OpenFileWAL(dir, FileWALOptions{}); err == nil {
+	if _, _, err := openFileWAL(dir, FileWALOptions{}); err == nil {
 		t.Fatal("mid-log bit flip must refuse to open")
 	}
 
@@ -247,7 +257,7 @@ func TestFileWALBitFlip(t *testing.T) {
 	if len(data2) > frame.HeaderSize {
 		data2[len(data2)-1] ^= 0xff
 		os.WriteFile(p2, data2, 0o644)
-		fw, _, err := OpenFileWAL(dir2, FileWALOptions{})
+		fw, _, err := openFileWAL(dir2, FileWALOptions{})
 		if err != nil {
 			t.Fatalf("tail bit flip must truncate, got %v", err)
 		}
@@ -268,7 +278,7 @@ func TestFileWALZeroFilledTail(t *testing.T) {
 	}
 	f.Write(make([]byte, 4096))
 	f.Close()
-	fw, got, err := OpenFileWAL(dir, FileWALOptions{SegmentSize: 256})
+	fw, got, err := openFileWAL(dir, FileWALOptions{SegmentSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestFileWALZeroFilledTail(t *testing.T) {
 // concurrent waiters are served by far fewer fsyncs than commits.
 func TestFileWALGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
-	fw, _, err := OpenFileWAL(dir, FileWALOptions{Durability: GroupCommit})
+	fw, _, err := openFileWAL(dir, FileWALOptions{Durability: GroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +380,7 @@ func TestTruncateWALAbove(t *testing.T) {
 				t.Fatalf("keep=%d: segment %s survives", keep, s.Name)
 			}
 		}
-		fw, recs, err := OpenFileWAL(dir, FileWALOptions{SegmentSize: 256})
+		fw, recs, err := openFileWAL(dir, FileWALOptions{SegmentSize: 256})
 		if err != nil {
 			t.Fatalf("keep=%d: reopen: %v", keep, err)
 		}
@@ -429,7 +439,7 @@ func TestTruncateWALAbove(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want[:5]) {
 			t.Fatalf("after truncation: %d records, %v; want the 5 good ones", len(got), err)
 		}
-		fw, recs, err := OpenFileWAL(dir, FileWALOptions{})
+		fw, recs, err := openFileWAL(dir, FileWALOptions{})
 		if err != nil || len(recs) != 5 {
 			t.Fatalf("reopen: %d records, %v", len(recs), err)
 		}

@@ -1,0 +1,172 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestWALAtPanicsOutsideWindow: asking for a record the window no longer
+// holds is a broken trimming invariant, not a lookup miss; at names the
+// LSN and the window instead of returning a neighbour.
+func TestWALAtPanicsOutsideWindow(t *testing.T) {
+	w := NewWAL()
+	w.LogUpdate("T1", 1, "a", "b")
+	w.LogCommit("T1")
+	live := w.LogUpdate("T2", 2, "c", "d")
+	w.LogCommit("T3")
+	w.Trim(w.LastLSN() + 1) // T2's chain pins LSN 3 onward
+	if got := w.Len(); got != 2 {
+		t.Fatalf("window holds %d records after the trim, want 2 (T2's update and T3's commit)", got)
+	}
+	if r := w.at(live); r.Owner != "T2" {
+		t.Fatalf("at(%d) = %+v", live, r)
+	}
+	for _, lsn := range []uint64{1, 2, 5} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("record %d ", lsn)) || !strings.Contains(msg, "[3, 4]") {
+					t.Fatalf("at(%d) panicked with %q, want the LSN and the window [3, 4]", lsn, msg)
+				}
+			}()
+			w.at(lsn)
+		}()
+	}
+}
+
+// randomLog drives a WAL through interleaved roots: updates (some CLRs),
+// intents that supersede their subtree, discards, commits and completed
+// aborts, with at most 8 roots in flight and a few still open at the end.
+func randomLog(seed int64, steps int) *WAL {
+	rr := rand.New(rand.NewSource(seed))
+	w := NewWAL()
+	var open []string
+	next := 0
+	for i := 0; i < steps; i++ {
+		if len(open) < 8 && (len(open) == 0 || rr.Intn(6) == 0) {
+			next++
+			open = append(open, fmt.Sprintf("T%d", next))
+			continue
+		}
+		k := rr.Intn(len(open))
+		root := open[k]
+		sub := fmt.Sprintf("%s.%d", root, rr.Intn(3))
+		switch op := rr.Intn(10); {
+		case op < 4:
+			w.LogUpdate(sub, PageID(rr.Intn(16)+1), fmt.Sprint("b", i), fmt.Sprint("a", i))
+		case op < 5:
+			w.LogCLRUpdate(root+":undo", PageID(rr.Intn(16)+1), "x", "y")
+		case op < 6:
+			w.LogIntent(sub, fmt.Sprint("inverse", i))
+		case op < 7:
+			w.LogDiscardUnder(sub, 0)
+		default:
+			if i > steps-40 {
+				continue // leave the late roots in flight
+			}
+			if op < 9 {
+				w.LogCommit(root)
+			} else {
+				w.LogAbort(root)
+			}
+			open = slices.Delete(open, k, k+1)
+		}
+	}
+	return w
+}
+
+func liveUndoOf(w *WAL) map[string][]Record {
+	roots, _ := w.ActiveInfo()
+	out := make(map[string][]Record, len(roots))
+	for _, root := range roots {
+		out[root] = w.LiveUndo(root, 0)
+	}
+	return out
+}
+
+// TestReplayAndTrimKeepLiveChains: replaying a log record by record keeps
+// a window of what in-flight roots can still undo, and trimming it keeps
+// every live chain: LiveUndo and ActiveInfo answer the same before and
+// after, on the original log and on the replayed one.
+func TestReplayAndTrimKeepLiveChains(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		ref := randomLog(seed, 20000)
+		want := liveUndoOf(ref)
+		if len(want) == 0 {
+			t.Fatalf("seed %d: no root left in flight", seed)
+		}
+		_, oldest := ref.ActiveInfo()
+
+		replayed := NewWAL()
+		for _, r := range ref.Records() {
+			replayed.Replay(r)
+		}
+		if got := replayed.Len(); got >= ref.Len()/2 {
+			t.Fatalf("seed %d: replay kept %d of %d records", seed, got, ref.Len())
+		}
+		for _, w := range []*WAL{ref, replayed} {
+			if got := liveUndoOf(w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: live undo before the trim differs:\n got %v\nwant %v", seed, got, want)
+			}
+			w.Trim(w.LastLSN() + 1)
+			if got := liveUndoOf(w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: live undo after the trim differs:\n got %v\nwant %v", seed, got, want)
+			}
+			if _, o := w.ActiveInfo(); o != oldest {
+				t.Fatalf("seed %d: oldest in-flight LSN %d after the trim, want %d", seed, o, oldest)
+			}
+			if got, keep := w.Len(), int(w.LastLSN()-oldest+1); got != keep {
+				t.Fatalf("seed %d: trimmed window holds %d records, want the %d from the oldest chain on", seed, got, keep)
+			}
+		}
+	}
+}
+
+// TestTrimKeepsNewestRecord: with nothing in flight a trim empties the
+// window down to the newest record, so a clone of it — the crash image
+// recovery starts from — continues the LSN sequence.
+func TestTrimKeepsNewestRecord(t *testing.T) {
+	w := NewWAL()
+	w.LogUpdate("T1", 1, "a", "b")
+	last := w.LogCommit("T1")
+	w.Trim(last + 1)
+	if w.Len() != 1 {
+		t.Fatalf("window holds %d records, want the newest only", w.Len())
+	}
+	if got := w.Clone().LogCommit("T2"); got != last+1 {
+		t.Fatalf("clone of the trimmed log appends at LSN %d, want %d", got, last+1)
+	}
+}
+
+// failingSink is a durable backing whose every flush fails.
+type failingSink struct{}
+
+func (failingSink) Append(Record)            {}
+func (failingSink) WaitDurable(uint64) error { return ErrWALPoisoned }
+func (failingSink) Close() error             { return nil }
+
+// TestCommitUndoOutlivesTrim: a commit ends its root's chain before the
+// committer learns whether the record is durable, so a checkpoint may trim
+// the chain's records meanwhile; Commit hands the committer its own copy
+// of them, newest first, to roll back from if the flush fails.
+func TestCommitUndoOutlivesTrim(t *testing.T) {
+	w := NewWAL()
+	w.SetSink(failingSink{})
+	w.LogUpdate("T1.1", 1, "a", "b")
+	w.LogIntent("T1.2", "inverse")
+	lsn, undo := w.Commit("T1")
+	w.Trim(lsn + 1)
+	if w.Len() != 1 {
+		t.Fatalf("window holds %d records after the trim, want the commit only", w.Len())
+	}
+	if err := w.WaitDurable(lsn); err == nil {
+		t.Fatal("the failing sink acknowledged the commit")
+	}
+	if len(undo) != 2 || undo[0].Kind != RecIntent || undo[1].Before != "a" {
+		t.Fatalf("commit undo = %+v, want the intent then the update's before-image", undo)
+	}
+}
