@@ -44,7 +44,8 @@ bench-ckpt:
 bench-obs:
 	$(GO) test -bench BenchmarkO1ObsOverhead -benchtime 10x -run '^$$' .
 
-# Prices the always-on span tracer (spans on vs off), same ≤5% budget.
+# Compares the span tracer on vs off on the legacy encyclopedia and
+# group-commit runs; DESIGN.md §4b.19 has its measured cost per commit.
 bench-spans:
 	$(GO) test -bench BenchmarkO2SpanOverhead -benchtime 10x -run '^$$' .
 

@@ -24,15 +24,18 @@ type runtimeAction struct {
 	id     string
 	parent *runtimeAction
 	obj    txn.OID
-	inv    commut.Invocation
 	// depth is the nesting depth below the transaction root (root = 0).
 	depth int
-	// sem is the semantic lock mode the caller takes on obj for this
-	// invocation (open nesting); the lock table and the method span hold
-	// &sem, so the mode is never boxed separately.
+	// sem.Inv is the invocation this action executes. Under open nesting
+	// sem.Spec is set too, and sem is the semantic lock mode the caller
+	// takes on obj: the lock table and the method span hold &sem, so the
+	// mode is never boxed separately.
 	sem cc.Semantic
 	// ctx is the context the method implementation runs with.
 	ctx Ctx
+	// span is the dispatch's method span, recorded in place; a retained
+	// trace keeps the action reachable through it.
+	span span.Method
 
 	// hasWrites records that undo records were logged in this action's
 	// subtree and not consumed there: a page write, an intent of a
@@ -49,6 +52,11 @@ type runtimeAction struct {
 	// final once the action's method returns. heldBuf backs the first few.
 	held    []txn.OID
 	heldBuf [4]txn.OID
+}
+
+// Dispatch names the action for its method span (span.Dispatch).
+func (a *runtimeAction) Dispatch() (id, parent, object, method string) {
+	return a.id, a.parent.id, a.obj.Name, a.sem.Inv.Method
 }
 
 func (a *runtimeAction) nextChildID() string {
@@ -147,11 +155,7 @@ func (db *DB) Begin() *Txn {
 		id:    id,
 		seq:   n,
 		began: time.Now(),
-		root: &runtimeAction{
-			id:  id,
-			obj: txn.SystemObject,
-			inv: commut.Invocation{Method: id},
-		},
+		root:  &runtimeAction{id: id, obj: txn.SystemObject},
 	}
 	t.tt = db.spans.BeginTxn(id, t.began)
 	db.stats.txnsStarted.Add(1)
@@ -266,12 +270,11 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownType, obj.Type)
 	}
-	inv := commut.Invocation{Method: method, Params: params}
 	a := &runtimeAction{
 		id:     parent.nextChildID(),
 		parent: parent,
 		obj:    obj,
-		inv:    inv,
+		sem:    cc.Semantic{Inv: commut.Invocation{Method: method, Params: params}},
 		depth:  parent.depth + 1,
 	}
 	a.ctx = Ctx{db: db, txn: t, action: a}
@@ -284,19 +287,12 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	}
 
 	// One span per method dispatch — the node of the paper's nested action
-	// tree (Def. 2–4). Opened before lock acquisition so a contended lock's
-	// span nests inside it; guarded (rather than relying on nil-safety
-	// alone) so the unsampled path skips even the name concatenation.
-	var ms *span.ActiveSpan
-	if t.tt != nil {
-		// Name is left empty — Snapshot derives "Object.Method" on the cold
-		// path, keeping string concatenation off the dispatch fast path.
-		ms = t.tt.BeginSpan(a.id, parent.id, span.KMethod, "")
-		ms.SetDispatch(obj.Name, method)
-	}
+	// tree (Def. 2–4), recorded inside the action itself. Opened before lock
+	// acquisition so a contended lock's span nests inside it.
+	t.tt.BeginMethod(&a.span, a)
 
-	if err := db.acquireFor(t, a, ot, ms); err != nil {
-		ms.End(err)
+	if err := db.acquireFor(t, a, ot); err != nil {
+		a.span.End(err)
 		return "", err
 	}
 
@@ -326,22 +322,22 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	}
 	if err != nil {
 		db.abortSubtree(t, a)
-		ms.End(err)
+		a.span.End(err)
 		return "", err
 	}
 	db.completeAction(t, a, ot, result)
-	ms.End(nil)
+	a.span.End(nil)
 	return result, nil
 }
 
 // acquireFor takes the lock(s) the protocol prescribes before executing a.
-// The method span ms (nil-safe) gets the commutativity class — the lock
-// mode — the dispatch runs under; a contended acquire additionally records
-// a KLock child span with provenance edges (AcquireTraced). The span keeps
-// the mode itself; it is rendered only if the trace is read. Under open
-// nesting the object goes on the caller's held list before the acquire, so
-// the caller's early release finds it even if the acquire fails.
-func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType, ms *span.ActiveSpan) error {
+// a's method span gets the commutativity class — the lock mode — the
+// dispatch runs under; a contended acquire additionally records a KLock
+// child span with provenance edges (AcquireTraced). The span keeps the mode
+// itself; it is rendered only if the trace is read. Under open nesting the
+// object goes on the caller's held list before the acquire, so the caller's
+// early release finds it even if the acquire fails.
+func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 	var mode cc.Mode
 	owner := t.id
 	switch db.protocol {
@@ -349,9 +345,9 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType, ms *span.Acti
 		if a.obj.Type != PageType {
 			return nil
 		}
-		mode = rwModeFor(ot, a.inv.Method)
+		mode = rwModeFor(ot, a.sem.Inv.Method)
 	case Protocol2PLObject:
-		mode = rwModeFor(ot, a.inv.Method)
+		mode = rwModeFor(ot, a.sem.Inv.Method)
 	case ProtocolClosedNested:
 		if a.obj.Type != PageType {
 			return nil
@@ -362,18 +358,18 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType, ms *span.Acti
 		// as it returns, with no completion step to hand its lock up — so
 		// the lock is taken in the caller's name, and the caller's own
 		// commit passes it on (completeAction's TransferToParent).
-		mode, owner = rwModeFor(ot, a.inv.Method), a.parent.id
+		mode, owner = rwModeFor(ot, a.sem.Inv.Method), a.parent.id
 	case ProtocolOpenNested:
 		// The semantic lock on the object is owned by the CALLER — the
 		// transaction on this object in the paper's sense — and lives until
 		// the caller completes.
-		a.sem = cc.Semantic{Inv: a.inv, Spec: ot.Spec}
+		a.sem.Spec = ot.Spec
 		mode, owner = &a.sem, a.parent.id
 		a.parent.hold(a.obj)
 	default: // ProtocolNone
 		return nil
 	}
-	ms.SetMode(mode)
+	a.span.SetMode(mode)
 	return db.lm.AcquireTraced(t.tt, a.id, owner, a.obj, mode)
 }
 
@@ -408,14 +404,14 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 				Parent:   a.parent.id,
 				ObjType:  PageType,
 				ObjName:  a.obj.Name,
-				Method:   a.inv.Method,
-				Params:   a.inv.Params,
+				Method:   a.sem.Inv.Method,
+				Params:   a.sem.Inv.Params,
 				Parallel: parallel,
 			})
 		}
 	}
 
-	switch a.inv.Method {
+	switch a.sem.Inv.Method {
 	case "read", "readx":
 		frame.RLatch()
 		data := frame.Data()
@@ -424,10 +420,10 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 		db.stats.pageReads.Add(1)
 		return data, nil
 	case "write":
-		if len(a.inv.Params) != 1 {
+		if len(a.sem.Inv.Params) != 1 {
 			return "", fmt.Errorf("core: page write needs exactly one parameter")
 		}
-		data := a.inv.Params[0]
+		data := a.sem.Inv.Params[0]
 		if len(data) > db.store.PageSize() {
 			return "", storage.ErrPageTooLarge
 		}
@@ -448,7 +444,7 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 		db.stats.pageWrites.Add(1)
 		return "", nil
 	default:
-		return "", fmt.Errorf("%w: page.%s", ErrUnknownMethod, a.inv.Method)
+		return "", fmt.Errorf("%w: page.%s", ErrUnknownMethod, a.sem.Inv.Method)
 	}
 }
 
@@ -473,11 +469,11 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 		// of the child's completed descendants).
 		db.lm.TransferToParent(a.id, parent.id)
 	case ProtocolOpenNested:
-		if comp := ot.Compensate[a.inv.Method]; comp != nil {
+		if comp := ot.Compensate[a.sem.Inv.Method]; comp != nil {
 			// The locks the subtransaction acquired underneath can be
 			// released early: the invocation lock on a.obj (owner
 			// parent.id) continues to protect it.
-			if m, cp, need := comp(a.inv.Params, result); need && !running {
+			if m, cp, need := comp(a.sem.Inv.Params, result); need && !running {
 				// The committed subtransaction is now undone logically: the
 				// intent supersedes the subtree's records.
 				db.wal.LogIntent(a.id, compensationNote(a.obj, m, cp))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -199,5 +201,64 @@ func TestGroupCommitSpan(t *testing.T) {
 	}
 	if ws.N < 1 || ws.Note == "" {
 		t.Fatalf("group-commit span must carry batch info: %+v", ws)
+	}
+}
+
+// TestDispatchAllocs pins what a traced dispatch allocates. Exec of reg.get
+// is two dispatches — get and its page read — and each allocates its action
+// and its id. The method span lives inside the action and the pool's LRU
+// inside its frames, so neither adds an allocation.
+func TestDispatchAllocs(t *testing.T) {
+	db := Open(Options{Protocol: ProtocolOpenNested, DisableTrace: true})
+	reg := registerRegType(t, db)
+	tx := db.Begin()
+	defer tx.Commit()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := tx.Exec(reg, "get"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / 2; per > 2 {
+		t.Fatalf("traced dispatch = %.1f allocs, want <= 2", per)
+	}
+	if tx.Trace() == nil {
+		t.Fatal("the transaction must be traced")
+	}
+}
+
+// TestRetainedTraceOutlivesLaterTxns: a retained trace renders its dispatch
+// spans from the actions it keeps reachable, so its snapshot must not move
+// while later transactions run — under every locking protocol.
+func TestRetainedTraceOutlivesLaterTxns(t *testing.T) {
+	for _, p := range []ProtocolKind{ProtocolOpenNested, Protocol2PLPage, Protocol2PLObject, ProtocolClosedNested} {
+		t.Run(p.String(), func(t *testing.T) {
+			db := Open(Options{Protocol: p, DisableTrace: true,
+				Tracer: span.NewTracer(span.Options{Retain: 4096})})
+			reg := registerRegType(t, db)
+			run := func(v string) string {
+				tx := db.Begin()
+				if _, err := tx.Exec(reg, "set", v); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.Exec(reg, "get"); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				return tx.ID()
+			}
+			id := run("first")
+			want := db.Spans().Lookup(id).Snapshot()
+			if len(want.Spans) < 5 {
+				t.Fatalf("trace has %d spans, want the root and 4 dispatches: %+v", len(want.Spans), want.Spans)
+			}
+			for i := 0; i < 2000; i++ {
+				run(strconv.Itoa(i))
+			}
+			if got := db.Spans().Lookup(id).Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("retained trace changed:\nbefore %+v\nafter  %+v", want, got)
+			}
+		})
 	}
 }

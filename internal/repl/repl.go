@@ -184,6 +184,10 @@ type Node struct {
 	// leaderAddr is the last known leader's CLIENT address (what
 	// NotLeader redirects carry).
 	leaderAddr string
+	// heardAt is when the last append or snapshot from a valid leader
+	// finished. An election timer that fires while one runs waits on mu;
+	// it must not depose the leader just heard from.
+	heardAt time.Time
 
 	// Log state. entries holds every record from firstLSN..lastLSN;
 	// records at or below snapLSN live only in the snapshot.
@@ -560,10 +564,12 @@ func (n *Node) resetElectionTimerLocked() {
 // randomized timeout: become a candidate and solicit votes.
 func (n *Node) electionTick() {
 	n.mu.Lock()
-	if n.closed || n.failed != nil || n.role == RoleLeader || n.rebuilding || n.isolated.Load() {
+	if n.closed || n.failed != nil || n.role == RoleLeader || n.rebuilding || n.isolated.Load() ||
+		time.Since(n.heardAt) < n.cfg.ElectionTimeout {
 		// A leader's liveness is judged by its own quorum acks, not this
 		// timer; a rebuilding or isolated node would elect itself on state
-		// it cannot defend. Re-arm and wait.
+		// it cannot defend; and a timer that fired while the leader's
+		// append or snapshot held mu is stale. Re-arm and wait.
 		if !n.closed {
 			n.resetElectionTimerLocked()
 		}

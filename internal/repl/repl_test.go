@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/recovery"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -515,5 +516,38 @@ func TestIsolatedLeaderAbdicatesAndRejoins(t *testing.T) {
 	}
 	if got := balance(t, ld2, 0); got != 2 {
 		t.Fatalf("balance = %d, want 2 (isolated-side ack must not surface)", got)
+	}
+}
+
+// TestSlowAppendKeepsLeader: a follower whose append handler outlasts its
+// election timeout must not elect itself the moment the append returns.
+// The timer fires while the handler holds the node mutex; the tick that
+// then runs has just heard from the leader.
+func TestSlowAppendKeepsLeader(t *testing.T) {
+	nodes := startCluster(t, 3)
+	leader := waitLeader(t, nodes)
+	time.Sleep(100 * time.Millisecond) // every follower learns the term
+	term := leader.Status().Term
+
+	if err := fault.Default.ArmString("repl.append=delay(250ms);count=1"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fault.Default.Disarm("repl.append") })
+	deadline := time.Now().Add(5 * time.Second)
+	for fpReplAppend.Armed() {
+		if time.Now().After(deadline) {
+			t.Fatal("no follower ran an append")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The delayed append, the stale tick behind it and a few heartbeats.
+	time.Sleep(500 * time.Millisecond)
+	for _, n := range nodes {
+		if st := n.Status(); st.Term != term {
+			t.Fatalf("%s moved from term %d to %d after a slow append", st.Node, term, st.Term)
+		}
+	}
+	if leader.Role() != RoleLeader {
+		t.Fatalf("leader %s lost its role", leader.Status().Node)
 	}
 }

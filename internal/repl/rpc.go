@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/storage"
@@ -97,6 +98,7 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 	n.leaderID = re.From
 	n.leaderAddr = re.Addr
 	n.resetElectionTimerLocked()
+	defer func() { n.heardAt = time.Now() }()
 	if n.rebuilding || n.fw == nil {
 		// Mid-demotion: the log is being re-read; ask the leader to retry
 		// the same position later.
@@ -233,6 +235,7 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	n.leaderID = re.From
 	n.leaderAddr = re.Addr
 	n.resetElectionTimerLocked()
+	defer func() { n.heardAt = time.Now() }()
 	if n.rebuilding || n.fw == nil {
 		return n.ackLocked(false, 0, 0)
 	}

@@ -147,9 +147,6 @@ type Span struct {
 	Note   string    `json:"note,omitempty"`
 	Edges  []Edge    `json:"edges,omitempty"`
 	Seq    int       `json:"seq"`
-	// mode is the lock mode SetMode recorded; Snapshot renders it into
-	// Class, so a span nobody reads never pays for the string.
-	mode fmt.Stringer
 }
 
 // Dur returns the span's duration.
@@ -176,11 +173,13 @@ type TxnTrace struct {
 	seq atomic.Int64
 
 	mu sync.Mutex
-	// spans points at the ended spans' ActiveSpan storage: End publishes a
-	// pointer, not a copy, and Snapshot copies the values out.
-	spans  []*Span
-	end    time.Time
-	status Status
+	// spans points at the ended spans' ActiveSpan storage and methods at
+	// the ended dispatch records: End publishes a pointer, not a copy, and
+	// Snapshot renders the values out.
+	spans   []*Span
+	methods []*Method
+	end     time.Time
+	status  Status
 	// lastAbortEdge is the most recent provenance edge recorded on a span
 	// that ended in error — the causal explanation an aborted transaction's
 	// root span is stamped with.
@@ -245,30 +244,12 @@ type ActiveSpan struct {
 	sp Span
 }
 
-// SetDispatch records the dispatched object/method on the span.
-func (a *ActiveSpan) SetDispatch(object, method string) {
-	if a == nil {
-		return
-	}
-	a.sp.Object, a.sp.Method = object, method
-}
-
 // SetClass records the commutativity class (lock mode) the span ran under.
 func (a *ActiveSpan) SetClass(class string) {
 	if a == nil {
 		return
 	}
 	a.sp.Class = class
-}
-
-// SetMode records the lock mode — the commutativity class — the span ran
-// under. The mode is rendered into Class only when the trace is snapshot,
-// keeping the string off the dispatch path; it must not change afterwards.
-func (a *ActiveSpan) SetMode(mode fmt.Stringer) {
-	if a == nil {
-		return
-	}
-	a.sp.mode = mode
 }
 
 // SetN records a count (group-commit batch size, records redone, ...).
@@ -325,6 +306,83 @@ func (a *ActiveSpan) End(err error) {
 // would cost a reallocation per doubling.
 const initialSpans = 16
 
+// Dispatch names a method dispatch for its span: the action's id, its
+// parent's id, and the object and method it invokes. The executing action
+// implements it, so a dispatch record points at what it describes instead
+// of copying it; the four values must not change once the record begins.
+type Dispatch interface {
+	Dispatch() (id, parent, object, method string)
+}
+
+// Method is the span record of one method dispatch, held by value in the
+// action it describes: beginning and ending it allocates nothing. Snapshot
+// renders it into the KMethod Span it stands for. A record begun on a nil
+// trace stays inert.
+type Method struct {
+	tt   *TxnTrace
+	src  Dispatch
+	mode fmt.Stringer
+	// start and end are offsets from the trace's start: one monotonic
+	// clock read each.
+	start, end time.Duration
+	seq        int
+	err        string
+}
+
+// BeginMethod opens m as the dispatch span of src. The record is owned by
+// the calling goroutine until End, and by the trace afterwards.
+func (tt *TxnTrace) BeginMethod(m *Method, src Dispatch) {
+	if tt == nil {
+		return
+	}
+	m.tt, m.src = tt, src
+	m.seq = int(tt.seq.Add(1))
+	m.start = time.Since(tt.start)
+}
+
+// SetMode records the lock mode — the commutativity class — the dispatch
+// runs under. It is rendered into Class only when the trace is read, so
+// it must not change afterwards.
+func (m *Method) SetMode(mode fmt.Stringer) {
+	if m.tt != nil {
+		m.mode = mode
+	}
+}
+
+// End closes the record (stamping err, when non-nil) and publishes a
+// pointer to it into the trace; the record must not be touched afterwards.
+func (m *Method) End(err error) {
+	tt := m.tt
+	if tt == nil {
+		return
+	}
+	m.end = time.Since(tt.start)
+	if err != nil {
+		m.err = err.Error()
+	}
+	tt.mu.Lock()
+	if tt.methods == nil {
+		tt.methods = make([]*Method, 0, initialSpans)
+	}
+	tt.methods = append(tt.methods, m)
+	tt.mu.Unlock()
+}
+
+// span renders the record as the KMethod span it stands for.
+func (m *Method) span() Span {
+	id, parent, object, method := m.src.Dispatch()
+	sp := Span{
+		ID: id, Parent: parent, Kind: KMethod, Name: object + "." + method,
+		Object: object, Method: method,
+		Start: m.tt.start.Add(m.start), End: m.tt.start.Add(m.end),
+		Err: m.err, Seq: m.seq,
+	}
+	if m.mode != nil {
+		sp.Class = m.mode.String()
+	}
+	return sp
+}
+
 // finish seals the trace with its outcome. An aborted trace's root span
 // inherits the last abort-explaining edge, so the trace "ends in" its
 // causal explanation even when the failing span is buried in the tree.
@@ -377,26 +435,23 @@ func (tt *TxnTrace) Snapshot() TxnSpans {
 			root.Edges = []Edge{*tt.lastAbortEdge}
 		}
 	}
-	spans := make([]Span, 0, len(tt.spans)+1)
+	spans := make([]Span, 0, len(tt.spans)+len(tt.methods)+1)
 	spans = append(spans, root)
 	for _, sp := range tt.spans {
 		spans = append(spans, *sp)
 	}
+	// The slice header is copied under mu; the records it names are final.
+	methods := tt.methods
 	remoteID, remoteAttempt := tt.remoteID, tt.remoteAttempt
 	tt.mu.Unlock()
+	// Dispatch records leave Name and Class unrendered on the hot path;
+	// derive them here.
+	for _, m := range methods {
+		spans = append(spans, m.span())
+	}
 	// Recorded spans are appended at End (children before parents);
 	// re-establish begin order for rendering. The root keeps Seq 0.
 	sortSpans(spans)
-	// Dispatch spans leave Name and Class unrendered on the hot path;
-	// derive them here.
-	for i := range spans {
-		if spans[i].Name == "" && spans[i].Object != "" {
-			spans[i].Name = spans[i].Object + "." + spans[i].Method
-		}
-		if spans[i].mode != nil {
-			spans[i].Class, spans[i].mode = spans[i].mode.String(), nil
-		}
-	}
 	return TxnSpans{
 		TxnID:         tt.txnID,
 		Status:        status,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,9 +25,7 @@ func TestNilSafety(t *testing.T) {
 	if as != nil {
 		t.Fatal("nil trace must hand out nil spans")
 	}
-	as.SetDispatch("O", "m")
 	as.SetClass("X")
-	as.SetMode(stringer("X"))
 	as.SetN(1)
 	as.SetNote("note")
 	as.AddEdge(Edge{Kind: EdgeTimeout})
@@ -64,8 +63,8 @@ func TestSampling(t *testing.T) {
 func TestSnapshotAbortProvenance(t *testing.T) {
 	tr := New()
 	tt := tr.BeginTxn("T7", time.Now())
-	ms := tt.BeginSpan("T7.1", "T7", KMethod, "Acct.debit")
-	ms.SetDispatch("Acct", "debit")
+	var ms Method
+	tt.BeginMethod(&ms, &dispatch{"T7.1", "T7", "Acct", "debit"})
 	ls := tt.BeginSpan("T7.1/lock(P1)", "T7.1", KLock, "lock P1")
 	ls.AddEdge(Edge{Kind: EdgeBlockedOn, Peer: "T3.1", PeerRoot: "T3", Object: "P1", Mode: "X"})
 	ls.AddEdge(Edge{Kind: EdgeVictimOf, Peer: "T3", PeerRoot: "T3", Object: "P1", Note: "cycle T7→T3→T7"})
@@ -116,6 +115,26 @@ func TestAbortRingSurvivesCommitFlood(t *testing.T) {
 	if tr.Lookup("Tbad") == nil {
 		t.Fatal("Lookup must reach the abort ring")
 	}
+}
+
+// TestTxnIDsListsEveryRetainedTrace: the /trace index names every trace
+// Lookup resolves — an aborted one kept only by the abort ring and the
+// slowest-K set too — each once, newest first.
+func TestTxnIDsListsEveryRetainedTrace(t *testing.T) {
+	tr := NewTracer(Options{Retain: 4})
+	tr.FinishTxn(tr.BeginTxn("T1", time.Now()), StatusAborted)
+	for i := 2; i <= 9; i++ {
+		tr.FinishTxn(tr.BeginTxn(fmt.Sprintf("T%d", i), time.Now()), StatusCommitted)
+	}
+	live := tr.BeginTxn("T10", time.Now())
+	if tr.Lookup("T1") == nil {
+		t.Fatal("Lookup must reach the aborted trace")
+	}
+	got := strings.Join(tr.TxnIDs(), " ")
+	if want := "T10 T9 T8 T7 T6 T5 T4 T3 T2 T1"; got != want {
+		t.Fatalf("TxnIDs = %s, want %s", got, want)
+	}
+	tr.FinishTxn(live, StatusCommitted)
 }
 
 func TestSlowestK(t *testing.T) {
@@ -188,10 +207,12 @@ func TestConcurrentRecording(t *testing.T) {
 					sub.Add(1)
 					go func(p int) {
 						defer sub.Done()
-						as := tt.BeginSpan(fmt.Sprintf("%s.%d", id, p), id, KMethod, "m")
-						as.SetDispatch("O", "m")
+						ms := new(Method)
+						tt.BeginMethod(ms, &dispatch{fmt.Sprintf("%s.%d", id, p), id, "O", "m"})
+						as := tt.BeginSpan(fmt.Sprintf("%s.%d/lock", id, p), id, KLock, "lock O")
 						as.AddEdge(Edge{Kind: EdgeBlockedOn, Peer: "Tx", Object: "O"})
 						as.End(nil)
+						ms.End(nil)
 					}(p)
 				}
 				sub.Wait()
@@ -324,15 +345,15 @@ func (c countingStringer) String() string {
 	return "sem:insert(k)"
 }
 
-// TestSetModeRenderedAtSnapshot: a mode handed to SetMode is rendered into
-// Class only when the trace is read, once per Snapshot, and SetClass keeps
-// working for spans that carry a ready-made class.
+// TestSetModeRenderedAtSnapshot: a mode handed to Method.SetMode is
+// rendered into Class only when the trace is read, once per Snapshot, and
+// SetClass keeps working for spans that carry a ready-made class.
 func TestSetModeRenderedAtSnapshot(t *testing.T) {
 	tr := New()
 	tt := tr.BeginTxn("T1", time.Now())
 	var renders atomic.Int64
-	ms := tt.BeginSpan("T1.1", "T1", KMethod, "")
-	ms.SetDispatch("Tree", "insert")
+	var ms Method
+	tt.BeginMethod(&ms, &dispatch{"T1.1", "T1", "Tree", "insert"})
 	ms.SetMode(countingStringer{&renders})
 	ms.End(nil)
 	cs := tt.BeginSpan("T1.2", "T1", KSession, "session")
@@ -356,8 +377,9 @@ func TestSetModeRenderedAtSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotWhileSpansEnd: Snapshot renders modes that goroutines still
-// recording the trace set before End (run under -race).
+// TestSnapshotWhileSpansEnd: Snapshot renders the dispatch records and
+// spans that goroutines still recording the trace end meanwhile (run under
+// -race).
 func TestSnapshotWhileSpansEnd(t *testing.T) {
 	tr := New()
 	tt := tr.BeginTxn("T1", time.Now())
@@ -366,11 +388,15 @@ func TestSnapshotWhileSpansEnd(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				as := tt.BeginSpan(fmt.Sprintf("T1.%d.%d", g, i), "T1", KMethod, "")
-				as.SetDispatch("O", "m")
-				as.SetMode(stringer("X"))
+			recs := make([]Method, 50)
+			for i := range recs {
+				id := fmt.Sprintf("T1.%d.%d", g, i)
+				tt.BeginMethod(&recs[i], &dispatch{id, "T1", "O", "m"})
+				recs[i].SetMode(stringer("X"))
+				as := tt.BeginSpan(id+"/lock(O)", id, KLock, "lock O")
+				as.SetClass("X")
 				as.End(nil)
+				recs[i].End(nil)
 			}
 		}(g)
 	}
@@ -382,8 +408,107 @@ func TestSnapshotWhileSpansEnd(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if n := len(tt.Snapshot().Spans); n != 201 {
-		t.Fatalf("snapshot has %d spans, want 201", n)
+	if n := len(tt.Snapshot().Spans); n != 401 {
+		t.Fatalf("snapshot has %d spans, want 401", n)
+	}
+}
+
+// dispatch is a fixed span.Dispatch, standing in for an engine action.
+type dispatch struct{ id, parent, object, method string }
+
+func (d *dispatch) Dispatch() (id, parent, object, method string) {
+	return d.id, d.parent, d.object, d.method
+}
+
+// TestMethodRendersAsActiveSpan: a dispatch record and an ActiveSpan fed
+// the same dispatch, mode and error snapshot to the same Span apart from
+// the times, and the record's times lie between its Begin and End calls,
+// inside the trace.
+func TestMethodRendersAsActiveSpan(t *testing.T) {
+	tr := New()
+	boom := errors.New("cc: deadlock victim")
+	begin := time.Now().Add(-time.Millisecond)
+
+	ta := tr.BeginTxn("T1", begin)
+	as := ta.BeginSpan("T1.2", "T1", KMethod, "Acct.debit")
+	as.sp.Object, as.sp.Method = "Acct", "debit"
+	as.SetClass("sem:debit(5)")
+	as.End(boom)
+	tr.FinishTxn(ta, StatusAborted)
+
+	tm := tr.BeginTxn("T2", begin)
+	var ms Method
+	before := time.Now()
+	tm.BeginMethod(&ms, &dispatch{"T1.2", "T1", "Acct", "debit"})
+	ms.SetMode(stringer("sem:debit(5)"))
+	ms.End(boom)
+	after := time.Now()
+	tr.FinishTxn(tm, StatusAborted)
+
+	want, snap := ta.Snapshot().Spans[1], tm.Snapshot()
+	got := snap.Spans[1]
+	if got.Start.Before(before) || got.End.Before(got.Start) || after.Before(got.End) || snap.End.Before(got.End) {
+		t.Fatalf("record [%v, %v] outside its calls [%v, %v] or its trace [%v, %v]",
+			got.Start, got.End, before, after, snap.Start, snap.End)
+	}
+	want.Start, want.End, got.Start, got.End = time.Time{}, time.Time{}, time.Time{}, time.Time{}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("record renders as\n%+v\nActiveSpan as\n%+v", got, want)
+	}
+}
+
+// TestMethodSeqInterleavesWithLocks: a record takes its begin sequence from
+// the trace's shared counter, so a lock span opened inside a dispatch sorts
+// after it and before the dispatch's next child.
+func TestMethodSeqInterleavesWithLocks(t *testing.T) {
+	tr := New()
+	tt := tr.BeginTxn("T1", time.Now())
+	var outer, inner Method
+	tt.BeginMethod(&outer, &dispatch{"T1.1", "T1", "Tree", "insert"})
+	ls := tt.BeginSpan("T1.1/lock(Tree)", "T1.1", KLock, "lock Tree")
+	ls.End(nil)
+	tt.BeginMethod(&inner, &dispatch{"T1.1.1", "T1.1", "P3", "write"})
+	inner.End(nil)
+	outer.End(nil)
+	tr.FinishTxn(tt, StatusCommitted)
+	var ids []string
+	for _, sp := range tt.Snapshot().Spans {
+		ids = append(ids, fmt.Sprintf("%s#%d", sp.ID, sp.Seq))
+	}
+	if got, want := strings.Join(ids, " "), "T1#0 T1.1#1 T1.1/lock(Tree)#2 T1.1.1#3"; got != want {
+		t.Fatalf("begin order = %s, want %s", got, want)
+	}
+}
+
+// TestMethodAllocs pins what keeping the record in its action buys:
+// BeginMethod+End allocate nothing per dispatch, so a 64-record trace pays
+// only for itself and its pointer slice's few doublings.
+func TestMethodAllocs(t *testing.T) {
+	const records = 64
+	recs := make([]Method, records)
+	src := &dispatch{"T1.1", "T1", "O", "m"}
+	allocs := testing.AllocsPerRun(50, func() {
+		tt := &TxnTrace{txnID: "T1", start: time.Now()}
+		for i := range recs {
+			tt.BeginMethod(&recs[i], src)
+			recs[i].End(nil)
+		}
+	})
+	if per := allocs / records; per > 0.1 {
+		t.Fatalf("BeginMethod+End = %.2f allocs per record, want <= 0.1", per)
+	}
+}
+
+// TestMethodNilTraceInert: on an unsampled transaction the record stays
+// zero — nothing is stamped, nothing published.
+func TestMethodNilTraceInert(t *testing.T) {
+	var tt *TxnTrace
+	var ms Method
+	tt.BeginMethod(&ms, &dispatch{"T1.1", "T1", "O", "m"})
+	ms.SetMode(stringer("X"))
+	ms.End(errors.New("boom"))
+	if ms != (Method{}) {
+		t.Fatalf("record on a nil trace = %+v, want zero", ms)
 	}
 }
 

@@ -220,20 +220,25 @@ func (tr *Tracer) Lookup(id string) *TxnTrace {
 	if tt := tr.live[id]; tt != nil {
 		return tt
 	}
-	// Scan the rings newest-first so an id reused across engine epochs
-	// resolves to the most recent trace.
-	cands := ringNewestFirst(tr.done, tr.doneNext)
-	cands = append(cands, ringNewestFirst(tr.abort, tr.abortNext)...)
-	for _, e := range tr.slow {
-		cands = append(cands, e.tt)
-	}
-	cands = append(cands, ringNewestFirst(tr.pinned, tr.pinNext)...)
-	for _, tt := range cands {
+	for _, tt := range tr.retainedLocked() {
 		if tt.txnID == id {
 			return tt
 		}
 	}
 	return nil
+}
+
+// retainedLocked lists the retained traces: the done and abort rings, the
+// slowest-K set and the slow-query pins, each ring newest first so an id
+// reused across engine epochs resolves to the most recent trace. A trace
+// may appear more than once. Call with tr.mu held.
+func (tr *Tracer) retainedLocked() []*TxnTrace {
+	out := ringNewestFirst(tr.done, tr.doneNext)
+	out = append(out, ringNewestFirst(tr.abort, tr.abortNext)...)
+	for _, e := range tr.slow {
+		out = append(out, e.tt)
+	}
+	return append(out, ringNewestFirst(tr.pinned, tr.pinNext)...)
 }
 
 // LookupRemote returns every retained trace whose remote (client-stamped)
@@ -263,17 +268,8 @@ func (tr *Tracer) LookupRemote(remote string) []*TxnTrace {
 	for _, tt := range tr.live {
 		add(tt)
 	}
-	for _, tt := range ringNewestFirst(tr.done, tr.doneNext) {
+	for _, tt := range tr.retainedLocked() {
 		add(tt)
-	}
-	for _, tt := range ringNewestFirst(tr.abort, tr.abortNext) {
-		add(tt)
-	}
-	for _, tt := range ringNewestFirst(tr.pinned, tr.pinNext) {
-		add(tt)
-	}
-	for _, e := range tr.slow {
-		add(e.tt)
 	}
 	return out
 }
@@ -361,8 +357,8 @@ func snapshotN(traces []*TxnTrace, n int) []TxnSpans {
 	return out
 }
 
-// TxnIDs returns the ids of live and retained traces (newest first among
-// the retained), for the /trace index.
+// TxnIDs returns the ids Lookup resolves, each once, for the /trace index:
+// the live traces sorted, then every retained one newest first.
 func (tr *Tracer) TxnIDs() []string {
 	if tr == nil {
 		return nil
@@ -374,8 +370,19 @@ func (tr *Tracer) TxnIDs() []string {
 		out = append(out, id)
 	}
 	sort.Strings(out)
-	for _, tt := range ringNewestFirst(tr.done, tr.doneNext) {
-		out = append(out, tt.txnID)
+	// A retained trace's end was set before FinishTxn published it under
+	// tr.mu, and never changes after.
+	retained := tr.retainedLocked()
+	sort.SliceStable(retained, func(i, j int) bool { return retained[i].end.After(retained[j].end) })
+	listed := make(map[string]bool, len(out)+len(retained))
+	for _, id := range out {
+		listed[id] = true
+	}
+	for _, tt := range retained {
+		if !listed[tt.txnID] {
+			listed[tt.txnID] = true
+			out = append(out, tt.txnID)
+		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -27,9 +26,10 @@ type Frame struct {
 	// the latch is released.
 	loadErr error
 
-	// pool bookkeeping, guarded by the pool's mutex.
-	pins    int
-	lruElem *list.Element
+	// pool bookkeeping, guarded by the pool's mutex. prev/next thread the
+	// frame through the pool's LRU list; next is nil while it is not in it.
+	pins       int
+	prev, next *Frame
 	// loading is true while the creating fetcher still holds the exclusive
 	// latch across its store read; concurrent fetchers of the frame must
 	// wait on the latch and re-check loadErr before using it.
@@ -66,8 +66,10 @@ type BufferPool struct {
 
 	mu     sync.Mutex
 	frames map[PageID]*Frame
-	// lru holds evictable (unpinned) frames, least recently used in front.
-	lru *list.List
+	// lru is the sentinel of a circular list of the evictable (unpinned)
+	// frames, least recently used at lru.next; lruLen counts them.
+	lru    Frame
+	lruLen int
 
 	// Counters are atomics so Stats and the metrics endpoint never contend
 	// with fetches on bp.mu.
@@ -87,12 +89,30 @@ func NewBufferPool(store Store, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame),
-		lru:      list.New(),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
+}
+
+// pushLRU makes f the most recently used evictable frame. Call with bp.mu
+// held and f not in the list.
+func (bp *BufferPool) pushLRU(f *Frame) {
+	tail := bp.lru.prev
+	f.prev, f.next = tail, &bp.lru
+	tail.next, bp.lru.prev = f, f
+	bp.lruLen++
+}
+
+// removeLRU takes f out of the evictable list. Call with bp.mu held and f
+// in the list.
+func (bp *BufferPool) removeLRU(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+	bp.lruLen--
 }
 
 // Store returns the backing store.
@@ -132,9 +152,8 @@ func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) {
 		if f, ok := bp.frames[id]; ok {
 			bp.hits.Add(1)
 			f.pins++
-			if f.lruElem != nil {
-				bp.lru.Remove(f.lruElem)
-				f.lruElem = nil
+			if f.next != nil {
+				bp.removeLRU(f)
 			}
 			loading := f.loading
 			bp.mu.Unlock()
@@ -211,14 +230,9 @@ func (bp *BufferPool) evictOneLocked() error {
 	var firstErr error
 	// Bound the pass by the LRU length on entry: failed victims are pushed
 	// to the back and must not be retried within the same pass.
-	for attempts := bp.lru.Len(); attempts > 0; attempts-- {
-		elem := bp.lru.Front()
-		if elem == nil {
-			break
-		}
-		victim := elem.Value.(*Frame)
-		bp.lru.Remove(elem)
-		victim.lruElem = nil
+	for attempts := bp.lruLen; attempts > 0 && bp.lruLen > 0; attempts-- {
+		victim := bp.lru.next
+		bp.removeLRU(victim)
 		var wroteBack time.Duration
 		if victim.dirty {
 			victim.pins++
@@ -254,12 +268,12 @@ func (bp *BufferPool) evictOneLocked() error {
 				// Keep the dirty page cached and evictable; its data
 				// survives for a later retry or FlushAll. Try the next
 				// candidate.
-				if victim.pins == 0 && victim.lruElem == nil {
-					victim.lruElem = bp.lru.PushBack(victim)
+				if victim.pins == 0 && victim.next == nil {
+					bp.pushLRU(victim)
 				}
 				continue
 			}
-			if victim.pins > 0 || victim.lruElem != nil {
+			if victim.pins > 0 || victim.next != nil {
 				// Someone re-fetched the page during the write-back; it is no
 				// longer a victim.
 				return nil
@@ -267,7 +281,7 @@ func (bp *BufferPool) evictOneLocked() error {
 			if victim.dirty {
 				// Re-dirtied (fetched, modified, unpinned) during the window;
 				// it needs another write-back before it may be dropped.
-				victim.lruElem = bp.lru.PushBack(victim)
+				bp.pushLRU(victim)
 				return nil
 			}
 		}
@@ -295,8 +309,8 @@ func (bp *BufferPool) Unpin(f *Frame) {
 		panic(fmt.Sprintf("storage: unpin of unpinned page %d", f.ID))
 	}
 	f.pins--
-	if f.pins == 0 && f.lruElem == nil {
-		f.lruElem = bp.lru.PushBack(f)
+	if f.pins == 0 && f.next == nil {
+		bp.pushLRU(f)
 	}
 }
 

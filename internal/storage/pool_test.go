@@ -2,6 +2,9 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -278,5 +281,210 @@ func TestEvictSkipsFailingVictim(t *testing.T) {
 	}
 	if data, err := ms.Read(p1); err != nil || data != "dirty-data" {
 		t.Fatalf("store p1 = %q, %v; want the preserved dirty data", data, err)
+	}
+}
+
+// scriptStore is a MemStore whose writes consult a hook first: a non-nil
+// error from the hook fails the write.
+type scriptStore struct {
+	*MemStore
+	hook func(id PageID) error
+}
+
+func (s *scriptStore) Write(id PageID, data string) error {
+	if err := s.hook(id); err != nil {
+		return err
+	}
+	return s.MemStore.Write(id, data)
+}
+
+// lruModel restates the pool's eviction policy over a plain slice: the
+// reference the pool's LRU is checked against.
+type lruModel struct {
+	cap   int
+	pins  map[PageID]int // the cached pages
+	dirty map[PageID]bool
+	order []PageID // evictable pages, least recently used first
+	// failing's write-backs fail; refetch is fetched by another user while
+	// its write-back runs.
+	failing, refetch  PageID
+	failed, refetched int
+}
+
+func (m *lruModel) fetch(id PageID) (evicted []PageID, ok bool) {
+	if _, cached := m.pins[id]; cached {
+		m.pins[id]++
+		m.order = slices.DeleteFunc(m.order, func(p PageID) bool { return p == id })
+		return nil, true
+	}
+	for len(m.pins) >= m.cap {
+		progress := false
+		for n := len(m.order); n > 0 && !progress; n-- {
+			v := m.order[0]
+			m.order = m.order[1:]
+			switch {
+			case m.dirty[v] && v == m.failing:
+				m.failed++
+				m.order = append(m.order, v)
+			case m.dirty[v] && v == m.refetch:
+				m.refetched++
+				m.dirty[v] = false
+				m.pins[v]++
+				progress = true
+			default:
+				delete(m.pins, v)
+				delete(m.dirty, v)
+				evicted = append(evicted, v)
+				progress = true
+			}
+		}
+		if !progress {
+			return evicted, false
+		}
+	}
+	m.pins[id] = 1
+	return evicted, true
+}
+
+func (m *lruModel) unpin(id PageID) {
+	if m.pins[id]--; m.pins[id] == 0 {
+		m.order = append(m.order, id)
+	}
+}
+
+// TestLRUMatchesListModel drives the pool through a seeded fetch / write /
+// unpin sequence — with a page whose write-backs fail for a while, and a
+// page re-fetched and re-dirtied during its write-back for a while — and
+// checks every eviction and the whole evictable order against lruModel.
+func TestLRUMatchesListModel(t *testing.T) {
+	const none = PageID(1 << 30)
+	ms := NewMemStore(0)
+	var bp *BufferPool
+	var held []*Frame // pinned by the refetch hook during a write-back
+	m := &lruModel{cap: 3, pins: map[PageID]int{}, dirty: map[PageID]bool{}, failing: none, refetch: none}
+	s := &scriptStore{MemStore: ms, hook: func(id PageID) error {
+		switch id {
+		case m.failing:
+			return ErrInjectedIO
+		case m.refetch:
+			f, err := bp.FetchPage(id)
+			if err != nil {
+				return err
+			}
+			held = append(held, f)
+		}
+		return nil
+	}}
+	pages := make([]PageID, 8)
+	for i := range pages {
+		pages[i] = s.Allocate()
+	}
+	bp = NewBufferPool(s, m.cap)
+
+	cached := func() map[PageID]bool {
+		bp.mu.Lock()
+		defer bp.mu.Unlock()
+		out := map[PageID]bool{}
+		for id := range bp.frames {
+			out[id] = true
+		}
+		return out
+	}
+	lruOrder := func() []PageID {
+		bp.mu.Lock()
+		defer bp.mu.Unlock()
+		var out []PageID
+		for f := bp.lru.next; f != &bp.lru; f = f.next {
+			out = append(out, f.ID)
+		}
+		if len(out) != bp.lruLen {
+			t.Fatalf("LRU list holds %d frames, lruLen says %d", len(out), bp.lruLen)
+		}
+		return out
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	var pinned *Frame // one page held across steps: pinned frames are skipped
+	for step := 0; step < 400; step++ {
+		switch step {
+		case 100:
+			m.failing = pages[2]
+		case 160:
+			m.failing = none
+		case 220:
+			m.refetch = pages[5]
+		case 280:
+			m.refetch = none
+		}
+		id := pages[rng.Intn(len(pages))]
+		before := cached()
+		f, err := bp.FetchPage(id)
+		want, ok := m.fetch(id)
+		if (err == nil) != ok {
+			t.Fatalf("step %d: fetch %d: err = %v, model ok = %v", step, id, err, ok)
+		}
+		var got []PageID
+		for p := range before {
+			if !cached()[p] {
+				got = append(got, p)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: fetch %d evicted %v, model evicted %v", step, id, got, want)
+		}
+		if err == nil {
+			if rng.Intn(3) == 0 {
+				f.Latch()
+				f.SetData(fmt.Sprint(step))
+				f.Unlatch()
+				m.dirty[id] = true
+			}
+			if pinned == nil && rng.Intn(8) == 0 {
+				pinned = f
+			} else {
+				bp.Unpin(f)
+				m.unpin(id)
+			}
+		}
+		if pinned != nil && rng.Intn(6) == 0 {
+			bp.Unpin(pinned)
+			m.unpin(pinned.ID)
+			pinned = nil
+		}
+		for _, h := range held {
+			h.Latch()
+			h.SetData("re-dirtied")
+			h.Unlatch()
+			m.dirty[h.ID] = true
+			bp.Unpin(h)
+			m.unpin(h.ID)
+		}
+		held = held[:0]
+		if got := lruOrder(); !slices.Equal(got, m.order) {
+			t.Fatalf("step %d: LRU order %v, model %v", step, got, m.order)
+		}
+	}
+	if m.failed == 0 || m.refetched == 0 {
+		t.Fatalf("sequence missed a path: %d failed write-backs, %d re-fetches during write-back", m.failed, m.refetched)
+	}
+}
+
+// TestUnpinAllocs: a hit and its unpin allocate nothing — the LRU is
+// threaded through the frames themselves.
+func TestUnpinAllocs(t *testing.T) {
+	s := NewMemStore(0)
+	p := s.Allocate()
+	bp := NewBufferPool(s, 2)
+	f, err := bp.FetchPage(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(f)
+	allocs := testing.AllocsPerRun(100, func() {
+		f, _ := bp.FetchPage(p)
+		bp.Unpin(f)
+	})
+	if allocs != 0 {
+		t.Fatalf("FetchPage hit + Unpin = %.1f allocs, want 0", allocs)
 	}
 }
