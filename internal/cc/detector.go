@@ -1,6 +1,9 @@
 package cc
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // detector is the cross-shard deadlock detector. The lock table is sharded
 // (see table.go), so no single shard sees the whole waits-for relation; the
@@ -11,16 +14,20 @@ import "sync"
 // under a shard lock.
 //
 // Lock ordering: a goroutine may take the detector lock while holding a
-// shard lock (Acquire's fast doomed check), but the detector NEVER takes a
-// shard lock itself — waking a doomed victim happens through registered
-// wake callbacks invoked after the detector lock is released.
+// shard lock (Acquire's doomed check, while some root is doomed), but the
+// detector NEVER takes a shard lock itself — waking a doomed victim happens
+// through registered wake callbacks invoked after the detector lock is
+// released.
 type detector struct {
 	mu sync.Mutex
 	// waitsFor counts, per waiting root, how many of its blocked acquires
 	// wait for each blocking root.
 	waitsFor map[string]map[string]int
-	// doomed roots must abort; their acquires fail fast.
-	doomed map[string]bool
+	// doomed roots must abort; their acquires fail fast. ndoomed mirrors
+	// len(doomed), stored under mu wherever doomed changes, so the doomed
+	// check costs one atomic load while nobody is doomed.
+	doomed  map[string]bool
+	ndoomed atomic.Int32
 	// victims dedupes victim counting per victimization episode: a root with
 	// several parallel blocked acquires is one victim, not one per acquire.
 	// Cleared with the doomed mark (clearDoomed/forget), so a restarted
@@ -57,8 +64,14 @@ func newDetector() *detector {
 	}
 }
 
-// isDoomed reports whether root was chosen as a deadlock victim.
+// isDoomed reports whether root was chosen as a deadlock victim. The
+// lock-free read of ndoomed cannot miss a doom a blocked victim must see:
+// detect stores ndoomed before it runs the victim's wake callbacks, which
+// take the victim's shard mutex, and the victim re-checks under that mutex.
 func (d *detector) isDoomed(root string) bool {
+	if d.ndoomed.Load() == 0 {
+		return false
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.doomed[root]
@@ -163,6 +176,7 @@ func (d *detector) detect(start string) (victim string, fresh bool) {
 	var wakes []func()
 	if victim != start && !d.doomed[victim] {
 		d.doomed[victim] = true
+		d.ndoomed.Store(int32(len(d.doomed)))
 		for h := range d.wakers[victim] {
 			wakes = append(wakes, h.fn)
 		}
@@ -238,13 +252,6 @@ func (d *detector) youngestLocked(roots []string) string {
 	return best
 }
 
-// youngest is youngestLocked behind the lock (victim-policy tests).
-func (d *detector) youngest(roots []string) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.youngestLocked(roots)
-}
-
 // clearDoomed removes a root's victim mark and gives it top priority. The
 // victimization episode ends with the mark: if the restarted transaction is
 // caught in another deadlock later, that is a new victim event.
@@ -252,6 +259,7 @@ func (d *detector) clearDoomed(root string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.doomed, root)
+	d.ndoomed.Store(int32(len(d.doomed)))
 	delete(d.victims, root)
 	delete(d.cause, root)
 	d.ages[root] = 0
@@ -263,6 +271,7 @@ func (d *detector) forget(root string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.doomed, root)
+	d.ndoomed.Store(int32(len(d.doomed)))
 	delete(d.victims, root)
 	delete(d.cause, root)
 	delete(d.ages, root)
@@ -274,13 +283,6 @@ func (d *detector) causeOf(root string) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]string(nil), d.cause[root]...)
-}
-
-// forceDoom marks a root as victim directly (tests and debugging).
-func (d *detector) forceDoom(root string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.doomed[root] = true
 }
 
 // edges renders the waits-for relation for diagnostics.

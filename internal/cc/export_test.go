@@ -1,0 +1,71 @@
+package cc
+
+import "slices"
+
+// Queries of the lock table and the detector that only tests make.
+
+// HoldsAny reports whether owner holds any lock.
+func (lm *LockManager) HoldsAny(owner string) bool {
+	for _, sh := range lm.shards {
+		sh.mu.Lock()
+		for _, st := range sh.locks {
+			for _, g := range st.granted {
+				if g.owner == owner {
+					sh.mu.Unlock()
+					return true
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return false
+}
+
+// Holders returns the owners currently granted on res, sorted.
+func (lm *LockManager) Holders(res Resource) []string {
+	sh := lm.shardFor(res)
+	sh.mu.Lock()
+	st := sh.locks[res]
+	if st == nil {
+		sh.mu.Unlock()
+		return nil
+	}
+	set := map[string]bool{}
+	for _, g := range st.granted {
+		set[g.owner] = true
+	}
+	sh.mu.Unlock()
+	out := make([]string, 0, len(set))
+	for o := range set {
+		out = append(out, o)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// waiterCount returns the number of queued FIFO tokens on res (fairness
+// mode only).
+func (lm *LockManager) waiterCount(res Resource) int {
+	sh := lm.shardFor(res)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st, ok := sh.locks[res]; ok {
+		return len(st.waiting)
+	}
+	return 0
+}
+
+// youngest is youngestLocked behind the lock.
+func (d *detector) youngest(roots []string) string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.youngestLocked(roots)
+}
+
+// forceDoom marks a root as victim directly.
+func (d *detector) forceDoom(root string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.doomed[root] = true
+	d.ndoomed.Store(int32(len(d.doomed)))
+}

@@ -347,9 +347,15 @@ func sameEdges(a, b map[string]int) bool {
 // ErrDeadlock / ErrDoomed / ErrTimeout. Re-acquisition by the same owner
 // and mode is re-entrant.
 func (lm *LockManager) Acquire(owner string, res Resource, mode Mode) error {
-	_, err := lm.AcquireEx(owner, res, mode)
+	_, _, err := lm.acquire(owner, res, mode)
 	return err
 }
+
+// Held is a granted lock: the lock state an acquire granted. The state
+// carries the grant until it is released, so it cannot be recycled for
+// another resource while its holder can still release it; ReleaseHeld
+// goes straight to it without hashing the resource.
+type Held lockState
 
 // AcquireEx is Acquire plus provenance: the returned AcquireInfo reports
 // whether the call blocked, for how long, which holders it last observed
@@ -357,24 +363,30 @@ func (lm *LockManager) Acquire(owner string, res Resource, mode Mode) error {
 // it. This is what the span layer turns into blocked-on / victim-of /
 // timeout edges.
 func (lm *LockManager) AcquireEx(owner string, res Resource, mode Mode) (AcquireInfo, error) {
-	info, err := lm.acquire(owner, res, mode)
-	if err != nil && errors.Is(err, ErrTimeout) {
-		if fn := lm.debugHook(); fn != nil {
-			fn(lm.dump(owner, mode, res))
-		}
-	}
+	_, info, err := lm.acquire(owner, res, mode)
 	return info, err
 }
 
-func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info AcquireInfo, err error) {
+// acquire is AcquireEx returning the granted lock too (nil on error).
+func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, info AcquireInfo, err error) {
 	if err := fpLockAcquire.Inject(); err != nil {
-		return AcquireInfo{}, err
+		return nil, AcquireInfo{}, err
 	}
 	root := RootOf(owner)
 	if lm.det.isDoomed(root) {
-		return AcquireInfo{Cycle: lm.det.causeOf(root)}, ErrDoomed
+		return nil, AcquireInfo{Cycle: lm.det.causeOf(root)}, ErrDoomed
 	}
 	sh := lm.shardFor(res)
+	sh.mu.Lock()
+	st := sh.state(res)
+	if len(st.granted) == 0 && len(st.waiting) == 0 {
+		// Uncontended: nothing to conflict with or queue behind, and the
+		// state carries a grant on return, so there is nothing to collect.
+		grantLocked(st, owner, mode)
+		sh.mu.Unlock()
+		lm.stats.acquires.Add(1)
+		return (*Held)(st), info, nil
+	}
 
 	var (
 		blocked      bool
@@ -386,15 +398,13 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 		lastBlockers []blockRef     // the blockers observed on the most recent loop pass
 	)
 
-	sh.mu.Lock()
-	st := sh.state(res)
 	defer func() {
-		// Every return path below holds sh.mu.
+		// Every return path below holds sh.mu, and st is res's current state.
 		if token != nil {
 			st.removeWaiter(token)
 			st.cond.Broadcast() // later waiters may now be first in line
 		}
-		sh.gcLocked(res)
+		sh.gcState(st)
 		sh.mu.Unlock()
 		if tmo != nil {
 			tmo.timer.Stop()
@@ -416,6 +426,11 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 		if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrDoomed) {
 			info.Cycle = lm.det.causeOf(root)
 		}
+		if info.TimedOut {
+			if fn := lm.debugHook(); fn != nil {
+				fn(lm.dump(owner, mode, res))
+			}
+		}
 	}()
 
 	for {
@@ -424,7 +439,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 			// doomed (detect reports fresh). A victim with several blocked
 			// sibling acquires observes its doom once per acquire, but it is
 			// still ONE aborted victim.
-			return info, ErrDeadlock
+			return nil, info, ErrDeadlock
 		}
 		if tmo.expired() {
 			lm.stats.timeouts.Add(1)
@@ -438,7 +453,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 			for _, b := range lastBlockers {
 				held = append(held, b.owner+"/"+b.mode.String())
 			}
-			return info, fmt.Errorf("%w: %s wants %s on %s blocked by %s",
+			return nil, info, fmt.Errorf("%w: %s wants %s on %s blocked by %s",
 				ErrTimeout, owner, mode, res.Name, strings.Join(held, ", "))
 		}
 		mySeq := ^uint64(0)
@@ -453,7 +468,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 				lm.rec.Record(obs.Event{Kind: obs.EvLockGrant, Actor: owner,
 					Object: res.Name, Dur: time.Since(start)})
 			}
-			return info, nil
+			return (*Held)(st), info, nil
 		}
 		lastBlockers = bl
 		if !blocked {
@@ -515,7 +530,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (info Acqu
 		sh.mu.Lock()
 		st = sh.state(res) // the idle state may have been collected while unlocked
 		if victim == root {
-			return info, ErrDeadlock
+			return nil, info, ErrDeadlock
 		}
 		if lm.det.isDoomed(root) || tmo.expired() {
 			continue
@@ -622,17 +637,28 @@ func txnSeq(root string) int {
 
 // Release drops every mode the owner holds on res and, if it held any,
 // wakes that resource's waiters. It touches one shard; releasing a resource
-// the owner does not hold is a no-op. The engine releases a completed
-// action's locks early by calling it for each object on the action's held
-// list, so no release path scans the table except ReleaseTree's.
+// the owner does not hold is a no-op.
 func (lm *LockManager) Release(owner string, res Resource) {
 	sh := lm.shardFor(res)
 	sh.mu.Lock()
-	if st, ok := sh.locks[res]; ok && removeOwnerLocked(st, func(o string) bool { return o == owner }) {
-		st.cond.Broadcast()
-		sh.gcLocked(res)
+	if st, ok := sh.locks[res]; ok {
+		sh.releaseLocked(st, owner)
 	}
 	sh.mu.Unlock()
+}
+
+// ReleaseHeld is Release for a lock in hand: it drops every mode the owner
+// holds on h's state, locking only h's shard and hashing nothing. The
+// engine releases a completed action's locks early by calling it for each
+// handle on the action's held list, so no release path scans the table
+// except ReleaseTree's. Releasing a handle again is a no-op, even if its
+// state was recycled for another resource meanwhile, as long as the owner
+// acquired nothing since (see DESIGN §4b.4).
+func (lm *LockManager) ReleaseHeld(h *Held, owner string) {
+	st := (*lockState)(h)
+	st.sh.mu.Lock()
+	st.sh.releaseLocked(st, owner)
+	st.sh.mu.Unlock()
 }
 
 // ReleaseTree drops every lock held by root or any of its descendants and
@@ -646,10 +672,10 @@ func (lm *LockManager) ReleaseTree(root string) {
 	match := func(o string) bool { return o == root || strings.HasPrefix(o, prefix) }
 	for _, sh := range lm.shards {
 		sh.mu.Lock()
-		for res, st := range sh.locks {
+		for _, st := range sh.locks {
 			if removeOwnerLocked(st, match) {
 				st.cond.Broadcast()
-				sh.gcLocked(res)
+				sh.gcState(st)
 			}
 		}
 		sh.mu.Unlock()
@@ -694,45 +720,6 @@ func (lm *LockManager) TransferToParent(child, parent string) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// HoldsAny reports whether owner holds any lock.
-func (lm *LockManager) HoldsAny(owner string) bool {
-	for _, sh := range lm.shards {
-		sh.mu.Lock()
-		for _, st := range sh.locks {
-			for _, g := range st.granted {
-				if g.owner == owner {
-					sh.mu.Unlock()
-					return true
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return false
-}
-
-// Holders returns the owners currently granted on res, sorted.
-func (lm *LockManager) Holders(res Resource) []string {
-	sh := lm.shardFor(res)
-	sh.mu.Lock()
-	st := sh.locks[res]
-	if st == nil {
-		sh.mu.Unlock()
-		return nil
-	}
-	set := map[string]bool{}
-	for _, g := range st.granted {
-		set[g.owner] = true
-	}
-	sh.mu.Unlock()
-	out := make([]string, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // SetDebugDump installs a hook receiving a lock-table dump on timeouts.

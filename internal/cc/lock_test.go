@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -241,6 +242,8 @@ func TestDoomedFailsFast(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	lm := NewLockManager(WithWaitTimeout(60 * time.Millisecond))
+	var dumps []string
+	lm.SetDebugDump(func(s string) { dumps = append(dumps, s) })
 	if err := lm.Acquire("T1", res("P"), X); err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +257,11 @@ func TestWaitTimeout(t *testing.T) {
 	}
 	if lm.Snapshot().Timeouts != 1 {
 		t.Fatal("timeout not counted")
+	}
+	// The dump runs after the shard is unlocked, so it can render the
+	// holder's grant.
+	if len(dumps) != 1 || !strings.Contains(dumps[0], "TIMEOUT T2 wants") || !strings.Contains(dumps[0], "T1") {
+		t.Fatalf("debug dumps = %q, want one naming T2 and holder T1", dumps)
 	}
 }
 
@@ -445,18 +453,6 @@ func TestThreeWayDeadlock(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		lm.ReleaseTree(fmt.Sprintf("T%d", i))
-	}
-}
-
-func BenchmarkAcquireReleaseUncontended(b *testing.B) {
-	lm := NewLockManager()
-	r := res("P")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := lm.Acquire("T1", r, X); err != nil {
-			b.Fatal(err)
-		}
-		lm.Release("T1", r)
 	}
 }
 

@@ -51,24 +51,21 @@ const maxBlockerEdges = 4
 // AcquireTraced is AcquireEx plus span recording: a CONTENDED or failed
 // acquire becomes a KLock span (backdated to when the wait began) on tt,
 // carrying provenance edges; an uncontended grant records nothing — that
-// absence is exactly where commutativity (Def. 11) cut the dependency.
+// absence is exactly where commutativity (Def. 11) cut the dependency. It
+// returns the granted lock (nil on error) for a later ReleaseHeld.
 //
 //   - actionID is the acquiring action (the span's parent is its method
 //     span); owner is the lock's legal holder, which differs from actionID
 //     under open nesting (the semantic lock is held by the CALLING action —
 //     recorded as an inherited-from edge, the paper's Def. 10 inheritance
 //     made explicit).
-func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, actionID, owner string, res Resource, mode Mode) error {
-	if tt == nil {
-		// Unsampled/disabled: skip even the info bookkeeping.
-		return lm.Acquire(owner, res, mode)
-	}
-	info, err := lm.AcquireEx(owner, res, mode)
-	if info.Blocked || err != nil {
+func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, actionID, owner string, res Resource, mode Mode) (*Held, error) {
+	h, info, err := lm.acquire(owner, res, mode)
+	if tt != nil && (info.Blocked || err != nil) {
 		// Render the mode only for a span that will be recorded.
 		RecordLockSpan(tt, actionID, owner, res.Name, mode.String(), info, err)
 	}
-	return err
+	return h, err
 }
 
 // RecordLockSpan records one contended/failed acquire as a KLock span with

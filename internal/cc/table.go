@@ -11,7 +11,9 @@ import (
 // so releasing a resource wakes only that resource's waiters instead of
 // every blocked transaction in the system. Idle states are recycled per
 // shard, so a state pointer is only valid for its resource while sh.mu is
-// held: a caller that drops the mutex must re-fetch it with state().
+// held or while it carries a grant: a waiter that drops the mutex must
+// re-fetch it with state(), and a granted lock's state (its Held handle)
+// stays put until the grant is released.
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
@@ -26,6 +28,13 @@ type lockShard struct {
 const maxFreeStates = 64
 
 type lockState struct {
+	// sh is the shard the state belongs to, set once when it is created,
+	// so a release can lock it straight from a state in hand. res is the
+	// resource it serves, set by state() and zeroed when it is recycled (a
+	// pooled state pins no name strings); guarded by sh.mu.
+	sh  *lockShard
+	res Resource
+
 	granted []grant
 	// waiting holds blocked requests in arrival order; only consulted when
 	// fairness is enabled.
@@ -48,28 +57,41 @@ func (sh *lockShard) state(res Resource) *lockState {
 			sh.free[n-1] = nil
 			sh.free = sh.free[:n-1]
 		} else {
-			st = &lockState{}
+			st = &lockState{sh: sh}
 			st.cond.L = &sh.mu
 		}
+		st.res = res
 		sh.locks[res] = st
 	}
 	return st
 }
 
-// gcLocked drops res's state when it is completely idle, bounding the
+// gcState drops st from the table when it is completely idle, bounding the
 // table's memory under churning resource populations, and recycles it
-// through the free list. Caller holds sh.mu.
-func (sh *lockShard) gcLocked(res Resource) {
-	st, ok := sh.locks[res]
-	if !ok || len(st.granted) != 0 || len(st.waiting) != 0 || st.sleepers != 0 {
+// through the free list. st must be the table's current state for st.res.
+// Caller holds sh.mu.
+func (sh *lockShard) gcState(st *lockState) {
+	if len(st.granted) != 0 || len(st.waiting) != 0 || st.sleepers != 0 {
 		return
 	}
-	delete(sh.locks, res)
+	delete(sh.locks, st.res)
+	st.res = Resource{}
 	if len(sh.free) < maxFreeStates {
 		// Both arrays are empty and already zeroed past len (the removal
 		// paths clear what they drop), so a pooled state retains no mode —
 		// and no action tree a mode points into.
 		sh.free = append(sh.free, st)
+	}
+}
+
+// releaseLocked drops every mode owner holds on st and, if it held any,
+// wakes st's waiters and collects st if it went idle. A state that carries
+// no grant of owner — because it was released already, or recycled for
+// another resource since — is left alone. Caller holds sh.mu.
+func (sh *lockShard) releaseLocked(st *lockState, owner string) {
+	if removeOwnerLocked(st, func(o string) bool { return o == owner }) {
+		st.cond.Broadcast()
+		sh.gcState(st)
 	}
 }
 
@@ -110,18 +132,6 @@ func (lm *LockManager) shardFor(res Resource) *lockShard {
 		h = (h ^ uint64(res.Name[i])) * prime64
 	}
 	return lm.shards[h&lm.shardMask]
-}
-
-// waiterCount returns the number of queued FIFO tokens on res (fairness
-// mode only; diagnostics and tests).
-func (lm *LockManager) waiterCount(res Resource) int {
-	sh := lm.shardFor(res)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if st, ok := sh.locks[res]; ok {
-		return len(st.waiting)
-	}
-	return 0
 }
 
 // removeWaiter unlinks a queued FIFO token. Caller holds the shard mutex.

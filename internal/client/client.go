@@ -22,6 +22,7 @@
 package client
 
 import (
+	"bufio"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -596,6 +597,7 @@ type conn struct {
 	addr string // server this conn was dialed to (stale-target culling)
 
 	writeMu sync.Mutex // serializes frame writes
+	wbuf    []byte     // the request encode buffer; guarded by writeMu
 
 	mu      sync.Mutex
 	seq     uint64
@@ -649,8 +651,9 @@ func (nc *conn) fail(cause error) {
 }
 
 func (nc *conn) readLoop() {
+	br := bufio.NewReader(nc.c)
 	for {
-		m, err := wire.ReadMsg(nc.c)
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			nc.close(fmt.Errorf("%w: %v", ErrConnDead, err))
 			return
@@ -681,7 +684,7 @@ func (nc *conn) call(m wire.Msg) (string, error) {
 	nc.mu.Unlock()
 
 	nc.writeMu.Lock()
-	err := wire.WriteMsg(nc.c, m)
+	err := wire.WriteMsgBuf(nc.c, &nc.wbuf, m)
 	nc.writeMu.Unlock()
 	if err != nil {
 		nc.close(fmt.Errorf("%w: %v", ErrConnDead, err))

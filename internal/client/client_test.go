@@ -295,9 +295,9 @@ func TestCommitInDoubt(t *testing.T) {
 					case wire.MsgCommit:
 						return // die without answering: commit in doubt
 					case wire.MsgBegin:
-						_ = wire.WriteMsg(c, wire.Msg{Seq: m.Seq, Type: wire.MsgResult, Result: "T-1"})
+						_, _ = c.Write(wire.AppendMsg(nil, wire.Msg{Seq: m.Seq, Type: wire.MsgResult, Result: "T-1"}))
 					default:
-						_ = wire.WriteMsg(c, wire.Msg{Seq: m.Seq, Type: wire.MsgResult, Result: m.Result})
+						_, _ = c.Write(wire.AppendMsg(nil, wire.Msg{Seq: m.Seq, Type: wire.MsgResult, Result: m.Result}))
 					}
 				}
 			}(c)

@@ -44,14 +44,15 @@ type runtimeAction struct {
 
 	mu        sync.Mutex
 	nchildren int
-	// held lists the objects this action owns locks on under open nesting:
-	// its children's objects, and the lists of children that handed their
-	// locks up. Its early release walks the list instead of the lock table.
-	// An object may repeat (only a repeat of the last entry is skipped):
-	// releasing it again is a no-op. Guarded by mu while children run;
-	// final once the action's method returns. heldBuf backs the first few.
-	held    []txn.OID
-	heldBuf [4]txn.OID
+	// held lists the locks this action owns under open nesting: the
+	// handles its children's acquires granted, and the lists of children
+	// that handed their locks up. Its early release goes straight to each
+	// handle instead of searching the lock table. A handle may repeat (only
+	// a repeat of the last entry is skipped): releasing it again is a no-op
+	// (DESIGN §4b.4). Guarded by mu while children run; final once the
+	// action's method returns. heldBuf backs the first few.
+	held    []*cc.Held
+	heldBuf [4]*cc.Held
 }
 
 // Dispatch names the action for its method span (span.Dispatch).
@@ -67,9 +68,9 @@ func (a *runtimeAction) nextChildID() string {
 	return a.id + "." + strconv.Itoa(n)
 }
 
-// hold appends objs to a's held list. The root keeps no list: its locks
-// are released by ReleaseTree at commit or abort.
-func (a *runtimeAction) hold(objs ...txn.OID) {
+// hold appends granted locks to a's held list. The root keeps no list: its
+// locks are released by ReleaseTree at commit or abort.
+func (a *runtimeAction) hold(hs ...*cc.Held) {
 	if a.parent == nil {
 		return
 	}
@@ -77,9 +78,9 @@ func (a *runtimeAction) hold(objs ...txn.OID) {
 	if a.held == nil {
 		a.held = a.heldBuf[:0]
 	}
-	for _, o := range objs {
-		if n := len(a.held); n == 0 || a.held[n-1] != o {
-			a.held = append(a.held, o)
+	for _, h := range hs {
+		if n := len(a.held); n == 0 || a.held[n-1] != h {
+			a.held = append(a.held, h)
 		}
 	}
 	a.mu.Unlock()
@@ -334,9 +335,9 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 // a's method span gets the commutativity class — the lock mode — the
 // dispatch runs under; a contended acquire additionally records a KLock
 // child span with provenance edges (AcquireTraced). The span keeps the mode
-// itself; it is rendered only if the trace is read. Under open nesting the
-// object goes on the caller's held list before the acquire, so the caller's
-// early release finds it even if the acquire fails.
+// itself; it is rendered only if the trace is read. Under open nesting a
+// granted lock goes on the caller's held list, which its early release
+// walks; a failed acquire granted nothing, so there is nothing to list.
 func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 	var mode cc.Mode
 	owner := t.id
@@ -365,12 +366,15 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 		// the caller completes.
 		a.sem.Spec = ot.Spec
 		mode, owner = &a.sem, a.parent.id
-		a.parent.hold(a.obj)
 	default: // ProtocolNone
 		return nil
 	}
 	a.span.SetMode(mode)
-	return db.lm.AcquireTraced(t.tt, a.id, owner, a.obj, mode)
+	h, err := db.lm.AcquireTraced(t.tt, a.id, owner, a.obj, mode)
+	if err == nil && db.protocol == ProtocolOpenNested {
+		a.parent.hold(h)
+	}
+	return err
 }
 
 func rwModeFor(ot *ObjectType, method string) cc.Mode {
@@ -510,10 +514,10 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 }
 
 // releaseHeld releases a completed action's locks early (open nesting):
-// one single-shard Release per object on its held list.
+// one single-shard ReleaseHeld per handle on its held list.
 func (db *DB) releaseHeld(a *runtimeAction) {
-	for _, obj := range a.held {
-		db.lm.Release(a.id, obj)
+	for _, h := range a.held {
+		db.lm.ReleaseHeld(h, a.id)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/commut"
 	"repro/internal/span"
@@ -223,6 +224,15 @@ func TestDispatchAllocs(t *testing.T) {
 	}
 	if tx.Trace() == nil {
 		t.Fatal("the transaction must be traced")
+	}
+}
+
+// TestRuntimeActionSize pins the action's footprint: every dispatch
+// allocates one, and its held list keeps 8-byte lock handles inline, not
+// 32-byte object ids.
+func TestRuntimeActionSize(t *testing.T) {
+	if n := unsafe.Sizeof(runtimeAction{}); n > 304 {
+		t.Fatalf("runtimeAction is %d B, want <= 304", n)
 	}
 }
 

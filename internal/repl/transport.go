@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -37,6 +38,8 @@ type transport struct {
 type peerConn struct {
 	mu   sync.Mutex
 	c    net.Conn
+	br   *bufio.Reader // reads c
+	buf  []byte        // the request encode buffer
 	seq  uint64
 	dead bool
 }
@@ -87,9 +90,11 @@ func (tr *transport) handleConn(c net.Conn) {
 		delete(tr.inbound, c)
 		tr.mu.Unlock()
 	}()
+	br := bufio.NewReader(c)
+	var buf []byte
 	for {
 		_ = c.SetReadDeadline(time.Time{})
-		m, err := wire.ReadMsg(c)
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			return
 		}
@@ -99,7 +104,7 @@ func (tr *transport) handleConn(c net.Conn) {
 		resp := tr.n.handleRPC(m)
 		resp.Seq = m.Seq
 		_ = c.SetWriteDeadline(time.Now().Add(callTimeout))
-		if err := wire.WriteMsg(c, resp); err != nil {
+		if err := wire.WriteMsgBuf(c, &buf, resp); err != nil {
 			return
 		}
 	}
@@ -125,17 +130,17 @@ func (tr *transport) call(p Peer, m wire.Msg) (wire.Msg, error) {
 			tr.drop(p.ID, pc)
 			return wire.Msg{}, err
 		}
-		pc.c = c
+		pc.c, pc.br = c, bufio.NewReader(c)
 	}
 	pc.seq++
 	m.Seq = pc.seq
 	deadline := time.Now().Add(callTimeout)
 	_ = pc.c.SetDeadline(deadline)
-	if err := wire.WriteMsg(pc.c, m); err != nil {
+	if err := wire.WriteMsgBuf(pc.c, &pc.buf, m); err != nil {
 		tr.drop(p.ID, pc)
 		return wire.Msg{}, err
 	}
-	resp, err := wire.ReadMsg(pc.c)
+	resp, err := wire.ReadMsg(pc.br)
 	if err != nil {
 		tr.drop(p.ID, pc)
 		return wire.Msg{}, err

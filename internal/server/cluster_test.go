@@ -217,7 +217,7 @@ func TestQueuedFrameBehindCommitGetsNoTxn(t *testing.T) {
 		{Seq: 5, Type: wire.MsgPageWrite, Page: 1, Params: []string{"junk"}},
 	}
 	for _, m := range batch {
-		if err := wire.WriteMsg(conn, m); err != nil {
+		if _, err := conn.Write(wire.AppendMsg(nil, m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestQueuedFramesBehindCommitThenDisconnect(t *testing.T) {
 			{Seq: 5, Type: wire.MsgCommit},
 		}
 		for _, m := range batch {
-			if err := wire.WriteMsg(conn, m); err != nil {
+			if _, err := conn.Write(wire.AppendMsg(nil, m)); err != nil {
 				t.Fatal(err)
 			}
 		}

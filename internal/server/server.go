@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -425,15 +426,17 @@ func (s *Server) session(conn net.Conn) {
 	// Reader: decodes frames and feeds the handler. It owns the idle
 	// deadline; on any read failure it cancels the session so a handler
 	// parked in AdmitCtx (or mid-pipeline) unblocks immediately.
+	// It reads through a buffer, so a small frame costs one read call.
 	reqs := make(chan inbound, s.opts.QueueDepth)
 	go func() {
 		defer cancel()
 		defer close(reqs)
+		br := bufio.NewReader(conn)
 		for {
 			if s.opts.IdleTimeout > 0 {
 				_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 			}
-			m, n, err := wire.ReadMsgN(conn)
+			m, n, err := wire.ReadMsgN(br)
 			if err != nil {
 				var ne net.Error
 				switch {
@@ -455,6 +458,7 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}()
 
+	var wbuf []byte // the session's reply encode buffer
 	for {
 		var in inbound
 		var ok bool
@@ -475,7 +479,7 @@ func (s *Server) session(conn net.Conn) {
 			ss.frames++
 		}
 		resp.Seq = m.Seq
-		err := wire.WriteMsg(conn, resp)
+		err := wire.WriteMsgBuf(conn, &wbuf, resp)
 		s.msgLat[m.Type].ObserveDuration(time.Since(in.at))
 		if resp.Type == wire.MsgError {
 			s.errCounter(resp.Code).Inc()

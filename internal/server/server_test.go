@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,7 +59,7 @@ func dial(t *testing.T, addr string) net.Conn {
 func call(t *testing.T, conn net.Conn, m wire.Msg) wire.Msg {
 	t.Helper()
 	m.Seq = uint64(time.Now().UnixNano()) // any correlation id works
-	if err := wire.WriteMsg(conn, m); err != nil {
+	if _, err := conn.Write(wire.AppendMsg(nil, m)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := wire.ReadMsg(conn)
@@ -214,7 +215,7 @@ func TestDisconnectCancelsParkedAdmission(t *testing.T) {
 	mustOK(t, holder, wire.Msg{Type: wire.MsgBegin})
 
 	waiter := dial(t, addr)
-	if err := wire.WriteMsg(waiter, wire.Msg{Seq: 1, Type: wire.MsgBegin}); err != nil {
+	if _, err := waiter.Write(wire.AppendMsg(nil, wire.Msg{Seq: 1, Type: wire.MsgBegin})); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the BEGIN park in the admission queue
@@ -332,4 +333,68 @@ func TestBadFrameCutsSession(t *testing.T) {
 	conn2 := dial(t, addr)
 	mustOK(t, conn2, wire.Msg{Type: wire.MsgBegin})
 	mustOK(t, conn2, wire.Msg{Type: wire.MsgAbort})
+}
+
+// TestPipelinedFramesInOneWrite: two frames arriving in one segment are
+// both answered, in order — the session's buffered reader must not drop
+// the second frame it pulled in with the first.
+func TestPipelinedFramesInOneWrite(t *testing.T) {
+	_, addr := testServer(t, core.Options{}, Options{})
+	conn := dial(t, addr)
+	buf := wire.AppendMsg(nil, wire.Msg{Seq: 1, Type: wire.MsgPing, Result: "one"})
+	buf = wire.AppendMsg(buf, wire.Msg{Seq: 2, Type: wire.MsgPing, Result: "two"})
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i, want := range []string{"one", "two"} {
+		resp, err := wire.ReadMsg(conn)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i+1, err)
+		}
+		if resp.Seq != uint64(i+1) || resp.Result != want {
+			t.Fatalf("reply %d = seq %d %q, want seq %d %q", i+1, resp.Seq, resp.Result, i+1, want)
+		}
+	}
+}
+
+// TestFrameSplitAtEveryOffset: a frame that arrives in two pieces, cut at
+// any byte, still decodes — for a frame smaller than the session's read
+// buffer at every offset, and for one larger than it at offsets around the
+// buffer's size.
+func TestFrameSplitAtEveryOffset(t *testing.T) {
+	_, addr := testServer(t, core.Options{}, Options{})
+	conn := dial(t, addr)
+	type cut struct {
+		result string
+		at     int
+	}
+	var cuts []cut
+	smallLen := len(wire.AppendMsg(nil, wire.Msg{Type: wire.MsgPing, Result: "split"}))
+	for at := 1; at < smallLen; at++ {
+		cuts = append(cuts, cut{"split", at})
+	}
+	large := strings.Repeat("L", 10000)
+	for _, at := range []int{1, 8, 9, 4095, 4096, 4097, 8192, 10000} {
+		cuts = append(cuts, cut{large, at})
+	}
+	for i, c := range cuts {
+		seq := uint64(i + 1)
+		frame := wire.AppendMsg(nil, wire.Msg{Seq: seq, Type: wire.MsgPing, Result: c.result})
+		if _, err := conn.Write(frame[:c.at]); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond) // let the first piece arrive on its own
+		if _, err := conn.Write(frame[c.at:]); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := wire.ReadMsg(conn)
+		if err != nil {
+			t.Fatalf("%d-byte frame cut at %d: %v", len(frame), c.at, err)
+		}
+		if resp.Seq != seq || resp.Result != c.result {
+			t.Fatalf("%d-byte frame cut at %d: reply seq %d, want %d", len(frame), c.at, resp.Seq, seq)
+		}
+	}
 }

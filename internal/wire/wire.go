@@ -265,9 +265,15 @@ func AppendMsg(dst []byte, m Msg) []byte {
 // uvarintLen is the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// WriteMsg writes one framed message.
-func WriteMsg(w io.Writer, m Msg) error {
-	_, err := w.Write(AppendMsg(nil, m))
+// WriteMsgBuf writes one framed message, encoding it into *buf, whose
+// array a connection reuses from frame to frame. A buffer grown past 64 KiB is dropped after
+// the write, so an idle connection does not pin its largest message.
+func WriteMsgBuf(w io.Writer, buf *[]byte, m Msg) error {
+	*buf = AppendMsg((*buf)[:0], m)
+	_, err := w.Write(*buf)
+	if cap(*buf) > 64<<10 {
+		*buf = nil
+	}
 	return err
 }
 

@@ -47,6 +47,7 @@ func msgEqual(a, b Msg) bool {
 // TestRoundtripEveryType: a hand-built representative of every frame type
 // survives encode → stream decode and encode → buffer decode.
 func TestRoundtripEveryType(t *testing.T) {
+	var enc []byte // reused across frames, as a connection does
 	for i, typ := range allTypes {
 		m := Msg{
 			Seq:     uint64(i + 1),
@@ -63,7 +64,7 @@ func TestRoundtripEveryType(t *testing.T) {
 			m.TraceID, m.TraceAttempt = "4bf92f3577b34da6", uint32(i+1)
 		}
 		var buf bytes.Buffer
-		if err := WriteMsg(&buf, m); err != nil {
+		if err := WriteMsgBuf(&buf, &enc, m); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadMsg(&buf)
@@ -193,6 +194,38 @@ func TestOversizeLengthRejected(t *testing.T) {
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	if _, err := ReadMsg(&buf); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("oversize length: %v, want ErrFrameCorrupt", err)
+	}
+}
+
+// TestWriteMsgBufReusesAndDrops: consecutive frames share one encode
+// buffer, each written whole, and a buffer grown past 64 KiB by a large
+// message is dropped after its write.
+func TestWriteMsgBufReusesAndDrops(t *testing.T) {
+	var out bytes.Buffer
+	var buf []byte
+	small := []Msg{{Seq: 1, Type: MsgPing, Result: "first"}, {Seq: 2, Type: MsgPing, Result: "2nd"}}
+	if err := WriteMsgBuf(&out, &buf, small[0]); err != nil {
+		t.Fatal(err)
+	}
+	arr := &buf[0]
+	if err := WriteMsgBuf(&out, &buf, small[1]); err != nil {
+		t.Fatal(err)
+	}
+	if &buf[0] != arr {
+		t.Fatal("a small frame did not reuse the buffer")
+	}
+	big := Msg{Seq: 3, Type: MsgResult, Result: strings.Repeat("x", 70<<10)}
+	if err := WriteMsgBuf(&out, &buf, big); err != nil {
+		t.Fatal(err)
+	}
+	if buf != nil {
+		t.Fatalf("a %d-byte buffer was kept, want it dropped", cap(buf))
+	}
+	for _, want := range append(small, big) {
+		got, err := ReadMsg(&out)
+		if err != nil || !msgEqual(got, want) {
+			t.Fatalf("read back %+v, %v; want seq %d", got.Seq, err, want.Seq)
+		}
 	}
 }
 

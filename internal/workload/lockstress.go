@@ -127,7 +127,7 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 							Spec: spec,
 						}
 					}
-					if err := lm.AcquireTraced(tt, owner, owner, res, mode); err != nil {
+					if _, err := lm.AcquireTraced(tt, owner, owner, res, mode); err != nil {
 						ok = false
 						break
 					}
