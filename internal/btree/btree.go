@@ -14,7 +14,9 @@
 //
 // Simplifications, documented in DESIGN.md: deletion removes keys without
 // rebalancing (leaves may go underfull), and keys/values are restricted to
-// a separator-free character set.
+// a separator-free character set. Values are non-empty: insert and search
+// report an absent key as "", so an empty value could not be told from no
+// value, and the compensation of an overwrite would delete the key.
 package btree
 
 import (
@@ -39,7 +41,7 @@ const (
 
 // Errors.
 var (
-	ErrBadKey       = errors.New("btree: key or value contains a reserved character")
+	ErrBadKey       = errors.New("btree: key or value contains a reserved character, or the value is empty")
 	ErrUnknownTree  = errors.New("btree: unknown tree")
 	ErrCorruptEntry = errors.New("btree: corrupt node encoding")
 )
@@ -305,7 +307,7 @@ func (m *Module) NewTree(name string, maxKeys int) (*Tree, error) {
 		return nil, err
 	}
 	tx := m.db.Begin()
-	if _, err := tx.Exec(rootOID, "write", encodeLeaf(leaf{})); err != nil {
+	if _, err := tx.Exec(rootOID, "write", emptyLeaf); err != nil {
 		_ = tx.Abort()
 		return nil, err
 	}

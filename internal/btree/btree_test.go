@@ -329,6 +329,49 @@ func TestSameLeafCommutingInsertsNoTopLevelDeps(t *testing.T) {
 	}
 }
 
+// TestAbortedOverwriteRestoresOldPair: under every protocol, aborting an
+// overwrite puts the old pair back. Insert returns the previous value and
+// "" means absent, so an empty value would make the compensation of its
+// overwrite a delete: under open nesting the key vanished on abort, while
+// physical undo (2PL, closed nesting) put it back. Malta and Martinez's
+// framework for recoverable ADTs asks every compensation to be exact in
+// every reachable state, so an empty value is refused and the state is
+// unreachable.
+func TestAbortedOverwriteRestoresOldPair(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			db, m := newDB(t, p)
+			tr, _ := m.NewTree("t", 4)
+			runOne(t, db, tr.OID(), "insert", "b", "v1")
+			for _, old := range []string{"", "v0"} {
+				tx := db.Begin()
+				_, err := tx.Exec(tr.OID(), "insert", "a", old)
+				if old == "" && !errors.Is(err, ErrBadKey) {
+					t.Errorf("insert of an empty value = %v, want ErrBadKey", err)
+				}
+				if err != nil {
+					_ = tx.Abort()
+					continue
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				before := runOne(t, db, tr.OID(), "scan")
+				tx = db.Begin()
+				if _, err := tx.Exec(tr.OID(), "insert", "a", "x"); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				if after := runOne(t, db, tr.OID(), "scan"); after != before {
+					t.Errorf("old value %q: scan after the aborted overwrite = %q, want %q", old, after, before)
+				}
+			}
+		})
+	}
+}
+
 var protocols = []core.ProtocolKind{
 	core.ProtocolOpenNested, core.Protocol2PLPage, core.Protocol2PLObject, core.ProtocolClosedNested,
 }

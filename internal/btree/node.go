@@ -2,7 +2,7 @@ package btree
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 
@@ -24,50 +24,19 @@ import (
 // a concurrent descent that lands left of moved keys follows the link
 // instead of failing ("B-linking", Section 2 of the paper).
 //
-// Reads (route, search, scanLeaf) scan the stored string in place: they cut
-// the header and walk the body only as far as the probed key, allocating no
-// slices and parsing only the pid they return. Writes decode the page into
-// a leaf or inner, edit it, and re-encode it with encodeLeaf/encodeInner.
+// Reads (route, search, scanLeaf) and writes both work on the stored string
+// in place: they cut the header and walk the body, allocating no slices
+// and parsing only the pids they need. A write is a splice: it walks the
+// body once to find where the entry goes, then builds the new page with
+// one concatenation of the stored text around the edited entry, so a key
+// insert changes one entry of one page, as in the paper's Example 1. A
+// split cuts the edited body in two and renders only the left half's new
+// header. Every page the engine writes has the bytes a decode-edit-encode
+// would give it; the text format stays so traces and page images remain
+// readable.
 
-type leaf struct {
-	next storage.PageID
-	high string
-	keys []string
-	vals []string
-}
-
-type inner struct {
-	next     storage.PageID
-	high     string
-	keys     []string
-	children []storage.PageID // len(keys)+1
-}
-
-func encodeLeaf(l leaf) string {
-	var kv strings.Builder
-	for i, k := range l.keys {
-		if i > 0 {
-			kv.WriteByte(';')
-		}
-		kv.WriteString(k)
-		kv.WriteByte(':')
-		kv.WriteString(l.vals[i])
-	}
-	return fmt.Sprintf("L|next=%d|high=%s|kv=%s", l.next, l.high, kv.String())
-}
-
-func encodeInner(n inner) string {
-	var ch strings.Builder
-	for i, c := range n.children {
-		if i > 0 {
-			ch.WriteByte(',')
-			ch.WriteString(n.keys[i-1])
-			ch.WriteByte(',')
-		}
-		ch.WriteString(strconv.FormatUint(uint64(c), 10))
-	}
-	return fmt.Sprintf("I|next=%d|high=%s|ch=%s", n.next, n.high, ch.String())
-}
+// emptyLeaf is a fresh tree's root: a leaf with no pairs, high key or link.
+const emptyLeaf = "L|next=0|high=|kv="
 
 // header is a node page's header, cut from the stored string in place:
 // body is the text after "kv=" (leaf) or "ch=" (inner).
@@ -108,45 +77,6 @@ func cutHeader(data string) (header, error) {
 		return header{}, fmt.Errorf("%w: kind %q", ErrCorruptEntry, kind)
 	}
 	return h, nil
-}
-
-// decodePage parses a node page. Exactly one of the results is non-nil.
-func decodePage(data string) (*leaf, *inner, error) {
-	h, err := cutHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.isLeaf {
-		l := &leaf{next: h.next, high: h.high}
-		if h.body != "" {
-			for _, pair := range strings.Split(h.body, ";") {
-				k, v, found := strings.Cut(pair, ":")
-				if !found {
-					return nil, nil, fmt.Errorf("%w: pair %q", ErrCorruptEntry, pair)
-				}
-				l.keys = append(l.keys, k)
-				l.vals = append(l.vals, v)
-			}
-		}
-		return l, nil, nil
-	}
-	fields := strings.Split(h.body, ",")
-	if len(fields)%2 != 1 {
-		return nil, nil, fmt.Errorf("%w: inner arity in %q", ErrCorruptEntry, truncate(data))
-	}
-	n := &inner{next: h.next, high: h.high}
-	for i, f := range fields {
-		if i%2 == 0 {
-			pid, err := strconv.ParseUint(f, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: child pid %q", ErrCorruptEntry, f)
-			}
-			n.children = append(n.children, storage.PageID(pid))
-		} else {
-			n.keys = append(n.keys, f)
-		}
-	}
-	return nil, n, nil
 }
 
 // routeIn is route over a stored page: "leaf", "moved|<next>" when k lies
@@ -244,6 +174,202 @@ func movedPast(high string, next storage.PageID, k string) bool {
 	return high != "" && k >= high && next != storage.InvalidPage
 }
 
+// --- splices ---------------------------------------------------------------
+
+// allocFunc allocates the fresh right sibling of a split. A splice
+// (insertLeaf, deleteLeaf, insertChildIn) works a node write out on the
+// stored page and returns the method's result, the node's new page ("" when
+// nothing changes) and the right sibling's page ("" unless it split).
+type allocFunc func() (storage.PageID, error)
+
+// leafAt is where key k lands in a leaf page whose body starts at byte head
+// and holds n pairs: the first pair whose key is >= k starts at off
+// (len(data) when none does), and when that key is k its value is
+// data[vs:ve].
+type leafAt struct {
+	head, n, off, vs, ve int
+	found                bool
+}
+
+// locate cuts a leaf page and walks its body once, checking every pair for
+// its ':' as a decode does, so a corrupt page fails wherever k lies. moved
+// is "moved|<next>" when k lies right of the leaf.
+func locate(data, k string) (at leafAt, moved string, err error) {
+	h, err := cutHeader(data)
+	if err != nil {
+		return at, "", err
+	}
+	if !h.isLeaf {
+		return at, "", fmt.Errorf("%w: leaf write on inner node %q", ErrCorruptEntry, truncate(data))
+	}
+	at.head, at.off = len(data)-len(h.body), -1
+	pos := at.head
+	for rest, more := h.body, h.body != ""; more; at.n++ {
+		var pair string
+		pair, rest, more = strings.Cut(rest, ";")
+		key, _, ok := strings.Cut(pair, ":")
+		if !ok {
+			return at, "", fmt.Errorf("%w: pair %q", ErrCorruptEntry, pair)
+		}
+		if at.off < 0 && key >= k {
+			at.off, at.found, at.vs, at.ve = pos, key == k, pos+len(key)+1, pos+len(pair)
+		}
+		pos += len(pair) + 1
+	}
+	if at.off < 0 {
+		at.off = len(data)
+	}
+	if movedPast(h.high, h.next, k) {
+		moved = "moved|" + pidStr(h.next)
+	}
+	return at, moved, nil
+}
+
+// cutAt returns the offset just past the m-th sep in s (0 when m is 0); s
+// holds at least m of them.
+func cutAt(s string, sep byte, m int) int {
+	off := 0
+	for ; m > 0; m-- {
+		off += strings.IndexByte(s[off:], sep) + 1
+	}
+	return off
+}
+
+// insertLeaf splices k=v into a leaf: "ok|<old>", "moved|<next>", or, past
+// maxKeys pairs, "split|<sep>|<new>|<old>" with the lower half as page and
+// the upper half, under the old next and high, as right.
+func insertLeaf(data, k, v string, maxKeys int, alloc allocFunc) (res, page, right string, err error) {
+	at, moved, err := locate(data, k)
+	if err != nil || moved != "" {
+		return moved, "", "", err
+	}
+	old, n := "", at.n+1
+	switch {
+	case at.found:
+		old, n = data[at.vs:at.ve], at.n
+		page = data[:at.vs] + v + data[at.ve:]
+	case at.n == 0:
+		page = data + k + ":" + v
+	case at.off == len(data):
+		page = data + ";" + k + ":" + v
+	default:
+		page = data[:at.off] + k + ":" + v + ";" + data[at.off:]
+	}
+	if n <= maxKeys {
+		return "ok|" + old, page, "", nil
+	}
+	body := page[at.head:]
+	cut := cutAt(body, ';', n/2)
+	sep, _, _ := strings.Cut(body[cut:], ":")
+	pid, err := alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	p := pidStr(pid)
+	return "split|" + sep + "|" + p + "|" + old, "L|next=" + p + "|high=" + sep + "|kv=" + body[:max(cut-1, 0)], page[:at.head] + body[cut:], nil
+}
+
+// deleteLeaf cuts k's pair and one ';' from a leaf: "val|<old>", "miss" or
+// "moved|<next>".
+func deleteLeaf(data, k string) (res, page, right string, err error) {
+	at, moved, err := locate(data, k)
+	switch {
+	case err != nil || moved != "":
+		return moved, "", "", err
+	case !at.found:
+		return "miss", "", "", nil
+	case at.n == 1:
+		page = data[:at.head]
+	case at.ve == len(data):
+		page = data[:at.off-1]
+	default:
+		page = data[:at.off] + data[at.ve+1:]
+	}
+	return "val|" + data[at.vs:at.ve], page, "", nil
+}
+
+// insertChildIn splices separator sep and child pid into an inner node
+// after the child sort.SearchStrings picks: "ok", "moved|<next>", or, past
+// maxKeys separators, "split|<sep>|<new>", which promotes the middle
+// separator instead of copying it. The walk checks the node's arity and
+// every child pid, as a decode does.
+func insertChildIn(data, sep string, child storage.PageID, maxKeys int, alloc allocFunc) (res, page, right string, err error) {
+	h, err := cutHeader(data)
+	if err == nil && h.isLeaf {
+		err = fmt.Errorf("%w: insertChild into leaf %q", ErrCorruptEntry, truncate(data))
+	}
+	if err != nil {
+		return "", "", "", err
+	}
+	head, at, nk, i := len(data)-len(h.body), -1, 0, 0
+	for rest, more, pos := h.body, true, head; more; i++ {
+		var f string
+		f, rest, more = strings.Cut(rest, ",")
+		if i%2 == 0 {
+			if _, err := strconv.ParseUint(f, 10, 64); err != nil {
+				return "", "", "", fmt.Errorf("%w: child pid %q", ErrCorruptEntry, f)
+			}
+		} else if nk++; at < 0 && f >= sep {
+			at = pos - 1
+		}
+		pos += len(f) + 1
+	}
+	if i%2 == 0 {
+		return "", "", "", fmt.Errorf("%w: inner arity in %q", ErrCorruptEntry, truncate(data))
+	}
+	if movedPast(h.high, h.next, sep) {
+		return "moved|" + pidStr(h.next), "", "", nil
+	}
+	if at < 0 {
+		at = len(data)
+	}
+	page = data[:at] + "," + sep + "," + pidStr(child) + data[at:]
+	if nk++; nk <= maxKeys {
+		return "ok", page, "", nil
+	}
+	body := page[head:]
+	lo := cutAt(body, ',', 2*(nk/2)+1)
+	hi := lo + strings.IndexByte(body[lo:], ',') + 1
+	promoted := body[lo : hi-1]
+	pid, err := alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	p := pidStr(pid)
+	return "split|" + promoted + "|" + p, "I|next=" + p + "|high=" + promoted + "|ch=" + body[:lo-1], page[:head] + body[hi:], nil
+}
+
+// nodeWriter runs a splice for a node method: it allocates the fresh right
+// sibling of a split on demand and writes what the splice worked out.
+type nodeWriter struct {
+	c           *core.Ctx
+	self, fresh txn.OID
+}
+
+func (w *nodeWriter) alloc() (storage.PageID, error) {
+	w.fresh = w.c.DB().AllocPage()
+	return core.PageID(w.fresh)
+}
+
+// write writes a split's right sibling first, so a concurrent descent that
+// still reaches self sees a consistent B-link chain either way, then self.
+func (w *nodeWriter) write(res, page, right string, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	if right != "" {
+		if _, err := w.c.Call(w.fresh, "write", right); err != nil {
+			return "", err
+		}
+	}
+	if page != "" {
+		if _, err := w.c.Call(self2page(w.self), "write", page); err != nil {
+			return "", err
+		}
+	}
+	return res, nil
+}
+
 // --- node object methods ---------------------------------------------------
 
 // nodeRoute routes a key one level down: "leaf" when the node is a leaf,
@@ -272,7 +398,6 @@ func (m *Module) nodeInsert(c *core.Ctx, self txn.OID, params []string) (string,
 	if len(params) != 3 {
 		return "", fmt.Errorf("btree: node insert needs key, value, maxKeys")
 	}
-	k, v := params[0], params[1]
 	maxKeys, err := strconv.Atoi(params[2])
 	if err != nil {
 		return "", fmt.Errorf("btree: bad maxKeys %q", params[2])
@@ -281,62 +406,8 @@ func (m *Module) nodeInsert(c *core.Ctx, self txn.OID, params []string) (string,
 	if err != nil {
 		return "", err
 	}
-	l, _, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if l == nil {
-		return "", fmt.Errorf("%w: insert into inner node %s", ErrCorruptEntry, self.Name)
-	}
-	if movedPast(l.high, l.next, k) {
-		return "moved|" + pidStr(l.next), nil
-	}
-
-	old := ""
-	i := sort.SearchStrings(l.keys, k)
-	if i < len(l.keys) && l.keys[i] == k {
-		old = l.vals[i]
-		l.vals[i] = v
-	} else {
-		l.keys = append(l.keys, "")
-		copy(l.keys[i+1:], l.keys[i:])
-		l.keys[i] = k
-		l.vals = append(l.vals, "")
-		copy(l.vals[i+1:], l.vals[i:])
-		l.vals[i] = v
-	}
-
-	if len(l.keys) <= maxKeys {
-		if _, err := c.Call(self2page(self), "write", encodeLeaf(*l)); err != nil {
-			return "", err
-		}
-		return "ok|" + old, nil
-	}
-
-	// Split: right half moves to a fresh page; B-link left → right.
-	mid := len(l.keys) / 2
-	right := leaf{
-		next: l.next,
-		high: l.high,
-		keys: append([]string{}, l.keys[mid:]...),
-		vals: append([]string{}, l.vals[mid:]...),
-	}
-	sep := right.keys[0]
-	newOID := c.DB().AllocPage()
-	newPID, err := core.PageID(newOID)
-	if err != nil {
-		return "", err
-	}
-	left := leaf{next: newPID, high: sep, keys: l.keys[:mid], vals: l.vals[:mid]}
-	// Write the right half first: a concurrent descent that still reaches
-	// the left page sees a consistent B-link chain either way.
-	if _, err := c.Call(newOID, "write", encodeLeaf(right)); err != nil {
-		return "", err
-	}
-	if _, err := c.Call(self2page(self), "write", encodeLeaf(left)); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("split|%s|%s|%s", sep, pidStr(newPID), old), nil
+	w := &nodeWriter{c: c, self: self}
+	return w.write(insertLeaf(data, params[0], params[1], maxKeys, w.alloc))
 }
 
 // nodeSearch looks k up in a leaf: "val|<v>", "miss", or "moved|<pid>".
@@ -359,32 +430,11 @@ func (m *Module) nodeDelete(c *core.Ctx, self txn.OID, params []string) (string,
 	if len(params) != 2 {
 		return "", fmt.Errorf("btree: node delete needs key and maxKeys")
 	}
-	k := params[0]
 	data, err := m.readNode(c, self, "readx")
 	if err != nil {
 		return "", err
 	}
-	l, _, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if l == nil {
-		return "", fmt.Errorf("%w: delete in inner node %s", ErrCorruptEntry, self.Name)
-	}
-	if movedPast(l.high, l.next, k) {
-		return "moved|" + pidStr(l.next), nil
-	}
-	i := sort.SearchStrings(l.keys, k)
-	if i >= len(l.keys) || l.keys[i] != k {
-		return "miss", nil
-	}
-	old := l.vals[i]
-	l.keys = append(l.keys[:i], l.keys[i+1:]...)
-	l.vals = append(l.vals[:i], l.vals[i+1:]...)
-	if _, err := c.Call(self2page(self), "write", encodeLeaf(*l)); err != nil {
-		return "", err
-	}
-	return "val|" + old, nil
+	return (&nodeWriter{c: c, self: self}).write(deleteLeaf(data, params[0]))
 }
 
 // nodeInsertChild posts a separator and new-child pid into an inner node:
@@ -393,7 +443,6 @@ func (m *Module) nodeInsertChild(c *core.Ctx, self txn.OID, params []string) (st
 	if len(params) != 3 {
 		return "", fmt.Errorf("btree: insertChild needs sep, pid, maxKeys")
 	}
-	sep := params[0]
 	newPID, err := strconv.ParseUint(params[1], 10, 64)
 	if err != nil {
 		return "", fmt.Errorf("btree: bad child pid %q", params[1])
@@ -406,59 +455,8 @@ func (m *Module) nodeInsertChild(c *core.Ctx, self txn.OID, params []string) (st
 	if err != nil {
 		return "", err
 	}
-	_, n, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if n == nil {
-		return "", fmt.Errorf("%w: insertChild into leaf %s", ErrCorruptEntry, self.Name)
-	}
-	if movedPast(n.high, n.next, sep) {
-		return "moved|" + pidStr(n.next), nil
-	}
-
-	i := sort.SearchStrings(n.keys, sep)
-	n.keys = append(n.keys, "")
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = sep
-	n.children = append(n.children, 0)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = storage.PageID(newPID)
-
-	if len(n.keys) <= maxKeys {
-		if _, err := c.Call(self2page(self), "write", encodeInner(*n)); err != nil {
-			return "", err
-		}
-		return "ok", nil
-	}
-
-	// Inner split: the middle key is promoted, not copied.
-	mid := len(n.keys) / 2
-	promoted := n.keys[mid]
-	right := inner{
-		next:     n.next,
-		high:     n.high,
-		keys:     append([]string{}, n.keys[mid+1:]...),
-		children: append([]storage.PageID{}, n.children[mid+1:]...),
-	}
-	newOID := c.DB().AllocPage()
-	rightPID, err := core.PageID(newOID)
-	if err != nil {
-		return "", err
-	}
-	left := inner{
-		next:     rightPID,
-		high:     promoted,
-		keys:     n.keys[:mid],
-		children: n.children[:mid+1],
-	}
-	if _, err := c.Call(newOID, "write", encodeInner(right)); err != nil {
-		return "", err
-	}
-	if _, err := c.Call(self2page(self), "write", encodeInner(left)); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("split|%s|%s", promoted, pidStr(rightPID)), nil
+	w := &nodeWriter{c: c, self: self}
+	return w.write(insertChildIn(data, params[0], storage.PageID(newPID), maxKeys, w.alloc))
 }
 
 // nodeMakeRoot initializes self as a fresh root with two children.
@@ -472,11 +470,8 @@ func (m *Module) nodeMakeRoot(c *core.Ctx, self txn.OID, params []string) (strin
 	if err1 != nil || err2 != nil {
 		return "", fmt.Errorf("btree: bad root child pids %v", params)
 	}
-	n := inner{
-		keys:     []string{params[1]},
-		children: []storage.PageID{storage.PageID(left), storage.PageID(right)},
-	}
-	return c.Call(self2page(self), "write", encodeInner(n))
+	page := "I|next=0|high=|ch=" + pidStr(storage.PageID(left)) + "," + params[1] + "," + pidStr(storage.PageID(right))
+	return c.Call(self2page(self), "write", page)
 }
 
 // nodeCompDelete is the compensation counterpart of a leaf insert: it
@@ -490,17 +485,21 @@ func (m *Module) nodeCompDelete(c *core.Ctx, self txn.OID, params []string) (str
 		return "", fmt.Errorf("btree: compDelete needs key and maxKeys")
 	}
 	res, err := m.nodeDelete(c, self, params)
+	return chaseMoved(c, res, err, "compDelete", params)
+}
+
+// chaseMoved sends a compensation on along the B-link when res says the
+// key range moved right; otherwise res is the compensation's result.
+func chaseMoved(c *core.Ctx, res string, err error, method string, params []string) (string, error) {
+	next, ok := strings.CutPrefix(res, "moved|")
+	if err != nil || !ok {
+		return res, err
+	}
+	pid, err := parsePID(next)
 	if err != nil {
 		return "", err
 	}
-	if next, ok := strings.CutPrefix(res, "moved|"); ok {
-		pid, err := parsePID(next)
-		if err != nil {
-			return "", err
-		}
-		return c.Call(nodeOID(pid), "compDelete", params...)
-	}
-	return res, nil
+	return c.Call(nodeOID(pid), method, params...)
 }
 
 // nodeCompInsert is the compensation counterpart of a leaf delete: it
@@ -512,38 +511,12 @@ func (m *Module) nodeCompInsert(c *core.Ctx, self txn.OID, params []string) (str
 	if len(params) != 3 {
 		return "", fmt.Errorf("btree: compInsert needs key, value, maxKeys")
 	}
-	k, v := params[0], params[1]
 	data, err := m.readNode(c, self, "readx")
 	if err != nil {
 		return "", err
 	}
-	l, _, err := decodePage(data)
-	if err != nil {
-		return "", err
-	}
-	if l == nil {
-		return "", fmt.Errorf("%w: compInsert into inner node %s", ErrCorruptEntry, self.Name)
-	}
-	if movedPast(l.high, l.next, k) {
-		return c.Call(nodeOID(l.next), "compInsert", params...)
-	}
-	i := sort.SearchStrings(l.keys, k)
-	old := ""
-	if i < len(l.keys) && l.keys[i] == k {
-		old = l.vals[i]
-		l.vals[i] = v
-	} else {
-		l.keys = append(l.keys, "")
-		copy(l.keys[i+1:], l.keys[i:])
-		l.keys[i] = k
-		l.vals = append(l.vals, "")
-		copy(l.vals[i+1:], l.vals[i:])
-		l.vals[i] = v
-	}
-	if _, err := c.Call(self2page(self), "write", encodeLeaf(*l)); err != nil {
-		return "", err
-	}
-	return "ok|" + old, nil
+	res, err := (&nodeWriter{c: c, self: self}).write(insertLeaf(data, params[0], params[1], math.MaxInt, nil))
+	return chaseMoved(c, res, err, "compInsert", params)
 }
 
 // nodeScanLeaf returns a leaf's pairs and successor: "<next>|k1:v1;k2:v2",

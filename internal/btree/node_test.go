@@ -3,8 +3,11 @@ package btree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +15,175 @@ import (
 	"repro/internal/core"
 	"repro/internal/storage"
 )
+
+// The decoded node: the oracle the in-place readers and the splice writers
+// are checked against. Production code never decodes a node.
+
+type leaf struct {
+	next storage.PageID
+	high string
+	keys []string
+	vals []string
+}
+
+type inner struct {
+	next     storage.PageID
+	high     string
+	keys     []string
+	children []storage.PageID // len(keys)+1
+}
+
+func encodeLeaf(l leaf) string {
+	var kv strings.Builder
+	for i, k := range l.keys {
+		if i > 0 {
+			kv.WriteByte(';')
+		}
+		kv.WriteString(k)
+		kv.WriteByte(':')
+		kv.WriteString(l.vals[i])
+	}
+	return fmt.Sprintf("L|next=%d|high=%s|kv=%s", l.next, l.high, kv.String())
+}
+
+func encodeInner(n inner) string {
+	var ch strings.Builder
+	for i, c := range n.children {
+		if i > 0 {
+			ch.WriteByte(',')
+			ch.WriteString(n.keys[i-1])
+			ch.WriteByte(',')
+		}
+		ch.WriteString(strconv.FormatUint(uint64(c), 10))
+	}
+	return fmt.Sprintf("I|next=%d|high=%s|ch=%s", n.next, n.high, ch.String())
+}
+
+// decodePage parses a node page. Exactly one of the results is non-nil.
+func decodePage(data string) (*leaf, *inner, error) {
+	h, err := cutHeader(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if h.isLeaf {
+		l := &leaf{next: h.next, high: h.high}
+		if h.body != "" {
+			for _, pair := range strings.Split(h.body, ";") {
+				k, v, found := strings.Cut(pair, ":")
+				if !found {
+					return nil, nil, fmt.Errorf("%w: pair %q", ErrCorruptEntry, pair)
+				}
+				l.keys = append(l.keys, k)
+				l.vals = append(l.vals, v)
+			}
+		}
+		return l, nil, nil
+	}
+	fields := strings.Split(h.body, ",")
+	if len(fields)%2 != 1 {
+		return nil, nil, fmt.Errorf("%w: inner arity in %q", ErrCorruptEntry, truncate(data))
+	}
+	n := &inner{next: h.next, high: h.high}
+	for i, f := range fields {
+		if i%2 == 0 {
+			pid, err := strconv.ParseUint(f, 10, 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%w: child pid %q", ErrCorruptEntry, f)
+			}
+			n.children = append(n.children, storage.PageID(pid))
+		} else {
+			n.keys = append(n.keys, f)
+		}
+	}
+	return nil, n, nil
+}
+
+// The decode-edit-encode writers: nodeInsert, nodeDelete and
+// nodeInsertChild as they were before the splices, as pure functions with
+// the splices' signatures, kept as their oracle.
+
+func insertByDecode(data, k, v string, maxKeys int, alloc allocFunc) (res, page, right string, err error) {
+	l, _, err := decodePage(data)
+	if err != nil {
+		return "", "", "", err
+	}
+	if l == nil {
+		return "", "", "", ErrCorruptEntry
+	}
+	if movedPast(l.high, l.next, k) {
+		return "moved|" + pidStr(l.next), "", "", nil
+	}
+	old := ""
+	i := sort.SearchStrings(l.keys, k)
+	if i < len(l.keys) && l.keys[i] == k {
+		old = l.vals[i]
+		l.vals[i] = v
+	} else {
+		l.keys = slices.Insert(l.keys, i, k)
+		l.vals = slices.Insert(l.vals, i, v)
+	}
+	if len(l.keys) <= maxKeys {
+		return "ok|" + old, encodeLeaf(*l), "", nil
+	}
+	mid := len(l.keys) / 2
+	r := leaf{next: l.next, high: l.high, keys: l.keys[mid:], vals: l.vals[mid:]}
+	sep := r.keys[0]
+	pid, err := alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	left := leaf{next: pid, high: sep, keys: l.keys[:mid], vals: l.vals[:mid]}
+	return fmt.Sprintf("split|%s|%s|%s", sep, pidStr(pid), old), encodeLeaf(left), encodeLeaf(r), nil
+}
+
+func deleteByDecode(data, k string) (res, page, right string, err error) {
+	l, _, err := decodePage(data)
+	if err != nil {
+		return "", "", "", err
+	}
+	if l == nil {
+		return "", "", "", ErrCorruptEntry
+	}
+	if movedPast(l.high, l.next, k) {
+		return "moved|" + pidStr(l.next), "", "", nil
+	}
+	i := sort.SearchStrings(l.keys, k)
+	if i >= len(l.keys) || l.keys[i] != k {
+		return "miss", "", "", nil
+	}
+	old := l.vals[i]
+	l.keys = slices.Delete(l.keys, i, i+1)
+	l.vals = slices.Delete(l.vals, i, i+1)
+	return "val|" + old, encodeLeaf(*l), "", nil
+}
+
+func insertChildByDecode(data, sep string, child storage.PageID, maxKeys int, alloc allocFunc) (res, page, right string, err error) {
+	_, n, err := decodePage(data)
+	if err != nil {
+		return "", "", "", err
+	}
+	if n == nil {
+		return "", "", "", ErrCorruptEntry
+	}
+	if movedPast(n.high, n.next, sep) {
+		return "moved|" + pidStr(n.next), "", "", nil
+	}
+	i := sort.SearchStrings(n.keys, sep)
+	n.keys = slices.Insert(n.keys, i, sep)
+	n.children = slices.Insert(n.children, i+1, child)
+	if len(n.keys) <= maxKeys {
+		return "ok", encodeInner(*n), "", nil
+	}
+	mid := len(n.keys) / 2
+	promoted := n.keys[mid]
+	r := inner{next: n.next, high: n.high, keys: n.keys[mid+1:], children: n.children[mid+1:]}
+	pid, err := alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	left := inner{next: pid, high: promoted, keys: n.keys[:mid], children: n.children[:mid+1]}
+	return fmt.Sprintf("split|%s|%s", promoted, pidStr(pid)), encodeInner(left), encodeInner(r), nil
+}
 
 // childFor returns the child pid routing key k: keys[i-1] <= k < keys[i]
 // routes to children[i]; equal keys route right (a separator is the first
@@ -122,35 +294,38 @@ func probes(keys []string, high string) []string {
 	return out
 }
 
+// randPage returns a random leaf or inner node of 0-120 keys, with and
+// without high/next, as the old encoder rendered it, with its keys and
+// high key.
+func randPage(r *rand.Rand) (data string, keys []string, high string) {
+	keys = randKeys(r, r.Intn(121))
+	var next storage.PageID
+	if r.Intn(2) == 0 {
+		next = storage.PageID(1 + r.Intn(100000))
+	}
+	if r.Intn(2) == 0 {
+		high = randKeys(r, 1)[0]
+	}
+	if r.Intn(2) == 0 {
+		vals := make([]string, len(keys))
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%d", r.Intn(1000))
+		}
+		return encodeLeaf(leaf{next: next, high: high, keys: keys, vals: vals}), keys, high
+	}
+	children := make([]storage.PageID, len(keys)+1)
+	for i := range children {
+		children[i] = storage.PageID(r.Intn(1000000))
+	}
+	return encodeInner(inner{next: next, high: high, keys: keys, children: children}), keys, high
+}
+
 // Property: on random leaves and inner nodes (0-120 keys, with and without
 // high/next), routeIn, searchIn and scanIn return exactly what the decoding
 // readers return, for every probe key.
 func TestInPlaceReadersMatchDecode(t *testing.T) {
 	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		keys := randKeys(r, r.Intn(121))
-		var next storage.PageID
-		if r.Intn(2) == 0 {
-			next = storage.PageID(1 + r.Intn(100000))
-		}
-		high := ""
-		if r.Intn(2) == 0 {
-			high = randKeys(r, 1)[0]
-		}
-		var data string
-		if r.Intn(2) == 0 {
-			vals := make([]string, len(keys))
-			for i := range vals {
-				vals[i] = fmt.Sprintf("v%d", r.Intn(1000))
-			}
-			data = encodeLeaf(leaf{next: next, high: high, keys: keys, vals: vals})
-		} else {
-			children := make([]storage.PageID, len(keys)+1)
-			for i := range children {
-				children[i] = storage.PageID(r.Intn(1000000))
-			}
-			data = encodeInner(inner{next: next, high: high, keys: keys, children: children})
-		}
+		data, keys, high := randPage(rand.New(rand.NewSource(seed)))
 		for _, k := range probes(keys, high) {
 			got, gotErr := routeIn(data, k)
 			want, wantErr := routeByDecode(data, k)
@@ -258,6 +433,111 @@ func FuzzNodeRead(f *testing.F) {
 		want, wantErr = scanByDecode(data)
 		if !sameRead(scan, scanErr, want, wantErr) {
 			t.Fatalf("scanLeaf on %q = %q, %v; want %q, %v", data, scan, scanErr, want, wantErr)
+		}
+	})
+}
+
+// joinWrite renders a writer's result and pages as one string, so sameRead
+// can compare a splice with its oracle.
+func joinWrite(res, page, right string, err error) (string, error) {
+	return fmt.Sprintf("%q %q %q", res, page, right), err
+}
+
+// nodeWriters pairs each splice writer with its decode-edit-encode oracle,
+// both bound to one write's key k, value v, capacity and new child pid. A
+// split's fresh page is always pid 4242.
+func nodeWriters(k, v string, maxKeys int, child storage.PageID) map[string][2]func(string) (string, error) {
+	alloc := func() (storage.PageID, error) { return 4242, nil }
+	return map[string][2]func(string) (string, error){
+		"insert": {
+			func(d string) (string, error) { return joinWrite(insertLeaf(d, k, v, maxKeys, alloc)) },
+			func(d string) (string, error) { return joinWrite(insertByDecode(d, k, v, maxKeys, alloc)) },
+		},
+		"compInsert": {
+			func(d string) (string, error) { return joinWrite(insertLeaf(d, k, v, math.MaxInt, nil)) },
+			func(d string) (string, error) { return joinWrite(insertByDecode(d, k, v, math.MaxInt, nil)) },
+		},
+		"delete": {
+			func(d string) (string, error) { return joinWrite(deleteLeaf(d, k)) },
+			func(d string) (string, error) { return joinWrite(deleteByDecode(d, k)) },
+		},
+		"insertChild": {
+			func(d string) (string, error) { return joinWrite(insertChildIn(d, k, child, maxKeys, alloc)) },
+			func(d string) (string, error) { return joinWrite(insertChildByDecode(d, k, child, maxKeys, alloc)) },
+		},
+	}
+}
+
+// writeMismatch runs every splice writer and its oracle on page data. The
+// splice must fail, and only with ErrCorruptEntry, exactly when the oracle
+// fails; when exact is set it must also return the oracle's result and
+// bytes. It describes the first disagreement, or returns "".
+func writeMismatch(data, k, v string, maxKeys int, child storage.PageID, exact bool) string {
+	for name, w := range nodeWriters(k, v, maxKeys, child) {
+		got, gotErr := w[0](data)
+		want, wantErr := w[1](data)
+		if (gotErr != nil && !errors.Is(gotErr, ErrCorruptEntry)) || (gotErr != nil) != (wantErr != nil) ||
+			(exact && !sameRead(got, gotErr, want, wantErr)) {
+			return fmt.Sprintf("%s(%q, %q, max %d) on %q = %s, %v; want %s, %v", name, k, v, maxKeys, data, got, gotErr, want, wantErr)
+		}
+	}
+	return ""
+}
+
+// Property: on random leaves and inner nodes, every splice writer returns
+// the bytes and result of decode-edit-encode, for 24 of the probe keys,
+// with and without a split, overwriting and inserting, empty values
+// included.
+func TestSplicesMatchDecode(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		data, keys, high := randPage(r)
+		ks := probes(keys, high)
+		r.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		for _, k := range ks[:min(len(ks), 24)] {
+			maxKeys := max(len(keys)-1+r.Intn(3), 0)
+			v := []string{"", "w", "val9"}[r.Intn(3)]
+			if msg := writeMismatch(data, k, v, maxKeys, storage.PageID(r.Intn(1000000)), true); msg != "" {
+				t.Log(msg)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzNodeWrite: the splice writers never panic and fail, only with
+// ErrCorruptEntry, exactly when their decode-edit-encode oracle fails. On
+// a page with strictly sorted keys that the old encoder would have
+// rendered byte for byte (canonical pids), they return the oracle's result
+// and bytes. Keys and values are those the tree accepts.
+func FuzzNodeWrite(f *testing.F) {
+	for _, s := range headerDamage {
+		f.Add(s, "k", "v", uint8(4), uint32(9))
+	}
+	f.Add("L|next=0|high=|kv=", "a", "1", uint8(0), uint32(9))
+	f.Add("L|next=4|high=m|kv=a:1;b:2;c:", "b", "", uint8(2), uint32(9))
+	f.Add("L|next=4|high=m|kv=a:1;c:3", "b", "x", uint8(2), uint32(9))
+	f.Add("L|next=0|high=|kv=a:1;b:2;c:3", "c", "x", uint8(9), uint32(9))
+	f.Add("L|next=0|high=|kv=broken", "a", "1", uint8(4), uint32(9))
+	f.Add("L|next=007|high=|kv=a:1", "b", "2", uint8(4), uint32(9))
+	f.Add("I|next=9|high=q|ch=1,g,2,p,3", "h", "", uint8(2), uint32(5))
+	f.Add("I|next=0|high=|ch=1,g,2,p,3", "a", "", uint8(9), uint32(5))
+	f.Add("I|next=0|high=|ch=007,g,08", "z", "", uint8(4), uint32(5))
+	f.Add("I|next=0|high=|ch=1,g", "a", "", uint8(4), uint32(5))
+	f.Fuzz(func(t *testing.T, data, k, v string, maxKeys uint8, child uint32) {
+		if !validKV(k) || !validKV(v) {
+			return
+		}
+		l, n, err := decodePage(data)
+		exact := err == nil &&
+			((l != nil && strictlySorted(l.keys) && encodeLeaf(*l) == data) ||
+				(n != nil && strictlySorted(n.keys) && encodeInner(*n) == data))
+		if msg := writeMismatch(data, k, v, int(maxKeys), storage.PageID(child), exact); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }

@@ -20,13 +20,14 @@ const maxDescend = 128
 
 // treeInsert implements BpTree.insert(k, v): descend to the leaf, insert,
 // propagate splits. Result: the previous value of k ("" when absent), which
-// is exactly what the compensation needs.
+// is exactly what the compensation needs. Values are non-empty, so that ""
+// means only absent.
 func (m *Module) treeInsert(c *core.Ctx, self txn.OID, params []string) (string, error) {
 	if len(params) != 2 {
 		return "", fmt.Errorf("btree: insert needs key and value")
 	}
 	k, v := params[0], params[1]
-	if !validKV(k) || !validKV(v) {
+	if !validKV(k) || !validKV(v) || v == "" {
 		return "", ErrBadKey
 	}
 	t, err := m.tree(self)

@@ -595,19 +595,29 @@ func BenchmarkExec2PL(b *testing.B) {
 	}
 }
 
-// TestCompensationNoteRoundTrip: the WAL intent note decodes back to the
-// invocation it encodes, including parameters containing the ',' and '.'
-// that the human-readable compensation record uses as separators.
+// TestCompensationNoteRoundTrip: the WAL intent note is the fields joined
+// by the unit separator, byte for byte, in one allocation, and decodes back
+// to the invocation it encodes, including empty and multi-byte parameters
+// and the ',' and '.' that the human-readable compensation record uses as
+// separators.
 func TestCompensationNoteRoundTrip(t *testing.T) {
 	obj := txn.OID{Type: "dict", Name: "D.1"}
-	for _, params := range [][]string{nil, {"k"}, {"a,b", "c.d", ""}} {
-		gotObj, method, gotParams, err := DecodeCompensationNote(compensationNote(obj, "put", params))
+	for _, params := range [][]string{nil, {"k"}, {"a,b", "c.d", ""}, {"", ""}, {"Schlüssel", "日本語", "é"}} {
+		note := compensationNote(obj, "put", params)
+		if want := strings.Join(append([]string{obj.Type, obj.Name, "put"}, params...), unitSep); note != want {
+			t.Fatalf("params %q: note %q, want %q", params, note, want)
+		}
+		gotObj, method, gotParams, err := DecodeCompensationNote(note)
 		if err != nil {
 			t.Fatalf("params %q: %v", params, err)
 		}
 		if gotObj != obj || method != "put" || !slices.Equal(gotParams, params) {
 			t.Fatalf("params %q: decoded %v.%s(%q)", params, gotObj, method, gotParams)
 		}
+	}
+	params := []string{"k", "v"}
+	if allocs := testing.AllocsPerRun(100, func() { compensationNote(obj, "put", params) }); allocs != 1 {
+		t.Fatalf("compensationNote = %.1f allocs, want 1", allocs)
 	}
 	for _, note := range []string{"", "dict", "dict" + unitSep + "D"} {
 		if _, _, _, err := DecodeCompensationNote(note); err == nil {

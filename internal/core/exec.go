@@ -668,7 +668,8 @@ func (db *DB) UndoLosers(recs []storage.Record) (physical, logical int, err erro
 // compensationNote encodes a pending inverse operation for the WAL so
 // recovery can replay it: "type\x1fname\x1fmethod\x1fp1\x1fp2...".
 func compensationNote(obj txn.OID, method string, params []string) string {
-	return strings.Join(append([]string{obj.Type, obj.Name, method}, params...), unitSep)
+	var fields [8]string // on the stack: the note is Join's one allocation
+	return strings.Join(append(append(fields[:0], obj.Type, obj.Name, method), params...), unitSep)
 }
 
 // DecodeCompensationNote parses a RecIntent note back into an invocation.

@@ -13,7 +13,6 @@ package list
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,7 +158,7 @@ func (m *Module) NewList(name string, capacity int) (*List, error) {
 		return nil, err
 	}
 	tx := m.db.Begin()
-	if _, err := tx.Exec(headOID, "write", encodeSpine(spine{})); err != nil {
+	if _, err := tx.Exec(headOID, "write", emptySpine); err != nil {
 		_ = tx.Abort()
 		return nil, err
 	}
@@ -225,51 +224,83 @@ func (m *Module) list(self txn.OID) (*List, error) {
 	return l, nil
 }
 
-// spine is one spine page: entries plus the next page in the chain.
-type spine struct {
-	next storage.PageID
-	keys []string
-	refs []string
+// A spine page is
+//
+//	next=<pid>|k1:r1;k2:r2
+//
+// Like B-link nodes, spine pages are read and written in place: cutSpine
+// walks the stored page once, and every write builds the new page with
+// one concatenation of the stored text around the edited entry. A page
+// the engine writes has the bytes a decode-edit-encode would give it.
+
+// emptySpine is a spine page with no entries and no successor.
+const emptySpine = "next=0|"
+
+// spineAt is a spine page cut in place: the stored page, its successor,
+// its body as stored (k1:r1;k2:r2, a suffix of data), its pair count, and
+// the first pair keyed key, which spans data[at:end] and holds ref (at < 0
+// when no pair is keyed key).
+type spineAt struct {
+	data, body string
+	next       storage.PageID
+	n          int
+	at, end    int
+	ref        string
 }
 
-func encodeSpine(s spine) string {
-	var b strings.Builder
-	b.WriteString("next=")
-	b.WriteString(strconv.FormatUint(uint64(s.next), 10))
-	b.WriteByte('|')
-	for i, k := range s.keys {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(k)
-		b.WriteByte(':')
-		b.WriteString(s.refs[i])
-	}
-	return b.String()
-}
-
-func decodeSpine(data string) (spine, error) {
+// cutSpine parses a spine page's next= header and walks its body once,
+// checking every pair for its ':' and finding the first pair keyed key.
+func cutSpine(data, key string) (spineAt, error) {
 	head, body, found := strings.Cut(data, "|")
 	num, isNext := strings.CutPrefix(head, "next=")
 	if !found || !isNext {
-		return spine{}, fmt.Errorf("%w: %q", ErrCorrupt, data)
+		return spineAt{}, fmt.Errorf("%w: %q", ErrCorrupt, data)
 	}
 	next, err := strconv.ParseUint(num, 10, 64)
 	if err != nil {
-		return spine{}, fmt.Errorf("%w: next in %q", ErrCorrupt, data)
+		return spineAt{}, fmt.Errorf("%w: next in %q", ErrCorrupt, data)
 	}
-	s := spine{next: storage.PageID(next)}
-	if body != "" {
-		for _, pair := range strings.Split(body, ";") {
-			k, ref, ok := strings.Cut(pair, ":")
-			if !ok {
-				return spine{}, fmt.Errorf("%w: pair %q", ErrCorrupt, pair)
-			}
-			s.keys = append(s.keys, k)
-			s.refs = append(s.refs, ref)
+	s := spineAt{data: data, body: body, next: storage.PageID(next), at: -1}
+	pos := len(data) - len(body)
+	for rest, more := body, body != ""; more; s.n++ {
+		var pair string
+		pair, rest, more = strings.Cut(rest, ";")
+		k, _, ok := strings.Cut(pair, ":")
+		if !ok {
+			return spineAt{}, fmt.Errorf("%w: pair %q", ErrCorrupt, pair)
 		}
+		if s.at < 0 && k == key {
+			s.at, s.end, s.ref = pos, pos+len(pair), pair[len(k)+1:]
+		}
+		pos += len(pair) + 1
 	}
 	return s, nil
+}
+
+// withPair is the page with key:ref appended.
+func (s spineAt) withPair(key, ref string) string {
+	if s.n == 0 {
+		return s.data + key + ":" + ref
+	}
+	return s.data + ";" + key + ":" + ref
+}
+
+// withNext is the page with its successor set to next.
+func (s spineAt) withNext(next storage.PageID) string {
+	return "next=" + strconv.FormatUint(uint64(next), 10) + "|" + s.body
+}
+
+// without is the page with the pair at data[at:end] and one ';' cut out.
+// It needs at >= 0.
+func (s spineAt) without() string {
+	switch {
+	case s.n == 1:
+		return s.data[:len(s.data)-len(s.body)]
+	case s.end == len(s.data):
+		return s.data[:s.at-1]
+	default:
+		return s.data[:s.at] + s.data[s.end+1:]
+	}
 }
 
 // appendMethod adds (key, ref) at the tail of the chain and returns "ok".
@@ -293,7 +324,7 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 		if err != nil {
 			return "", err
 		}
-		s, err := decodeSpine(data)
+		s, err := cutSpine(data, "")
 		if err != nil && hops == 0 && pid != head {
 			// The tail hint names a page an abort restored to "" (physical
 			// undo of a freshly chained page): restart once from the head.
@@ -309,10 +340,8 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 			pid = s.next
 			continue
 		}
-		if len(s.keys) < l.capacity {
-			s.keys = append(s.keys, key)
-			s.refs = append(s.refs, ref)
-			if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
+		if s.n < l.capacity {
+			if _, err := c.Call(core.PageOID(pid), "write", s.withPair(key, ref)); err != nil {
 				return "", err
 			}
 			l.appended(key, pid)
@@ -324,11 +353,10 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 		if err != nil {
 			return "", err
 		}
-		if _, err := c.Call(newOID, "write", encodeSpine(spine{keys: []string{key}, refs: []string{ref}})); err != nil {
+		if _, err := c.Call(newOID, "write", emptySpine+key+":"+ref); err != nil {
 			return "", err
 		}
-		s.next = newPID
-		if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
+		if _, err := c.Call(core.PageOID(pid), "write", s.withNext(newPID)); err != nil {
 			return "", err
 		}
 		l.appended(key, newPID)
@@ -408,32 +436,29 @@ func (m *Module) removeMethod(c *core.Ctx, self txn.OID, params []string) (strin
 	return "", nil
 }
 
-// takeKey is one step of a remove: readx spine page pid, decode it and, if
-// key is on it, drop the key and write the page back. It returns the
-// removed ref, whether the key was found, and the page's next pointer.
+// takeKey is one step of a remove: readx spine page pid and, if key is on
+// it, cut the key's pair and write the page back. It returns the removed
+// ref, whether the key was found, and the page's next pointer.
 func takeKey(c *core.Ctx, pid storage.PageID, key string) (ref string, found bool, next storage.PageID, err error) {
 	data, err := c.Call(core.PageOID(pid), "readx")
 	if err != nil {
 		return "", false, 0, err
 	}
-	s, err := decodeSpine(data)
+	s, err := cutSpine(data, key)
 	if err != nil {
 		return "", false, 0, err
 	}
-	i := slices.Index(s.keys, key)
-	if i < 0 {
+	if s.at < 0 {
 		return "", false, s.next, nil
 	}
-	ref = s.refs[i]
-	s.keys = slices.Delete(s.keys, i, i+1)
-	s.refs = slices.Delete(s.refs, i, i+1)
-	if _, err := c.Call(core.PageOID(pid), "write", encodeSpine(s)); err != nil {
+	if _, err := c.Call(core.PageOID(pid), "write", s.without()); err != nil {
 		return "", false, 0, err
 	}
-	return ref, true, s.next, nil
+	return s.ref, true, s.next, nil
 }
 
-// readSeqMethod returns all entries in chain order: "k1:r1;k2:r2;...".
+// readSeqMethod returns all entries in chain order: "k1:r1;k2:r2;...",
+// each page's body as stored.
 func (m *Module) readSeqMethod(c *core.Ctx, self txn.OID, params []string) (string, error) {
 	l, err := m.list(self)
 	if err != nil {
@@ -443,20 +468,20 @@ func (m *Module) readSeqMethod(c *core.Ctx, self txn.OID, params []string) (stri
 	pid := l.head
 	l.mu.Unlock()
 
-	var out []string
+	var bodies []string
 	for hops := 0; hops < 1<<20 && pid != storage.InvalidPage; hops++ {
 		data, err := c.Call(core.PageOID(pid), "read")
 		if err != nil {
 			return "", err
 		}
-		s, err := decodeSpine(data)
+		s, err := cutSpine(data, "")
 		if err != nil {
 			return "", err
 		}
-		for i, k := range s.keys {
-			out = append(out, k+":"+s.refs[i])
+		if s.body != "" {
+			bodies = append(bodies, s.body)
 		}
 		pid = s.next
 	}
-	return strings.Join(out, ";"), nil
+	return strings.Join(bodies, ";"), nil
 }

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -194,6 +197,59 @@ func TestBadParams(t *testing.T) {
 	}
 }
 
+// The decoded spine page: the oracle cutSpine and the spine edits are
+// checked against. Production code never decodes a spine page.
+
+// spine is one spine page: entries plus the next page in the chain.
+type spine struct {
+	next storage.PageID
+	keys []string
+	refs []string
+}
+
+func encodeSpine(s spine) string {
+	var b strings.Builder
+	b.WriteString("next=")
+	b.WriteString(strconv.FormatUint(uint64(s.next), 10))
+	b.WriteByte('|')
+	for i, k := range s.keys {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(k)
+		b.WriteByte(':')
+		b.WriteString(s.refs[i])
+	}
+	return b.String()
+}
+
+func decodeSpine(data string) (spine, error) {
+	head, body, found := strings.Cut(data, "|")
+	num, isNext := strings.CutPrefix(head, "next=")
+	if !found || !isNext {
+		return spine{}, fmt.Errorf("%w: %q", ErrCorrupt, data)
+	}
+	next, err := strconv.ParseUint(num, 10, 64)
+	if err != nil {
+		return spine{}, fmt.Errorf("%w: next in %q", ErrCorrupt, data)
+	}
+	s := spine{next: storage.PageID(next)}
+	if body != "" {
+		for _, pair := range strings.Split(body, ";") {
+			k, ref, ok := strings.Cut(pair, ":")
+			if !ok {
+				return spine{}, fmt.Errorf("%w: pair %q", ErrCorrupt, pair)
+			}
+			s.keys = append(s.keys, k)
+			s.refs = append(s.refs, ref)
+		}
+	}
+	return s, nil
+}
+
+// spineBad are pages neither decodeSpine nor cutSpine accepts.
+var spineBad = []string{"", "nope", "next=x|", "next=5x|", "next=0|brokenpair", "next=0|a:1;", "next=0|;a:1", "next=0|a:1;;b:2"}
+
 func TestSpineEncoding(t *testing.T) {
 	s := spine{next: 9, keys: []string{"a", "b"}, refs: []string{"1", "2"}}
 	got, err := decodeSpine(encodeSpine(s))
@@ -203,9 +259,64 @@ func TestSpineEncoding(t *testing.T) {
 	if got.next != 9 || len(got.keys) != 2 || got.refs[1] != "2" {
 		t.Fatalf("round trip: %+v", got)
 	}
-	for _, bad := range []string{"", "nope", "next=x|", "next=5x|", "next=0|brokenpair"} {
+	for _, bad := range spineBad {
 		if _, err := decodeSpine(bad); err == nil {
 			t.Errorf("decodeSpine(%q) should fail", bad)
+		}
+		if _, err := cutSpine(bad, "a"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cutSpine(%q) = %v, want ErrCorrupt", bad, err)
+		}
+	}
+}
+
+// TestSpineEditsMatchDecode: on pages the engine writes, cutSpine reads
+// what decodeSpine reads, and appending, chaining and cutting each key
+// (first, middle, last, only, duplicated) give the bytes decode-edit-encode
+// gave.
+func TestSpineEditsMatchDecode(t *testing.T) {
+	pages := []spine{
+		{},
+		{next: 3},
+		{keys: []string{"a"}, refs: []string{"1"}},
+		{next: 12, keys: []string{"a", "b", "c"}, refs: []string{"1", "2", "3"}},
+		{keys: []string{"k", "j"}, refs: []string{"r", ""}},
+		{next: 7, keys: []string{"a", "b", "a"}, refs: []string{"1", "2", "3"}},
+	}
+	for _, p := range pages {
+		data := encodeSpine(p)
+		want := func(next storage.PageID, keys, refs []string) string {
+			return encodeSpine(spine{next: next, keys: keys, refs: refs})
+		}
+		s, err := cutSpine(data, "")
+		if err != nil {
+			t.Fatalf("cutSpine(%q): %v", data, err)
+		}
+		if s.next != p.next || s.n != len(p.keys) || s.body != strings.TrimPrefix(data, fmt.Sprintf("next=%d|", p.next)) {
+			t.Errorf("cutSpine(%q) = %+v", data, s)
+		}
+		if got := s.withPair("new", "r9"); got != want(p.next, append(slices.Clip(p.keys), "new"), append(slices.Clip(p.refs), "r9")) {
+			t.Errorf("append to %q = %q", data, got)
+		}
+		if got := s.withNext(42); got != want(42, p.keys, p.refs) {
+			t.Errorf("chain %q = %q", data, got)
+		}
+		for _, k := range append([]string{"zz"}, p.keys...) {
+			s, err := cutSpine(data, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := slices.Index(p.keys, k)
+			if (s.at >= 0) != (i >= 0) {
+				t.Fatalf("cutSpine(%q, %q) found = %v, want %v", data, k, s.at >= 0, i >= 0)
+			}
+			if i < 0 {
+				continue
+			}
+			keys := slices.Delete(slices.Clone(p.keys), i, i+1)
+			refs := slices.Delete(slices.Clone(p.refs), i, i+1)
+			if got := s.without(); got != want(p.next, keys, refs) || s.ref != p.refs[i] {
+				t.Errorf("remove %q from %q = %q, ref %q; want %q, ref %q", k, data, got, s.ref, want(p.next, keys, refs), p.refs[i])
+			}
 		}
 	}
 }
