@@ -30,7 +30,7 @@ func TestBLinkRedirectAfterSplit(t *testing.T) {
 	// The original root page is now the LEFT leaf. Searching a key that
 	// moved right through the stale page must return moved|<pid>.
 	tx := db.Begin()
-	res, err := tx.Exec(nodeOID(origRoot), "search", "c1")
+	res, err := tx.Exec(m.nodeOID(origRoot), "search", "c1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestBLinkRedirectAfterSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := tx.Exec(nodeOID(nextPID), "search", "c1")
+	res2, err := tx.Exec(m.nodeOID(nextPID), "search", "c1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBLinkRedirectAfterSplit(t *testing.T) {
 		t.Fatalf("redirected search = %q", res2)
 	}
 	// Inserting through the stale leaf also redirects.
-	res3, err := tx.Exec(nodeOID(origRoot), "insert", "c2", "v", "2")
+	res3, err := tx.Exec(m.nodeOID(origRoot), "insert", "c2", "v", "2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestBLinkRedirectAfterSplit(t *testing.T) {
 		t.Fatalf("stale-leaf insert = %q, want moved|...", res3)
 	}
 	// And deleting.
-	res4, err := tx.Exec(nodeOID(origRoot), "delete", "c1", "2")
+	res4, err := tx.Exec(m.nodeOID(origRoot), "delete", "c1", "2")
 	if err != nil {
 		t.Fatal(err)
 	}

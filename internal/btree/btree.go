@@ -22,7 +22,6 @@ package btree
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -56,6 +55,8 @@ func validKV(s string) bool { return !strings.ContainsAny(s, reserved) }
 type Module struct {
 	db  *core.DB
 	cat *catalog.Catalog
+	// nodes renders node object names, each page's once.
+	nodes *core.Names
 
 	mu    sync.Mutex
 	trees map[string]*Tree
@@ -166,7 +167,7 @@ func NodeSpec() commut.Spec {
 
 // Install registers the btree object types on db and returns the module.
 func Install(db *core.DB) (*Module, error) {
-	m := &Module{db: db, trees: make(map[string]*Tree)}
+	m := &Module{db: db, trees: make(map[string]*Tree), nodes: core.NewNames("Node")}
 
 	treeType := &core.ObjectType{
 		Name: TreeType,
@@ -363,7 +364,7 @@ func (m *Module) Attach(name string, maxKeys int, root storage.PageID) (*Tree, e
 	pid := root
 	height := 1
 	for hop := 0; hop < maxDescend; hop++ {
-		res, err := tx.Exec(nodeOID(pid), "route", "")
+		res, err := tx.Exec(m.nodeOID(pid), "route", "")
 		if err != nil {
 			_ = tx.Abort()
 			return nil, fmt.Errorf("btree: attach probe: %w", err)
@@ -431,7 +432,8 @@ func insertOldValue(result string) (old string, performed bool) {
 	}
 }
 
-// nodeOID names the node object that encapsulates a page.
-func nodeOID(pid storage.PageID) txn.OID {
-	return txn.OID{Type: NodeType, Name: "Node" + strconv.FormatUint(uint64(pid), 10)}
+// nodeOID names the node object that encapsulates a page, from the
+// module's name table.
+func (m *Module) nodeOID(pid storage.PageID) txn.OID {
+	return txn.OID{Type: NodeType, Name: m.nodes.Of(pid)}
 }

@@ -485,12 +485,12 @@ func (m *Module) nodeCompDelete(c *core.Ctx, self txn.OID, params []string) (str
 		return "", fmt.Errorf("btree: compDelete needs key and maxKeys")
 	}
 	res, err := m.nodeDelete(c, self, params)
-	return chaseMoved(c, res, err, "compDelete", params)
+	return m.chaseMoved(c, res, err, "compDelete", params)
 }
 
 // chaseMoved sends a compensation on along the B-link when res says the
 // key range moved right; otherwise res is the compensation's result.
-func chaseMoved(c *core.Ctx, res string, err error, method string, params []string) (string, error) {
+func (m *Module) chaseMoved(c *core.Ctx, res string, err error, method string, params []string) (string, error) {
 	next, ok := strings.CutPrefix(res, "moved|")
 	if err != nil || !ok {
 		return res, err
@@ -499,7 +499,7 @@ func chaseMoved(c *core.Ctx, res string, err error, method string, params []stri
 	if err != nil {
 		return "", err
 	}
-	return c.Call(nodeOID(pid), method, params...)
+	return c.Call(m.nodeOID(pid), method, params...)
 }
 
 // nodeCompInsert is the compensation counterpart of a leaf delete: it
@@ -516,7 +516,7 @@ func (m *Module) nodeCompInsert(c *core.Ctx, self txn.OID, params []string) (str
 		return "", err
 	}
 	res, err := (&nodeWriter{c: c, self: self}).write(insertLeaf(data, params[0], params[1], math.MaxInt, nil))
-	return chaseMoved(c, res, err, "compInsert", params)
+	return m.chaseMoved(c, res, err, "compInsert", params)
 }
 
 // nodeScanLeaf returns a leaf's pairs and successor: "<next>|k1:v1;k2:v2",
@@ -535,9 +535,8 @@ func (m *Module) readNode(c *core.Ctx, self txn.OID, how string) (string, error)
 	return c.Call(self2page(self), how)
 }
 
-func self2page(self txn.OID) txn.OID {
-	return txn.OID{Type: core.PageType, Name: "Page" + strings.TrimPrefix(self.Name, "Node")}
-}
+// self2page names the page behind a node object.
+func self2page(self txn.OID) txn.OID { return core.PageBehind(self, "Node") }
 
 func pidStr(p storage.PageID) string {
 	return strconv.FormatUint(uint64(p), 10)

@@ -41,7 +41,7 @@ func (m *Module) treeInsert(c *core.Ctx, self txn.OID, params []string) (string,
 		return "", err
 	}
 	for hop := 0; hop < maxDescend; hop++ {
-		res, err := c.Call(nodeOID(pid), "insert", k, v, maxStr)
+		res, err := c.Call(m.nodeOID(pid), "insert", k, v, maxStr)
 		if err != nil {
 			return "", err
 		}
@@ -89,7 +89,7 @@ func (m *Module) treeSearch(c *core.Ctx, self txn.OID, params []string) (string,
 		return "", err
 	}
 	for hop := 0; hop < maxDescend; hop++ {
-		res, err := c.Call(nodeOID(pid), "search", k)
+		res, err := c.Call(m.nodeOID(pid), "search", k)
 		if err != nil {
 			return "", err
 		}
@@ -127,7 +127,7 @@ func (m *Module) treeDelete(c *core.Ctx, self txn.OID, params []string) (string,
 	}
 	maxStr := strconv.Itoa(t.maxKeys)
 	for hop := 0; hop < maxDescend; hop++ {
-		res, err := c.Call(nodeOID(pid), "delete", k, maxStr)
+		res, err := c.Call(m.nodeOID(pid), "delete", k, maxStr)
 		if err != nil {
 			return "", err
 		}
@@ -161,7 +161,7 @@ func (m *Module) treeScan(c *core.Ctx, self txn.OID, params []string) (string, e
 
 	var out []string
 	for hop := 0; hop < 1<<20 && pid != storage.InvalidPage; hop++ {
-		res, err := c.Call(nodeOID(pid), "scanLeaf")
+		res, err := c.Call(m.nodeOID(pid), "scanLeaf")
 		if err != nil {
 			return "", err
 		}
@@ -188,7 +188,7 @@ func (t *Tree) descendToLeaf(c *core.Ctx, k string) (storage.PageID, error) {
 	t.mu.Unlock()
 	pid := root
 	for hop := 0; hop < maxDescend; hop++ {
-		res, err := c.Call(nodeOID(pid), "route", k)
+		res, err := c.Call(t.mod.nodeOID(pid), "route", k)
 		if err != nil && pid == root {
 			if root, err = t.fallBack(c, root, err); err == nil {
 				pid = root
@@ -311,7 +311,7 @@ func (t *Tree) propagateSplit(c *core.Ctx, splitPID storage.PageID, sep string, 
 
 		posted := false
 		for hop := 0; hop < maxDescend && !posted; hop++ {
-			res, err := c.Call(nodeOID(parent), "insertChild", sep, pidStr(newPID), strconv.Itoa(t.maxKeys))
+			res, err := c.Call(t.mod.nodeOID(parent), "insertChild", sep, pidStr(newPID), strconv.Itoa(t.maxKeys))
 			if err != nil {
 				return err
 			}
@@ -357,7 +357,7 @@ func (t *Tree) makeNewRootLocked(c *core.Ctx, left storage.PageID, sep string, r
 	if err != nil {
 		return err
 	}
-	if _, err := c.Call(nodeOID(rootPID), "makeRoot", pidStr(left), sep, pidStr(right)); err != nil {
+	if _, err := c.Call(t.mod.nodeOID(rootPID), "makeRoot", pidStr(left), sep, pidStr(right)); err != nil {
 		return err
 	}
 	t.prev = append(t.prev, t.root)
@@ -376,7 +376,7 @@ func (t *Tree) innerPath(c *core.Ctx, k string) ([]storage.PageID, error) {
 	pid := root
 	var path []storage.PageID
 	for hop := 0; hop < maxDescend; hop++ {
-		res, err := c.Call(nodeOID(pid), "route", k)
+		res, err := c.Call(t.mod.nodeOID(pid), "route", k)
 		if err != nil && pid == root {
 			if root, err = t.fallBack(c, root, err); err == nil {
 				pid = root

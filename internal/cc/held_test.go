@@ -15,11 +15,11 @@ import (
 func TestReleaseHeldMatchesRelease(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
 	a := res("A")
-	h1, err := lm.AcquireTraced(nil, "T1.1", "T1", a, S)
+	h1, err := lm.AcquireTraced(nil, ActionID("T1.1"), "T1", a, S)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := lm.AcquireTraced(nil, "T2.1", "T2", a, S)
+	h2, err := lm.AcquireTraced(nil, ActionID("T2.1"), "T2", a, S)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestReleaseHeldMatchesRelease(t *testing.T) {
 func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
 	a, b := res("A"), res("B")
-	h, err := lm.AcquireTraced(nil, "T1.1", "T1", a, X)
+	h, err := lm.AcquireTraced(nil, ActionID("T1.1"), "T1", a, X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lm.ReleaseHeld(h, "T1")
-	hb, err := lm.AcquireTraced(nil, "T2.1", "T2", b, X)
+	hb, err := lm.AcquireTraced(nil, ActionID("T2.1"), "T2", b, X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 // free list keeps no name strings reachable.
 func TestPooledStatePinsNoName(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
-	h, err := lm.AcquireTraced(nil, "T1", "T1", res("A"), X)
+	h, err := lm.AcquireTraced(nil, ActionID("T1"), "T1", res("A"), X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAcquireTracedReleaseHeldAllocs(t *testing.T) {
 	tt := span.New().BeginTxn("T1", time.Now())
 	r := res("P")
 	allocs := testing.AllocsPerRun(200, func() {
-		h, err := lm.AcquireTraced(tt, "T1.1", "T1", r, X)
+		h, err := lm.AcquireTraced(tt, ActionID("T1.1"), "T1", r, X)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkAcquireRelease(b *testing.B) {
 		lm := NewLockManager()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h, err := lm.AcquireTraced(nil, "T1", "T1", r, X)
+			h, err := lm.AcquireTraced(nil, ActionID("T1"), "T1", r, X)
 			if err != nil {
 				b.Fatal(err)
 			}

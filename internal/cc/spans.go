@@ -48,22 +48,35 @@ func blockerRefs(bl []blockRef) []BlockerRef {
 // identical edges to explain one wait.
 const maxBlockerEdges = 4
 
+// Requester names the acquiring action. AcquireTraced asks for the id
+// only when it records a span, so an uncontended acquire renders nothing.
+type Requester interface {
+	ActionID() string
+}
+
+// ActionID is a Requester whose id is already rendered.
+type ActionID string
+
+// ActionID implements Requester.
+func (id ActionID) ActionID() string { return string(id) }
+
 // AcquireTraced is AcquireEx plus span recording: a CONTENDED or failed
 // acquire becomes a KLock span (backdated to when the wait began) on tt,
 // carrying provenance edges; an uncontended grant records nothing — that
 // absence is exactly where commutativity (Def. 11) cut the dependency. It
 // returns the granted lock (nil on error) for a later ReleaseHeld.
 //
-//   - actionID is the acquiring action (the span's parent is its method
-//     span); owner is the lock's legal holder, which differs from actionID
-//     under open nesting (the semantic lock is held by the CALLING action —
+//   - req is the acquiring action (the span's parent is its method span);
+//     owner is the lock's legal holder, which differs from req's id under
+//     open nesting (the semantic lock is held by the CALLING action —
 //     recorded as an inherited-from edge, the paper's Def. 10 inheritance
 //     made explicit).
-func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, actionID, owner string, res Resource, mode Mode) (*Held, error) {
+func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, req Requester, owner string, res Resource, mode Mode) (*Held, error) {
 	h, info, err := lm.acquire(owner, res, mode)
 	if tt != nil && (info.Blocked || err != nil) {
-		// Render the mode only for a span that will be recorded.
-		RecordLockSpan(tt, actionID, owner, res.Name, mode.String(), info, err)
+		// Render the requester and the mode only for a span that will be
+		// recorded.
+		RecordLockSpan(tt, req.ActionID(), owner, res.Name, mode.String(), info, err)
 	}
 	return h, err
 }

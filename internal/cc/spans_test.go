@@ -138,7 +138,7 @@ func TestAcquireTracedVictimProvenance(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		_, errs[1] = lm.AcquireTraced(tt, "T2.1", "T2", res("A"), X)
+		_, errs[1] = lm.AcquireTraced(tt, ActionID("T2.1"), "T2", res("A"), X)
 		if errs[1] != nil {
 			lm.ReleaseTree("T2")
 		}
@@ -190,7 +190,7 @@ func TestAcquireTracedUncontendedRecordsNothing(t *testing.T) {
 	lm := NewLockManager()
 	tr := span.New()
 	tt := tr.BeginTxn("T1", time.Now())
-	if _, err := lm.AcquireTraced(tt, "T1.1", "T1", res("A"), X); err != nil {
+	if _, err := lm.AcquireTraced(tt, ActionID("T1.1"), "T1", res("A"), X); err != nil {
 		t.Fatal(err)
 	}
 	tr.FinishTxn(tt, span.StatusCommitted)
@@ -227,7 +227,7 @@ func TestAcquireTracedRendersModeOnlyWhenRecorded(t *testing.T) {
 	x := countingMode{rw: X, renders: &renders}
 
 	t1 := tr.BeginTxn("T1", time.Now())
-	if _, err := lm.AcquireTraced(t1, "T1.1", "T1", res("A"), x); err != nil {
+	if _, err := lm.AcquireTraced(t1, ActionID("T1.1"), "T1", res("A"), x); err != nil {
 		t.Fatal(err)
 	}
 	if n := renders.Load(); n != 0 {
@@ -237,7 +237,7 @@ func TestAcquireTracedRendersModeOnlyWhenRecorded(t *testing.T) {
 	t2 := tr.BeginTxn("T2", time.Now())
 	done := make(chan error)
 	go func() {
-		_, err := lm.AcquireTraced(t2, "T2.1", "T2.1", res("A"), x)
+		_, err := lm.AcquireTraced(t2, ActionID("T2.1"), "T2.1", res("A"), x)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)

@@ -29,8 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -718,23 +716,6 @@ func (db *DB) WAL() *storage.WAL { return db.wal }
 func (db *DB) AllocPage() txn.OID {
 	id := db.store.Allocate()
 	return PageOID(id)
-}
-
-// PageOID renders a page id as an object id.
-func PageOID(id storage.PageID) txn.OID {
-	return txn.OID{Type: PageType, Name: "Page" + strconv.FormatUint(uint64(id), 10)}
-}
-
-// PageID parses a page object id.
-func PageID(o txn.OID) (storage.PageID, error) {
-	if o.Type != PageType || !strings.HasPrefix(o.Name, "Page") {
-		return storage.InvalidPage, fmt.Errorf("core: %v is not a page object", o)
-	}
-	n, err := strconv.ParseUint(strings.TrimPrefix(o.Name, "Page"), 10, 64)
-	if err != nil {
-		return storage.InvalidPage, fmt.Errorf("core: bad page object %v: %w", o, err)
-	}
-	return storage.PageID(n), nil
 }
 
 // Trace returns a snapshot of the recorded trace.

@@ -21,18 +21,24 @@ import (
 
 // runtimeAction is one executing action (subtransaction).
 type runtimeAction struct {
+	// id is the action's hierarchical id: its parent's id and its child
+	// number n. A composite action's is rendered at dispatch, since it
+	// names the owner of its children's locks and records; a primitive page
+	// action's is rendered by ActionID where something reads it. Only the
+	// dispatching goroutine writes id, and only before span.End publishes
+	// the record to other readers.
 	id     string
 	parent *runtimeAction
+	txn    *Txn
 	obj    txn.OID
-	// depth is the nesting depth below the transaction root (root = 0).
-	depth int
 	// sem.Inv is the invocation this action executes. Under open nesting
 	// sem.Spec is set too, and sem is the semantic lock mode the caller
 	// takes on obj: the lock table and the method span hold &sem, so the
 	// mode is never boxed separately.
 	sem cc.Semantic
-	// ctx is the context the method implementation runs with.
-	ctx Ctx
+	// args holds up to two call parameters, so sem.Inv.Params need not
+	// keep the caller's slice.
+	args [2]string
 	// span is the dispatch's method span, recorded in place; a retained
 	// trace keeps the action reachable through it.
 	span span.Method
@@ -41,31 +47,44 @@ type runtimeAction struct {
 	// subtree and not consumed there: a page write, an intent of a
 	// completed child, or the records of a child that kept its locks.
 	hasWrites atomic.Bool
-
-	mu        sync.Mutex
-	nchildren int
+	// depth is the nesting depth below the transaction root (root = 0).
+	depth int32
+	// n is the action's child number under its parent, nchildren the
+	// number of children it has dispatched (guarded by txn.mu).
+	n, nchildren int32
 	// held lists the locks this action owns under open nesting: the
 	// handles its children's acquires granted, and the lists of children
 	// that handed their locks up. Its early release goes straight to each
 	// handle instead of searching the lock table. A handle may repeat (only
 	// a repeat of the last entry is skipped): releasing it again is a no-op
-	// (DESIGN §4b.4). Guarded by mu while children run; final once the
+	// (DESIGN §4b.4). Guarded by txn.mu while children run; final once the
 	// action's method returns. heldBuf backs the first few.
 	held    []*cc.Held
 	heldBuf [4]*cc.Held
 }
 
-// Dispatch names the action for its method span (span.Dispatch).
-func (a *runtimeAction) Dispatch() (id, parent, object, method string) {
-	return a.id, a.parent.id, a.obj.Name, a.sem.Inv.Method
+// ActionID returns the action's id, rendering a page action's on first
+// use (cc.Requester). Only the dispatching goroutine may call it.
+func (a *runtimeAction) ActionID() string {
+	if a.id == "" {
+		a.id = a.childID()
+	}
+	return a.id
 }
 
-func (a *runtimeAction) nextChildID() string {
-	a.mu.Lock()
-	a.nchildren++
-	n := a.nchildren
-	a.mu.Unlock()
-	return a.id + "." + strconv.Itoa(n)
+func (a *runtimeAction) childID() string {
+	return a.parent.id + "." + strconv.Itoa(int(a.n))
+}
+
+// Dispatch names the action for its method span (span.Dispatch). A
+// snapshot calls it from another goroutine, so an id not yet rendered is
+// rendered without being stored.
+func (a *runtimeAction) Dispatch() (id, parent, object, method string) {
+	id = a.id
+	if id == "" {
+		id = a.childID()
+	}
+	return id, a.parent.id, a.obj.Name, a.sem.Inv.Method
 }
 
 // hold appends granted locks to a's held list. The root keeps no list: its
@@ -74,7 +93,7 @@ func (a *runtimeAction) hold(hs ...*cc.Held) {
 	if a.parent == nil {
 		return
 	}
-	a.mu.Lock()
+	a.txn.mu.Lock()
 	if a.held == nil {
 		a.held = a.heldBuf[:0]
 	}
@@ -83,7 +102,7 @@ func (a *runtimeAction) hold(hs ...*cc.Held) {
 			a.held = append(a.held, h)
 		}
 	}
-	a.mu.Unlock()
+	a.txn.mu.Unlock()
 }
 
 // Txn is a top-level transaction.
@@ -113,6 +132,8 @@ type Txn struct {
 	// append.
 	comp atomic.Pointer[pendingComp]
 
+	// mu guards finished, compensated and savepoints, and the child
+	// numbers and held lists of the transaction's actions.
 	mu       sync.Mutex
 	finished bool
 	// compensated records that logical compensations executed during this
@@ -146,8 +167,9 @@ func (t *Txn) compensating(parent *runtimeAction) (running bool, entry uint64) {
 // paths gate on Admit/AdmitCtx, which reports ErrClosed directly.
 func (db *DB) Begin() *Txn {
 	if db.closedFlag.Load() {
-		return &Txn{db: db, id: "T-refused", refused: true,
-			root: &runtimeAction{id: "T-refused", obj: txn.SystemObject}}
+		t := &Txn{db: db, id: "T-refused", refused: true}
+		t.root = &runtimeAction{id: t.id, txn: t, obj: txn.SystemObject}
+		return t
 	}
 	n := db.txnSeq.Add(1)
 	id := "T" + strconv.FormatInt(n, 10)
@@ -156,8 +178,8 @@ func (db *DB) Begin() *Txn {
 		id:    id,
 		seq:   n,
 		began: time.Now(),
-		root:  &runtimeAction{id: id, obj: txn.SystemObject},
 	}
+	t.root = &runtimeAction{id: id, txn: t, obj: txn.SystemObject}
 	t.tt = db.spans.BeginTxn(id, t.began)
 	db.stats.txnsStarted.Add(1)
 	db.obsRec.Record(obs.Event{Kind: obs.EvTxnBegin, Actor: id})
@@ -190,26 +212,25 @@ func (t *Txn) Seq() int64 { return t.seq }
 // youngest-victim deadlock policy cannot starve it.
 func (t *Txn) SetPriority(age int64) { t.db.lm.SetAge(t.id, age) }
 
-// Ctx is the execution context passed to method implementations.
-type Ctx struct {
-	db     *DB
-	txn    *Txn
-	action *runtimeAction
-}
+// Ctx is the execution context passed to method implementations: a view
+// of the executing action.
+type Ctx runtimeAction
+
+func (c *Ctx) action() *runtimeAction { return (*runtimeAction)(c) }
 
 // DB returns the engine (for page allocation inside methods).
-func (c *Ctx) DB() *DB { return c.db }
+func (c *Ctx) DB() *DB { return c.txn.db }
 
 // TxnID returns the enclosing top-level transaction id.
 func (c *Ctx) TxnID() string { return c.txn.id }
 
 // ActionID returns the current action's hierarchical id.
-func (c *Ctx) ActionID() string { return c.action.id }
+func (c *Ctx) ActionID() string { return c.action().ActionID() }
 
 // Call invokes a method on an object as a sequential subtransaction of the
 // current action.
 func (c *Ctx) Call(obj txn.OID, method string, params ...string) (string, error) {
-	return c.db.invoke(c.txn, c.action, obj, method, params, false)
+	return c.txn.db.invoke(c.txn, c.action(), obj, method, params, false)
 }
 
 // ParCall describes one branch of a Parallel invocation.
@@ -230,7 +251,7 @@ func (c *Ctx) Parallel(calls []ParCall) ([]string, error) {
 		wg.Add(1)
 		go func(i int, call ParCall) {
 			defer wg.Done()
-			results[i], errs[i] = c.db.invoke(c.txn, c.action, call.Obj, call.Method, call.Params, true)
+			results[i], errs[i] = c.txn.db.invoke(c.txn, c.action(), call.Obj, call.Method, call.Params, true)
 		}(i, call)
 	}
 	wg.Wait()
@@ -251,34 +272,60 @@ func (t *Txn) Exec(obj txn.OID, method string, params ...string) (string, error)
 // ExecParallel runs top-level calls concurrently (intra-transaction
 // parallelism: each call is its own process).
 func (t *Txn) ExecParallel(calls []ParCall) ([]string, error) {
-	c := &Ctx{db: t.db, txn: t, action: t.root}
-	return c.Parallel(calls)
+	return (*Ctx)(t.root).Parallel(calls)
 }
 
-// invoke runs one method invocation as a subtransaction of parent.
+// invoke runs one method invocation as a subtransaction of parent. The
+// action record is its one allocation on the common path: up to two params
+// are copied into it (params itself must not escape, so Call's variadic
+// slice stays on the caller's stack), and a page action's id is rendered
+// only where it is read.
 func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, params []string, parallel bool) (string, error) {
 	if t.refused {
 		return "", ErrClosed
 	}
+	ot, known := db.types[obj.Type]
+	// A page is named only canonically (PageID refuses an alias, which
+	// would reach the frame under a lock on another resource).
+	var pid storage.PageID
+	var nameErr error
+	if obj.Type == PageType {
+		pid, nameErr = PageID(obj)
+	}
 	t.mu.Lock()
-	if t.finished {
+	switch {
+	case t.finished:
 		t.mu.Unlock()
 		return "", ErrTxnFinished
+	case !known:
+		t.mu.Unlock()
+		return "", fmt.Errorf("%w: %q", ErrUnknownType, obj.Type)
+	case nameErr != nil:
+		t.mu.Unlock()
+		return "", nameErr
 	}
+	parent.nchildren++
+	n := parent.nchildren
 	t.mu.Unlock()
 
-	ot, ok := db.types[obj.Type]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownType, obj.Type)
-	}
 	a := &runtimeAction{
-		id:     parent.nextChildID(),
 		parent: parent,
+		txn:    t,
 		obj:    obj,
-		sem:    cc.Semantic{Inv: commut.Invocation{Method: method, Params: params}},
+		sem:    cc.Semantic{Inv: commut.Invocation{Method: method}},
 		depth:  parent.depth + 1,
+		n:      n,
 	}
-	a.ctx = Ctx{db: db, txn: t, action: a}
+	if obj.Type != PageType {
+		a.id = a.childID()
+	}
+	switch {
+	case params == nil:
+	case len(params) <= len(a.args):
+		a.sem.Inv.Params = a.args[:copy(a.args[:], params)]
+	default:
+		a.sem.Inv.Params = slices.Clone(params)
+	}
 	db.stats.actions.Add(1)
 	for {
 		cur := t.maxDepth.Load()
@@ -304,7 +351,7 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 			ObjType:  obj.Type,
 			ObjName:  obj.Name,
 			Method:   method,
-			Params:   params,
+			Params:   slices.Clone(a.sem.Inv.Params),
 			Parallel: parallel,
 		})
 	}
@@ -312,13 +359,13 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	var result string
 	var err error
 	if obj.Type == PageType {
-		result, err = db.pageOp(t, a, parallel)
+		result, err = db.pageOp(a, pid, parallel)
 	} else {
 		fn := ot.Methods[method]
 		if fn == nil {
 			err = fmt.Errorf("%w: %s.%s", ErrUnknownMethod, obj.Type, method)
 		} else {
-			result, err = fn(&a.ctx, obj, params)
+			result, err = fn((*Ctx)(a), obj, a.sem.Inv.Params)
 		}
 	}
 	if err != nil {
@@ -370,7 +417,7 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 		return nil
 	}
 	a.span.SetMode(mode)
-	h, err := db.lm.AcquireTraced(t.tt, a.id, owner, a.obj, mode)
+	h, err := db.lm.AcquireTraced(t.tt, a, owner, a.obj, mode)
 	if err == nil && db.protocol == ProtocolOpenNested {
 		a.parent.hold(h)
 	}
@@ -387,11 +434,7 @@ func rwModeFor(ot *ObjectType, method string) cc.Mode {
 // pageOp executes a built-in page method ("read" or "write") under the
 // frame latch, recording the trace event inside the latch so the recorded
 // order is the real access order (the knowledge Axiom 1 postulates).
-func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
-	pid, err := PageID(a.obj)
-	if err != nil {
-		return "", err
-	}
+func (db *DB) pageOp(a *runtimeAction, pid storage.PageID, parallel bool) (string, error) {
 	if db.ioDelay > 0 {
 		time.Sleep(db.ioDelay)
 	}
@@ -404,12 +447,12 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 	record := func() {
 		if db.tracing {
 			db.rec.Record(trace.Event{
-				ID:       a.id,
+				ID:       a.ActionID(),
 				Parent:   a.parent.id,
 				ObjType:  PageType,
 				ObjName:  a.obj.Name,
 				Method:   a.sem.Inv.Method,
-				Params:   a.sem.Inv.Params,
+				Params:   slices.Clone(a.sem.Inv.Params),
 				Parallel: parallel,
 			})
 		}
@@ -435,13 +478,15 @@ func (db *DB) pageOp(t *Txn, a *runtimeAction, parallel bool) (string, error) {
 		// a frame back under the same latch, so a flushed page change always
 		// has its log record first (the WAL rule). The shared snapshot
 		// barrier additionally keeps [frame change + log record] atomic with
-		// respect to CrashImage.
+		// respect to CrashImage. The record names the action, so its id is
+		// rendered here, before the latch.
+		id := a.ActionID()
 		db.snapMu.RLock()
 		frame.Latch()
 		before := frame.Data()
 		frame.SetData(data)
 		record()
-		db.wal.LogUpdate(a.id, pid, before, data)
+		db.wal.LogUpdate(id, pid, before, data)
 		frame.Unlatch()
 		db.snapMu.RUnlock()
 		a.parent.hasWrites.Store(true)
@@ -527,10 +572,11 @@ func (db *DB) releaseHeld(a *runtimeAction) {
 // rollback that executed compensations stays (the history is expanded with
 // the inverse operations, as open-nesting theory prescribes).
 func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
-	compensated := db.rollback(t, a, db.wal.LiveUndo(a.id, 0))
-	db.lm.ReleaseTree(a.id)
+	id := a.ActionID()
+	compensated := db.rollback(t, a, db.wal.LiveUndo(id, 0))
+	db.lm.ReleaseTree(id)
 	if db.tracing && !compensated {
-		db.rec.MarkAborted(a.id)
+		db.rec.MarkAborted(id)
 	}
 }
 

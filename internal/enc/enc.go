@@ -87,6 +87,8 @@ type Module struct {
 	trees *btree.Module
 	lists *list.Module
 	cat   *catalog.Catalog
+	// items renders item object names, each page's once.
+	items *core.Names
 
 	mu   sync.Mutex
 	encs map[string]*Encyclopedia
@@ -154,7 +156,8 @@ func (e *Encyclopedia) List() *list.List { return e.list }
 // Install registers the encyclopedia and item types. The btree and list
 // modules must already be installed on the same DB.
 func Install(db *core.DB, trees *btree.Module, lists *list.Module) (*Module, error) {
-	m := &Module{db: db, trees: trees, lists: lists, encs: make(map[string]*Encyclopedia)}
+	m := &Module{db: db, trees: trees, lists: lists, encs: make(map[string]*Encyclopedia),
+		items: core.NewNames("Item")}
 
 	itemType := &core.ObjectType{
 		Name: ItemType,
@@ -316,13 +319,13 @@ func (m *Module) enc(self txn.OID) (*Encyclopedia, error) {
 
 // --- item object methods -----------------------------------------------------
 
-func itemOID(pid storage.PageID) txn.OID {
-	return txn.OID{Type: ItemType, Name: "Item" + strconv.FormatUint(uint64(pid), 10)}
+// itemOID names the item object on a page, from the module's name table.
+func (m *Module) itemOID(pid storage.PageID) txn.OID {
+	return txn.OID{Type: ItemType, Name: m.items.Of(pid)}
 }
 
-func itemPage(self txn.OID) txn.OID {
-	return txn.OID{Type: core.PageType, Name: "Page" + strings.TrimPrefix(self.Name, "Item")}
-}
+// itemPage names the page behind an item object.
+func itemPage(self txn.OID) txn.OID { return core.PageBehind(self, "Item") }
 
 // itemCreate initializes the item's page with "key|text". params: key, text.
 func (m *Module) itemCreate(c *core.Ctx, self txn.OID, params []string) (string, error) {
@@ -386,7 +389,7 @@ func (m *Module) encInsert(c *core.Ctx, self txn.OID, params []string) (string, 
 		if err != nil {
 			return "", err
 		}
-		old, err := c.Call(itemOID(pid), "update", text)
+		old, err := c.Call(m.itemOID(pid), "update", text)
 		if err != nil {
 			return "", err
 		}
@@ -398,7 +401,7 @@ func (m *Module) encInsert(c *core.Ctx, self txn.OID, params []string) (string, 
 	if err != nil {
 		return "", err
 	}
-	if _, err := c.Call(itemOID(pid), "create", key, text); err != nil {
+	if _, err := c.Call(m.itemOID(pid), "create", key, text); err != nil {
 		return "", err
 	}
 	refStr := strconv.FormatUint(uint64(pid), 10)
@@ -428,7 +431,7 @@ func (m *Module) encSearch(c *core.Ctx, self txn.OID, params []string) (string, 
 	if err != nil {
 		return "", err
 	}
-	return c.Call(itemOID(pid), "read")
+	return c.Call(m.itemOID(pid), "read")
 }
 
 // encUpdate changes an existing item's text: "miss" or "old|<previous>".
@@ -452,7 +455,7 @@ func (m *Module) encUpdate(c *core.Ctx, self txn.OID, params []string) (string, 
 	if err != nil {
 		return "", err
 	}
-	old, err := c.Call(itemOID(pid), "update", params[1])
+	old, err := c.Call(m.itemOID(pid), "update", params[1])
 	if err != nil {
 		return "", err
 	}
@@ -481,7 +484,7 @@ func (m *Module) encDelete(c *core.Ctx, self txn.OID, params []string) (string, 
 	if err != nil {
 		return "", err
 	}
-	text, err := c.Call(itemOID(pid), "read")
+	text, err := c.Call(m.itemOID(pid), "read")
 	if err != nil {
 		return "", err
 	}
@@ -502,11 +505,23 @@ func (m *Module) encReadSeq(c *core.Ctx, self txn.OID, params []string) (string,
 	if err != nil {
 		return "", err
 	}
+	return joinSeq(seq, func(pid storage.PageID) (string, error) {
+		return c.Call(m.itemOID(pid), "read")
+	})
+}
+
+// joinSeq renders a list's readSeq reply "k1:ref1;k2:ref2;..." as
+// "k1=t1;k2=t2;...", reading each item's text in list order. It walks the
+// reply in place and writes into one builder, sized once the first text
+// is read as if every text were as long as it.
+func joinSeq(seq string, read func(storage.PageID) (string, error)) (string, error) {
 	if seq == "" {
 		return "", nil
 	}
-	var out []string
-	for _, pair := range strings.Split(seq, ";") {
+	var out strings.Builder
+	for rest, more := seq, true; more; {
+		var pair string
+		pair, rest, more = strings.Cut(rest, ";")
 		k, ref, found := strings.Cut(pair, ":")
 		if !found {
 			return "", fmt.Errorf("enc: corrupt list entry %q", pair)
@@ -515,13 +530,23 @@ func (m *Module) encReadSeq(c *core.Ctx, self txn.OID, params []string) (string,
 		if err != nil {
 			return "", err
 		}
-		text, err := c.Call(itemOID(pid), "read")
+		text, err := read(pid)
 		if err != nil {
 			return "", err
 		}
-		out = append(out, k+"="+text)
+		if out.Cap() == 0 {
+			if size := len(seq) + (strings.Count(seq, ";")+1)*(len(text)-len(ref)); size > 0 {
+				out.Grow(size)
+			}
+		}
+		out.WriteString(k)
+		out.WriteByte('=')
+		out.WriteString(text)
+		if more {
+			out.WriteByte(';')
+		}
 	}
-	return strings.Join(out, ";"), nil
+	return out.String(), nil
 }
 
 func parseRef(ref string) (storage.PageID, error) {

@@ -112,6 +112,7 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 				// transaction to the manager.
 				owner := fmt.Sprintf("T%d_%d", g+1, i)
 				tt := cfg.Tracer.BeginTxn(owner, time.Now())
+				var req cc.Requester = cc.ActionID(owner)
 				ok := true
 				for j := 0; j < cfg.LocksPerTxn; j++ {
 					res := objects[rr.Intn(len(objects))]
@@ -127,7 +128,7 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 							Spec: spec,
 						}
 					}
-					if _, err := lm.AcquireTraced(tt, owner, owner, res, mode); err != nil {
+					if _, err := lm.AcquireTraced(tt, req, owner, res, mode); err != nil {
 						ok = false
 						break
 					}
