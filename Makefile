@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test bench-check test-obs bench bench-wal bench-ckpt bench-obs bench-spans bench-net bench-partition bench-repl torture metrics-smoke trace-smoke chaos-smoke checkpoint-smoke server-smoke partition-smoke tracing-smoke repl-smoke
+.PHONY: check build vet test bench-check test-obs bench torture metrics-smoke trace-smoke chaos-smoke checkpoint-smoke server-smoke partition-smoke tracing-smoke repl-smoke
 
 # The full gate: everything must build, vet clean, and pass under the race
 # detector, bench/ included. CI and pre-commit both run this.
@@ -31,40 +31,6 @@ test-obs:
 # The experiment suite (EXPERIMENTS.md); slow.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-
-# Group-commit vs sync-on-commit fsync amortization; writes BENCH_wal.json.
-bench-wal:
-	$(GO) test -bench BenchmarkL1GroupCommit -benchmem -run '^$$' .
-
-# Restart cost with vs without checkpoints; writes BENCH_checkpoint.json.
-bench-ckpt:
-	$(GO) test -bench BenchmarkR2CheckpointRecovery -benchtime 3x -run '^$$' .
-
-# Prices the always-on metrics registry + flight recorder (obs on vs off).
-bench-obs:
-	$(GO) test -bench BenchmarkO1ObsOverhead -benchtime 10x -run '^$$' .
-
-# Compares the span tracer on vs off on the legacy encyclopedia and
-# group-commit runs; DESIGN.md §4b.19 has its measured cost per commit.
-bench-spans:
-	$(GO) test -bench BenchmarkO2SpanOverhead -benchtime 10x -run '^$$' .
-
-# Engine-behind-the-wire throughput: hundreds of loopback client
-# connections, closed- and open-loop; writes BENCH_net.json.
-bench-net:
-	$(GO) test -bench BenchmarkN1LoopbackThroughput -benchtime 3x -run '^$$' .
-
-# Write scale-out across the partitioned stack: the same hot-account load
-# against 1/2/4/8 partitions; writes BENCH_partition.json. The bar is
-# banking txn/s at 4 partitions >= 2x the 1-partition figure.
-bench-partition:
-	$(GO) test -bench BenchmarkP1PartitionScaling -benchtime 3x -run '^$$' .
-
-# Prices replication: unhooked single node vs disarmed quorum sink
-# (single-node cluster, the ≤5% budget) vs a real 3-node quorum over
-# loopback; writes BENCH_repl.json.
-bench-repl:
-	$(GO) test -bench BenchmarkN2ReplicatedCommit -benchtime 15x -run '^$$' .
 
 # Kill-the-process durability torture (SIGKILL + recover, 5 rounds).
 torture:

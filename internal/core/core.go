@@ -253,10 +253,6 @@ type Options struct {
 	// served in arrival order, so streams of commuting operations cannot
 	// starve a conflicting one.
 	FairLocks bool
-	// LockShards overrides the lock table's shard count (rounded up to a
-	// power of two, default GOMAXPROCS). 1 reproduces a single-mutex
-	// table — useful for contention ablations.
-	LockShards int
 	// Store and WAL, when non-nil, attach the engine to an existing disk
 	// image and log instead of fresh ones — the restart path of crash
 	// recovery (internal/recovery).
@@ -354,9 +350,6 @@ func Open(opts Options) *DB {
 	}
 	if opts.FairLocks {
 		lmOpts = append(lmOpts, cc.WithFairness())
-	}
-	if opts.LockShards > 0 {
-		lmOpts = append(lmOpts, cc.WithShards(opts.LockShards))
 	}
 	store := opts.Store
 	if store == nil {

@@ -265,6 +265,47 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 }
 
+// BenchmarkRecovery measures restart recovery cost against log size (R1 in
+// DESIGN.md §3): n committed single-put transactions plus one in-flight
+// loser, then analysis + redo + undo.
+func BenchmarkRecovery(b *testing.B) {
+	opts := core.Options{Protocol: core.ProtocolOpenNested}
+	keys := []string{"a", "b", "c"}
+	for _, n := range []int{50, 200, 1000} {
+		b.Run(fmt.Sprintf("txns=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rp := &regPages{}
+				db := core.Open(opts)
+				if err := registerKV(db, rp); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					tx := db.Begin()
+					if _, err := tx.Exec(kvOID, "put", keys[j%len(keys)], fmt.Sprintf("v%d", j)); err != nil {
+						b.Fatal(err)
+					}
+					if err := tx.Commit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				loser := db.Begin()
+				_, _ = loser.Exec(kvOID, "put", "a", "loser")
+				disk, wal := db.CrashImage()
+				b.StartTimer()
+
+				_, rep, err := Recover(disk, wal, opts, func(d *core.DB) error { return registerKV(d, rp) })
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Losers) != 1 {
+					b.Fatalf("losers = %v", rep.Losers)
+				}
+			}
+		})
+	}
+}
+
 // TestEncyclopediaCrashRecovery runs the full application stack: committed
 // encyclopedia inserts survive, an in-flight multi-object insert (index +
 // list + item) is fully undone on BOTH access paths.
