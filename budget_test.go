@@ -236,15 +236,14 @@ func (w *bankWork) commit(tb testing.TB) {
 
 // TestBankWorkBudget pins what one bank_wire_durable commit allocates in
 // the engine, without the wire: heap objects and bytes per commit, each at
-// its measured value plus 2 % (43.4 objects and 7,855 bytes at seed 1,
-// the median of 20 runs; over seeds 1–10 objects read 42.7–43.6 and bytes
-// 7,826–7,865, an inter-quartile range of 0.3–1.8 % and 0.1–0.4 % of the
-// median in three sweeps). The figures include the group-commit flusher's
-// and the checkpointer's allocations.
+// its measured value plus 2 % (37.4 objects and 7,693 bytes at seed 1,
+// the median of 20 runs; over seeds 1–10 objects read 37.0–37.6 and bytes
+// 7,681–7,701). The figures include the group-commit flusher's and the
+// checkpointer's allocations.
 func TestBankWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newBankWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 44.3, 8012)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 38.1, 7847)
 }

@@ -35,9 +35,9 @@
 //	                 once funded. -checkpoint also cycles the kills through
 //	                 the ckpt.write / ckpt.truncate delay faults
 //
-// leader-kill and repl-partition need ports 21330..21345 on loopback;
-// they and crash spawn child processes and are not part of -round all —
-// run them explicitly (make repl-smoke and make checkpoint-smoke do).
+// leader-kill, repl-partition and crash spawn child processes or bind
+// kernel-assigned loopback ports and are not part of -round all — run them
+// explicitly (go test -tags e2e ./e2e does).
 //
 // Usage:
 //
@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -107,8 +108,8 @@ func main() {
 	rounds := []struct {
 		name string
 		run  func(cfg chaosConfig) error
-		// byName rounds spawn child processes (and the replication ones
-		// bind fixed loopback ports); -round all skips them.
+		// byName rounds spawn child processes or a replicated cluster;
+		// -round all skips them.
 		byName bool
 	}{
 		{"lock-delay", runLockDelay, false},
@@ -682,6 +683,20 @@ func leaderChild(children []*childProc) *childProc {
 	return best
 }
 
+// freeAddrs reserves k distinct kernel-assigned loopback addresses.
+func freeAddrs(k int) ([]string, error) {
+	addrs := make([]string, k)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer ln.Close() // held until return, so the k ports differ
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs, nil
+}
+
 func waitLeaderChild(children []*childProc, timeout time.Duration) (cp *childProc, err error) {
 	if !waitUntil(timeout, func() bool { cp = leaderChild(children); return cp != nil }) {
 		return nil, fmt.Errorf("no leader within %v", timeout)
@@ -714,25 +729,24 @@ func runLeaderKill(cfg chaosConfig) error {
 	}
 	defer os.RemoveAll(tmp)
 
-	children := make([]*childProc, k)
-	addrs := make([]string, k)
-	for i := range children {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", 21330+i)
+	// A child keeps its ports across restarts: the peers know it by them.
+	ports, err := freeAddrs(2 * k)
+	if err != nil {
+		return err
 	}
+	addrs, replAddrs := ports[:k], ports[k:]
+	children := make([]*childProc, k)
 	for i := range children {
 		var peers []string
 		for j := range children {
 			if j != i {
-				peers = append(peers, fmt.Sprintf("n%d=127.0.0.1:%d", j, 21340+j))
+				peers = append(peers, fmt.Sprintf("n%d=%s", j, replAddrs[j]))
 			}
 		}
-		dir := fmt.Sprintf("%s/n%d", tmp, i)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+		dir := fmt.Sprintf("%s/n%d", tmp, i) // repl.Open creates it
 		children[i] = &childProc{
 			id: fmt.Sprintf("n%d", i), dir: dir, addr: addrs[i],
-			replAddr: fmt.Sprintf("127.0.0.1:%d", 21340+i),
+			replAddr: replAddrs[i],
 			peers:    strings.Join(peers, ","), accounts: cfg.accounts,
 		}
 		if err := children[i].spawn(); err != nil {
@@ -880,9 +894,9 @@ func runReplPartition(cfg chaosConfig) error {
 	defer os.RemoveAll(tmp)
 
 	// Reserve repl transport ports so each node can name its peers.
-	addrs := make([]string, k)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", 21343+i)
+	addrs, err := freeAddrs(k)
+	if err != nil {
+		return err
 	}
 	nodes := make([]*repl.Node, k)
 	for i := 0; i < k; i++ {
@@ -892,10 +906,7 @@ func runReplPartition(cfg chaosConfig) error {
 				peers = append(peers, repl.Peer{ID: fmt.Sprintf("n%d", j), Addr: addrs[j]})
 			}
 		}
-		dir := fmt.Sprintf("%s/n%d", tmp, i)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+		dir := fmt.Sprintf("%s/n%d", tmp, i) // repl.Open creates it
 		n, err := repl.Open(repl.Config{
 			ID: fmt.Sprintf("n%d", i), Addr: addrs[i], Advertise: fmt.Sprintf("node-n%d", i),
 			Peers: peers, Dir: dir, OpenEngine: replBankOpen(cfg.accounts),

@@ -375,7 +375,7 @@ func main() {
 	if stopMetrics != nil {
 		if *lingerDur > 0 {
 			// The observability endpoint outlives the drain so scrapers (and
-			// the tracing smoke test) can read the final state: /healthz
+			// the e2e tracing test) can read the final state: /healthz
 			// reports draining, /trace and /metrics/prom still answer.
 			fmt.Fprintf(os.Stderr, "oodbd: metrics endpoint lingering %s\n", *lingerDur)
 			time.Sleep(*lingerDur)

@@ -1,7 +1,7 @@
 // Command oodbload drives an oodbd server over the wire protocol from
 // many concurrent client connections: the network-facing counterpart of
-// oodbsim's in-process workloads, used by the server smoke test and for
-// hand-driven load experiments.
+// oodbsim's in-process workloads, used by the e2e server tests and for
+// hand-driven load experiments such as partition scale-out.
 //
 // Usage examples:
 //

@@ -87,17 +87,19 @@ func PageOID(id storage.PageID) txn.OID {
 // PageID parses a page object id. Only the canonical name is accepted:
 // "Page" and the decimal page id without sign or leading zero.
 func PageID(o txn.OID) (storage.PageID, error) {
-	if digits, ok := strings.CutPrefix(o.Name, "Page"); ok && o.Type == PageType {
-		if pid, ok := canonicalPID(digits); ok {
-			return pid, nil
-		}
+	if n, ok := NameIndex(o.Name, "Page"); ok && o.Type == PageType {
+		return storage.PageID(n), nil
 	}
 	return storage.InvalidPage, fmt.Errorf("%w: %v", ErrBadPageName, o)
 }
 
-// canonicalPID parses a decimal without sign, leading zero or overflow.
-func canonicalPID(s string) (storage.PageID, bool) {
-	if s == "" || len(s) > 1 && s[0] == '0' {
+// NameIndex parses a name made of prefix and a decimal without sign,
+// leading zero or overflow: the one spelling each index has. A type that
+// maps object names onto pages parses them with it, so no two names reach
+// one page under two lock-table resources.
+func NameIndex(name, prefix string) (uint64, bool) {
+	s, ok := strings.CutPrefix(name, prefix)
+	if !ok || s == "" || len(s) > 1 && s[0] == '0' {
 		return 0, false
 	}
 	var n uint64
@@ -108,16 +110,15 @@ func canonicalPID(s string) (storage.PageID, bool) {
 		}
 		n = n*10 + uint64(d)
 	}
-	return storage.PageID(n), true
+	return n, true
 }
 
 // PageBehind names the page behind an object named prefix+decimal(pid):
 // the page table's name for a canonical pid, and "Page" plus the digits
 // otherwise, which dispatch then refuses.
 func PageBehind(self txn.OID, prefix string) txn.OID {
-	digits := strings.TrimPrefix(self.Name, prefix)
-	if pid, ok := canonicalPID(digits); ok {
-		return PageOID(pid)
+	if pid, ok := NameIndex(self.Name, prefix); ok {
+		return PageOID(storage.PageID(pid))
 	}
-	return txn.OID{Type: PageType, Name: "Page" + digits}
+	return txn.OID{Type: PageType, Name: "Page" + strings.TrimPrefix(self.Name, prefix)}
 }

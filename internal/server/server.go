@@ -411,7 +411,7 @@ func (s *Server) session(conn net.Conn) {
 	ss := &session{peer: conn.RemoteAddr().String()}
 	// Disconnect, reap, or shutdown — however the session ends, an open
 	// transaction is aborted and its admission slot released. This is the
-	// no-slot-leak invariant the smoke test asserts via /metrics.
+	// no-slot-leak invariant the e2e server tests assert via /metrics.
 	defer func() {
 		if ss.txn != nil {
 			_ = ss.txn.Abort()

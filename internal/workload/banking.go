@@ -98,11 +98,10 @@ func RegisterBanking(db *core.DB, n int) ([]txn.OID, error) {
 		pages[i] = core.PageOID(storage.PageID(i + 1))
 	}
 	pageFor := func(self txn.OID) (txn.OID, error) {
-		var idx int
-		if _, err := fmt.Sscanf(self.Name, "Acct%d", &idx); err != nil || idx < 0 || idx >= n {
-			return txn.OID{}, fmt.Errorf("banking: bad account %q", self.Name)
+		if idx, ok := core.NameIndex(self.Name, "Acct"); ok && idx < uint64(n) {
+			return pages[idx], nil
 		}
-		return pages[idx], nil
+		return txn.OID{}, fmt.Errorf("banking: bad account %q", self.Name)
 	}
 	readBalance := func(c *core.Ctx, pg txn.OID, how string) (int64, error) {
 		s, err := c.Call(pg, how)

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/commut"
@@ -84,8 +85,7 @@ func installDocument(db *core.DB, sections int) (txn.OID, error) {
 				if err != nil {
 					return "", err
 				}
-				var ns int64
-				fmt.Sscanf(params[2], "%d", &ns)
+				ns, _ := strconv.ParseInt(params[2], 10, 64)
 				work(time.Duration(ns))
 				if _, err := c.Call(pages[idx], "write", params[1]); err != nil {
 					return "", err
@@ -128,11 +128,10 @@ func installDocument(db *core.DB, sections int) (txn.OID, error) {
 }
 
 func sectionIndex(s string, n int) (int, error) {
-	var idx int
-	if _, err := fmt.Sscanf(s, "sec%d", &idx); err != nil || idx < 0 || idx >= n {
-		return 0, fmt.Errorf("coedit: bad section %q", s)
+	if idx, ok := core.NameIndex(s, "sec"); ok && idx < uint64(n) {
+		return int(idx), nil
 	}
-	return idx, nil
+	return 0, fmt.Errorf("coedit: bad section %q", s)
 }
 
 // RunCoEdit executes the cooperative-editing workload.
