@@ -153,16 +153,16 @@ func checkCommitBudget(t *testing.T, commit func(), warm, commits int, maxObject
 
 // TestCommitWorkBudget pins what one enc_inproc_hot commit allocates in
 // the engine: heap objects and bytes per commit, each at its measured
-// value plus 2 % (104.8 objects and 21,252 bytes at seed 1; over seeds
-// 1–10 their inter-quartile range is 0.6 % and 0.4 % of the median). A
-// change that makes the dispatch path allocate more fails here before the
-// benchmark sees it.
+// value plus 2 % (57.8 objects and 14,470 bytes at seed 1, the median of
+// 20 runs; over seeds 1–10 objects read 57.2–58.2 and bytes
+// 14,370–14,556). A change that makes the dispatch path allocate more
+// fails here before the benchmark sees it.
 func TestCommitWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newEncWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 106.9, 21677)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 59.0, 14759)
 }
 
 // The engine half of the bank_wire_durable workload (bench/bank.go): one
@@ -236,14 +236,14 @@ func (w *bankWork) commit(tb testing.TB) {
 
 // TestBankWorkBudget pins what one bank_wire_durable commit allocates in
 // the engine, without the wire: heap objects and bytes per commit, each at
-// its measured value plus 2 % (37.4 objects and 7,693 bytes at seed 1,
-// the median of 20 runs; over seeds 1–10 objects read 37.0–37.6 and bytes
-// 7,681–7,701). The figures include the group-commit flusher's and the
+// its measured value plus 2 % (28.5 objects and 6,465 bytes at seed 1,
+// the median of 20 runs; over seeds 1–10 objects read 27.9–28.7 and bytes
+// 6,441–6,474). The figures include the group-commit flusher's and the
 // checkpointer's allocations.
 func TestBankWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newBankWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 38.1, 7847)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 29.1, 6594)
 }

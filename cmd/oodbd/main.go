@@ -36,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -107,7 +108,7 @@ func main() {
 		replNode      = flag.String("repl-node", "", "node id in a replicated cluster (e.g. n0); empty = replication off")
 		replAddr      = flag.String("repl-addr", "", "replication transport listen address (repl mode; empty = ephemeral loopback port)")
 		replPeers     = flag.String("repl-peers", "", "other cluster members as id=host:port, comma-separated (repl mode)")
-		replAdvertise = flag.String("repl-advertise", "", "client address carried in leader redirect hints (default: -addr)")
+		replAdvertise = flag.String("repl-advertise", "", "client address carried in leader redirect hints (default: the bound -addr)")
 	)
 	flag.Parse()
 
@@ -186,6 +187,15 @@ func main() {
 		SlowTxnThreshold: *slowQuery,
 	}
 
+	// The client listener is bound before anything is opened, so a replica
+	// advertises the address clients can reach: with -addr host:0, the port
+	// the kernel assigned, not port 0.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "oodbd: listen: %v\n", err)
+		os.Exit(1)
+	}
+
 	var (
 		cluster *partition.Cluster
 		node    *repl.Node
@@ -199,7 +209,7 @@ func main() {
 		}
 		advertise := *replAdvertise
 		if advertise == "" {
-			advertise = *addr
+			advertise = ln.Addr().String()
 		}
 		// OpenEngine runs at promotion: a fresh directory gets the funded
 		// schema, a restart (or a deposed leader rejoining) recovers what the
@@ -312,7 +322,7 @@ func main() {
 		}
 		srv = server.NewCluster(cluster, server.Options{IdleTimeout: *idleTimeout})
 	}
-	bound, err := srv.Start(*addr)
+	bound, err := srv.Serve(ln)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "oodbd: listen: %v\n", err)
 		os.Exit(1)

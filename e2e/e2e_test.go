@@ -142,9 +142,9 @@ func TestWireTracing(t *testing.T) {
 }
 
 // TestReplicationFailover: a three-node oodbd cluster elects a leader that
-// takes writes, and after its SIGKILL another node leads at a higher term
-// and takes writes. Then chaos kills leaders and isolates one, checking
-// every acked commit.
+// takes writes, directly and by redirect from a follower, and after its
+// SIGKILL another node leads at a higher term and takes writes. Then chaos
+// kills leaders and isolates one, checking every acked commit.
 func TestReplicationFailover(t *testing.T) {
 	const k = 3
 	replAddrs, dir := freeAddrs(t, k), t.TempDir()
@@ -180,6 +180,17 @@ func TestReplicationFailover(t *testing.T) {
 		h := healthz((l + 1) % k)
 		return h.Status == "replica" && h.Repl.Role == "follower"
 	})
+	// Each follower names the leader by the address it printed, not the
+	// -addr 127.0.0.1:0 it was given, so a burst sent to a follower reaches
+	// the leader by redirect.
+	for f := range nodes {
+		if f != l {
+			eventually(t, 15*time.Second, "follower's leader hint", func() bool {
+				return healthz(f).Repl.Leader == addrs[l]
+			})
+		}
+	}
+	run(t, "oodbload", "-addr", addrs[(l+1)%k], "-workload", "banking", "-workers", "8", "-txns", "20")
 	_ = nodes[l].cmd.Process.Kill()
 	<-nodes[l].done
 	nl, nh := leader(l)

@@ -223,7 +223,8 @@ func get(t *testing.T, url string, v any) (int, []byte) {
 type health struct {
 	Status string
 	Repl   struct {
-		Role string
-		Term uint64
+		Role   string
+		Term   uint64
+		Leader string
 	}
 }

@@ -69,3 +69,12 @@ func (d *detector) forceDoom(root string) {
 	d.doomed[root] = true
 	d.ndoomed.Store(int32(len(d.doomed)))
 }
+
+// blockedOn reports whether an acquire of res sleeps on its state.
+func (lm *LockManager) blockedOn(res Resource) bool {
+	sh := lm.shardFor(res)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.locks[res]
+	return ok && st.sleepers > 0
+}

@@ -34,6 +34,7 @@ import (
 	"repro/internal/commut"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/span"
 	"repro/internal/txn"
 )
 
@@ -54,10 +55,12 @@ var (
 	ErrDoomed = errors.New("cc: transaction doomed by deadlock detection")
 )
 
-// Mode is a lock mode. Compatibility must be symmetric.
+// Mode is a lock mode. Compatibility must be symmetric. Its Class is what a
+// dispatch's trace keeps of it (span.Mode).
 type Mode interface {
 	CompatibleWith(other Mode) bool
 	String() string
+	span.Mode
 }
 
 // RW is the classical two-mode lattice.
@@ -85,12 +88,27 @@ func (m RW) String() string {
 	return "X"
 }
 
+// Class implements span.Mode: a static renderer, so copying allocates
+// nothing.
+func (m RW) Class() span.Class {
+	if m == S {
+		return span.Class{Render: classS}
+	}
+	return span.Class{Render: classX}
+}
+
+func classS(string, []string) string { return S.String() }
+func classX(string, []string) string { return X.String() }
+
 // Semantic is a commutativity-based lock mode: holding &Semantic{inv} on an
 // object means the owner has an uncommitted invocation inv outstanding;
 // another invocation may run concurrently iff the object type's
 // specification says the two commute. The mode is always passed by pointer
 // (the engine keeps it in the acquiring action, so boxing it into a Mode
-// costs nothing); a granted mode must not change while it is held.
+// costs nothing); a granted mode must not change while it is held. The
+// engine reuses the action once its transaction has released every lock,
+// so the manager reads another owner's mode only under the shard mutex,
+// while its grant or wait is still in the table.
 type Semantic struct {
 	Inv  commut.Invocation
 	Spec commut.Spec
@@ -106,6 +124,19 @@ func (m *Semantic) CompatibleWith(other Mode) bool {
 }
 
 func (m *Semantic) String() string { return "sem:" + m.Inv.String() }
+
+// Class implements span.Mode: the invocation's parameters by value, rendered
+// like String with the method of the dispatch the class is recorded for —
+// the engine's semantic mode is its dispatch's invocation.
+func (m *Semantic) Class() span.Class {
+	c := span.Class{Render: semanticClass}
+	c.SetParams(m.Inv.Params)
+	return c
+}
+
+func semanticClass(method string, params []string) string {
+	return (&Semantic{Inv: commut.Invocation{Method: method, Params: params}}).String()
+}
 
 // Resource identifies a lockable resource: a database object.
 type Resource = txn.OID
@@ -389,13 +420,17 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 	}
 
 	var (
-		blocked      bool
-		start        time.Time
-		tmo          *waitTimeout // armed once blocked, when a wait bound is set
-		token        *waiter      // our FIFO position once blocked (fairness mode)
-		wake         *wakeHandle
-		waitingOn    map[string]int // roots this call currently charges in the detector
-		lastBlockers []blockRef     // the blockers observed on the most recent loop pass
+		blocked   bool
+		start     time.Time
+		tmo       *waitTimeout // armed once blocked, when a wait bound is set
+		token     *waiter      // our FIFO position once blocked (fairness mode)
+		wake      *wakeHandle
+		waitingOn map[string]int // roots this call currently charges in the detector
+		// lastBlockers are the blockers observed on the most recent loop
+		// pass, rendered while the shard mutex is held: a blocker's mode may
+		// live in its transaction's action records, which are reused once
+		// that transaction releases its locks and ends.
+		lastBlockers []BlockerRef
 	)
 
 	defer func() {
@@ -421,7 +456,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 			info.Blocked = true
 			info.Wait = wait
 		}
-		info.Blockers = blockerRefs(lastBlockers)
+		info.Blockers = lastBlockers
 		info.TimedOut = errors.Is(err, ErrTimeout)
 		if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrDoomed) {
 			info.Cycle = lm.det.causeOf(root)
@@ -451,7 +486,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 			// set would misreport who caused the wait.
 			held := make([]string, 0, len(lastBlockers))
 			for _, b := range lastBlockers {
-				held = append(held, b.owner+"/"+b.mode.String())
+				held = append(held, b.Owner+"/"+b.Mode)
 			}
 			return nil, info, fmt.Errorf("%w: %s wants %s on %s blocked by %s",
 				ErrTimeout, owner, mode, res.Name, strings.Join(held, ", "))
@@ -470,7 +505,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 			}
 			return (*Held)(st), info, nil
 		}
-		lastBlockers = bl
+		lastBlockers = blockerRefs(bl)
 		if !blocked {
 			blocked = true
 			start = time.Now()
@@ -543,7 +578,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 		if len(bl) == 0 {
 			continue // unblocked while the detector ran; grant at loop top
 		}
-		lastBlockers = bl
+		lastBlockers = blockerRefs(bl)
 		if !sameEdges(waitEdges(root, bl), waitingOn) {
 			// The blocker set changed during the unlocked window: a charged
 			// holder released (its broadcast was lost — we were not yet

@@ -217,6 +217,61 @@ func (m countingMode) String() string {
 	return m.rw.String()
 }
 
+func (m countingMode) Class() span.Class { return m.rw.Class() }
+
+// shardCheckMode is an X mode that counts its renderings made while its
+// resource's shard mutex is free.
+type shardCheckMode struct {
+	sh       *lockShard
+	unlocked *atomic.Int64
+}
+
+func (m shardCheckMode) CompatibleWith(Mode) bool { return false }
+
+func (m shardCheckMode) String() string {
+	if m.sh.mu.TryLock() {
+		m.sh.mu.Unlock()
+		m.unlocked.Add(1)
+	}
+	return "X"
+}
+
+func (m shardCheckMode) Class() span.Class { return X.Class() }
+
+// TestBlockersRenderedUnderShardMutex: a blocked acquire renders the modes
+// of the holders that blocked it while it holds the shard mutex. A holder's
+// mode may live in its transaction's action records, which are reused once
+// that transaction has released its locks and ended; rendered after the
+// unlock, the mode could already belong to another transaction.
+func TestBlockersRenderedUnderShardMutex(t *testing.T) {
+	lm := NewLockManager()
+	var unlocked atomic.Int64
+	holder := shardCheckMode{sh: lm.shardFor(res("A")), unlocked: &unlocked}
+	if err := lm.Acquire("T1", res("A"), holder); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan AcquireInfo)
+	go func() {
+		info, err := lm.AcquireEx("T2", res("A"), X)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- info
+	}()
+	for !lm.blockedOn(res("A")) {
+		time.Sleep(time.Millisecond)
+	}
+	lm.ReleaseTree("T1")
+	info := <-done
+	lm.ReleaseTree("T2")
+	if len(info.Blockers) != 1 || info.Blockers[0] != (BlockerRef{Owner: "T1", Mode: "X"}) {
+		t.Fatalf("blockers = %+v, want T1/X", info.Blockers)
+	}
+	if n := unlocked.Load(); n != 0 {
+		t.Fatalf("a blocker's mode was rendered %d times without the shard mutex", n)
+	}
+}
+
 // TestAcquireTracedRendersModeOnlyWhenRecorded: a sampled acquire renders
 // its mode only for the lock span it records — never on an uncontended
 // grant — and a contended one still records the mode as the span's class.

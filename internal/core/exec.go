@@ -19,7 +19,12 @@ import (
 	"repro/internal/txn"
 )
 
-// runtimeAction is one executing action (subtransaction).
+// runtimeAction is one executing action (subtransaction). Its record lives
+// only as long as its top-level transaction: once the transaction has ended,
+// the record is zeroed and reused by a later one (Txn.recycle). Nothing may
+// keep a pointer to it past that point — not a trace (its dispatch spans are
+// copied out at End), not the lock table (every grant and waiter naming
+// &sem is gone by then), not a method body (see Ctx).
 type runtimeAction struct {
 	// id is the action's hierarchical id: its parent's id and its child
 	// number n. A composite action's is rendered at dispatch, since it
@@ -39,9 +44,14 @@ type runtimeAction struct {
 	// args holds up to two call parameters, so sem.Inv.Params need not
 	// keep the caller's slice.
 	args [2]string
-	// span is the dispatch's method span, recorded in place; a retained
-	// trace keeps the action reachable through it.
+	// span is the dispatch's method span, recorded in place; its End copies
+	// it into the trace, which keeps no pointer to the action.
 	span span.Method
+	// next links the transaction's records (Txn.actions), or a chain of
+	// spare ones (Txn.free, actionPool).
+	next *runtimeAction
+	// guard catches a use of a recycled record in race builds.
+	guard recycleGuard
 
 	// hasWrites records that undo records were logged in this action's
 	// subtree and not consumed there: a page write, an intent of a
@@ -76,15 +86,11 @@ func (a *runtimeAction) childID() string {
 	return a.parent.id + "." + strconv.Itoa(int(a.n))
 }
 
-// Dispatch names the action for its method span (span.Dispatch). A
-// snapshot calls it from another goroutine, so an id not yet rendered is
-// rendered without being stored.
-func (a *runtimeAction) Dispatch() (id, parent, object, method string) {
-	id = a.id
-	if id == "" {
-		id = a.childID()
-	}
-	return id, a.parent.id, a.obj.Name, a.sem.Inv.Method
+// Dispatch names the action for its method span (span.Dispatch): a page
+// action's id, when nothing rendered it, is left to the trace to render
+// from the parent's id and the child number, as childID does.
+func (a *runtimeAction) Dispatch() (id, parent string, n int32, object, method string) {
+	return a.id, a.parent.id, a.n, a.obj.Name, a.sem.Inv.Method
 }
 
 // hold appends granted locks to a's held list. The root keeps no list: its
@@ -132,10 +138,18 @@ type Txn struct {
 	// append.
 	comp atomic.Pointer[pendingComp]
 
-	// mu guards finished, compensated and savepoints, and the child
-	// numbers and held lists of the transaction's actions.
+	// mu guards finished, compensated and savepoints, the child numbers
+	// and held lists of the transaction's actions, and the record chains.
 	mu       sync.Mutex
 	finished bool
+	// actions links the records of the transaction's non-root actions, and
+	// free the spare records of the chain it took from actionPool; recycle
+	// returns both when the transaction ends.
+	actions, free *runtimeAction
+	// inflight counts the dispatches running: a dispatch racing the
+	// transaction's end (an Exec beside Commit) leaves recycle nothing to
+	// reuse.
+	inflight atomic.Int32
 	// compensated records that logical compensations executed during this
 	// transaction's rollback; such a transaction stays in the trace (its
 	// history is expanded with the inverse operations).
@@ -213,16 +227,23 @@ func (t *Txn) Seq() int64 { return t.seq }
 func (t *Txn) SetPriority(age int64) { t.db.lm.SetAge(t.id, age) }
 
 // Ctx is the execution context passed to method implementations: a view
-// of the executing action.
+// of the executing action. It is valid only during the call it is passed
+// to: the action's record is reused once its transaction ends, so a method
+// must neither keep the Ctx nor hand it to a goroutine that outlives the
+// call (Parallel joins its branches before it returns).
 type Ctx runtimeAction
 
-func (c *Ctx) action() *runtimeAction { return (*runtimeAction)(c) }
+func (c *Ctx) action() *runtimeAction {
+	a := (*runtimeAction)(c)
+	a.guard.check()
+	return a
+}
 
 // DB returns the engine (for page allocation inside methods).
-func (c *Ctx) DB() *DB { return c.txn.db }
+func (c *Ctx) DB() *DB { return c.action().txn.db }
 
 // TxnID returns the enclosing top-level transaction id.
-func (c *Ctx) TxnID() string { return c.txn.id }
+func (c *Ctx) TxnID() string { return c.action().txn.id }
 
 // ActionID returns the current action's hierarchical id.
 func (c *Ctx) ActionID() string { return c.action().ActionID() }
@@ -230,7 +251,8 @@ func (c *Ctx) ActionID() string { return c.action().ActionID() }
 // Call invokes a method on an object as a sequential subtransaction of the
 // current action.
 func (c *Ctx) Call(obj txn.OID, method string, params ...string) (string, error) {
-	return c.txn.db.invoke(c.txn, c.action(), obj, method, params, false)
+	a := c.action()
+	return a.txn.db.invoke(a.txn, a, obj, method, params, false)
 }
 
 // ParCall describes one branch of a Parallel invocation.
@@ -275,15 +297,16 @@ func (t *Txn) ExecParallel(calls []ParCall) ([]string, error) {
 	return (*Ctx)(t.root).Parallel(calls)
 }
 
-// invoke runs one method invocation as a subtransaction of parent. The
-// action record is its one allocation on the common path: up to two params
-// are copied into it (params itself must not escape, so Call's variadic
-// slice stays on the caller's stack), and a page action's id is rendered
-// only where it is read.
+// invoke runs one method invocation as a subtransaction of parent. Its
+// action record is reused from an earlier transaction, so the common path
+// allocates nothing: up to two params are copied into the record (params
+// itself must not escape, so Call's variadic slice stays on the caller's
+// stack), and a page action's id is rendered only where it is read.
 func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, params []string, parallel bool) (string, error) {
 	if t.refused {
 		return "", ErrClosed
 	}
+	parent.guard.check()
 	ot, known := db.types[obj.Type]
 	// A page is named only canonically (PageID refuses an alias, which
 	// would reach the frame under a lock on another resource).
@@ -306,16 +329,17 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	}
 	parent.nchildren++
 	n := parent.nchildren
+	a := t.takeAction()
+	t.inflight.Add(1)
 	t.mu.Unlock()
+	defer t.inflight.Add(-1)
 
-	a := &runtimeAction{
-		parent: parent,
-		txn:    t,
-		obj:    obj,
-		sem:    cc.Semantic{Inv: commut.Invocation{Method: method}},
-		depth:  parent.depth + 1,
-		n:      n,
-	}
+	a.parent = parent
+	a.txn = t
+	a.obj = obj
+	a.sem.Inv.Method = method
+	a.depth = parent.depth + 1
+	a.n = n
 	if obj.Type != PageType {
 		a.id = a.childID()
 	}
@@ -840,7 +864,8 @@ func (t *Txn) Commit() error {
 }
 
 // finishCommitted is the successful-commit epilogue: span status, stats,
-// commit-latency histogram, flight-recorder event.
+// commit-latency histogram, flight-recorder event, and the action records
+// returned for reuse.
 func (t *Txn) finishCommitted() {
 	t.db.spans.FinishTxn(t.tt, span.StatusCommitted)
 	t.db.stats.txnsCommitted.Add(1)
@@ -849,6 +874,7 @@ func (t *Txn) finishCommitted() {
 	t.db.obsRec.Record(obs.Event{Kind: obs.EvTxnCommit, Actor: t.id,
 		Dur: elapsed, N: t.maxDepth.Load()})
 	t.noteSlow(elapsed, "committed")
+	t.recycle()
 }
 
 // noteSlow is the slow-query hook shared by every finish path: lifetimes
@@ -897,9 +923,9 @@ func (t *Txn) Abort() error {
 
 // abort rolls undo back (the transaction's live undo records, newest
 // first; the still-held page locks cover the before-image restores), logs
-// the abort, releases the locks, and surfaces the outcome through spans,
-// stats and the flight recorder. cause is the rejection of a failed
-// commit, nil for Abort.
+// the abort, releases the locks, surfaces the outcome through spans, stats
+// and the flight recorder, and returns the action records for reuse. cause
+// is the rejection of a failed commit, nil for Abort.
 func (t *Txn) abort(undo []storage.Record, cause error) {
 	t.db.rollback(t, t.root, undo)
 	t.mu.Lock()
@@ -925,4 +951,5 @@ func (t *Txn) abort(undo []storage.Record, cause error) {
 	if t.db.tracing && !compensated && cause == nil {
 		t.db.rec.MarkAborted(t.id)
 	}
+	t.recycle()
 }

@@ -11,11 +11,11 @@
 //
 // Design rules:
 //
-//   - The hot path never takes a lock: Counter/Gauge are single atomics,
-//     Histogram.Observe is one atomic add per bucket + sum + count, and
-//     FlightRecorder.Record is an atomic sequence claim plus an atomic
-//     pointer store. The registry's mutex guards only name registration
-//     and snapshotting.
+//   - The hot path never takes a shared lock: Counter/Gauge are single
+//     atomics, Histogram.Observe is one atomic add per bucket + sum +
+//     count, and FlightRecorder.Record is an atomic sequence claim plus a
+//     copy into the claimed slot under that slot's own mutex. The
+//     registry's mutex guards only name registration and snapshotting.
 //   - Every method is nil-receiver safe, so instrumented code paths need
 //     no "metrics enabled?" branches: a disabled subsystem simply holds
 //     nil handles.

@@ -159,9 +159,21 @@ func TestRecorderWraparound(t *testing.T) {
 	}
 }
 
+// TestRecordAllocs: Record copies the event into its slot, so recording
+// allocates nothing.
+func TestRecordAllocs(t *testing.T) {
+	fr := NewFlightRecorder(64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		fr.Record(Event{Kind: EvTxnBegin, Actor: "T1"})
+	}); allocs != 0 {
+		t.Fatalf("Record = %.1f allocs, want 0", allocs)
+	}
+}
+
 // TestRecorderConcurrentAppend hammers Record from many goroutines while
-// readers Tail concurrently; under -race this is the lock-freedom proof.
-// Afterwards the tail must be strictly ordered and hold plausible events.
+// readers Tail concurrently; under -race this proves every slot copy is
+// guarded. Afterwards the tail must be strictly ordered and hold plausible
+// events.
 func TestRecorderConcurrentAppend(t *testing.T) {
 	fr := NewFlightRecorder(256)
 	const writers, perWriter = 8, 500

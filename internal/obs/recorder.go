@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,17 +45,24 @@ type Event struct {
 }
 
 // FlightRecorder is a bounded, always-on ring buffer of recent events —
-// the engine's black box. Record is lock-free (an atomic sequence claim
-// plus an atomic pointer store into the claimed slot), so it is cheap
-// enough for hot paths and safe under -race with any number of concurrent
-// writers and readers. Tail reconstructs the most recent events; under
-// concurrent appends the result is approximate at the wrap boundary
+// the engine's black box. Record claims a slot with an atomic sequence add
+// and copies the event into it by value under the slot's own mutex, so it
+// allocates nothing, writers contend only when they land on one slot a
+// whole ring apart, and it is safe under -race with any number of
+// concurrent writers and readers. Tail reconstructs the most recent events;
+// under concurrent appends the result is approximate at the wrap boundary
 // (slots being overwritten show their new content), which is exactly the
 // semantics a black box wants.
 type FlightRecorder struct {
-	slots []atomic.Pointer[Event]
+	slots []recorderSlot
 	mask  uint64
 	seq   atomic.Uint64
+}
+
+// recorderSlot is one ring entry; mu guards ev.
+type recorderSlot struct {
+	mu sync.Mutex
+	ev Event
 }
 
 // NewFlightRecorder returns a recorder holding up to capacity events,
@@ -64,7 +72,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	for n < capacity {
 		n <<= 1
 	}
-	return &FlightRecorder{slots: make([]atomic.Pointer[Event], n), mask: uint64(n - 1)}
+	return &FlightRecorder{slots: make([]recorderSlot, n), mask: uint64(n - 1)}
 }
 
 // Cap returns the ring capacity in events.
@@ -93,7 +101,14 @@ func (fr *FlightRecorder) Record(e Event) {
 	}
 	s := fr.seq.Add(1)
 	e.Seq = s
-	fr.slots[(s-1)&fr.mask].Store(&e)
+	sl := &fr.slots[(s-1)&fr.mask]
+	sl.mu.Lock()
+	// A writer a whole ring behind (claimed earlier, stored later) must not
+	// overwrite the newer event.
+	if sl.ev.Seq < s {
+		sl.ev = e
+	}
+	sl.mu.Unlock()
 }
 
 // Tail returns the last n events (all buffered events when n <= 0 or
@@ -115,8 +130,12 @@ func (fr *FlightRecorder) Tail(n int) []Event {
 		// A slot lagging its claimed sequence (writer between claim and
 		// store) or already overwritten by a newer event is skipped/kept by
 		// the Seq check; ordering is restored by the sort below.
-		if p := fr.slots[(s-1)&fr.mask].Load(); p != nil && p.Seq >= lo {
-			out = append(out, *p)
+		sl := &fr.slots[(s-1)&fr.mask]
+		sl.mu.Lock()
+		e := sl.ev
+		sl.mu.Unlock()
+		if e.Seq >= lo {
+			out = append(out, e)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -707,7 +707,11 @@ type Status struct {
 	Term        uint64 `json:"term"`
 	CommitIndex uint64 `json:"commit_index"`
 	LastLSN     uint64 `json:"last_lsn"`
-	Applied     uint64 `json:"applied"`
+	// Applied is the last entry this node's engine state reflects among
+	// the committed ones: a follower's standby has applied every entry
+	// through it, and a leader's engine produced every entry it logged, so
+	// a leader reports its commit index.
+	Applied uint64 `json:"applied"`
 	// Leader is the current leader's client address ("" when unknown).
 	Leader string `json:"leader,omitempty"`
 	// LagEntries is how far this node trails: a follower's unapplied
@@ -731,6 +735,7 @@ func (n *Node) Status() Status {
 		Leader:      n.leaderAddr,
 	}
 	if n.role == RoleLeader {
+		s.Applied = n.commitIndex
 		if w := min(n.want, n.lastLSN); w > n.commitIndex {
 			s.LagEntries = w - n.commitIndex
 		}

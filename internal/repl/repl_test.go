@@ -236,6 +236,32 @@ func TestThreeNodeReplicationAndFailover(t *testing.T) {
 	}
 }
 
+// TestLeaderReportsApplied: after a burst, a leader's Applied is its
+// commit index — its engine produced every committed entry — so no
+// follower reads as further along than the leader.
+func TestLeaderReportsApplied(t *testing.T) {
+	nodes := startCluster(t, 3)
+	ld := waitLeader(t, nodes)
+	for i := 0; i < 10; i++ {
+		if err := credit(t, ld, 1, 1); err != nil {
+			t.Fatalf("credit %d: %v", i, err)
+		}
+	}
+	st := ld.Status()
+	if st.Applied != st.CommitIndex || st.CommitIndex == 0 {
+		t.Fatalf("leader status %+v: applied must equal a non-zero commit index", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, f := range followers(nodes, ld) {
+		for f.Status().Applied < st.CommitIndex && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if fa, la := f.Status().Applied, ld.Status().Applied; fa == 0 || fa > la {
+			t.Fatalf("%s applied %d, leader %d", f.cfg.ID, fa, la)
+		}
+	}
+}
+
 func TestFollowerCatchesUpAndServesStandbyReads(t *testing.T) {
 	nodes := startCluster(t, 3)
 	ld := waitLeader(t, nodes)

@@ -189,6 +189,12 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return s.Serve(ln)
+}
+
+// Serve begins accepting sessions on a listener the caller bound, and owns
+// it from then on. It returns the bound address.
+func (s *Server) Serve(ln net.Listener) (string, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

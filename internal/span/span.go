@@ -27,6 +27,8 @@ package span
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,11 +175,13 @@ type TxnTrace struct {
 	seq atomic.Int64
 
 	mu sync.Mutex
-	// spans points at the ended spans' ActiveSpan storage and methods at
-	// the ended dispatch records: End publishes a pointer, not a copy, and
-	// Snapshot renders the values out.
+	// spans points at the ended spans' ActiveSpan storage: End publishes a
+	// pointer, not a copy. buf holds the ended dispatch records of a
+	// running trace; finish moves them into methods, sized to the trace.
+	// Snapshot renders both.
 	spans   []*Span
-	methods []*Method
+	buf     *dispatchBuf
+	methods []dispatchRec
 	end     time.Time
 	status  Status
 	// lastAbortEdge is the most recent provenance edge recorded on a span
@@ -307,30 +311,67 @@ func (a *ActiveSpan) End(err error) {
 const initialSpans = 16
 
 // Dispatch names a method dispatch for its span: the action's id, its
-// parent's id, and the object and method it invokes. The executing action
-// implements it, so a dispatch record points at what it describes instead
-// of copying it; the four values must not change once the record begins.
+// parent's id, its child number, and the object and method it invokes. An
+// id not rendered yet is "" and stands for parent + "." + n. The executing
+// action implements it; End reads it once, so the values must be final
+// when the record ends.
 type Dispatch interface {
-	Dispatch() (id, parent, object, method string)
+	Dispatch() (id, parent string, n int32, object, method string)
 }
 
-// Method is the span record of one method dispatch, held by value in the
-// action it describes: beginning and ending it allocates nothing. Snapshot
-// renders it into the KMethod Span it stands for. A record begun on a nil
-// trace stays inert.
+// Mode is the lock mode — the commutativity class — a dispatch runs under.
+// End copies its Class into the dispatch's record, so a trace keeps no
+// pointer to a mode: the engine's modes live in action records it reuses
+// once the transaction ends.
+type Mode interface {
+	Class() Class
+}
+
+// Class is a lock mode copied by value: what renders a method span's Class
+// when the trace is read, and the parameters it renders from. It shares no
+// storage with the mode it was copied from, except a parameter list longer
+// than two, which is kept by reference and must not be reused.
+type Class struct {
+	// Render renders the class from the dispatch's method and the copied
+	// parameters; a nil Render renders no class.
+	Render func(method string, params []string) string
+	args   [2]string
+	more   []string
+	n      uint8
+}
+
+// SetParams copies params into c: up to two by value, a longer list by
+// reference.
+func (c *Class) SetParams(params []string) {
+	if len(params) > len(c.args) {
+		c.more = params
+		return
+	}
+	c.n = uint8(copy(c.args[:], params))
+}
+
+func (c *Class) params() []string {
+	if c.more != nil {
+		return c.more
+	}
+	return c.args[:c.n]
+}
+
+// Method is the span record of one open method dispatch, held by value in
+// the action it describes: beginning it allocates nothing. End copies it,
+// with what it names and its mode, into the trace as a value record. A
+// record begun on a nil trace stays inert.
 type Method struct {
 	tt   *TxnTrace
 	src  Dispatch
-	mode fmt.Stringer
-	// start and end are offsets from the trace's start: one monotonic
-	// clock read each.
-	start, end time.Duration
-	seq        int
-	err        string
+	mode Mode
+	// start is an offset from the trace's start: one monotonic clock read.
+	start time.Duration
+	seq   int
 }
 
 // BeginMethod opens m as the dispatch span of src. The record is owned by
-// the calling goroutine until End, and by the trace afterwards.
+// the calling goroutine.
 func (tt *TxnTrace) BeginMethod(m *Method, src Dispatch) {
 	if tt == nil {
 		return
@@ -340,60 +381,97 @@ func (tt *TxnTrace) BeginMethod(m *Method, src Dispatch) {
 	m.start = time.Since(tt.start)
 }
 
-// SetMode records the lock mode — the commutativity class — the dispatch
-// runs under. It is rendered into Class only when the trace is read, so
-// it must not change afterwards.
-func (m *Method) SetMode(mode fmt.Stringer) {
+// SetMode records the lock mode the dispatch runs under. It is copied at
+// End and rendered into Class only when the trace is read.
+func (m *Method) SetMode(mode Mode) {
 	if m.tt != nil {
 		m.mode = mode
 	}
 }
 
-// End closes the record (stamping err, when non-nil) and publishes a
-// pointer to it into the trace; the record must not be touched afterwards.
+// End closes the record (stamping err, when non-nil) and copies it into the
+// trace. Neither the record's source nor its mode is read afterwards.
 func (m *Method) End(err error) {
 	tt := m.tt
 	if tt == nil {
 		return
 	}
-	m.end = time.Since(tt.start)
+	var r dispatchRec
+	r.end = time.Since(tt.start)
+	r.start, r.seq = m.start, int32(m.seq)
+	r.id, r.parent, r.n, r.object, r.method = m.src.Dispatch()
+	if m.mode != nil {
+		r.class = m.mode.Class()
+	}
 	if err != nil {
-		m.err = err.Error()
+		r.err = err.Error()
 	}
 	tt.mu.Lock()
-	if tt.methods == nil {
-		tt.methods = make([]*Method, 0, initialSpans)
+	if tt.buf == nil {
+		tt.buf = new(dispatchBuf)
 	}
-	tt.methods = append(tt.methods, m)
+	tt.buf.recs = append(tt.buf.recs, r)
 	tt.mu.Unlock()
 }
 
+// dispatchRec is an ended dispatch by value: what its KMethod span renders
+// from. It points at no action, so a retained trace keeps none reachable.
+type dispatchRec struct {
+	id, parent     string
+	object, method string
+	err            string
+	class          Class
+	// start and end are offsets from the trace's start.
+	start, end time.Duration
+	seq        int32
+	// n is the child number an unrendered id ("") is rendered from.
+	n int32
+}
+
 // span renders the record as the KMethod span it stands for.
-func (m *Method) span() Span {
-	id, parent, object, method := m.src.Dispatch()
-	sp := Span{
-		ID: id, Parent: parent, Kind: KMethod, Name: object + "." + method,
-		Object: object, Method: method,
-		Start: m.tt.start.Add(m.start), End: m.tt.start.Add(m.end),
-		Err: m.err, Seq: m.seq,
+func (r *dispatchRec) span(start time.Time) Span {
+	id := r.id
+	if id == "" {
+		id = r.parent + "." + strconv.Itoa(int(r.n))
 	}
-	if m.mode != nil {
-		sp.Class = m.mode.String()
+	sp := Span{
+		ID: id, Parent: r.parent, Kind: KMethod, Name: r.object + "." + r.method,
+		Object: r.object, Method: r.method,
+		Start: start.Add(r.start), End: start.Add(r.end),
+		Err: r.err, Seq: int(r.seq),
+	}
+	if r.class.Render != nil {
+		sp.Class = r.class.Render(r.method, r.class.params())
 	}
 	return sp
 }
 
-// finish seals the trace with its outcome. An aborted trace's root span
-// inherits the last abort-explaining edge, so the trace "ends in" its
-// causal explanation even when the failing span is buried in the tree.
-func (tt *TxnTrace) finish(status Status, end time.Time) {
-	if tt == nil {
-		return
-	}
+// dispatchBuf collects a running trace's dispatch records. The tracer
+// reuses buffers across traces: a finished trace keeps an exactly sized copy
+// of its records and hands the buffer back, so a steady stream of
+// transactions grows none.
+type dispatchBuf struct{ recs []dispatchRec }
+
+// finish seals the trace with its outcome and keeps its dispatch records
+// in one slice sized to them: the only allocation, and no string rendered.
+// It returns the emptied buffer they were collected in (nil when none). A
+// dispatch that ends after finish (one racing the transaction's end) starts
+// a new buffer, which the trace keeps.
+func (tt *TxnTrace) finish(status Status, end time.Time) *dispatchBuf {
 	tt.mu.Lock()
 	tt.status = status
 	tt.end = end
+	b := tt.buf
+	if b != nil {
+		tt.methods = append(tt.methods, b.recs...)
+		tt.buf = nil
+	}
 	tt.mu.Unlock()
+	if b != nil {
+		clear(b.recs)
+		b.recs = b.recs[:0]
+	}
+	return b
 }
 
 // TxnSpans is an immutable snapshot of one transaction's trace: the
@@ -435,19 +513,28 @@ func (tt *TxnTrace) Snapshot() TxnSpans {
 			root.Edges = []Edge{*tt.lastAbortEdge}
 		}
 	}
-	spans := make([]Span, 0, len(tt.spans)+len(tt.methods)+1)
+	// finish sets methods once, so its header copied under mu names final
+	// records; a running trace's records sit in a buffer finish hands back
+	// for reuse, so they are copied out under mu.
+	methods := tt.methods
+	var live []dispatchRec
+	if tt.buf != nil {
+		live = slices.Clone(tt.buf.recs)
+	}
+	spans := make([]Span, 0, len(tt.spans)+len(methods)+len(live)+1)
 	spans = append(spans, root)
 	for _, sp := range tt.spans {
 		spans = append(spans, *sp)
 	}
-	// The slice header is copied under mu; the records it names are final.
-	methods := tt.methods
 	remoteID, remoteAttempt := tt.remoteID, tt.remoteAttempt
 	tt.mu.Unlock()
 	// Dispatch records leave Name and Class unrendered on the hot path;
 	// derive them here.
-	for _, m := range methods {
-		spans = append(spans, m.span())
+	for i := range methods {
+		spans = append(spans, methods[i].span(tt.start))
+	}
+	for i := range live {
+		spans = append(spans, live[i].span(tt.start))
 	}
 	// Recorded spans are appended at End (children before parents);
 	// re-establish begin order for rendering. The root keeps Seq 0.

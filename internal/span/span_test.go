@@ -333,16 +333,21 @@ func TestWriteBlame(t *testing.T) {
 	}
 }
 
+// stringer is a fixed mode: its class is itself.
 type stringer string
 
-func (s stringer) String() string { return string(s) }
+func (s stringer) Class() Class {
+	return Class{Render: func(string, []string) string { return string(s) }}
+}
 
 // countingStringer counts its renderings.
 type countingStringer struct{ n *atomic.Int64 }
 
-func (c countingStringer) String() string {
-	c.n.Add(1)
-	return "sem:insert(k)"
+func (s countingStringer) Class() Class {
+	return Class{Render: func(string, []string) string {
+		s.n.Add(1)
+		return "sem:insert(k)"
+	}}
 }
 
 // TestSetModeRenderedAtSnapshot: a mode handed to Method.SetMode is
@@ -416,8 +421,8 @@ func TestSnapshotWhileSpansEnd(t *testing.T) {
 // dispatch is a fixed span.Dispatch, standing in for an engine action.
 type dispatch struct{ id, parent, object, method string }
 
-func (d *dispatch) Dispatch() (id, parent, object, method string) {
-	return d.id, d.parent, d.object, d.method
+func (d *dispatch) Dispatch() (id, parent string, n int32, object, method string) {
+	return d.id, d.parent, 0, d.object, d.method
 }
 
 // TestMethodRendersAsActiveSpan: a dispatch record and an ActiveSpan fed
@@ -480,23 +485,87 @@ func TestMethodSeqInterleavesWithLocks(t *testing.T) {
 	}
 }
 
-// TestMethodAllocs pins what keeping the record in its action buys:
-// BeginMethod+End allocate nothing per dispatch, so a 64-record trace pays
-// only for itself and its pointer slice's few doublings.
+// TestMethodAllocs pins what dispatch records cost a trace: BeginMethod
+// and End allocate nothing once a reused buffer has grown, and finishing
+// the trace makes one allocation, the slice its records keep — so a
+// 64-record trace pays for that slice and for itself.
 func TestMethodAllocs(t *testing.T) {
 	const records = 64
+	tr := New()
 	recs := make([]Method, records)
 	src := &dispatch{"T1.1", "T1", "O", "m"}
 	allocs := testing.AllocsPerRun(50, func() {
-		tt := &TxnTrace{txnID: "T1", start: time.Now()}
+		tt := tr.BeginTxn("T1", time.Now())
 		for i := range recs {
 			tt.BeginMethod(&recs[i], src)
+			recs[i].SetMode(fixedMode{})
 			recs[i].End(nil)
 		}
+		tr.FinishTxn(tt, StatusCommitted)
 	})
-	if per := allocs / records; per > 0.1 {
-		t.Fatalf("BeginMethod+End = %.2f allocs per record, want <= 0.1", per)
+	if allocs > 2 {
+		t.Fatalf("a %d-record trace = %.1f allocs, want <= 2", records, allocs)
 	}
+}
+
+// fixedMode is a mode whose class renders from a static function, as the
+// lock manager's are: copying it allocates nothing.
+type fixedMode struct{}
+
+func (fixedMode) Class() Class { return Class{Render: renderX} }
+
+func renderX(string, []string) string { return "X" }
+
+// TestFinishedTraceKeepsValues: a finished trace renders its dispatch
+// records from values copied at End — the source and mode may change or be
+// reused afterwards — and a parameter list of up to two is copied, a longer
+// one kept.
+func TestFinishedTraceKeepsValues(t *testing.T) {
+	tr := New()
+	tt := tr.BeginTxn("T1", time.Now())
+	d := &dispatch{"", "T1", "P3", "write"}
+	params := []string{"a", "b"}
+	var ms Method
+	tt.BeginMethod(&ms, &numbered{d, 4})
+	ms.SetMode(paramMode{params})
+	ms.End(nil)
+	long := []string{"x", "y", "z"}
+	var ml Method
+	tt.BeginMethod(&ml, &dispatch{"T1.5", "T1", "O", "m"})
+	ml.SetMode(paramMode{long})
+	ml.End(nil)
+	tr.FinishTxn(tt, StatusCommitted)
+	*d = dispatch{"T9.9", "T9", "Q", "read"}
+	params[0], params[1] = "reused", "reused"
+	ms, ml = Method{}, Method{}
+	got := tt.Snapshot().Spans
+	if got[1].ID != "T1.4" || got[1].Name != "P3.write" || got[1].Class != "write(a,b)" {
+		t.Fatalf("page dispatch = %+v", got[1])
+	}
+	if got[2].ID != "T1.5" || got[2].Class != "m(x,y,z)" {
+		t.Fatalf("dispatch with 3 params = %+v", got[2])
+	}
+}
+
+// numbered gives a fixed dispatch a child number.
+type numbered struct {
+	*dispatch
+	n int32
+}
+
+func (d *numbered) Dispatch() (id, parent string, n int32, object, method string) {
+	return d.id, d.parent, d.n, d.object, d.method
+}
+
+// paramMode copies its parameters like a semantic mode.
+type paramMode struct{ params []string }
+
+func (m paramMode) Class() Class {
+	c := Class{Render: func(method string, params []string) string {
+		return method + "(" + strings.Join(params, ",") + ")"
+	}}
+	c.SetParams(m.params)
+	return c
 }
 
 // TestMethodNilTraceInert: on an unsampled transaction the record stays

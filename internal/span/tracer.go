@@ -73,7 +73,15 @@ type Tracer struct {
 	pinned     []*TxnTrace
 	pinNext    int
 	slowThresh atomic.Int64 // nanoseconds; 0 = disabled
+	// bufs are the dispatch-record buffers of finished traces, handed to
+	// the next traces begun; bufRecs is their total capacity in records.
+	bufs    []*dispatchBuf
+	bufRecs int
 }
+
+// maxFreeRecs bounds the capacity, in records, of the dispatch-record
+// buffers a tracer keeps for reuse: 16,384 records are 2.8 MB.
+const maxFreeRecs = 16384
 
 // New returns a tracer with default options (sample everything).
 func New() *Tracer { return NewTracer(Options{}) }
@@ -138,6 +146,10 @@ func (tr *Tracer) BeginTxn(id string, start time.Time) *TxnTrace {
 	tt := &TxnTrace{txnID: id, start: start, status: StatusRunning}
 	tr.mu.Lock()
 	tr.live[id] = tt
+	if n := len(tr.bufs); n > 0 {
+		tt.buf, tr.bufs = tr.bufs[n-1], tr.bufs[:n-1]
+		tr.bufRecs -= cap(tt.buf.recs)
+	}
 	tr.mu.Unlock()
 	return tt
 }
@@ -149,9 +161,13 @@ func (tr *Tracer) FinishTxn(tt *TxnTrace, status Status) {
 		return
 	}
 	end := time.Now()
-	tt.finish(status, end)
+	buf := tt.finish(status, end)
 	dur := end.Sub(tt.start)
 	tr.mu.Lock()
+	if buf != nil && tr.bufRecs+cap(buf.recs) <= maxFreeRecs {
+		tr.bufs = append(tr.bufs, buf)
+		tr.bufRecs += cap(buf.recs)
+	}
 	delete(tr.live, tt.txnID)
 	tr.done[tr.doneNext] = tt
 	tr.doneNext = (tr.doneNext + 1) % len(tr.done)
