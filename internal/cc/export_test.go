@@ -10,7 +10,7 @@ func (lm *LockManager) HoldsAny(owner string) bool {
 		sh.mu.Lock()
 		for _, st := range sh.locks {
 			for _, g := range st.granted {
-				if g.owner == owner {
+				if g.owner.String() == owner {
 					sh.mu.Unlock()
 					return true
 				}
@@ -32,7 +32,7 @@ func (lm *LockManager) Holders(res Resource) []string {
 	}
 	set := map[string]bool{}
 	for _, g := range st.granted {
-		set[g.owner] = true
+		set[g.owner.String()] = true
 	}
 	sh.mu.Unlock()
 	out := make([]string, 0, len(set))

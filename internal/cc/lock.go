@@ -5,9 +5,10 @@
 //     compatibility is an object type's commutativity specification
 //     (Definition 9) — two invocations may hold locks on the same object
 //     simultaneously iff they commute;
-//   - a blocking lock manager with owner hierarchies (owners are
-//     hierarchical action ids, so ancestor bypass for closed nested
-//     transactions is a prefix test), lock transfer to parents, waits-for
+//   - a blocking lock manager with owner hierarchies (an owner names a
+//     node of a transaction's action tree, so same-transaction and subtree
+//     tests compare a root id and walk parent pointers, and an id string
+//     is rendered only for a reader), lock transfer to parents, waits-for
 //     deadlock detection with youngest-victim abort, and an optional wait
 //     timeout as a backstop;
 //   - counters for the paper's evaluation: acquisitions, blocked acquires
@@ -167,30 +168,28 @@ type statCounters struct {
 }
 
 type grant struct {
-	owner string
+	owner Owner
 	mode  Mode
 	count int // re-entrant acquisitions by the same owner+mode
 }
 
 // waiter is one blocked Acquire in FIFO position (fairness mode).
 type waiter struct {
-	owner string
+	owner Owner
 	mode  Mode
 	seq   uint64
 }
 
-// LockManager is a blocking lock manager. Owners are hierarchical action
-// ids (e.g. "T3", "T3.1.2"); the root prefix up to the first dot names the
-// top-level transaction, which is the deadlock-detection granule.
+// LockManager is a blocking lock manager. An owner (Owner) names a node of
+// a top-level transaction's action tree, or is a hierarchical id string
+// such as "T3.1.2"; the top-level transaction is the deadlock-detection
+// granule.
 type LockManager struct {
 	shards    []*lockShard
 	shardMask uint64
 
 	det *detector
 
-	// ancestorBypass, when true, lets a requester ignore conflicting locks
-	// held by its proper ancestors (Moss's closed nested locking rule).
-	ancestorBypass bool
 	// fair, when true, prevents barging: a request also waits behind
 	// EARLIER incompatible waiters, so a stream of compatible requests
 	// (e.g. readers) cannot starve a conflicting one (a writer).
@@ -223,12 +222,6 @@ type LockManager struct {
 
 // Option configures a LockManager.
 type Option func(*LockManager)
-
-// WithAncestorBypass enables the closed-nested rule: locks held by proper
-// ancestors of the requester do not block it.
-func WithAncestorBypass() Option {
-	return func(lm *LockManager) { lm.ancestorBypass = true }
-}
 
 // WithWaitTimeout bounds every lock wait.
 func WithWaitTimeout(d time.Duration) Option {
@@ -284,52 +277,31 @@ func NewLockManager(opts ...Option) *LockManager {
 // ShardCount returns the number of lock-table shards.
 func (lm *LockManager) ShardCount() int { return len(lm.shards) }
 
-// RootOf returns the top-level transaction id of an owner id.
-func RootOf(owner string) string {
-	if i := strings.IndexByte(owner, '.'); i >= 0 {
-		return owner[:i]
-	}
-	return owner
-}
-
-// isAncestor reports whether holder is a proper ancestor of requester in
-// the hierarchical id scheme.
-func isAncestor(holder, requester string) bool {
-	return len(requester) > len(holder)+1 && strings.HasPrefix(requester, holder+".")
-}
-
 // blockRef names one conflicting holder or (in fairness mode) earlier
 // waiter.
 type blockRef struct {
-	owner string
+	owner Owner
 	mode  Mode
 }
 
-// skippable reports whether a conflicting entry never blocks this owner:
-// itself, its own transaction's other subtransactions, or (closed nesting)
-// a proper ancestor.
-func (lm *LockManager) skippable(owner, other string) bool {
-	if other == owner {
-		return true // re-entrant: an owner never conflicts with itself
-	}
-	if RootOf(other) == RootOf(owner) {
-		// Same top-level transaction: sibling subtransactions are the
-		// application's own (intra-transaction) parallelism; the paper
-		// handles their ordering via precedence (Definition 9: actions
-		// of the same process are never in conflict), not isolation.
-		return true
-	}
-	return lm.ancestorBypass && isAncestor(other, owner)
+// skippable reports whether a conflicting entry of other never blocks an
+// owner of transaction root: one of the same top-level transaction — the
+// owner itself, its ancestors (closed nesting's bypass), and its siblings,
+// which are the application's own (intra-transaction) parallelism; the
+// paper orders them by precedence (Definition 9: actions of the same
+// process are never in conflict), not isolation.
+func skippable(root string, other Owner) bool {
+	return other.Root() == root
 }
 
 // blockers returns the entries incompatible with the request: conflicting
 // granted locks, plus — in fairness mode — conflicting waiters queued
 // before mySeq (use ^uint64(0) for a request not yet queued: everyone
 // already waiting counts as earlier). Caller holds the shard mutex.
-func (lm *LockManager) blockers(owner string, st *lockState, mode Mode, mySeq uint64) []blockRef {
+func (lm *LockManager) blockers(root string, st *lockState, mode Mode, mySeq uint64) []blockRef {
 	var out []blockRef
 	for _, g := range st.granted {
-		if lm.skippable(owner, g.owner) {
+		if skippable(root, g.owner) {
 			continue
 		}
 		if !mode.CompatibleWith(g.mode) {
@@ -338,7 +310,7 @@ func (lm *LockManager) blockers(owner string, st *lockState, mode Mode, mySeq ui
 	}
 	if lm.fair {
 		for _, w := range st.waiting {
-			if w.seq >= mySeq || lm.skippable(owner, w.owner) {
+			if w.seq >= mySeq || skippable(root, w.owner) {
 				continue
 			}
 			if !mode.CompatibleWith(w.mode) {
@@ -354,7 +326,7 @@ func (lm *LockManager) blockers(owner string, st *lockState, mode Mode, mySeq ui
 func waitEdges(root string, bl []blockRef) map[string]int {
 	edges := make(map[string]int)
 	for _, b := range bl {
-		if br := RootOf(b.owner); br != root {
+		if br := b.owner.Root(); br != root {
 			edges[br]++
 		}
 	}
@@ -378,7 +350,7 @@ func sameEdges(a, b map[string]int) bool {
 // ErrDeadlock / ErrDoomed / ErrTimeout. Re-acquisition by the same owner
 // and mode is re-entrant.
 func (lm *LockManager) Acquire(owner string, res Resource, mode Mode) error {
-	_, _, err := lm.acquire(owner, res, mode)
+	_, _, err := lm.acquire(Owner{id: owner}, res, mode)
 	return err
 }
 
@@ -394,16 +366,16 @@ type Held lockState
 // it. This is what the span layer turns into blocked-on / victim-of /
 // timeout edges.
 func (lm *LockManager) AcquireEx(owner string, res Resource, mode Mode) (AcquireInfo, error) {
-	_, info, err := lm.acquire(owner, res, mode)
+	_, info, err := lm.acquire(Owner{id: owner}, res, mode)
 	return info, err
 }
 
 // acquire is AcquireEx returning the granted lock too (nil on error).
-func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, info AcquireInfo, err error) {
+func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, info AcquireInfo, err error) {
 	if err := fpLockAcquire.Inject(); err != nil {
 		return nil, AcquireInfo{}, err
 	}
-	root := RootOf(owner)
+	root := owner.Root()
 	if lm.det.isDoomed(root) {
 		return nil, AcquireInfo{Cycle: lm.det.causeOf(root)}, ErrDoomed
 	}
@@ -478,7 +450,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 		}
 		if tmo.expired() {
 			lm.stats.timeouts.Add(1)
-			lm.rec.Record(obs.Event{Kind: obs.EvLockTimeout, Actor: owner,
+			lm.rec.Record(obs.Event{Kind: obs.EvLockTimeout, Actor: owner.String(),
 				Object: res.Name, Dur: time.Since(start)})
 			// Name the blockers from the last observed set, not the
 			// re-fetched state: the idle state may have been collected and
@@ -495,12 +467,12 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 		if token != nil {
 			mySeq = token.seq
 		}
-		bl := lm.blockers(owner, st, mode, mySeq)
+		bl := lm.blockers(root, st, mode, mySeq)
 		if len(bl) == 0 {
 			grantLocked(st, owner, mode)
 			lm.stats.acquires.Add(1)
 			if blocked {
-				lm.rec.Record(obs.Event{Kind: obs.EvLockGrant, Actor: owner,
+				lm.rec.Record(obs.Event{Kind: obs.EvLockGrant, Actor: owner.String(),
 					Object: res.Name, Dur: time.Since(start)})
 			}
 			return (*Held)(st), info, nil
@@ -511,7 +483,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 			start = time.Now()
 			lm.stats.blocked.Add(1)
 			lm.obsWaiting.Add(1)
-			lm.rec.Record(obs.Event{Kind: obs.EvLockBlock, Actor: owner,
+			lm.rec.Record(obs.Event{Kind: obs.EvLockBlock, Actor: owner.String(),
 				Object: res.Name, N: int64(len(bl)), Note: blockNote(mode, bl)})
 			if lm.fair {
 				token = &waiter{owner: owner, mode: mode, seq: lm.waitSeq.Add(1)}
@@ -574,7 +546,7 @@ func (lm *LockManager) acquire(owner string, res Resource, mode Mode) (h *Held, 
 		if token != nil {
 			mySeq = token.seq
 		}
-		bl = lm.blockers(owner, st, mode, mySeq)
+		bl = lm.blockers(root, st, mode, mySeq)
 		if len(bl) == 0 {
 			continue // unblocked while the detector ran; grant at loop top
 		}
@@ -617,7 +589,7 @@ func blockNote(mode Mode, bl []blockRef) string {
 			break
 		}
 		b.WriteByte(' ')
-		b.WriteString(r.owner)
+		b.WriteString(r.owner.String())
 		b.WriteByte('/')
 		b.WriteString(r.mode.String())
 	}
@@ -625,7 +597,7 @@ func blockNote(mode Mode, bl []blockRef) string {
 }
 
 // grantLocked records the grant. Caller holds the shard mutex.
-func grantLocked(st *lockState, owner string, mode Mode) {
+func grantLocked(st *lockState, owner Owner, mode Mode) {
 	for i := range st.granted {
 		if st.granted[i].owner == owner && sameMode(st.granted[i].mode, mode) {
 			st.granted[i].count++
@@ -677,19 +649,26 @@ func (lm *LockManager) Release(owner string, res Resource) {
 	sh := lm.shardFor(res)
 	sh.mu.Lock()
 	if st, ok := sh.locks[res]; ok {
-		sh.releaseLocked(st, owner)
+		sh.releaseLocked(st, Owner{id: owner})
 	}
 	sh.mu.Unlock()
 }
 
-// ReleaseHeld is Release for a lock in hand: it drops every mode the owner
-// holds on h's state, locking only h's shard and hashing nothing. The
-// engine releases a completed action's locks early by calling it for each
-// handle on the action's held list, so no release path scans the table
-// except ReleaseTree's. Releasing a handle again is a no-op, even if its
-// state was recycled for another resource meanwhile, as long as the owner
-// acquired nothing since (see DESIGN §4b.4).
+// ReleaseHeld is ReleaseHeldOwner for a string owner.
 func (lm *LockManager) ReleaseHeld(h *Held, owner string) {
+	lm.ReleaseHeldOwner(h, Owner{id: owner})
+}
+
+// ReleaseHeldOwner is Release for a lock in hand: it drops every mode the
+// owner holds on h's state, locking only h's shard and hashing nothing.
+// The engine releases a completed action's locks early by calling it for
+// each handle on the action's held list, so no release path scans the
+// table except ReleaseTree's and ReleaseSubtree's. Releasing a handle
+// again is a no-op, even if its state was recycled for another resource
+// meanwhile, as long as the owner acquired nothing since (see DESIGN
+// §4b.4); an owner of an ended transaction is never equal to a later one,
+// even on the same reused node.
+func (lm *LockManager) ReleaseHeldOwner(h *Held, owner Owner) {
 	st := (*lockState)(h)
 	st.sh.mu.Lock()
 	st.sh.releaseLocked(st, owner)
@@ -698,13 +677,21 @@ func (lm *LockManager) ReleaseHeld(h *Held, owner string) {
 
 // ReleaseTree drops every lock held by root or any of its descendants and
 // clears the root's detector state (doomed flag, age override). The engine
-// calls this at top-level commit and after abort cleanup.
+// calls this at top-level commit and after abort cleanup; a top-level id
+// names every node owner of its transaction.
+func (lm *LockManager) ReleaseTree(root string) {
+	lm.ReleaseSubtree(Owner{id: root})
+	lm.det.forget(root)
+}
+
+// ReleaseSubtree drops every lock held by o or any of its descendants: the
+// engine calls it for an aborted subtransaction. It leaves the detector
+// alone.
 //
 // It scans every shard, waking only the resources whose grant set changed:
 // it runs once per top-level commit or abort and once per aborted subtree.
-func (lm *LockManager) ReleaseTree(root string) {
-	prefix := root + "."
-	match := func(o string) bool { return o == root || strings.HasPrefix(o, prefix) }
+func (lm *LockManager) ReleaseSubtree(o Owner) {
+	match := func(g Owner) bool { return g.within(o) }
 	for _, sh := range lm.shards {
 		sh.mu.Lock()
 		for _, st := range sh.locks {
@@ -715,12 +702,11 @@ func (lm *LockManager) ReleaseTree(root string) {
 		}
 		sh.mu.Unlock()
 	}
-	lm.det.forget(root)
 }
 
 // removeOwnerLocked drops matching grants and reports whether any were
 // removed. Caller holds the shard mutex.
-func removeOwnerLocked(st *lockState, match func(string) bool) bool {
+func removeOwnerLocked(st *lockState, match func(Owner) bool) bool {
 	kept := st.granted[:0]
 	for _, g := range st.granted {
 		if !match(g.owner) {
@@ -735,9 +721,14 @@ func removeOwnerLocked(st *lockState, match func(string) bool) bool {
 	return changed
 }
 
-// TransferToParent reassigns every lock of child to parent (closed nested
-// commit: the parent inherits the child's locks).
+// TransferToParent is TransferOwner for string owners.
 func (lm *LockManager) TransferToParent(child, parent string) {
+	lm.TransferOwner(Owner{id: child}, Owner{id: parent})
+}
+
+// TransferOwner reassigns every lock of child to parent (closed nested
+// commit: the parent inherits the child's locks).
+func (lm *LockManager) TransferOwner(child, parent Owner) {
 	for _, sh := range lm.shards {
 		sh.mu.Lock()
 		for _, st := range sh.locks {
@@ -773,7 +764,7 @@ func (lm *LockManager) debugHook() func(string) {
 // dump renders requester, waits-for graph and non-empty lock states. It
 // locks one shard at a time, so the rendering is only per-shard consistent
 // (diagnostic use only).
-func (lm *LockManager) dump(owner string, mode Mode, res Resource) string {
+func (lm *LockManager) dump(owner Owner, mode Mode, res Resource) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TIMEOUT %s wants %s on %s\nwaitsFor:\n", owner, mode, res.Name)
 	for from, tos := range lm.det.edges() {

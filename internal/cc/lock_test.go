@@ -170,13 +170,13 @@ func TestSameRootNoSelfBlocking(t *testing.T) {
 }
 
 func TestAncestorBypass(t *testing.T) {
-	lm := NewLockManager(WithAncestorBypass())
+	lm := NewLockManager()
 	if err := lm.Acquire("T1", res("P"), X); err != nil {
 		t.Fatal(err)
 	}
-	// Child of T1 passes under Moss's rule; stranger blocks. (Note: the
-	// same-root rule already covers descendants; this exercises the
-	// explicit bypass with differently-rooted hierarchies.)
+	// Child of T1 passes under Moss's rule, which every manager applies:
+	// an ancestor is of the requester's own transaction, whose locks never
+	// block it.
 	if err := lm.Acquire("T1.3.1", res("P"), X); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,151 @@
+package cc
+
+import (
+	"math"
+	"slices"
+	"strings"
+
+	"repro/internal/span"
+)
+
+// Node is an owner's place in its transaction's action tree (the paper's
+// call tree, Definitions 2–4): its parent's node and its child number. A
+// zero Node is a tree's root. The engine embeds one in each action record,
+// so naming an action as a lock owner allocates nothing, and its id is
+// rendered only where something reads it. A node also keeps the child
+// numbers from the root down to it while they fit a span path inline, so a
+// dispatch's span copies its path and nothing walks the tree for it.
+//
+// A node's fields are set once, by SetChild, before the node owns anything
+// or is visible to another goroutine, and they do not change while it owns
+// anything. Goroutines that render or compare another transaction's owner
+// (a blocked acquire naming its blockers, the timeout message, the table
+// dump) read only these fields and the owner's root id.
+type Node struct {
+	parent *Node
+	n      int32 // child number under parent
+	depth  int32 // 0 for the root
+	// steps are the child numbers from the root down while the path fits
+	// inline; steps[0] is 0, which no child number is, once it does not.
+	steps span.Steps
+}
+
+// SetChild places nd as child number n of parent.
+func (nd *Node) SetChild(parent *Node, n int32) {
+	nd.parent, nd.n, nd.depth = parent, n, parent.depth+1
+	nd.steps = parent.steps
+	if d := int(nd.depth); d > len(nd.steps) || n > math.MaxUint16 || d > 1 && nd.steps[0] == 0 {
+		nd.steps[0] = 0
+	} else {
+		nd.steps[d-1] = uint16(n)
+	}
+}
+
+// Depth returns nd's nesting depth below its root (the root's is 0).
+func (nd *Node) Depth() int32 { return nd.depth }
+
+// inline reports whether steps hold nd's whole path.
+func (nd *Node) inline() bool { return nd.depth == 0 || nd.steps[0] != 0 }
+
+// appendPath appends the child numbers from the root down to nd.
+func (nd *Node) appendPath(dst []int32) []int32 {
+	i := len(dst) + int(nd.depth)
+	dst = slices.Grow(dst, int(nd.depth))[:i]
+	for ; nd.parent != nil; nd = nd.parent {
+		i--
+		dst[i] = nd.n
+	}
+	return dst
+}
+
+// appendID appends nd's id below top-level transaction root.
+func (nd *Node) appendID(dst []byte, root string) []byte {
+	if nd.inline() {
+		return nd.steps.AppendID(dst, root, int(nd.depth))
+	}
+	var pb [32]int32
+	return span.AppendID(dst, root, nd.appendPath(pb[:0]))
+}
+
+// Path returns nd's place in the tree of top-level transaction root by
+// value, as a dispatch's span keeps it.
+func (nd *Node) Path(root string) span.Path {
+	if nd.inline() {
+		return span.InlinePath(nd.steps, int(nd.depth))
+	}
+	return span.RenderedPath(string(nd.appendID(nil, root)))
+}
+
+// Owner names the holder of a lock. A node owner names a node of a
+// transaction's action tree: the never-reused id of the top-level
+// transaction, and the node. Two owners are the same owner iff they are
+// equal (==), and the same transaction iff their Root()s are equal, so the
+// lock manager compares owners without rendering them. Because the root
+// id is part of the value, an owner never equals the owner of an ended
+// transaction whose node record was reused.
+//
+// A string owner (Acquire, Release and the other string-typed calls) is a
+// hierarchical id such as "T3" or "T3.1.2" whose prefix up to the first
+// dot names the top-level transaction. A string owner and a node owner
+// are never the same owner; the one place the two forms meet is a
+// top-level id, which names its whole tree (ReleaseTree).
+type Owner struct {
+	id   string // the top-level id (node owner) or the whole id (string owner)
+	node *Node
+}
+
+// NodeOwner names node nd of the tree of top-level transaction root.
+func NodeOwner(root string, nd *Node) Owner { return Owner{id: root, node: nd} }
+
+// Root returns the top-level transaction id: the deadlock-detection
+// granule.
+func (o Owner) Root() string {
+	if o.node != nil {
+		return o.id
+	}
+	return RootOf(o.id)
+}
+
+// String renders the owner's hierarchical id: the root id, then "." and
+// each child number down to the node (span.AppendID). A root node renders
+// without allocating.
+func (o Owner) String() string {
+	if o.node == nil || o.node.depth == 0 {
+		return o.id
+	}
+	var b [64]byte
+	return string(o.node.appendID(b[:0], o.id))
+}
+
+// within reports whether o names t or a descendant of t.
+func (o Owner) within(t Owner) bool {
+	if o == t {
+		return true
+	}
+	if t.node == nil {
+		// t is an id string; a node owner's id is its root's.
+		return o.id == t.id || dottedPrefix(t.id, o.id)
+	}
+	if o.node == nil || o.id != t.id {
+		return false
+	}
+	for nd := o.node; nd != nil && nd.depth >= t.node.depth; nd = nd.parent {
+		if nd == t.node {
+			return true
+		}
+	}
+	return false
+}
+
+// dottedPrefix reports whether id extends prefix by a dotted suffix.
+func dottedPrefix(prefix, id string) bool {
+	return len(id) > len(prefix)+1 && id[len(prefix)] == '.' && id[:len(prefix)] == prefix
+}
+
+// RootOf returns the top-level transaction id of an owner id.
+func RootOf(owner string) string {
+	if i := strings.IndexByte(owner, '.'); i >= 0 {
+		return owner[:i]
+	}
+	return owner
+}

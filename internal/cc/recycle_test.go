@@ -95,7 +95,7 @@ func TestRecycledStateStartsEmpty(t *testing.T) {
 		if stB != stA {
 			t.Fatalf("fair=%v: B did not reuse A's state", fair)
 		}
-		if len(stB.granted) != 1 || stB.granted[0].owner != "T4" || len(stB.waiting) != 0 || stB.sleepers != 0 {
+		if len(stB.granted) != 1 || stB.granted[0].owner.String() != "T4" || len(stB.waiting) != 0 || stB.sleepers != 0 {
 			t.Fatalf("fair=%v: recycled state has grants %+v, waiters %d, sleepers %d; want only T4's grant",
 				fair, stB.granted, len(stB.waiting), stB.sleepers)
 		}

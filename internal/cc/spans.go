@@ -38,7 +38,7 @@ func blockerRefs(bl []blockRef) []BlockerRef {
 	}
 	out := make([]BlockerRef, len(bl))
 	for i, b := range bl {
-		out[i] = BlockerRef{Owner: b.owner, Mode: b.mode.String()}
+		out[i] = BlockerRef{Owner: b.owner.String(), Mode: b.mode.String()}
 	}
 	return out
 }
@@ -72,11 +72,17 @@ func (id ActionID) ActionID() string { return string(id) }
 //     recorded as an inherited-from edge, the paper's Def. 10 inheritance
 //     made explicit).
 func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, req Requester, owner string, res Resource, mode Mode) (*Held, error) {
+	return lm.AcquireOwner(tt, req, Owner{id: owner}, res, mode)
+}
+
+// AcquireOwner is AcquireTraced for an owner of any form: the engine's are
+// nodes of its action trees.
+func (lm *LockManager) AcquireOwner(tt *span.TxnTrace, req Requester, owner Owner, res Resource, mode Mode) (*Held, error) {
 	h, info, err := lm.acquire(owner, res, mode)
 	if tt != nil && (info.Blocked || err != nil) {
-		// Render the requester and the mode only for a span that will be
-		// recorded.
-		RecordLockSpan(tt, req.ActionID(), owner, res.Name, mode.String(), info, err)
+		// Render the requester, the owner and the mode only for a span
+		// that will be recorded.
+		RecordLockSpan(tt, req.ActionID(), owner.String(), res.Name, mode.String(), info, err)
 	}
 	return h, err
 }

@@ -88,8 +88,8 @@ func (sh *lockShard) gcState(st *lockState) {
 // wakes st's waiters and collects st if it went idle. A state that carries
 // no grant of owner — because it was released already, or recycled for
 // another resource since — is left alone. Caller holds sh.mu.
-func (sh *lockShard) releaseLocked(st *lockState, owner string) {
-	if removeOwnerLocked(st, func(o string) bool { return o == owner }) {
+func (sh *lockShard) releaseLocked(st *lockState, owner Owner) {
+	if removeOwnerLocked(st, func(o Owner) bool { return o == owner }) {
 		st.cond.Broadcast()
 		sh.gcState(st)
 	}

@@ -345,9 +345,6 @@ func Open(opts Options) *DB {
 	if opts.LockTimeout > 0 {
 		lmOpts = append(lmOpts, cc.WithWaitTimeout(opts.LockTimeout))
 	}
-	if opts.Protocol == ProtocolClosedNested {
-		lmOpts = append(lmOpts, cc.WithAncestorBypass())
-	}
 	if opts.FairLocks {
 		lmOpts = append(lmOpts, cc.WithFairness())
 	}

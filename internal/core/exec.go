@@ -24,18 +24,18 @@ import (
 // the record is zeroed and reused by a later one (Txn.recycle). Nothing may
 // keep a pointer to it past that point — not a trace (its dispatch spans are
 // copied out at End), not the lock table (every grant and waiter naming
-// &sem is gone by then), not a method body (see Ctx).
+// &sem or &node is gone by then), not a method body (see Ctx).
 type runtimeAction struct {
-	// id is the action's hierarchical id: its parent's id and its child
-	// number n. A composite action's is rendered at dispatch, since it
-	// names the owner of its children's locks and records; a primitive page
-	// action's is rendered by ActionID where something reads it. Only the
-	// dispatching goroutine writes id, and only before span.End publishes
-	// the record to other readers.
-	id     string
 	parent *runtimeAction
 	txn    *Txn
-	obj    txn.OID
+	// node is the action's place in its transaction's tree: its parent's
+	// node and its child number, set before the action is dispatched. With
+	// the transaction's id it names the action as a lock owner (owner),
+	// and its hierarchical id is rendered from it only where something
+	// reads the id (ActionID): a log record, a rollback, a contended lock's
+	// span, the formal trace. The root's node is the tree's root.
+	node cc.Node
+	obj  txn.OID
 	// sem.Inv is the invocation this action executes. Under open nesting
 	// sem.Spec is set too, and sem is the semantic lock mode the caller
 	// takes on obj: the lock table and the method span hold &sem, so the
@@ -57,41 +57,40 @@ type runtimeAction struct {
 	// subtree and not consumed there: a page write, an intent of a
 	// completed child, or the records of a child that kept its locks.
 	hasWrites atomic.Bool
-	// depth is the nesting depth below the transaction root (root = 0).
-	depth int32
-	// n is the action's child number under its parent, nchildren the
-	// number of children it has dispatched (guarded by txn.mu).
-	n, nchildren int32
+	// nchildren is the number of children the action has dispatched
+	// (guarded by txn.mu).
+	nchildren int32
 	// held lists the locks this action owns under open nesting: the
 	// handles its children's acquires granted, and the lists of children
 	// that handed their locks up. Its early release goes straight to each
 	// handle instead of searching the lock table. A handle may repeat (only
 	// a repeat of the last entry is skipped): releasing it again is a no-op
 	// (DESIGN §4b.4). Guarded by txn.mu while children run; final once the
-	// action's method returns. heldBuf backs the first few.
+	// action's method returns. heldBuf backs the first few; a longer list's
+	// array outlives the transaction (reset).
 	held    []*cc.Held
 	heldBuf [4]*cc.Held
 }
 
-// ActionID returns the action's id, rendering a page action's on first
-// use (cc.Requester). Only the dispatching goroutine may call it.
-func (a *runtimeAction) ActionID() string {
-	if a.id == "" {
-		a.id = a.childID()
-	}
-	return a.id
+// owner names the action as a lock owner: a node of its transaction's
+// tree. Comparing it renders nothing.
+func (a *runtimeAction) owner() cc.Owner { return cc.NodeOwner(a.txn.id, &a.node) }
+
+// ActionID renders the action's hierarchical id (cc.Requester): the
+// transaction's id, then "." and each child number down to the action. The
+// root's is the transaction's id and costs nothing; any other allocates
+// the string on every call, so a caller that needs it twice keeps it.
+func (a *runtimeAction) ActionID() string { return a.owner().String() }
+
+// Dispatch names the action for its method span (span.Dispatch): its path
+// of child numbers by value, which the trace renders only when it is read.
+func (a *runtimeAction) Dispatch() (path span.Path, object, method string) {
+	return a.node.Path(a.txn.id), a.obj.Name, a.sem.Inv.Method
 }
 
-func (a *runtimeAction) childID() string {
-	return a.parent.id + "." + strconv.Itoa(int(a.n))
-}
-
-// Dispatch names the action for its method span (span.Dispatch): a page
-// action's id, when nothing rendered it, is left to the trace to render
-// from the parent's id and the child number, as childID does.
-func (a *runtimeAction) Dispatch() (id, parent string, n int32, object, method string) {
-	return a.id, a.parent.id, a.n, a.obj.Name, a.sem.Inv.Method
-}
+// parentID returns the parent's id given the action's: the id up to its
+// last child number.
+func parentID(id string) string { return id[:strings.LastIndexByte(id, '.')] }
 
 // hold appends granted locks to a's held list. The root keeps no list: its
 // locks are released by ReleaseTree at commit or abort.
@@ -113,10 +112,13 @@ func (a *runtimeAction) hold(hs ...*cc.Held) {
 
 // Txn is a top-level transaction.
 type Txn struct {
-	db    *DB
-	id    string
-	seq   int64
-	root  *runtimeAction
+	db  *DB
+	id  string
+	seq int64
+	// root is the transaction's root action. It lives inside the Txn,
+	// which callers keep after the end and nothing reuses, so it is never
+	// recycled.
+	root  runtimeAction
 	began time.Time
 	// tt is this transaction's span trace (nil when tracing is disabled or
 	// the transaction was not sampled; every method is nil-receiver safe).
@@ -182,7 +184,7 @@ func (t *Txn) compensating(parent *runtimeAction) (running bool, entry uint64) {
 func (db *DB) Begin() *Txn {
 	if db.closedFlag.Load() {
 		t := &Txn{db: db, id: "T-refused", refused: true}
-		t.root = &runtimeAction{id: t.id, txn: t, obj: txn.SystemObject}
+		t.root.txn, t.root.obj = t, txn.SystemObject
 		return t
 	}
 	n := db.txnSeq.Add(1)
@@ -193,7 +195,7 @@ func (db *DB) Begin() *Txn {
 		seq:   n,
 		began: time.Now(),
 	}
-	t.root = &runtimeAction{id: id, txn: t, obj: txn.SystemObject}
+	t.root.txn, t.root.obj = t, txn.SystemObject
 	t.tt = db.spans.BeginTxn(id, t.began)
 	db.stats.txnsStarted.Add(1)
 	db.obsRec.Record(obs.Event{Kind: obs.EvTxnBegin, Actor: id})
@@ -245,7 +247,8 @@ func (c *Ctx) DB() *DB { return c.action().txn.db }
 // TxnID returns the enclosing top-level transaction id.
 func (c *Ctx) TxnID() string { return c.action().txn.id }
 
-// ActionID returns the current action's hierarchical id.
+// ActionID renders the current action's hierarchical id (each call
+// renders it anew).
 func (c *Ctx) ActionID() string { return c.action().ActionID() }
 
 // Call invokes a method on an object as a sequential subtransaction of the
@@ -288,20 +291,20 @@ func (c *Ctx) Parallel(calls []ParCall) ([]string, error) {
 // Exec invokes a method as a direct (sequential) action of the top-level
 // transaction.
 func (t *Txn) Exec(obj txn.OID, method string, params ...string) (string, error) {
-	return t.db.invoke(t, t.root, obj, method, params, false)
+	return t.db.invoke(t, &t.root, obj, method, params, false)
 }
 
 // ExecParallel runs top-level calls concurrently (intra-transaction
 // parallelism: each call is its own process).
 func (t *Txn) ExecParallel(calls []ParCall) ([]string, error) {
-	return (*Ctx)(t.root).Parallel(calls)
+	return (*Ctx)(&t.root).Parallel(calls)
 }
 
 // invoke runs one method invocation as a subtransaction of parent. Its
 // action record is reused from an earlier transaction, so the common path
 // allocates nothing: up to two params are copied into the record (params
 // itself must not escape, so Call's variadic slice stays on the caller's
-// stack), and a page action's id is rendered only where it is read.
+// stack), and no action's id is rendered unless something reads it.
 func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, params []string, parallel bool) (string, error) {
 	if t.refused {
 		return "", ErrClosed
@@ -336,13 +339,9 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 
 	a.parent = parent
 	a.txn = t
+	a.node.SetChild(&parent.node, n)
 	a.obj = obj
 	a.sem.Inv.Method = method
-	a.depth = parent.depth + 1
-	a.n = n
-	if obj.Type != PageType {
-		a.id = a.childID()
-	}
 	switch {
 	case params == nil:
 	case len(params) <= len(a.args):
@@ -353,7 +352,7 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	db.stats.actions.Add(1)
 	for {
 		cur := t.maxDepth.Load()
-		if int64(a.depth) <= cur || t.maxDepth.CompareAndSwap(cur, int64(a.depth)) {
+		if d := int64(a.node.Depth()); d <= cur || t.maxDepth.CompareAndSwap(cur, d) {
 			break
 		}
 	}
@@ -361,17 +360,18 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	// One span per method dispatch — the node of the paper's nested action
 	// tree (Def. 2–4), recorded inside the action itself. Opened before lock
 	// acquisition so a contended lock's span nests inside it.
-	t.tt.BeginMethod(&a.span, a)
+	t.tt.BeginMethod(&a.span)
 
 	if err := db.acquireFor(t, a, ot); err != nil {
-		a.span.End(err)
+		a.span.End(a, err)
 		return "", err
 	}
 
 	if db.tracing && obj.Type != PageType {
+		id := a.ActionID()
 		db.rec.Record(trace.Event{
-			ID:       a.id,
-			Parent:   parent.id,
+			ID:       id,
+			Parent:   parentID(id),
 			ObjType:  obj.Type,
 			ObjName:  obj.Name,
 			Method:   method,
@@ -394,11 +394,11 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 	}
 	if err != nil {
 		db.abortSubtree(t, a)
-		a.span.End(err)
+		a.span.End(a, err)
 		return "", err
 	}
 	db.completeAction(t, a, ot, result)
-	a.span.End(nil)
+	a.span.End(a, nil)
 	return result, nil
 }
 
@@ -411,7 +411,7 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 // walks; a failed acquire granted nothing, so there is nothing to list.
 func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 	var mode cc.Mode
-	owner := t.id
+	owner := t.root.owner()
 	switch db.protocol {
 	case Protocol2PLPage:
 		if a.obj.Type != PageType {
@@ -429,19 +429,19 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 		// enabled on the manager). A page access is primitive — it commits
 		// as it returns, with no completion step to hand its lock up — so
 		// the lock is taken in the caller's name, and the caller's own
-		// commit passes it on (completeAction's TransferToParent).
-		mode, owner = rwModeFor(ot, a.sem.Inv.Method), a.parent.id
+		// commit passes it on (completeAction's TransferOwner).
+		mode, owner = rwModeFor(ot, a.sem.Inv.Method), a.parent.owner()
 	case ProtocolOpenNested:
 		// The semantic lock on the object is owned by the CALLER — the
 		// transaction on this object in the paper's sense — and lives until
 		// the caller completes.
 		a.sem.Spec = ot.Spec
-		mode, owner = &a.sem, a.parent.id
+		mode, owner = &a.sem, a.parent.owner()
 	default: // ProtocolNone
 		return nil
 	}
 	a.span.SetMode(mode)
-	h, err := db.lm.AcquireTraced(t.tt, a, owner, a.obj, mode)
+	h, err := db.lm.AcquireOwner(t.tt, a, owner, a.obj, mode)
 	if err == nil && db.protocol == ProtocolOpenNested {
 		a.parent.hold(h)
 	}
@@ -468,11 +468,15 @@ func (db *DB) pageOp(a *runtimeAction, pid storage.PageID, parallel bool) (strin
 	}
 	defer db.pool.Unpin(frame)
 
+	var id string // rendered for a write's log record or the formal trace
 	record := func() {
 		if db.tracing {
+			if id == "" {
+				id = a.ActionID()
+			}
 			db.rec.Record(trace.Event{
-				ID:       a.ActionID(),
-				Parent:   a.parent.id,
+				ID:       id,
+				Parent:   parentID(id),
 				ObjType:  PageType,
 				ObjName:  a.obj.Name,
 				Method:   a.sem.Inv.Method,
@@ -504,7 +508,7 @@ func (db *DB) pageOp(a *runtimeAction, pid storage.PageID, parallel bool) (strin
 		// barrier additionally keeps [frame change + log record] atomic with
 		// respect to CrashImage. The record names the action, so its id is
 		// rendered here, before the latch.
-		id := a.ActionID()
+		id = a.ActionID()
 		db.snapMu.RLock()
 		frame.Latch()
 		before := frame.Data()
@@ -527,8 +531,8 @@ func (db *DB) pageOp(a *runtimeAction, pid storage.PageID, parallel bool) (strin
 func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result string) {
 	if a.obj.Type == PageType {
 		// Page accesses are primitive; their updates were logged under
-		// their own ids, in the parent's subtree, and their locks (2PL/
-		// closed: held by t.id or a.id; open: held by a.parent.id) follow
+		// their own ids, in the parent's subtree, and their locks (2PL:
+		// held by the root; closed and open: held by the parent) follow
 		// the general rules below.
 		return
 	}
@@ -540,22 +544,22 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 	case ProtocolClosedNested:
 		// The parent inherits the child's locks (and, transitively, those
 		// of the child's completed descendants).
-		db.lm.TransferToParent(a.id, parent.id)
+		db.lm.TransferOwner(a.owner(), parent.owner())
 	case ProtocolOpenNested:
 		if comp := ot.Compensate[a.sem.Inv.Method]; comp != nil {
 			// The locks the subtransaction acquired underneath can be
-			// released early: the invocation lock on a.obj (owner
-			// parent.id) continues to protect it.
+			// released early: the invocation lock on a.obj (owned by
+			// parent) continues to protect it.
 			if m, cp, need := comp(a.sem.Inv.Params, result); need && !running {
 				// The committed subtransaction is now undone logically: the
 				// intent supersedes the subtree's records.
-				db.wal.LogIntent(a.id, compensationNote(a.obj, m, cp))
+				db.wal.LogIntent(a.ActionID(), compensationNote(a.obj, m, cp))
 				parent.hasWrites.Store(true)
 			} else if entry != 0 || a.hasWrites.Load() {
 				// Nothing to undo (a read-only call), or a compensation in
 				// progress: no inverse-of-inverse, just consume what the
 				// subtree logged and the intent a compensation executed.
-				db.wal.LogDiscardUnder(a.id, entry)
+				db.wal.LogDiscardUnder(a.ActionID(), entry)
 			}
 			db.releaseHeld(a)
 			return
@@ -569,24 +573,25 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 		// them to the parent, and with them the list naming them) and leave
 		// the physical records to a later ancestor with a compensation, or
 		// to the top-level abort while the locks are still held.
-		db.lm.TransferToParent(a.id, parent.id)
+		db.lm.TransferOwner(a.owner(), parent.owner())
 		parent.hold(a.held...)
 	}
 	// Flat 2PL variants keep the locks on the root until commit. The parent
 	// inherits the subtree's records, unless a running compensation
 	// consumes them.
 	if entry != 0 {
-		db.wal.LogDiscardUnder(a.id, entry)
+		db.wal.LogDiscardUnder(a.ActionID(), entry)
 	} else if a.hasWrites.Load() {
 		parent.hasWrites.Store(true)
 	}
 }
 
 // releaseHeld releases a completed action's locks early (open nesting):
-// one single-shard ReleaseHeld per handle on its held list.
+// one single-shard ReleaseHeldOwner per handle on its held list.
 func (db *DB) releaseHeld(a *runtimeAction) {
+	owner := a.owner()
 	for _, h := range a.held {
-		db.lm.ReleaseHeld(h, a.id)
+		db.lm.ReleaseHeldOwner(h, owner)
 	}
 }
 
@@ -597,16 +602,16 @@ func (db *DB) releaseHeld(a *runtimeAction) {
 // the inverse operations, as open-nesting theory prescribes).
 func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
 	id := a.ActionID()
-	compensated := db.rollback(t, a, db.wal.LiveUndo(id, 0))
-	db.lm.ReleaseTree(id)
+	compensated := db.rollback(t, a, id, db.wal.LiveUndo(id, 0))
+	db.lm.ReleaseSubtree(a.owner())
 	if db.tracing && !compensated {
 		db.rec.MarkAborted(id)
 	}
 }
 
-// rollback undoes under's subtree — recs are its live undo records from
-// the WAL, newest first — and reports whether any logical compensation
-// ran. Compensations run as fresh subtransactions of under; physical
+// rollback undoes under's subtree — id is under's id, recs its live undo
+// records from the WAL, newest first — and reports whether any logical
+// compensation ran. Compensations run as fresh subtransactions of under; physical
 // records restore before-images directly (their page locks are still held
 // by construction).
 //
@@ -617,12 +622,12 @@ func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
 // compensator, timeout) are retried; open-nesting theory assumes
 // compensations are total, so a persistent failure is logged as
 // unrecoverable and the rollback goes on.
-func (db *DB) rollback(t *Txn, under *runtimeAction, recs []storage.Record) bool {
+func (db *DB) rollback(t *Txn, under *runtimeAction, id string, recs []storage.Record) bool {
 	compensated := false
-	root := cc.RootOf(under.id)
+	root := t.id
 	// The compensator below never fails, so undo's error can only be an
 	// intent note this engine did not encode.
-	_, _, _ = db.undo(recs, under.id, func(obj txn.OID, method string, params []string, entry uint64) error {
+	_, _, _ = db.undo(recs, id, func(obj txn.OID, method string, params []string, entry uint64) error {
 		if !compensated {
 			db.lm.ClearDoomed(root)
 			compensated = true
@@ -633,13 +638,13 @@ func (db *DB) rollback(t *Txn, under *runtimeAction, recs []storage.Record) bool
 		db.stats.compensations.Add(1)
 		var err error
 		for attempt := 0; attempt < 20; attempt++ {
-			if err = t.compensate(under, obj, method, params, entry); err == nil {
+			if err = t.compensate(under, id, obj, method, params, entry); err == nil {
 				return nil
 			}
 			db.lm.ClearDoomed(root)
 			time.Sleep(time.Duration(attempt+1) * 200 * time.Microsecond)
 		}
-		db.wal.LogAbort(under.id + ":compensation-failed:" + err.Error())
+		db.wal.LogAbort(id + ":compensation-failed:" + err.Error())
 		return nil
 	})
 	return compensated
@@ -704,15 +709,15 @@ func (db *DB) restorePage(r storage.Record, owner string) error {
 }
 
 // compensate runs one compensating invocation as a subtransaction of
-// under, in rollback mode: no inverse-of-the-inverse is queued, and the
+// under (whose id is underID), in rollback mode: no inverse-of-the-inverse is queued, and the
 // compensating action's completion consumes the intent entry in its own
 // discard. The previous mode is restored afterwards, so a rollback nested
 // inside a compensation hands the outer intent back.
-func (t *Txn) compensate(under *runtimeAction, obj txn.OID, method string, params []string, entry uint64) error {
+func (t *Txn) compensate(under *runtimeAction, underID string, obj txn.OID, method string, params []string, entry uint64) error {
 	c := &pendingComp{under: under}
 	c.entry.Store(entry)
 	saved := t.comp.Swap(c)
-	t.db.wal.LogCompensation(under.id, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
+	t.db.wal.LogCompensation(underID, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
 	_, err := t.db.invoke(t, under, obj, method, params, false)
 	t.comp.Store(saved)
 	return err
@@ -727,7 +732,7 @@ func (t *Txn) compensate(under *runtimeAction, obj txn.OID, method string, param
 func (db *DB) UndoLosers(recs []storage.Record) (physical, logical int, err error) {
 	return db.undo(recs, "", func(obj txn.OID, method string, params []string, entry uint64) error {
 		tx := db.Begin()
-		if err := tx.compensate(tx.root, obj, method, params, entry); err != nil {
+		if err := tx.compensate(&tx.root, tx.id, obj, method, params, entry); err != nil {
 			_ = tx.Abort()
 			return err
 		}
@@ -796,7 +801,7 @@ func (t *Txn) RollbackTo(sp Savepoint) error {
 	t.savepoints = t.savepoints[:i+1]
 	t.mu.Unlock()
 
-	t.db.rollback(t, t.root, t.db.wal.LiveUndo(t.id, sp.lsn))
+	t.db.rollback(t, &t.root, t.id, t.db.wal.LiveUndo(t.id, sp.lsn))
 	return nil
 }
 
@@ -927,7 +932,7 @@ func (t *Txn) Abort() error {
 // and the flight recorder, and returns the action records for reuse. cause
 // is the rejection of a failed commit, nil for Abort.
 func (t *Txn) abort(undo []storage.Record, cause error) {
-	t.db.rollback(t, t.root, undo)
+	t.db.rollback(t, &t.root, t.id, undo)
 	t.mu.Lock()
 	t.finished = true
 	compensated := t.compensated

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/cc"
+)
 
 // actionPool holds chains of zeroed action records linked through next. A
 // transaction takes one chain at its first dispatch and, when it ends,
@@ -57,10 +61,23 @@ func (t *Txn) recycle() {
 	actionPool.Put(head)
 }
 
+// maxKeptHeld bounds the held list whose array a reused record keeps: a
+// list that outgrew heldBuf would otherwise be grown again in every
+// transaction, while one bulk load's list of thousands of locks is left to
+// the collector.
+const maxKeptHeld = 256
+
 // reset zeroes the record — its parent, transaction, span, mode, params and
-// held locks — and links it before next.
+// held locks — and links it before next. A held list that outgrew heldBuf
+// keeps its array, cleared.
 func (a *runtimeAction) reset(next *runtimeAction) {
 	gen := a.guard.lives()
-	*a = runtimeAction{next: next}
+	var held []*cc.Held
+	if c := cap(a.held); c > len(a.heldBuf) && c <= maxKeptHeld {
+		held = a.held[:c]
+		clear(held)
+		held = held[:0]
+	}
+	*a = runtimeAction{next: next, held: held}
 	a.guard.recycled(gen)
 }

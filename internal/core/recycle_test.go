@@ -16,8 +16,8 @@ import (
 // TestTxnRecyclesActions: a transaction's action records are reused by
 // the transactions after it, so in steady state what a transaction
 // allocates grows with its dispatches only by what the records do not
-// cover. An Exec of reg.get is two dispatches, get and its page read; the
-// only allocation left per get is its id, rendered at dispatch.
+// cover. An Exec of reg.get is two dispatches, get and its page read, and
+// neither renders its id, so an extra get allocates nothing.
 func TestTxnRecyclesActions(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -55,8 +55,8 @@ func TestTxnRecyclesActions(t *testing.T) {
 	}
 	one, sixteen := perTxn(1), perTxn(16)
 	t.Logf("allocs per txn: %.2f with 1 get, %.2f with 16", one, sixteen)
-	if grow := (sixteen - one) / 15; grow > 1.05 {
-		t.Fatalf("%.2f allocs per extra get, want <= 1 (its id)", grow)
+	if grow := (sixteen - one) / 15; grow > 0.05 {
+		t.Fatalf("%.2f allocs per extra get, want 0", grow)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -310,13 +311,77 @@ func (a *ActiveSpan) End(err error) {
 // would cost a reallocation per doubling.
 const initialSpans = 16
 
-// Dispatch names a method dispatch for its span: the action's id, its
-// parent's id, its child number, and the object and method it invokes. An
-// id not rendered yet is "" and stands for parent + "." + n. The executing
-// action implements it; End reads it once, so the values must be final
-// when the record ends.
+// Dispatch names a method dispatch for its span: its place in the
+// transaction's action tree, and the object and method it invokes. The
+// executing action implements it; End reads it once.
 type Dispatch interface {
-	Dispatch() (id, parent string, n int32, object, method string)
+	Dispatch() (path Path, object, method string)
+}
+
+// Path is a dispatch's place in its transaction's action tree, by value:
+// the child numbers from the root down to it. Its id — the transaction's
+// id, then "." and each child number, as AppendID renders it — is rendered
+// only when a snapshot reads it, so a dispatch record neither renders its
+// id nor points at anything that could. A path deeper than the inline
+// array, or with a child number past 65535, keeps its id rendered instead.
+type Path struct {
+	id    string
+	n     Steps
+	depth uint8
+}
+
+// Steps are the child numbers of a path a Path keeps inline: at most
+// PathInline of them, each at most 65535.
+type Steps [PathInline]uint16
+
+// PathInline is the depth a Path keeps by value; the engine's workloads
+// nest four or five deep.
+const PathInline = 8
+
+// InlinePath returns the path of the first depth child numbers of steps.
+func InlinePath(steps Steps, depth int) Path { return Path{n: steps, depth: uint8(depth)} }
+
+// RenderedPath returns the path whose id is id: one that does not fit a
+// Path inline.
+func RenderedPath(id string) Path { return Path{id: id} }
+
+// ids renders the dispatch's id and its parent's under the transaction
+// root: one string, the parent's a prefix of it.
+func (p *Path) ids(root string) (id, parent string) {
+	id = p.id
+	if id == "" {
+		var b [64]byte
+		id = string(p.n.AppendID(b[:0], root, int(p.depth)))
+	}
+	if i := strings.LastIndexByte(id, '.'); i >= 0 {
+		parent = id[:i]
+	}
+	return id, parent
+}
+
+// AppendID appends the id of the action at path below the top-level
+// action root: root, then "." and each child number. It is the one
+// renderer of action ids: lock owners, dispatch records and the engine's
+// log records all render through it (Steps.AppendID for an inline path).
+func AppendID(dst []byte, root string, path []int32) []byte {
+	dst = append(dst, root...)
+	for _, n := range path {
+		dst = appendStep(dst, int64(n))
+	}
+	return dst
+}
+
+// AppendID is AppendID for the first depth child numbers of s.
+func (s *Steps) AppendID(dst []byte, root string, depth int) []byte {
+	dst = append(dst, root...)
+	for _, n := range s[:depth] {
+		dst = appendStep(dst, int64(n))
+	}
+	return dst
+}
+
+func appendStep(dst []byte, n int64) []byte {
+	return strconv.AppendInt(append(dst, '.'), n, 10)
 }
 
 // Mode is the lock mode — the commutativity class — a dispatch runs under.
@@ -359,24 +424,23 @@ func (c *Class) params() []string {
 
 // Method is the span record of one open method dispatch, held by value in
 // the action it describes: beginning it allocates nothing. End copies it,
-// with what it names and its mode, into the trace as a value record. A
-// record begun on a nil trace stays inert.
+// with what the action names and its mode, into the trace as a value
+// record. A record begun on a nil trace stays inert.
 type Method struct {
 	tt   *TxnTrace
-	src  Dispatch
 	mode Mode
 	// start is an offset from the trace's start: one monotonic clock read.
 	start time.Duration
 	seq   int
 }
 
-// BeginMethod opens m as the dispatch span of src. The record is owned by
-// the calling goroutine.
-func (tt *TxnTrace) BeginMethod(m *Method, src Dispatch) {
+// BeginMethod opens m as a dispatch span. The record is owned by the
+// calling goroutine.
+func (tt *TxnTrace) BeginMethod(m *Method) {
 	if tt == nil {
 		return
 	}
-	m.tt, m.src = tt, src
+	m.tt = tt
 	m.seq = int(tt.seq.Add(1))
 	m.start = time.Since(tt.start)
 }
@@ -389,9 +453,9 @@ func (m *Method) SetMode(mode Mode) {
 	}
 }
 
-// End closes the record (stamping err, when non-nil) and copies it into the
-// trace. Neither the record's source nor its mode is read afterwards.
-func (m *Method) End(err error) {
+// End closes the record of dispatch src (stamping err, when non-nil) and
+// copies it into the trace. Neither src nor the mode is read afterwards.
+func (m *Method) End(src Dispatch, err error) {
 	tt := m.tt
 	if tt == nil {
 		return
@@ -399,7 +463,9 @@ func (m *Method) End(err error) {
 	var r dispatchRec
 	r.end = time.Since(tt.start)
 	r.start, r.seq = m.start, int32(m.seq)
-	r.id, r.parent, r.n, r.object, r.method = m.src.Dispatch()
+	var p Path
+	p, r.object, r.method = src.Dispatch()
+	r.id, r.path, r.depth = p.id, p.n, p.depth
 	if m.mode != nil {
 		r.class = m.mode.Class()
 	}
@@ -417,25 +483,25 @@ func (m *Method) End(err error) {
 // dispatchRec is an ended dispatch by value: what its KMethod span renders
 // from. It points at no action, so a retained trace keeps none reachable.
 type dispatchRec struct {
-	id, parent     string
 	object, method string
 	err            string
 	class          Class
 	// start and end are offsets from the trace's start.
 	start, end time.Duration
-	seq        int32
-	// n is the child number an unrendered id ("") is rendered from.
-	n int32
+	// path's fields are kept flat, so seq fills its padding.
+	id    string
+	path  Steps
+	depth uint8
+	seq   int32
 }
 
-// span renders the record as the KMethod span it stands for.
-func (r *dispatchRec) span(start time.Time) Span {
-	id := r.id
-	if id == "" {
-		id = r.parent + "." + strconv.Itoa(int(r.n))
-	}
+// span renders the record as the KMethod span it stands for, in the trace
+// of transaction root.
+func (r *dispatchRec) span(root string, start time.Time) Span {
+	p := Path{id: r.id, n: r.path, depth: r.depth}
+	id, parent := p.ids(root)
 	sp := Span{
-		ID: id, Parent: r.parent, Kind: KMethod, Name: r.object + "." + r.method,
+		ID: id, Parent: parent, Kind: KMethod, Name: r.object + "." + r.method,
 		Object: r.object, Method: r.method,
 		Start: start.Add(r.start), End: start.Add(r.end),
 		Err: r.err, Seq: int(r.seq),
@@ -531,10 +597,10 @@ func (tt *TxnTrace) Snapshot() TxnSpans {
 	// Dispatch records leave Name and Class unrendered on the hot path;
 	// derive them here.
 	for i := range methods {
-		spans = append(spans, methods[i].span(tt.start))
+		spans = append(spans, methods[i].span(tt.txnID, tt.start))
 	}
 	for i := range live {
-		spans = append(spans, live[i].span(tt.start))
+		spans = append(spans, live[i].span(tt.txnID, tt.start))
 	}
 	// Recorded spans are appended at End (children before parents);
 	// re-establish begin order for rendering. The root keeps Seq 0.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,12 +65,12 @@ func TestSnapshotAbortProvenance(t *testing.T) {
 	tr := New()
 	tt := tr.BeginTxn("T7", time.Now())
 	var ms Method
-	tt.BeginMethod(&ms, &dispatch{"T7.1", "T7", "Acct", "debit"})
+	tt.BeginMethod(&ms)
 	ls := tt.BeginSpan("T7.1/lock(P1)", "T7.1", KLock, "lock P1")
 	ls.AddEdge(Edge{Kind: EdgeBlockedOn, Peer: "T3.1", PeerRoot: "T3", Object: "P1", Mode: "X"})
 	ls.AddEdge(Edge{Kind: EdgeVictimOf, Peer: "T3", PeerRoot: "T3", Object: "P1", Note: "cycle T7→T3→T7"})
 	ls.End(errors.New("cc: deadlock victim"))
-	ms.End(errors.New("cc: deadlock victim"))
+	ms.End(&dispatch{"T7.1", "T7", "Acct", "debit"}, errors.New("cc: deadlock victim"))
 	tr.FinishTxn(tt, StatusAborted)
 
 	snap := tr.Lookup("T7").Snapshot()
@@ -208,11 +209,11 @@ func TestConcurrentRecording(t *testing.T) {
 					go func(p int) {
 						defer sub.Done()
 						ms := new(Method)
-						tt.BeginMethod(ms, &dispatch{fmt.Sprintf("%s.%d", id, p), id, "O", "m"})
+						tt.BeginMethod(ms)
 						as := tt.BeginSpan(fmt.Sprintf("%s.%d/lock", id, p), id, KLock, "lock O")
 						as.AddEdge(Edge{Kind: EdgeBlockedOn, Peer: "Tx", Object: "O"})
 						as.End(nil)
-						ms.End(nil)
+						ms.End(&dispatch{fmt.Sprintf("%s.%d", id, p), id, "O", "m"}, nil)
 					}(p)
 				}
 				sub.Wait()
@@ -358,9 +359,9 @@ func TestSetModeRenderedAtSnapshot(t *testing.T) {
 	tt := tr.BeginTxn("T1", time.Now())
 	var renders atomic.Int64
 	var ms Method
-	tt.BeginMethod(&ms, &dispatch{"T1.1", "T1", "Tree", "insert"})
+	tt.BeginMethod(&ms)
 	ms.SetMode(countingStringer{&renders})
-	ms.End(nil)
+	ms.End(&dispatch{"T1.1", "T1", "Tree", "insert"}, nil)
 	cs := tt.BeginSpan("T1.2", "T1", KSession, "session")
 	cs.SetClass("p0")
 	cs.End(nil)
@@ -396,12 +397,12 @@ func TestSnapshotWhileSpansEnd(t *testing.T) {
 			recs := make([]Method, 50)
 			for i := range recs {
 				id := fmt.Sprintf("T1.%d.%d", g, i)
-				tt.BeginMethod(&recs[i], &dispatch{id, "T1", "O", "m"})
+				tt.BeginMethod(&recs[i])
 				recs[i].SetMode(stringer("X"))
 				as := tt.BeginSpan(id+"/lock(O)", id, KLock, "lock O")
 				as.SetClass("X")
 				as.End(nil)
-				recs[i].End(nil)
+				recs[i].End(&dispatch{id, "T1", "O", "m"}, nil)
 			}
 		}(g)
 	}
@@ -421,8 +422,30 @@ func TestSnapshotWhileSpansEnd(t *testing.T) {
 // dispatch is a fixed span.Dispatch, standing in for an engine action.
 type dispatch struct{ id, parent, object, method string }
 
-func (d *dispatch) Dispatch() (id, parent string, n int32, object, method string) {
-	return d.id, d.parent, 0, d.object, d.method
+func (d *dispatch) Dispatch() (path Path, object, method string) {
+	return pathOf(d.id), d.object, d.method
+}
+
+// pathOf parses a rendered id back into the path it names.
+func pathOf(id string, more ...int32) Path {
+	parts := strings.Split(id, ".")
+	var nums []int32
+	for _, p := range parts[1:] {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			panic(err)
+		}
+		nums = append(nums, int32(n))
+	}
+	nums = append(nums, more...)
+	var steps Steps
+	if len(nums) > len(steps) {
+		return RenderedPath(string(AppendID(nil, parts[0], nums)))
+	}
+	for i, n := range nums {
+		steps[i] = uint16(n)
+	}
+	return InlinePath(steps, len(nums))
 }
 
 // TestMethodRendersAsActiveSpan: a dispatch record and an ActiveSpan fed
@@ -435,7 +458,7 @@ func TestMethodRendersAsActiveSpan(t *testing.T) {
 	begin := time.Now().Add(-time.Millisecond)
 
 	ta := tr.BeginTxn("T1", begin)
-	as := ta.BeginSpan("T1.2", "T1", KMethod, "Acct.debit")
+	as := ta.BeginSpan("T2.2", "T2", KMethod, "Acct.debit")
 	as.sp.Object, as.sp.Method = "Acct", "debit"
 	as.SetClass("sem:debit(5)")
 	as.End(boom)
@@ -444,9 +467,9 @@ func TestMethodRendersAsActiveSpan(t *testing.T) {
 	tm := tr.BeginTxn("T2", begin)
 	var ms Method
 	before := time.Now()
-	tm.BeginMethod(&ms, &dispatch{"T1.2", "T1", "Acct", "debit"})
+	tm.BeginMethod(&ms)
 	ms.SetMode(stringer("sem:debit(5)"))
-	ms.End(boom)
+	ms.End(&dispatch{"T2.2", "T2", "Acct", "debit"}, boom)
 	after := time.Now()
 	tr.FinishTxn(tm, StatusAborted)
 
@@ -469,12 +492,12 @@ func TestMethodSeqInterleavesWithLocks(t *testing.T) {
 	tr := New()
 	tt := tr.BeginTxn("T1", time.Now())
 	var outer, inner Method
-	tt.BeginMethod(&outer, &dispatch{"T1.1", "T1", "Tree", "insert"})
+	tt.BeginMethod(&outer)
 	ls := tt.BeginSpan("T1.1/lock(Tree)", "T1.1", KLock, "lock Tree")
 	ls.End(nil)
-	tt.BeginMethod(&inner, &dispatch{"T1.1.1", "T1.1", "P3", "write"})
-	inner.End(nil)
-	outer.End(nil)
+	tt.BeginMethod(&inner)
+	inner.End(&dispatch{"T1.1.1", "T1.1", "P3", "write"}, nil)
+	outer.End(&dispatch{"T1.1", "T1", "Tree", "insert"}, nil)
 	tr.FinishTxn(tt, StatusCommitted)
 	var ids []string
 	for _, sp := range tt.Snapshot().Spans {
@@ -493,13 +516,13 @@ func TestMethodAllocs(t *testing.T) {
 	const records = 64
 	tr := New()
 	recs := make([]Method, records)
-	src := &dispatch{"T1.1", "T1", "O", "m"}
+	src := &pathDispatch{pathOf("T1.1"), "O", "m"}
 	allocs := testing.AllocsPerRun(50, func() {
 		tt := tr.BeginTxn("T1", time.Now())
 		for i := range recs {
-			tt.BeginMethod(&recs[i], src)
+			tt.BeginMethod(&recs[i])
 			recs[i].SetMode(fixedMode{})
-			recs[i].End(nil)
+			recs[i].End(src, nil)
 		}
 		tr.FinishTxn(tt, StatusCommitted)
 	})
@@ -526,14 +549,14 @@ func TestFinishedTraceKeepsValues(t *testing.T) {
 	d := &dispatch{"", "T1", "P3", "write"}
 	params := []string{"a", "b"}
 	var ms Method
-	tt.BeginMethod(&ms, &numbered{d, 4})
+	tt.BeginMethod(&ms)
 	ms.SetMode(paramMode{params})
-	ms.End(nil)
+	ms.End(&numbered{d, 4}, nil)
 	long := []string{"x", "y", "z"}
 	var ml Method
-	tt.BeginMethod(&ml, &dispatch{"T1.5", "T1", "O", "m"})
+	tt.BeginMethod(&ml)
 	ml.SetMode(paramMode{long})
-	ml.End(nil)
+	ml.End(&dispatch{"T1.5", "T1", "O", "m"}, nil)
 	tr.FinishTxn(tt, StatusCommitted)
 	*d = dispatch{"T9.9", "T9", "Q", "read"}
 	params[0], params[1] = "reused", "reused"
@@ -547,14 +570,24 @@ func TestFinishedTraceKeepsValues(t *testing.T) {
 	}
 }
 
+// pathDispatch is a dispatch whose path is made once.
+type pathDispatch struct {
+	path           Path
+	object, method string
+}
+
+func (d *pathDispatch) Dispatch() (path Path, object, method string) {
+	return d.path, d.object, d.method
+}
+
 // numbered gives a fixed dispatch a child number.
 type numbered struct {
 	*dispatch
 	n int32
 }
 
-func (d *numbered) Dispatch() (id, parent string, n int32, object, method string) {
-	return d.id, d.parent, d.n, d.object, d.method
+func (d *numbered) Dispatch() (path Path, object, method string) {
+	return pathOf(d.parent, d.n), d.object, d.method
 }
 
 // paramMode copies its parameters like a semantic mode.
@@ -573,9 +606,9 @@ func (m paramMode) Class() Class {
 func TestMethodNilTraceInert(t *testing.T) {
 	var tt *TxnTrace
 	var ms Method
-	tt.BeginMethod(&ms, &dispatch{"T1.1", "T1", "O", "m"})
+	tt.BeginMethod(&ms)
 	ms.SetMode(stringer("X"))
-	ms.End(errors.New("boom"))
+	ms.End(&dispatch{"T1.1", "T1", "O", "m"}, errors.New("boom"))
 	if ms != (Method{}) {
 		t.Fatalf("record on a nil trace = %+v, want zero", ms)
 	}

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/span"
 )
 
 // TestPoolStatsConcurrentWithFetches: Stats() must be readable while many
@@ -154,5 +156,46 @@ func TestFileWALObs(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEvictionNames: an eviction's flight-recorder event and a write-back's
+// engine span name the page as they always have ("page 7",
+// "pool/writeback/page7", "write-back page 7"), and a clean eviction's
+// event costs no allocation: the names come from the pool's tables, so a
+// miss that evicts allocates only the frame it loads into.
+func TestEvictionNames(t *testing.T) {
+	store := NewMemStore(0)
+	a, b := store.Allocate(), store.Allocate()
+	bp := NewBufferPool(store, 1)
+	reg := obs.New()
+	bp.SetObs(reg)
+	tr := span.New()
+	bp.SetSpans(tr)
+	fetch := func(id PageID, data string) {
+		f, err := bp.FetchPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data != "" {
+			f.Latch()
+			f.SetData(data)
+			f.Unlatch()
+		}
+		bp.Unpin(f)
+	}
+	fetch(a, "dirty")
+	fetch(b, "") // evicts a, writing it back
+	evs := reg.Recorder().Tail(1)
+	if len(evs) != 1 || evs[0].Kind != obs.EvPoolEvict || evs[0].Object != fmt.Sprintf("page %d", a) || evs[0].Note != "dirty" {
+		t.Fatalf("eviction event = %+v", evs)
+	}
+	sps := tr.EngineSpans()
+	if len(sps) != 1 || sps[0].ID != fmt.Sprintf("pool/writeback/page%d", a) ||
+		sps[0].Name != fmt.Sprintf("write-back page %d", a) || sps[0].Object != fmt.Sprintf("page %d", a) {
+		t.Fatalf("write-back span = %+v", sps)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fetch(a, ""); fetch(b, "") }); allocs > 2 {
+		t.Fatalf("two evicting misses = %.1f allocs, want <= 2 (their frames)", allocs)
 	}
 }

@@ -81,6 +81,8 @@ type BufferPool struct {
 	// spans receives one engine-track span per dirty write-back when
 	// SetSpans attached a tracer; nil (and nil-safe) otherwise.
 	spans *span.Tracer
+	// The names those events and spans give a page, each rendered once.
+	pageNames, writebackIDs, writebackNames *Names
 }
 
 // NewBufferPool wraps store with a pool holding at most capacity frames
@@ -93,6 +95,10 @@ func NewBufferPool(store Store, capacity int) *BufferPool {
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame),
+
+		pageNames:      NewNames("page "),
+		writebackIDs:   NewNames("pool/writeback/page"),
+		writebackNames: NewNames("write-back page "),
 	}
 	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
 	return bp
@@ -248,10 +254,10 @@ func (bp *BufferPool) evictOneLocked() error {
 					victim.dirty = false
 					wroteBack = time.Since(wbStart)
 					bp.spans.RecordEngine(span.Span{
-						ID:     fmt.Sprintf("pool/writeback/page%d", victim.ID),
+						ID:     bp.writebackIDs.Of(victim.ID),
 						Kind:   span.KPool,
-						Name:   fmt.Sprintf("write-back page %d", victim.ID),
-						Object: fmt.Sprintf("page %d", victim.ID),
+						Name:   bp.writebackNames.Of(victim.ID),
+						Object: bp.pageNames.Of(victim.ID),
 						Start:  wbStart, End: wbStart.Add(wroteBack),
 					})
 				}
@@ -261,7 +267,7 @@ func (bp *BufferPool) evictOneLocked() error {
 			victim.pins--
 			if err != nil {
 				bp.rec.Record(obs.Event{Kind: obs.EvPoolWriteErr,
-					Object: fmt.Sprintf("page %d", victim.ID), Note: err.Error()})
+					Object: bp.pageNames.Of(victim.ID), Note: err.Error()})
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -287,7 +293,7 @@ func (bp *BufferPool) evictOneLocked() error {
 		}
 		delete(bp.frames, victim.ID)
 		bp.evictions.Add(1)
-		ev := obs.Event{Kind: obs.EvPoolEvict, Object: fmt.Sprintf("page %d", victim.ID)}
+		ev := obs.Event{Kind: obs.EvPoolEvict, Object: bp.pageNames.Of(victim.ID)}
 		if wroteBack > 0 {
 			ev.Note, ev.Dur = "dirty", wroteBack
 		}
