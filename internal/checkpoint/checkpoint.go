@@ -124,6 +124,9 @@ func encode(s *Snapshot) []byte {
 	return frame.End(buf, start)
 }
 
+// decodePayload copies each string (frame.NewDecoder, not the view
+// decoder): the one payload holds every page, and a view of it would let
+// one surviving page pin the whole checkpoint.
 func decodePayload(payload []byte) (*Snapshot, error) {
 	d := frame.NewDecoder(payload)
 	s := &Snapshot{

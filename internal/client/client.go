@@ -652,8 +652,9 @@ func (nc *conn) fail(cause error) {
 
 func (nc *conn) readLoop() {
 	br := bufio.NewReader(nc.c)
+	var rbuf []byte // the reply read buffer, reused from frame to frame
 	for {
-		m, err := wire.ReadMsg(br)
+		m, _, err := wire.ReadMsgBuf(br, &rbuf, nil)
 		if err != nil {
 			nc.close(fmt.Errorf("%w: %v", ErrConnDead, err))
 			return
@@ -668,14 +669,21 @@ func (nc *conn) readLoop() {
 	}
 }
 
+// replyChans recycles reply channels across calls. A channel goes back
+// only after it delivered its reply: readLoop deleted it from pending
+// before sending, so nothing else holds it, and it is empty again. A
+// channel fail closed is never put back.
+var replyChans = sync.Pool{New: func() any { return make(chan wire.Msg, 1) }}
+
 // call performs one request/response round trip. Typed server errors come
 // back as *wire.RemoteError; transport loss as ErrConnDead.
 func (nc *conn) call(m wire.Msg) (string, error) {
-	ch := make(chan wire.Msg, 1)
+	ch := replyChans.Get().(chan wire.Msg)
 	nc.mu.Lock()
 	if nc.dead != nil {
 		err := nc.dead
 		nc.mu.Unlock()
+		replyChans.Put(ch)
 		return "", fmt.Errorf("%w (%w)", err, errNotSent)
 	}
 	nc.seq++
@@ -697,6 +705,7 @@ func (nc *conn) call(m wire.Msg) (string, error) {
 		nc.mu.Unlock()
 		return "", err
 	}
+	replyChans.Put(ch)
 	nc.trips.Inc()
 	if resp.Type == wire.MsgError {
 		return "", wire.RemoteErr(resp.Code, resp.Result)

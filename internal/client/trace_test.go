@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,6 +66,25 @@ func TestTracePropagationE2E(t *testing.T) {
 	}
 	if sess.Class != "p0" {
 		t.Fatalf("session span partition class = %q, want p0", sess.Class)
+	}
+	// The note reads as fmt renders it: the peer the span is named after,
+	// admission wait and execution time rounded to the microsecond, and
+	// the four frames BEGIN, two INVOKEs and COMMIT.
+	peer, ok := strings.CutPrefix(sess.Name, "session ")
+	if !ok || !strings.HasPrefix(peer, "127.0.0.1:") {
+		t.Fatalf("session span name = %q, want \"session <client address>\"", sess.Name)
+	}
+	var admit, exec string
+	if _, err := fmt.Sscanf(sess.Note, "peer="+peer+" admit=%s exec=%s frames=4", &admit, &exec); err != nil {
+		t.Fatalf("session span note %q: %v", sess.Note, err)
+	}
+	da, errA := time.ParseDuration(admit)
+	de, errE := time.ParseDuration(exec)
+	if errA != nil || errE != nil || da != da.Round(time.Microsecond) || de != de.Round(time.Microsecond) {
+		t.Fatalf("session span note %q: durations %v, %v", sess.Note, errA, errE)
+	}
+	if want := fmt.Sprintf("peer=%s admit=%s exec=%s frames=%d", peer, da, de, 4); sess.Note != want {
+		t.Fatalf("session span note = %q, want %q", sess.Note, want)
 	}
 
 	// Client-side pool instrumentation observed the same run.

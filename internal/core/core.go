@@ -648,11 +648,23 @@ func (db *DB) Admit() (release func(), err error) {
 // wait wraps ctx.Err(), a timed-out wait wraps ErrOverloaded, and a
 // closing engine returns ErrClosed.
 func (db *DB) AdmitCtx(ctx context.Context) (release func(), err error) {
+	if err := db.AdmitSlot(ctx); err != nil {
+		return nil, err
+	}
+	var once sync.Once
+	return func() { once.Do(db.ReleaseSlot) }, nil
+}
+
+// AdmitSlot is AdmitCtx without the release closure, so it allocates
+// nothing: the caller gives the slot back with exactly one ReleaseSlot and
+// keeps its own guard against a second call (the network server keeps the
+// admitting engine in its session and clears it on release).
+func (db *DB) AdmitSlot(ctx context.Context) error {
 	if db.closedFlag.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: admission cancelled: %w", err)
+		return fmt.Errorf("core: admission cancelled: %w", err)
 	}
 	if db.admit != nil {
 		select {
@@ -663,12 +675,12 @@ func (db *DB) AdmitCtx(ctx context.Context) (release func(), err error) {
 			select {
 			case db.admit <- struct{}{}:
 			case <-ctx.Done():
-				return nil, fmt.Errorf("core: admission cancelled: %w", ctx.Err())
+				return fmt.Errorf("core: admission cancelled: %w", ctx.Err())
 			case <-timer.C:
 				db.obsOverloads.Inc()
 				db.obsRec.Record(obs.Event{Kind: obs.EvOverload,
 					Note: fmt.Sprintf("admission queue full after %v", db.admitTimeout)})
-				return nil, fmt.Errorf("%w: %d in flight, queued %v", ErrOverloaded, cap(db.admit), db.admitTimeout)
+				return fmt.Errorf("%w: %d in flight, queued %v", ErrOverloaded, cap(db.admit), db.admitTimeout)
 			}
 		}
 	}
@@ -682,21 +694,21 @@ func (db *DB) AdmitCtx(ctx context.Context) (release func(), err error) {
 		if db.admit != nil {
 			<-db.admit
 		}
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	db.admitted.Add(1)
 	db.obsInflight.Add(1)
 	db.closeGate.RUnlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			db.obsInflight.Add(-1)
-			if db.admit != nil {
-				<-db.admit
-			}
-			db.admitted.Done()
-		})
-	}, nil
+	return nil
+}
+
+// ReleaseSlot gives back a slot AdmitSlot granted.
+func (db *DB) ReleaseSlot() {
+	db.obsInflight.Add(-1)
+	if db.admit != nil {
+		<-db.admit
+	}
+	db.admitted.Done()
 }
 
 // WAL returns the write-ahead log (for inspection and tests).

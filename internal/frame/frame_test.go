@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -202,5 +203,105 @@ func TestDecoderTrailing(t *testing.T) {
 	}
 	if err := d.Done(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "2 trailing bytes") {
 		t.Fatalf("Done = %v, want 2 trailing bytes", err)
+	}
+}
+
+// TestReadIntoReusesAndDrops: back-to-back frames are read into one buffer
+// without allocating, a frame that grows the buffer past 64 KiB is still
+// read whole but the buffer is dropped after it, and the next small frame
+// starts a small buffer again.
+func TestReadIntoReusesAndDrops(t *testing.T) {
+	small := encode("small frame")
+	big := encode(strings.Repeat("b", 70<<10))
+	var stream bytes.Buffer
+	stream.Write(small)
+	stream.Write(small)
+	stream.Write(big)
+	stream.Write(small)
+	r := bytes.NewReader(stream.Bytes())
+	var buf []byte
+	read := func(want string) {
+		t.Helper()
+		payload, n, err := ReadInto(r, &buf, 1, 1<<20)
+		if err != nil || n != HeaderSize+len(want) || string(payload) != want {
+			t.Fatalf("ReadInto: %d bytes, %v; want the %d-byte frame", n, err, HeaderSize+len(want))
+		}
+	}
+	read("small frame")
+	arr := &buf[:1][0]
+	read("small frame")
+	if &buf[:1][0] != arr {
+		t.Fatal("a small frame did not reuse the buffer")
+	}
+	read(strings.Repeat("b", 70<<10))
+	if buf != nil {
+		t.Fatalf("a %d-byte buffer was kept, want it dropped", cap(buf))
+	}
+	read("small frame")
+	if cap(buf) > 4<<10 {
+		t.Fatalf("the buffer after the drop has %d bytes", cap(buf))
+	}
+
+	frames := bytes.Repeat(small, 101)
+	r = bytes.NewReader(frames)
+	if allocs := testing.AllocsPerRun(100, func() { ReadInto(r, &buf, 1, 64) }); allocs != 0 {
+		t.Fatalf("ReadInto into a warm buffer = %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestViewDecoder: the view decoder reads what the copying decoder reads,
+// converts the payload once however many strings it holds — and not at
+// all when they are all empty — and shares that string with its blocks.
+func TestViewDecoder(t *testing.T) {
+	var block []byte
+	block = append(block, 5)
+	block = AppendString(block, "inner")
+	block = append(block, "rest"...)
+	var p []byte
+	p = AppendString(p, "")
+	p = AppendString(p, "first")
+	p = AppendString(p, "second")
+	p = binary.AppendUvarint(p, uint64(len(block)))
+	p = append(p, block...)
+
+	type fields struct {
+		empty, first, second string
+		n                    uint64
+		inner, rest          string
+	}
+	decode := func(d Decoder) (f fields, err error) {
+		f.empty, f.first, f.second = d.String(), d.String(), d.String()
+		b := d.Block()
+		f.n, f.inner, f.rest = b.Uvarint(), b.String(), b.Rest()
+		if err := b.Done(); err != nil {
+			return f, err
+		}
+		return f, d.Done()
+	}
+	want, err := decode(NewDecoder(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decode(NewViewDecoder(p))
+	if err != nil || got != want {
+		t.Fatalf("view decode = %+v, %v; copy decode = %+v", got, err, want)
+	}
+	if want.inner != "inner" || want.rest != "rest" || want.n != 5 {
+		t.Fatalf("decode = %+v", want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { decode(NewViewDecoder(p)) }); allocs != 1 {
+		t.Fatalf("view decode = %.1f allocs, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { decode(NewDecoder(p)) }); allocs != 4 {
+		t.Fatalf("copy decode = %.1f allocs, want 4, one per non-empty string", allocs)
+	}
+	empties := AppendString(AppendString(nil, ""), "")
+	if allocs := testing.AllocsPerRun(100, func() {
+		d := NewViewDecoder(empties)
+		if d.String()+d.String() != "" {
+			t.Fatal("an empty string decoded as non-empty")
+		}
+	}); allocs != 0 {
+		t.Fatalf("view decode of empty strings = %.1f allocs, want 0", allocs)
 	}
 }

@@ -13,20 +13,25 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzParse: arbitrary bytes never panic Parse or Read; the two agree on
-// every input; every failure is torn or corrupt; and whatever parses
-// re-encodes to exactly the bytes it was parsed from. The seeds are one of
-// each frame the system writes: a WAL record, a traced wire message and a
-// checkpoint file's frame. `go test` runs the seeds;
+// FuzzParse: arbitrary bytes never panic Parse, Read or ReadInto; the
+// three agree on every input, frame after frame, with ReadInto reading
+// every frame of the input into one reused buffer; every failure is torn
+// or corrupt; and whatever parses re-encodes to exactly the bytes it was
+// parsed from. The seeds are one of each frame the system writes: a WAL
+// record, a traced wire message and a checkpoint file's frame, and the
+// first two back to back. `go test` runs the seeds;
 // `go test -fuzz=FuzzParse ./internal/frame` explores.
 func FuzzParse(f *testing.F) {
-	f.Add(storage.EncodeRecordFrame(nil, storage.Record{
+	rec := storage.EncodeRecordFrame(nil, storage.Record{
 		LSN: 7, Kind: storage.RecIntent, Owner: "T3.1", Note: "delete|k", CLR: true, Refs: []uint64{5, 6},
-	}))
-	f.Add(wire.AppendMsg(nil, wire.Msg{
+	})
+	msg := wire.AppendMsg(nil, wire.Msg{
 		Seq: 9, Type: wire.MsgInvoke, ObjType: "account", ObjName: "Acct7", Method: "debit",
 		Params: []string{"25"}, TraceID: "4bf92f3577b34da6", TraceAttempt: 2,
-	}))
+	})
+	f.Add(rec)
+	f.Add(msg)
+	f.Add(append(append(append([]byte(nil), msg...), rec...), msg[:len(msg)-1]...))
 	path, err := checkpoint.Write(f.TempDir(), &checkpoint.Snapshot{
 		LSN: 42, MaxTxn: 9, NextPage: 3, PageSize: 128, UnixNano: 1700000000000000000,
 		Active: []string{"T7"}, Pages: map[storage.PageID]string{1: "alpha", 2: ""},
@@ -68,6 +73,36 @@ func FuzzParse(f *testing.F) {
 		dst, start := frame.Begin(nil)
 		if enc := frame.End(append(dst, payload...), start); !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("re-encode differs:\n got %x\nwant %x", enc, data[:n])
+		}
+
+		// Frame after frame, to the first failure.
+		stream, into := bytes.NewReader(data), bytes.NewReader(data)
+		var buf []byte
+		for rest := data; ; {
+			payload, n, err := frame.Parse(rest, min, max)
+			rpayload, rn, rerr := frame.Read(stream, min, max)
+			ipayload, in, ierr := frame.ReadInto(into, &buf, min, max)
+			if len(rest) == 0 {
+				if rerr != io.EOF || ierr != io.EOF {
+					t.Fatalf("at the end: Read %v, ReadInto %v, want io.EOF", rerr, ierr)
+				}
+				return
+			}
+			if err != nil {
+				for _, e := range []error{rerr, ierr} {
+					if errors.Is(e, frame.ErrTorn) != errors.Is(err, frame.ErrTorn) ||
+						errors.Is(e, frame.ErrCorrupt) != errors.Is(err, frame.ErrCorrupt) {
+						t.Fatalf("at offset %d Parse says %v, Read %v, ReadInto %v", len(data)-len(rest), err, rerr, ierr)
+					}
+				}
+				return
+			}
+			if rerr != nil || ierr != nil || rn != n || in != n ||
+				!bytes.Equal(rpayload, payload) || !bytes.Equal(ipayload, payload) {
+				t.Fatalf("at offset %d Parse took %d bytes, Read %d (%v), ReadInto %d (%v)",
+					len(data)-len(rest), n, rn, rerr, in, ierr)
+			}
+			rest = rest[n:]
 		}
 	})
 }

@@ -369,10 +369,15 @@ func (m *Module) appendMethod(c *core.Ctx, self txn.OID, params []string) (strin
 // becomes the tail hint and key's hint. Both may go stale — a concurrent
 // append chains on, an abort restores a before-image — so both are checked
 // on use; neither can name a reclaimed page, since pages are never
-// reclaimed here.
+// reclaimed here. A new key is cloned: the hint outlives the transaction,
+// and a key that arrived in a network message is a view of that whole
+// message.
 func (l *List) appended(key string, pid storage.PageID) {
 	l.mu.Lock()
 	l.tail = pid
+	if _, ok := l.where[key]; !ok {
+		key = strings.Clone(key)
+	}
 	l.where[key] = pid
 	l.mu.Unlock()
 }

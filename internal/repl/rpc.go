@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -95,8 +96,7 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 		// concedes to the live leader.
 		n.stepToFollowerLocked()
 	}
-	n.leaderID = re.From
-	n.leaderAddr = re.Addr
+	n.heardFromLocked(re)
 	n.resetElectionTimerLocked()
 	defer func() { n.heardAt = time.Now() }()
 	if n.rebuilding || n.fw == nil {
@@ -232,8 +232,7 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	if n.role != RoleFollower {
 		n.stepToFollowerLocked()
 	}
-	n.leaderID = re.From
-	n.leaderAddr = re.Addr
+	n.heardFromLocked(re)
 	n.resetElectionTimerLocked()
 	defer func() { n.heardAt = time.Now() }()
 	if n.rebuilding || n.fw == nil {
@@ -307,4 +306,17 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	n.fw = fw
 	n.logf("repl: %s: installed snapshot at %d/t%d", n.cfg.ID, n.snapLSN, n.snapTerm)
 	return n.ackLocked(true, n.lastLSN, 0)
+}
+
+// heardFromLocked records re's sender as the leader. The two names are
+// views of the whole message, which may be an append batch or a snapshot,
+// and outlive it until the next leader change: they are cloned, and only
+// when they change.
+func (n *Node) heardFromLocked(re *wire.ReplExt) {
+	if n.leaderID != re.From {
+		n.leaderID = strings.Clone(re.From)
+	}
+	if n.leaderAddr != re.Addr {
+		n.leaderAddr = strings.Clone(re.Addr)
+	}
 }

@@ -40,6 +40,7 @@ type peerConn struct {
 	c    net.Conn
 	br   *bufio.Reader // reads c
 	buf  []byte        // the request encode buffer
+	rbuf []byte        // the reply read buffer
 	seq  uint64
 	dead bool
 }
@@ -91,10 +92,13 @@ func (tr *transport) handleConn(c net.Conn) {
 		tr.mu.Unlock()
 	}()
 	br := bufio.NewReader(c)
-	var buf []byte
+	var buf, rbuf []byte // the reply encode and request read buffers
+	// params is the request params' array, reused once a request has been
+	// handled: handleRPC copies every entry it keeps.
+	var params []string
 	for {
 		_ = c.SetReadDeadline(time.Time{})
-		m, err := wire.ReadMsg(br)
+		m, _, err := wire.ReadMsgBuf(br, &rbuf, params)
 		if err != nil {
 			return
 		}
@@ -102,6 +106,10 @@ func (tr *transport) handleConn(c net.Conn) {
 			return
 		}
 		resp := tr.n.handleRPC(m)
+		if m.Params != nil {
+			clear(m.Params) // a handled request's entries must not pin its frame
+			params = m.Params[:0]
+		}
 		resp.Seq = m.Seq
 		_ = c.SetWriteDeadline(time.Now().Add(callTimeout))
 		if err := wire.WriteMsgBuf(c, &buf, resp); err != nil {
@@ -140,7 +148,7 @@ func (tr *transport) call(p Peer, m wire.Msg) (wire.Msg, error) {
 		tr.drop(p.ID, pc)
 		return wire.Msg{}, err
 	}
-	resp, err := wire.ReadMsg(pc.br)
+	resp, _, err := wire.ReadMsgBuf(pc.br, &pc.rbuf, nil)
 	if err != nil {
 		tr.drop(p.ID, pc)
 		return wire.Msg{}, err

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -395,6 +397,25 @@ func TestFrameSplitAtEveryOffset(t *testing.T) {
 		}
 		if resp.Seq != seq || resp.Result != c.result {
 			t.Fatalf("%d-byte frame cut at %d: reply seq %d, want %d", len(frame), c.at, resp.Seq, seq)
+		}
+	}
+}
+
+// TestAppendDuration: the session span's note renders durations exactly as
+// time.Duration.String does, across every unit and rounding boundary.
+func TestAppendDuration(t *testing.T) {
+	ds := []time.Duration{0, 1, 999, 1000, 1001, 1500, 999999, time.Millisecond,
+		1234567, 999999999, time.Second, 1500 * time.Millisecond, 59*time.Second + 999*time.Millisecond,
+		time.Minute, time.Minute + 1, time.Hour, time.Hour + time.Second, 100*time.Hour + 7*time.Minute,
+		-1, -1500 * time.Microsecond, -time.Hour, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		d := time.Duration(rng.Int63n(int64(2 * time.Hour)))
+		ds = append(ds, d, d.Round(time.Microsecond), d.Round(time.Millisecond), time.Duration(rng.Int63()))
+	}
+	for _, d := range ds {
+		if got := string(appendDuration([]byte("x"), d)); got != "x"+d.String() {
+			t.Fatalf("appendDuration(%d) = %q, want %q", int64(d), got[1:], d.String())
 		}
 	}
 }

@@ -76,9 +76,12 @@ func DecodeRecordFrame(buf []byte) (Record, int, error) {
 
 // decodeRecordPayload parses a checksum-verified payload back into a
 // Record. Errors wrap ErrRecordCorrupt: the frame was intact on disk but
-// its contents are not a record.
+// its contents are not a record. The record's strings are views of one
+// copy of its own payload (frame.NewViewDecoder): a record costs one
+// allocation plus its Refs, and a kept field pins that record only, never
+// the segment or the batch it was read from.
 func decodeRecordPayload(payload []byte) (Record, error) {
-	d := frame.NewDecoder(payload)
+	d := frame.NewViewDecoder(payload)
 	rec := Record{LSN: d.U64(), Kind: RecordKind(d.Byte())}
 	rec.CLR = d.Byte()&recFlagCLR != 0
 	rec.Page = PageID(d.U64())

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
@@ -282,7 +283,9 @@ func TestErrorTaxonomyRoundtrip(t *testing.T) {
 // FuzzDecodeMsg is the protocol-level fuzzer: arbitrary bytes must decode
 // to a typed error or to a message that canonicalizes — re-encoding it
 // (which drops unknown extension blocks) and decoding again yields the
-// same message, and a traced frame re-encodes byte-identically. The seed
+// same message, and a traced frame re-encodes byte-identically — and the
+// decoder's views of one string must equal its copies, error for error,
+// field for field. The seed
 // corpus covers every frame type plus traced variants; `go test` runs the
 // seeds, `go test -fuzz=FuzzDecodeMsg ./internal/wire` explores.
 func FuzzDecodeMsg(f *testing.F) {
@@ -302,6 +305,13 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := DecodeMsg(data)
+		if payload, _, perr := frame.Parse(data, msgPayloadMin, MaxFrameSize); perr == nil {
+			view, verr := decodePayload(frame.NewViewDecoder(payload), nil)
+			cp, cerr := decodePayload(frame.NewDecoder(payload), nil)
+			if (verr == nil) != (cerr == nil) || verr != nil && verr.Error() != cerr.Error() || !msgEqual(view, cp) {
+				t.Fatalf("view decode %+v, %v; copy decode %+v, %v", view, verr, cp, cerr)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, ErrFrameTorn) && !errors.Is(err, ErrFrameCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -322,4 +332,115 @@ func FuzzDecodeMsg(f *testing.F) {
 			t.Fatalf("same-length re-encode differs on %d-byte frame", n)
 		}
 	})
+}
+
+// TestReceivedMsgAllocs: read through a connection's reused buffers, a
+// received invoke costs one heap object, the string its fields are views
+// of, and a BEGIN or a COMMIT, whose strings are all empty, costs none.
+func TestReceivedMsgAllocs(t *testing.T) {
+	cases := []struct {
+		m    Msg
+		want float64
+	}{
+		{Msg{Seq: 1, Type: MsgBegin}, 0},
+		{Msg{Seq: 2, Type: MsgInvoke, ObjType: "Encyclopedia", ObjName: "Enc",
+			Method: "search", Params: []string{"k1000042"}}, 1},
+		{Msg{Seq: 3, Type: MsgInvoke, ObjType: "Account", ObjName: "Acct7",
+			Method: "debit", Params: []string{"25", "memo"}}, 1},
+		{Msg{Seq: 4, Type: MsgCommit}, 0},
+		{Msg{Seq: 5, Type: MsgResult}, 0},
+	}
+	for _, tc := range cases {
+		frames := bytes.Repeat(AppendMsg(nil, tc.m), 102)
+		r := bytes.NewReader(frames)
+		var buf []byte
+		params := make([]string, 0, 4)
+		if _, _, err := ReadMsgBuf(r, &buf, params); err != nil { // warm the buffer
+			t.Fatal(err)
+		}
+		var got Msg
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { got, _, err = ReadMsgBuf(r, &buf, params) })
+		if err != nil || !msgEqual(got, tc.m) {
+			t.Fatalf("%v: read %+v, %v", tc.m.Type, got, err)
+		}
+		if allocs != tc.want {
+			t.Errorf("received %v = %.1f allocs, want %.0f", tc.m.Type, allocs, tc.want)
+		}
+	}
+}
+
+// TestDecodedMsgOutlivesBuffer: a message read into a connection's buffer
+// is intact after the buffer has been reused for the next frames,
+// including a frame past 64 KiB that makes the reader drop the buffer,
+// and its params array is the caller's when it had room.
+func TestDecodedMsgOutlivesBuffer(t *testing.T) {
+	first := Msg{Seq: 1, Type: MsgInvoke, ObjType: "T", ObjName: "obj-1", Method: "put",
+		Params: []string{"key-1", "value-1"}, TraceID: "4bf92f3577b34da6", TraceAttempt: 3}
+	second := Msg{Seq: 2, Type: MsgInvoke, ObjType: "U", ObjName: "obj-2", Method: "get",
+		Params: []string{"key-2"}}
+	big := Msg{Seq: 3, Type: MsgResult, Result: strings.Repeat("r", 70<<10)}
+	last := Msg{Seq: 4, Type: MsgResult, Result: "done"}
+	var stream bytes.Buffer
+	for _, m := range []Msg{first, second, big, last} {
+		stream.Write(AppendMsg(nil, m))
+	}
+	var buf []byte
+	params := make([]string, 0, 2)
+	var got []Msg
+	for range 4 {
+		m, _, err := ReadMsgBuf(&stream, &buf, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+		if m.Seq == 1 {
+			if &m.Params[0] != &params[:1][0] {
+				t.Fatal("the params did not go into the caller's array")
+			}
+			params = make([]string, 0, 2) // the first message keeps its array
+		}
+		if m.Seq == 3 && buf != nil {
+			t.Fatalf("a %d-byte buffer was kept after a 70 KiB frame", cap(buf))
+		}
+	}
+	for i, want := range []Msg{first, second, big, last} {
+		if !msgEqual(got[i], want) {
+			t.Fatalf("message %d = %+v after the buffer's reuse, want %+v", i+1, got[i], want)
+		}
+	}
+}
+
+// BenchmarkReadMsg prices receiving one invoke through a connection's
+// reused buffers: frame read, checksum, decode.
+func BenchmarkReadMsg(b *testing.B) {
+	enc := AppendMsg(nil, Msg{Seq: 2, Type: MsgInvoke, ObjType: "Encyclopedia", ObjName: "Enc",
+		Method: "search", Params: []string{"k1000042"}})
+	frames := bytes.Repeat(enc, 1024)
+	r := bytes.NewReader(frames)
+	var buf []byte
+	params := make([]string, 0, 4)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	for i := 0; i < b.N; i++ {
+		if r.Len() == 0 {
+			r.Reset(frames)
+		}
+		if _, _, err := ReadMsgBuf(r, &buf, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeMsg prices decoding one invoke frame already in memory.
+func BenchmarkDecodeMsg(b *testing.B) {
+	enc := AppendMsg(nil, Msg{Seq: 2, Type: MsgInvoke, ObjType: "Encyclopedia", ObjName: "Enc",
+		Method: "search", Params: []string{"k1000042"}})
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeMsg(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
