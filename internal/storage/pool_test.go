@@ -488,3 +488,81 @@ func TestUnpinAllocs(t *testing.T) {
 		t.Fatalf("FetchPage hit + Unpin = %.1f allocs, want 0", allocs)
 	}
 }
+
+// TestReusedFramesKeepTheirPage: fetchers reading and writing many more
+// pages than the pool holds, while FlushAll runs beside them, always find
+// their own page's data in the frame they pinned, and every page written
+// back holds only its own data, although each miss reuses the frame of
+// the page it evicted. Run it under -race: a FlushAll that listed a frame
+// before its eviction reads its reset fields.
+func TestReusedFramesKeepTheirPage(t *testing.T) {
+	const pages, workers, rounds = 32, 4, 400
+	store := NewMemStore(0)
+	ids := make([]PageID, pages)
+	for i := range ids {
+		ids[i] = store.Allocate()
+		if err := store.Write(ids[i], fmt.Sprintf("page-%d-v0", ids[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool(store, 4)
+	done := make(chan struct{})
+	flushed := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				flushed <- bp.FlushAll()
+				return
+			default:
+				if err := bp.FlushAll(); err != nil {
+					flushed <- err
+					return
+				}
+			}
+		}
+	}()
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds; r++ {
+				id := ids[rng.Intn(pages)]
+				f, err := bp.FetchPage(id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				prefix := fmt.Sprintf("page-%d-", id)
+				f.Latch()
+				if got := f.Data(); f.ID != id || len(got) < len(prefix) || got[:len(prefix)] != prefix {
+					f.Unlatch()
+					bp.Unpin(f)
+					errs <- fmt.Errorf("frame of page %d holds page %d, data %q", id, f.ID, got)
+					return
+				}
+				if rng.Intn(2) == 0 {
+					f.SetData(fmt.Sprintf("%sv%d.%d", prefix, w, r))
+				}
+				f.Unlatch()
+				bp.Unpin(f)
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		data, err := store.Read(id)
+		if prefix := fmt.Sprintf("page-%d-", id); err != nil || len(data) < len(prefix) || data[:len(prefix)] != prefix {
+			t.Fatalf("page %d in the store = %q, %v", id, data, err)
+		}
+	}
+}
