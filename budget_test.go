@@ -3,11 +3,13 @@ package repro
 import (
 	"context"
 	"math/rand"
+	"net"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/enc"
 	"repro/internal/list"
+	"repro/internal/recovery"
+	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -240,16 +244,133 @@ func (w *bankWork) commit(tb testing.TB) {
 
 // TestBankWorkBudget pins what one bank_wire_durable commit allocates in
 // the engine, without the wire: heap objects and bytes per commit, each at
-// its measured value plus 2 % (27.5 objects at seed 1, the median of 20
-// runs, which read 27.0–27.7; bytes are unchanged since they were set at
-// 6,465, and read 6,451–6,475). The figures include the group-commit
-// flusher's and the checkpointer's allocations.
+// its measured value plus 2 % (25.3 objects and 6,027 bytes at seed 1, the
+// median of 10 runs, which read 25.1–25.6 and 6,023–6,040; 27.25 and 6,454
+// before the FileWAL's pending queue kept its arrays and a record's frame
+// became one string). The figures include the group-commit flusher's and
+// the checkpointer's allocations.
 func TestBankWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newBankWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 28.1, 6594)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 25.8, 6148)
+}
+
+// The replicated half of the bank_repl3 workload (bench/bank.go): the
+// bankWork transfers, committed on the leader of a three-node cluster in
+// this process whose replicas talk over loopback, as bank_repl3's do. A
+// commit returns once a quorum has its records on disk.
+const (
+	replWorkNodes           = 3
+	replWorkElectionTimeout = 150 * time.Millisecond
+	replWorkHeartbeat       = 40 * time.Millisecond
+)
+
+// newReplBankWork starts the cluster and returns a caller of its leader.
+func newReplBankWork(tb testing.TB, seed int64) *bankWork {
+	tb.Helper()
+	opts := core.Options{
+		LockTimeout:      10 * time.Second,
+		MaxInflight:      256,
+		AdmissionTimeout: time.Second,
+		DisableTrace:     true,
+		Durability:       storage.GroupCommit,
+	}
+	var mu sync.Mutex
+	var accts []txn.OID
+	openEngine := func(dir string, fresh bool) (*core.DB, error) {
+		o := opts
+		o.WALDir = dir
+		if !fresh {
+			db, _, err := recovery.RecoverDir(dir, o, func(db *core.DB) error {
+				_, err := workload.RegisterBanking(db, bankWorkAccounts)
+				return err
+			})
+			return db, err
+		}
+		db, err := core.OpenDurable(o)
+		if err != nil {
+			return nil, err
+		}
+		a, err := workload.InstallBanking(db, bankWorkAccounts, bankWorkInitial)
+		if err != nil {
+			_ = db.Close()
+			return nil, err
+		}
+		mu.Lock()
+		accts = a
+		mu.Unlock()
+		return db, nil
+	}
+	// Reserve the replication ports first: every node names its peers.
+	addrs := make([]string, replWorkNodes)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	nodes := make([]*repl.Node, 0, replWorkNodes)
+	tb.Cleanup(func() {
+		for _, n := range nodes {
+			if err := n.Close(); err != nil {
+				tb.Error(err)
+			}
+		}
+	})
+	for i := range addrs {
+		cfg := repl.Config{
+			ID: "n" + strconv.Itoa(i), Addr: addrs[i], Advertise: "client-n" + strconv.Itoa(i),
+			Dir: filepath.Join(tb.TempDir(), "n"+strconv.Itoa(i)), OpenEngine: openEngine,
+			ElectionTimeout: replWorkElectionTimeout, Heartbeat: replWorkHeartbeat,
+			Durability: storage.GroupCommit, Seed: int64(i + 1),
+		}
+		for j := range addrs {
+			if j != i {
+				cfg.Peers = append(cfg.Peers, repl.Peer{ID: "n" + strconv.Itoa(j), Addr: addrs[j]})
+			}
+		}
+		n, err := repl.Open(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		for _, n := range nodes {
+			if db := n.DB(); db != nil {
+				if _, ok := n.LeaderCluster(); ok {
+					mu.Lock()
+					defer mu.Unlock()
+					return &bankWork{db: db, accts: accts, rng: rand.New(rand.NewSource(seed * 7919))}
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal("no leader after 20s")
+		}
+	}
+}
+
+// TestReplWorkBudget pins what one bank_repl3 commit allocates across the
+// three replicas, without the client's wire: heap objects and bytes per
+// commit, each at its measured value plus 2 % (46.25 objects and 10,317
+// bytes at seed 1, the median of 20 runs, which read 45.2–46.9 and
+// 10,256–10,360; 115.2 objects and 22,513 bytes, the median of 20 runs,
+// when each record was encoded five times on its way to three segments
+// and each follower copied every entry it received). The figures count
+// the leader's engine, its log and its peer loops, the replication
+// messages encoded and decoded on both sides, and each follower's append,
+// fsync and standby apply.
+func TestReplWorkBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	w := newReplBankWork(t, 1)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 47.2, 10523)
 }
 
 // The engine half of the enc_wire_read workload (bench/encwire.go):

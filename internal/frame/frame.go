@@ -38,8 +38,11 @@
 // non-empty string to its end, returning every string field as a substring
 // of it. Any one field then keeps all that alive. Wire messages and WAL
 // records decode this way; checkpoints do not, since their one payload
-// holds every page. Who keeps a decoded string past its message, and what
-// that pins:
+// holds every page. A frame that is already a string, such as a record
+// frame carried as one field of a replication message, is parsed by
+// ParseString and decoded by a NewStringDecoder, whose strings are
+// substrings of it: no conversion at all. Who keeps a decoded string past
+// its message, and what that pins:
 //
 //	keeper                               pins
 //	invoke fields: the action record,    its invoke message: its fields and
@@ -50,15 +53,26 @@
 //	lock-table keys (object type, name)  nothing: the server clones them
 //	list append hints (list.where keys)  nothing: cloned when inserted
 //	the client's Result and Tx id        the reply, which is nearly all Result
-//	repl follower entries                their own record frame each: the
-//	                                       follower copies every entry out of
-//	                                       the batch before decoding it
+//	repl follower entries: the record,   their append message (<= 128
+//	  the frame it was appended as,        records): each entry is a view of
+//	  standby pages redone from it         it, decoded by a NewStringDecoder
+//	                                       from ParseString's payload; while
+//	                                       the entry cache keeps every entry,
+//	                                       that pins nothing it would not
+//	repl leader cached frames            their own frame: encoded once for
+//	                                       the segment and the followers,
+//	                                       dropped once every peer holds it
+//	                                       or it is maxAppendBatch below the
+//	                                       commit index
 //	repl leader id and address           nothing: cloned when they change
 //	recovered WAL records                their own record only, never the
 //	                                       segment or the batch read
 //	checkpoint pages and active ids      nothing: copied one by one
 //
-// A site where a small string would outlive a large frame clones it.
+// A site where a small string would outlive a large frame clones it. A
+// trim of the repl entry cache (which today keeps every entry) would make
+// follower entries such a site: the entries and standby pages it keeps
+// past their message's other entries must be cloned.
 package frame
 
 import (
@@ -68,6 +82,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"unsafe"
 )
 
 // HeaderSize is the length + checksum prefix of every frame.
@@ -102,22 +117,47 @@ func End(dst []byte, start int) []byte {
 // Parse checks the first frame in buf and returns its payload (aliasing
 // buf) and the frame's size, header included.
 func Parse(buf []byte, min, max int) (payload []byte, n int, err error) {
+	if n, err = check(buf, min, max); err != nil {
+		return nil, 0, err
+	}
+	return buf[HeaderSize:n], n, nil
+}
+
+// ParseString is Parse over a string: the payload is a substring of s, so
+// it, and every string a NewStringDecoder reads from it, keeps s alive.
+func ParseString(s string, min, max int) (payload string, n int, err error) {
+	if n, err = check(readOnly(s), min, max); err != nil {
+		return "", 0, err
+	}
+	return s[HeaderSize:n], n, nil
+}
+
+// check applies the torn/corrupt rule to the first frame in buf and
+// returns its size, header included.
+func check(buf []byte, min, max int) (int, error) {
 	if len(buf) < HeaderSize {
-		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrTorn, len(buf))
+		return 0, fmt.Errorf("%w: %d header bytes", ErrTorn, len(buf))
 	}
 	length := binary.LittleEndian.Uint32(buf)
 	if uint64(length) < uint64(min) || uint64(length) > uint64(max) {
-		return nil, 0, lengthError(length, min, max)
+		return 0, lengthError(length, min, max)
 	}
 	if uint64(length) > uint64(len(buf)-HeaderSize) {
-		return nil, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(buf)-HeaderSize, length)
+		return 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(buf)-HeaderSize, length)
 	}
-	n = HeaderSize + int(length)
-	payload = buf[HeaderSize:n]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
-		return nil, 0, errChecksum
+	n := HeaderSize + int(length)
+	if crc32.Checksum(buf[HeaderSize:n], castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
+		return 0, errChecksum
 	}
-	return payload, n, nil
+	return n, nil
+}
+
+// readOnly returns s's bytes without a copy. Nothing writes through the
+// slice it returns: every caller in this package only reads it (checksums,
+// integer fields, uvarints), and no function hands it out writable, since
+// a write would change an immutable string under its other holders.
+func readOnly(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // Read reads exactly one frame from r and returns its payload and the
@@ -192,7 +232,8 @@ type Decoder struct {
 	at  int    // its offset in the payload
 	// views marks a NewViewDecoder: s is buf[base:] converted to a string
 	// at the first non-empty string read, which starts at base, and every
-	// string is a substring of it.
+	// string is a substring of it. A NewStringDecoder starts with s set to
+	// its whole payload, base 0, so nothing is ever converted.
 	views bool
 	s     string
 	base  int
@@ -213,6 +254,15 @@ func NewDecoder(payload []byte) Decoder {
 // carries many independent values.
 func NewViewDecoder(payload []byte) Decoder {
 	return Decoder{buf: payload, views: true}
+}
+
+// NewStringDecoder returns a Decoder over a payload that is already a
+// string (ParseString's): every string it returns is a substring of
+// payload, so decoding allocates nothing, and any one string it returns
+// keeps payload, and whatever payload is a substring of, alive. Bytes
+// returns a view of the string that must not be written.
+func NewStringDecoder(payload string) Decoder {
+	return Decoder{buf: readOnly(payload), views: true, s: payload}
 }
 
 func (d *Decoder) fail(field string) {
@@ -261,7 +311,8 @@ func (d *Decoder) Uvarint() uint64 {
 func (d *Decoder) Count() int { return d.prefix("count") }
 
 // Bytes reads uvarint-length-prefixed bytes. The result aliases the
-// payload; String copies or, under NewViewDecoder, views.
+// payload (under NewStringDecoder, a string: read it only); String
+// copies or, under NewViewDecoder and NewStringDecoder, views.
 func (d *Decoder) Bytes() []byte {
 	n := d.prefix("length")
 	d.off += n

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func encode(payload string) []byte {
@@ -54,8 +56,12 @@ func TestClassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := Parse(tc.in, min, max); !errors.Is(err, tc.parse) {
-				t.Errorf("Parse: %v, want %v", err, tc.parse)
+			_, _, perr := Parse(tc.in, min, max)
+			if !errors.Is(perr, tc.parse) {
+				t.Errorf("Parse: %v, want %v", perr, tc.parse)
+			}
+			if _, _, err := ParseString(string(tc.in), min, max); fmt.Sprint(err) != fmt.Sprint(perr) {
+				t.Errorf("ParseString: %v, Parse: %v", err, perr)
 			}
 			_, _, err := Read(bytes.NewReader(tc.in), min, max)
 			if !errors.Is(err, tc.read) {
@@ -76,6 +82,14 @@ func TestClassification(t *testing.T) {
 		payload, n, err = Read(bytes.NewReader(in), min, max)
 		if err != nil || n != len(good) || string(payload) != "hello, frame" {
 			t.Fatalf("Read(good): %q, %d, %v", payload, n, err)
+		}
+		s := string(in)
+		spayload, n, err := ParseString(s, min, max)
+		if err != nil || n != len(good) || spayload != "hello, frame" {
+			t.Fatalf("ParseString(good): %q, %d, %v", spayload, n, err)
+		}
+		if unsafe.StringData(spayload) != unsafe.StringData(s[HeaderSize:]) {
+			t.Fatal("ParseString's payload is not a substring of its input")
 		}
 	}
 }
@@ -288,6 +302,24 @@ func TestViewDecoder(t *testing.T) {
 	}
 	if want.inner != "inner" || want.rest != "rest" || want.n != 5 {
 		t.Fatalf("decode = %+v", want)
+	}
+	ps := string(p)
+	got, err = decode(NewStringDecoder(ps))
+	if err != nil || got != want {
+		t.Fatalf("string decode = %+v, %v; copy decode = %+v", got, err, want)
+	}
+	within := func(v string) bool {
+		start := uintptr(unsafe.Pointer(unsafe.StringData(ps)))
+		at := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+		return at >= start && at+uintptr(len(v)) <= start+uintptr(len(ps))
+	}
+	for _, v := range []string{got.first, got.second, got.inner, got.rest} {
+		if !within(v) {
+			t.Fatalf("string decode of %q is not a view of its payload", v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { decode(NewStringDecoder(ps)) }); allocs != 0 {
+		t.Fatalf("string decode = %.1f allocs, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { decode(NewViewDecoder(p)) }); allocs != 1 {
 		t.Fatalf("view decode = %.1f allocs, want 1", allocs)

@@ -3,8 +3,10 @@ package frame_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -13,11 +15,14 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzParse: arbitrary bytes never panic Parse, Read or ReadInto; the
-// three agree on every input, frame after frame, with ReadInto reading
-// every frame of the input into one reused buffer; every failure is torn
-// or corrupt; and whatever parses re-encodes to exactly the bytes it was
-// parsed from. The seeds are one of each frame the system writes: a WAL
+// FuzzParse: arbitrary bytes never panic Parse, ParseString, Read or
+// ReadInto; the four agree on every input, frame after frame, with
+// ReadInto reading every frame of the input into one reused buffer, and
+// ParseString returning Parse's very error; every failure is torn or
+// corrupt; and whatever parses re-encodes to exactly the bytes it was
+// parsed from. Each payload decodes field for field and error for error
+// alike through NewViewDecoder and NewStringDecoder, and each frame alike
+// through storage.DecodeRecordFrame and DecodeRecordFrameString. The seeds are one of each frame the system writes: a WAL
 // record, a traced wire message and a checkpoint file's frame, and the
 // first two back to back. `go test` runs the seeds;
 // `go test -fuzz=FuzzParse ./internal/frame` explores.
@@ -80,6 +85,22 @@ func FuzzParse(f *testing.F) {
 		var buf []byte
 		for rest := data; ; {
 			payload, n, err := frame.Parse(rest, min, max)
+			spayload, sn, serr := frame.ParseString(string(rest), min, max)
+			if fmt.Sprint(serr) != fmt.Sprint(err) || sn != n || spayload != string(payload) {
+				t.Fatalf("at offset %d Parse took %d bytes (%v), ParseString %d (%v)",
+					len(data)-len(rest), n, err, sn, serr)
+			}
+			if err == nil {
+				if v, s := walkFields(frame.NewViewDecoder(payload)), walkFields(frame.NewStringDecoder(spayload)); v != s {
+					t.Fatalf("at offset %d the view decoder read %q, the string decoder %q", len(data)-len(rest), v, s)
+				}
+			}
+			rec, rn, rerr := storage.DecodeRecordFrame(rest)
+			srec, srn, srerr := storage.DecodeRecordFrameString(string(rest))
+			if fmt.Sprint(srerr) != fmt.Sprint(rerr) || srn != rn || !reflect.DeepEqual(srec, rec) {
+				t.Fatalf("at offset %d DecodeRecordFrame: %+v %d %v; DecodeRecordFrameString: %+v %d %v",
+					len(data)-len(rest), rec, rn, rerr, srec, srn, srerr)
+			}
 			rpayload, rn, rerr := frame.Read(stream, min, max)
 			ipayload, in, ierr := frame.ReadInto(into, &buf, min, max)
 			if len(rest) == 0 {
@@ -105,4 +126,18 @@ func FuzzParse(f *testing.F) {
 			rest = rest[n:]
 		}
 	})
+}
+
+// walkFields reads a payload through d as a fixed run of every field kind
+// — integers, strings, a counted list, an extension block — and renders
+// what it read and how the decode ended, so two decoders can be compared.
+func walkFields(d frame.Decoder) string {
+	out := fmt.Sprint(d.U64(), d.Byte(), d.Uvarint(), d.String())
+	for i, n := 0, d.Count(); i < n && i < 64; i++ {
+		out += "|" + d.String()
+	}
+	b := d.Block()
+	out += fmt.Sprint("|", b.Uvarint(), b.String(), b.Rest(), b.Done())
+	out += fmt.Sprint("|", d.Bytes(), d.Rest(), d.Len(), d.Done())
+	return out
 }

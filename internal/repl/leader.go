@@ -49,6 +49,7 @@ func (n *Node) becomeLeaderLocked() {
 	n.next = make(map[string]uint64, len(n.cfg.Peers))
 	n.wake = make(map[string]chan struct{}, len(n.cfg.Peers))
 	n.want = 0
+	n.framesFrom = n.lastLSN + 1
 	epoch := n.epoch
 	for _, p := range n.cfg.Peers {
 		n.match[p.ID] = 0
@@ -134,8 +135,8 @@ func (n *Node) promote(epoch, term uint64) {
 		return
 	}
 	for _, rec := range recs {
-		if _, ok := n.entries[rec.LSN]; !ok {
-			n.entries[rec.LSN] = entry{term: n.termOfLocked(rec.LSN), rec: rec}
+		if n.entries.at(rec.LSN) == nil {
+			n.entries.put(rec.LSN, entry{term: n.termOfLocked(rec.LSN), rec: rec})
 		}
 		if rec.LSN > n.lastLSN {
 			n.lastLSN = rec.LSN
@@ -144,6 +145,10 @@ func (n *Node) promote(epoch, term uint64) {
 			n.firstLSN = rec.LSN
 		}
 	}
+	// Frames below here, if any, are views of the append messages this
+	// node received as a follower, which its records pin anyway: only
+	// the frames this leader encodes are a second copy to drop.
+	n.framesFrom = max(n.framesFrom, n.lastLSN+1)
 	n.db = db
 	n.sink = sink
 	n.cluster = partition.Single(db)
@@ -175,15 +180,22 @@ type quorumSink struct {
 	epoch uint64
 	inner storage.DurableSink
 	fw    *storage.FileWAL
+	enc   storage.RecordEncoder // guarded by the engine WAL's mutex
 }
 
-// Append runs under the engine WAL's mutex: buffer into the local FileWAL
-// and the replicated entry cache. Nothing ships until a commit waits.
+// Append runs under the engine WAL's mutex: encode the record's frame
+// once, and hand that one string to the local FileWAL, which writes it to
+// the segment as it is, and to the replicated entry cache, which ships it
+// to the followers. Nothing ships until a commit waits.
 func (s *quorumSink) Append(rec storage.Record) {
-	if s.inner != nil {
+	frame := s.enc.Frame(rec)
+	switch {
+	case s.fw != nil:
+		s.fw.AppendFrame(rec.LSN, frame)
+	case s.inner != nil:
 		s.inner.Append(rec)
 	}
-	s.n.appendLocal(s.epoch, rec)
+	s.n.appendLocal(s.epoch, rec, frame)
 }
 
 // WaitDurable demands lsn from the followers first, so their append and
@@ -231,16 +243,17 @@ func (s *quorumSink) Poisoned() error {
 	return nil
 }
 
-// appendLocal caches a leader-appended record in the replicated log.
-// Called under the engine WAL's mutex (lock order: WAL.mu then n.mu —
-// nothing in the node calls engine WAL methods while holding n.mu).
-func (n *Node) appendLocal(epoch uint64, rec storage.Record) {
+// appendLocal caches a leader-appended record and its frame in the
+// replicated log. Called under the engine WAL's mutex (lock order: WAL.mu
+// then n.mu — nothing in the node calls engine WAL methods while holding
+// n.mu).
+func (n *Node) appendLocal(epoch uint64, rec storage.Record, frame string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.epoch != epoch || n.closed {
 		return
 	}
-	n.entries[rec.LSN] = entry{term: n.term, rec: rec}
+	n.entries.put(rec.LSN, entry{term: n.term, rec: rec, frame: frame})
 	if n.firstLSN == 0 {
 		n.firstLSN = rec.LSN
 	}
@@ -334,6 +347,28 @@ func (n *Node) advanceCommitLocked() {
 		n.cond.Broadcast()
 		n.wakePeersLocked() // piggyback the new commit index promptly
 	}
+	n.dropFramesLocked()
+}
+
+// dropFramesLocked drops the cached frames of the records every peer
+// holds (its match passed them) and of those more than maxAppendBatch
+// below the commit index: a peer that far behind is catching up, and
+// re-encodes what it ships (buildAppendLocked). So the leader keeps a
+// second copy of a record's bytes, beside the record itself, only while
+// a peer within one batch of the commit index may still need it.
+func (n *Node) dropFramesLocked() {
+	upTo := n.lastLSN // no peers: nobody needs a frame
+	for _, m := range n.match {
+		upTo = min(upTo, m)
+	}
+	if n.commitIndex > maxAppendBatch {
+		upTo = max(upTo, n.commitIndex-maxAppendBatch-1)
+	}
+	for ; n.framesFrom <= upTo; n.framesFrom++ {
+		if e := n.entries.at(n.framesFrom); e != nil {
+			e.frame = ""
+		}
+	}
 }
 
 // peerLoop replicates to one follower for one leadership incarnation:
@@ -343,6 +378,10 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 	defer n.wg.Done()
 	hb := time.NewTimer(0) // send an immediate heartbeat on taking office
 	defer hb.Stop()
+	// Every append message is built into these: tr.call is synchronous,
+	// so the last message is done with when the next is built.
+	re := new(wire.ReplExt)
+	params := make([]string, 0, maxAppendBatch)
 	for {
 		select {
 		case <-wakeCh:
@@ -355,7 +394,7 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 				n.mu.Unlock()
 				return
 			}
-			req, needSnap := n.buildAppendLocked(p)
+			req, needSnap := n.buildAppendLocked(p, re, params)
 			prevNext := n.next[p.ID]
 			commit := n.commitIndex
 			n.mu.Unlock()
@@ -367,6 +406,7 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 				req = req2
 			}
 			resp, err := n.tr.call(p, req)
+			clear(req.Params) // the shipped frames may be dropped from the cache
 			if err != nil || resp.Repl == nil {
 				break
 			}
@@ -413,36 +453,44 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 	}
 }
 
-// buildAppendLocked assembles the next AppendEntries for p: a batch of
-// entries from nextIndex up to the highest LSN a committer waits for
-// (never spanning a term boundary), or a pure heartbeat when the follower
-// holds everything demanded. needSnap reports that the follower trails
-// the entry cache floor and must be seeded by snapshot.
-func (n *Node) buildAppendLocked(p Peer) (wire.Msg, bool) {
+// buildAppendLocked assembles the next AppendEntries for p into re and
+// params' array: a batch of entries from nextIndex up to the highest LSN
+// a committer waits for (never spanning a term boundary), or a pure
+// heartbeat when the follower holds everything demanded. An entry ships
+// as its cached frame, and is encoded only when that was dropped.
+// needSnap reports that the follower trails the entry cache floor and
+// must be seeded by snapshot.
+func (n *Node) buildAppendLocked(p Peer, re *wire.ReplExt, params []string) (wire.Msg, bool) {
 	next := n.next[p.ID]
 	if next < n.firstLSN || next <= n.snapLSN {
 		return wire.Msg{}, true
 	}
-	re := &wire.ReplExt{
-		Term:   n.term,
-		From:   n.cfg.ID,
-		Commit: n.commitIndex,
-		Addr:   n.cfg.Advertise,
+	*re = wire.ReplExt{
+		Term:     n.term,
+		From:     n.cfg.ID,
+		Commit:   n.commitIndex,
+		Addr:     n.cfg.Advertise,
+		PrevLSN:  next - 1,
+		PrevTerm: n.termOfLocked(next - 1),
 	}
-	re.PrevLSN = next - 1
-	re.PrevTerm = n.termOfLocked(re.PrevLSN)
 	m := wire.Msg{Type: wire.MsgReplAppend, Repl: re}
 	last := min(n.want, n.lastLSN)
 	if next > last {
 		return m, false // heartbeat
 	}
 	re.EntryTerm = n.termOfLocked(next)
+	m.Params = params[:0]
 	for lsn := next; lsn <= last && len(m.Params) < maxAppendBatch; lsn++ {
-		e, ok := n.entries[lsn]
-		if !ok || e.term != re.EntryTerm {
+		e := n.entries.at(lsn)
+		if e == nil || e.term != re.EntryTerm {
 			break
 		}
-		m.Params = append(m.Params, string(storage.EncodeRecordFrame(nil, e.rec)))
+		frame := e.frame
+		if frame == "" {
+			frame = n.enc.Frame(e.rec)
+			n.reencoded++
+		}
+		m.Params = append(m.Params, frame)
 	}
 	return m, false
 }

@@ -12,8 +12,16 @@
 //
 //   - Log index = WAL LSN. The engine already assigns dense, contiguous
 //     LSNs under the WAL mutex, so the replicated log needs no second
-//     numbering scheme, and replicas' segment files are byte-identical
-//     (entries travel as encoded record frames, storage.EncodeRecordFrame).
+//     numbering scheme, and replicas' segment files are byte-identical:
+//     a record crosses the cluster as one frame (storage.EncodeRecordFrame
+//     bytes), encoded once on the leader for its own segment and its
+//     followers' append messages, and appended by each follower as it
+//     was received (FileWAL.AppendFrame), never re-encoded. An entry keeps
+//     its frame: a follower's is a view of the append message its record
+//     was decoded from, so a follower promoted to leader ships what it
+//     received; a leader drops the frames it encoded once every peer holds
+//     them or they fall maxAppendBatch below the commit index, and encodes
+//     an entry again only for a peer that far behind.
 //   - Per-entry terms are not stored in the records (the WAL codec stays
 //     untouched); instead a node persists term *fences* — (term, firstLSN)
 //     pairs in repl-state.json — and an entry's term is the newest fence at
@@ -160,12 +168,79 @@ type hardState struct {
 
 const hardStateFile = "repl-state.json"
 
-// entry is one in-memory log entry. The record's frame encoding is
-// deterministic, so frames are re-encoded on demand for the wire rather
-// than cached.
+// entry is one in-memory log entry: its term, its record, and the record's
+// frame, the bytes it ships as. A follower's frame is the one it received
+// and appended, a view of that append message, as its record's fields
+// are. A leader's is the one its segment write was handed, a second copy
+// of the record that dropFramesLocked drops once no peer is likely to
+// need it; an entry without a frame (dropped, or recovered from disk) is
+// encoded when it ships.
 type entry struct {
-	term uint64
-	rec  storage.Record
+	term  uint64
+	rec   storage.Record
+	frame string
+}
+
+// entryLog is a node's in-memory log: its entries by LSN, in chunks of
+// logChunk consecutive LSNs. An entry is too large to sit in a map's own
+// array, so a map would allocate an object per entry; a chunk is one
+// object per logChunk entries. An empty slot (a zero entry) is an absent
+// LSN, as a missing map key was.
+type entryLog struct {
+	first  uint64             // the chunk number of chunks[0]
+	chunks []*[logChunk]entry // nil where no LSN of the chunk is held
+}
+
+const logChunk = 256
+
+// at returns the entry at lsn, or nil. The pointer is valid until the
+// log is cut or reset.
+func (l *entryLog) at(lsn uint64) *entry {
+	c := lsn / logChunk
+	if c < l.first || c-l.first >= uint64(len(l.chunks)) || l.chunks[c-l.first] == nil {
+		return nil
+	}
+	e := &l.chunks[c-l.first][lsn%logChunk]
+	if e.rec.LSN != lsn {
+		return nil
+	}
+	return e
+}
+
+// put stores e at lsn.
+func (l *entryLog) put(lsn uint64, e entry) {
+	c := lsn / logChunk
+	switch {
+	case len(l.chunks) == 0:
+		l.first = c
+		l.chunks = append(l.chunks, nil)
+	case c < l.first:
+		l.chunks = append(make([]*[logChunk]entry, l.first-c), l.chunks...)
+		l.first = c
+	}
+	for c-l.first >= uint64(len(l.chunks)) {
+		l.chunks = append(l.chunks, nil)
+	}
+	if l.chunks[c-l.first] == nil {
+		l.chunks[c-l.first] = new([logChunk]entry)
+	}
+	l.chunks[c-l.first][lsn%logChunk] = e
+}
+
+// cutAbove drops every entry above keep.
+func (l *entryLog) cutAbove(keep uint64) {
+	for i := len(l.chunks) - 1; i >= 0; i-- {
+		lo := (l.first + uint64(i)) * logChunk
+		if lo > keep {
+			l.chunks[i] = nil
+			l.chunks = l.chunks[:i]
+			continue
+		}
+		if ch := l.chunks[i]; ch != nil && keep-lo+1 < logChunk {
+			clear(ch[keep-lo+1:])
+		}
+		return
+	}
 }
 
 // Node is one replica: follower, candidate, or leader.
@@ -191,12 +266,14 @@ type Node struct {
 
 	// Log state. entries holds every record from firstLSN..lastLSN;
 	// records at or below snapLSN live only in the snapshot.
-	entries     map[uint64]entry
+	entries     entryLog
 	firstLSN    uint64
 	lastLSN     uint64
 	snapLSN     uint64
 	snapTerm    uint64
 	commitIndex uint64
+	// recs is handleAppend's decode buffer, cleared after each message.
+	recs []storage.Record
 
 	// Follower state: the owned durable log, the warm standby image, and
 	// the apply cursor into it.
@@ -218,6 +295,12 @@ type Node struct {
 	next    map[string]uint64
 	wake    map[string]chan struct{}
 	want    uint64
+	// framesFrom is the lowest LSN whose entry may still hold a frame this
+	// leader encoded (dropFramesLocked); enc encodes the entries that
+	// ship without one, and reencoded counts them.
+	framesFrom uint64
+	enc        storage.RecordEncoder
+	reencoded  uint64
 
 	// epoch increments on every role transition; goroutines spawned for
 	// one incarnation (promotion, peer loops, vote fan-out) check it and
@@ -425,10 +508,10 @@ func writeFileSync(path string, data []byte) error {
 // newest checkpoint. Called at Open and after a deposed leader's engine
 // is closed.
 func (n *Node) loadDiskStateLocked() error {
-	entries := make(map[uint64]entry)
+	var entries entryLog
 	var first, last uint64
 	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), func(rec storage.Record) error {
-		entries[rec.LSN] = entry{term: n.termOfLocked(rec.LSN), rec: rec}
+		entries.put(rec.LSN, entry{term: n.termOfLocked(rec.LSN), rec: rec})
 		if first == 0 {
 			first = rec.LSN
 		}
@@ -690,8 +773,7 @@ func (n *Node) applyCommittedLocked() {
 		return
 	}
 	for lsn := n.applied + 1; lsn <= n.commitIndex; lsn++ {
-		e, ok := n.entries[lsn]
-		if ok && e.rec.Kind == storage.RecUpdate {
+		if e := n.entries.at(lsn); e != nil && e.rec.Kind == storage.RecUpdate {
 			if err := recovery.RedoPage(n.standby, e.rec.Page, e.rec.After); err != nil {
 				n.logf("repl: %s: standby redo of lsn %d: %v", n.cfg.ID, lsn, err)
 			}

@@ -83,7 +83,11 @@ func testConfig(t testing.TB, id, dir string) Config {
 }
 
 // startCluster boots k nodes wired to each other and registers cleanup.
-func startCluster(t testing.TB, k int) []*Node {
+func startCluster(t testing.TB, k int) []*Node { return startClusterWith(t, k, nil) }
+
+// startClusterWith is startCluster with tweak applied to node i's
+// configuration before it opens (nil: none).
+func startClusterWith(t testing.TB, k int, tweak func(i int, cfg *Config)) []*Node {
 	t.Helper()
 	addrs := freeAddrs(t, k)
 	nodes := make([]*Node, k)
@@ -94,6 +98,9 @@ func startCluster(t testing.TB, k int) []*Node {
 			if j != i {
 				cfg.Peers = append(cfg.Peers, Peer{ID: fmt.Sprintf("n%d", j), Addr: addrs[j]})
 			}
+		}
+		if tweak != nil {
+			tweak(i, &cfg)
 		}
 		n, err := Open(cfg)
 		if err != nil {
@@ -383,7 +390,7 @@ func TestFollowerConflictTruncationSurvivesRestart(t *testing.T) {
 	}
 	n.mu.Lock()
 	gotTerm := n.termOfLocked(2)
-	gotAfter := n.entries[2].rec.After
+	gotAfter := n.entries.at(2).rec.After
 	n.mu.Unlock()
 	if gotTerm != 2 || gotAfter != "new-2" {
 		t.Fatalf("entry 2 = term %d after %q, want term 2 after new-2", gotTerm, gotAfter)
@@ -400,8 +407,8 @@ func TestFollowerConflictTruncationSurvivesRestart(t *testing.T) {
 	if n2.lastLSN != 4 || n2.termOfLocked(4) != 2 || n2.termOfLocked(1) != 1 {
 		t.Fatalf("restart state: last=%d t4=%d t1=%d", n2.lastLSN, n2.termOfLocked(4), n2.termOfLocked(1))
 	}
-	if n2.entries[3].rec.After != "new-3" {
-		t.Fatalf("restart entry 3 = %q", n2.entries[3].rec.After)
+	if n2.entries.at(3).rec.After != "new-3" {
+		t.Fatalf("restart entry 3 = %q", n2.entries.at(3).rec.After)
 	}
 }
 

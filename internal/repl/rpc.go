@@ -123,11 +123,13 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 		return n.ackLocked(false, 0, hint)
 	}
 
-	// Decode and sanity-check the batch: contiguous from PrevLSN+1.
-	recs := make([]storage.Record, 0, len(m.Params))
+	// Decode and sanity-check the batch: each entry exactly one frame,
+	// contiguous from PrevLSN+1. The records are views of the message.
+	recs := n.recs[:0]
+	defer n.releaseRecsLocked(&recs)
 	for i, p := range m.Params {
-		rec, _, err := storage.DecodeRecordFrame([]byte(p))
-		if err != nil || rec.LSN != re.PrevLSN+1+uint64(i) {
+		rec, size, err := storage.DecodeRecordFrameString(p)
+		if err != nil || size != len(p) || rec.LSN != re.PrevLSN+1+uint64(i) {
 			return n.ackLocked(false, 0, 0)
 		}
 		recs = append(recs, rec)
@@ -157,9 +159,13 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 			n.addFenceLocked(re.EntryTerm, first)
 			n.persistLocked()
 		}
-		for _, rec := range newRecs {
-			n.fw.Append(rec)
-			n.entries[rec.LSN] = entry{term: re.EntryTerm, rec: rec}
+		// Append each frame as it was received: the follower's segment
+		// holds the leader's bytes, and its entry keeps the frame to ship
+		// should this node lead.
+		for i, rec := range newRecs {
+			frame := m.Params[appendFrom+i]
+			n.fw.AppendFrame(rec.LSN, frame)
+			n.entries.put(rec.LSN, entry{term: re.EntryTerm, rec: rec, frame: frame})
 		}
 		n.lastLSN = newRecs[len(newRecs)-1].LSN
 		// Fsync before acking: Match is the durability promise quorum
@@ -182,6 +188,14 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 	return n.ackLocked(true, match, 0)
 }
 
+// releaseRecsLocked hands handleAppend's decode buffer back, cleared: a
+// record left in it would pin its append message after the message's
+// entries were skipped or refused.
+func (n *Node) releaseRecsLocked(recs *[]storage.Record) {
+	clear(*recs)
+	n.recs = (*recs)[:0]
+}
+
 // truncateSuffixLocked discards every log record above keep — the
 // follower's conflict resolution when its unreplicated suffix diverges
 // from the new leader's history.
@@ -198,9 +212,7 @@ func (n *Node) truncateSuffixLocked(keep uint64) error {
 		n.fences = n.fences[:len(n.fences)-1]
 	}
 	n.persistLocked()
-	for lsn := keep + 1; lsn <= n.lastLSN; lsn++ {
-		delete(n.entries, lsn)
-	}
+	n.entries.cutAbove(keep)
 	n.lastLSN = keep
 	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), nil)
 	if err != nil {
@@ -290,7 +302,7 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 		n.fences = []fence{{Term: re.PrevTerm, First: snap.LSN}}
 	}
 	n.persistLocked()
-	n.entries = make(map[uint64]entry)
+	n.entries = entryLog{}
 	n.firstLSN = snap.LSN + 1
 	n.lastLSN = snap.LSN
 	if n.commitIndex < snap.LSN {

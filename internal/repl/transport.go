@@ -94,7 +94,8 @@ func (tr *transport) handleConn(c net.Conn) {
 	br := bufio.NewReader(c)
 	var buf, rbuf []byte // the reply encode and request read buffers
 	// params is the request params' array, reused once a request has been
-	// handled: handleRPC copies every entry it keeps.
+	// handled: what handleRPC keeps of an entry is the string, a view of
+	// the message, never this array.
 	var params []string
 	for {
 		_ = c.SetReadDeadline(time.Time{})

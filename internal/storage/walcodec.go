@@ -74,6 +74,39 @@ func DecodeRecordFrame(buf []byte) (Record, int, error) {
 	return rec, n, nil
 }
 
+// DecodeRecordFrameString is DecodeRecordFrame over a string, with the
+// same checks and errors: the record's strings are substrings of s, so
+// decoding allocates nothing beyond Refs, and a kept field keeps s alive.
+// A replication follower decodes an append message's entries this way,
+// each a view of the one string the message was read into.
+func DecodeRecordFrameString(s string) (Record, int, error) {
+	payload, n, err := frame.ParseString(s, recPayloadMin, maxWALRecordSize)
+	if err != nil {
+		return Record{}, 0, fmt.Errorf("%w: %w", ErrRecordCorrupt, err)
+	}
+	rec, err := decodeRecord(frame.NewStringDecoder(payload))
+	if err != nil {
+		return Record{}, 0, err
+	}
+	return rec, n, nil
+}
+
+// RecordEncoder encodes records into one buffer it keeps and returns each
+// frame as a string of its own, EncodeRecordFrame's bytes: one allocation
+// per record. It is not safe for concurrent use; each owner guards its
+// own.
+type RecordEncoder struct{ buf []byte }
+
+// Frame returns rec's frame.
+func (e *RecordEncoder) Frame(rec Record) string {
+	e.buf = EncodeRecordFrame(e.buf[:0], rec)
+	s := string(e.buf)
+	if cap(e.buf) > 64<<10 {
+		e.buf = nil // do not keep the largest record's buffer
+	}
+	return s
+}
+
 // decodeRecordPayload parses a checksum-verified payload back into a
 // Record. Errors wrap ErrRecordCorrupt: the frame was intact on disk but
 // its contents are not a record. The record's strings are views of one
@@ -81,7 +114,11 @@ func DecodeRecordFrame(buf []byte) (Record, int, error) {
 // allocation plus its Refs, and a kept field pins that record only, never
 // the segment or the batch it was read from.
 func decodeRecordPayload(payload []byte) (Record, error) {
-	d := frame.NewViewDecoder(payload)
+	return decodeRecord(frame.NewViewDecoder(payload))
+}
+
+// decodeRecord reads a record's fields through d.
+func decodeRecord(d frame.Decoder) (Record, error) {
 	rec := Record{LSN: d.U64(), Kind: RecordKind(d.Byte())}
 	rec.CLR = d.Byte()&recFlagCLR != 0
 	rec.Page = PageID(d.U64())

@@ -10,7 +10,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// unsafeStart is the address of s's first byte.
+func unsafeStart(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
 
 // goldenHandRecords covers every RecordKind, the CLR flag, supersede refs
 // (one- to five-byte uvarints), empty, binary and non-ASCII strings, and a
@@ -124,5 +128,50 @@ func TestRecordFrameGoldenBytes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, run) {
 		t.Fatalf("golden segment read back %d records, want %d (or contents differ)", len(got), len(run))
+	}
+}
+
+// TestDecodeRecordFrameString: the string decoder agrees with
+// DecodeRecordFrame on every frame of the golden run, on every prefix of
+// one, and on every single-bit flip of one — the same record, the same
+// size, the same error. A decoded record's strings are substrings of the
+// frame it was given, so decoding allocates nothing but Refs; RecordEncoder
+// returns EncodeRecordFrame's bytes.
+func TestDecodeRecordFrameString(t *testing.T) {
+	same := func(t *testing.T, b []byte) {
+		t.Helper()
+		want, wn, werr := DecodeRecordFrame(b)
+		got, gn, gerr := DecodeRecordFrameString(string(b))
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || gn != wn || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%x:\nstring: %+v %d %v\n bytes: %+v %d %v", b, got, gn, gerr, want, wn, werr)
+		}
+	}
+	var enc RecordEncoder
+	for i, rec := range goldenRun() {
+		b := EncodeRecordFrame(nil, rec)
+		if f := enc.Frame(rec); f != string(b) {
+			t.Fatalf("record %d: RecordEncoder.Frame differs from EncodeRecordFrame", i)
+		}
+		same(t, b)
+		same(t, append(b, 0xee)) // a frame followed by more bytes
+		for n := 0; n < len(b); n++ {
+			same(t, b[:n])
+		}
+		for bit := 0; bit < 8*len(b); bit++ {
+			flipped := append([]byte(nil), b...)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			same(t, flipped)
+		}
+	}
+
+	rec := goldenHandRecords[7] // Before and After both set, no Refs
+	f := enc.Frame(rec)
+	var got Record
+	if allocs := testing.AllocsPerRun(100, func() { got, _, _ = DecodeRecordFrameString(f) }); allocs != 0 {
+		t.Fatalf("decoding a frame string allocates %.1f times", allocs)
+	}
+	if !strings.Contains(f, got.After) || unsafeStart(got.After) < unsafeStart(f) ||
+		unsafeStart(got.After)+uintptr(len(got.After)) > unsafeStart(f)+uintptr(len(f)) {
+		t.Fatal("a decoded field is not a view of the frame")
 	}
 }

@@ -103,7 +103,7 @@ type FileWALOptions struct {
 
 type pendingRec struct {
 	lsn   uint64
-	frame []byte
+	frame string
 }
 
 // flushHistCap bounds the flush-history ring. A committer queries its batch
@@ -148,11 +148,19 @@ type FileWAL struct {
 	closed       bool
 
 	// flushMu serializes physical flushes (the group flusher and the
-	// sync-on-commit inline path); cur/curSize/writeBuf are guarded by it.
+	// sync-on-commit inline path); cur/curSize/writeBuf/spare are guarded
+	// by it. spare is the array pending moves to when a flush takes its
+	// head, and the flushed array, cleared, becomes the next spare: the
+	// two swap, so neither regrows once the queue's depth is reached.
 	flushMu  sync.Mutex
 	cur      *os.File
 	curSize  int64
 	writeBuf []byte
+	spare    []pendingRec
+
+	// encMu guards enc, Append's encode buffer.
+	encMu sync.Mutex
+	enc   RecordEncoder
 
 	flusherDone chan struct{}
 	fsyncs      atomic.Int64
@@ -350,24 +358,35 @@ func truncateSegment(path string, size int64) error {
 	return f.Sync()
 }
 
-// Append implements DurableSink. It is called by the in-memory WAL under
-// its mutex, so records arrive here in LSN order; the encoded frame is
-// buffered and the flusher (or a sync-on-commit waiter) writes it out.
+// Append implements DurableSink: AppendFrame of rec's frame, encoded in
+// the FileWAL's own buffer, so a record costs one allocation, its frame.
 func (w *FileWAL) Append(rec Record) {
+	w.encMu.Lock()
+	frame := w.enc.Frame(rec)
+	w.encMu.Unlock()
+	w.AppendFrame(rec.LSN, frame)
+}
+
+// AppendFrame buffers frame, the record lsn's EncodeRecordFrame bytes, for
+// the flusher (or a sync-on-commit waiter) to write out as they are. It is
+// called in LSN order: by the in-memory WAL under its mutex through
+// Append, by a replication leader that encoded the record once for its
+// segment and its followers, and by a follower with the frame it
+// received. It allocates nothing.
+func (w *FileWAL) AppendFrame(lsn uint64, frame string) {
 	if err := fpWALAppend.Inject(); err != nil {
 		w.fail(err)
 		return
 	}
-	enc := EncodeRecordFrame(nil, rec)
 	w.mu.Lock()
 	if w.closed || w.failed != nil {
 		w.mu.Unlock()
 		return
 	}
-	w.pending = append(w.pending, pendingRec{lsn: rec.LSN, frame: enc})
-	w.pendingBytes += len(enc)
-	w.appended = rec.LSN
-	w.bytesAppended.Add(int64(len(enc)))
+	w.pending = append(w.pending, pendingRec{lsn: lsn, frame: frame})
+	w.pendingBytes += len(frame)
+	w.appended = lsn
+	w.bytesAppended.Add(int64(len(frame)))
 	if w.pendingBytes >= flushBackpressure {
 		w.flushCond.Signal()
 	}
@@ -485,15 +504,20 @@ func (w *FileWAL) syncTo(target uint64, forceSync bool) error {
 		for n < len(w.pending) && w.pending[n].lsn <= target {
 			n++
 		}
-		batch := w.pending[:n]
-		w.pending = w.pending[n:]
+		if n == 0 {
+			w.mu.Unlock()
+			break
+		}
+		// The batch keeps its array; what is left moves to the spare,
+		// which becomes pending.
+		taken := w.pending
+		batch := taken[:n]
+		w.pending = append(w.spare[:0], taken[n:]...)
+		w.spare = nil
 		for _, p := range batch {
 			w.pendingBytes -= len(p.frame)
 		}
 		w.mu.Unlock()
-		if len(batch) == 0 {
-			break
-		}
 		batchRecords += len(batch)
 
 		// Coalesce the batch into one write syscall per segment run: a
@@ -519,6 +543,8 @@ func (w *FileWAL) syncTo(target uint64, forceSync bool) error {
 			return err
 		}
 		w.writeBuf = buf[:0]
+		clear(taken) // a written frame is not pinned by the spare
+		w.spare = taken[:0]
 		if forceSync {
 			break
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -465,4 +466,152 @@ func readDir(t *testing.T, dir string) map[string]string {
 		files[e.Name()] = string(data)
 	}
 	return files
+}
+
+// TestFileWALAppendAllocs: in steady state, with a flush after every few
+// records, Append costs exactly one heap object per record (its frame) and
+// AppendFrame none. The pending queue keeps its arrays from flush to
+// flush, and the flush itself allocates nothing, in either durability
+// mode. The segment is large enough that no rotation falls in the runs.
+func TestFileWALAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const perFlush = 8
+	rec := goldenHandRecords[1]
+	frame := string(EncodeRecordFrame(nil, rec))
+	for _, mode := range []Durability{SyncOnCommit, GroupCommit} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fw, _, err := openFileWAL(t.TempDir(), FileWALOptions{Durability: mode, SegmentSize: 64 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fw.Close()
+			var lsn uint64
+			round := func(appendOne func()) func() {
+				return func() {
+					for i := 0; i < perFlush; i++ {
+						lsn++
+						appendOne()
+					}
+					if err := fw.WaitDurable(lsn); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			viaAppend := round(func() {
+				rec.LSN = lsn
+				fw.Append(rec)
+			})
+			viaFrame := round(func() { fw.AppendFrame(lsn, frame) })
+			for i := 0; i < 10; i++ { // reach steady state
+				viaAppend()
+				viaFrame()
+			}
+			if got := testing.AllocsPerRun(200, viaAppend); got != perFlush {
+				t.Errorf("%d Appends and a flush: %.2f allocations, want %d", perFlush, got, perFlush)
+			}
+			if got := testing.AllocsPerRun(200, viaFrame); got != 0 {
+				t.Errorf("%d AppendFrames and a flush: %.2f allocations, want 0", perFlush, got)
+			}
+		})
+	}
+}
+
+// TestAppendFrameWritesFrames: a segment holds exactly the frames handed
+// to AppendFrame, back to back, and the flushed frames are not kept by
+// the FileWAL's queue arrays.
+func TestAppendFrameWritesFrames(t *testing.T) {
+	dir := t.TempDir()
+	fw, _, err := openFileWAL(dir, FileWALOptions{Durability: GroupCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := goldenRun()
+	for i, rec := range run {
+		fw.AppendFrame(rec.LSN, string(EncodeRecordFrame(nil, rec)))
+		if i%7 == 6 {
+			if err := fw.WaitDurable(rec.LSN); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fw.WaitDurable(run[len(run)-1].LSN); err != nil {
+		t.Fatal(err)
+	}
+	fw.flushMu.Lock()
+	for _, p := range fw.spare[:cap(fw.spare)] {
+		if p.frame != "" {
+			t.Errorf("the spare queue array still holds the frame of lsn %d", p.lsn)
+		}
+	}
+	fw.flushMu.Unlock()
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names := segmentFiles(t, dir)
+	if len(names) != 1 {
+		t.Fatalf("%d segments, want 1", len(names))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, encodeRun(run)) {
+		t.Fatal("the segment is not the frames appended")
+	}
+}
+
+// TestFileWALConcurrentFlushes: committers appending and waiting at once,
+// in both durability modes, so that flushes (the flusher's, or each
+// sync-on-commit waiter's own) swap the pending queue's arrays while
+// appends land in them. Every record reaches the segments once, in order.
+func TestFileWALConcurrentFlushes(t *testing.T) {
+	for _, mode := range []Durability{SyncOnCommit, GroupCommit} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			fw, _, err := openFileWAL(dir, FileWALOptions{Durability: mode, SegmentSize: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewWAL()
+			w.SetSink(fw)
+			const workers, per = 6, 40
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						w.LogUpdate(fmt.Sprintf("T%d", g), PageID(g+1), "", fmt.Sprint(i))
+						if err := w.WaitDurable(w.LogCommit(fmt.Sprintf("T%d", g))); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := ReadWALDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 2*workers*per {
+				t.Fatalf("segments hold %d records, want %d", len(recs), 2*workers*per)
+			}
+			for i, rec := range recs {
+				if rec.LSN != uint64(i+1) {
+					t.Fatalf("record %d has lsn %d", i, rec.LSN)
+				}
+			}
+		})
+	}
 }
