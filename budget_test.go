@@ -161,16 +161,18 @@ func checkCommitBudget(t *testing.T, commit func(), warm, commits int, maxObject
 
 // TestCommitWorkBudget pins what one enc_inproc_hot commit allocates in
 // the engine: heap objects and bytes per commit, each at its measured
-// value plus 2 % (35.4 objects and 14,120 bytes at seed 1, the median of
-// 10 runs, which read 35.1–35.5 and 14,072–14,196, since a buffer-pool
-// miss reuses its victim's frame). A change that makes the dispatch path
-// allocate more fails here before the benchmark sees it.
+// value plus 2 % (26.6 objects and 10,232 bytes at seed 1, the median of
+// 22 and 10 runs, which read 26.3–27.2 and 10,209–10,408; the object
+// budget is rounded up to the tenth. 35.4 objects and 14,120 bytes before
+// log records named their action by value and the log's window came in
+// chunks). A change that makes the dispatch path allocate more fails here
+// before the benchmark sees it.
 func TestCommitWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newEncWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 36.1, 14402)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 27.2, 10437)
 }
 
 // The engine half of the bank_wire_durable workload (bench/bank.go): one
@@ -244,17 +246,17 @@ func (w *bankWork) commit(tb testing.TB) {
 
 // TestBankWorkBudget pins what one bank_wire_durable commit allocates in
 // the engine, without the wire: heap objects and bytes per commit, each at
-// its measured value plus 2 % (25.3 objects and 6,027 bytes at seed 1, the
-// median of 10 runs, which read 25.1–25.6 and 6,023–6,040; 27.25 and 6,454
-// before the FileWAL's pending queue kept its arrays and a record's frame
-// became one string). The figures include the group-commit flusher's and
-// the checkpointer's allocations.
+// its measured value plus 2 % (19.55 objects and 3,306 bytes at seed 1,
+// the median of 10 runs, which read 19.2–19.8 and 3,287–3,314; 25.3 and
+// 6,027 before log records named their action by value, undo chains were
+// reused and the log's window came in chunks). The figures include the
+// group-commit flusher's and the checkpointer's allocations.
 func TestBankWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newBankWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 25.8, 6148)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 19.9, 3372)
 }
 
 // The replicated half of the bank_repl3 workload (bench/bank.go): the
@@ -357,11 +359,12 @@ func newReplBankWork(tb testing.TB, seed int64) *bankWork {
 
 // TestReplWorkBudget pins what one bank_repl3 commit allocates across the
 // three replicas, without the client's wire: heap objects and bytes per
-// commit, each at its measured value plus 2 % (46.25 objects and 10,317
-// bytes at seed 1, the median of 20 runs, which read 45.2–46.9 and
-// 10,256–10,360; 115.2 objects and 22,513 bytes, the median of 20 runs,
-// when each record was encoded five times on its way to three segments
-// and each follower copied every entry it received). The figures count
+// commit, each at its measured value plus 2 % (40.75 objects and 7,599
+// bytes at seed 1, the median of 10 runs, which read 38.6–41.1 and
+// 7,454–7,626; 46.25 objects and 10,317 bytes before log records named
+// their action by value; 115.2 objects and 22,513 bytes when each record
+// was encoded five times on its way to three segments and each follower
+// copied every entry it received). The figures count
 // the leader's engine, its log and its peer loops, the replication
 // messages encoded and decoded on both sides, and each follower's append,
 // fsync and standby apply.
@@ -370,7 +373,7 @@ func TestReplWorkBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newReplBankWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 47.2, 10523)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 41.6, 7750)
 }
 
 // The engine half of the enc_wire_read workload (bench/encwire.go):
@@ -481,9 +484,10 @@ func (w *readWork) commit(tb testing.TB) {
 
 // TestReadWorkBudget pins what one enc_wire_read commit allocates in the
 // engine, without the wire: heap objects and bytes per commit, each at its
-// measured value plus 2 % (33.8 objects and 22,822 bytes at seed 1, the
-// median of 10 runs, which read 33.5–34.2 and 22,770–22,882; 37.1 objects
-// before a miss reused its victim's frame). Pool misses are this path's
+// measured value plus 2 % (33.8 objects and 21,341 bytes at seed 1, the
+// median of 10 runs, which read 33.7–34.0 and 21,303–21,413; 37.1 objects
+// before a miss reused its victim's frame, 22,822 bytes before the log's
+// window came in chunks). Pool misses are this path's
 // design, so the budget covers the buffer pool's eviction path as well as
 // dispatch.
 func TestReadWorkBudget(t *testing.T) {
@@ -491,7 +495,7 @@ func TestReadWorkBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newReadWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 34.5, 23278)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 34.5, 21767)
 }
 
 // wireCommit is commit over the wire: the same transaction, sent by a
@@ -525,11 +529,12 @@ func (w *readWork) wireCommit(tb testing.TB, cl *client.Client) {
 // over loopback, so the figures count both processes' halves — frames
 // read and decoded on each side, replies encoded, the session and the
 // client's call — as well as the engine. Heap objects and bytes per
-// commit, each at its measured value plus 2 % (45.1 objects and 36,026
-// bytes at seed 1, the median of 10 runs, which read 44.9–45.6 and
-// 35,970–36,112; 91.1 objects and 39,426 bytes, the median of 3 runs,
-// when every frame and field was its own allocation and every call made
-// its reply channel).
+// commit, each at its measured value plus 2 % (45.2 objects and 34,577
+// bytes at seed 1, the median of 10 runs, which read 44.9–45.4 and
+// 34,512–34,656, 36,026 bytes before the log's window came in chunks;
+// 91.1 objects and 39,426 bytes, the median of 3 runs, when every frame
+// and field was its own allocation and every call made its reply
+// channel).
 func TestWireReadWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -552,5 +557,5 @@ func TestWireReadWorkBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	checkCommitBudget(t, func() { w.wireCommit(t, cl) }, 500, 3000, 46.0, 36747)
+	checkCommitBudget(t, func() { w.wireCommit(t, cl) }, 500, 3000, 46.0, 35269)
 }

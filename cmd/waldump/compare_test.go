@@ -19,7 +19,7 @@ func writeLog(t *testing.T, dir string, owners []string) {
 	for i, owner := range owners {
 		last = uint64(i + 1)
 		fw.Append(storage.Record{
-			LSN: last, Kind: storage.RecUpdate, Owner: owner,
+			LSN: last, Kind: storage.RecUpdate, Owner: storage.ParseOwner(owner),
 			Page: storage.PageID(1), Before: "", After: owner,
 		})
 	}

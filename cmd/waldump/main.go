@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/checkpoint"
 	"repro/internal/storage"
 )
@@ -58,7 +57,7 @@ func main() {
 		if n++; n == 1 && r.LSN > 1 {
 			fmt.Printf("log truncated: first surviving record is LSN %d (records 1..%d reclaimed by checkpointing)\n", r.LSN, r.LSN-1)
 		}
-		if *owner != "" && cc.RootOf(strings.SplitN(r.Owner, ":", 2)[0]) != *owner {
+		if *owner != "" && r.Owner.Root() != *owner {
 			return nil
 		}
 		if *page != 0 && uint64(r.Page) != *page {

@@ -44,6 +44,13 @@ func (nd *Node) SetChild(parent *Node, n int32) {
 // Depth returns nd's nesting depth below its root (the root's is 0).
 func (nd *Node) Depth() int32 { return nd.depth }
 
+// Steps returns the child numbers from the root down to nd and their
+// number, and whether they fit inline: a log record names the action by
+// them without rendering its id.
+func (nd *Node) Steps() (steps span.Steps, depth int, inline bool) {
+	return nd.steps, int(nd.depth), nd.inline()
+}
+
 // inline reports whether steps hold nd's whole path.
 func (nd *Node) inline() bool { return nd.depth == 0 || nd.steps[0] != 0 }
 

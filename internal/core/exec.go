@@ -76,6 +76,16 @@ type runtimeAction struct {
 // tree. Comparing it renders nothing.
 func (a *runtimeAction) owner() cc.Owner { return cc.NodeOwner(a.txn.id, &a.node) }
 
+// logOwner names the action in a log record: by value, from the
+// transaction's id and the node's child numbers, unless the path is too
+// deep or wide to keep inline.
+func (a *runtimeAction) logOwner() storage.Owner {
+	if steps, depth, ok := a.node.Steps(); ok {
+		return storage.PathOwner(a.txn.id, steps, depth)
+	}
+	return storage.ParseOwner(a.ActionID())
+}
+
 // ActionID renders the action's hierarchical id (cc.Requester): the
 // transaction's id, then "." and each child number down to the action. The
 // root's is the transaction's id and costs nothing; any other allocates
@@ -468,7 +478,7 @@ func (db *DB) pageOp(a *runtimeAction, pid storage.PageID, parallel bool) (strin
 	}
 	defer db.pool.Unpin(frame)
 
-	var id string // rendered for a write's log record or the formal trace
+	var id string // rendered for the formal trace
 	record := func() {
 		if db.tracing {
 			if id == "" {
@@ -506,15 +516,14 @@ func (db *DB) pageOp(a *runtimeAction, pid storage.PageID, parallel bool) (strin
 		// a frame back under the same latch, so a flushed page change always
 		// has its log record first (the WAL rule). The shared snapshot
 		// barrier additionally keeps [frame change + log record] atomic with
-		// respect to CrashImage. The record names the action, so its id is
-		// rendered here, before the latch.
-		id = a.ActionID()
+		// respect to CrashImage. The record names the action by value.
+		owner := a.logOwner()
 		db.snapMu.RLock()
 		frame.Latch()
 		before := frame.Data()
 		frame.SetData(data)
 		record()
-		db.wal.LogUpdate(id, pid, before, data)
+		db.wal.LogUpdate(owner, pid, before, data)
 		frame.Unlatch()
 		db.snapMu.RUnlock()
 		a.parent.hasWrites.Store(true)
@@ -553,13 +562,13 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 			if m, cp, need := comp(a.sem.Inv.Params, result); need && !running {
 				// The committed subtransaction is now undone logically: the
 				// intent supersedes the subtree's records.
-				db.wal.LogIntent(a.ActionID(), compensationNote(a.obj, m, cp))
+				db.wal.LogIntent(a.logOwner(), compensationNote(a.obj, m, cp))
 				parent.hasWrites.Store(true)
 			} else if entry != 0 || a.hasWrites.Load() {
 				// Nothing to undo (a read-only call), or a compensation in
 				// progress: no inverse-of-inverse, just consume what the
 				// subtree logged and the intent a compensation executed.
-				db.wal.LogDiscardUnder(a.ActionID(), entry)
+				db.wal.LogDiscardUnder(a.logOwner(), entry)
 			}
 			db.releaseHeld(a)
 			return
@@ -580,7 +589,7 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 	// inherits the subtree's records, unless a running compensation
 	// consumes them.
 	if entry != 0 {
-		db.wal.LogDiscardUnder(a.ActionID(), entry)
+		db.wal.LogDiscardUnder(a.logOwner(), entry)
 	} else if a.hasWrites.Load() {
 		parent.hasWrites.Store(true)
 	}
@@ -601,17 +610,17 @@ func (db *DB) releaseHeld(a *runtimeAction) {
 // rollback that executed compensations stays (the history is expanded with
 // the inverse operations, as open-nesting theory prescribes).
 func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
-	id := a.ActionID()
-	compensated := db.rollback(t, a, id, db.wal.LiveUndo(id, 0))
+	owner := a.logOwner()
+	compensated := db.rollback(t, a, owner, db.wal.LiveUndo(owner, 0))
 	db.lm.ReleaseSubtree(a.owner())
 	if db.tracing && !compensated {
-		db.rec.MarkAborted(id)
+		db.rec.MarkAborted(a.ActionID())
 	}
 }
 
-// rollback undoes under's subtree — id is under's id, recs its live undo
-// records from the WAL, newest first — and reports whether any logical
-// compensation ran. Compensations run as fresh subtransactions of under; physical
+// rollback undoes under's subtree — owner names under in the log, recs
+// are its live undo records from the WAL, newest first — and reports
+// whether any logical compensation ran. Compensations run as fresh subtransactions of under; physical
 // records restore before-images directly (their page locks are still held
 // by construction).
 //
@@ -622,12 +631,12 @@ func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
 // compensator, timeout) are retried; open-nesting theory assumes
 // compensations are total, so a persistent failure is logged as
 // unrecoverable and the rollback goes on.
-func (db *DB) rollback(t *Txn, under *runtimeAction, id string, recs []storage.Record) bool {
+func (db *DB) rollback(t *Txn, under *runtimeAction, owner storage.Owner, recs []storage.Record) bool {
 	compensated := false
 	root := t.id
 	// The compensator below never fails, so undo's error can only be an
 	// intent note this engine did not encode.
-	_, _, _ = db.undo(recs, id, func(obj txn.OID, method string, params []string, entry uint64) error {
+	_, _, _ = db.undo(recs, owner, func(obj txn.OID, method string, params []string, entry uint64) error {
 		if !compensated {
 			db.lm.ClearDoomed(root)
 			compensated = true
@@ -638,13 +647,13 @@ func (db *DB) rollback(t *Txn, under *runtimeAction, id string, recs []storage.R
 		db.stats.compensations.Add(1)
 		var err error
 		for attempt := 0; attempt < 20; attempt++ {
-			if err = t.compensate(under, id, obj, method, params, entry); err == nil {
+			if err = t.compensate(under, owner, obj, method, params, entry); err == nil {
 				return nil
 			}
 			db.lm.ClearDoomed(root)
 			time.Sleep(time.Duration(attempt+1) * 200 * time.Microsecond)
 		}
-		db.wal.LogAbort(id + ":compensation-failed:" + err.Error())
+		db.wal.LogAbort(storage.ParseOwner(owner.String() + ":compensation-failed:" + err.Error()))
 		return nil
 	})
 	return compensated
@@ -654,21 +663,22 @@ func (db *DB) rollback(t *Txn, under *runtimeAction, id string, recs []storage.R
 // recovery. recs are live undo records, newest first. A physical record
 // gets its before-image back; a logical one (an intent) is decoded and run
 // by compensate, with the intent's LSN — at runtime as a subtransaction of
-// the aborting action (named by under), at restart (under == "") as a
+// the aborting action (named by under), at restart (a zero under) as a
 // committed transaction of its own. A runtime rollback goes on past a page
 // it cannot fetch; restart stops at the first failure.
-func (db *DB) undo(recs []storage.Record, under string, compensate func(obj txn.OID, method string, params []string, entry uint64) error) (physical, logical int, err error) {
+func (db *DB) undo(recs []storage.Record, under storage.Owner, compensate func(obj txn.OID, method string, params []string, entry uint64) error) (physical, logical int, err error) {
+	restart := under == storage.Owner{}
 	for _, r := range recs {
 		if r.Kind == storage.RecUpdate {
-			owner := storage.RootOf(r.Owner) + ":recovery"
-			if under != "" {
-				owner = under + ":undo"
+			owner := r.Owner.Root() + ":recovery"
+			if !restart {
+				owner = under.String() + ":undo"
 			}
-			if err := db.restorePage(r, owner); err != nil {
-				if under == "" {
+			if err := db.restorePage(r, storage.ParseOwner(owner)); err != nil {
+				if restart {
 					return physical, logical, fmt.Errorf("core: physical undo of %s lsn %d: %w", r.Owner, r.LSN, err)
 				}
-				db.wal.LogAbort(under + ":undo-fetch-failed")
+				db.wal.LogAbort(storage.ParseOwner(under.String() + ":undo-fetch-failed"))
 				continue
 			}
 			physical++
@@ -691,7 +701,7 @@ func (db *DB) undo(recs []storage.Record, under string, compensate func(obj txn.
 // record (a rerun recovery skips it). Both are appended inside the frame
 // latch and the snapshot barrier, so no crash image holds the restored
 // page without them.
-func (db *DB) restorePage(r storage.Record, owner string) error {
+func (db *DB) restorePage(r storage.Record, owner storage.Owner) error {
 	frame, err := db.pool.FetchPage(r.Page)
 	if err != nil {
 		return err
@@ -701,7 +711,7 @@ func (db *DB) restorePage(r storage.Record, owner string) error {
 	after := frame.Data()
 	frame.SetData(r.Before)
 	db.wal.LogCLRUpdate(owner, r.Page, after, r.Before)
-	db.wal.LogDiscard(storage.RootOf(r.Owner), []uint64{r.LSN})
+	db.wal.LogDiscard(storage.ParseOwner(r.Owner.Root()), []uint64{r.LSN})
 	frame.Unlatch()
 	db.snapMu.RUnlock()
 	db.pool.Unpin(frame)
@@ -709,15 +719,15 @@ func (db *DB) restorePage(r storage.Record, owner string) error {
 }
 
 // compensate runs one compensating invocation as a subtransaction of
-// under (whose id is underID), in rollback mode: no inverse-of-the-inverse is queued, and the
+// under (named owner in the log), in rollback mode: no inverse-of-the-inverse is queued, and the
 // compensating action's completion consumes the intent entry in its own
 // discard. The previous mode is restored afterwards, so a rollback nested
 // inside a compensation hands the outer intent back.
-func (t *Txn) compensate(under *runtimeAction, underID string, obj txn.OID, method string, params []string, entry uint64) error {
+func (t *Txn) compensate(under *runtimeAction, owner storage.Owner, obj txn.OID, method string, params []string, entry uint64) error {
 	c := &pendingComp{under: under}
 	c.entry.Store(entry)
 	saved := t.comp.Swap(c)
-	t.db.wal.LogCompensation(underID, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
+	t.db.wal.LogCompensation(owner, obj.Name+"."+commut.Invocation{Method: method, Params: params}.String())
 	_, err := t.db.invoke(t, under, obj, method, params, false)
 	t.comp.Store(saved)
 	return err
@@ -730,9 +740,9 @@ func (t *Txn) compensate(under *runtimeAction, underID string, obj txn.OID, meth
 // sweep. A compensation's completion consumes the loser's intent, so a
 // recovery that crashes after it and reruns does not compensate twice.
 func (db *DB) UndoLosers(recs []storage.Record) (physical, logical int, err error) {
-	return db.undo(recs, "", func(obj txn.OID, method string, params []string, entry uint64) error {
+	return db.undo(recs, storage.Owner{}, func(obj txn.OID, method string, params []string, entry uint64) error {
 		tx := db.Begin()
-		if err := tx.compensate(&tx.root, tx.id, obj, method, params, entry); err != nil {
+		if err := tx.compensate(&tx.root, tx.root.logOwner(), obj, method, params, entry); err != nil {
 			_ = tx.Abort()
 			return err
 		}
@@ -801,7 +811,8 @@ func (t *Txn) RollbackTo(sp Savepoint) error {
 	t.savepoints = t.savepoints[:i+1]
 	t.mu.Unlock()
 
-	t.db.rollback(t, &t.root, t.id, t.db.wal.LiveUndo(t.id, sp.lsn))
+	owner := t.root.logOwner()
+	t.db.rollback(t, &t.root, owner, t.db.wal.LiveUndo(owner, sp.lsn))
 	return nil
 }
 
@@ -830,16 +841,16 @@ func (t *Txn) Commit() error {
 
 	if cause := t.db.Degraded(); cause != nil {
 		if t.root.hasWrites.Load() {
-			return t.failCommit(fmt.Errorf("core: commit %s rejected, engine degraded: %w", t.id, cause), t.db.wal.LiveUndo(t.id, 0))
+			return t.failCommit(fmt.Errorf("core: commit %s rejected, engine degraded: %w", t.id, cause), t.db.wal.LiveUndo(t.root.logOwner(), 0))
 		}
 		// Read-only: commit without touching the poisoned durability path.
-		t.db.wal.LogCommit(t.id)
+		t.db.wal.LogCommit(t.root.logOwner())
 		t.db.lm.ReleaseTree(t.id)
 		t.finishCommitted()
 		return nil
 	}
 
-	lsn, undo := t.db.wal.Commit(t.id)
+	lsn, undo := t.db.wal.Commit(t.root.logOwner())
 	// The group-commit span covers only the durability wait — with a
 	// mem-only WAL WaitDurable is instant and there is no batch to report.
 	var ws *span.ActiveSpan
@@ -861,8 +872,11 @@ func (t *Txn) Commit() error {
 			// commit they will wait on forever-in-vain.
 			t.db.enterDegraded(err)
 		}
-		return t.failCommit(fmt.Errorf("core: commit %s not durable: %w", t.id, err), undo)
+		err = t.failCommit(fmt.Errorf("core: commit %s not durable: %w", t.id, err), undo.Records())
+		undo.Release()
+		return err
 	}
+	undo.Release()
 	t.db.lm.ReleaseTree(t.id)
 	t.finishCommitted()
 	return nil
@@ -922,7 +936,7 @@ func (t *Txn) Abort() error {
 		return ErrTxnFinished
 	}
 	t.mu.Unlock()
-	t.abort(t.db.wal.LiveUndo(t.id, 0), nil)
+	t.abort(t.db.wal.LiveUndo(t.root.logOwner(), 0), nil)
 	return nil
 }
 
@@ -932,13 +946,14 @@ func (t *Txn) Abort() error {
 // and the flight recorder, and returns the action records for reuse. cause
 // is the rejection of a failed commit, nil for Abort.
 func (t *Txn) abort(undo []storage.Record, cause error) {
-	t.db.rollback(t, &t.root, t.id, undo)
+	owner := t.root.logOwner()
+	t.db.rollback(t, &t.root, owner, undo)
 	t.mu.Lock()
 	t.finished = true
 	compensated := t.compensated
 	t.mu.Unlock()
 
-	t.db.wal.LogAbort(t.id)
+	t.db.wal.LogAbort(owner)
 	t.db.lm.ReleaseTree(t.id)
 	outcome, note := "aborted", ""
 	if cause != nil {

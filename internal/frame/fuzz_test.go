@@ -22,19 +22,24 @@ import (
 // corrupt; and whatever parses re-encodes to exactly the bytes it was
 // parsed from. Each payload decodes field for field and error for error
 // alike through NewViewDecoder and NewStringDecoder, and each frame alike
-// through storage.DecodeRecordFrame and DecodeRecordFrameString. The seeds are one of each frame the system writes: a WAL
-// record, a traced wire message and a checkpoint file's frame, and the
-// first two back to back. `go test` runs the seeds;
+// through storage.DecodeRecordFrame and DecodeRecordFrameString, and
+// every record they accept re-encodes (storage.EncodeRecordFrame) to the
+// bytes it was decoded from. The seeds are one of each frame the system
+// writes: WAL records with an inline and a rendered owner, a traced wire
+// message and a checkpoint file's frame, and the first two back to back. `go test` runs the seeds;
 // `go test -fuzz=FuzzParse ./internal/frame` explores.
 func FuzzParse(f *testing.F) {
 	rec := storage.EncodeRecordFrame(nil, storage.Record{
-		LSN: 7, Kind: storage.RecIntent, Owner: "T3.1", Note: "delete|k", CLR: true, Refs: []uint64{5, 6},
+		LSN: 7, Kind: storage.RecIntent, Owner: storage.ParseOwner("T3.1"), Note: "delete|k", CLR: true, Refs: []uint64{5, 6},
 	})
 	msg := wire.AppendMsg(nil, wire.Msg{
 		Seq: 9, Type: wire.MsgInvoke, ObjType: "account", ObjName: "Acct7", Method: "debit",
 		Params: []string{"25"}, TraceID: "4bf92f3577b34da6", TraceAttempt: 2,
 	})
 	f.Add(rec)
+	f.Add(storage.EncodeRecordFrame(nil, storage.Record{
+		LSN: 8, Kind: storage.RecAbort, Owner: storage.ParseOwner("T3.1:undo-fetch-failed"), Refs: []uint64{300},
+	}))
 	f.Add(msg)
 	f.Add(append(append(append([]byte(nil), msg...), rec...), msg[:len(msg)-1]...))
 	path, err := checkpoint.Write(f.TempDir(), &checkpoint.Snapshot{
@@ -100,6 +105,11 @@ func FuzzParse(f *testing.F) {
 			if fmt.Sprint(srerr) != fmt.Sprint(rerr) || srn != rn || !reflect.DeepEqual(srec, rec) {
 				t.Fatalf("at offset %d DecodeRecordFrame: %+v %d %v; DecodeRecordFrameString: %+v %d %v",
 					len(data)-len(rest), rec, rn, rerr, srec, srn, srerr)
+			}
+			if rerr == nil {
+				if enc := storage.EncodeRecordFrame(nil, rec); !bytes.Equal(enc, rest[:rn]) {
+					t.Fatalf("at offset %d record %+v re-encodes differently:\n got %x\nwant %x", len(data)-len(rest), rec, enc, rest[:rn])
+				}
 			}
 			rpayload, rn, rerr := frame.Read(stream, min, max)
 			ipayload, in, ierr := frame.ReadInto(into, &buf, min, max)

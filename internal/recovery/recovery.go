@@ -206,7 +206,7 @@ func (p *pass) step(r storage.Record) error {
 		p.first = r.LSN
 	}
 	p.n++
-	root := storage.RootOf(r.Owner)
+	root := r.Owner.Root()
 	if n, perr := strconv.ParseInt(strings.TrimPrefix(root, "T"), 10, 64); perr == nil && n > p.maxID {
 		p.maxID = n
 	}
@@ -285,7 +285,7 @@ func (p *pass) finish(opts core.Options, registerTypes RegisterTypes) (*core.DB,
 	undoStart := time.Now()
 	var undo []storage.Record
 	for _, root := range rep.Losers {
-		undo = append(undo, p.wal.LiveUndo(root, 0)...)
+		undo = append(undo, p.wal.LiveUndo(storage.ParseOwner(root), 0)...)
 	}
 	sort.Slice(undo, func(i, j int) bool { return undo[i].LSN > undo[j].LSN })
 	var err error
@@ -293,7 +293,7 @@ func (p *pass) finish(opts core.Options, registerTypes RegisterTypes) (*core.DB,
 		return nil, *rep, fmt.Errorf("recovery: %w", err)
 	}
 	for i := len(rep.Losers) - 1; i >= 0; i-- {
-		db.WAL().LogAbort(rep.Losers[i]) // the losers' aborts are now complete
+		db.WAL().LogAbort(storage.ParseOwner(rep.Losers[i])) // the losers' aborts are now complete
 	}
 	rep.UndoTime = time.Since(undoStart)
 

@@ -486,29 +486,29 @@ func TestRecoverParentFormatLog(t *testing.T) {
 	note := func(key, val string) string { return strings.Join([]string{"kv", "KV", "put", key, val}, sep) }
 	records := []storage.Record{
 		// T1 committed put(a, a0).
-		{LSN: 1, Kind: storage.RecUpdate, Owner: "T1.1.2", Page: 1, Before: "", After: "a0"},
-		{LSN: 2, Kind: storage.RecIntent, Owner: "T1", Note: note("a", ""), Refs: []uint64{1}},
-		{LSN: 3, Kind: storage.RecCommit, Owner: "T1"},
+		{LSN: 1, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T1.1.2"), Page: 1, Before: "", After: "a0"},
+		{LSN: 2, Kind: storage.RecIntent, Owner: storage.ParseOwner("T1"), Note: note("a", ""), Refs: []uint64{1}},
+		{LSN: 3, Kind: storage.RecCommit, Owner: storage.ParseOwner("T1")},
 		// T2, a loser: put(a, a1) and put(b, b1) completed, put(b, b2) was
 		// cut short after its page write.
-		{LSN: 4, Kind: storage.RecUpdate, Owner: "T2.1.2", Page: 1, Before: "a0", After: "a1"},
-		{LSN: 5, Kind: storage.RecIntent, Owner: "T2", Note: note("a", "a0"), Refs: []uint64{4}},
-		{LSN: 6, Kind: storage.RecUpdate, Owner: "T2.2.2", Page: 2, Before: "", After: "b1"},
-		{LSN: 7, Kind: storage.RecIntent, Owner: "T2", Note: note("b", ""), Refs: []uint64{6}},
+		{LSN: 4, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T2.1.2"), Page: 1, Before: "a0", After: "a1"},
+		{LSN: 5, Kind: storage.RecIntent, Owner: storage.ParseOwner("T2"), Note: note("a", "a0"), Refs: []uint64{4}},
+		{LSN: 6, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T2.2.2"), Page: 2, Before: "", After: "b1"},
+		{LSN: 7, Kind: storage.RecIntent, Owner: storage.ParseOwner("T2"), Note: note("b", ""), Refs: []uint64{6}},
 		// T3, a loser whose undo an earlier recovery already ran: T10's
 		// compensation consumed T3's intent in its own discard.
-		{LSN: 8, Kind: storage.RecUpdate, Owner: "T3.1.2", Page: 3, Before: "", After: "c1"},
-		{LSN: 9, Kind: storage.RecIntent, Owner: "T3", Note: note("c", ""), Refs: []uint64{8}},
-		{LSN: 10, Kind: storage.RecCompensation, Owner: "T10", Note: "KV.put(c,)"},
-		{LSN: 11, Kind: storage.RecUpdate, Owner: "T10.1.2", Page: 3, Before: "c1", After: ""},
-		{LSN: 12, Kind: storage.RecDiscard, Owner: "T10", Refs: []uint64{11, 9}},
-		{LSN: 13, Kind: storage.RecCommit, Owner: "T10"},
-		{LSN: 14, Kind: storage.RecUpdate, Owner: "T2.3.2", Page: 2, Before: "b1", After: "b2"},
+		{LSN: 8, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T3.1.2"), Page: 3, Before: "", After: "c1"},
+		{LSN: 9, Kind: storage.RecIntent, Owner: storage.ParseOwner("T3"), Note: note("c", ""), Refs: []uint64{8}},
+		{LSN: 10, Kind: storage.RecCompensation, Owner: storage.ParseOwner("T10"), Note: "KV.put(c,)"},
+		{LSN: 11, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T10.1.2"), Page: 3, Before: "c1", After: ""},
+		{LSN: 12, Kind: storage.RecDiscard, Owner: storage.ParseOwner("T10"), Refs: []uint64{11, 9}},
+		{LSN: 13, Kind: storage.RecCommit, Owner: storage.ParseOwner("T10")},
+		{LSN: 14, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T2.3.2"), Page: 2, Before: "b1", After: "b2"},
 		// T4 aborted before the crash: neither a winner nor a loser.
-		{LSN: 15, Kind: storage.RecUpdate, Owner: "T4.1.2", Page: 3, Before: "", After: "x"},
-		{LSN: 16, Kind: storage.RecUpdate, Owner: "T4:undo", Page: 3, Before: "x", After: "", CLR: true},
-		{LSN: 17, Kind: storage.RecDiscard, Owner: "T4", Refs: []uint64{15}},
-		{LSN: 18, Kind: storage.RecAbort, Owner: "T4"},
+		{LSN: 15, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T4.1.2"), Page: 3, Before: "", After: "x"},
+		{LSN: 16, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T4:undo"), Page: 3, Before: "x", After: "", CLR: true},
+		{LSN: 17, Kind: storage.RecDiscard, Owner: storage.ParseOwner("T4"), Refs: []uint64{15}},
+		{LSN: 18, Kind: storage.RecAbort, Owner: storage.ParseOwner("T4")},
 	}
 	disk := storage.NewMemStore(0)
 	rp := &regPages{pages: map[string]txn.OID{}}

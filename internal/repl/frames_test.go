@@ -217,6 +217,7 @@ func TestIsolatedFollowerCatchesUpReencoded(t *testing.T) {
 		t.Fatalf("%d frames kept with every record acked by every peer", n)
 	}
 
+	isolated, start := reencodedBy(ld), time.Now()
 	cut.SetIsolated(true)
 	behind := cut.Status().LastLSN
 	for ld.Status().CommitIndex < behind+3*maxAppendBatch {
@@ -247,7 +248,15 @@ func TestIsolatedFollowerCatchesUpReencoded(t *testing.T) {
 		}
 	}
 	ld.mu.Unlock()
+	// While the follower is unreachable, its peer loop backs off to the
+	// heartbeat: each failed call built (and re-encoded) one batch.
 	before := reencodedBy(ld)
+	isolation := time.Since(start)
+	if got, limit := before-isolated, (uint64(isolation/ld.cfg.Heartbeat)+2)*maxAppendBatch; got > limit {
+		t.Fatalf("the leader re-encoded %d entries for a follower cut off for %v, want at most %d (one batch per %v heartbeat, and two)",
+			got, isolation, limit, ld.cfg.Heartbeat)
+	}
+	t.Logf("cut off for %v: %d entries re-encoded", isolation, before-isolated)
 	cut.SetIsolated(false)
 	if err := credit(t, ld, 2, 1); err != nil {
 		t.Fatal(err)

@@ -156,7 +156,7 @@ func (n *Node) promote(epoch, term uint64) {
 
 	// The no-op fence entry: replicating one current-term entry is what
 	// allows commitIndex to advance over the recovered prior-term suffix.
-	fence := db.WAL().LogAbort("repl:fence")
+	fence := db.WAL().LogAbort(storage.ParseOwner("repl:fence"))
 	db.Spans().RecordEngine(span.Span{
 		ID: fmt.Sprintf("repl/promote-t%d", term), Kind: span.KRepl,
 		Name: "repl: promote to leader", Start: start, End: time.Now(),
@@ -373,7 +373,10 @@ func (n *Node) dropFramesLocked() {
 
 // peerLoop replicates to one follower for one leadership incarnation:
 // batches from nextIndex, heartbeats when idle, snapshot install when the
-// follower trails the entry cache floor.
+// follower trails the entry cache floor. After a failed call it backs off
+// to the heartbeat: commit wake-ups are ignored until a call succeeds, so
+// an unreachable follower costs one batch per heartbeat, not one per
+// commit.
 func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 	defer n.wg.Done()
 	hb := time.NewTimer(0) // send an immediate heartbeat on taking office
@@ -382,10 +385,15 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 	// so the last message is done with when the next is built.
 	re := new(wire.ReplExt)
 	params := make([]string, 0, maxAppendBatch)
+	failed := false
 	for {
-		select {
-		case <-wakeCh:
-		case <-hb.C:
+		if failed {
+			<-hb.C
+		} else {
+			select {
+			case <-wakeCh:
+			case <-hb.C:
+			}
 		}
 		hb.Reset(n.cfg.Heartbeat)
 		for {
@@ -407,7 +415,7 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 			}
 			resp, err := n.tr.call(p, req)
 			clear(req.Params) // the shipped frames may be dropped from the cache
-			if err != nil || resp.Repl == nil {
+			if failed = err != nil || resp.Repl == nil; failed {
 				break
 			}
 			re := resp.Repl

@@ -23,7 +23,7 @@ func waitFenced(t testing.TB, ld *Node) {
 	for {
 		var fence uint64
 		for _, rec := range db.WAL().Records() {
-			if rec.Owner == "repl:fence" {
+			if rec.Owner.String() == "repl:fence" {
 				fence = rec.LSN
 			}
 		}

@@ -317,7 +317,7 @@ func frameParams(recs ...storage.Record) []string {
 }
 
 func upd(lsn uint64, page storage.PageID, after string) storage.Record {
-	return storage.Record{LSN: lsn, Kind: storage.RecUpdate, Owner: "T1", Page: page, After: after}
+	return storage.Record{LSN: lsn, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T1"), Page: page, After: after}
 }
 
 // passiveFollower opens a node that will never start an election.

@@ -19,7 +19,7 @@ func TestWALBatchInfo(t *testing.T) {
 	}
 	var last uint64
 	for i := 0; i < 3; i++ {
-		last = w.LogUpdate("T1", PageID(i), "", "v")
+		last = w.LogUpdate(ParseOwner("T1"), PageID(i), "", "v")
 	}
 	if err := w.WaitDurable(last); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestWALBatchInfoAgedOut(t *testing.T) {
 	}
 	w := NewWAL()
 	w.SetSink(fw)
-	first := w.LogCommit("T1")
+	first := w.LogCommit(ParseOwner("T1"))
 	if err := w.WaitDurable(first); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWALBatchInfoAgedOut(t *testing.T) {
 	var last uint64
 	var lasts []uint64
 	for i := 0; i < flushHistCap+8; i++ {
-		last = w.LogCommit("T" + string(rune('A'+i%26)))
+		last = w.LogCommit(ParseOwner("T" + string(rune('A'+i%26))))
 		if err := w.WaitDurable(last); err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestWALBatchInfoWithoutSink(t *testing.T) {
 	if w.Durable() {
 		t.Fatal("sinkless WAL must not report durable")
 	}
-	lsn := w.LogUpdate("T1", 1, "", "v")
+	lsn := w.LogUpdate(ParseOwner("T1"), 1, "", "v")
 	if _, ok := w.BatchInfo(lsn); ok {
 		t.Fatal("sinkless WAL must report no batch info")
 	}

@@ -125,7 +125,7 @@ func TestFileWALObs(t *testing.T) {
 	w.SetObs(reg)
 
 	for lsn := uint64(1); lsn <= 3; lsn++ {
-		w.Append(Record{LSN: lsn, Kind: RecCommit, Owner: "T1"})
+		w.Append(Record{LSN: lsn, Kind: RecCommit, Owner: ParseOwner("T1")})
 	}
 	if err := w.WaitDurable(3); err != nil {
 		t.Fatal(err)

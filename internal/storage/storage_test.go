@@ -228,14 +228,14 @@ func TestBufferPoolConcurrent(t *testing.T) {
 
 func TestWALBasics(t *testing.T) {
 	w := NewWAL()
-	lsn1 := w.LogUpdate("T1", 7, "old", "new")
-	lsn2 := w.LogCommit("T1")
+	lsn1 := w.LogUpdate(ParseOwner("T1"), 7, "old", "new")
+	lsn2 := w.LogCommit(ParseOwner("T1"))
 	if lsn2 != lsn1+1 {
 		t.Fatalf("LSNs not monotone: %d %d", lsn1, lsn2)
 	}
-	w.LogUpdate("T2", 8, "a", "b")
-	w.LogAbort("T2")
-	w.LogCompensation("T3", "delete(k)")
+	w.LogUpdate(ParseOwner("T2"), 8, "a", "b")
+	w.LogAbort(ParseOwner("T2"))
+	w.LogCompensation(ParseOwner("T3"), "delete(k)")
 
 	if w.Len() != 5 {
 		t.Fatalf("Len = %d", w.Len())
@@ -256,10 +256,10 @@ func TestWALBasics(t *testing.T) {
 
 func TestWALRecordsIsCopy(t *testing.T) {
 	w := NewWAL()
-	w.LogCommit("T1")
+	w.LogCommit(ParseOwner("T1"))
 	recs := w.Records()
-	recs[0].Owner = "mutated"
-	if w.Records()[0].Owner != "T1" {
+	recs[0].Owner = ParseOwner("mutated")
+	if w.Records()[0].Owner.String() != "T1" {
 		t.Fatal("Records must return a copy")
 	}
 }
@@ -359,16 +359,16 @@ func BenchmarkPoolFetchEvict(b *testing.B) {
 
 func TestWALIntentDiscardAndClone(t *testing.T) {
 	w := NewWAL()
-	u1 := w.LogUpdate("T1.1", 3, "a", "b")
-	i1 := w.LogIntent("T1", "undo-op") // supersedes T1.1's update
+	u1 := w.LogUpdate(ParseOwner("T1.1"), 3, "a", "b")
+	i1 := w.LogIntent(ParseOwner("T1"), "undo-op") // supersedes T1.1's update
 	if i1 != u1+1 {
 		t.Fatalf("lsns not monotone: %d %d", u1, i1)
 	}
-	if w.LogDiscard("T1", nil) != 0 {
+	if w.LogDiscard(ParseOwner("T1"), nil) != 0 {
 		t.Fatal("empty discard must be a no-op")
 	}
-	d1 := w.LogDiscard("T1", []uint64{i1})
-	clr := w.LogCLRUpdate("T1:undo", 3, "b", "a")
+	d1 := w.LogDiscard(ParseOwner("T1"), []uint64{i1})
+	clr := w.LogCLRUpdate(ParseOwner("T1:undo"), 3, "b", "a")
 
 	recs := w.Records()
 	if recs[1].Kind != RecIntent || recs[1].Note != "undo-op" || recs[1].Refs[0] != u1 {
@@ -393,7 +393,7 @@ func TestWALIntentDiscardAndClone(t *testing.T) {
 	if c.Len() != w.Len() {
 		t.Fatal("clone length mismatch")
 	}
-	next := c.LogCommit("T2")
+	next := c.LogCommit(ParseOwner("T2"))
 	if next != clr+1 {
 		t.Fatalf("cloned wal lsn continuation: %d, want %d", next, clr+1)
 	}

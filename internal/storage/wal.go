@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 )
@@ -51,18 +50,20 @@ func (k RecordKind) String() string {
 
 // Record is one WAL entry.
 type Record struct {
-	LSN    uint64
-	Kind   RecordKind
-	Owner  string // transaction or subtransaction id
+	LSN  uint64
+	Kind RecordKind
+	// CLR marks updates performed while rolling back (compensation log
+	// records in the ARIES sense): they are redone but never undone.
+	CLR    bool
+	Owner  Owner  // the transaction or subtransaction that logged it
 	Page   PageID // RecUpdate only
 	Before string // RecUpdate only
 	After  string // RecUpdate only
 	Note   string // RecCompensation/RecIntent: the (inverse) operation
-	// CLR marks updates performed while rolling back (compensation log
-	// records in the ARIES sense): they are redone but never undone.
-	CLR bool
 	// Refs lists the LSNs a RecDiscard invalidates, and for RecIntent the
-	// LSNs of child entries this intent supersedes.
+	// LSNs of child entries this intent supersedes. The log carves the
+	// Refs it builds from a slab it shares between records (DESIGN
+	// §4b.32): they are read-only.
 	Refs []uint64
 }
 
@@ -107,12 +108,18 @@ type batchInfoSink interface {
 // anything older. An attached DurableSink carries every record to disk.
 type WAL struct {
 	mu      sync.Mutex
-	records []Record
+	records window
 	nextLSN uint64
 	sink    DurableSink
 	// active maps each in-flight transaction root (undo-relevant records,
 	// no EndsTxn record yet) to its undo chain.
-	active     map[string]*undoChain
+	active map[string]*undoChain
+	// ending holds the chains Commit handed to committers of a durable
+	// log, until they release them (EndedUndo); free the chains to reuse.
+	ending, free []*undoChain
+	// refs is the slab LogIntent and LogDiscardUnder carve Refs from, in
+	// LSN order.
+	refs       []uint64
 	replayKept int // window length after Replay's last trim
 }
 
@@ -124,6 +131,9 @@ type undoChain struct {
 	live  []uint64
 }
 
+// refSlab is the length of a Refs slab: a few hundred intents' worth.
+const refSlab = 512
+
 // NewWAL returns an empty log.
 func NewWAL() *WAL {
 	return &WAL{nextLSN: 1, active: make(map[string]*undoChain)}
@@ -132,52 +142,36 @@ func NewWAL() *WAL {
 // NewWALFromRecords reconstructs a log from persisted records (recovery),
 // undo chains included.
 func NewWALFromRecords(recs []Record) *WAL {
-	w := &WAL{nextLSN: 1, records: append([]Record{}, recs...), active: make(map[string]*undoChain)}
-	for i := range w.records {
-		r := &w.records[i]
-		if r.LSN >= w.nextLSN {
-			w.nextLSN = r.LSN + 1
-		}
-		w.trackActive(r)
+	w := NewWAL()
+	for _, r := range recs {
+		w.nextLSN = max(w.nextLSN, r.LSN+1)
+		w.trackActive(&r)
+		w.records.push(r)
 	}
 	return w
 }
 
-// RootOf returns an owner's transaction root: diagnostic suffixes
-// ("T3.1:undo") are stripped at the first ':', then the root is the prefix
-// before the first '.' (cc.RootOf, without the lock-manager dependency).
-func RootOf(owner string) string {
-	if i := strings.IndexByte(owner, ':'); i >= 0 {
-		owner = owner[:i]
-	}
-	if i := strings.IndexByte(owner, '.'); i >= 0 {
-		owner = owner[:i]
-	}
-	return owner
-}
-
 // EndsTxn reports whether r finishes its root's transaction: a commit, or
-// an abort that is not a diagnostic note ("T3:compensation-failed:...").
+// an abort of an action rather than a diagnostic note
+// ("T3:compensation-failed:...", whose root is not its id).
 func (r *Record) EndsTxn() bool {
-	return r.Kind == RecCommit || r.Kind == RecAbort && !strings.Contains(r.Owner, ":")
-}
-
-// inSubtree reports whether owner is action or one of its descendants.
-func inSubtree(owner, action string) bool {
-	return strings.HasPrefix(owner, action) && (len(owner) == len(action) || owner[len(action)] == '.')
+	return r.Kind == RecCommit || r.Kind == RecAbort && (r.Owner.steps[0] != 0 || r.Owner.Root() == r.Owner.id)
 }
 
 // trackActive maintains the undo chains. Called with w.mu held (or during
 // single-threaded construction).
 func (w *WAL) trackActive(r *Record) {
-	root := RootOf(r.Owner)
+	root := r.Owner.Root()
 	switch {
 	case r.EndsTxn():
-		delete(w.active, root)
+		if c := w.active[root]; c != nil {
+			delete(w.active, root)
+			w.recycle(c)
+		}
 	case r.Kind == RecUpdate || r.Kind == RecIntent:
 		c := w.active[root]
 		if c == nil {
-			c = &undoChain{first: r.LSN, live: make([]uint64, 0, 4)}
+			c = w.chain(r.LSN)
 			w.active[root] = c
 		}
 		w.consume(c, r.Refs)
@@ -187,6 +181,24 @@ func (w *WAL) trackActive(r *Record) {
 	case r.Kind == RecDiscard:
 		w.consume(w.active[root], r.Refs)
 	}
+}
+
+// chain returns an empty undo chain whose first record is first, reusing
+// an ended one.
+func (w *WAL) chain(first uint64) *undoChain {
+	if n := len(w.free); n > 0 {
+		c := w.free[n-1]
+		w.free = w.free[:n-1]
+		c.first = first
+		return c
+	}
+	return &undoChain{first: first, live: make([]uint64, 0, 4)}
+}
+
+// recycle returns an ended chain to the free list.
+func (w *WAL) recycle(c *undoChain) {
+	c.live = c.live[:0]
+	w.free = append(w.free, c)
 }
 
 // consume drops refs from the live records, looking in c — the chain of
@@ -217,36 +229,61 @@ func (c *undoChain) drop(lsn uint64) bool {
 // first record. An LSN outside the window means a record undo needs was
 // trimmed; restoring another record's before-image would corrupt the store.
 func (w *WAL) at(lsn uint64) *Record {
-	first := w.nextLSN - uint64(len(w.records))
-	if i := lsn - first; lsn >= first && i < uint64(len(w.records)) && w.records[i].LSN == lsn {
-		return &w.records[i]
+	first := w.nextLSN - uint64(w.records.n)
+	if i := lsn - first; lsn >= first && i < uint64(w.records.n) {
+		if r := w.records.at(int(i)); r.LSN == lsn {
+			return r
+		}
 	}
 	panic(fmt.Sprintf("storage: WAL record %d is not in the retained window [%d, %d]", lsn, first, w.nextLSN-1))
 }
 
-// liveUnder returns the LSNs of the live undo records logged by action or
-// its descendants, above the given LSN, oldest first. Called with w.mu held.
-func (w *WAL) liveUnder(action string, above uint64) []uint64 {
-	c := w.active[RootOf(action)]
+// liveUnder appends to dst the LSNs of the live undo records in c, the
+// chain of action's root, logged by action or its descendants above the
+// given LSN, oldest first. Called with w.mu held.
+func (w *WAL) liveUnder(dst []uint64, c *undoChain, action Owner, above uint64) []uint64 {
 	if c == nil {
-		return nil
+		return dst
 	}
-	var out []uint64
 	for _, lsn := range c.live {
-		if lsn > above && inSubtree(w.at(lsn).Owner, action) {
-			out = append(out, lsn)
+		if lsn > above && w.at(lsn).Owner.within(action) {
+			dst = append(dst, lsn)
 		}
 	}
-	return out
+	return dst
+}
+
+// carveRefs returns the LSNs of the live undo records of action's subtree,
+// plus entry when non-zero, carved from the refs slab (nil when there are
+// none). Called with w.mu held.
+func (w *WAL) carveRefs(action Owner, entry uint64) []uint64 {
+	c, n := w.active[action.Root()], 1
+	if c != nil {
+		n += len(c.live)
+	}
+	if cap(w.refs)-len(w.refs) < n {
+		w.refs = make([]uint64, 0, max(refSlab, n))
+	}
+	i := len(w.refs)
+	w.refs = w.liveUnder(w.refs, c, action, 0)
+	if entry != 0 {
+		w.refs = append(w.refs, entry)
+	}
+	j := len(w.refs)
+	if i == j {
+		return nil
+	}
+	return w.refs[i:j:j]
 }
 
 // LiveUndo returns the live undo records of action's subtree (a root names
 // its whole transaction) above the given LSN, newest first: exactly what a
 // rollback of that subtree has to reverse.
-func (w *WAL) LiveUndo(action string, above uint64) []Record {
+func (w *WAL) LiveUndo(action Owner, above uint64) []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.newestFirst(w.liveUnder(action, above))
+	var buf [32]uint64
+	return w.newestFirst(w.liveUnder(buf[:0], w.active[action.Root()], action, above))
 }
 
 func (w *WAL) newestFirst(lsns []uint64) []Record {
@@ -360,7 +397,7 @@ func (w *WAL) Close() error {
 func (w *WAL) Clone() *WAL {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return NewWALFromRecords(w.records)
+	return NewWALFromRecords(w.records.appendTo(nil))
 }
 
 // Append adds a record and returns its LSN.
@@ -374,7 +411,7 @@ func (w *WAL) appendLocked(rec Record) uint64 {
 	rec.LSN = w.nextLSN
 	w.nextLSN++
 	w.trackActive(&rec)
-	w.records = append(w.records, rec)
+	w.records.push(rec)
 	if w.sink != nil {
 		w.sink.Append(rec)
 	}
@@ -382,12 +419,12 @@ func (w *WAL) appendLocked(rec Record) uint64 {
 }
 
 // LogUpdate appends an update record.
-func (w *WAL) LogUpdate(owner string, page PageID, before, after string) uint64 {
+func (w *WAL) LogUpdate(owner Owner, page PageID, before, after string) uint64 {
 	return w.Append(Record{Kind: RecUpdate, Owner: owner, Page: page, Before: before, After: after})
 }
 
 // LogCLRUpdate appends a redo-only update (written during rollback).
-func (w *WAL) LogCLRUpdate(owner string, page PageID, before, after string) uint64 {
+func (w *WAL) LogCLRUpdate(owner Owner, page PageID, before, after string) uint64 {
 	return w.Append(Record{Kind: RecUpdate, Owner: owner, Page: page, Before: before, After: after, CLR: true})
 }
 
@@ -395,14 +432,14 @@ func (w *WAL) LogCLRUpdate(owner string, page PageID, before, after string) uint
 // action (the owner); note encodes the inverse operation. The intent
 // supersedes every live undo record of the action's subtree: they become
 // its Refs, in the same append.
-func (w *WAL) LogIntent(owner, note string) uint64 {
+func (w *WAL) LogIntent(owner Owner, note string) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.appendLocked(Record{Kind: RecIntent, Owner: owner, Note: note, Refs: w.liveUnder(owner, 0)})
+	return w.appendLocked(Record{Kind: RecIntent, Owner: owner, Note: note, Refs: w.carveRefs(owner, 0)})
 }
 
 // LogDiscard invalidates the given undo-entry LSNs for the owner.
-func (w *WAL) LogDiscard(owner string, refs []uint64) uint64 {
+func (w *WAL) LogDiscard(owner Owner, refs []uint64) uint64 {
 	if len(refs) == 0 {
 		return 0
 	}
@@ -413,45 +450,79 @@ func (w *WAL) LogDiscard(owner string, refs []uint64) uint64 {
 // plus entry when non-zero (the intent a completing compensation
 // executed), in one append owned by the action's root. It logs nothing
 // when there is nothing to invalidate.
-func (w *WAL) LogDiscardUnder(action string, entry uint64) uint64 {
+func (w *WAL) LogDiscardUnder(action Owner, entry uint64) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	refs := w.liveUnder(action, 0)
-	if entry != 0 {
-		refs = append(refs, entry)
-	}
+	refs := w.carveRefs(action, entry)
 	if len(refs) == 0 {
 		return 0
 	}
-	return w.appendLocked(Record{Kind: RecDiscard, Owner: RootOf(action), Refs: refs})
+	return w.appendLocked(Record{Kind: RecDiscard, Owner: Owner{id: action.Root()}, Refs: refs})
 }
 
 // LogCommit appends a commit record.
-func (w *WAL) LogCommit(owner string) uint64 {
-	lsn, _ := w.Commit(owner)
+func (w *WAL) LogCommit(owner Owner) uint64 {
+	lsn, undo := w.Commit(owner)
+	undo.Release()
 	return lsn
 }
 
-// Commit appends owner's commit record, which ends its undo chain, and
-// hands a copy of the chain's live undo records (newest first) to the
-// committer, which rolls back from them if the commit cannot be made
-// durable — a checkpoint may trim the ended chain's records meanwhile.
-func (w *WAL) Commit(owner string) (lsn uint64, undo []Record) {
+// Commit appends owner's commit record, which ends its undo chain. On a
+// durable log it hands the ended chain to the committer, which rolls back
+// from it (EndedUndo.Records) if the commit cannot be made durable, and
+// releases it either way.
+func (w *WAL) Commit(owner Owner) (lsn uint64, undo EndedUndo) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if c := w.active[RootOf(owner)]; c != nil && w.sink != nil {
-		undo = w.newestFirst(c.live)
+	root := owner.Root()
+	if c := w.active[root]; c != nil && w.sink != nil {
+		delete(w.active, root)
+		w.ending = append(w.ending, c)
+		undo = EndedUndo{w: w, c: c}
 	}
 	return w.appendLocked(Record{Kind: RecCommit, Owner: owner}), undo
 }
 
+// EndedUndo is a committed transaction's undo chain, held by a committer
+// while it waits for durability: Trim keeps the chain's records until
+// Release. The zero EndedUndo is an empty chain.
+type EndedUndo struct {
+	w *WAL
+	c *undoChain
+}
+
+// Records returns the chain's live undo records, newest first.
+func (u EndedUndo) Records() []Record {
+	if u.c == nil {
+		return nil
+	}
+	u.w.mu.Lock()
+	defer u.w.mu.Unlock()
+	return u.w.newestFirst(u.c.live)
+}
+
+// Release hands the chain back to the log. The committer calls it once,
+// after the commit is durable or its rollback is done.
+func (u EndedUndo) Release() {
+	if u.c == nil {
+		return
+	}
+	w := u.w
+	w.mu.Lock()
+	i, last := slices.Index(w.ending, u.c), len(w.ending)-1
+	w.ending[i], w.ending[last] = w.ending[last], nil
+	w.ending = w.ending[:last]
+	w.recycle(u.c)
+	w.mu.Unlock()
+}
+
 // LogAbort appends an abort record.
-func (w *WAL) LogAbort(owner string) uint64 {
+func (w *WAL) LogAbort(owner Owner) uint64 {
 	return w.Append(Record{Kind: RecAbort, Owner: owner})
 }
 
 // LogCompensation appends a compensation record.
-func (w *WAL) LogCompensation(owner, note string) uint64 {
+func (w *WAL) LogCompensation(owner Owner, note string) uint64 {
 	return w.Append(Record{Kind: RecCompensation, Owner: owner, Note: note})
 }
 
@@ -459,7 +530,7 @@ func (w *WAL) LogCompensation(owner, note string) uint64 {
 func (w *WAL) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.records)
+	return w.records.n
 }
 
 // Replay appends an already-sequenced record without forwarding it to the
@@ -469,16 +540,16 @@ func (w *WAL) Len() int {
 func (w *WAL) Replay(rec Record) {
 	w.nextLSN = rec.LSN + 1
 	w.trackActive(&rec)
-	w.records = append(w.records, rec)
-	if len(w.records) >= 2*w.replayKept {
+	w.records.push(rec)
+	if w.records.n >= 2*w.replayKept {
 		w.Trim(w.nextLSN)
-		w.replayKept = max(len(w.records), 1024)
+		w.replayKept = max(w.records.n, 1024)
 	}
 }
 
-// Trim drops the records below min(lsn, the first LSN of every live undo
-// chain), which the store must reflect, copying the rest down so their
-// images are freed. The newest record stays, so a log rebuilt from the
+// Trim drops the records below min(lsn, the first LSN of every live or
+// handed-out undo chain), which the store must reflect, clearing them so
+// their images are freed. The newest record stays, so a log rebuilt from the
 // window continues the LSN sequence.
 func (w *WAL) Trim(lsn uint64) {
 	w.mu.Lock()
@@ -487,10 +558,11 @@ func (w *WAL) Trim(lsn uint64) {
 	for _, c := range w.active {
 		lsn = min(lsn, c.first)
 	}
-	if first := w.nextLSN - uint64(len(w.records)); lsn > first {
-		n := copy(w.records, w.records[lsn-first:])
-		clear(w.records[n:])
-		w.records = w.records[:n]
+	for _, c := range w.ending {
+		lsn = min(lsn, c.first)
+	}
+	if first := w.nextLSN - uint64(w.records.n); lsn > first {
+		w.records.drop(int(lsn - first))
 	}
 }
 
@@ -505,7 +577,62 @@ func (w *WAL) LastLSN() uint64 {
 func (w *WAL) Records() []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]Record, len(w.records))
-	copy(out, w.records)
-	return out
+	return w.records.appendTo(make([]Record, 0, w.records.n))
+}
+
+// window holds the log's retained records, LSN-contiguous, in chunks of
+// windowChunk records: an append never moves a record, and a trim keeps
+// the chunks it empties for the appends after it.
+type window struct {
+	chunks [][]Record
+	head   int // index in chunks[0] of the first record
+	n      int // records held
+	spare  [][]Record
+}
+
+// windowChunk is the number of records in a window chunk (32 KiB).
+const windowChunk = 256
+
+// at returns the i-th record.
+func (v *window) at(i int) *Record {
+	i += v.head
+	return &v.chunks[i/windowChunk][i%windowChunk]
+}
+
+// push appends rec.
+func (v *window) push(rec Record) {
+	if v.head+v.n == len(v.chunks)*windowChunk {
+		if k := len(v.spare); k > 0 {
+			v.chunks = append(v.chunks, v.spare[k-1])
+			v.spare = v.spare[:k-1]
+		} else {
+			v.chunks = append(v.chunks, make([]Record, windowChunk))
+		}
+	}
+	*v.at(v.n) = rec
+	v.n++
+}
+
+// drop removes the first k records, clearing them.
+func (v *window) drop(k int) {
+	for k > 0 {
+		c := v.chunks[0]
+		m := min(k, windowChunk-v.head)
+		clear(c[v.head : v.head+m])
+		v.head, v.n, k = v.head+m, v.n-m, k-m
+		if v.head == windowChunk {
+			n := copy(v.chunks, v.chunks[1:])
+			v.chunks[n] = nil
+			v.chunks, v.head = v.chunks[:n], 0
+			v.spare = append(v.spare, c)
+		}
+	}
+}
+
+// appendTo appends the records to dst in log order.
+func (v *window) appendTo(dst []Record) []Record {
+	for i := 0; i < v.n; i++ {
+		dst = append(dst, *v.at(i))
+	}
+	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/frame"
@@ -37,9 +38,8 @@ const recFlagCLR = 1 << 0
 // verbatim, so a follower's segment files are byte-identical to the
 // leader's (waldump -compare relies on this).
 func EncodeRecordFrame(dst []byte, rec Record) []byte {
-	// Room for the header and payload, with slack for string lengths past
-	// one uvarint byte and refs past eight.
-	dst = slices.Grow(dst, frame.HeaderSize+recPayloadMin+16+len(rec.Owner)+len(rec.Before)+len(rec.After)+len(rec.Note)+8*len(rec.Refs))
+	ownerLen := rec.Owner.idLen()
+	dst = slices.Grow(dst, frame.HeaderSize+payloadSize(&rec, ownerLen))
 	dst, start := frame.Begin(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, rec.LSN)
 	var flags byte
@@ -48,7 +48,10 @@ func EncodeRecordFrame(dst []byte, rec Record) []byte {
 	}
 	dst = append(dst, byte(rec.Kind), flags)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Page))
-	for _, s := range [...]string{rec.Owner, rec.Before, rec.After, rec.Note} {
+	// The owner is rendered straight into the frame (frame.AppendString's
+	// bytes).
+	dst = rec.Owner.appendID(binary.AppendUvarint(dst, uint64(ownerLen)))
+	for _, s := range [...]string{rec.Before, rec.After, rec.Note} {
 		dst = frame.AppendString(dst, s)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Refs)))
@@ -117,12 +120,18 @@ func decodeRecordPayload(payload []byte) (Record, error) {
 	return decodeRecord(frame.NewViewDecoder(payload))
 }
 
-// decodeRecord reads a record's fields through d.
+// decodeRecord reads a record's fields through d. A payload the encoder
+// would not have written — a flag bit it does not set, or a length, count
+// or ref in a longer uvarint than needed — is corrupt, so every record
+// decoded re-encodes to the bytes it was read from.
 func decodeRecord(d frame.Decoder) (Record, error) {
+	size := d.Len()
 	rec := Record{LSN: d.U64(), Kind: RecordKind(d.Byte())}
-	rec.CLR = d.Byte()&recFlagCLR != 0
+	flags := d.Byte()
+	rec.CLR = flags&recFlagCLR != 0
 	rec.Page = PageID(d.U64())
-	rec.Owner, rec.Before, rec.After, rec.Note = d.String(), d.String(), d.String(), d.String()
+	owner := d.String()
+	rec.Owner, rec.Before, rec.After, rec.Note = ParseOwner(owner), d.String(), d.String(), d.String()
 	if n := d.Count(); n > 0 {
 		rec.Refs = make([]uint64, n)
 		for i := range rec.Refs {
@@ -132,5 +141,25 @@ func decodeRecord(d frame.Decoder) (Record, error) {
 	if err := d.Done(); err != nil {
 		return Record{}, fmt.Errorf("%w: %w", ErrRecordCorrupt, err)
 	}
+	if flags&^recFlagCLR != 0 || payloadSize(&rec, len(owner)) != size {
+		return Record{}, fmt.Errorf("%w: not in its canonical encoding", ErrRecordCorrupt)
+	}
 	return rec, nil
 }
+
+// payloadSize returns the length of rec's payload, its owner's rendered id
+// being ownerLen bytes long.
+func payloadSize(rec *Record, ownerLen int) int {
+	n := 8 + 1 + 1 + 8 + uvarintLen(uint64(ownerLen)) + ownerLen
+	for _, s := range [...]string{rec.Before, rec.After, rec.Note} {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	n += uvarintLen(uint64(len(rec.Refs)))
+	for _, ref := range rec.Refs {
+		n += uvarintLen(ref)
+	}
+	return n
+}
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/frame"
 )
 
 // unsafeStart is the address of s's first byte.
@@ -20,14 +23,14 @@ func unsafeStart(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.String
 // (one- to five-byte uvarints), empty, binary and non-ASCII strings, and a
 // string whose length needs a two-byte uvarint.
 var goldenHandRecords = []Record{
-	{LSN: 1, Kind: RecUpdate, Owner: "T1.1", Page: 3, After: "k=v;k2=v2"},
-	{LSN: 2, Kind: RecUpdate, Owner: "T1.1", Page: 1 << 40, Before: "old", After: "new", CLR: true},
-	{LSN: 3, Kind: RecCommit, Owner: "T1.1"},
-	{LSN: 4, Kind: RecIntent, Owner: "T1", Note: "delete|Acct7|25", Refs: []uint64{1, 2}},
-	{LSN: 5, Kind: RecCompensation, Owner: "T1", Note: "credit|Acct7|25", CLR: true},
-	{LSN: 6, Kind: RecDiscard, Owner: "T1", Refs: []uint64{4, 300, 1 << 35}},
-	{LSN: 7, Kind: RecAbort, Owner: "T1"},
-	{LSN: 8, Kind: RecUpdate, Owner: "T2", Page: 9, Before: "ü\x00\xff", After: strings.Repeat("x", 130)},
+	{LSN: 1, Kind: RecUpdate, Owner: ParseOwner("T1.1"), Page: 3, After: "k=v;k2=v2"},
+	{LSN: 2, Kind: RecUpdate, Owner: ParseOwner("T1.1"), Page: 1 << 40, Before: "old", After: "new", CLR: true},
+	{LSN: 3, Kind: RecCommit, Owner: ParseOwner("T1.1")},
+	{LSN: 4, Kind: RecIntent, Owner: ParseOwner("T1"), Note: "delete|Acct7|25", Refs: []uint64{1, 2}},
+	{LSN: 5, Kind: RecCompensation, Owner: ParseOwner("T1"), Note: "credit|Acct7|25", CLR: true},
+	{LSN: 6, Kind: RecDiscard, Owner: ParseOwner("T1"), Refs: []uint64{4, 300, 1 << 35}},
+	{LSN: 7, Kind: RecAbort, Owner: ParseOwner("T1")},
+	{LSN: 8, Kind: RecUpdate, Owner: ParseOwner("T2"), Page: 9, Before: "ü\x00\xff", After: strings.Repeat("x", 130)},
 }
 
 // goldenHandHex is the hex of the concatenated frames of goldenHandRecords.
@@ -58,7 +61,7 @@ func goldenRun() []Record {
 		rec := Record{
 			LSN:   uint64(i + 1),
 			Kind:  RecordKind(i % 6),
-			Owner: fmt.Sprintf("T%d.%d", i/3, i%3),
+			Owner: ParseOwner(fmt.Sprintf("T%d.%d", i/3, i%3)),
 			CLR:   i%4 == 0,
 		}
 		switch rec.Kind {
@@ -173,5 +176,33 @@ func TestDecodeRecordFrameString(t *testing.T) {
 	if !strings.Contains(f, got.After) || unsafeStart(got.After) < unsafeStart(f) ||
 		unsafeStart(got.After)+uintptr(len(got.After)) > unsafeStart(f)+uintptr(len(f)) {
 		t.Fatal("a decoded field is not a view of the frame")
+	}
+}
+
+// TestDecodeRefusesNonCanonical: a payload the encoder would not write —
+// an unknown flag bit, a length or ref in a longer uvarint than needed —
+// is corrupt, so every record accepted re-encodes to its bytes.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	rec := Record{LSN: 5, Kind: RecIntent, Owner: ParseOwner("T2.1"), Note: "n", Refs: []uint64{3}}
+	good := EncodeRecordFrame(nil, rec)
+	payload := good[frame.HeaderSize:]
+	refAt := len(payload) - 1 // the one ref, a one-byte uvarint
+	for name, edit := range map[string]func(p []byte) []byte{
+		"flag bit":     func(p []byte) []byte { p[9] |= 2; return p },
+		"owner length": func(p []byte) []byte { return append(append(p[:18:18], p[18]|0x80, 0), p[19:]...) },
+		"ref":          func(p []byte) []byte { return append(append(p[:refAt:refAt], p[refAt]|0x80, 0), p[refAt+1:]...) },
+	} {
+		p := edit(append([]byte(nil), payload...))
+		buf, start := frame.Begin(nil)
+		buf = frame.End(append(buf, p...), start)
+		if _, _, err := DecodeRecordFrame(buf); !errors.Is(err, ErrRecordCorrupt) {
+			t.Errorf("%s: DecodeRecordFrame error = %v, want ErrRecordCorrupt", name, err)
+		}
+		if _, _, err := DecodeRecordFrameString(string(buf)); !errors.Is(err, ErrRecordCorrupt) {
+			t.Errorf("%s: DecodeRecordFrameString error = %v, want ErrRecordCorrupt", name, err)
+		}
+	}
+	if got, _, err := DecodeRecordFrame(good); err != nil || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("DecodeRecordFrame(good) = %+v, %v", got, err)
 	}
 }

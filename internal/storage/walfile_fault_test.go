@@ -46,13 +46,13 @@ func openGroupWAL(t *testing.T, segSize int64) (*WAL, *FileWAL) {
 func TestFsyncFailurePoisonsWAL(t *testing.T) {
 	w, fw := openGroupWAL(t, 0)
 
-	lsn := w.LogCommit("T1")
+	lsn := w.LogCommit(ParseOwner("T1"))
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatalf("healthy commit: %v", err)
 	}
 
 	armFault(t, "wal.fsync=error(disk gone)")
-	lsn = w.LogCommit("T2")
+	lsn = w.LogCommit(ParseOwner("T2"))
 	err := w.WaitDurable(lsn)
 	if !errors.Is(err, ErrWALPoisoned) {
 		t.Fatalf("commit during fsync failure: err = %v, want ErrWALPoisoned", err)
@@ -63,7 +63,7 @@ func TestFsyncFailurePoisonsWAL(t *testing.T) {
 
 	// Disarm and heal nothing: the poison is sticky.
 	fault.Default.Disarm("wal.fsync")
-	lsn = w.LogCommit("T3")
+	lsn = w.LogCommit(ParseOwner("T3"))
 	if err := w.WaitDurable(lsn); !errors.Is(err, ErrWALPoisoned) {
 		t.Fatalf("commit after disarm: err = %v, want sticky ErrWALPoisoned", err)
 	}
@@ -90,7 +90,7 @@ func TestFsyncFailureFailsAllGroupCommitWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lsn := w.LogCommit(fmt.Sprintf("T%d", i))
+			lsn := w.LogCommit(ParseOwner(fmt.Sprintf("T%d", i)))
 			errs <- w.WaitDurable(lsn)
 		}(i)
 	}
@@ -116,7 +116,7 @@ func TestRotationFailureTypedAndFailsWaiters(t *testing.T) {
 	// Tiny segments: every few records force a rotation.
 	w, _ := openGroupWAL(t, 64)
 
-	lsn := w.LogCommit("T1")
+	lsn := w.LogCommit(ParseOwner("T1"))
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatalf("healthy commit: %v", err)
 	}
@@ -124,8 +124,8 @@ func TestRotationFailureTypedAndFailsWaiters(t *testing.T) {
 	armFault(t, "wal.rotate=error(no space left on device)")
 	var err error
 	for i := 0; i < 50; i++ {
-		lsn = w.LogUpdate("T2", 1, "", "payload-that-fills-segments")
-		w.LogCommit("T2")
+		lsn = w.LogUpdate(ParseOwner("T2"), 1, "", "payload-that-fills-segments")
+		w.LogCommit(ParseOwner("T2"))
 		if err = w.WaitDurable(lsn); err != nil {
 			break
 		}
@@ -139,7 +139,7 @@ func TestRotationFailureTypedAndFailsWaiters(t *testing.T) {
 
 	// A committer arriving after the poison fails immediately, no hang.
 	ch := make(chan error, 1)
-	go func() { ch <- w.WaitDurable(w.LogCommit("T3")) }()
+	go func() { ch <- w.WaitDurable(w.LogCommit(ParseOwner("T3"))) }()
 	select {
 	case werr := <-ch:
 		if !errors.Is(werr, ErrWALPoisoned) {
@@ -160,12 +160,12 @@ func TestCloseFinalFsyncErrorSurfaces(t *testing.T) {
 	w, fw := openGroupWAL(t, 0)
 
 	armFault(t, "wal.fsync=error(close-time disk error);after=1")
-	lsn := w.LogCommit("T1")
+	lsn := w.LogCommit(ParseOwner("T1"))
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatalf("healthy commit with late-armed fault: %v", err)
 	}
 	// Unsynced bytes at close time — the records the final sync covers.
-	w.LogUpdate("T2", 1, "", "v")
+	w.LogUpdate(ParseOwner("T2"), 1, "", "v")
 
 	err := fw.Close()
 	if err == nil {
@@ -195,15 +195,15 @@ func TestPoisonedWALKeepsDurablePrefix(t *testing.T) {
 	w := NewWAL()
 	w.SetSink(fw)
 
-	w.LogUpdate("T1", 1, "", "v1")
-	acked := w.LogCommit("T1")
+	w.LogUpdate(ParseOwner("T1"), 1, "", "v1")
+	acked := w.LogCommit(ParseOwner("T1"))
 	if err := w.WaitDurable(acked); err != nil {
 		t.Fatal(err)
 	}
 
 	armFault(t, "wal.fsync=error(efsync)")
-	w.LogUpdate("T2", 1, "v1", "v2")
-	if err := w.WaitDurable(w.LogCommit("T2")); !errors.Is(err, ErrWALPoisoned) {
+	w.LogUpdate(ParseOwner("T2"), 1, "v1", "v2")
+	if err := w.WaitDurable(w.LogCommit(ParseOwner("T2"))); !errors.Is(err, ErrWALPoisoned) {
 		t.Fatalf("poisoned commit: %v", err)
 	}
 	_ = fw.Close()

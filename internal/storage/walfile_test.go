@@ -30,7 +30,7 @@ func randomRecord(rr *rand.Rand) Record {
 	kinds := []RecordKind{RecUpdate, RecCommit, RecAbort, RecCompensation, RecIntent, RecDiscard}
 	rec := Record{
 		Kind:  kinds[rr.Intn(len(kinds))],
-		Owner: fmt.Sprintf("T%d.%d", rr.Intn(20)+1, rr.Intn(5)),
+		Owner: ParseOwner(fmt.Sprintf("T%d.%d", rr.Intn(20)+1, rr.Intn(5))),
 		CLR:   rr.Intn(4) == 0,
 	}
 	if rec.Kind == RecUpdate {
@@ -151,7 +151,7 @@ func TestFileWALRotationAndReopen(t *testing.T) {
 	// Appending after reopen continues the LSN sequence in the same files.
 	w := NewWALFromRecords(got)
 	w.SetSink(fw)
-	lsn := w.LogCommit("T99")
+	lsn := w.LogCommit(ParseOwner("T99"))
 	if lsn != want[len(want)-1].LSN+1 {
 		t.Fatalf("continued lsn = %d, want %d", lsn, want[len(want)-1].LSN+1)
 	}
@@ -165,7 +165,7 @@ func TestFileWALRotationAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != len(want)+1 || again[len(again)-1].Owner != "T99" {
+	if len(again) != len(want)+1 || again[len(again)-1].Owner.String() != "T99" {
 		t.Fatalf("after reopen-append: %d records", len(again))
 	}
 }
@@ -211,7 +211,7 @@ func TestFileWALTornTailEveryOffset(t *testing.T) {
 		// The truncated log accepts appends and survives a further reopen.
 		w := NewWALFromRecords(got)
 		w.SetSink(fw)
-		lsn := w.LogCommit("Tnew")
+		lsn := w.LogCommit(ParseOwner("Tnew"))
 		if err := w.WaitDurable(lsn); err != nil {
 			t.Fatalf("cut=%d: append after truncation: %v", cut, err)
 		}
@@ -309,7 +309,7 @@ func TestFileWALGroupCommitDurability(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				lsn := w.LogCommit(fmt.Sprintf("T%d-%d", g, i))
+				lsn := w.LogCommit(ParseOwner(fmt.Sprintf("T%d-%d", g, i)))
 				if err := w.WaitDurable(lsn); err != nil {
 					errs <- err
 					return
@@ -387,7 +387,7 @@ func TestTruncateWALAbove(t *testing.T) {
 		}
 		w := NewWALFromRecords(recs)
 		w.SetSink(fw)
-		if lsn := w.LogCommit("Tnext"); lsn != n+1 {
+		if lsn := w.LogCommit(ParseOwner("Tnext")); lsn != n+1 {
 			t.Fatalf("keep=%d: next lsn %d, want %d", keep, lsn, n+1)
 		}
 		if err := w.Close(); err != nil {
@@ -584,8 +584,8 @@ func TestFileWALConcurrentFlushes(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						w.LogUpdate(fmt.Sprintf("T%d", g), PageID(g+1), "", fmt.Sprint(i))
-						if err := w.WaitDurable(w.LogCommit(fmt.Sprintf("T%d", g))); err != nil {
+						w.LogUpdate(ParseOwner(fmt.Sprintf("T%d", g)), PageID(g+1), "", fmt.Sprint(i))
+						if err := w.WaitDurable(w.LogCommit(ParseOwner(fmt.Sprintf("T%d", g)))); err != nil {
 							errs <- err
 							return
 						}

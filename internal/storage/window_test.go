@@ -14,15 +14,15 @@ import (
 // LSN and the window instead of returning a neighbour.
 func TestWALAtPanicsOutsideWindow(t *testing.T) {
 	w := NewWAL()
-	w.LogUpdate("T1", 1, "a", "b")
-	w.LogCommit("T1")
-	live := w.LogUpdate("T2", 2, "c", "d")
-	w.LogCommit("T3")
+	w.LogUpdate(ParseOwner("T1"), 1, "a", "b")
+	w.LogCommit(ParseOwner("T1"))
+	live := w.LogUpdate(ParseOwner("T2"), 2, "c", "d")
+	w.LogCommit(ParseOwner("T3"))
 	w.Trim(w.LastLSN() + 1) // T2's chain pins LSN 3 onward
 	if got := w.Len(); got != 2 {
 		t.Fatalf("window holds %d records after the trim, want 2 (T2's update and T3's commit)", got)
 	}
-	if r := w.at(live); r.Owner != "T2" {
+	if r := w.at(live); r.Owner.String() != "T2" {
 		t.Fatalf("at(%d) = %+v", live, r)
 	}
 	for _, lsn := range []uint64{1, 2, 5} {
@@ -57,21 +57,21 @@ func randomLog(seed int64, steps int) *WAL {
 		sub := fmt.Sprintf("%s.%d", root, rr.Intn(3))
 		switch op := rr.Intn(10); {
 		case op < 4:
-			w.LogUpdate(sub, PageID(rr.Intn(16)+1), fmt.Sprint("b", i), fmt.Sprint("a", i))
+			w.LogUpdate(ParseOwner(sub), PageID(rr.Intn(16)+1), fmt.Sprint("b", i), fmt.Sprint("a", i))
 		case op < 5:
-			w.LogCLRUpdate(root+":undo", PageID(rr.Intn(16)+1), "x", "y")
+			w.LogCLRUpdate(ParseOwner(root+":undo"), PageID(rr.Intn(16)+1), "x", "y")
 		case op < 6:
-			w.LogIntent(sub, fmt.Sprint("inverse", i))
+			w.LogIntent(ParseOwner(sub), fmt.Sprint("inverse", i))
 		case op < 7:
-			w.LogDiscardUnder(sub, 0)
+			w.LogDiscardUnder(ParseOwner(sub), 0)
 		default:
 			if i > steps-40 {
 				continue // leave the late roots in flight
 			}
 			if op < 9 {
-				w.LogCommit(root)
+				w.LogCommit(ParseOwner(root))
 			} else {
-				w.LogAbort(root)
+				w.LogAbort(ParseOwner(root))
 			}
 			open = slices.Delete(open, k, k+1)
 		}
@@ -83,7 +83,7 @@ func liveUndoOf(w *WAL) map[string][]Record {
 	roots, _ := w.ActiveInfo()
 	out := make(map[string][]Record, len(roots))
 	for _, root := range roots {
-		out[root] = w.LiveUndo(root, 0)
+		out[root] = w.LiveUndo(ParseOwner(root), 0)
 	}
 	return out
 }
@@ -131,13 +131,13 @@ func TestReplayAndTrimKeepLiveChains(t *testing.T) {
 // recovery starts from — continues the LSN sequence.
 func TestTrimKeepsNewestRecord(t *testing.T) {
 	w := NewWAL()
-	w.LogUpdate("T1", 1, "a", "b")
-	last := w.LogCommit("T1")
+	w.LogUpdate(ParseOwner("T1"), 1, "a", "b")
+	last := w.LogCommit(ParseOwner("T1"))
 	w.Trim(last + 1)
 	if w.Len() != 1 {
 		t.Fatalf("window holds %d records, want the newest only", w.Len())
 	}
-	if got := w.Clone().LogCommit("T2"); got != last+1 {
+	if got := w.Clone().LogCommit(ParseOwner("T2")); got != last+1 {
 		t.Fatalf("clone of the trimmed log appends at LSN %d, want %d", got, last+1)
 	}
 }
@@ -151,22 +151,29 @@ func (failingSink) Close() error             { return nil }
 
 // TestCommitUndoOutlivesTrim: a commit ends its root's chain before the
 // committer learns whether the record is durable, so a checkpoint may trim
-// the chain's records meanwhile; Commit hands the committer its own copy
-// of them, newest first, to roll back from if the flush fails.
+// meanwhile; Commit hands the committer the ended chain, and the trim
+// keeps its records, to roll back from if the flush fails, until the
+// committer releases it.
 func TestCommitUndoOutlivesTrim(t *testing.T) {
 	w := NewWAL()
 	w.SetSink(failingSink{})
-	w.LogUpdate("T1.1", 1, "a", "b")
-	w.LogIntent("T1.2", "inverse")
-	lsn, undo := w.Commit("T1")
+	w.LogUpdate(ParseOwner("T1.1"), 1, "a", "b")
+	w.LogIntent(ParseOwner("T1.2"), "inverse")
+	lsn, undo := w.Commit(ParseOwner("T1"))
 	w.Trim(lsn + 1)
-	if w.Len() != 1 {
-		t.Fatalf("window holds %d records after the trim, want the commit only", w.Len())
+	if w.Len() != 3 {
+		t.Fatalf("window holds %d records after the trim, want the chain's two and the commit", w.Len())
 	}
 	if err := w.WaitDurable(lsn); err == nil {
 		t.Fatal("the failing sink acknowledged the commit")
 	}
-	if len(undo) != 2 || undo[0].Kind != RecIntent || undo[1].Before != "a" {
-		t.Fatalf("commit undo = %+v, want the intent then the update's before-image", undo)
+	recs := undo.Records()
+	if len(recs) != 2 || recs[0].Kind != RecIntent || recs[1].Before != "a" {
+		t.Fatalf("commit undo = %+v, want the intent then the update's before-image", recs)
+	}
+	undo.Release()
+	w.Trim(lsn + 1)
+	if w.Len() != 1 {
+		t.Fatalf("window holds %d records after the release and a trim, want the commit only", w.Len())
 	}
 }

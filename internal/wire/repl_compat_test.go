@@ -31,8 +31,8 @@ var replTypes = []MsgType{MsgReplVote, MsgReplAppend, MsgReplSnapshot, MsgReplAc
 // one page update and the commit that seals it, the shape every
 // group-commit batch reduces to.
 var replCompatRecords = []storage.Record{
-	{LSN: 42, Kind: storage.RecUpdate, Owner: "T7", Page: 3, Before: "old", After: "new"},
-	{LSN: 43, Kind: storage.RecCommit, Owner: "T7"},
+	{LSN: 42, Kind: storage.RecUpdate, Owner: storage.ParseOwner("T7"), Page: 3, Before: "old", After: "new"},
+	{LSN: 43, Kind: storage.RecCommit, Owner: storage.ParseOwner("T7")},
 }
 
 // replCompatMsg is the golden AppendEntries frame: a two-entry batch in
