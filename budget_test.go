@@ -359,12 +359,14 @@ func newReplBankWork(tb testing.TB, seed int64) *bankWork {
 
 // TestReplWorkBudget pins what one bank_repl3 commit allocates across the
 // three replicas, without the client's wire: heap objects and bytes per
-// commit, each at its measured value plus 2 % (40.75 objects and 7,599
-// bytes at seed 1, the median of 10 runs, which read 38.6–41.1 and
-// 7,454–7,626; 46.25 objects and 10,317 bytes before log records named
-// their action by value; 115.2 objects and 22,513 bytes when each record
-// was encoded five times on its way to three segments and each follower
-// copied every entry it received). The figures count
+// commit, each at its measured value plus 2 % (23.1 objects and 6,497
+// bytes at seed 1, the median of 10 runs, which read 22.9–23.2 and
+// 6,489–6,507; 40.75 objects and 7,599 bytes when each replication message
+// allocated its consensus block and each received intent its Refs; 46.25
+// objects and 10,317 bytes before log records named their action by
+// value; 115.2 objects and 22,513 bytes when each record was encoded five
+// times on its way to three segments and each follower copied every entry
+// it received). The figures count
 // the leader's engine, its log and its peer loops, the replication
 // messages encoded and decoded on both sides, and each follower's append,
 // fsync and standby apply.
@@ -373,7 +375,7 @@ func TestReplWorkBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newReplBankWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 41.6, 7750)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 23.6, 6627)
 }
 
 // The engine half of the enc_wire_read workload (bench/encwire.go):

@@ -654,7 +654,7 @@ func (nc *conn) readLoop() {
 	br := bufio.NewReader(nc.c)
 	var rbuf []byte // the reply read buffer, reused from frame to frame
 	for {
-		m, _, err := wire.ReadMsgBuf(br, &rbuf, nil)
+		m, _, err := wire.ReadMsgBuf(br, &rbuf, nil, nil)
 		if err != nil {
 			nc.close(fmt.Errorf("%w: %v", ErrConnDead, err))
 			return

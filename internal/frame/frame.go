@@ -64,7 +64,11 @@
 //	                                       dropped once every peer holds it
 //	                                       or it is maxAppendBatch below the
 //	                                       commit index
-//	repl leader id and address           nothing: cloned when they change
+//	repl leader id and address, a        nothing: the repl block is read as
+//	  candidate's id: every ReplExt        bytes, never viewed; its strings
+//	  string                               are cloned when they change
+//	                                       (wire.ReadMsgBuf into a kept
+//	                                       ReplExt)
 //	recovered WAL records                their own record only, never the
 //	                                       segment or the batch read
 //	checkpoint pages and active ids      nothing: copied one by one

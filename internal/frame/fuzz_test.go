@@ -22,8 +22,8 @@ import (
 // corrupt; and whatever parses re-encodes to exactly the bytes it was
 // parsed from. Each payload decodes field for field and error for error
 // alike through NewViewDecoder and NewStringDecoder, and each frame alike
-// through storage.DecodeRecordFrame and DecodeRecordFrameString, and
-// every record they accept re-encodes (storage.EncodeRecordFrame) to the
+// through storage.DecodeRecordFrame and DecodeRecordFrameString (carving
+// Refs from one slab across the frames), and every record they accept re-encodes (storage.EncodeRecordFrame) to the
 // bytes it was decoded from. The seeds are one of each frame the system
 // writes: WAL records with an inline and a rendered owner, a traced wire
 // message and a checkpoint file's frame, and the first two back to back. `go test` runs the seeds;
@@ -88,6 +88,7 @@ func FuzzParse(f *testing.F) {
 		// Frame after frame, to the first failure.
 		stream, into := bytes.NewReader(data), bytes.NewReader(data)
 		var buf []byte
+		var refs []uint64 // the Refs slab, kept from frame to frame as a follower keeps it
 		for rest := data; ; {
 			payload, n, err := frame.Parse(rest, min, max)
 			spayload, sn, serr := frame.ParseString(string(rest), min, max)
@@ -101,7 +102,7 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 			rec, rn, rerr := storage.DecodeRecordFrame(rest)
-			srec, srn, srerr := storage.DecodeRecordFrameString(string(rest))
+			srec, srn, srerr := storage.DecodeRecordFrameString(string(rest), &refs)
 			if fmt.Sprint(srerr) != fmt.Sprint(rerr) || srn != rn || !reflect.DeepEqual(srec, rec) {
 				t.Fatalf("at offset %d DecodeRecordFrame: %+v %d %v; DecodeRecordFrameString: %+v %d %v",
 					len(data)-len(rest), rec, rn, rerr, srec, srn, srerr)

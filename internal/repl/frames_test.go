@@ -369,7 +369,7 @@ func TestAppendRefusesBadFrames(t *testing.T) {
 	n := passiveFollower(t, t.TempDir())
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
+			resp := n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 				Term: 1, From: "ldr", EntryTerm: 1,
 			}, Params: tc.params})
 			if resp.Repl.OK() {
@@ -387,7 +387,7 @@ func TestAppendRefusesBadFrames(t *testing.T) {
 			}
 		})
 	}
-	resp := n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
+	resp := n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 1, From: "ldr", EntryTerm: 1,
 	}, Params: []string{good}})
 	if !resp.Repl.OK() || resp.Repl.Match != 1 {

@@ -381,9 +381,10 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 	defer n.wg.Done()
 	hb := time.NewTimer(0) // send an immediate heartbeat on taking office
 	defer hb.Stop()
-	// Every append message is built into these: tr.call is synchronous,
-	// so the last message is done with when the next is built.
-	re := new(wire.ReplExt)
+	// Every append message is built into these, and every reply decoded
+	// into ack: tr.call is synchronous, so the last message and its reply
+	// are done with when the next is built.
+	re, ack := new(wire.ReplExt), new(wire.ReplExt)
 	params := make([]string, 0, maxAppendBatch)
 	failed := false
 	for {
@@ -413,52 +414,57 @@ func (n *Node) peerLoop(epoch uint64, p Peer, wakeCh chan struct{}) {
 				}
 				req = req2
 			}
-			resp, err := n.tr.call(p, req)
+			resp, err := n.tr.call(p, req, ack)
 			clear(req.Params) // the shipped frames may be dropped from the cache
 			if failed = err != nil || resp.Repl == nil; failed {
 				break
 			}
-			re := resp.Repl
 			n.mu.Lock()
 			if n.epoch != epoch || n.closed {
 				n.mu.Unlock()
 				return
 			}
-			if re.Term > n.term {
-				n.bumpTermLocked(re.Term)
-				n.mu.Unlock()
+			deposed, more := n.ackedLocked(p, ack, prevNext)
+			n.mu.Unlock()
+			if deposed {
 				return
 			}
-			if re.OK() {
-				if re.Match > n.match[p.ID] {
-					n.match[p.ID] = re.Match
-				}
-				n.next[p.ID] = n.match[p.ID] + 1
-				n.advanceCommitLocked()
-				more := min(n.want, n.lastLSN) >= n.next[p.ID]
-				n.mu.Unlock()
-				if !more {
-					break
-				}
-				continue
-			}
-			// Rejected: back up along the follower's hint. No forward
-			// progress (the follower is rebuilding, or the hint equals the
-			// position just tried) waits for the next tick.
-			hint := re.Hint
-			if hint == 0 || hint > prevNext {
-				hint = prevNext
-				if hint > 1 {
-					hint--
-				}
-			}
-			n.next[p.ID] = hint
-			n.mu.Unlock()
-			if hint >= prevNext {
+			if !more {
 				break
 			}
 		}
 	}
+}
+
+// ackedLocked applies p's reply to an append built from nextIndex
+// prevNext: a higher term deposes this leader; a success advances p's
+// match and the commit index; a rejection backs p's nextIndex up along
+// the follower's hint. more reports that the next batch is due at once:
+// a success with more demanded, or a rejection that made progress (one
+// that did not, because the follower is rebuilding or hinted the position
+// just tried, waits for the next tick).
+func (n *Node) ackedLocked(p Peer, ack *wire.ReplExt, prevNext uint64) (deposed, more bool) {
+	if ack.Term > n.term {
+		n.bumpTermLocked(ack.Term)
+		return true, false
+	}
+	if ack.OK() {
+		if ack.Match > n.match[p.ID] {
+			n.match[p.ID] = ack.Match
+		}
+		n.next[p.ID] = n.match[p.ID] + 1
+		n.advanceCommitLocked()
+		return false, min(n.want, n.lastLSN) >= n.next[p.ID]
+	}
+	hint := ack.Hint
+	if hint == 0 || hint > prevNext {
+		hint = prevNext
+		if hint > 1 {
+			hint--
+		}
+	}
+	n.next[p.ID] = hint
+	return false, hint < prevNext
 }
 
 // buildAppendLocked assembles the next AppendEntries for p into re and

@@ -272,8 +272,11 @@ type Node struct {
 	snapLSN     uint64
 	snapTerm    uint64
 	commitIndex uint64
-	// recs is handleAppend's decode buffer, cleared after each message.
+	// recs is handleAppend's decode buffer, cleared after each message,
+	// and refs the slab its records' Refs are carved from, in LSN order
+	// (DESIGN §4b.33).
 	recs []storage.Record
+	refs []uint64
 
 	// Follower state: the owned durable log, the warm standby image, and
 	// the apply cursor into it.
@@ -682,7 +685,7 @@ func (n *Node) electionTick() {
 			defer n.wg.Done()
 			req := wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
 				Term: term, From: n.cfg.ID, PrevLSN: lastLSN, PrevTerm: lastTerm}}
-			resp, err := n.tr.call(p, req)
+			resp, err := n.tr.call(p, req, nil)
 			if err != nil || resp.Repl == nil {
 				return
 			}

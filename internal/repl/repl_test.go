@@ -1,11 +1,14 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -333,12 +336,16 @@ func passiveFollower(t *testing.T, dir string) *Node {
 	return n
 }
 
+// serve handles m as a connection's handler does, building the reply in
+// a block of its own.
+func (n *Node) serve(m wire.Msg) wire.Msg { return n.handleRPC(m, new(wire.ReplExt)) }
+
 func TestFollowerAppendCommitStandby(t *testing.T) {
 	n := passiveFollower(t, t.TempDir())
 	req := wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 1, From: "ldr", Addr: "ldr-client", EntryTerm: 1,
 	}, Params: frameParams(upd(1, 1, "hello"), upd(2, 2, "world"))}
-	resp := n.handleRPC(req)
+	resp := n.serve(req)
 	if !resp.Repl.OK() || resp.Repl.Match != 2 {
 		t.Fatalf("append ack = %+v", resp.Repl)
 	}
@@ -353,7 +360,7 @@ func TestFollowerAppendCommitStandby(t *testing.T) {
 	hb := wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 1, From: "ldr", PrevLSN: 2, PrevTerm: 1, Commit: 2,
 	}}
-	resp = n.handleRPC(hb)
+	resp = n.serve(hb)
 	if !resp.Repl.OK() || resp.Repl.Match != 2 {
 		t.Fatalf("heartbeat ack = %+v", resp.Repl)
 	}
@@ -365,9 +372,98 @@ func TestFollowerAppendCommitStandby(t *testing.T) {
 	}
 
 	// Stale-term traffic is refused.
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{Term: 0, From: "old"}})
+	resp = n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{Term: 0, From: "old"}})
 	if resp.Repl.OK() {
 		t.Fatal("stale-term append accepted")
+	}
+}
+
+// TestReplExchangeAllocs: in steady state a replication exchange
+// allocates only what the message read costs. A follower handles a
+// pre-read append of k records (updates and intents with Refs), committing
+// and applying them, and replies into a reused block for less than 0.1
+// objects amortized: the entry log's chunks and the Refs slab are shared
+// by hundreds of records. A leader applies a steady-state ack to its
+// match and commit index for none.
+func TestReplExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const k, msgs = 4, 400
+	var stream []byte
+	for i := range msgs {
+		prev := uint64(i * k)
+		recs := make([]storage.Record, k)
+		for j := range recs {
+			lsn := prev + uint64(j) + 1
+			if j%2 == 0 {
+				recs[j] = upd(lsn, storage.PageID(1+j), "v"+strconv.Itoa(i))
+			} else {
+				recs[j] = storage.Record{LSN: lsn, Kind: storage.RecIntent, Owner: storage.ParseOwner("T1.2"),
+					Note: "undo", Refs: []uint64{lsn - 1, lsn - 2}}
+			}
+		}
+		stream = wire.AppendMsg(stream, wire.Msg{Seq: uint64(i), Type: wire.MsgReplAppend,
+			Params: frameParams(recs...), Repl: &wire.ReplExt{Term: 1, From: "ldr", Addr: "ldr-client",
+				PrevLSN: prev, PrevTerm: min(prev, 1), EntryTerm: 1, Commit: prev + k}})
+	}
+	var in []wire.Msg // read as a connection reads them, each with a block of its own
+	for r := bytes.NewReader(stream); r.Len() > 0; {
+		m, err := wire.ReadMsg(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = append(in, m)
+	}
+
+	n := passiveFollower(t, t.TempDir())
+	reply := new(wire.ReplExt)
+	i := 0
+	handle := func() {
+		resp := n.handleRPC(in[i], reply)
+		if want := uint64(i+1) * k; !resp.Repl.OK() || resp.Repl.Match != want {
+			t.Fatalf("append %d: ack %+v, want a success matching %d", i, resp.Repl, want)
+		}
+		i++
+	}
+	for range 8 { // the term and fence persist, the first chunks
+		handle()
+	}
+	// testing.AllocsPerRun rounds down to whole objects; an amortized
+	// figure needs the fraction.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i < msgs {
+		handle()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(msgs-8)
+	t.Logf("a follower handles a %d-record append for %.3f objects", k, allocs)
+	if allocs >= 0.1 {
+		t.Errorf("a follower handles a %d-record append for %.2f objects, want < 0.1", k, allocs)
+	}
+	if got, ok := n.StandbyRead(1); !ok || got != "v"+strconv.Itoa(msgs-1) {
+		t.Fatalf("standby page 1 = %q, %v after the appends", got, ok)
+	}
+
+	ld := &Node{quorum: 2, role: RoleLeader, term: 1, fences: []fence{{Term: 1, First: 1}},
+		match: map[string]uint64{"f1": 0, "f2": 0}, next: map[string]uint64{"f1": 1, "f2": 1}}
+	ld.cond = sync.NewCond(&ld.mu)
+	ack := &wire.ReplExt{Term: 1, Flags: wire.ReplFlagOK, From: "f1"}
+	f1 := Peer{ID: "f1"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ld.lastLSN += k
+		ld.want = ld.lastLSN
+		prevNext := ack.Match + 1
+		ack.Match = ld.lastLSN
+		if deposed, more := ld.ackedLocked(f1, ack, prevNext); deposed || more {
+			t.Fatalf("ack of %d: deposed %v, more %v", ack.Match, deposed, more)
+		}
+	}); allocs != 0 {
+		t.Errorf("a leader applies an ack for %.1f objects, want 0", allocs)
+	}
+	if ld.commitIndex != ld.lastLSN || ld.next["f1"] != ld.lastLSN+1 {
+		t.Fatalf("after the acks commit %d, next %d; want %d, %d", ld.commitIndex, ld.next["f1"], ld.lastLSN, ld.lastLSN+1)
 	}
 }
 
@@ -375,14 +471,14 @@ func TestFollowerConflictTruncationSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	n := passiveFollower(t, dir)
 	// Term-1 history: three entries, the first committed.
-	resp := n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
+	resp := n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 1, From: "a", EntryTerm: 1, Commit: 1,
 	}, Params: frameParams(upd(1, 1, "keep"), upd(2, 1, "stale-2"), upd(3, 1, "stale-3"))})
 	if !resp.Repl.OK() || resp.Repl.Match != 3 {
 		t.Fatalf("seed ack = %+v", resp.Repl)
 	}
 	// A term-2 leader overwrites LSN 2.. with its own history.
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
+	resp = n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 2, From: "b", PrevLSN: 1, PrevTerm: 1, EntryTerm: 2, Commit: 4,
 	}, Params: frameParams(upd(2, 1, "new-2"), upd(3, 1, "new-3"), upd(4, 1, "new-4"))})
 	if !resp.Repl.OK() || resp.Repl.Match != 4 {
@@ -442,7 +538,7 @@ func TestSnapshotInstallSeedsFreshFollower(t *testing.T) {
 	}
 
 	n := passiveFollower(t, t.TempDir())
-	resp := n.handleRPC(wire.Msg{Type: wire.MsgReplSnapshot, Repl: &wire.ReplExt{
+	resp := n.serve(wire.Msg{Type: wire.MsgReplSnapshot, Repl: &wire.ReplExt{
 		Term: 3, From: "ldr", PrevLSN: snap.LSN, PrevTerm: 3,
 	}, Params: []string{string(raw)}})
 	if !resp.Repl.OK() || resp.Repl.Match != snap.LSN {
@@ -453,14 +549,14 @@ func TestSnapshotInstallSeedsFreshFollower(t *testing.T) {
 		t.Fatalf("post-install status = %+v", st)
 	}
 	// The log restarts just past the barrier.
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
+	resp = n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 3, From: "ldr", PrevLSN: snap.LSN, PrevTerm: 3, EntryTerm: 3,
 	}, Params: frameParams(upd(snap.LSN+1, 1, "past-barrier"))})
 	if !resp.Repl.OK() || resp.Repl.Match != snap.LSN+1 {
 		t.Fatalf("post-install append ack = %+v", resp.Repl)
 	}
 	// A stale re-send of the same snapshot is acknowledged, not reinstalled.
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplSnapshot, Repl: &wire.ReplExt{
+	resp = n.serve(wire.Msg{Type: wire.MsgReplSnapshot, Repl: &wire.ReplExt{
 		Term: 3, From: "ldr", PrevLSN: snap.LSN, PrevTerm: 3,
 	}, Params: []string{string(raw)}})
 	if !resp.Repl.OK() {
@@ -470,14 +566,14 @@ func TestSnapshotInstallSeedsFreshFollower(t *testing.T) {
 
 func TestVoteRestriction(t *testing.T) {
 	n := passiveFollower(t, t.TempDir())
-	resp := n.handleRPC(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
+	resp := n.serve(wire.Msg{Type: wire.MsgReplAppend, Repl: &wire.ReplExt{
 		Term: 2, From: "a", EntryTerm: 2,
 	}, Params: frameParams(upd(1, 1, "x"), upd(2, 1, "y"))})
 	if !resp.Repl.OK() {
 		t.Fatalf("seed: %+v", resp.Repl)
 	}
 	// A candidate whose log ends before ours is refused...
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
+	resp = n.serve(wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
 		Term: 3, From: "short", PrevLSN: 1, PrevTerm: 2,
 	}})
 	if resp.Repl.OK() {
@@ -485,14 +581,14 @@ func TestVoteRestriction(t *testing.T) {
 	}
 	// ...even though the term bumped; an equal log is granted (same term,
 	// and the earlier refusal recorded no vote).
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
+	resp = n.serve(wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
 		Term: 3, From: "equal", PrevLSN: 2, PrevTerm: 2,
 	}})
 	if !resp.Repl.OK() {
 		t.Fatalf("refused vote for an up-to-date log: %+v", resp.Repl)
 	}
 	// One vote per term: a second candidate in the same term is refused.
-	resp = n.handleRPC(wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
+	resp = n.serve(wire.Msg{Type: wire.MsgReplVote, Repl: &wire.ReplExt{
 		Term: 3, From: "rival", PrevLSN: 9, PrevTerm: 3,
 	}})
 	if resp.Repl.OK() {

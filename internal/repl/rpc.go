@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -12,44 +11,46 @@ import (
 	"repro/internal/wire"
 )
 
-// ack builds a MsgReplAck carrying this node's term and the given
-// success/match/hint fields.
-func (n *Node) ackLocked(ok bool, match, hint uint64) wire.Msg {
-	re := &wire.ReplExt{Term: n.term, From: n.cfg.ID, Match: match, Hint: hint}
+// ackLocked builds a MsgReplAck in out, carrying this node's term and the
+// given success/match/hint fields.
+func (n *Node) ackLocked(out *wire.ReplExt, ok bool, match, hint uint64) wire.Msg {
+	*out = wire.ReplExt{Term: n.term, From: n.cfg.ID, Match: match, Hint: hint}
 	if ok {
-		re.Flags |= wire.ReplFlagOK
+		out.Flags |= wire.ReplFlagOK
 	}
-	return wire.Msg{Type: wire.MsgReplAck, Repl: re}
+	return wire.Msg{Type: wire.MsgReplAck, Repl: out}
 }
 
-// handleRPC dispatches one replication request to its handler.
-func (n *Node) handleRPC(m wire.Msg) wire.Msg {
+// handleRPC dispatches one replication request to its handler, which
+// builds the reply's block in out: the caller owns out and reuses it once
+// the reply is sent.
+func (n *Node) handleRPC(m wire.Msg, out *wire.ReplExt) wire.Msg {
 	switch m.Type {
 	case wire.MsgReplVote:
-		return n.handleVote(m)
+		return n.handleVote(m, out)
 	case wire.MsgReplAppend:
-		return n.handleAppend(m)
+		return n.handleAppend(m, out)
 	case wire.MsgReplSnapshot:
-		return n.handleSnapshot(m)
+		return n.handleSnapshot(m, out)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.ackLocked(false, 0, 0)
+	return n.ackLocked(out, false, 0, 0)
 }
 
 // handleVote implements RequestVote: one vote per term, persisted before
 // it is granted, and only for candidates whose log is at least as
 // up-to-date — the restriction that makes a quorum-acked entry present on
 // every electable node.
-func (n *Node) handleVote(m wire.Msg) wire.Msg {
+func (n *Node) handleVote(m wire.Msg, out *wire.ReplExt) wire.Msg {
 	re := m.Repl
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if re == nil || n.closed || n.failed != nil {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.Term < n.term {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.Term > n.term {
 		n.term = re.Term
@@ -64,27 +65,27 @@ func (n *Node) handleVote(m wire.Msg) wire.Msg {
 		n.persistLocked()
 		n.resetElectionTimerLocked()
 		n.logf("repl: %s: vote for %s in term %d", n.cfg.ID, re.From, n.term)
-		return n.ackLocked(true, 0, 0)
+		return n.ackLocked(out, true, 0, 0)
 	}
-	return n.ackLocked(false, 0, 0)
+	return n.ackLocked(out, false, 0, 0)
 }
 
 // handleAppend implements AppendEntries: term and log-consistency checks,
 // conflict truncation of a divergent suffix, durable append (fsync before
 // ack — Match is a durability promise, not a buffer position), and commit
 // advance into the warm standby.
-func (n *Node) handleAppend(m wire.Msg) wire.Msg {
+func (n *Node) handleAppend(m wire.Msg, out *wire.ReplExt) wire.Msg {
 	re := m.Repl
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if re == nil || n.closed || n.failed != nil {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if err := fpReplAppend.Inject(); err != nil {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.Term < n.term {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.Term > n.term {
 		n.term = re.Term
@@ -102,25 +103,25 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 	if n.rebuilding || n.fw == nil {
 		// Mid-demotion: the log is being re-read; ask the leader to retry
 		// the same position later.
-		return n.ackLocked(false, 0, re.PrevLSN+1)
+		return n.ackLocked(out, false, 0, re.PrevLSN+1)
 	}
 
 	// Log consistency.
 	switch {
 	case re.PrevLSN > n.lastLSN:
-		return n.ackLocked(false, 0, n.lastLSN+1)
+		return n.ackLocked(out, false, 0, n.lastLSN+1)
 	case re.PrevLSN < n.snapLSN:
 		// Everything at or below the snapshot barrier is committed and
 		// immutable, so it agrees with the leader by construction; report
 		// that position and let the leader realign. (Not lastLSN — the
 		// suffix beyond the barrier is unverified against this leader.)
-		return n.ackLocked(true, n.snapLSN, 0)
+		return n.ackLocked(out, true, n.snapLSN, 0)
 	case re.PrevLSN > 0 && n.termOfLocked(re.PrevLSN) != re.PrevTerm:
 		hint := re.PrevLSN
 		if hint <= n.snapLSN {
 			hint = n.snapLSN + 1
 		}
-		return n.ackLocked(false, 0, hint)
+		return n.ackLocked(out, false, 0, hint)
 	}
 
 	// Decode and sanity-check the batch: each entry exactly one frame,
@@ -128,9 +129,9 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 	recs := n.recs[:0]
 	defer n.releaseRecsLocked(&recs)
 	for i, p := range m.Params {
-		rec, size, err := storage.DecodeRecordFrameString(p)
+		rec, size, err := storage.DecodeRecordFrameString(p, &n.refs)
 		if err != nil || size != len(p) || rec.LSN != re.PrevLSN+1+uint64(i) {
-			return n.ackLocked(false, 0, 0)
+			return n.ackLocked(out, false, 0, 0)
 		}
 		recs = append(recs, rec)
 	}
@@ -147,7 +148,7 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 		if n.termOfLocked(rec.LSN) != re.EntryTerm {
 			if err := n.truncateSuffixLocked(rec.LSN - 1); err != nil {
 				n.failLocked(err)
-				return n.ackLocked(false, 0, 0)
+				return n.ackLocked(out, false, 0, 0)
 			}
 			appendFrom = i
 			break
@@ -172,7 +173,7 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 		// commits are built on.
 		if err := n.fw.WaitDurable(n.lastLSN); err != nil {
 			n.logf("repl: %s: follower fsync failed: %v", n.cfg.ID, err)
-			return n.ackLocked(false, 0, 0)
+			return n.ackLocked(out, false, 0, 0)
 		}
 	}
 
@@ -185,7 +186,7 @@ func (n *Node) handleAppend(m wire.Msg) wire.Msg {
 		n.applyCommittedLocked()
 		n.cond.Broadcast()
 	}
-	return n.ackLocked(true, match, 0)
+	return n.ackLocked(out, true, match, 0)
 }
 
 // releaseRecsLocked hands handleAppend's decode buffer back, cleared: a
@@ -226,15 +227,15 @@ func (n *Node) truncateSuffixLocked(keep uint64) error {
 // handleSnapshot implements InstallSnapshot: replace the whole local log
 // with the leader's checkpoint file — the catch-up path for a follower
 // whose log trails the leader's entry cache floor.
-func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
+func (n *Node) handleSnapshot(m wire.Msg, out *wire.ReplExt) wire.Msg {
 	re := m.Repl
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if re == nil || n.closed || n.failed != nil || len(m.Params) != 1 {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.Term < n.term {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.Term > n.term {
 		n.term = re.Term
@@ -248,12 +249,12 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	n.resetElectionTimerLocked()
 	defer func() { n.heardAt = time.Now() }()
 	if n.rebuilding || n.fw == nil {
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if re.PrevLSN <= n.lastLSN {
 		// Already covered; report the committed prefix (the only part of
 		// the local log known to agree with any leader).
-		return n.ackLocked(true, n.commitIndex, 0)
+		return n.ackLocked(out, true, n.commitIndex, 0)
 	}
 
 	// Validate before destroying anything: write to a temp name and prove
@@ -262,13 +263,13 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	tmp := filepath.Join(n.cfg.Dir, "repl-snapshot.tmp")
 	if err := writeFileSync(tmp, raw); err != nil {
 		n.failLocked(err)
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	snap, err := checkpoint.Load(tmp)
 	if err != nil || snap.LSN != re.PrevLSN {
 		os.Remove(tmp)
 		n.logf("repl: %s: rejected snapshot install: %v", n.cfg.ID, err)
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 
 	// Install: drop the old log wholesale, land the checkpoint under its
@@ -278,22 +279,22 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	segs, err := storage.WALSegments(n.cfg.Dir)
 	if err != nil {
 		n.failLocked(err)
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	for _, seg := range segs {
 		if err := os.Remove(filepath.Join(n.cfg.Dir, seg.Name)); err != nil {
 			n.failLocked(err)
-			return n.ackLocked(false, 0, 0)
+			return n.ackLocked(out, false, 0, 0)
 		}
 	}
 	final := filepath.Join(n.cfg.Dir, checkpoint.FileName(snap.LSN))
 	if err := os.Rename(tmp, final); err != nil {
 		n.failLocked(err)
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	if err := storage.SyncDir(n.cfg.Dir); err != nil {
 		n.failLocked(err)
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	n.snapLSN, n.snapTerm = snap.LSN, re.PrevTerm
 	if re.PrevTerm == 0 {
@@ -313,22 +314,16 @@ func (n *Node) handleSnapshot(m wire.Msg) wire.Msg {
 	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), nil)
 	if err != nil {
 		n.failLocked(err)
-		return n.ackLocked(false, 0, 0)
+		return n.ackLocked(out, false, 0, 0)
 	}
 	n.fw = fw
 	n.logf("repl: %s: installed snapshot at %d/t%d", n.cfg.ID, n.snapLSN, n.snapTerm)
-	return n.ackLocked(true, n.lastLSN, 0)
+	return n.ackLocked(out, true, n.lastLSN, 0)
 }
 
 // heardFromLocked records re's sender as the leader. The two names are
-// views of the whole message, which may be an append batch or a snapshot,
-// and outlive it until the next leader change: they are cloned, and only
-// when they change.
+// clones wire.ReadMsgBuf made, never views of the message, so keeping
+// them pins no append batch or snapshot.
 func (n *Node) heardFromLocked(re *wire.ReplExt) {
-	if n.leaderID != re.From {
-		n.leaderID = strings.Clone(re.From)
-	}
-	if n.leaderAddr != re.Addr {
-		n.leaderAddr = strings.Clone(re.Addr)
-	}
+	n.leaderID, n.leaderAddr = re.From, re.Addr
 }

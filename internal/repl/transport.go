@@ -95,18 +95,21 @@ func (tr *transport) handleConn(c net.Conn) {
 	var buf, rbuf []byte // the reply encode and request read buffers
 	// params is the request params' array, reused once a request has been
 	// handled: what handleRPC keeps of an entry is the string, a view of
-	// the message, never this array.
+	// the message, never this array. Each request's replication block is
+	// decoded into req, and each reply built in reply: handleRPC keeps
+	// neither, only req's sender strings, which are clones.
 	var params []string
+	req, reply := new(wire.ReplExt), new(wire.ReplExt)
 	for {
 		_ = c.SetReadDeadline(time.Time{})
-		m, _, err := wire.ReadMsgBuf(br, &rbuf, params)
+		m, _, err := wire.ReadMsgBuf(br, &rbuf, params, req)
 		if err != nil {
 			return
 		}
 		if tr.n.isolated.Load() {
 			return
 		}
-		resp := tr.n.handleRPC(m)
+		resp := tr.n.handleRPC(m, reply)
 		if m.Params != nil {
 			clear(m.Params) // a handled request's entries must not pin its frame
 			params = m.Params[:0]
@@ -119,8 +122,11 @@ func (tr *transport) handleConn(c net.Conn) {
 	}
 }
 
-// call sends one RPC to p and waits for its reply.
-func (tr *transport) call(p Peer, m wire.Msg) (wire.Msg, error) {
+// call sends one RPC to p and waits for its reply, whose replication
+// block is decoded into re (wire.ReadMsgBuf; nil allocates one). A caller
+// that passes re keeps it from call to call and reads the reply before
+// its next call.
+func (tr *transport) call(p Peer, m wire.Msg, re *wire.ReplExt) (wire.Msg, error) {
 	if tr.n.isolated.Load() {
 		return wire.Msg{}, errIsolated
 	}
@@ -149,7 +155,7 @@ func (tr *transport) call(p Peer, m wire.Msg) (wire.Msg, error) {
 		tr.drop(p.ID, pc)
 		return wire.Msg{}, err
 	}
-	resp, _, err := wire.ReadMsgBuf(pc.br, &pc.rbuf, nil)
+	resp, _, err := wire.ReadMsgBuf(pc.br, &pc.rbuf, nil, re)
 	if err != nil {
 		tr.drop(p.ID, pc)
 		return wire.Msg{}, err

@@ -567,7 +567,7 @@ func (s *Server) session(conn net.Conn) {
 				default:
 				}
 			}
-			m, n, err := wire.ReadMsgBuf(br, &rbuf, params)
+			m, n, err := wire.ReadMsgBuf(br, &rbuf, params, nil)
 			if err != nil {
 				var ne net.Error
 				switch {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -137,16 +138,20 @@ func TestRecordFrameGoldenBytes(t *testing.T) {
 // TestDecodeRecordFrameString: the string decoder agrees with
 // DecodeRecordFrame on every frame of the golden run, on every prefix of
 // one, and on every single-bit flip of one — the same record, the same
-// size, the same error. A decoded record's strings are substrings of the
-// frame it was given, so decoding allocates nothing but Refs; RecordEncoder
-// returns EncodeRecordFrame's bytes.
+// size, the same error, with Refs allocated or carved from a slab. A
+// decoded record's strings are substrings of the frame it was given, so
+// decoding allocates nothing but Refs; RecordEncoder returns
+// EncodeRecordFrame's bytes.
 func TestDecodeRecordFrameString(t *testing.T) {
+	var slab []uint64
 	same := func(t *testing.T, b []byte) {
 		t.Helper()
 		want, wn, werr := DecodeRecordFrame(b)
-		got, gn, gerr := DecodeRecordFrameString(string(b))
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) || gn != wn || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%x:\nstring: %+v %d %v\n bytes: %+v %d %v", b, got, gn, gerr, want, wn, werr)
+		for _, refs := range []*[]uint64{nil, &slab} {
+			got, gn, gerr := DecodeRecordFrameString(string(b), refs)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || gn != wn || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%x:\nstring: %+v %d %v\n bytes: %+v %d %v", b, got, gn, gerr, want, wn, werr)
+			}
 		}
 	}
 	var enc RecordEncoder
@@ -170,12 +175,57 @@ func TestDecodeRecordFrameString(t *testing.T) {
 	rec := goldenHandRecords[7] // Before and After both set, no Refs
 	f := enc.Frame(rec)
 	var got Record
-	if allocs := testing.AllocsPerRun(100, func() { got, _, _ = DecodeRecordFrameString(f) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { got, _, _ = DecodeRecordFrameString(f, nil) }); allocs != 0 {
 		t.Fatalf("decoding a frame string allocates %.1f times", allocs)
 	}
 	if !strings.Contains(f, got.After) || unsafeStart(got.After) < unsafeStart(f) ||
 		unsafeStart(got.After)+uintptr(len(got.After)) > unsafeStart(f)+uintptr(len(f)) {
 		t.Fatal("a decoded field is not a view of the frame")
+	}
+}
+
+// TestDecodeRefsSlab: Refs decoded through a slab are carved from it in
+// decode order, each capped at its own length so no record's Refs can grow
+// into the next one's, and a slab serves refSlab entries before the next
+// one is allocated: one allocation per refSlab refs, where each record
+// used to cost one.
+func TestDecodeRefsSlab(t *testing.T) {
+	frames := make([]string, refSlab)
+	for i := range frames {
+		frames[i] = string(EncodeRecordFrame(nil, Record{LSN: uint64(i + 1), Kind: RecIntent,
+			Owner: ParseOwner("T1"), Note: "n", Refs: []uint64{uint64(i), uint64(i) + 1}}))
+	}
+	var slab []uint64
+	var recs []Record
+	for _, f := range frames[:2] {
+		rec, _, err := DecodeRecordFrameString(f, &slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if &recs[0].Refs[1] != &slab[1] || &recs[1].Refs[0] != &slab[2] || cap(recs[0].Refs) != 2 {
+		t.Fatal("Refs are not consecutive carvings of the slab, capped at their length")
+	}
+	if recs[1].Refs[0] != 1 || recs[1].Refs[1] != 2 {
+		t.Fatalf("second record's Refs = %v", recs[1].Refs)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	// testing.AllocsPerRun rounds down to whole objects; this figure is a
+	// fraction of one.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, f := range frames {
+		if _, _, err := DecodeRecordFrameString(f, &slab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
+	if want := 2.0 * 2 / refSlab; allocs > want {
+		t.Fatalf("decoding through a slab costs %.3f allocations per record, want <= %.3f", allocs, want)
 	}
 }
 
@@ -198,7 +248,7 @@ func TestDecodeRefusesNonCanonical(t *testing.T) {
 		if _, _, err := DecodeRecordFrame(buf); !errors.Is(err, ErrRecordCorrupt) {
 			t.Errorf("%s: DecodeRecordFrame error = %v, want ErrRecordCorrupt", name, err)
 		}
-		if _, _, err := DecodeRecordFrameString(string(buf)); !errors.Is(err, ErrRecordCorrupt) {
+		if _, _, err := DecodeRecordFrameString(string(buf), nil); !errors.Is(err, ErrRecordCorrupt) {
 			t.Errorf("%s: DecodeRecordFrameString error = %v, want ErrRecordCorrupt", name, err)
 		}
 	}

@@ -283,7 +283,7 @@ func WriteMsgBuf(w io.Writer, buf *[]byte, m Msg) error {
 // ErrFrameCorrupt.
 func ReadMsg(r io.Reader) (Msg, error) {
 	var buf []byte
-	m, _, err := ReadMsgBuf(r, &buf, nil)
+	m, _, err := ReadMsgBuf(r, &buf, nil, nil)
 	return m, err
 }
 
@@ -295,16 +295,24 @@ func ReadMsg(r io.Reader) (Msg, error) {
 // message's strings are views of one string copied from the payload, so
 // it outlives the buffer's next frame: a received message costs one
 // allocation, or none when all its strings are empty (BEGIN, COMMIT, an
-// empty reply), plus a Params slice that params could not hold and a Repl
-// block. Any one of its strings keeps the whole message alive; see the
-// retention table in internal/frame. A caller that passes params reuses
-// that array only once it is done with the message.
-func ReadMsgBuf(r io.Reader, buf *[]byte, params []string) (Msg, int, error) {
+// empty reply), plus a Params slice that params could not hold. Any one
+// of its strings keeps the whole message alive; see the retention table
+// in internal/frame. A caller that passes params reuses that array only
+// once it is done with the message.
+//
+// A replication block is decoded into re, which the caller owns and
+// passes from message to message, and m.Repl points at it; a nil re
+// allocates one per message. Its From and Addr are never views: each is
+// kept while the next message carries the same bytes and cloned when they
+// change, so an ack or a heartbeat costs nothing, and a kept sender id
+// pins no message. A message without the block leaves re as it was and
+// m.Repl nil; so does a block that fails to decode.
+func ReadMsgBuf(r io.Reader, buf *[]byte, params []string, re *ReplExt) (Msg, int, error) {
 	payload, n, err := frame.ReadInto(r, buf, msgPayloadMin, MaxFrameSize)
 	if err != nil {
 		return Msg{}, 0, err
 	}
-	m, err := decodePayload(frame.NewViewDecoder(payload), params)
+	m, err := decodePayload(frame.NewViewDecoder(payload), params, re)
 	return m, n, err
 }
 
@@ -318,7 +326,7 @@ func DecodeMsg(buf []byte) (Msg, int, error) {
 	if err != nil {
 		return Msg{}, 0, err
 	}
-	m, err := decodePayload(frame.NewViewDecoder(payload), nil)
+	m, err := decodePayload(frame.NewViewDecoder(payload), nil, nil)
 	if err != nil {
 		return Msg{}, 0, err
 	}
@@ -326,10 +334,10 @@ func DecodeMsg(buf []byte) (Msg, int, error) {
 }
 
 // decodePayload parses a checksum-verified payload through d, decoding
-// the params into params' array when it has room. Errors wrap
-// ErrFrameCorrupt: the frame arrived intact but its contents are not a
-// message.
-func decodePayload(d frame.Decoder, params []string) (Msg, error) {
+// the params into params' array when it has room and a replication block
+// into re (a new one when re is nil). Errors wrap ErrFrameCorrupt: the
+// frame arrived intact but its contents are not a message.
+func decodePayload(d frame.Decoder, params []string, re *ReplExt) (Msg, error) {
 	m := Msg{Seq: d.U64(), Type: MsgType(d.Byte()), Code: ErrCode(d.Byte()), Page: d.U64()}
 	m.ObjType, m.ObjName, m.Method, m.Result = d.String(), d.String(), d.String(), d.String()
 	if n := d.Count(); n > 0 {
@@ -361,8 +369,10 @@ func decodePayload(d frame.Decoder, params []string) (Msg, error) {
 			}
 			m.TraceAttempt = uint32(attempt)
 		case extRepl:
-			re, err := decodeReplExt(d.Block())
-			if err != nil {
+			if re == nil {
+				re = new(ReplExt)
+			}
+			if err := re.decode(d.Bytes()); err != nil {
 				return m, err
 			}
 			m.Repl = re
@@ -373,15 +383,27 @@ func decodePayload(d frame.Decoder, params []string) (Msg, error) {
 	return m, d.Done()
 }
 
-// decodeReplExt parses an extRepl body.
-func decodeReplExt(d frame.Decoder) (*ReplExt, error) {
-	re := &ReplExt{
+// decode parses an extRepl body into re, read as bytes so the message's
+// payload is never converted for it. From and Addr are cloned only when
+// they differ from re's (the compare allocates nothing); a body that
+// fails to decode leaves re as it was.
+func (re *ReplExt) decode(body []byte) error {
+	d := frame.NewDecoder(body)
+	next := ReplExt{
 		Term: d.Uvarint(), PrevLSN: d.Uvarint(), PrevTerm: d.Uvarint(), EntryTerm: d.Uvarint(),
 		Commit: d.Uvarint(), Match: d.Uvarint(), Hint: d.Uvarint(), Flags: d.Uvarint(),
-		From: d.String(), Addr: d.String(),
+		From: re.From, Addr: re.Addr,
 	}
+	from, addr := d.Bytes(), d.Bytes()
 	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("repl extension: %w", err)
+		return fmt.Errorf("repl extension: %w", err)
 	}
-	return re, nil
+	if string(from) != next.From {
+		next.From = string(from)
+	}
+	if string(addr) != next.Addr {
+		next.Addr = string(addr)
+	}
+	*re = next
+	return nil
 }

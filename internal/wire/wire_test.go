@@ -306,8 +306,8 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := DecodeMsg(data)
 		if payload, _, perr := frame.Parse(data, msgPayloadMin, MaxFrameSize); perr == nil {
-			view, verr := decodePayload(frame.NewViewDecoder(payload), nil)
-			cp, cerr := decodePayload(frame.NewDecoder(payload), nil)
+			view, verr := decodePayload(frame.NewViewDecoder(payload), nil, nil)
+			cp, cerr := decodePayload(frame.NewDecoder(payload), nil, nil)
 			if (verr == nil) != (cerr == nil) || verr != nil && verr.Error() != cerr.Error() || !msgEqual(view, cp) {
 				t.Fatalf("view decode %+v, %v; copy decode %+v, %v", view, verr, cp, cerr)
 			}
@@ -337,37 +337,141 @@ func FuzzDecodeMsg(f *testing.F) {
 // TestReceivedMsgAllocs: read through a connection's reused buffers, a
 // received invoke costs one heap object, the string its fields are views
 // of, and a BEGIN or a COMMIT, whose strings are all empty, costs none.
+// A replication message read into a reused ReplExt costs only the string
+// its entries are views of: an ack or a heartbeat costs nothing, an append
+// with entries one object, and a sender that changes from frame to frame
+// one clone of its id per frame.
 func TestReceivedMsgAllocs(t *testing.T) {
+	hb := Msg{Seq: 8, Type: MsgReplAppend, Repl: &ReplExt{Term: 3, PrevLSN: 41, PrevTerm: 3,
+		Commit: 41, From: "n0", Addr: "127.0.0.1:19331"}}
+	other := hb
+	other.Repl = &ReplExt{Term: 3, PrevLSN: 41, PrevTerm: 3, Commit: 41, From: "n2", Addr: "127.0.0.1:19331"}
 	cases := []struct {
-		m    Msg
+		name string
+		ms   []Msg // read in turn, over and over
 		want float64
 	}{
-		{Msg{Seq: 1, Type: MsgBegin}, 0},
-		{Msg{Seq: 2, Type: MsgInvoke, ObjType: "Encyclopedia", ObjName: "Enc",
-			Method: "search", Params: []string{"k1000042"}}, 1},
-		{Msg{Seq: 3, Type: MsgInvoke, ObjType: "Account", ObjName: "Acct7",
-			Method: "debit", Params: []string{"25", "memo"}}, 1},
-		{Msg{Seq: 4, Type: MsgCommit}, 0},
-		{Msg{Seq: 5, Type: MsgResult}, 0},
+		{"begin", []Msg{{Seq: 1, Type: MsgBegin}}, 0},
+		{"invoke", []Msg{{Seq: 2, Type: MsgInvoke, ObjType: "Encyclopedia", ObjName: "Enc",
+			Method: "search", Params: []string{"k1000042"}}}, 1},
+		{"invoke with two params", []Msg{{Seq: 3, Type: MsgInvoke, ObjType: "Account", ObjName: "Acct7",
+			Method: "debit", Params: []string{"25", "memo"}}}, 1},
+		{"commit", []Msg{{Seq: 4, Type: MsgCommit}}, 0},
+		{"empty result", []Msg{{Seq: 5, Type: MsgResult}}, 0},
+		{"repl ack", []Msg{{Seq: 6, Type: MsgReplAck,
+			Repl: &ReplExt{Term: 3, Match: 42, Flags: ReplFlagOK, From: "n1"}}}, 0},
+		{"repl heartbeat", []Msg{hb}, 0},
+		{"repl append with entries", []Msg{{Seq: 7, Type: MsgReplAppend,
+			Params: []string{"entry-42", "entry-43"},
+			Repl:   &ReplExt{Term: 3, PrevLSN: 41, PrevTerm: 3, EntryTerm: 3, Commit: 40, From: "n0", Addr: "127.0.0.1:19331"}}}, 1},
+		{"repl sender changing every frame", []Msg{hb, other}, 1},
 	}
 	for _, tc := range cases {
-		frames := bytes.Repeat(AppendMsg(nil, tc.m), 102)
+		var frames []byte
+		for range 102 / len(tc.ms) {
+			for _, m := range tc.ms {
+				frames = AppendMsg(frames, m)
+			}
+		}
 		r := bytes.NewReader(frames)
 		var buf []byte
 		params := make([]string, 0, 4)
-		if _, _, err := ReadMsgBuf(r, &buf, params); err != nil { // warm the buffer
+		re := new(ReplExt)
+		if _, _, err := ReadMsgBuf(r, &buf, params, re); err != nil { // warm the buffer
 			t.Fatal(err)
 		}
 		var got Msg
 		var err error
-		allocs := testing.AllocsPerRun(100, func() { got, _, err = ReadMsgBuf(r, &buf, params) })
-		if err != nil || !msgEqual(got, tc.m) {
-			t.Fatalf("%v: read %+v, %v", tc.m.Type, got, err)
+		i := 1
+		allocs := testing.AllocsPerRun(100, func() { got, _, err = ReadMsgBuf(r, &buf, params, re); i++ })
+		if want := tc.ms[(i-1)%len(tc.ms)]; err != nil || !msgEqual(got, want) {
+			t.Fatalf("%s: read %+v, %v; want %+v", tc.name, got, err, want)
+		}
+		if want := tc.ms[0].Repl != nil; (got.Repl == re) != want {
+			t.Fatalf("%s: Repl = %p, want the caller's block %p: %v", tc.name, got.Repl, re, want)
 		}
 		if allocs != tc.want {
-			t.Errorf("received %v = %.1f allocs, want %.0f", tc.m.Type, allocs, tc.want)
+			t.Errorf("received %s = %.1f allocs, want %.0f", tc.name, allocs, tc.want)
 		}
 	}
+}
+
+// FuzzDecodeReplReuse: a sequence of frames read through one ReadMsgBuf
+// buffer into one reused ReplExt decodes, frame for frame, to what a fresh
+// DecodeMsg of each frame returns, error for error. The input is a
+// sequence of payloads, each a length byte and up to that many bytes, each
+// framed with a valid checksum so the decoder sees it. After every read
+// the buffer is overwritten with garbage, and no string read so far, the
+// block's included, may change: a kept sender id is never a view of the
+// buffer, also when its frame failed to decode, so a later frame whose id
+// equals it cannot keep a view either. `go test -fuzz=FuzzDecodeReplReuse
+// ./internal/wire` explores.
+func FuzzDecodeReplReuse(f *testing.F) {
+	seq := func(ms ...Msg) []byte {
+		var in []byte
+		for _, m := range ms {
+			payload := AppendMsg(nil, m)[frame.HeaderSize:]
+			in = append(append(in, byte(len(payload))), payload...)
+		}
+		return in
+	}
+	ack := func(from string, match uint64) Msg {
+		return Msg{Seq: match, Type: MsgReplAck, Repl: &ReplExt{Term: 3, Match: match, Flags: ReplFlagOK, From: from}}
+	}
+	hb := Msg{Seq: 1, Type: MsgReplAppend, Repl: &ReplExt{Term: 3, Commit: 9, From: "n0", Addr: "127.0.0.1:1"}}
+	app := Msg{Seq: 2, Type: MsgReplAppend, Params: []string{"e1", "e2"},
+		Repl: &ReplExt{Term: 3, PrevLSN: 9, EntryTerm: 3, Commit: 9, From: "n0", Addr: "127.0.0.1:1"}}
+	f.Add(seq(ack("n1", 1), ack("n1", 2), ack("n2", 3), ack("n1", 4)))
+	f.Add(seq(hb, app, hb, Msg{Seq: 3, Type: MsgCommit}, app))
+	bad := seq(ack("n1", 5))
+	bad[len(bad)-4]++ // the From length runs into Addr's: a failed decode
+	f.Add(append(append(seq(ack("n9", 1)), bad...), seq(ack("n1", 6))...))
+	f.Add(seq(Msg{Seq: 4, Type: MsgReplVote, TraceID: "t", Repl: &ReplExt{Term: 4, PrevLSN: 7, From: "n2"}}, ack("n2", 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf []byte
+		re := new(ReplExt)
+		type kept struct{ strs, clones []string }
+		var all []kept
+		keep := func(m Msg) {
+			strs := append([]string{m.ObjType, m.ObjName, m.Method, m.Result, m.TraceID, re.From, re.Addr}, m.Params...)
+			clones := make([]string, len(strs))
+			for i, s := range strs {
+				clones[i] = strings.Clone(s)
+			}
+			all = append(all, kept{strs, clones})
+		}
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			body := data[1 : 1+n]
+			data = data[1+n:]
+			enc, start := frame.Begin(nil)
+			enc = frame.End(append(enc, body...), start)
+
+			got, _, err := ReadMsgBuf(bytes.NewReader(enc), &buf, nil, re)
+			want, _, werr := DecodeMsg(enc)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("reused read error %v, fresh decode error %v", err, werr)
+			}
+			if err == nil {
+				if !msgEqual(got, want) {
+					t.Fatalf("reused read %+v (repl %+v), fresh decode %+v (repl %+v)", got, got.Repl, want, want.Repl)
+				}
+				keep(got)
+			} else {
+				keep(Msg{})
+			}
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = 0xa5
+			}
+			for _, k := range all {
+				for i := range k.strs {
+					if k.strs[i] != k.clones[i] {
+						t.Fatalf("a string changed from %q to %q when the read buffer was overwritten", k.clones[i], k.strs[i])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestDecodedMsgOutlivesBuffer: a message read into a connection's buffer
@@ -389,7 +493,7 @@ func TestDecodedMsgOutlivesBuffer(t *testing.T) {
 	params := make([]string, 0, 2)
 	var got []Msg
 	for range 4 {
-		m, _, err := ReadMsgBuf(&stream, &buf, params)
+		m, _, err := ReadMsgBuf(&stream, &buf, params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +530,7 @@ func BenchmarkReadMsg(b *testing.B) {
 		if r.Len() == 0 {
 			r.Reset(frames)
 		}
-		if _, _, err := ReadMsgBuf(r, &buf, params); err != nil {
+		if _, _, err := ReadMsgBuf(r, &buf, params, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
