@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test bench-check test-obs bench torture e2e
+.PHONY: check build vet test bench-check test-obs bench torture e2e loc
 
 # The full gate: everything must build, vet clean, and pass under the race
 # detector, bench/ included. CI and pre-commit both run this.
@@ -45,3 +45,8 @@ torture:
 # and crash rounds, and open-nested runs under the Def. 16 checker.
 e2e:
 	$(GO) test -tags e2e -count=1 ./e2e
+
+# The line budget ROADMAP.md tracks: non-test Go in the root module, bench/
+# excluded.
+loc:
+	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

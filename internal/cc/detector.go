@@ -284,18 +284,3 @@ func (d *detector) causeOf(root string) []string {
 	defer d.mu.Unlock()
 	return append([]string(nil), d.cause[root]...)
 }
-
-// edges renders the waits-for relation for diagnostics.
-func (d *detector) edges() map[string]map[string]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]map[string]int, len(d.waitsFor))
-	for from, tos := range d.waitsFor {
-		m := make(map[string]int, len(tos))
-		for to, n := range tos {
-			m[to] = n
-		}
-		out[from] = m
-	}
-	return out
-}

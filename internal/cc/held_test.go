@@ -15,25 +15,26 @@ import (
 func TestReleaseHeldMatchesRelease(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
 	a := res("A")
-	h1, err := lm.AcquireTraced(nil, ActionID("T1.1"), "T1", a, S)
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	h1, err := t1.acquireTraced(nil, t1.child(1), a, S)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := lm.AcquireTraced(nil, ActionID("T2.1"), "T2", a, S)
+	h2, err := t2.acquireTraced(nil, t2.child(1), a, S)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 != h2 || (*lockState)(h1) != stateOf(lm, a) {
 		t.Fatal("two grants on one resource must hand out its one state")
 	}
-	if err := lm.Acquire("T1", a, S); err != nil { // re-entrant: count 2
+	if err := t1.acquire(a, S); err != nil { // re-entrant: count 2
 		t.Fatal(err)
 	}
-	lm.ReleaseHeld(h1, "T1")
+	lm.ReleaseHeldOwner(h1, t1.owner())
 	if h := lm.Holders(a); len(h) != 1 || h[0] != "T2" {
 		t.Fatalf("holders after T1's release = %v, want [T2]", h)
 	}
-	lm.ReleaseHeld(h2, "T2")
+	lm.ReleaseHeldOwner(h2, t2.owner())
 	if stateOf(lm, a) != nil {
 		t.Fatal("idle state not collected")
 	}
@@ -46,12 +47,13 @@ func TestReleaseHeldMatchesRelease(t *testing.T) {
 func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
 	a, b := res("A"), res("B")
-	h, err := lm.AcquireTraced(nil, ActionID("T1.1"), "T1", a, X)
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	h, err := t1.acquireTraced(nil, t1.child(1), a, X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseHeld(h, "T1")
-	hb, err := lm.AcquireTraced(nil, ActionID("T2.1"), "T2", b, X)
+	lm.ReleaseHeldOwner(h, t1.owner())
+	hb, err := t2.acquireTraced(nil, t2.child(1), b, X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 	if st := (*lockState)(h); st.res != b {
 		t.Fatalf("recycled state serves %v, want %v", st.res, b)
 	}
-	lm.ReleaseHeld(h, "T1")
+	lm.ReleaseHeldOwner(h, t1.owner())
 	if got := lm.Holders(b); len(got) != 1 || got[0] != "T2" {
 		t.Fatalf("holders of B after T1's stale release = %v, want [T2]", got)
 	}
@@ -69,7 +71,7 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- lm.Acquire("T3", b, X) }()
 	waitFor(t, "T3 blocked on B", func() bool { return lm.Snapshot().Blocked == 1 })
-	lm.ReleaseHeld(hb, "T2")
+	lm.ReleaseHeldOwner(hb, t2.owner())
 	select {
 	case err := <-done:
 		if err != nil {
@@ -78,7 +80,7 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("T3 not woken by T2's release")
 	}
-	lm.ReleaseTree("T3")
+	lm.Release("T3", b)
 	if lm.HoldsAny("T1") || lm.HoldsAny("T2") || lm.HoldsAny("T3") {
 		t.Fatalf("locks left behind:\n%s", lm.String())
 	}
@@ -88,11 +90,12 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 // free list keeps no name strings reachable.
 func TestPooledStatePinsNoName(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
-	h, err := lm.AcquireTraced(nil, ActionID("T1"), "T1", res("A"), X)
+	t1 := begin(lm, "T1")
+	h, err := t1.acquireTraced(nil, t1, res("A"), X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseHeld(h, "T1")
+	lm.ReleaseHeldOwner(h, t1.owner())
 	sh := lm.shards[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -114,7 +117,7 @@ func TestDoomedCounter(t *testing.T) {
 	if n := d.ndoomed.Load(); n != 1 {
 		t.Fatalf("ndoomed after forceDoom = %d, want 1", n)
 	}
-	if err := lm.Acquire("T1.1", res("A"), S); !errors.Is(err, ErrDoomed) {
+	if err := begin(lm, "T1").child(1).acquire(res("A"), S); !errors.Is(err, ErrDoomed) {
 		t.Fatalf("doomed root's acquire = %v, want ErrDoomed", err)
 	}
 	d.clearDoomed("T1")
@@ -123,11 +126,11 @@ func TestDoomedCounter(t *testing.T) {
 	}
 	d.forceDoom("T1")
 	d.forceDoom("T2")
-	lm.ReleaseTree("T1") // forget
+	lm.Forget("T1")
 	if n := d.ndoomed.Load(); n != 1 || lm.Doomed("T1") || !lm.Doomed("T2") {
 		t.Fatalf("after forgetting T1: ndoomed = %d, want 1 (T2 only)", n)
 	}
-	lm.ReleaseTree("T2")
+	lm.Forget("T2")
 	if n := d.ndoomed.Load(); n != 0 {
 		t.Fatalf("ndoomed after forget = %d, want 0", n)
 	}
@@ -141,17 +144,18 @@ func TestDoomedCounter(t *testing.T) {
 			break
 		}
 	}
-	if err := lm.Acquire("T4", a, X); err != nil {
+	t4, t5 := begin(lm, "T4"), begin(lm, "T5")
+	if err := t4.acquire(a, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T5", b, X); err != nil {
+	if err := t5.acquire(b, X); err != nil {
 		t.Fatal(err)
 	}
 	victim := make(chan error, 1)
-	go func() { victim <- lm.Acquire("T5", a, X) }()
+	go func() { victim <- t5.acquire(a, X) }()
 	waitFor(t, "T5 blocked", func() bool { return lm.Snapshot().Blocked == 1 })
 	survivor := make(chan error, 1)
-	go func() { survivor <- lm.Acquire("T4", b, X) }()
+	go func() { survivor <- t4.acquire(b, X) }()
 	select {
 	case err := <-victim:
 		if !errors.Is(err, ErrDeadlock) {
@@ -160,37 +164,39 @@ func TestDoomedCounter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked victim never woken")
 	}
-	lm.ReleaseTree("T5")
+	t5.end()
 	if err := <-survivor; err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseTree("T4")
+	t4.end()
 	if n := d.ndoomed.Load(); n != 0 {
 		t.Fatalf("ndoomed after the victim's cleanup = %d, want 0", n)
 	}
 }
 
-// TestAcquireTracedReleaseHeldAllocs: an uncontended traced acquire and its
-// release by handle allocate nothing.
+// TestAcquireTracedReleaseHeldAllocs: an uncontended traced acquire by a
+// node owner and its release by handle allocate nothing.
 func TestAcquireTracedReleaseHeldAllocs(t *testing.T) {
 	lm := NewLockManager()
 	tt := span.New().BeginTxn("T1", time.Now())
 	r := res("P")
+	t1 := begin(lm, "T1")
+	req, owner := t1.child(1), t1.owner()
 	allocs := testing.AllocsPerRun(200, func() {
-		h, err := lm.AcquireTraced(tt, ActionID("T1.1"), "T1", r, X)
+		h, err := lm.AcquireOwner(tt, req, owner, r, X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm.ReleaseHeld(h, "T1")
+		lm.ReleaseHeldOwner(h, owner)
 	})
 	if allocs != 0 {
-		t.Fatalf("AcquireTraced+ReleaseHeld = %.1f allocs, want 0", allocs)
+		t.Fatalf("AcquireOwner+ReleaseHeldOwner = %.1f allocs, want 0", allocs)
 	}
 }
 
 // BenchmarkAcquireRelease prices one uncontended acquire-release pair,
 // released by key (Release hashes the resource and looks it up) and by
-// handle (ReleaseHeld goes straight to the granted state).
+// handle (ReleaseHeldOwner goes straight to the granted state).
 func BenchmarkAcquireRelease(b *testing.B) {
 	r := res("P")
 	b.Run("key", func(b *testing.B) {
@@ -205,13 +211,53 @@ func BenchmarkAcquireRelease(b *testing.B) {
 	})
 	b.Run("handle", func(b *testing.B) {
 		lm := NewLockManager()
+		t1 := begin(lm, "T1")
+		owner := t1.owner()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h, err := lm.AcquireTraced(nil, ActionID("T1"), "T1", r, X)
+			h, err := lm.AcquireOwner(nil, t1, owner, r, X)
 			if err != nil {
 				b.Fatal(err)
 			}
-			lm.ReleaseHeld(h, "T1")
+			lm.ReleaseHeldOwner(h, owner)
 		}
 	})
+}
+
+// BenchmarkCommitRelease prices the end of a transaction holding 4 locks
+// while 0, 1,000 or 10,000 grants of other transactions sit in the table:
+// its four acquires, then the release of the root's list. Nothing scans
+// the table, so the cost does not grow with the foreign grants.
+func BenchmarkCommitRelease(b *testing.B) {
+	for _, foreign := range []int{0, 1000, 10000} {
+		b.Run(fmt.Sprintf("foreign=%d", foreign), func(b *testing.B) {
+			lm := NewLockManager()
+			for i := 0; i < foreign; i++ {
+				if err := lm.Acquire(fmt.Sprintf("F%d", i), res(fmt.Sprintf("F%d", i)), X); err != nil {
+					b.Fatal(err)
+				}
+			}
+			mine := []Resource{res("A"), res("B"), res("C"), res("D")}
+			var root Node
+			owner := NodeOwner("T1", &root)
+			req := begin(lm, "T1")
+			held := make([]*Held, 0, len(mine))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				held = held[:0]
+				for _, r := range mine {
+					h, err := lm.AcquireOwner(nil, req, owner, r, X)
+					if err != nil {
+						b.Fatal(err)
+					}
+					held = append(held, h)
+				}
+				for _, h := range held {
+					lm.ReleaseHeldOwner(h, owner)
+				}
+				lm.Forget("T1")
+			}
+		})
+	}
 }

@@ -6,11 +6,11 @@
 //     (Definition 9) — two invocations may hold locks on the same object
 //     simultaneously iff they commute;
 //   - a blocking lock manager with owner hierarchies (an owner names a
-//     node of a transaction's action tree, so same-transaction and subtree
-//     tests compare a root id and walk parent pointers, and an id string
-//     is rendered only for a reader), lock transfer to parents, waits-for
-//     deadlock detection with youngest-victim abort, and an optional wait
-//     timeout as a backstop;
+//     node of a transaction's action tree, so the same-transaction test
+//     compares a root id, and an id string is rendered only for a reader),
+//     lock handles that the caller keeps and releases or hands to a parent,
+//     waits-for deadlock detection with youngest-victim abort, and an
+//     optional wait timeout as a backstop;
 //   - counters for the paper's evaluation: acquisitions, blocked acquires
 //     (the "rate of conflicting accesses"), deadlocks and wait time.
 //
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -181,9 +180,11 @@ type waiter struct {
 }
 
 // LockManager is a blocking lock manager. An owner (Owner) names a node of
-// a top-level transaction's action tree, or is a hierarchical id string
-// such as "T3.1.2"; the top-level transaction is the deadlock-detection
-// granule.
+// a top-level transaction's action tree, or is a top-level transaction's
+// id string such as "T3"; the top-level transaction is the
+// deadlock-detection granule. The manager keeps no index of what an owner
+// holds: the caller lists the handles its acquires return, and every
+// release and transfer walks such a list, so nothing scans the table.
 type LockManager struct {
 	shards    []*lockShard
 	shardMask uint64
@@ -198,10 +199,6 @@ type LockManager struct {
 	// waitTimeout bounds each blocked acquire; 0 means no bound.
 	waitTimeout time.Duration
 	nshards     int
-
-	// debugDump, when set, receives a full lock-table dump on each timeout.
-	debugMu   sync.Mutex
-	debugDump func(string)
 
 	// testUnlockedWindow, when set (tests only, before any Acquire runs),
 	// fires inside acquire's unlocked detector window — after edges are
@@ -346,9 +343,9 @@ func sameEdges(a, b map[string]int) bool {
 	return true
 }
 
-// Acquire blocks until the owner holds res in the given mode, or returns
-// ErrDeadlock / ErrDoomed / ErrTimeout. Re-acquisition by the same owner
-// and mode is re-entrant.
+// Acquire blocks until the owner — a top-level transaction's id — holds
+// res in the given mode, or returns ErrDeadlock / ErrDoomed / ErrTimeout.
+// Re-acquisition by the same owner and mode is re-entrant.
 func (lm *LockManager) Acquire(owner string, res Resource, mode Mode) error {
 	_, _, err := lm.acquire(Owner{id: owner}, res, mode)
 	return err
@@ -356,21 +353,16 @@ func (lm *LockManager) Acquire(owner string, res Resource, mode Mode) error {
 
 // Held is a granted lock: the lock state an acquire granted. The state
 // carries the grant until it is released, so it cannot be recycled for
-// another resource while its holder can still release it; ReleaseHeld
-// goes straight to it without hashing the resource.
+// another resource while its holder can still release it;
+// ReleaseHeldOwner and TransferOwner go straight to it without hashing the
+// resource.
 type Held lockState
 
-// AcquireEx is Acquire plus provenance: the returned AcquireInfo reports
-// whether the call blocked, for how long, which holders it last observed
-// blocking it, and — on a deadlock abort — the waits-for cycle that doomed
-// it. This is what the span layer turns into blocked-on / victim-of /
-// timeout edges.
-func (lm *LockManager) AcquireEx(owner string, res Resource, mode Mode) (AcquireInfo, error) {
-	_, info, err := lm.acquire(Owner{id: owner}, res, mode)
-	return info, err
-}
-
-// acquire is AcquireEx returning the granted lock too (nil on error).
+// acquire grants owner res in mode and returns the granted lock (nil on
+// error) with its provenance: whether the call blocked, for how long,
+// which holders it last observed blocking it, and — on a deadlock abort —
+// the waits-for cycle that doomed it. This is what the span layer turns
+// into blocked-on / victim-of / timeout edges.
 func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, info AcquireInfo, err error) {
 	if err := fpLockAcquire.Inject(); err != nil {
 		return nil, AcquireInfo{}, err
@@ -432,11 +424,6 @@ func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, i
 		info.TimedOut = errors.Is(err, ErrTimeout)
 		if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrDoomed) {
 			info.Cycle = lm.det.causeOf(root)
-		}
-		if info.TimedOut {
-			if fn := lm.debugHook(); fn != nil {
-				fn(lm.dump(owner, mode, res))
-			}
 		}
 	}()
 
@@ -623,7 +610,7 @@ func sameMode(a, b Mode) bool {
 
 // SetAge overrides the age of a transaction: a restarted transaction that
 // keeps its original (older) age stops being the default deadlock victim,
-// preventing restart starvation. Cleared by ReleaseTree.
+// preventing restart starvation. Cleared by Forget.
 func (lm *LockManager) SetAge(root string, age int64) { lm.det.setAge(root, age) }
 
 // txnSeq extracts the trailing integer of a transaction id, or -1.
@@ -642,9 +629,10 @@ func txnSeq(root string) int {
 	return n
 }
 
-// Release drops every mode the owner holds on res and, if it held any,
-// wakes that resource's waiters. It touches one shard; releasing a resource
-// the owner does not hold is a no-op.
+// Release drops every mode the owner — a top-level transaction's id —
+// holds on res and, if it held any, wakes that resource's waiters. It
+// touches one shard; releasing a resource the owner does not hold is a
+// no-op.
 func (lm *LockManager) Release(owner string, res Resource) {
 	sh := lm.shardFor(res)
 	sh.mu.Lock()
@@ -654,20 +642,15 @@ func (lm *LockManager) Release(owner string, res Resource) {
 	sh.mu.Unlock()
 }
 
-// ReleaseHeld is ReleaseHeldOwner for a string owner.
-func (lm *LockManager) ReleaseHeld(h *Held, owner string) {
-	lm.ReleaseHeldOwner(h, Owner{id: owner})
-}
-
 // ReleaseHeldOwner is Release for a lock in hand: it drops every mode the
 // owner holds on h's state, locking only h's shard and hashing nothing.
-// The engine releases a completed action's locks early by calling it for
-// each handle on the action's held list, so no release path scans the
-// table except ReleaseTree's and ReleaseSubtree's. Releasing a handle
-// again is a no-op, even if its state was recycled for another resource
-// meanwhile, as long as the owner acquired nothing since (see DESIGN
-// §4b.4); an owner of an ended transaction is never equal to a later one,
-// even on the same reused node.
+// The engine lists each grant's handle on the action that owns it and
+// releases a list — a completed action's early, an aborted subtree's, a
+// finished transaction's root's — by calling this per handle. Releasing a
+// handle again is a no-op, even if its state was recycled for another
+// resource meanwhile, as long as the owner acquired nothing since (see
+// DESIGN §4b.4); an owner of an ended transaction is never equal to a
+// later one, even on the same reused node.
 func (lm *LockManager) ReleaseHeldOwner(h *Held, owner Owner) {
 	st := (*lockState)(h)
 	st.sh.mu.Lock()
@@ -675,41 +658,12 @@ func (lm *LockManager) ReleaseHeldOwner(h *Held, owner Owner) {
 	st.sh.mu.Unlock()
 }
 
-// ReleaseTree drops every lock held by root or any of its descendants and
-// clears the root's detector state (doomed flag, age override). The engine
-// calls this at top-level commit and after abort cleanup; a top-level id
-// names every node owner of its transaction.
-func (lm *LockManager) ReleaseTree(root string) {
-	lm.ReleaseSubtree(Owner{id: root})
-	lm.det.forget(root)
-}
-
-// ReleaseSubtree drops every lock held by o or any of its descendants: the
-// engine calls it for an aborted subtransaction. It leaves the detector
-// alone.
-//
-// It scans every shard, waking only the resources whose grant set changed:
-// it runs once per top-level commit or abort and once per aborted subtree.
-func (lm *LockManager) ReleaseSubtree(o Owner) {
-	match := func(g Owner) bool { return g.within(o) }
-	for _, sh := range lm.shards {
-		sh.mu.Lock()
-		for _, st := range sh.locks {
-			if removeOwnerLocked(st, match) {
-				st.cond.Broadcast()
-				sh.gcState(st)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// removeOwnerLocked drops matching grants and reports whether any were
+// removeOwnerLocked drops owner's grants and reports whether any were
 // removed. Caller holds the shard mutex.
-func removeOwnerLocked(st *lockState, match func(Owner) bool) bool {
+func removeOwnerLocked(st *lockState, owner Owner) bool {
 	kept := st.granted[:0]
 	for _, g := range st.granted {
-		if !match(g.owner) {
+		if g.owner != owner {
 			kept = append(kept, g)
 		}
 	}
@@ -721,74 +675,33 @@ func removeOwnerLocked(st *lockState, match func(Owner) bool) bool {
 	return changed
 }
 
-// TransferToParent is TransferOwner for string owners.
-func (lm *LockManager) TransferToParent(child, parent string) {
-	lm.TransferOwner(Owner{id: child}, Owner{id: parent})
-}
-
-// TransferOwner reassigns every lock of child to parent (closed nested
-// commit: the parent inherits the child's locks).
-func (lm *LockManager) TransferOwner(child, parent Owner) {
-	for _, sh := range lm.shards {
-		sh.mu.Lock()
-		for _, st := range sh.locks {
-			changed := false
-			for i := range st.granted {
-				if st.granted[i].owner == child {
-					st.granted[i].owner = parent
-					changed = true
-				}
-			}
-			if changed {
-				// An ancestor-bypass waiter may be unblocked by the move.
-				st.cond.Broadcast()
+// TransferOwner reassigns child's grants on the held states to parent
+// (closed nested commit: the parent inherits the child's locks, and the
+// caller appends held to the parent's list). A handle that carries no
+// grant of child is left alone.
+func (lm *LockManager) TransferOwner(held []*Held, child, parent Owner) {
+	for _, h := range held {
+		st := (*lockState)(h)
+		st.sh.mu.Lock()
+		changed := false
+		for i := range st.granted {
+			if st.granted[i].owner == child {
+				st.granted[i].owner = parent
+				changed = true
 			}
 		}
-		sh.mu.Unlock()
+		if changed {
+			// An ancestor-bypass waiter may be unblocked by the move.
+			st.cond.Broadcast()
+		}
+		st.sh.mu.Unlock()
 	}
 }
 
-// SetDebugDump installs a hook receiving a lock-table dump on timeouts.
-func (lm *LockManager) SetDebugDump(fn func(string)) {
-	lm.debugMu.Lock()
-	lm.debugDump = fn
-	lm.debugMu.Unlock()
-}
-
-func (lm *LockManager) debugHook() func(string) {
-	lm.debugMu.Lock()
-	defer lm.debugMu.Unlock()
-	return lm.debugDump
-}
-
-// dump renders requester, waits-for graph and non-empty lock states. It
-// locks one shard at a time, so the rendering is only per-shard consistent
-// (diagnostic use only).
-func (lm *LockManager) dump(owner Owner, mode Mode, res Resource) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "TIMEOUT %s wants %s on %s\nwaitsFor:\n", owner, mode, res.Name)
-	for from, tos := range lm.det.edges() {
-		for to, n := range tos {
-			fmt.Fprintf(&b, "  %s -> %s (%d)\n", from, to, n)
-		}
-	}
-	b.WriteString("locks:\n")
-	for _, sh := range lm.shards {
-		sh.mu.Lock()
-		for r, st := range sh.locks {
-			if len(st.granted) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "  %s:", r.Name)
-			for _, g := range st.granted {
-				fmt.Fprintf(&b, " %s/%s", g.owner, g.mode)
-			}
-			b.WriteByte('\n')
-		}
-		sh.mu.Unlock()
-	}
-	return b.String()
-}
+// Forget drops a finished transaction's detector state: its doomed flag,
+// the cycle that doomed it and its age override. The engine calls it once
+// the root's list is released.
+func (lm *LockManager) Forget(root string) { lm.det.forget(root) }
 
 // ClearDoomed removes a root's deadlock-victim mark and gives it the
 // highest priority (age 0). A victim that has started rolling back calls

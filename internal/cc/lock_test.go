@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -148,22 +147,26 @@ func TestBlockingAndWakeup(t *testing.T) {
 
 func TestSameRootNoSelfBlocking(t *testing.T) {
 	lm := NewLockManager()
-	if err := lm.Acquire("T1.1", res("P"), X); err != nil {
+	t1 := begin(lm, "T1")
+	t11, t12 := t1.child(1), t1.child(2)
+	if err := t11.acquire(res("P"), X); err != nil {
 		t.Fatal(err)
 	}
 	// A different subtransaction of the same top-level transaction passes.
-	if err := lm.Acquire("T1.2", res("P"), X); err != nil {
+	if err := t12.acquire(res("P"), X); err != nil {
 		t.Fatal(err)
 	}
 	// A different transaction blocks.
 	errCh := make(chan error, 1)
-	go func() { errCh <- lm.Acquire("T2.1", res("P"), X) }()
+	go func() { errCh <- begin(lm, "T2").child(1).acquire(res("P"), X) }()
 	select {
 	case <-errCh:
 		t.Fatal("T2.1 must block")
 	case <-time.After(50 * time.Millisecond):
 	}
-	lm.ReleaseTree("T1")
+	t11.handUp()
+	t12.handUp()
+	t1.end()
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
@@ -171,23 +174,25 @@ func TestSameRootNoSelfBlocking(t *testing.T) {
 
 func TestAncestorBypass(t *testing.T) {
 	lm := NewLockManager()
-	if err := lm.Acquire("T1", res("P"), X); err != nil {
+	t1 := begin(lm, "T1")
+	if err := t1.acquire(res("P"), X); err != nil {
 		t.Fatal(err)
 	}
 	// Child of T1 passes under Moss's rule, which every manager applies:
 	// an ancestor is of the requester's own transaction, whose locks never
 	// block it.
-	if err := lm.Acquire("T1.3.1", res("P"), X); err != nil {
+	if err := t1.child(3).child(1).acquire(res("P"), X); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	lm := NewLockManager()
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", res("B"), X); err != nil {
+	if err := t2.acquire(res("B"), X); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -195,17 +200,17 @@ func TestDeadlockDetection(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		errs[0] = lm.Acquire("T1", res("B"), X)
+		errs[0] = t1.acquire(res("B"), X)
 		if errs[0] != nil {
-			lm.ReleaseTree("T1") // abort: free the waits the other side has on us
+			t1.end() // abort: free the waits the other side has on us
 		}
 	}()
 	time.Sleep(30 * time.Millisecond) // let T1 block first
 	go func() {
 		defer wg.Done()
-		errs[1] = lm.Acquire("T2", res("A"), X)
+		errs[1] = t2.acquire(res("A"), X)
 		if errs[1] != nil {
-			lm.ReleaseTree("T2")
+			t2.end()
 		}
 	}()
 	wg.Wait()
@@ -218,7 +223,7 @@ func TestDeadlockDetection(t *testing.T) {
 	if errs[0] != nil {
 		t.Fatalf("survivor T1 should acquire after victim abort: %v", errs[0])
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 	st := lm.Snapshot()
 	if st.Deadlocks != 1 {
 		t.Fatalf("Deadlocks = %d", st.Deadlocks)
@@ -228,22 +233,22 @@ func TestDeadlockDetection(t *testing.T) {
 func TestDoomedFailsFast(t *testing.T) {
 	lm := NewLockManager()
 	lm.det.forceDoom("T9")
-	if err := lm.Acquire("T9.1", res("A"), X); !errors.Is(err, ErrDoomed) {
+	t9 := begin(lm, "T9")
+	t91 := t9.child(1)
+	if err := t91.acquire(res("A"), X); !errors.Is(err, ErrDoomed) {
 		t.Fatalf("err = %v, want ErrDoomed", err)
 	}
-	lm.ReleaseTree("T9")
+	t9.end()
 	if lm.Doomed("T9") {
-		t.Fatal("ReleaseTree must clear doomed")
+		t.Fatal("ending the transaction must clear doomed")
 	}
-	if err := lm.Acquire("T9.1", res("A"), X); err != nil {
+	if err := t91.acquire(res("A"), X); err != nil {
 		t.Fatalf("after cleanup: %v", err)
 	}
 }
 
 func TestWaitTimeout(t *testing.T) {
 	lm := NewLockManager(WithWaitTimeout(60 * time.Millisecond))
-	var dumps []string
-	lm.SetDebugDump(func(s string) { dumps = append(dumps, s) })
 	if err := lm.Acquire("T1", res("P"), X); err != nil {
 		t.Fatal(err)
 	}
@@ -258,25 +263,27 @@ func TestWaitTimeout(t *testing.T) {
 	if lm.Snapshot().Timeouts != 1 {
 		t.Fatal("timeout not counted")
 	}
-	// The dump runs after the shard is unlocked, so it can render the
-	// holder's grant.
-	if len(dumps) != 1 || !strings.Contains(dumps[0], "TIMEOUT T2 wants") || !strings.Contains(dumps[0], "T1") {
-		t.Fatalf("debug dumps = %q, want one naming T2 and holder T1", dumps)
-	}
 }
 
 func TestTransferToParent(t *testing.T) {
 	lm := NewLockManager()
-	if err := lm.Acquire("T1.1", res("P"), X); err != nil {
+	t1 := begin(lm, "T1")
+	t11 := t1.child(1)
+	if err := t11.acquire(res("P"), X); err != nil {
 		t.Fatal(err)
 	}
-	lm.TransferToParent("T1.1", "T1")
+	t11.handUp()
 	holders := lm.Holders(res("P"))
 	if len(holders) != 1 || holders[0] != "T1" {
 		t.Fatalf("holders = %v", holders)
 	}
 	if lm.HoldsAny("T1.1") {
 		t.Fatal("child still holds")
+	}
+	// The handle moved with the grant: the parent's list releases it.
+	t1.end()
+	if lm.String() != "" {
+		t.Fatalf("the parent's list left a grant:\n%s", lm.String())
 	}
 }
 
@@ -290,20 +297,23 @@ func TestSemanticLocksConcurrentInserts(t *testing.T) {
 	mode := func(m, k string) *Semantic {
 		return &Semantic{Inv: commut.Invocation{Method: m, Params: []string{k}}, Spec: spec}
 	}
-	if err := lm.Acquire("T1.1", leaf, mode("insert", "DBS")); err != nil {
+	t1 := begin(lm, "T1")
+	t11 := t1.child(1)
+	if err := t11.acquire(leaf, mode("insert", "DBS")); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2.1", leaf, mode("insert", "DBMS")); err != nil {
+	if err := begin(lm, "T2").child(1).acquire(leaf, mode("insert", "DBMS")); err != nil {
 		t.Fatal(err) // commuting: granted concurrently
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- lm.Acquire("T3.1", leaf, mode("search", "DBS")) }()
+	go func() { errCh <- begin(lm, "T3").child(1).acquire(leaf, mode("search", "DBS")) }()
 	select {
 	case <-errCh:
 		t.Fatal("same-key search must block behind insert(DBS)")
 	case <-time.After(50 * time.Millisecond):
 	}
-	lm.ReleaseTree("T1")
+	t11.handUp()
+	t1.end()
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +323,12 @@ func TestReleaseUnknown(t *testing.T) {
 	lm := NewLockManager()
 	// Must not panic.
 	lm.Release("T1", res("never"))
-	lm.ReleaseTree("T1")
+	begin(lm, "T1").end()
 }
 
 func TestRootOfAndSeq(t *testing.T) {
-	if RootOf("T12.3.4") != "T12" || RootOf("T7") != "T7" {
-		t.Fatal("RootOf wrong")
+	if rootOf("T12.3.4") != "T12" || rootOf("T7") != "T7" {
+		t.Fatal("rootOf wrong")
 	}
 	if txnSeq("T12") != 12 || txnSeq("Txn") != -1 || txnSeq("T0") != 0 {
 		t.Fatal("txnSeq wrong")
@@ -331,9 +341,9 @@ func TestRootOfAndSeq(t *testing.T) {
 	if lm.det.youngest([]string{"T3", "T12", "T7"}) != "T3" {
 		t.Fatal("SetAge must override the id-derived age")
 	}
-	lm.ReleaseTree("T3")
+	lm.Forget("T3")
 	if lm.det.youngest([]string{"T3", "T12", "T7"}) != "T12" {
-		t.Fatal("ReleaseTree must clear the age override")
+		t.Fatal("Forget must clear the age override")
 	}
 }
 
@@ -366,7 +376,7 @@ func TestPropertyMutualExclusion(t *testing.T) {
 				for i := 0; i < 30; i++ {
 					re := resources[rr.Intn(len(resources))]
 					if err := lm.Acquire(owner, re, X); err != nil {
-						lm.ReleaseTree(owner)
+						lm.Forget(owner) // it holds nothing: each grant is released below
 						continue
 					}
 					mu.Lock()
@@ -381,7 +391,7 @@ func TestPropertyMutualExclusion(t *testing.T) {
 					mu.Unlock()
 					lm.Release(owner, re)
 				}
-				lm.ReleaseTree(owner)
+				lm.Forget(owner)
 			}(g, r.Int63())
 		}
 		wg.Wait()
@@ -401,14 +411,16 @@ func TestPropertyCleanRelease(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			owner := fmt.Sprintf("T%d.1", id)
+			tx := begin(lm, fmt.Sprintf("T%d", id))
+			sub := tx.child(1)
 			for i := 0; i < 50; i++ {
 				re := res(fmt.Sprintf("R%d", i%5))
-				if err := lm.Acquire(owner, re, S); err == nil {
-					lm.Release(owner, re)
+				if err := sub.acquire(re, S); err == nil {
+					sub.releaseRes(re)
 				}
 			}
-			lm.ReleaseTree(fmt.Sprintf("T%d", id))
+			sub.handUp()
+			tx.end()
 		}(g)
 	}
 	wg.Wait()
@@ -422,8 +434,9 @@ func TestPropertyCleanRelease(t *testing.T) {
 // TestThreeWayDeadlock: a cycle across three transactions is broken.
 func TestThreeWayDeadlock(t *testing.T) {
 	lm := NewLockManager()
+	txs := []*act{begin(lm, "T1"), begin(lm, "T2"), begin(lm, "T3")}
 	for i, r := range []Resource{res("A"), res("B"), res("C")} {
-		if err := lm.Acquire(fmt.Sprintf("T%d", i+1), r, X); err != nil {
+		if err := txs[i].acquire(r, X); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,10 +447,10 @@ func TestThreeWayDeadlock(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = lm.Acquire(fmt.Sprintf("T%d", i+1), next[i], X)
+			errs[i] = txs[i].acquire(next[i], X)
 			// Commit or abort: either way the transaction ends and frees
 			// its locks, letting the remaining waiters drain.
-			lm.ReleaseTree(fmt.Sprintf("T%d", i+1))
+			txs[i].end()
 		}(i)
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -451,8 +464,8 @@ func TestThreeWayDeadlock(t *testing.T) {
 	if victims == 0 {
 		t.Fatalf("no victim chosen: %v", errs)
 	}
-	for i := 1; i <= 3; i++ {
-		lm.ReleaseTree(fmt.Sprintf("T%d", i))
+	if tbl := lm.String(); tbl != "" {
+		t.Fatalf("locks left after every transaction ended:\n%s", tbl)
 	}
 }
 
@@ -476,10 +489,11 @@ func TestRestartAgeBeatsStarvation(t *testing.T) {
 	lm := NewLockManager()
 	// Simulate: T5 (restart of T2, keeps age 2) deadlocks with fresh T9.
 	lm.SetAge("T5", 2)
-	if err := lm.Acquire("T5", res("A"), X); err != nil {
+	t5, t9 := begin(lm, "T5"), begin(lm, "T9")
+	if err := t5.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T9", res("B"), X); err != nil {
+	if err := t9.acquire(res("B"), X); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -487,14 +501,14 @@ func TestRestartAgeBeatsStarvation(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		errs[0] = lm.Acquire("T5", res("B"), X)
-		lm.ReleaseTree("T5")
+		errs[0] = t5.acquire(res("B"), X)
+		t5.end()
 	}()
 	time.Sleep(30 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		errs[1] = lm.Acquire("T9", res("A"), X)
-		lm.ReleaseTree("T9")
+		errs[1] = t9.acquire(res("A"), X)
+		t9.end()
 	}()
 	wg.Wait()
 	// T9 (fresh, age 9 > 2) must be the victim despite T5's higher id.
@@ -512,18 +526,21 @@ func TestRestartAgeBeatsStarvation(t *testing.T) {
 func TestClearDoomedAllowsRollbackAcquires(t *testing.T) {
 	lm := NewLockManager()
 	lm.det.forceDoom("T3")
-	if err := lm.Acquire("T3.1", res("A"), X); !errors.Is(err, ErrDoomed) {
+	t3 := begin(lm, "T3")
+	t31 := t3.child(1)
+	if err := t31.acquire(res("A"), X); !errors.Is(err, ErrDoomed) {
 		t.Fatalf("doomed acquire: %v", err)
 	}
 	lm.ClearDoomed("T3")
-	if err := lm.Acquire("T3.1", res("A"), X); err != nil {
+	if err := t31.acquire(res("A"), X); err != nil {
 		t.Fatalf("post-clear acquire: %v", err)
 	}
 	// Age 0 means T3 now always wins victim selection.
 	if lm.det.youngest([]string{"T3", "T1"}) != "T1" {
 		t.Fatal("cleared transaction must have top priority")
 	}
-	lm.ReleaseTree("T3")
+	t31.release()
+	t3.end()
 }
 
 // TestFairnessPreventsReaderBarging: under WithFairness, a continuous
@@ -569,9 +586,7 @@ func TestFairnessPreventsReaderBarging(t *testing.T) {
 	if err := <-reader; err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseTree("T1")
-	lm.ReleaseTree("T2")
-	lm.ReleaseTree("T3")
+	lm.Release("T3", res("P"))
 }
 
 // TestUnfairAllowsBarging documents the default: without fairness, a
@@ -593,17 +608,18 @@ func TestUnfairAllowsBarging(t *testing.T) {
 	if err := <-writer; err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseTree("T2")
+	lm.Release("T2", res("P"))
 }
 
 // TestFairnessDeadlockStillDetected: queue-induced waits participate in
 // normal deadlock detection via the lock-holder edges.
 func TestFairnessDeadlockStillDetected(t *testing.T) {
 	lm := NewLockManager(WithFairness(), WithWaitTimeout(2*time.Second))
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", res("B"), X); err != nil {
+	if err := t2.acquire(res("B"), X); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -611,14 +627,14 @@ func TestFairnessDeadlockStillDetected(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		errs[0] = lm.Acquire("T1", res("B"), X)
-		lm.ReleaseTree("T1")
+		errs[0] = t1.acquire(res("B"), X)
+		t1.end()
 	}()
 	time.Sleep(30 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		errs[1] = lm.Acquire("T2", res("A"), X)
-		lm.ReleaseTree("T2")
+		errs[1] = t2.acquire(res("A"), X)
+		t2.end()
 	}()
 	wg.Wait()
 	victims := 0

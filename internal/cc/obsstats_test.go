@@ -26,36 +26,37 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // mark, reporting 2 victims here.
 func TestDeadlockVictimCountedOncePerVictim(t *testing.T) {
 	lm := NewLockManager()
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
 	for _, r := range []string{"A", "B"} {
-		if err := lm.Acquire("T1", res(r), X); err != nil {
+		if err := t1.acquire(res(r), X); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := lm.Acquire("T2", res("C"), X); err != nil {
+	if err := t2.acquire(res("C"), X); err != nil {
 		t.Fatal(err)
 	}
 
 	// Two sibling subtransactions of T2 block on T1's locks in parallel:
 	// both charge waits-for edges under root T2.
 	sib := make(chan error, 2)
-	go func() { sib <- lm.Acquire("T2.1", res("A"), X) }()
-	go func() { sib <- lm.Acquire("T2.2", res("B"), X) }()
+	go func() { sib <- t2.child(1).acquire(res("A"), X) }()
+	go func() { sib <- t2.child(2).acquire(res("B"), X) }()
 	waitFor(t, "both siblings blocked", func() bool { return lm.Snapshot().Blocked == 2 })
 
 	// T1 -> C closes the cycle T1 -> T2 -> T1; the youngest (T2) is doomed
 	// and BOTH its blocked siblings wake with ErrDeadlock.
 	survivor := make(chan error, 1)
-	go func() { survivor <- lm.Acquire("T1", res("C"), X) }()
+	go func() { survivor <- t1.acquire(res("C"), X) }()
 	for i := 0; i < 2; i++ {
 		if err := <-sib; !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("sibling %d: err = %v, want ErrDeadlock", i, err)
 		}
 	}
-	lm.ReleaseTree("T2") // victim aborts
+	t2.end() // victim aborts
 	if err := <-survivor; err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 
 	st := lm.Snapshot()
 	if st.Deadlocks != 1 {
@@ -72,26 +73,27 @@ func TestDeadlockVictimCountedOncePerVictim(t *testing.T) {
 func TestSelfVictimCountedOnce(t *testing.T) {
 	reg := obs.New()
 	lm := NewLockManager(WithObs(reg))
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", res("B"), X); err != nil {
+	if err := t2.acquire(res("B"), X); err != nil {
 		t.Fatal(err)
 	}
 	older := make(chan error, 1)
-	go func() { older <- lm.Acquire("T1", res("B"), X) }()
+	go func() { older <- t1.acquire(res("B"), X) }()
 	waitFor(t, "T1 blocked", func() bool { return lm.Snapshot().Blocked == 1 })
 
 	// T2 -> A closes the cycle; T2 is the youngest, so it victimizes itself
 	// synchronously inside this call.
-	if err := lm.Acquire("T2", res("A"), X); !errors.Is(err, ErrDeadlock) {
+	if err := t2.acquire(res("A"), X); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
-	lm.ReleaseTree("T2")
+	t2.end()
 	if err := <-older; err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 
 	if st := lm.Snapshot(); st.Deadlocks != 1 {
 		t.Fatalf("Deadlocks = %d, want 1", st.Deadlocks)
@@ -141,7 +143,7 @@ func TestWaitTimeAccruedOnTimeout(t *testing.T) {
 	if !found {
 		t.Fatal("no lock.timeout event with the wait duration on the recorder")
 	}
-	lm.ReleaseTree("T1")
+	lm.Release("T1", res("P"))
 }
 
 // TestObsBlockGrantLifecycle: a blocked-then-granted acquire leaves a
@@ -159,7 +161,7 @@ func TestObsBlockGrantLifecycle(t *testing.T) {
 	if g := reg.Gauge("lock.waiting").Load(); g != 1 {
 		t.Fatalf("lock.waiting = %d, want 1 while blocked", g)
 	}
-	lm.ReleaseTree("T1")
+	lm.Release("T1", res("P"))
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +188,5 @@ func TestObsBlockGrantLifecycle(t *testing.T) {
 	if lockStats.Acquires < 2 || lockStats.Blocked != 1 {
 		t.Fatalf("published stats = %+v", lockStats)
 	}
-	lm.ReleaseTree("T2")
+	lm.Release("T2", res("P"))
 }

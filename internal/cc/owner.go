@@ -3,7 +3,6 @@ package cc
 import (
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/span"
 )
@@ -19,8 +18,8 @@ import (
 // A node's fields are set once, by SetChild, before the node owns anything
 // or is visible to another goroutine, and they do not change while it owns
 // anything. Goroutines that render or compare another transaction's owner
-// (a blocked acquire naming its blockers, the timeout message, the table
-// dump) read only these fields and the owner's root id.
+// (a blocked acquire naming its blockers, the timeout message, the table's
+// rendering) read only these fields and the owner's root id.
 type Node struct {
 	parent *Node
 	n      int32 // child number under parent
@@ -91,13 +90,11 @@ func (nd *Node) Path(root string) span.Path {
 // id is part of the value, an owner never equals the owner of an ended
 // transaction whose node record was reused.
 //
-// A string owner (Acquire, Release and the other string-typed calls) is a
-// hierarchical id such as "T3" or "T3.1.2" whose prefix up to the first
-// dot names the top-level transaction. A string owner and a node owner
-// are never the same owner; the one place the two forms meet is a
-// top-level id, which names its whole tree (ReleaseTree).
+// A string owner (Acquire and Release) is a top-level transaction's id
+// such as "T3". It is of the same transaction as the node owners of that
+// id, but never the same owner as one of them.
 type Owner struct {
-	id   string // the top-level id (node owner) or the whole id (string owner)
+	id   string // the top-level transaction's id
 	node *Node
 }
 
@@ -106,12 +103,7 @@ func NodeOwner(root string, nd *Node) Owner { return Owner{id: root, node: nd} }
 
 // Root returns the top-level transaction id: the deadlock-detection
 // granule.
-func (o Owner) Root() string {
-	if o.node != nil {
-		return o.id
-	}
-	return RootOf(o.id)
-}
+func (o Owner) Root() string { return o.id }
 
 // String renders the owner's hierarchical id: the root id, then "." and
 // each child number down to the node (span.AppendID). A root node renders
@@ -122,37 +114,4 @@ func (o Owner) String() string {
 	}
 	var b [64]byte
 	return string(o.node.appendID(b[:0], o.id))
-}
-
-// within reports whether o names t or a descendant of t.
-func (o Owner) within(t Owner) bool {
-	if o == t {
-		return true
-	}
-	if t.node == nil {
-		// t is an id string; a node owner's id is its root's.
-		return o.id == t.id || dottedPrefix(t.id, o.id)
-	}
-	if o.node == nil || o.id != t.id {
-		return false
-	}
-	for nd := o.node; nd != nil && nd.depth >= t.node.depth; nd = nd.parent {
-		if nd == t.node {
-			return true
-		}
-	}
-	return false
-}
-
-// dottedPrefix reports whether id extends prefix by a dotted suffix.
-func dottedPrefix(prefix, id string) bool {
-	return len(id) > len(prefix)+1 && id[len(prefix)] == '.' && id[:len(prefix)] == prefix
-}
-
-// RootOf returns the top-level transaction id of an owner id.
-func RootOf(owner string) string {
-	if i := strings.IndexByte(owner, '.'); i >= 0 {
-		return owner[:i]
-	}
-	return owner
 }

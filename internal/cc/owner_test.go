@@ -2,6 +2,7 @@ package cc
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,108 +65,132 @@ func (d nodeDispatch) Dispatch() (span.Path, string, string) { return d.nd.Path(
 
 // TestNodeOwnersShareTheTransaction: node owners of one transaction never
 // block each other (siblings, ancestors), a node owner of another
-// transaction does, a transfer moves a child's grant to its parent, and a
-// subtree release drops exactly the subtree's grants.
+// transaction does, a hand-up moves a child's grants and handles to its
+// parent, and an aborted subtree's list release drops exactly its grants.
 func TestNodeOwnersShareTheTransaction(t *testing.T) {
 	lm := NewLockManager(WithWaitTimeout(20 * time.Millisecond))
-	t1 := tree(1, 2)
-	sib := &Node{}
-	sib.SetChild(t1[1], 3)
-	root, child, grand := NodeOwner("T1", t1[0]), NodeOwner("T1", t1[1]), NodeOwner("T1", t1[2])
-	sibling := NodeOwner("T1", sib)
+	root := begin(lm, "T1")
+	child := root.child(1)
+	grand, sibling := child.child(2), child.child(3)
 	a, b := res("A"), res("B")
-	for _, o := range []Owner{grand, sibling, child, root} {
-		if _, err := lm.AcquireOwner(nil, ActionID(o.String()), o, a, X); err != nil {
-			t.Fatalf("%s: %v", o, err)
+	for _, o := range []*act{grand, sibling, child, root} {
+		if err := o.acquire(a, X); err != nil {
+			t.Fatalf("%s: %v", o.owner(), err)
 		}
 	}
-	other := NodeOwner("T2", t1[2]) // another transaction on the same node
-	if _, err := lm.AcquireOwner(nil, ActionID("T2.1.2"), other, a, X); !errors.Is(err, ErrTimeout) {
+	other := NodeOwner("T2", &grand.node) // another transaction on the same node
+	if _, err := lm.AcquireOwner(nil, grand, other, a, X); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("another transaction's acquire = %v, want ErrTimeout", err)
 	}
 	if got := strings.Join(lm.Holders(a), " "); got != "T1 T1.1 T1.1.2 T1.1.3" {
 		t.Fatalf("holders of A = %s", got)
 	}
-	lm.TransferOwner(grand, child)
+	grand.handUp()
 	if got := strings.Join(lm.Holders(a), " "); got != "T1 T1.1 T1.1.3" {
-		t.Fatalf("holders of A after the transfer = %s", got)
+		t.Fatalf("holders of A after the hand-up = %s", got)
 	}
-	if _, err := lm.AcquireOwner(nil, ActionID("T1.1.2"), grand, b, S); err != nil {
+	if err := grand.acquire(b, S); err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseSubtree(sibling)
+	sibling.release()
 	if got := strings.Join(lm.Holders(a), " "); got != "T1 T1.1" {
 		t.Fatalf("holders of A after releasing T1.1.3 = %s", got)
 	}
-	lm.ReleaseSubtree(child)
+	grand.handUp()
+	child.release()
 	if got := strings.Join(lm.Holders(a), " ") + "|" + strings.Join(lm.Holders(b), " "); got != "T1|" {
 		t.Fatalf("holders after releasing T1.1 = %s", got)
 	}
-	lm.ReleaseTree("T1")
+	root.end()
 	if lm.HoldsAny("T1") {
-		t.Fatal("ReleaseTree left a grant of T1")
+		t.Fatal("the root's list release left a grant of T1")
 	}
 }
 
 // TestStaleReleaseHeldOnRecycledNode: the engine reuses an ended
 // transaction's action records, and with them the nodes its lock owners
-// point to. A ReleaseHeld that the ended transaction still issues — a
-// handle released twice, DESIGN §4b.4 — must not release the grant a later
-// transaction holds on the same state through the same node: the owners
+// point to. A list release that the ended transaction still issues — a
+// handle released twice, DESIGN §4b.4, here the whole list of its root and
+// of its aborted subtree — must not release the grants a later
+// transaction holds on the same states through the same nodes: the owners
 // differ in their root ids, which are never reused.
 func TestStaleReleaseHeldOnRecycledNode(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
 	nodes := tree(1)
-	a := res("A")
-	old := NodeOwner("T1", nodes[1])
-	h1, err := lm.AcquireOwner(nil, ActionID("T1.1"), old, a, X)
+	a, b := res("A"), res("B")
+	oldRoot, oldChild := NodeOwner("T1", nodes[0]), NodeOwner("T1", nodes[1])
+	hb1, err := lm.AcquireOwner(nil, ownerReq(oldRoot), oldRoot, b, X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseHeldOwner(h1, old)
-	lm.ReleaseTree("T1")
+	ha1, err := lm.AcquireOwner(nil, ownerReq(oldChild), oldChild, a, X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootList, childList := []*Held{hb1}, []*Held{ha1}
+	release := func(held []*Held, o Owner) {
+		for _, h := range held {
+			lm.ReleaseHeldOwner(h, o)
+		}
+	}
+	release(childList, oldChild) // the subtree aborts
+	release(rootList, oldRoot)   // the transaction ends
+	lm.Forget("T1")
 
-	*nodes[1] = Node{} // recycled, then reused at the same place
+	for _, nd := range nodes { // recycled, then reused at the same places
+		*nd = Node{}
+	}
 	nodes[1].SetChild(nodes[0], 1)
-	cur := NodeOwner("T2", nodes[1])
-	h2, err := lm.AcquireOwner(nil, ActionID("T2.1"), cur, a, X)
+	curRoot, curChild := NodeOwner("T2", nodes[0]), NodeOwner("T2", nodes[1])
+	hb2, err := lm.AcquireOwner(nil, ownerReq(curRoot), curRoot, b, X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h2 != h1 {
-		t.Fatal("the later grant must sit on the recycled state for this test")
+	ha2, err := lm.AcquireOwner(nil, ownerReq(curChild), curChild, a, X)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lm.ReleaseHeldOwner(h1, old)
-	lm.ReleaseSubtree(old)
-	if got := lm.Holders(a); len(got) != 1 || got[0] != "T2.1" {
-		t.Fatalf("holders after the stale releases = %v, want [T2.1]", got)
+	if hb2 != hb1 || ha2 != ha1 {
+		t.Fatal("the later grants must sit on the recycled states for this test")
 	}
-	lm.ReleaseHeldOwner(h2, cur)
-	if got := lm.Holders(a); len(got) != 0 {
-		t.Fatalf("holders after T2.1's release = %v", got)
+	release(childList, oldChild)
+	release(rootList, oldRoot)
+	if got := fmt.Sprint(lm.Holders(a), lm.Holders(b)); got != "[T2.1] [T2]" {
+		t.Fatalf("holders of A and B after the stale releases = %s, want [T2.1] [T2]", got)
+	}
+	release([]*Held{ha2}, curChild)
+	release([]*Held{hb2}, curRoot)
+	if tbl := lm.String(); tbl != "" {
+		t.Fatalf("locks left after T2's releases:\n%s", tbl)
 	}
 }
 
 // TestStringAdapterAllocs: the string-owner calls wrap their owner in an
-// Owner value, so an uncontended acquire and release through them, by key
-// or by handle, allocates nothing.
+// Owner value, so an uncontended acquire and release through them
+// allocates nothing; neither does the engine's path by handle — acquire,
+// hand-up, the root's release and the detector's cleanup.
 func TestStringAdapterAllocs(t *testing.T) {
 	lm := NewLockManager()
 	r := res("P")
 	byKey := testing.AllocsPerRun(200, func() {
-		if err := lm.Acquire("T1.2", r, X); err != nil {
+		if err := lm.Acquire("T1", r, X); err != nil {
 			t.Fatal(err)
 		}
-		lm.Release("T1.2", r)
+		lm.Release("T1", r)
 	})
+	t1 := begin(lm, "T1")
+	t12 := t1.child(2)
+	root, child := t1.owner(), t12.owner()
+	held := make([]*Held, 1)
 	byHandle := testing.AllocsPerRun(200, func() {
-		h, err := lm.AcquireTraced(nil, ActionID("T1.2"), "T1.2", r, X)
+		h, err := lm.AcquireOwner(nil, t12, child, r, X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm.ReleaseHeld(h, "T1.2")
-		lm.TransferToParent("T1.2", "T1")
-		lm.ReleaseTree("T1")
+		held[0] = h
+		lm.TransferOwner(held, child, root)
+		lm.ReleaseHeldOwner(h, root)
+		lm.Forget("T1")
 	})
 	if byKey != 0 || byHandle != 0 {
 		t.Fatalf("string adapter = %.1f allocs by key, %.1f by handle; want 0", byKey, byHandle)

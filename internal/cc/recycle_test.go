@@ -99,7 +99,7 @@ func TestRecycledStateStartsEmpty(t *testing.T) {
 			t.Fatalf("fair=%v: recycled state has grants %+v, waiters %d, sleepers %d; want only T4's grant",
 				fair, stB.granted, len(stB.waiting), stB.sleepers)
 		}
-		lm.ReleaseTree("T4")
+		lm.Release("T4", b)
 	}
 }
 
@@ -146,6 +146,6 @@ func TestWaiterRefetchesRecycledState(t *testing.T) {
 	if h := lm.Holders(b); len(h) != 1 || h[0] != "T3" {
 		t.Fatalf("holders of B = %v, want [T3]", h)
 	}
-	lm.ReleaseTree("T2")
-	lm.ReleaseTree("T3")
+	lm.Release("T2", a)
+	lm.Release("T3", b)
 }

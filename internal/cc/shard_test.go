@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -78,8 +81,8 @@ func TestReleaseWakesOnlyThatResource(t *testing.T) {
 	if err := <-onB; err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseTree("T2")
-	lm.ReleaseTree("T3")
+	lm.Release("T2", res("A"))
+	lm.Release("T3", res("B"))
 }
 
 // TestFairnessTimeoutRewakesLaterWaiters is the fairness × timeout
@@ -141,8 +144,8 @@ func TestFairnessTimeoutRewakesLaterWaiters(t *testing.T) {
 	if got := lm.Snapshot().Timeouts; got != 1 {
 		t.Fatalf("Timeouts = %d, want 1 (only the writer)", got)
 	}
-	lm.ReleaseTree("T1")
-	lm.ReleaseTree("T3")
+	lm.Release("T1", res("P"))
+	lm.Release("T3", res("P"))
 }
 
 // TestCrossShardDeadlockDetected: the waits-for cycle spans resources on
@@ -159,10 +162,11 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 		}
 		b = res(fmt.Sprintf("B%d", i))
 	}
-	if err := lm.Acquire("T1", a, X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(a, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", b, X); err != nil {
+	if err := t2.acquire(b, X); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -170,17 +174,17 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		errs[0] = lm.Acquire("T1", b, X)
+		errs[0] = t1.acquire(b, X)
 		if errs[0] != nil {
-			lm.ReleaseTree("T1")
+			t1.end()
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		errs[1] = lm.Acquire("T2", a, X)
+		errs[1] = t2.acquire(a, X)
 		if errs[1] != nil {
-			lm.ReleaseTree("T2")
+			t2.end()
 		}
 	}()
 	wg.Wait()
@@ -190,7 +194,7 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 	if errs[0] != nil {
 		t.Fatalf("survivor T1 should acquire after victim abort: %v", errs[0])
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 	if lm.Snapshot().Deadlocks != 1 {
 		t.Fatalf("Deadlocks = %d", lm.Snapshot().Deadlocks)
 	}
@@ -198,10 +202,50 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 
 // diffOp is one step of the differential schedule.
 type diffOp struct {
-	kind  int // 0 acquire, 1 release, 2 releaseTree, 3 transferToParent
+	kind  int // 0 acquire, 1 release by resource, 2 end the transaction, 3 hand up to the parent
 	owner string
 	res   Resource
 	mode  Mode
+}
+
+// diffTxns are the differential schedule's owners on one manager: actions
+// of transactions T1–T4, made on first use.
+type diffTxns struct {
+	lm   *LockManager
+	acts map[string]*act
+}
+
+// get returns the action with the dotted id, making it and its ancestors
+// as needed.
+func (d *diffTxns) get(id string) *act {
+	if a, ok := d.acts[id]; ok {
+		return a
+	}
+	var a *act
+	if i := strings.LastIndexByte(id, '.'); i < 0 {
+		a = begin(d.lm, id)
+	} else {
+		n, _ := strconv.Atoi(id[i+1:])
+		a = d.get(id[:i]).child(int32(n))
+	}
+	d.acts[id] = a
+	return a
+}
+
+// end ends root's transaction: every action of its tree releases its list,
+// in id order, and the root's detector state is dropped.
+func (d *diffTxns) end(root string) {
+	var ids []string
+	for id := range d.acts {
+		if rootOf(id) == root {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		d.acts[id].release()
+	}
+	d.lm.Forget(root)
 }
 
 // randomSchedule draws a deterministic op sequence. S-heavy so serial
@@ -247,10 +291,10 @@ func randomSchedule(seed int64, n int) []diffOp {
 }
 
 // applyOp runs one op and classifies the outcome (nil error vs timeout).
-func applyOp(lm *LockManager, op diffOp) string {
+func applyOp(d *diffTxns, op diffOp) string {
 	switch op.kind {
 	case 0:
-		err := lm.Acquire(op.owner, op.res, op.mode)
+		err := d.get(op.owner).acquire(op.res, op.mode)
 		switch {
 		case err == nil:
 			return "ok"
@@ -260,19 +304,23 @@ func applyOp(lm *LockManager, op diffOp) string {
 			return "err:" + err.Error()
 		}
 	case 1:
-		lm.Release(op.owner, op.res)
+		d.get(op.owner).releaseRes(op.res)
 	case 2:
-		lm.ReleaseTree(RootOf(op.owner))
+		d.end(rootOf(op.owner))
 	case 3:
-		lm.TransferToParent(op.owner, RootOf(op.owner))
+		if a := d.get(op.owner); a.parent != nil {
+			a.handUp()
+		}
 	}
 	return "ok"
 }
 
 // TestDifferentialShardedVsSingleMutex replays identical randomized serial
-// schedules against a 1-shard manager (the seed's single-mutex behaviour)
-// and a 16-shard manager, comparing every outcome and the visible lock
-// table after each step. Serial execution makes blocking deterministic: a
+// schedules of node owners — acquires listed on their actions, releases
+// by resource, hand-ups and transaction ends that walk those lists —
+// against a 1-shard manager (the seed's single-mutex behaviour) and a
+// 16-shard manager, comparing every outcome and the visible lock table
+// after each step. Serial execution makes blocking deterministic: a
 // conflicting acquire times out in both or neither.
 func TestDifferentialShardedVsSingleMutex(t *testing.T) {
 	for _, fair := range []bool{false, true} {
@@ -287,9 +335,11 @@ func TestDifferentialShardedVsSingleMutex(t *testing.T) {
 				return NewLockManager(o...)
 			}
 			single, sharded := mk(1), mk(16)
+			txns1 := &diffTxns{lm: single, acts: map[string]*act{}}
+			txnsN := &diffTxns{lm: sharded, acts: map[string]*act{}}
 			for i, op := range ops {
-				got1 := applyOp(single, op)
-				gotN := applyOp(sharded, op)
+				got1 := applyOp(txns1, op)
+				gotN := applyOp(txnsN, op)
 				if got1 != gotN {
 					t.Fatalf("%s op %d (%+v): single=%s sharded=%s", name, i, op, got1, gotN)
 				}
@@ -330,7 +380,7 @@ func TestShardedMutualExclusionManyObjects(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				re := res(fmt.Sprintf("O%d", rr.Intn(objects)))
 				if err := lm.Acquire(owner, re, X); err != nil {
-					lm.ReleaseTree(owner)
+					lm.Forget(owner) // it holds nothing: each grant is released below
 					continue
 				}
 				mu.Lock()
@@ -345,7 +395,7 @@ func TestShardedMutualExclusionManyObjects(t *testing.T) {
 				mu.Unlock()
 				lm.Release(owner, re)
 			}
-			lm.ReleaseTree(owner)
+			lm.Forget(owner)
 		}(g)
 	}
 	wg.Wait()
@@ -372,18 +422,18 @@ func TestSemanticCommutingScalesWithoutBlocking(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			owner := fmt.Sprintf("T%d", id+1)
+			tx := begin(lm, fmt.Sprintf("T%d", id+1))
 			for i := 0; i < 50; i++ {
 				m := &Semantic{
 					Inv:  commut.Invocation{Method: "insert", Params: []string{fmt.Sprintf("g%d-k%d", id, i)}},
 					Spec: spec,
 				}
-				if err := lm.Acquire(owner, leaf, m); err != nil {
+				if err := tx.acquire(leaf, m); err != nil {
 					errs[id] = err
 					return
 				}
 			}
-			lm.ReleaseTree(owner)
+			tx.end()
 		}(g)
 	}
 	wg.Wait()
@@ -408,10 +458,11 @@ func TestSemanticCommutingScalesWithoutBlocking(t *testing.T) {
 func TestDeadlockAcrossUnlockedWindow(t *testing.T) {
 	lm := NewLockManager()
 	a, b := res("A"), res("B")
-	if err := lm.Acquire("T1", a, X); err != nil {
+	tx1, tx2, tx3 := begin(lm, "T1"), begin(lm, "T2"), begin(lm, "T3")
+	if err := tx1.acquire(a, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", b, X); err != nil {
+	if err := tx2.acquire(b, X); err != nil {
 		t.Fatal(err)
 	}
 	swapped := make(chan struct{})
@@ -420,18 +471,18 @@ func TestDeadlockAcrossUnlockedWindow(t *testing.T) {
 		once.Do(func() {
 			// T2 has charged T2→T1 and found no cycle; before it re-checks
 			// its blockers, swap A's holder from T1 to T3.
-			lm.Release("T1", a)
-			if err := lm.Acquire("T3", a, X); err != nil {
+			tx1.releaseRes(a)
+			if err := tx3.acquire(a, X); err != nil {
 				t.Error(err)
 			}
 			close(swapped)
 		})
 	}
 	t2 := make(chan error, 1)
-	go func() { t2 <- lm.Acquire("T2", a, X) }()
+	go func() { t2 <- tx2.acquire(a, X) }()
 	<-swapped
 	t3 := make(chan error, 1)
-	go func() { t3 <- lm.Acquire("T3", b, X) }() // closes the cycle T3→T2→T3
+	go func() { t3 <- tx3.acquire(b, X) }() // closes the cycle T3→T2→T3
 	select {
 	case err := <-t3:
 		if !errors.Is(err, ErrDeadlock) {
@@ -442,7 +493,7 @@ func TestDeadlockAcrossUnlockedWindow(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("missed deadlock: the stale waits-for edge hid the cycle")
 	}
-	lm.ReleaseTree("T3")
+	tx3.end()
 	select {
 	case err := <-t2:
 		if err != nil {
@@ -451,7 +502,7 @@ func TestDeadlockAcrossUnlockedWindow(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("T2 never woke after the victim released")
 	}
-	lm.ReleaseTree("T2")
+	tx2.end()
 }
 
 // TestDetectSkipsDoomedNodes: a doomed victim's waits-for edges stay

@@ -15,7 +15,7 @@ type BlockerRef struct {
 	Mode  string
 }
 
-// AcquireInfo is the provenance an AcquireEx call reports back: enough to
+// AcquireInfo is the provenance an acquire reports back: enough to
 // explain, per transaction, WHY the acquire waited or failed.
 type AcquireInfo struct {
 	// Blocked reports whether the call waited at least once; Wait is the
@@ -48,49 +48,39 @@ func blockerRefs(bl []blockRef) []BlockerRef {
 // identical edges to explain one wait.
 const maxBlockerEdges = 4
 
-// Requester names the acquiring action. AcquireTraced asks for the id
+// Requester names the acquiring action. AcquireOwner asks for the id
 // only when it records a span, so an uncontended acquire renders nothing.
 type Requester interface {
 	ActionID() string
 }
 
-// ActionID is a Requester whose id is already rendered.
-type ActionID string
-
-// ActionID implements Requester.
-func (id ActionID) ActionID() string { return string(id) }
-
-// AcquireTraced is AcquireEx plus span recording: a CONTENDED or failed
-// acquire becomes a KLock span (backdated to when the wait began) on tt,
-// carrying provenance edges; an uncontended grant records nothing — that
-// absence is exactly where commutativity (Def. 11) cut the dependency. It
-// returns the granted lock (nil on error) for a later ReleaseHeld.
+// AcquireOwner blocks until owner holds res in mode and returns the
+// granted lock (nil on error), which the caller lists on the owner's
+// action for a later ReleaseHeldOwner or TransferOwner. A CONTENDED or
+// failed acquire also becomes a KLock span (backdated to when the wait
+// began) on tt, carrying provenance edges; an uncontended grant records
+// nothing — that absence is exactly where commutativity (Def. 11) cut the
+// dependency.
 //
 //   - req is the acquiring action (the span's parent is its method span);
 //     owner is the lock's legal holder, which differs from req's id under
 //     open nesting (the semantic lock is held by the CALLING action —
 //     recorded as an inherited-from edge, the paper's Def. 10 inheritance
 //     made explicit).
-func (lm *LockManager) AcquireTraced(tt *span.TxnTrace, req Requester, owner string, res Resource, mode Mode) (*Held, error) {
-	return lm.AcquireOwner(tt, req, Owner{id: owner}, res, mode)
-}
-
-// AcquireOwner is AcquireTraced for an owner of any form: the engine's are
-// nodes of its action trees.
 func (lm *LockManager) AcquireOwner(tt *span.TxnTrace, req Requester, owner Owner, res Resource, mode Mode) (*Held, error) {
 	h, info, err := lm.acquire(owner, res, mode)
 	if tt != nil && (info.Blocked || err != nil) {
 		// Render the requester, the owner and the mode only for a span
 		// that will be recorded.
-		RecordLockSpan(tt, req.ActionID(), owner.String(), res.Name, mode.String(), info, err)
+		recordLockSpan(tt, req.ActionID(), owner.String(), res.Name, mode.String(), info, err)
 	}
 	return h, err
 }
 
-// RecordLockSpan records one contended/failed acquire as a KLock span with
+// recordLockSpan records one contended/failed acquire as a KLock span with
 // provenance edges. No-op when tt is nil or the acquire was an uncontended
 // success.
-func RecordLockSpan(tt *span.TxnTrace, actionID, owner, resName, mode string, info AcquireInfo, err error) {
+func recordLockSpan(tt *span.TxnTrace, actionID, owner, resName, mode string, info AcquireInfo, err error) {
 	if tt == nil || (!info.Blocked && err == nil) {
 		return
 	}
@@ -100,7 +90,7 @@ func RecordLockSpan(tt *span.TxnTrace, actionID, owner, resName, mode string, in
 	as.SetClass(mode)
 	if owner != actionID {
 		as.AddEdge(span.Edge{
-			Kind: span.EdgeInheritedFrom, Peer: owner, PeerRoot: RootOf(owner),
+			Kind: span.EdgeInheritedFrom, Peer: owner, PeerRoot: rootOf(owner),
 			Object: resName,
 			Note:   "semantic lock held by calling action (Def. 10)",
 		})
@@ -110,7 +100,7 @@ func RecordLockSpan(tt *span.TxnTrace, actionID, owner, resName, mode string, in
 			break
 		}
 		as.AddEdge(span.Edge{
-			Kind: span.EdgeBlockedOn, Peer: b.Owner, PeerRoot: RootOf(b.Owner),
+			Kind: span.EdgeBlockedOn, Peer: b.Owner, PeerRoot: rootOf(b.Owner),
 			Object: resName, Mode: b.Mode, Wait: info.Wait,
 		})
 	}
@@ -123,13 +113,13 @@ func RecordLockSpan(tt *span.TxnTrace, actionID, owner, resName, mode string, in
 			Note: "wait exceeded bound"}
 		if len(info.Blockers) > 0 {
 			e.Peer = info.Blockers[0].Owner
-			e.PeerRoot = RootOf(info.Blockers[0].Owner)
+			e.PeerRoot = rootOf(info.Blockers[0].Owner)
 			e.Mode = info.Blockers[0].Mode
 		}
 		as.AddEdge(e)
 	case errors.Is(err, ErrDeadlock), errors.Is(err, ErrDoomed):
 		e := span.Edge{Kind: span.EdgeVictimOf, Object: resName, Wait: info.Wait}
-		root := RootOf(actionID)
+		root := rootOf(actionID)
 		for _, r := range info.Cycle {
 			if r != root {
 				e.Peer = r
@@ -143,11 +133,18 @@ func RecordLockSpan(tt *span.TxnTrace, actionID, owner, resName, mode string, in
 			e.Note = "doomed by deadlock detection"
 			if len(info.Blockers) > 0 {
 				e.Peer = info.Blockers[0].Owner
-				e.PeerRoot = RootOf(info.Blockers[0].Owner)
+				e.PeerRoot = rootOf(info.Blockers[0].Owner)
 				e.Mode = info.Blockers[0].Mode
 			}
 		}
 		as.AddEdge(e)
 	}
 	as.End(err)
+}
+
+// rootOf returns the top-level transaction id of a rendered owner id: its
+// prefix up to the first dot.
+func rootOf(id string) string {
+	root, _, _ := strings.Cut(id, ".")
+	return root
 }

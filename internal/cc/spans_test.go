@@ -12,19 +12,21 @@ import (
 
 func TestAcquireExUncontended(t *testing.T) {
 	lm := NewLockManager()
-	info, err := lm.AcquireEx("T1", res("A"), X)
+	t1 := begin(lm, "T1")
+	info, err := t1.acquireEx(res("A"), X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Blocked || info.Wait != 0 || len(info.Blockers) != 0 {
 		t.Fatalf("uncontended grant reported contention: %+v", info)
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 }
 
 func TestAcquireExBlockedThenGranted(t *testing.T) {
 	lm := NewLockManager()
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -32,10 +34,10 @@ func TestAcquireExBlockedThenGranted(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		info, err = lm.AcquireEx("T2", res("A"), X)
+		info, err = t2.acquireEx(res("A"), X)
 	}()
 	time.Sleep(30 * time.Millisecond)
-	lm.ReleaseTree("T1")
+	t1.end()
 	<-done
 	if err != nil {
 		t.Fatal(err)
@@ -46,15 +48,16 @@ func TestAcquireExBlockedThenGranted(t *testing.T) {
 	if len(info.Blockers) == 0 || info.Blockers[0].Owner != "T1" {
 		t.Fatalf("blockers must name the holder that made us wait: %+v", info.Blockers)
 	}
-	lm.ReleaseTree("T2")
+	t2.end()
 }
 
 func TestAcquireExTimeoutProvenance(t *testing.T) {
 	lm := NewLockManager(WithWaitTimeout(50 * time.Millisecond))
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	info, err := lm.AcquireEx("T2", res("A"), X)
+	info, err := t2.acquireEx(res("A"), X)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -64,16 +67,17 @@ func TestAcquireExTimeoutProvenance(t *testing.T) {
 	if len(info.Blockers) == 0 || info.Blockers[0].Owner != "T1" || info.Blockers[0].Mode != "X" {
 		t.Fatalf("timeout must name who was still holding: %+v", info.Blockers)
 	}
-	lm.ReleaseTree("T2")
-	lm.ReleaseTree("T1")
+	t2.end()
+	t1.end()
 }
 
 func TestAcquireExDeadlockCycle(t *testing.T) {
 	lm := NewLockManager()
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", res("B"), X); err != nil {
+	if err := t2.acquire(res("B"), X); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -82,17 +86,17 @@ func TestAcquireExDeadlockCycle(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		errs[0] = lm.Acquire("T1", res("B"), X)
+		errs[0] = t1.acquire(res("B"), X)
 		if errs[0] != nil {
-			lm.ReleaseTree("T1")
+			t1.end()
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		victimInfo, errs[1] = lm.AcquireEx("T2", res("A"), X)
+		victimInfo, errs[1] = t2.acquireEx(res("A"), X)
 		if errs[1] != nil {
-			lm.ReleaseTree("T2")
+			t2.end()
 		}
 	}()
 	wg.Wait()
@@ -109,7 +113,7 @@ func TestAcquireExDeadlockCycle(t *testing.T) {
 	if !found["T1"] || !found["T2"] {
 		t.Fatalf("cycle must contain both roots: %v", victimInfo.Cycle)
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 }
 
 // TestAcquireTracedVictimProvenance drives the full tt-recording path for a
@@ -118,10 +122,11 @@ func TestAcquireExDeadlockCycle(t *testing.T) {
 func TestAcquireTracedVictimProvenance(t *testing.T) {
 	lm := NewLockManager()
 	tr := span.New()
-	if err := lm.Acquire("T1", res("A"), X); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), X); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire("T2", res("B"), X); err != nil {
+	if err := t2.acquire(res("B"), X); err != nil {
 		t.Fatal(err)
 	}
 	tt := tr.BeginTxn("T2", time.Now())
@@ -130,17 +135,17 @@ func TestAcquireTracedVictimProvenance(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		errs[0] = lm.Acquire("T1", res("B"), X)
+		errs[0] = t1.acquire(res("B"), X)
 		if errs[0] != nil {
-			lm.ReleaseTree("T1")
+			t1.end()
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		_, errs[1] = lm.AcquireTraced(tt, ActionID("T2.1"), "T2", res("A"), X)
+		_, errs[1] = t2.acquireTraced(tt, t2.child(1), res("A"), X)
 		if errs[1] != nil {
-			lm.ReleaseTree("T2")
+			t2.end()
 		}
 	}()
 	wg.Wait()
@@ -148,7 +153,7 @@ func TestAcquireTracedVictimProvenance(t *testing.T) {
 		t.Fatalf("T2 should be the victim: %v", errs)
 	}
 	tr.FinishTxn(tt, span.StatusAborted)
-	lm.ReleaseTree("T1")
+	t1.end()
 
 	snap := tr.Lookup("T2").Snapshot()
 	var lock *span.Span
@@ -190,11 +195,12 @@ func TestAcquireTracedUncontendedRecordsNothing(t *testing.T) {
 	lm := NewLockManager()
 	tr := span.New()
 	tt := tr.BeginTxn("T1", time.Now())
-	if _, err := lm.AcquireTraced(tt, ActionID("T1.1"), "T1", res("A"), X); err != nil {
+	t1 := begin(lm, "T1")
+	if _, err := t1.acquireTraced(tt, t1.child(1), res("A"), X); err != nil {
 		t.Fatal(err)
 	}
 	tr.FinishTxn(tt, span.StatusCommitted)
-	lm.ReleaseTree("T1")
+	t1.end()
 	snap := tr.Lookup("T1").Snapshot()
 	if len(snap.Spans) != 1 {
 		t.Fatalf("uncontended acquire must record no span: %+v", snap.Spans)
@@ -247,12 +253,13 @@ func TestBlockersRenderedUnderShardMutex(t *testing.T) {
 	lm := NewLockManager()
 	var unlocked atomic.Int64
 	holder := shardCheckMode{sh: lm.shardFor(res("A")), unlocked: &unlocked}
-	if err := lm.Acquire("T1", res("A"), holder); err != nil {
+	t1, t2 := begin(lm, "T1"), begin(lm, "T2")
+	if err := t1.acquire(res("A"), holder); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan AcquireInfo)
 	go func() {
-		info, err := lm.AcquireEx("T2", res("A"), X)
+		info, err := t2.acquireEx(res("A"), X)
 		if err != nil {
 			t.Error(err)
 		}
@@ -261,9 +268,9 @@ func TestBlockersRenderedUnderShardMutex(t *testing.T) {
 	for !lm.blockedOn(res("A")) {
 		time.Sleep(time.Millisecond)
 	}
-	lm.ReleaseTree("T1")
+	t1.end()
 	info := <-done
-	lm.ReleaseTree("T2")
+	t2.end()
 	if len(info.Blockers) != 1 || info.Blockers[0] != (BlockerRef{Owner: "T1", Mode: "X"}) {
 		t.Fatalf("blockers = %+v, want T1/X", info.Blockers)
 	}
@@ -282,7 +289,8 @@ func TestAcquireTracedRendersModeOnlyWhenRecorded(t *testing.T) {
 	x := countingMode{rw: X, renders: &renders}
 
 	t1 := tr.BeginTxn("T1", time.Now())
-	if _, err := lm.AcquireTraced(t1, ActionID("T1.1"), "T1", res("A"), x); err != nil {
+	tx1 := begin(lm, "T1")
+	if _, err := tx1.acquireTraced(t1, tx1.child(1), res("A"), x); err != nil {
 		t.Fatal(err)
 	}
 	if n := renders.Load(); n != 0 {
@@ -290,17 +298,20 @@ func TestAcquireTracedRendersModeOnlyWhenRecorded(t *testing.T) {
 	}
 
 	t2 := tr.BeginTxn("T2", time.Now())
+	tx2 := begin(lm, "T2")
+	tx21 := tx2.child(1)
 	done := make(chan error)
 	go func() {
-		_, err := lm.AcquireTraced(t2, ActionID("T2.1"), "T2.1", res("A"), x)
+		_, err := tx21.acquireTraced(t2, tx21, res("A"), x)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
-	lm.ReleaseTree("T1")
+	tx1.end()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseTree("T2")
+	tx21.handUp()
+	tx2.end()
 	tr.FinishTxn(t2, span.StatusCommitted)
 	if renders.Load() == 0 {
 		t.Fatal("contended acquire must render its mode")

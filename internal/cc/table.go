@@ -89,7 +89,7 @@ func (sh *lockShard) gcState(st *lockState) {
 // no grant of owner — because it was released already, or recycled for
 // another resource since — is left alone. Caller holds sh.mu.
 func (sh *lockShard) releaseLocked(st *lockState, owner Owner) {
-	if removeOwnerLocked(st, func(o Owner) bool { return o == owner }) {
+	if removeOwnerLocked(st, owner) {
 		st.cond.Broadcast()
 		sh.gcState(st)
 	}

@@ -545,9 +545,6 @@ func (db *DB) Obs() *obs.Registry { return db.obs }
 // Spans returns the engine's span tracer (nil when Options disabled it).
 func (db *DB) Spans() *span.Tracer { return db.spans }
 
-// LockShardCount returns the lock table's shard count.
-func (db *DB) LockShardCount() int { return db.lm.ShardCount() }
-
 // Stats returns the engine counters.
 func (db *DB) Stats() Stats {
 	return Stats{
@@ -739,10 +736,6 @@ func (db *DB) Validate() (*sched.Analysis, sched.Report, error) {
 	}
 	return a, a.Check(), nil
 }
-
-// DebugLockDump installs a hook that receives a full lock-table dump
-// whenever a lock wait times out. Diagnostic use only.
-func (db *DB) DebugLockDump(fn func(string)) { db.lm.SetDebugDump(fn) }
 
 // CrashImage simulates pulling the plug: it returns a copy of the disk
 // (the backing store WITHOUT the buffer pool's unflushed dirty frames) and

@@ -60,14 +60,17 @@ type runtimeAction struct {
 	// nchildren is the number of children the action has dispatched
 	// (guarded by txn.mu).
 	nchildren int32
-	// held lists the locks this action owns under open nesting: the
-	// handles its children's acquires granted, and the lists of children
-	// that handed their locks up. Its early release goes straight to each
-	// handle instead of searching the lock table. A handle may repeat (only
-	// a repeat of the last entry is skipped): releasing it again is a no-op
-	// (DESIGN §4b.4). Guarded by txn.mu while children run; final once the
-	// action's method returns. heldBuf backs the first few; a longer list's
-	// array outlives the transaction (reset).
+	// held lists every lock this action owns, under every protocol: the
+	// handles of the grants acquireFor made in its name (the root's under
+	// the flat protocols, the caller's under nesting), and the lists of
+	// children that handed their locks up. Every release — early, of an
+	// aborted subtree, of the root at the transaction's end — goes
+	// straight to each handle instead of searching the lock table. A
+	// handle may repeat (only a repeat of the last entry is skipped):
+	// releasing it again is a no-op (DESIGN §4b.4). Guarded by txn.mu while
+	// children run; final once the action's method returns. heldBuf backs
+	// the first few; a longer list's array outlives the transaction
+	// (reset).
 	held    []*cc.Held
 	heldBuf [4]*cc.Held
 }
@@ -102,12 +105,8 @@ func (a *runtimeAction) Dispatch() (path span.Path, object, method string) {
 // last child number.
 func parentID(id string) string { return id[:strings.LastIndexByte(id, '.')] }
 
-// hold appends granted locks to a's held list. The root keeps no list: its
-// locks are released by ReleaseTree at commit or abort.
+// hold appends granted locks to a's held list.
 func (a *runtimeAction) hold(hs ...*cc.Held) {
-	if a.parent == nil {
-		return
-	}
 	a.txn.mu.Lock()
 	if a.held == nil {
 		a.held = a.heldBuf[:0]
@@ -415,13 +414,14 @@ func (db *DB) invoke(t *Txn, parent *runtimeAction, obj txn.OID, method string, 
 // acquireFor takes the lock(s) the protocol prescribes before executing a.
 // a's method span gets the commutativity class — the lock mode — the
 // dispatch runs under; a contended acquire additionally records a KLock
-// child span with provenance edges (AcquireTraced). The span keeps the mode
-// itself; it is rendered only if the trace is read. Under open nesting a
-// granted lock goes on the caller's held list, which its early release
-// walks; a failed acquire granted nothing, so there is nothing to list.
+// child span with provenance edges (AcquireOwner). The span keeps the mode
+// itself; it is rendered only if the trace is read. A granted lock goes on
+// the held list of the action that owns it, which every release of its
+// locks walks; a failed acquire granted nothing, so there is nothing to
+// list.
 func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 	var mode cc.Mode
-	owner := t.root.owner()
+	holder := &t.root
 	switch db.protocol {
 	case Protocol2PLPage:
 		if a.obj.Type != PageType {
@@ -439,21 +439,21 @@ func (db *DB) acquireFor(t *Txn, a *runtimeAction, ot *ObjectType) error {
 		// enabled on the manager). A page access is primitive — it commits
 		// as it returns, with no completion step to hand its lock up — so
 		// the lock is taken in the caller's name, and the caller's own
-		// commit passes it on (completeAction's TransferOwner).
-		mode, owner = rwModeFor(ot, a.sem.Inv.Method), a.parent.owner()
+		// commit passes it on (completeAction's handUp).
+		mode, holder = rwModeFor(ot, a.sem.Inv.Method), a.parent
 	case ProtocolOpenNested:
 		// The semantic lock on the object is owned by the CALLER — the
 		// transaction on this object in the paper's sense — and lives until
 		// the caller completes.
 		a.sem.Spec = ot.Spec
-		mode, owner = &a.sem, a.parent.owner()
+		mode, holder = &a.sem, a.parent
 	default: // ProtocolNone
 		return nil
 	}
 	a.span.SetMode(mode)
-	h, err := db.lm.AcquireOwner(t.tt, a, owner, a.obj, mode)
-	if err == nil && db.protocol == ProtocolOpenNested {
-		a.parent.hold(h)
+	h, err := db.lm.AcquireOwner(t.tt, a, holder.owner(), a.obj, mode)
+	if err == nil {
+		holder.hold(h)
 	}
 	return err
 }
@@ -553,7 +553,7 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 	case ProtocolClosedNested:
 		// The parent inherits the child's locks (and, transitively, those
 		// of the child's completed descendants).
-		db.lm.TransferOwner(a.owner(), parent.owner())
+		db.handUp(a)
 	case ProtocolOpenNested:
 		if comp := ot.Compensate[a.sem.Inv.Method]; comp != nil {
 			// The locks the subtransaction acquired underneath can be
@@ -570,20 +570,19 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 				// subtree logged and the intent a compensation executed.
 				db.wal.LogDiscardUnder(a.logOwner(), entry)
 			}
-			db.releaseHeld(a)
+			db.release(a, a.held)
 			return
 		}
 		if !a.hasWrites.Load() {
 			// Read-only subtree: nothing to undo, release early.
-			db.releaseHeld(a)
+			db.release(a, a.held)
 			break
 		}
 		// No compensation available: behave closed — keep the locks (move
 		// them to the parent, and with them the list naming them) and leave
 		// the physical records to a later ancestor with a compensation, or
 		// to the top-level abort while the locks are still held.
-		db.lm.TransferOwner(a.owner(), parent.owner())
-		parent.hold(a.held...)
+		db.handUp(a)
 	}
 	// Flat 2PL variants keep the locks on the root until commit. The parent
 	// inherits the subtree's records, unless a running compensation
@@ -595,13 +594,22 @@ func (db *DB) completeAction(t *Txn, a *runtimeAction, ot *ObjectType, result st
 	}
 }
 
-// releaseHeld releases a completed action's locks early (open nesting):
-// one single-shard ReleaseHeldOwner per handle on its held list.
-func (db *DB) releaseHeld(a *runtimeAction) {
+// release releases the locks on held, which a owns — a completed action's
+// early release (open nesting), an aborted subtree's, the root's at the
+// transaction's end: one single-shard ReleaseHeldOwner per handle.
+func (db *DB) release(a *runtimeAction, held []*cc.Held) {
 	owner := a.owner()
-	for _, h := range a.held {
+	for _, h := range held {
 		db.lm.ReleaseHeldOwner(h, owner)
 	}
+}
+
+// handUp passes a completed action's locks to its parent (closed nesting,
+// and open nesting without a compensation): the grants on its handles
+// change owner, and its list joins the parent's.
+func (db *DB) handUp(a *runtimeAction) {
+	db.lm.TransferOwner(a.held, a.owner(), a.parent.owner())
+	a.parent.hold(a.held...)
 }
 
 // abortSubtree rolls back a failed action: logical compensations and
@@ -612,7 +620,7 @@ func (db *DB) releaseHeld(a *runtimeAction) {
 func (db *DB) abortSubtree(t *Txn, a *runtimeAction) {
 	owner := a.logOwner()
 	compensated := db.rollback(t, a, owner, db.wal.LiveUndo(owner, 0))
-	db.lm.ReleaseSubtree(a.owner())
+	db.release(a, a.held)
 	if db.tracing && !compensated {
 		db.rec.MarkAborted(a.ActionID())
 	}
@@ -845,7 +853,7 @@ func (t *Txn) Commit() error {
 		}
 		// Read-only: commit without touching the poisoned durability path.
 		t.db.wal.LogCommit(t.root.logOwner())
-		t.db.lm.ReleaseTree(t.id)
+		t.releaseLocks()
 		t.finishCommitted()
 		return nil
 	}
@@ -877,9 +885,20 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	undo.Release()
-	t.db.lm.ReleaseTree(t.id)
+	t.releaseLocks()
 	t.finishCommitted()
 	return nil
+}
+
+// releaseLocks releases every lock of the transaction's tree — by its end
+// they are all on the root's list, which ExecParallel branches append to
+// under t.mu — and drops its detector state.
+func (t *Txn) releaseLocks() {
+	t.mu.Lock()
+	held := t.root.held
+	t.mu.Unlock()
+	t.db.release(&t.root, held)
+	t.db.lm.Forget(t.id)
 }
 
 // finishCommitted is the successful-commit epilogue: span status, stats,
@@ -954,7 +973,7 @@ func (t *Txn) abort(undo []storage.Record, cause error) {
 	t.mu.Unlock()
 
 	t.db.wal.LogAbort(owner)
-	t.db.lm.ReleaseTree(t.id)
+	t.releaseLocks()
 	outcome, note := "aborted", ""
 	if cause != nil {
 		// Span provenance: the trace shows WHY this transaction aborted — a

@@ -48,7 +48,7 @@ func lockOwners(db *core.DB) []string {
 // itself — with root == "", any owner that is not a root — or "".
 func strayOwner(db *core.DB, root string) string {
 	for _, o := range lockOwners(db) {
-		if strings.Contains(o, ".") && (root == "" || cc.RootOf(o) == root) {
+		if r, _, sub := strings.Cut(o, "."); sub && (root == "" || r == root) {
 			return o
 		}
 	}

@@ -38,8 +38,8 @@ func (t *Txn) takeAction() *runtimeAction {
 
 // recycle zeroes the transaction's action records and returns them for
 // reuse. Call it once the transaction has fully ended: the trace has copied
-// its dispatch spans, ReleaseTree has dropped every grant whose mode points
-// into a record, and rollback has run every compensation. A dispatch still
+// its dispatch spans, releaseLocks has dropped every grant whose mode
+// points into a record, and rollback has run every compensation. A dispatch still
 // running (one that raced the end, which finished refuses to later
 // dispatches) may touch any record of the tree, so then the records are
 // left to the collector instead.

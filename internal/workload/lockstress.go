@@ -77,9 +77,10 @@ func (c *LockStressConfig) fillDefaults() {
 }
 
 // RunLockStress runs the contended multi-object lock-table workload and
-// reports the usual metrics. Each "transaction" is a fresh owner that
-// acquires LocksPerTxn locks on random objects and then releases its tree;
-// deadlock victims and timeouts abort the cycle (counted, not retried).
+// reports the usual metrics. Each "transaction" is a fresh root owner that
+// acquires LocksPerTxn locks on random objects and then releases the
+// handles it was granted, as the engine ends a transaction; deadlock
+// victims and timeouts abort the cycle (counted, not retried).
 func RunLockStress(cfg LockStressConfig) (Result, error) {
 	cfg.fillDefaults()
 	var opts []cc.Option
@@ -107,12 +108,12 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 	// retry sum nor the error carries anything.
 	elapsed, _, _ := closedLoop(cfg.Goroutines, cfg.TxnsPerGoroutine, cfg.Seed, 6151,
 		func(g int, rr *rand.Rand) func(int, *int64) error {
+			held := make([]*cc.Held, 0, cfg.LocksPerTxn)
 			return func(i int, _ *int64) error {
-				// Owner ids contain no dot: every cycle is its own root
-				// transaction to the manager.
-				owner := fmt.Sprintf("T%d_%d", g+1, i)
-				tt := cfg.Tracer.BeginTxn(owner, time.Now())
-				var req cc.Requester = cc.ActionID(owner)
+				// Every cycle is its own root transaction to the manager.
+				id := fmt.Sprintf("T%d_%d", g+1, i)
+				owner := cc.NodeOwner(id, new(cc.Node))
+				tt := cfg.Tracer.BeginTxn(id, time.Now())
 				ok := true
 				for j := 0; j < cfg.LocksPerTxn; j++ {
 					res := objects[rr.Intn(len(objects))]
@@ -128,15 +129,21 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 							Spec: spec,
 						}
 					}
-					if _, err := lm.AcquireTraced(tt, req, owner, res, mode); err != nil {
+					h, err := lm.AcquireOwner(tt, cycleID(id), owner, res, mode)
+					if err != nil {
 						ok = false
 						break
 					}
+					held = append(held, h)
 					if cfg.HoldDelay > 0 && j < cfg.LocksPerTxn-1 {
 						time.Sleep(cfg.HoldDelay)
 					}
 				}
-				lm.ReleaseTree(owner)
+				for _, h := range held {
+					lm.ReleaseHeldOwner(h, owner)
+				}
+				held = held[:0]
+				lm.Forget(id)
 				if ok {
 					committed.Add(1)
 					cfg.Tracer.FinishTxn(tt, span.StatusCommitted)
@@ -166,3 +173,10 @@ func RunLockStress(cfg LockStressConfig) (Result, error) {
 	r.ConflictRate = safeDiv(float64(r.Blocked), float64(r.Acquires))
 	return r, nil
 }
+
+// cycleID names a stress cycle as the requester of its acquires: the cycle
+// acquires in its own root's name.
+type cycleID string
+
+// ActionID implements cc.Requester.
+func (id cycleID) ActionID() string { return string(id) }
