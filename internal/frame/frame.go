@@ -56,9 +56,10 @@
 //	repl follower entries: the record,   their append message (<= 128
 //	  the frame it was appended as,        records): each entry is a view of
 //	  standby pages redone from it         it, decoded by a NewStringDecoder
-//	                                       from ParseString's payload; while
-//	                                       the entry cache keeps every entry,
-//	                                       that pins nothing it would not
+//	                                       from ParseString's payload; their
+//	                                       Refs pin slab arrays in LSN order
+//	                                       (DESIGN §4b.34 has the entry
+//	                                       cache's retention table)
 //	repl leader cached frames            their own frame: encoded once for
 //	                                       the segment and the followers,
 //	                                       dropped once every peer holds it

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/frame"
+	"repro/internal/lsnlog"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -88,7 +89,7 @@ func FuzzParse(f *testing.F) {
 		// Frame after frame, to the first failure.
 		stream, into := bytes.NewReader(data), bytes.NewReader(data)
 		var buf []byte
-		var refs []uint64 // the Refs slab, kept from frame to frame as a follower keeps it
+		var refs lsnlog.Slab[uint64] // the Refs slab, kept from frame to frame as a follower keeps it
 		for rest := data; ; {
 			payload, n, err := frame.Parse(rest, min, max)
 			spayload, sn, serr := frame.ParseString(string(rest), min, max)

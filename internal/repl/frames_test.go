@@ -3,7 +3,6 @@ package repl
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -134,7 +133,7 @@ func TestLeaderDropsFramesByRule(t *testing.T) {
 				n.match[fmt.Sprint("p", i)] = m
 			}
 			for lsn := uint64(1); lsn <= tc.last; lsn++ {
-				n.entries.put(lsn, entry{rec: storage.Record{LSN: lsn}, frame: fmt.Sprint("f", lsn)})
+				n.entries.Put(lsn, entry{rec: storage.Record{LSN: lsn}, frame: fmt.Sprint("f", lsn)})
 			}
 			n.dropFramesLocked()
 			for lsn := uint64(1); lsn <= tc.last; lsn++ {
@@ -393,50 +392,4 @@ func TestAppendRefusesBadFrames(t *testing.T) {
 	if !resp.Repl.OK() || resp.Repl.Match != 1 {
 		t.Fatalf("good append after the refusals: %+v", resp.Repl)
 	}
-}
-
-// TestEntryLog: the chunked log behaves as a map from LSN to entry would,
-// under puts in order, overwrites, puts below the first chunk and past
-// gaps, and cuts.
-func TestEntryLog(t *testing.T) {
-	rr := rand.New(rand.NewSource(1))
-	var l entryLog
-	model := make(map[uint64]string)
-	check := func(step int) {
-		for lsn := uint64(1); lsn < 6*logChunk; lsn++ {
-			e, want := l.at(lsn), model[lsn]
-			if (e != nil) != (want != "") || (e != nil && e.frame != want) {
-				t.Fatalf("step %d: at(%d) = %v, model %q", step, lsn, e, want)
-			}
-		}
-	}
-	next := uint64(2*logChunk + 5)
-	for step := 0; step < 3000; step++ {
-		switch r := rr.Intn(100); {
-		case r < 80:
-			l.put(next, entry{rec: storage.Record{LSN: next}, frame: fmt.Sprint("f", next, "-", step)})
-			model[next] = fmt.Sprint("f", next, "-", step)
-			next = min(next+1, 6*logChunk-1)
-		case r < 90 && next > 1:
-			lsn := 1 + uint64(rr.Intn(int(next)))
-			l.put(lsn, entry{rec: storage.Record{LSN: lsn}, frame: fmt.Sprint("o", lsn, "-", step)})
-			model[lsn] = fmt.Sprint("o", lsn, "-", step)
-		case r < 97:
-			keep := uint64(rr.Intn(int(next) + logChunk))
-			l.cutAbove(keep)
-			for lsn := range model {
-				if lsn > keep {
-					delete(model, lsn)
-				}
-			}
-			next = keep + 1 + uint64(rr.Intn(3))
-		default:
-			l = entryLog{}
-			clear(model)
-		}
-		if step%50 == 0 {
-			check(step)
-		}
-	}
-	check(-1)
 }

@@ -136,7 +136,7 @@ func (n *Node) promote(epoch, term uint64) {
 	}
 	for _, rec := range recs {
 		if n.entries.at(rec.LSN) == nil {
-			n.entries.put(rec.LSN, entry{term: n.termOfLocked(rec.LSN), rec: rec})
+			n.entries.Put(rec.LSN, entry{term: n.termOfLocked(rec.LSN), rec: rec})
 		}
 		if rec.LSN > n.lastLSN {
 			n.lastLSN = rec.LSN
@@ -253,7 +253,7 @@ func (n *Node) appendLocal(epoch uint64, rec storage.Record, frame string) {
 	if n.epoch != epoch || n.closed {
 		return
 	}
-	n.entries.put(rec.LSN, entry{term: n.term, rec: rec, frame: frame})
+	n.entries.Put(rec.LSN, entry{term: n.term, rec: rec, frame: frame})
 	if n.firstLSN == 0 {
 		n.firstLSN = rec.LSN
 	}

@@ -59,6 +59,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/lsnlog"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/recovery"
@@ -181,66 +182,17 @@ type entry struct {
 	frame string
 }
 
-// entryLog is a node's in-memory log: its entries by LSN, in chunks of
-// logChunk consecutive LSNs. An entry is too large to sit in a map's own
-// array, so a map would allocate an object per entry; a chunk is one
-// object per logChunk entries. An empty slot (a zero entry) is an absent
-// LSN, as a missing map key was.
-type entryLog struct {
-	first  uint64             // the chunk number of chunks[0]
-	chunks []*[logChunk]entry // nil where no LSN of the chunk is held
-}
-
-const logChunk = 256
+// entryLog is a node's in-memory log: its entries by LSN, one object per
+// lsnlog.Chunk entries where a map would allocate one per entry.
+type entryLog struct{ lsnlog.Log[entry] }
 
 // at returns the entry at lsn, or nil. The pointer is valid until the
 // log is cut or reset.
 func (l *entryLog) at(lsn uint64) *entry {
-	c := lsn / logChunk
-	if c < l.first || c-l.first >= uint64(len(l.chunks)) || l.chunks[c-l.first] == nil {
-		return nil
+	if e := l.At(lsn); e != nil && e.rec.LSN == lsn {
+		return e
 	}
-	e := &l.chunks[c-l.first][lsn%logChunk]
-	if e.rec.LSN != lsn {
-		return nil
-	}
-	return e
-}
-
-// put stores e at lsn.
-func (l *entryLog) put(lsn uint64, e entry) {
-	c := lsn / logChunk
-	switch {
-	case len(l.chunks) == 0:
-		l.first = c
-		l.chunks = append(l.chunks, nil)
-	case c < l.first:
-		l.chunks = append(make([]*[logChunk]entry, l.first-c), l.chunks...)
-		l.first = c
-	}
-	for c-l.first >= uint64(len(l.chunks)) {
-		l.chunks = append(l.chunks, nil)
-	}
-	if l.chunks[c-l.first] == nil {
-		l.chunks[c-l.first] = new([logChunk]entry)
-	}
-	l.chunks[c-l.first][lsn%logChunk] = e
-}
-
-// cutAbove drops every entry above keep.
-func (l *entryLog) cutAbove(keep uint64) {
-	for i := len(l.chunks) - 1; i >= 0; i-- {
-		lo := (l.first + uint64(i)) * logChunk
-		if lo > keep {
-			l.chunks[i] = nil
-			l.chunks = l.chunks[:i]
-			continue
-		}
-		if ch := l.chunks[i]; ch != nil && keep-lo+1 < logChunk {
-			clear(ch[keep-lo+1:])
-		}
-		return
-	}
+	return nil
 }
 
 // Node is one replica: follower, candidate, or leader.
@@ -274,9 +226,9 @@ type Node struct {
 	commitIndex uint64
 	// recs is handleAppend's decode buffer, cleared after each message,
 	// and refs the slab its records' Refs are carved from, in LSN order
-	// (DESIGN §4b.33).
+	// (the lsnlog retention rule).
 	recs []storage.Record
-	refs []uint64
+	refs lsnlog.Slab[uint64]
 
 	// Follower state: the owned durable log, the warm standby image, and
 	// the apply cursor into it.
@@ -514,7 +466,7 @@ func (n *Node) loadDiskStateLocked() error {
 	var entries entryLog
 	var first, last uint64
 	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), func(rec storage.Record) error {
-		entries.put(rec.LSN, entry{term: n.termOfLocked(rec.LSN), rec: rec})
+		entries.Put(rec.LSN, entry{term: n.termOfLocked(rec.LSN), rec: rec})
 		if first == 0 {
 			first = rec.LSN
 		}

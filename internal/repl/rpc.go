@@ -166,7 +166,7 @@ func (n *Node) handleAppend(m wire.Msg, out *wire.ReplExt) wire.Msg {
 		for i, rec := range newRecs {
 			frame := m.Params[appendFrom+i]
 			n.fw.AppendFrame(rec.LSN, frame)
-			n.entries.put(rec.LSN, entry{term: re.EntryTerm, rec: rec, frame: frame})
+			n.entries.Put(rec.LSN, entry{term: re.EntryTerm, rec: rec, frame: frame})
 		}
 		n.lastLSN = newRecs[len(newRecs)-1].LSN
 		// Fsync before acking: Match is the durability promise quorum
@@ -213,7 +213,7 @@ func (n *Node) truncateSuffixLocked(keep uint64) error {
 		n.fences = n.fences[:len(n.fences)-1]
 	}
 	n.persistLocked()
-	n.entries.cutAbove(keep)
+	n.entries.CutAbove(keep)
 	n.lastLSN = keep
 	fw, err := storage.OpenFileWAL(n.cfg.Dir, n.fwOptions(), nil)
 	if err != nil {

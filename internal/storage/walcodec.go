@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"repro/internal/frame"
+	"repro/internal/lsnlog"
 )
 
 // WAL record format. Each record is one frame (internal/frame: length,
@@ -83,12 +84,12 @@ func DecodeRecordFrame(buf []byte) (Record, int, error) {
 // A replication follower decodes an append message's entries this way,
 // each a view of the one string the message was read into.
 //
-// Refs are carved from *refs, a slab the caller keeps from record to
-// record and replaces when full (refSlab entries), as the WAL carves the
-// Refs it builds (DESIGN §4b.32): a record's Refs then pin its chunk, so
-// a caller that passes refs keeps the records it decodes in decode
-// order. A nil refs allocates each record's Refs.
-func DecodeRecordFrameString(s string, refs *[]uint64) (Record, int, error) {
+// Refs are carved from refs, a slab the caller keeps from record to
+// record, as the WAL carves the Refs it builds: a record's Refs then pin
+// their array, so a caller that passes refs keeps the records it decodes
+// in decode order (the lsnlog retention rule). A nil refs allocates each
+// record's Refs.
+func DecodeRecordFrameString(s string, refs *lsnlog.Slab[uint64]) (Record, int, error) {
 	payload, n, err := frame.ParseString(s, recPayloadMin, maxWALRecordSize)
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("%w: %w", ErrRecordCorrupt, err)
@@ -126,12 +127,12 @@ func decodeRecordPayload(payload []byte) (Record, error) {
 	return decodeRecord(frame.NewViewDecoder(payload), nil)
 }
 
-// decodeRecord reads a record's fields through d, carving Refs from
-// *refs when refs is not nil. A payload the encoder
+// decodeRecord reads a record's fields through d, carving Refs from refs
+// (a nil refs allocates them). A payload the encoder
 // would not have written — a flag bit it does not set, or a length, count
 // or ref in a longer uvarint than needed — is corrupt, so every record
 // decoded re-encodes to the bytes it was read from.
-func decodeRecord(d frame.Decoder, refs *[]uint64) (Record, error) {
+func decodeRecord(d frame.Decoder, refs *lsnlog.Slab[uint64]) (Record, error) {
 	size := d.Len()
 	rec := Record{LSN: d.U64(), Kind: RecordKind(d.Byte())}
 	flags := d.Byte()
@@ -140,16 +141,7 @@ func decodeRecord(d frame.Decoder, refs *[]uint64) (Record, error) {
 	owner := d.String()
 	rec.Owner, rec.Before, rec.After, rec.Note = ParseOwner(owner), d.String(), d.String(), d.String()
 	if n := d.Count(); n > 0 {
-		if refs == nil {
-			rec.Refs = make([]uint64, n)
-		} else {
-			if cap(*refs)-len(*refs) < n {
-				*refs = make([]uint64, 0, max(refSlab, n))
-			}
-			i, j := len(*refs), len(*refs)+n
-			*refs = (*refs)[:j]
-			rec.Refs = (*refs)[i:j:j]
-		}
+		rec.Refs = refs.Carve(n)
 		for i := range rec.Refs {
 			rec.Refs[i] = d.Uvarint()
 		}

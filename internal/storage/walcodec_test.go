@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"repro/internal/frame"
+	"repro/internal/lsnlog"
 )
 
 // unsafeStart is the address of s's first byte.
@@ -143,11 +144,11 @@ func TestRecordFrameGoldenBytes(t *testing.T) {
 // decoding allocates nothing but Refs; RecordEncoder returns
 // EncodeRecordFrame's bytes.
 func TestDecodeRecordFrameString(t *testing.T) {
-	var slab []uint64
+	var slab lsnlog.Slab[uint64]
 	same := func(t *testing.T, b []byte) {
 		t.Helper()
 		want, wn, werr := DecodeRecordFrame(b)
-		for _, refs := range []*[]uint64{nil, &slab} {
+		for _, refs := range []*lsnlog.Slab[uint64]{nil, &slab} {
 			got, gn, gerr := DecodeRecordFrameString(string(b), refs)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || gn != wn || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%x:\nstring: %+v %d %v\n bytes: %+v %d %v", b, got, gn, gerr, want, wn, werr)
@@ -186,16 +187,16 @@ func TestDecodeRecordFrameString(t *testing.T) {
 
 // TestDecodeRefsSlab: Refs decoded through a slab are carved from it in
 // decode order, each capped at its own length so no record's Refs can grow
-// into the next one's, and a slab serves refSlab entries before the next
-// one is allocated: one allocation per refSlab refs, where each record
-// used to cost one.
+// into the next one's, and a slab serves lsnlog.SlabLen entries before
+// the next one is allocated: one allocation per SlabLen refs, where each
+// record used to cost one.
 func TestDecodeRefsSlab(t *testing.T) {
-	frames := make([]string, refSlab)
+	frames := make([]string, lsnlog.SlabLen)
 	for i := range frames {
 		frames[i] = string(EncodeRecordFrame(nil, Record{LSN: uint64(i + 1), Kind: RecIntent,
 			Owner: ParseOwner("T1"), Note: "n", Refs: []uint64{uint64(i), uint64(i) + 1}}))
 	}
-	var slab []uint64
+	var slab lsnlog.Slab[uint64]
 	var recs []Record
 	for _, f := range frames[:2] {
 		rec, _, err := DecodeRecordFrameString(f, &slab)
@@ -204,7 +205,7 @@ func TestDecodeRefsSlab(t *testing.T) {
 		}
 		recs = append(recs, rec)
 	}
-	if &recs[0].Refs[1] != &slab[1] || &recs[1].Refs[0] != &slab[2] || cap(recs[0].Refs) != 2 {
+	if unsafe.Pointer(&recs[1].Refs[0]) != unsafe.Add(unsafe.Pointer(&recs[0].Refs[1]), 8) || cap(recs[0].Refs) != 2 {
 		t.Fatal("Refs are not consecutive carvings of the slab, capped at their length")
 	}
 	if recs[1].Refs[0] != 1 || recs[1].Refs[1] != 2 {
@@ -224,7 +225,7 @@ func TestDecodeRefsSlab(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
-	if want := 2.0 * 2 / refSlab; allocs > want {
+	if want := 2.0 * 2 / lsnlog.SlabLen; allocs > want {
 		t.Fatalf("decoding through a slab costs %.3f allocations per record, want <= %.3f", allocs, want)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/lsnlog"
 )
 
 // TestWALAtPanicsOutsideWindow: asking for a record the window no longer
@@ -31,6 +33,58 @@ func TestWALAtPanicsOutsideWindow(t *testing.T) {
 				msg := fmt.Sprint(recover())
 				if !strings.Contains(msg, fmt.Sprintf("record %d ", lsn)) || !strings.Contains(msg, "[3, 4]") {
 					t.Fatalf("at(%d) panicked with %q, want the LSN and the window [3, 4]", lsn, msg)
+				}
+			}()
+			w.at(lsn)
+		}()
+	}
+}
+
+// TestWALWindowPastLSNOne: a log rebuilt from records that start far
+// past LSN 1 and span three chunks, then trimmed to the middle of one,
+// answers at, Len, Records and Clone from its oldest retained LSN, and at
+// names that window when asked outside it.
+func TestWALWindowPastLSNOne(t *testing.T) {
+	const start, n = 10*lsnlog.Chunk + 100, 2*lsnlog.Chunk + 50
+	live := uint64(start + lsnlog.Chunk + 60) // T0's update, mid-chunk
+	var recs []Record
+	for lsn := uint64(start); lsn < start+n; lsn++ {
+		rec := Record{LSN: lsn, Kind: RecCommit, Owner: ParseOwner(fmt.Sprint("T", lsn))}
+		if lsn == live {
+			rec = Record{LSN: lsn, Kind: RecUpdate, Owner: ParseOwner("T0"), Page: 1, Before: "a", After: "b"}
+		}
+		recs = append(recs, rec)
+	}
+	w := NewWALFromRecords(recs)
+	last := w.LastLSN()
+	if last != start+n-1 || w.Len() != n || w.at(start).LSN != start {
+		t.Fatalf("rebuilt log: last %d, %d records, at(%d) = %+v", last, w.Len(), start, w.at(start))
+	}
+	w.Trim(last + 1) // T0's chain pins its update onward
+	kept := recs[live-start:]
+	if w.Len() != len(kept) {
+		t.Fatalf("window holds %d records after the trim, want %d", w.Len(), len(kept))
+	}
+	if r := w.at(live); r.Owner.String() != "T0" || r.Before != "a" {
+		t.Fatalf("at(%d) = %+v", live, r)
+	}
+	if got := w.Records(); !reflect.DeepEqual(got, kept) {
+		t.Fatalf("Records returned %d records from LSN %d, want %d from %d", len(got), got[0].LSN, len(kept), live)
+	}
+	c := w.Clone()
+	if got := c.Records(); !reflect.DeepEqual(got, kept) || c.Len() != len(kept) {
+		t.Fatalf("the clone holds %d records, want %d", c.Len(), len(kept))
+	}
+	if got := c.LogCommit(ParseOwner("T0")); got != last+1 {
+		t.Fatalf("the clone appends at LSN %d, want %d", got, last+1)
+	}
+	window := fmt.Sprintf("[%d, %d]", live, last)
+	for _, lsn := range []uint64{1, start, live - 1, last + 1} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("record %d ", lsn)) || !strings.Contains(msg, window) {
+					t.Fatalf("at(%d) panicked with %q, want the LSN and the window %s", lsn, msg, window)
 				}
 			}()
 			w.at(lsn)
