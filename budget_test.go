@@ -494,9 +494,12 @@ func (w *readWork) commit(tb testing.TB) {
 
 // TestReadWorkBudget pins what one enc_wire_read commit allocates in the
 // engine, without the wire: heap allocations and bytes per commit, each at
-// its measured value plus 2 % (40.36 allocations and 21,419 bytes at seed
-// 1, the median of 20 runs, which read 40.19–40.37 and 21,369–21,434;
-// 33.8 heap objects before the counts were exact, spread 33.5–34.0; 37.1
+// its measured value plus 2 % (26.70 allocations and 20,001 bytes at seed
+// 1, the median of 20 runs, which read 26.53–26.88 and 19,951–20,051;
+// 40.36 allocations and 21,419 bytes before idle lock states stayed in
+// the lock table, where a readSeq's 256 item locks outgrew the 64 states
+// a shard kept for reuse; 33.8 heap objects before the counts were exact,
+// spread 33.5–34.0; 37.1
 // objects before a miss reused its victim's frame, 22,822 bytes before the
 // log's window came in chunks). Pool misses are this path's
 // design, so the budget covers the buffer pool's eviction path as well as
@@ -506,7 +509,7 @@ func TestReadWorkBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := newReadWork(t, 1)
-	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 41.2, 21848)
+	checkCommitBudget(t, func() { w.commit(t) }, 500, 3000, 27.3, 20402)
 }
 
 // wireCommit is commit over the wire: the same transaction, sent by a
@@ -540,13 +543,14 @@ func (w *readWork) wireCommit(tb testing.TB, cl *client.Client) {
 // over loopback, so the figures count both processes' halves — frames
 // read and decoded on each side, replies encoded, the session and the
 // client's call — as well as the engine. Heap allocations and bytes per
-// commit, each at its measured value plus 2 % (52.62 allocations and
-// 34,638 bytes at seed 1, the median of 20 runs, which read 52.44–53.00
-// and 34,586–34,754; 45.2 heap objects before the counts were exact,
-// spread 44.8–45.7, and 36,026 bytes before the log's window came in
-// chunks; 91.1 objects and 39,426 bytes, the median of 3 runs, when
-// every frame and field was its own allocation and every call made its
-// reply channel).
+// commit, each at its measured value plus 2 % (38.96 allocations and
+// 33,218 bytes at seed 1, the median of 20 runs, which read 38.78–39.19
+// and 33,168–33,284; 52.62 allocations and 34,638 bytes before idle lock
+// states stayed in the lock table; 45.2 heap objects before the counts
+// were exact, spread 44.8–45.7, and 36,026 bytes before the log's window
+// came in chunks; 91.1 objects and 39,426 bytes, the median of 3 runs,
+// when every frame and field was its own allocation and every call made
+// its reply channel).
 func TestWireReadWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -569,5 +573,5 @@ func TestWireReadWorkBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	checkCommitBudget(t, func() { w.wireCommit(t, cl) }, 500, 3000, 53.7, 35331)
+	checkCommitBudget(t, func() { w.wireCommit(t, cl) }, 500, 3000, 39.8, 33883)
 }

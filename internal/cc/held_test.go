@@ -3,6 +3,7 @@ package cc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,7 +12,8 @@ import (
 
 // TestReleaseHeldMatchesRelease: a handle releases exactly what Release by
 // key releases — the owner's grant on that resource, re-entrant count and
-// all, and no other owner's — and collects the idle state.
+// all, and no other owner's — and parks the idle state, which the next
+// resource that misses reuses.
 func TestReleaseHeldMatchesRelease(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
 	a := res("A")
@@ -35,13 +37,20 @@ func TestReleaseHeldMatchesRelease(t *testing.T) {
 		t.Fatalf("holders after T1's release = %v, want [T2]", h)
 	}
 	lm.ReleaseHeldOwner(h2, t2.owner())
-	if stateOf(lm, a) != nil {
-		t.Fatal("idle state not collected")
+	if st := (*lockState)(h1); stateOf(lm, a) != st || !slices.Equal(idleList(lm.shards[0]), []*lockState{st}) {
+		t.Fatal("idle state not parked under its resource")
 	}
+	if err := lm.Acquire("T3", res("B"), X); err != nil {
+		t.Fatal(err)
+	}
+	if stateOf(lm, a) != nil || stateOf(lm, res("B")) != (*lockState)(h1) {
+		t.Fatal("idle state not reused by a miss")
+	}
+	lm.Release("T3", res("B"))
 }
 
 // TestRecycledHandleReleaseIsNoop: owner T1 releases its handle twice;
-// between the two releases the state is recycled for another resource and
+// between the two releases the state is reused for another resource and
 // granted to T2. The second release must find no grant of T1 there and
 // leave T2's grant alone.
 func TestRecycledHandleReleaseIsNoop(t *testing.T) {
@@ -58,16 +67,16 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hb != h {
-		t.Fatal("B did not take A's recycled state; the case is not exercised")
+		t.Fatal("B did not take A's idle state; the case is not exercised")
 	}
 	if st := (*lockState)(h); st.res != b {
-		t.Fatalf("recycled state serves %v, want %v", st.res, b)
+		t.Fatalf("reused state serves %v, want %v", st.res, b)
 	}
 	lm.ReleaseHeldOwner(h, t1.owner())
 	if got := lm.Holders(b); len(got) != 1 || got[0] != "T2" {
 		t.Fatalf("holders of B after T1's stale release = %v, want [T2]", got)
 	}
-	// The recycled state still excludes: T3 must block on B until T2 goes.
+	// The reused state still excludes: T3 must block on B until T2 goes.
 	done := make(chan error, 1)
 	go func() { done <- lm.Acquire("T3", b, X) }()
 	waitFor(t, "T3 blocked on B", func() bool { return lm.Snapshot().Blocked == 1 })
@@ -86,24 +95,44 @@ func TestRecycledHandleReleaseIsNoop(t *testing.T) {
 	}
 }
 
-// TestPooledStatePinsNoName: a recycled state forgets its resource, so the
-// free list keeps no name strings reachable.
+// TestPooledStatePinsNoName: an idle state pins only its own resource. One
+// re-keyed for another resource no longer keys the table by the old name,
+// and one evicted at the idle bound leaves the table and forgets its
+// resource, so a stale handle keeps no name string reachable.
 func TestPooledStatePinsNoName(t *testing.T) {
 	lm := NewLockManager(WithShards(1))
+	setIdleBound(lm, 1)
+	sh := lm.shards[0]
 	t1 := begin(lm, "T1")
-	h, err := t1.acquireTraced(nil, t1, res("A"), X)
+	a, b, c := res("A"), res("B"), res("C")
+	h, err := t1.acquireTraced(nil, t1, a, X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lm.ReleaseHeldOwner(h, t1.owner())
-	sh := lm.shards[0]
+	hb, err := t1.acquireTraced(nil, t1, b, X) // re-keys A's idle state
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, err := t1.acquireTraced(nil, t1, c, X) // a new state: no idle one left
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hb != h || hc == h {
+		t.Fatal("B must reuse A's state and C get a new one")
+	}
+	lm.ReleaseHeldOwner(hb, t1.owner())
+	lm.ReleaseHeldOwner(hc, t1.owner()) // at the bound: B's state is evicted
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(sh.free) != 1 || sh.free[0] != (*lockState)(h) {
-		t.Fatal("released state not pooled")
+	if _, ok := sh.locks[a]; ok {
+		t.Fatal("the table still keys a re-keyed state by its old resource")
 	}
-	if st := sh.free[0]; st.res != (Resource{}) || st.sh != sh {
-		t.Fatalf("pooled state res=%v sh ok=%v, want zero res and its shard", st.res, st.sh == sh)
+	if _, ok := sh.locks[b]; ok || !slices.Equal(idleList(sh), []*lockState{(*lockState)(hc)}) {
+		t.Fatal("B's state was not evicted for C's")
+	}
+	if st := (*lockState)(h); st.res != (Resource{}) || st.sh != sh || st.idle {
+		t.Fatalf("evicted state res=%v sh ok=%v idle=%v, want zero res, its shard, not idle", st.res, st.sh == sh, st.idle)
 	}
 }
 
@@ -259,5 +288,19 @@ func BenchmarkCommitRelease(b *testing.B) {
 				lm.Forget("T1")
 			}
 		})
+	}
+}
+
+// BenchmarkWideTxn prices a transaction holding 256 locks at once, a
+// readSeq's items: its 256 acquires, then the release of its list. The
+// resources' idle states stay in the table between rounds, so a round
+// allocates nothing.
+func BenchmarkWideTxn(b *testing.B) {
+	w := newWideTxn(NewLockManager(), 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := w.run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

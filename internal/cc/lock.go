@@ -265,7 +265,7 @@ func NewLockManager(opts ...Option) *LockManager {
 	}
 	lm.shards = make([]*lockShard, lm.nshards)
 	for i := range lm.shards {
-		lm.shards[i] = &lockShard{locks: make(map[Resource]*lockState)}
+		lm.shards[i] = &lockShard{locks: make(map[Resource]*lockState), maxIdle: idleBound(lm.nshards)}
 	}
 	lm.shardMask = uint64(lm.nshards - 1)
 	return lm
@@ -352,8 +352,9 @@ func (lm *LockManager) Acquire(owner string, res Resource, mode Mode) error {
 }
 
 // Held is a granted lock: the lock state an acquire granted. The state
-// carries the grant until it is released, so it cannot be recycled for
-// another resource while its holder can still release it;
+// carries the grant until it is released, so it is never on the idle
+// list, and cannot be reused for another resource while its holder can
+// still release it;
 // ReleaseHeldOwner and TransferOwner go straight to it without hashing the
 // resource.
 type Held lockState
@@ -376,7 +377,7 @@ func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, i
 	st := sh.state(res)
 	if len(st.granted) == 0 && len(st.waiting) == 0 {
 		// Uncontended: nothing to conflict with or queue behind, and the
-		// state carries a grant on return, so there is nothing to collect.
+		// state carries a grant on return, so there is nothing to park.
 		grantLocked(st, owner, mode)
 		sh.mu.Unlock()
 		lm.stats.acquires.Add(1)
@@ -403,7 +404,7 @@ func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, i
 			st.removeWaiter(token)
 			st.cond.Broadcast() // later waiters may now be first in line
 		}
-		sh.gcState(st)
+		sh.parkState(st)
 		sh.mu.Unlock()
 		if tmo != nil {
 			tmo.timer.Stop()
@@ -440,9 +441,9 @@ func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, i
 			lm.rec.Record(obs.Event{Kind: obs.EvLockTimeout, Actor: owner.String(),
 				Object: res.Name, Dur: time.Since(start)})
 			// Name the blockers from the last observed set, not the
-			// re-fetched state: the idle state may have been collected and
-			// recreated while the shard lock was dropped, and a fresh grant
-			// set would misreport who caused the wait.
+			// re-fetched state: the idle state may have been reused for
+			// another resource while the shard lock was dropped, and a
+			// fresh grant set would misreport who caused the wait.
 			held := make([]string, 0, len(lastBlockers))
 			for _, b := range lastBlockers {
 				held = append(held, b.Owner+"/"+b.Mode)
@@ -478,7 +479,7 @@ func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, i
 			}
 			// The detector wakes us (to fail with ErrDeadlock) if we are
 			// chosen as victim; broadcast through the current map entry in
-			// case the state was collected and recreated meanwhile.
+			// case the state was re-keyed and replaced meanwhile.
 			wake = lm.det.register(root, func() {
 				sh.mu.Lock()
 				if cur, ok := sh.locks[res]; ok {
@@ -522,7 +523,7 @@ func (lm *LockManager) acquire(owner Owner, res Resource, mode Mode) (h *Held, i
 			fn()
 		}
 		sh.mu.Lock()
-		st = sh.state(res) // the idle state may have been collected while unlocked
+		st = sh.state(res) // the idle state may have been re-keyed while unlocked
 		if victim == root {
 			return nil, info, ErrDeadlock
 		}
@@ -647,7 +648,7 @@ func (lm *LockManager) Release(owner string, res Resource) {
 // The engine lists each grant's handle on the action that owns it and
 // releases a list — a completed action's early, an aborted subtree's, a
 // finished transaction's root's — by calling this per handle. Releasing a
-// handle again is a no-op, even if its state was recycled for another
+// handle again is a no-op, even if its state was reused for another
 // resource meanwhile, as long as the owner acquired nothing since (see
 // DESIGN §4b.4); an owner of an ended transaction is never equal to a
 // later one, even on the same reused node.

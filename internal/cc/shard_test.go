@@ -321,18 +321,25 @@ func applyOp(d *diffTxns, op diffOp) string {
 // against a 1-shard manager (the seed's single-mutex behaviour) and a
 // 16-shard manager, comparing every outcome and the visible lock table
 // after each step. Serial execution makes blocking deterministic: a
-// conflicting acquire times out in both or neither.
+// conflicting acquire times out in both or neither. Each schedule also
+// runs with an idle bound of 1 per shard, so idle states are re-keyed and
+// evicted under random schedules.
 func TestDifferentialShardedVsSingleMutex(t *testing.T) {
 	for _, fair := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			name := fmt.Sprintf("fair=%v/seed=%d", fair, seed)
+		for n := 0; n < 8; n++ {
+			seed, idle1 := int64(n%4+1), n >= 4
+			name := fmt.Sprintf("fair=%v/seed=%d/idle1=%v", fair, seed, idle1)
 			ops := randomSchedule(seed, 150)
 			mk := func(shards int) *LockManager {
 				o := []Option{WithShards(shards), WithWaitTimeout(10 * time.Millisecond)}
 				if fair {
 					o = append(o, WithFairness())
 				}
-				return NewLockManager(o...)
+				lm := NewLockManager(o...)
+				if idle1 {
+					setIdleBound(lm, 1)
+				}
+				return lm
 			}
 			single, sharded := mk(1), mk(16)
 			txns1 := &diffTxns{lm: single, acts: map[string]*act{}}
